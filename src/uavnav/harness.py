@@ -1,11 +1,19 @@
 """Experiment orchestration: training runs, evaluation flights, exports.
 
 An experiment is fully determined by (config, master seed). Training writes
-an artifact directory holding one strategic checkpoint, one adaptive
-checkpoint per band, a per-episode reward CSV per agent, and a manifest
-embedding the resolved config (so evaluation can rebuild the identical
-world). Rerunning with the same config and seed reproduces every artifact
-byte for byte; only the manifest timestamp differs.
+an artifact directory holding one strategic checkpoint (``strategic.npz``),
+one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
+``qcore`` format v2, a per-episode reward CSV per agent, and a manifest.
+The manifest embeds the resolved config (so evaluation can rebuild the
+identical world), its sha256 (``config_sha256``) and, under ``files``, the
+sha256 of every checkpoint. Checkpoints and manifest are written to a
+temporary file and renamed into place. Rerunning with the same config and
+seed reproduces every artifact byte for byte; only the manifest timestamp
+differs.
+
+Evaluation loads only what it can verify: ``load_artifacts`` recomputes
+both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
+are never flown in a world other than the one they were trained in.
 
 Evaluation replays the trained tables over fresh random destinations and
 reports Table-style percentages: arrival, crash, step-cap, and outage both
@@ -17,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -26,7 +36,14 @@ from pathlib import Path
 from . import __version__
 from .agents import EpisodeLog, draw_free_cell, train_adaptive, train_strategic
 from .arbiter import FlightOutcome, FlightResult, execute_flight
-from .config import ConfigError, TrainConfig, load_config, seed_stream, stream_rng
+from .config import (
+    ConfigError,
+    TrainConfig,
+    config_from_dict,
+    load_config,
+    seed_stream,
+    stream_rng,
+)
 from .gridworld import ACTIONS, ACTIONS_XY, Cell, GridWorld, build
 from .qcore import FORMAT_VERSION, QTable
 from .qcore import load as load_table
@@ -34,6 +51,7 @@ from .qcore import save as save_table
 from .radio import coverage_map
 
 MANIFEST_NAME = "manifest.json"
+STRATEGIC_NAME = "strategic.npz"
 
 
 class ArtifactError(ValueError):
@@ -130,6 +148,56 @@ def _write_rewards_csv(path: Path, logs: list[EpisodeLog]) -> None:
             )
 
 
+def _adaptive_name(band_mhz: float) -> str:
+    return f"adaptive_{band_label(band_mhz)}.npz"
+
+
+def _sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _replace_from_temp(path: Path, write) -> None:
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it over ``path``.
+
+    A reader never sees a half-written file under the final name.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _save_checkpoint(table: QTable, path: Path) -> str:
+    """Write a checkpoint into place; returns its sha256."""
+    _replace_from_temp(path, lambda tmp: save_table(table, tmp))
+    return _sha256(path)
+
+
+def _require_takeoff_layer_free(cfg: TrainConfig, world: GridWorld) -> None:
+    """Altitude-locked missions need a free cell besides the start on its layer.
+
+    Without one, drawing a destination would never terminate.
+    """
+    if not cfg.altitude_locked:
+        return
+    spec, start = world.spec, world.start_cell
+    for x in range(spec.nx):
+        for y in range(spec.ny):
+            c = (x, y, start[2])
+            if c != start and c not in world.obstacles:
+                return
+    raise ConfigError(
+        f"altitude_locked: takeoff layer z={start[2]} has no free cell "
+        "besides the start cell"
+    )
+
+
 def cmd_train(
     config: TrainConfig | str, out_dir: str | Path, seed: int | None = None
 ) -> Path:
@@ -137,24 +205,22 @@ def cmd_train(
     cfg = load_config(config) if isinstance(config, str) else config
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
+    world = build_world(cfg)
+    _require_takeoff_layer_free(cfg, world)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    world = build_world(cfg)
     files: dict[str, str] = {}
 
     table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
-    save_table(table, out / "strategic.json")
+    files[STRATEGIC_NAME] = _save_checkpoint(table, out / STRATEGIC_NAME)
     _write_rewards_csv(out / "rewards_strategic.csv", logs)
-    files["strategic"] = "strategic.json"
 
     for band in cfg.bands_mhz:
         label = band_label(band)
         rng = stream_rng(cfg.seed, f"train.adaptive.{label}")
         atable, alogs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
-        save_table(atable, out / f"adaptive_{label}.json")
+        files[_adaptive_name(band)] = _save_checkpoint(atable, out / _adaptive_name(band))
         _write_rewards_csv(out / f"rewards_adaptive_{label}.csv", alogs)
-        files[f"adaptive_{label}"] = f"adaptive_{label}.json"
 
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -165,47 +231,84 @@ def cmd_train(
         "config_sha256": cfg.config_hash(),
         "files": files,
     }
-    with open(out / MANIFEST_NAME, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+
+    def write_manifest(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+    _replace_from_temp(out / MANIFEST_NAME, write_manifest)
     return out
 
 
-def load_artifacts(artifact_dir: str | Path) -> tuple[TrainConfig, QTable, dict[float, QTable]]:
-    """Read back a training run: config, strategic table, per-band adaptive tables."""
-    art = Path(artifact_dir)
+def _read_manifest(art: Path) -> tuple[TrainConfig, dict[str, str]]:
+    """The verified config of an artifact dir and its checkpoint hashes."""
     manifest_path = art / MANIFEST_NAME
     if not manifest_path.exists():
         raise ArtifactError(f"no {MANIFEST_NAME} in {art}")
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    from .config import config_from_dict
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"manifest {manifest_path} is not a JSON object")
+    for key, kind in (("config", dict), ("config_sha256", str), ("files", dict)):
+        if not isinstance(manifest.get(key), kind):
+            raise ArtifactError(
+                f"manifest {manifest_path}: {key!r} missing or not a {kind.__name__}"
+            )
+    try:
+        cfg = config_from_dict(manifest["config"], path=str(manifest_path))
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ArtifactError(f"manifest {manifest_path}: invalid config: {exc}") from exc
+    if cfg.config_hash() != manifest["config_sha256"]:
+        raise ArtifactError(
+            f"manifest {manifest_path}: config does not match config_sha256; "
+            "it was edited after training"
+        )
+    return cfg, manifest["files"]
 
-    cfg = config_from_dict(manifest["config"], path=str(manifest_path))
 
-    strategic = load_table(art / "strategic.json")
+def _load_verified(art: Path, name: str, files: dict[str, str]) -> QTable:
+    path = art / name
+    if not path.exists():
+        raise ArtifactError(f"missing checkpoint {path}")
+    if _sha256(path) != files[name]:
+        raise ArtifactError(f"{path} does not match its sha256 in the manifest")
+    return load_table(path)
+
+
+def load_artifacts(artifact_dir: str | Path) -> tuple[TrainConfig, QTable, dict[float, QTable]]:
+    """Read back a training run: config, strategic table, per-band adaptive tables.
+
+    Every checkpoint must match its manifest hash and the config its
+    ``config_sha256``; anything else raises ``ArtifactError``.
+    """
+    art = Path(artifact_dir)
+    cfg, files = _read_manifest(art)
+    expected = {STRATEGIC_NAME, *(_adaptive_name(b) for b in cfg.bands_mhz)}
+    if set(files) != expected:
+        raise ArtifactError(
+            f"manifest lists checkpoints {sorted(files)}, config needs {sorted(expected)}"
+        )
+
+    strategic = _load_verified(art, STRATEGIC_NAME, files)
     if strategic.kind != "strategic":
-        raise ArtifactError("strategic.json does not hold a strategic table")
+        raise ArtifactError(f"{STRATEGIC_NAME} does not hold a strategic table")
     if strategic.grid != cfg.grid:
         raise ArtifactError("strategic checkpoint grid does not match the config grid")
 
     adaptive: dict[float, QTable] = {}
     for band in cfg.bands_mhz:
-        path = art / f"adaptive_{band_label(band)}.json"
-        if not path.exists():
-            raise ArtifactError(f"missing adaptive checkpoint for {band_label(band)} MHz")
-        t = load_table(path)
+        name = _adaptive_name(band)
+        t = _load_verified(art, name, files)
         if t.kind != "adaptive":
-            raise ArtifactError(f"{path.name} does not hold an adaptive table")
+            raise ArtifactError(f"{name} does not hold an adaptive table")
         if t.grid != cfg.grid:
-            raise ArtifactError(f"{path.name} grid does not match the config grid")
+            raise ArtifactError(f"{name} grid does not match the config grid")
         if t.f_mhz != band:
-            raise ArtifactError(
-                f"{path.name} was trained at {t.f_mhz} MHz, expected {band}"
-            )
+            raise ArtifactError(f"{name} was trained at {t.f_mhz} MHz, expected {band}")
         adaptive[band] = t
     return cfg, strategic, adaptive
 
@@ -225,6 +328,7 @@ def run_flights(
     The destination stream restarts per band, so every band faces the same
     destination sequence.
     """
+    _require_takeoff_layer_free(cfg, world)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
     allowed = ACTIONS_XY if cfg.altitude_locked else ACTIONS

@@ -12,16 +12,33 @@ The update is the standard one-step bootstrap
 and action selection is epsilon-greedy with uniform random tie-breaking
 among maximizers, so the symmetric grid picks up no directional bias.
 
-Checkpoints are versioned JSON documents; see ``save``/``load``.
+A checkpoint (format v2, ``save``/``load``) is an uncompressed zip of three
+``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
+
+- ``keys``: int32, one row per stored state, sorted; n x 3 position cells,
+  or n x 6 (position, destination) pairs when ``goal_conditioned``
+- ``values``: float64, n x 6, the dense action values of each stored state
+- ``meta``: a 0-d unicode array holding a JSON object with
+  ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
+  ``goal_conditioned`` and ``f_mhz``
+
+Every member carries a fixed timestamp, so a table always writes the same
+bytes. ``load`` checks the version, dtypes, shapes, key bounds and values,
+and raises ``CheckpointError`` on anything it cannot vouch for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
+import zipfile
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 from .gridworld import ACTIONS, Action, Cell, GridSpec
 
@@ -29,7 +46,8 @@ from .gridworld import ACTIONS, Action, Cell, GridSpec
 # (position, destination) key (goal-conditioned planner).
 StateKey = Union[Cell, tuple[Cell, Cell]]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_MEMBERS = ("keys", "values", "meta")
 
 N_ACTIONS = len(ACTIONS)
 _ZERO_ROW = (0.0,) * N_ACTIONS
@@ -193,94 +211,148 @@ def select_action(
     return ties[rng.randrange(len(ties))]
 
 
-def _encode_key(s: StateKey) -> list[int]:
-    if len(s) == 2 and isinstance(s[0], tuple):
-        (px, py, pz), (dx, dy, dz) = s  # type: ignore[misc]
-        return [px, py, pz, dx, dy, dz]
-    return list(s)  # type: ignore[arg-type]
-
-
-def _decode_key(flat: list[int]) -> StateKey:
-    if len(flat) == 3:
-        return (flat[0], flat[1], flat[2])
-    if len(flat) == 6:
-        return ((flat[0], flat[1], flat[2]), (flat[3], flat[4], flat[5]))
-    raise CheckpointError(f"state key must have 3 or 6 components, got {len(flat)}")
+def _key_width(goal_conditioned: bool) -> int:
+    return 6 if goal_conditioned else 3
 
 
 def save(table: QTable, path) -> None:
-    """Write a versioned JSON checkpoint with full float precision."""
-    entries = sorted(
-        ((_encode_key(s), int(a), v) for s, a, v in table.entries()),
-        key=lambda e: (e[0], e[1]),
-    )
-    doc = {
+    """Write a format-v2 checkpoint to exactly ``path``.
+
+    Rows are stored dense and sorted by key, so the same table always gives
+    the same bytes, whatever order its rows were inserted in.
+    """
+    rows = table._rows
+    n, width = len(rows), _key_width(table.goal_conditioned)
+    flat = chain.from_iterable(rows)
+    if table.goal_conditioned:
+        flat = chain.from_iterable(flat)
+    keys = np.fromiter(flat, dtype=np.int32, count=n * width).reshape(n, width)
+    values = np.fromiter(
+        chain.from_iterable(rows.values()), dtype=np.float64, count=n * N_ACTIONS
+    ).reshape(n, N_ACTIONS)
+    # lexsort's primary key is its last one: reverse the columns
+    order = np.lexsort(keys.T[::-1])
+    meta = {
         "format_version": FORMAT_VERSION,
-        "agent_kind": table.kind,
+        "kind": table.kind,
+        "grid": dataclasses.asdict(table.grid),
+        "hyper": dataclasses.asdict(table.hyper),
+        "seed": table.seed,
         "goal_conditioned": table.goal_conditioned,
         "f_mhz": table.f_mhz,
-        "grid": {
-            "nx": table.grid.nx,
-            "ny": table.grid.ny,
-            "nz": table.grid.nz,
-            "cell_size_m": table.grid.cell_size_m,
-            "cell_height_m": table.grid.cell_height_m,
-        },
-        "hyper": {"alpha": table.hyper.alpha, "gamma": table.hyper.gamma},
-        "seed": table.seed,
-        "entries": [
-            {"state_key": k, "action": a, "value": v} for k, a, v in entries
-        ],
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, separators=(",", ":"))
-        f.write("\n")
+    members = (
+        ("keys", keys[order]),
+        ("values", values[order]),
+        ("meta", np.array(json.dumps(meta, sort_keys=True))),
+    )
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name, array in members:
+            # a fixed timestamp keeps checkpoints byte-identical across reruns
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, array, allow_pickle=False)
 
 
 def load(path) -> QTable:
-    """Read a checkpoint written by ``save``; rejects newer format versions."""
+    """Read and validate a checkpoint written by ``save``.
+
+    Any unreadable, foreign, newer-version or inconsistent file raises
+    ``CheckpointError``.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointError(f"not a Q-table checkpoint: {path}")
-    version = doc["format_version"]
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"not a Q-table checkpoint: {path}")
+        with npz:
+            if sorted(npz.files) != sorted(_MEMBERS):
+                raise CheckpointError(
+                    f"checkpoint {path} holds {sorted(npz.files)}, "
+                    f"expected {sorted(_MEMBERS)}"
+                )
+            keys, values, meta = (npz[name] for name in _MEMBERS)
+    except CheckpointError:
+        raise
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    table = _table_from_meta(path, meta)
+
+    width = _key_width(table.goal_conditioned)
+    if keys.dtype != np.int32 or keys.ndim != 2 or keys.shape[1] != width:
+        raise CheckpointError(
+            f"checkpoint {path}: keys must be int32 of shape (n, {width}) "
+            f"when goal_conditioned is {table.goal_conditioned}, "
+            f"got {keys.dtype} {keys.shape}"
+        )
+    n = keys.shape[0]
+    if values.dtype != np.float64 or values.shape != (n, N_ACTIONS):
+        raise CheckpointError(
+            f"checkpoint {path}: values must be float64 of shape ({n}, {N_ACTIONS}), "
+            f"got {values.dtype} {values.shape}"
+        )
+    g = table.grid
+    upper = np.array([g.nx, g.ny, g.nz] * (width // 3))
+    if not ((keys >= 0) & (keys < upper)).all():
+        raise CheckpointError(f"checkpoint {path}: a state key lies outside the grid")
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"non-finite value in checkpoint {path}")
+
+    cols = keys.T.tolist()
+    cells = zip(*cols[:3])
+    states = zip(cells, zip(*cols[3:])) if table.goal_conditioned else cells
+    table._rows = dict(zip(states, values.tolist()))
+    if len(table._rows) != n:
+        raise CheckpointError(f"checkpoint {path}: duplicate state keys")
+    return table
+
+
+def _table_from_meta(path, meta: np.ndarray) -> QTable:
+    if meta.dtype.kind != "U" or meta.ndim != 0:
+        raise CheckpointError(f"checkpoint {path}: meta must be a 0-d unicode array")
+    try:
+        doc = json.loads(meta.item())
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"checkpoint {path}: corrupt meta: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path}: meta must be a JSON object")
+    version = doc.get("format_version")
+    if not _is_int(version):
+        raise CheckpointError(
+            f"checkpoint {path}: format_version must be an int, got {version!r}"
+        )
     if version > FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format version {version}, "
             f"newest supported is {FORMAT_VERSION}"
         )
+    if version < FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has format version {version}, which is no "
+            f"longer read; retrain to write version {FORMAT_VERSION}"
+        )
+    goal_conditioned = doc.get("goal_conditioned")
+    if not isinstance(goal_conditioned, bool):
+        raise CheckpointError(f"checkpoint {path}: goal_conditioned must be a bool")
     try:
-        grid = GridSpec(
-            nx=doc["grid"]["nx"],
-            ny=doc["grid"]["ny"],
-            nz=doc["grid"]["nz"],
-            cell_size_m=doc["grid"]["cell_size_m"],
-            cell_height_m=doc["grid"]["cell_height_m"],
-        )
-        table = QTable(
-            kind=doc["agent_kind"],
+        grid = GridSpec(**doc["grid"])
+        if not all(_is_int(v) for v in (grid.nx, grid.ny, grid.nz)):
+            raise TypeError("grid dimensions must be ints")
+        seed, f_mhz = doc["seed"], doc["f_mhz"]
+        if not _is_int(seed):
+            raise TypeError(f"seed must be an int, got {seed!r}")
+        if f_mhz is not None and not (type(f_mhz) in (int, float) and 0 < f_mhz < math.inf):
+            raise ValueError(f"f_mhz must be a positive number or null, got {f_mhz!r}")
+        return QTable(
+            kind=doc["kind"],
             grid=grid,
-            hyper=Hyper(alpha=doc["hyper"]["alpha"], gamma=doc["hyper"]["gamma"]),
-            seed=doc["seed"],
-            goal_conditioned=doc.get("goal_conditioned", False),
-            f_mhz=doc.get("f_mhz"),
+            hyper=Hyper(**doc["hyper"]),
+            seed=seed,
+            goal_conditioned=goal_conditioned,
+            f_mhz=f_mhz,
         )
-        for entry in doc["entries"]:
-            s = _decode_key(entry["state_key"])
-            a = Action(entry["action"])
-            v = float(entry["value"])
-            if not math.isfinite(v):
-                raise CheckpointError(f"non-finite value in checkpoint {path}")
-            row = table._rows.get(s)
-            if row is None:
-                row = [0.0] * N_ACTIONS
-                table._rows[s] = row
-            row[a] = v
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    return table
+        raise CheckpointError(f"checkpoint {path}: malformed meta: {exc}") from exc
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)

@@ -324,9 +324,9 @@ def test_criterion_8_training_determinism(tmp_path):
     compared = []
     identical = True
     for name in (
-        "strategic.json",
-        "adaptive_900.json",
-        "adaptive_2100.json",
+        "strategic.npz",
+        "adaptive_900.npz",
+        "adaptive_2100.npz",
         "rewards_strategic.csv",
         "rewards_adaptive_900.csv",
         "rewards_adaptive_2100.csv",

@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import json
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,12 +24,15 @@ from uavnav.harness import (
     EvalReport,
     FlightRecord,
     band_label,
+    build_world,
     cmd_coverage,
     cmd_evaluate,
     cmd_train,
     compute_metrics,
     load_artifacts,
+    run_flights,
 )
+from uavnav.qcore import QTable
 
 
 def rec(outcome, steps=10, outage=0, band=900.0):
@@ -180,18 +186,22 @@ def test_cmd_train_artifact_layout(tmp_path):
     out = cmd_train(cfg, tmp_path / "run")
     names = sorted(p.name for p in out.iterdir())
     assert names == [
-        "adaptive_2100.json",
-        "adaptive_900.json",
+        "adaptive_2100.npz",
+        "adaptive_900.npz",
         "manifest.json",
         "rewards_adaptive_2100.csv",
         "rewards_adaptive_900.csv",
         "rewards_strategic.csv",
-        "strategic.json",
+        "strategic.npz",
     ]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["config"]["episodes_strategic"] == 400
     assert manifest["config_sha256"] == cfg.config_hash()
+    assert manifest["files"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("strategic.npz", "adaptive_900.npz", "adaptive_2100.npz")
+    }
     # reward CSV shape
     with open(out / "rewards_strategic.csv", newline="") as f:
         rows = list(csv.reader(f))
@@ -211,7 +221,7 @@ def test_cmd_train_byte_identical_rerun(tmp_path):
     cfg = TrainConfig(**SMALL)
     a = cmd_train(cfg, tmp_path / "a")
     b = cmd_train(cfg, tmp_path / "b")
-    for name in ("strategic.json", "adaptive_900.json", "adaptive_2100.json",
+    for name in ("strategic.npz", "adaptive_900.npz", "adaptive_2100.npz",
                  "rewards_strategic.csv", "rewards_adaptive_900.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -220,7 +230,7 @@ def test_cmd_train_seed_override_changes_artifacts(tmp_path):
     cfg = TrainConfig(**SMALL)
     a = cmd_train(cfg, tmp_path / "a")
     c = cmd_train(cfg, tmp_path / "c", seed=99)
-    assert (a / "strategic.json").read_bytes() != (c / "strategic.json").read_bytes()
+    assert (a / "strategic.npz").read_bytes() != (c / "strategic.npz").read_bytes()
     assert json.loads((c / "manifest.json").read_text())["seed"] == 99
 
 
@@ -266,9 +276,96 @@ def test_evaluate_grid_mismatch(tmp_path):
 def test_evaluate_band_checkpoint_mismatch(tmp_path):
     cfg = TrainConfig(**SMALL)
     out = cmd_train(cfg, tmp_path / "run")
-    (out / "adaptive_2100.json").unlink()
+    (out / "adaptive_2100.npz").unlink()
     with pytest.raises(ArtifactError):
         load_artifacts(out)
+
+
+def _edit_manifest(out, edit):
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(manifest)))
+
+
+def test_evaluate_rejects_checkpoint_sha_mismatch(tmp_path):
+    cfg = TrainConfig(**SMALL)
+    out = cmd_train(cfg, tmp_path / "run")
+    other = cmd_train(cfg, tmp_path / "other", seed=6)
+    # a valid checkpoint, but not the one this run trained
+    (out / "strategic.npz").write_bytes((other / "strategic.npz").read_bytes())
+    with pytest.raises(ArtifactError, match="sha256"):
+        load_artifacts(out)
+
+
+def test_evaluate_rejects_edited_config(tmp_path, capsys):
+    cfg = TrainConfig(**SMALL)
+    out = cmd_train(cfg, tmp_path / "run")
+
+    def edit(m):
+        m["config"]["obstacle_density"] = 0.3
+        return m
+
+    _edit_manifest(out, edit)
+    with pytest.raises(ArtifactError, match="config_sha256"):
+        load_artifacts(out)
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    assert "artifact error" in capsys.readouterr().err
+    assert not (out / "flights.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "config"},
+        lambda m: {k: v for k, v in m.items() if k != "config_sha256"},
+        lambda m: {k: v for k, v in m.items() if k != "files"},
+        lambda m: {**m, "config": "seed=5"},
+        lambda m: {**m, "config": {**m["config"], "warp_factor": 9}},
+        lambda m: {**m, "files": {**m["files"], "extra.npz": "0" * 64}},
+    ],
+    ids=["not_object", "no_config", "no_config_sha256", "no_files",
+         "config_not_object", "config_invalid", "extra_file"],
+)
+def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
+    out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
+    _edit_manifest(out, edit)
+    with pytest.raises(ArtifactError):
+        load_artifacts(out)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turn a hang (the bug under test) into a failure instead of a stuck suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_altitude_locked_without_free_takeoff_cell_fails_fast(tmp_path):
+    cfg = TrainConfig(
+        grid=GridSpec(nx=1, ny=1, nz=2),
+        obstacle_density=0.0,
+        bands_mhz=(900.0,),
+        episodes_strategic=1,
+        episodes_adaptive=1,
+        altitude_locked=True,
+    )
+    with _deadline(30), pytest.raises(ConfigError, match="altitude_locked"):
+        cmd_train(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    strategic = QTable("strategic", cfg.grid, cfg.hyper, cfg.seed, goal_conditioned=True)
+    adaptive = QTable("adaptive", cfg.grid, cfg.hyper, cfg.seed, f_mhz=900.0)
+    with _deadline(30), pytest.raises(ConfigError, match="altitude_locked"):
+        run_flights(cfg, build_world(cfg), strategic, {900.0: adaptive}, 1, seed=0)
 
 
 def test_coverage_csv(tmp_path):

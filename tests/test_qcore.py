@@ -1,7 +1,10 @@
 import json
 import math
 import random
+import time
+import zipfile
 
+import numpy as np
 import pytest
 
 from uavnav.gridworld import ACTIONS, Action, GridSpec
@@ -201,7 +204,7 @@ def test_save_load_round_trip(tmp_path):
     rng = random.Random(11)
     for kind in ("strategic", "adaptive"):
         t = _random_table(rng, kind=kind)
-        path = tmp_path / f"{kind}.json"
+        path = tmp_path / f"{kind}.npz"
         save(t, path)
         back = load(path)
         assert back == t
@@ -216,39 +219,157 @@ def test_save_load_thousand_entries(tmp_path):
     t = _random_table(rng, kind="adaptive", n_states=200)
     n_entries = sum(1 for _ in t.entries())
     assert n_entries >= 1000
-    save(t, tmp_path / "t.json")
-    back = load(tmp_path / "t.json")
+    save(t, tmp_path / "t.npz")
+    back = load(tmp_path / "t.npz")
     assert dict(((s, a), v) for s, a, v in back.entries()) == dict(
         ((s, a), v) for s, a, v in t.entries()
     )
 
 
 def test_empty_table_round_trip(tmp_path):
-    t = make_table(kind="adaptive", f_mhz=1800.0)
-    save(t, tmp_path / "empty.json")
-    back = load(tmp_path / "empty.json")
-    assert back.n_states() == 0
-    assert back.f_mhz == 1800.0
-    assert back == t
+    for kind in ("strategic", "adaptive"):
+        t = make_table(kind=kind, goal_conditioned=(kind == "strategic"), f_mhz=1800.0)
+        save(t, tmp_path / "empty.npz")
+        back = load(tmp_path / "empty.npz")
+        assert back.n_states() == 0
+        assert back.f_mhz == 1800.0
+        assert back.goal_conditioned == t.goal_conditioned
+        assert back == t
+
+
+def test_all_zero_rows_round_trip(tmp_path):
+    # Stored rows stay stored, even when every value has decayed to zero.
+    for kind in ("strategic", "adaptive"):
+        t = _random_table(random.Random(5), kind=kind, n_states=10)
+        zero_key = next(iter(t._rows))
+        t._rows[zero_key] = [0.0] * 6
+        save(t, tmp_path / "z.npz")
+        back = load(tmp_path / "z.npz")
+        assert back._rows == t._rows
+        assert back == t
+
+
+def test_save_bytes_stable_across_clock_and_insertion_order(tmp_path, monkeypatch):
+    t = _random_table(random.Random(9), kind="strategic", n_states=80)
+    save(t, tmp_path / "a.npz")
+    shuffled = make_table(kind="strategic", goal_conditioned=True)
+    items = list(t._rows.items())
+    random.Random(1).shuffle(items)
+    shuffled._rows = dict(items)
+    monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+    save(shuffled, tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    assert zipfile.is_zipfile(tmp_path / "a.npz")
+
+
+def _members(table, path):
+    """The arrays and metadata that ``save`` writes for ``table``."""
+    save(table, path)
+    with np.load(path, allow_pickle=False) as npz:
+        return npz["keys"], npz["values"], json.loads(npz["meta"].item())
+
+
+def _write_members(path, keys, values, meta):
+    """A checkpoint zip built by hand, so any member can be malformed."""
+    if isinstance(meta, dict):
+        meta = np.array(json.dumps(meta))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in (("keys", keys), ("values", values), ("meta", meta)):
+            with zf.open(f"{name}.npy", "w") as f:
+                np.lib.format.write_array(f, np.asarray(array), allow_pickle=True)
+
+
+def test_hand_built_checkpoint_loads(tmp_path):
+    # the corruption tests below start from this valid baseline
+    t = _random_table(random.Random(2), kind="strategic", n_states=5)
+    keys, values, meta = _members(t, tmp_path / "t.npz")
+    _write_members(tmp_path / "copy.npz", keys, values, meta)
+    assert load(tmp_path / "copy.npz") == t
 
 
 def test_load_rejects_newer_version(tmp_path):
-    t = make_table()
-    path = tmp_path / "t.json"
-    save(t, path)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = FORMAT_VERSION + 1
-    path.write_text(json.dumps(doc))
+    keys, values, meta = _members(make_table(), tmp_path / "t.npz")
+    meta["format_version"] = FORMAT_VERSION + 1
+    _write_members(tmp_path / "t.npz", keys, values, meta)
+    with pytest.raises(CheckpointError, match="newest supported"):
+        load(tmp_path / "t.npz")
+
+
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, FORMAT_VERSION - 1])
+def test_load_rejects_non_int_or_old_version(tmp_path, version):
+    keys, values, meta = _members(make_table(), tmp_path / "t.npz")
+    meta["format_version"] = version
+    _write_members(tmp_path / "t.npz", keys, values, meta)
     with pytest.raises(CheckpointError):
-        load(path)
+        load(tmp_path / "t.npz")
+
+
+def _set(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+# Each maps the (keys, values, meta) that ``save`` wrote to a broken triple.
+_CORRUPTIONS = {
+    "keys_int64": lambda k, v, m: (k.astype(np.int64), v, m),
+    "keys_1d": lambda k, v, m: (k.ravel(), v, m),
+    "values_float32": lambda k, v, m: (k, v.astype(np.float32), m),
+    "values_short_row": lambda k, v, m: (k, v[:, :5], m),
+    "values_missing_row": lambda k, v, m: (k, v[1:], m),
+    "width_3_when_goal": lambda k, v, m: (k[:, :3], v, m),
+    "width_6_when_position": lambda k, v, m: (k, v, {**m, "goal_conditioned": False}),
+    "key_off_grid": lambda k, v, m: (_set(k, (0, 0), GRID.nx), v, m),
+    "dest_off_grid": lambda k, v, m: (_set(k, (0, 5), GRID.nz), v, m),
+    "key_negative": lambda k, v, m: (_set(k, (1, 1), -1), v, m),
+    "value_nan": lambda k, v, m: (k, _set(v, (0, 0), math.nan), m),
+    "value_inf": lambda k, v, m: (k, _set(v, (1, 2), -math.inf), m),
+    "duplicate_key": lambda k, v, m: (_set(k, 1, k[0]), v, m),
+    "object_values": lambda k, v, m: (k, v.astype(object), m),
+    "meta_not_object": lambda k, v, m: (k, v, np.array("[1, 2]")),
+    "meta_not_unicode": lambda k, v, m: (k, v, np.array(b"{}")),
+    "meta_bad_grid": lambda k, v, m: (k, v, {**m, "grid": {**m["grid"], "nx": 0}}),
+    "meta_bad_hyper": lambda k, v, m: (k, v, {**m, "hyper": {"alpha": 2.0, "gamma": 0.5}}),
+    "meta_bad_kind": lambda k, v, m: (k, v, {**m, "kind": "tactical"}),
+    "meta_no_seed": lambda k, v, m: (k, v, {x: m[x] for x in m if x != "seed"}),
+    "meta_float_grid": lambda k, v, m: (k, v, {**m, "grid": {**m["grid"], "nx": 20.0}}),
+    "meta_text_band": lambda k, v, m: (k, v, {**m, "f_mhz": "900"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_load_rejects_malformed_members(tmp_path, name):
+    t = _random_table(random.Random(4), kind="strategic", n_states=6)
+    keys, values, meta = _members(t, tmp_path / "t.npz")
+    _write_members(tmp_path / "t.npz", *_CORRUPTIONS[name](keys, values, meta))
+    with pytest.raises(CheckpointError):
+        load(tmp_path / "t.npz")
+
+
+def test_load_rejects_wrong_member_set(tmp_path):
+    t = _random_table(random.Random(4), kind="adaptive", n_states=6)
+    keys, values, meta = _members(t, tmp_path / "t.npz")
+    np.savez(tmp_path / "two.npz", keys=keys, values=values)
+    with pytest.raises(CheckpointError):
+        load(tmp_path / "two.npz")
+    np.save(tmp_path / "bare.npy", values)
+    with pytest.raises(CheckpointError):
+        load(tmp_path / "bare.npy")
 
 
 def test_load_rejects_corrupt_file(tmp_path):
-    path = tmp_path / "bad.json"
+    path = tmp_path / "bad.npz"
     path.write_text("{ not json")
     with pytest.raises(CheckpointError):
         load(path)
     path.write_text('{"format_version": 1}')
+    with pytest.raises(CheckpointError):
+        load(path)
+    path.write_bytes(b"")
+    with pytest.raises(CheckpointError):
+        load(path)
+    save(_random_table(random.Random(6), kind="adaptive"), path)
+    path.write_bytes(path.read_bytes()[:-40])  # truncated
     with pytest.raises(CheckpointError):
         load(path)
 
