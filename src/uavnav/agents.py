@@ -16,14 +16,27 @@ episode ends.
 
 Crashes during training pass through (penalty, episode continues); a step
 cap aborts episodes that would otherwise wander unboundedly.
+
+Both loops are written for speed, one Q-learning update per step. They step
+through the world's move table (``GridWorld.moves``), compute the rewards
+inline (the coverage reward of every cell once per band, from the band's
+``CoverageMap``) and carry the current state's Q-row from one step to the
+next, so each step does one row lookup. Their choices and updates are those
+of ``select_action``, ``apply_action``, ``reward_strategic`` /
+``reward_adaptive`` and ``q_update``, RNG draws included: they share
+``qcore.greedy_action`` and ``qcore.store_update`` with them, and a test
+replays every mode against a loop built from those calls. Reward constants
+are finite by construction (``RewardParams`` rejects anything else), so the
+loops skip ``q_update``'s finiteness check.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .gridworld import (
     ACTIONS,
@@ -32,12 +45,11 @@ from .gridworld import (
     Cell,
     GridWorld,
     StepEvent,
-    apply_action,
     distance_m,
     manhattan_m,
     random_free_cell,
 )
-from .qcore import QTable, StateKey, q_update, select_action
+from .qcore import QTable, StateKey, greedy_action, store_update
 from .radio import LinkBudget, coverage_map
 
 if TYPE_CHECKING:
@@ -65,12 +77,27 @@ class RewardParams:
     r_outage: float = -200.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        # the extreme step rewards, which the training loops add up
+        if not (
+            math.isfinite(self.r_farther + self.r_crash)
+            and math.isfinite(self.r_closer + self.r_arrive)
+        ):
+            raise ValueError("step rewards must add up to finite numbers")
         if not self.r_crash < self.r_farther < 0.0 < self.r_closer < self.r_arrive:
             raise ValueError(
                 "require r_crash < r_farther < 0 < r_closer < r_arrive"
             )
         if not self.r_outage < 0.0 < self.r_covered:
             raise ValueError("require r_outage < 0 < r_covered")
+
+
+MOVED = StepEvent.MOVED
+CRASHED = StepEvent.CRASHED_INTO_OBSTACLE
+ARRIVED = StepEvent.ARRIVED_AT_DESTINATION
 
 
 class TerminalCause(Enum):
@@ -120,16 +147,10 @@ def reward_adaptive(snr_db: float, threshold_db: float, p: RewardParams) -> floa
     return p.r_outage if snr_db < threshold_db else p.r_covered
 
 
-def _distance_fn(cfg: "TrainConfig") -> Callable[[GridWorld, Cell, Cell], float]:
-    if cfg.distance_metric == "euclidean":
-        return distance_m
-    if cfg.distance_metric == "manhattan":
-        return manhattan_m
-    raise ValueError(f"unknown distance metric {cfg.distance_metric!r}")
-
-
-def _candidates(cfg: "TrainConfig") -> tuple[Action, ...]:
-    return ACTIONS_XY if cfg.altitude_locked else ACTIONS
+def _candidates(cfg: "TrainConfig") -> tuple[int, ...]:
+    # Plain ints: a list indexed by an int is faster than by an IntEnum
+    # member. Step records turn them back into Actions.
+    return tuple(map(int, ACTIONS_XY if cfg.altitude_locked else ACTIONS))
 
 
 def draw_free_cell(
@@ -176,18 +197,28 @@ def train_strategic(
         seed=cfg.seed,
         goal_conditioned=goal_conditioned,
     )
-    dist = _distance_fn(cfg)
+    rows = table._rows
+    moves = world.moves
+    index = world.index
     candidates = _candidates(cfg)
+    n_candidates = len(candidates)
     cap = cfg.resolved_step_cap()
-    hyper = cfg.hyper
-    rewards = cfg.rewards
+    alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
+    p = cfg.rewards
+    r_closer, r_farther, r_crash, r_arrive = p.r_closer, p.r_farther, p.r_crash, p.r_arrive
+    # The shaping distance, written out as in distance_m / manhattan_m.
+    euclidean = cfg.distance_metric == "euclidean"
+    first_distance = distance_m if euclidean else manhattan_m
+    size, height = world.spec.cell_size_m, world.spec.cell_height_m
+    sqrt = math.sqrt
+    uniform, randrange = rng.random, rng.randrange
     start = world.start_cell
     layer = start[2] if cfg.altitude_locked else None
-    arrived = StepEvent.ARRIVED_AT_DESTINATION
     logs: list[EpisodeLog] = []
 
     for episode in range(cfg.episodes_strategic):
         epsilon = cfg.schedule.at(episode)
+        explore = epsilon > 0.0
         if fixed_dest is not None:
             pos = start
             dest = fixed_dest
@@ -196,28 +227,47 @@ def train_strategic(
             dest = draw_free_cell(world, rng, layer)
             while dest == pos:
                 dest = draw_free_cell(world, rng, layer)
-        d_prev = dist(world, pos, dest)
+        gx, gy, gz = dest
+        at, goal = index(pos), index(dest)
+        d_prev = first_distance(world, pos, dest)
+        s_key: StateKey = (pos, dest) if goal_conditioned else pos
+        row = rows.get(s_key)
         total = 0.0
         steps = 0
         records: list[StepRecord] | None = [] if cfg.record_steps else None
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cap:
-            s_key: StateKey = (pos, dest) if goal_conditioned else pos
-            a = select_action(table, s_key, epsilon, rng, candidates)
-            nxt, event = apply_action(world, pos, a, dest)
-            d_next = dist(world, nxt, dest)
-            r = reward_strategic(d_prev, d_next, event, rewards)
+            if (explore and uniform() < epsilon) or row is None:
+                a = candidates[randrange(n_candidates)]
+            else:
+                a = greedy_action(row, candidates, rng)
+            to, nxt, event = moves[at][a]
+            x, y, z = nxt
+            ex, ey, ez = (x - gx) * size, (y - gy) * size, (z - gz) * height
+            if euclidean:
+                d_next = sqrt(ex * ex + ey * ey + ez * ez)
+            else:
+                d_next = abs(ex) + abs(ey) + abs(ez)
+            r = r_closer if d_next < d_prev else r_farther
+            if event is CRASHED:
+                r += r_crash
+            elif to == goal and event is MOVED:
+                event = ARRIVED
+                r += r_arrive
             n_key: StateKey = (nxt, dest) if goal_conditioned else nxt
-            q_update(table, s_key, a, r, n_key, hyper)
+            next_row = rows.get(n_key)
+            max_next = max(next_row) if next_row is not None else 0.0
+            row = store_update(rows, s_key, row, a, r, max_next, alpha, gamma)
             if records is not None:
-                records.append(StepRecord(pos, a, r, event))
+                records.append(StepRecord(pos, ACTIONS[a], r, event))
             total += r
             steps += 1
-            pos = nxt
-            d_prev = d_next
-            if event == arrived:
+            if event is ARRIVED:
                 terminal = TerminalCause.ARRIVED
                 break
+            if to != at:  # else s' is s, and its row is the one just written
+                row = next_row
+            pos, at, s_key, d_prev = nxt, to, n_key, d_next
         logs.append(
             EpisodeLog(episode, dest, total, steps, terminal, epsilon, records)
         )
@@ -229,8 +279,8 @@ def train_adaptive(
 ) -> tuple[QTable, list[EpisodeLog]]:
     """Run the coverage training loop for cfg.episodes_adaptive episodes.
 
-    SNR per cell is looked up from a precomputed coverage map of the band;
-    the map applies the same per-cell budget the flight executor uses.
+    SNR per cell is read from the band's coverage map, the same map the
+    flight arbiter reads.
 
     Episodes alternate between the takeoff cell and a uniformly random free
     cell as the start position. The coverage table is keyed by position
@@ -247,43 +297,58 @@ def train_adaptive(
         seed=cfg.seed,
         f_mhz=lb.f_mhz,
     )
-    cmap = coverage_map(lb, world)
-    snr = cmap.snr
+    rows = table._rows
+    moves = world.moves
+    index = world.index
+    snr = coverage_map(lb, world).snr_by_index
     threshold = lb.snr_threshold_db
+    p = cfg.rewards
+    cell_reward = [p.r_outage if v < threshold else p.r_covered for v in snr]
     candidates = _candidates(cfg)
+    n_candidates = len(candidates)
     cap = cfg.resolved_step_cap()
-    hyper = cfg.hyper
-    rewards = cfg.rewards
+    alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
+    uniform, randrange = rng.random, rng.randrange
     start = world.start_cell
     layer = start[2] if cfg.altitude_locked else None
-    arrived = StepEvent.ARRIVED_AT_DESTINATION
     logs: list[EpisodeLog] = []
 
     schedule = cfg.schedule_adaptive
     for episode in range(cfg.episodes_adaptive):
         epsilon = schedule.at(episode)
+        explore = epsilon > 0.0
         pos = start if episode % 2 == 0 else draw_free_cell(world, rng, layer)
         dest = draw_free_cell(world, rng, layer)
         while dest == pos:
             dest = draw_free_cell(world, rng, layer)
+        at, goal = index(pos), index(dest)
+        row = rows.get(pos)
         total = 0.0
         steps = 0
         records: list[StepRecord] | None = [] if cfg.record_steps else None
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cap:
-            a = select_action(table, pos, epsilon, rng, candidates)
-            nxt, event = apply_action(world, pos, a, dest)
-            snr_next = float(snr[nxt[0], nxt[1], nxt[2]])
-            r = reward_adaptive(snr_next, threshold, rewards)
-            q_update(table, pos, a, r, nxt, hyper)
+            if (explore and uniform() < epsilon) or row is None:
+                a = candidates[randrange(n_candidates)]
+            else:
+                a = greedy_action(row, candidates, rng)
+            to, nxt, event = moves[at][a]
+            r = cell_reward[to]
+            if to == goal and event is MOVED:
+                event = ARRIVED
+            next_row = rows.get(nxt)
+            max_next = max(next_row) if next_row is not None else 0.0
+            row = store_update(rows, pos, row, a, r, max_next, alpha, gamma)
             if records is not None:
-                records.append(StepRecord(pos, a, r, event, snr_db=snr_next))
+                records.append(StepRecord(pos, ACTIONS[a], r, event, snr_db=snr[to]))
             total += r
             steps += 1
-            pos = nxt
-            if event == arrived:
+            if event is ARRIVED:
                 terminal = TerminalCause.ARRIVED
                 break
+            if to != at:  # else s' is s, and its row is the one just written
+                row = next_row
+            pos, at = nxt, to
         logs.append(
             EpisodeLog(episode, dest, total, steps, terminal, epsilon, records)
         )

@@ -14,6 +14,13 @@ The raw cross-table comparison mixes two reward scales, exactly as the
 underlying rule prescribes; an optional per-state min-max normalization of
 each table's six action values is available as a robustness variant and is
 flagged in evaluation reports when used.
+
+A flight steps through the world's move table, and the safety filter reads
+the world's per-cell safe-action sets (``GridWorld.safe_actions``), both
+built once per world. Each step's SNR is read from the band's
+``CoverageMap``, the same map the coverage agent trained on: training and
+flight have one SNR source. Greedy choices use ``qcore.greedy_action``, the
+tie-break rule training uses.
 """
 
 from __future__ import annotations
@@ -22,17 +29,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .gridworld import (
-    ACTION_DELTAS,
-    ACTIONS,
-    Action,
-    Cell,
-    GridWorld,
-    StepEvent,
-    apply_action,
-)
-from .qcore import QTable, StateKey
-from .radio import LinkBudget, cell_snr_db
+from .gridworld import ACTION_DELTAS, ACTIONS, Action, Cell, GridWorld, StepEvent
+from .qcore import QTable, StateKey, greedy_action
+from .radio import CoverageMap
 
 
 class FlightOutcome(Enum):
@@ -59,39 +58,6 @@ class FlightResult:
     flight_time_s: float
 
 
-def _safe_candidates(world: GridWorld, pos: Cell) -> tuple[Action, ...]:
-    """Actions whose landing cell is not an obstacle; all actions if none qualify.
-
-    A boundary-clamped move lands on the current (free) cell, so it always
-    counts as safe.
-    """
-    safe = []
-    spec = world.spec
-    obstacles = world.obstacles
-    for a in ACTIONS:
-        dx, dy, dz = ACTION_DELTAS[a]
-        nxt = (pos[0] + dx, pos[1] + dy, pos[2] + dz)
-        if not (0 <= nxt[0] < spec.nx and 0 <= nxt[1] < spec.ny and 0 <= nxt[2] < spec.nz):
-            safe.append(a)
-        elif nxt not in obstacles:
-            safe.append(a)
-    return tuple(safe) if safe else ACTIONS
-
-
-def _greedy(
-    table: QTable,
-    s: StateKey,
-    candidates: tuple[Action, ...],
-    rng: random.Random,
-) -> Action:
-    row = table.values(s)
-    best = max(row[a] for a in candidates)
-    ties = [a for a in candidates if row[a] == best]
-    if len(ties) == 1:
-        return ties[0]
-    return ties[rng.randrange(len(ties))]
-
-
 def _entering_action(pos: Cell, dest: Cell) -> Action | None:
     """The unit move from pos onto dest, if the two cells are adjacent."""
     dx = dest[0] - pos[0]
@@ -105,16 +71,15 @@ def _entering_action(pos: Cell, dest: Cell) -> Action | None:
 _DELTA_TO_ACTION = {ACTION_DELTAS[a]: a for a in ACTIONS}
 
 
-def _normalized(table: QTable, s: StateKey, a: Action) -> float:
-    """Q(s, a) min-max rescaled over the state's six action values.
+def _normalized(row: tuple[float, ...], a: Action) -> float:
+    """row[a] min-max rescaled over the state's six action values.
 
     A flat row carries no preference; it maps to the neutral midpoint 0.5.
     """
-    row = table.values(s)
     lo, hi = min(row), max(row)
     if hi == lo:
         return 0.5
-    return (table.get(s, a) - lo) / (hi - lo)
+    return (row[a] - lo) / (hi - lo)
 
 
 def decide(
@@ -130,22 +95,24 @@ def decide(
 ) -> Action:
     """Pick the next action from the two tables' preferences at s_pos."""
     if safety:
-        candidates = tuple(a for a in _safe_candidates(world, s_pos) if a in allowed)
-        if not candidates:
-            candidates = allowed
+        candidates = world.safe_actions[world.index(s_pos)]
+        if allowed != ACTIONS:
+            candidates = tuple(a for a in candidates if a in allowed) or allowed
     else:
         candidates = allowed
     s_key: StateKey = (s_pos, dest) if q_strategic.goal_conditioned else s_pos
-    a1 = _greedy(q_strategic, s_key, candidates, rng)
-    a2 = _greedy(q_adaptive, s_pos, candidates, rng)
+    row_s = q_strategic.values(s_key)
+    row_a = q_adaptive.values(s_pos)
+    a1 = greedy_action(row_s, candidates, rng)
+    a2 = greedy_action(row_a, candidates, rng)
     if a1 == a2:
         return a1
     if normalize:
-        q1 = _normalized(q_strategic, s_key, a2)
-        q2 = _normalized(q_adaptive, s_pos, a1)
+        q1 = _normalized(row_s, a2)
+        q2 = _normalized(row_a, a1)
     else:
-        q1 = q_strategic.get(s_key, a2)
-        q2 = q_adaptive.get(s_pos, a1)
+        q1 = row_s[a2]
+        q2 = row_a[a1]
     return a2 if q1 > q2 else a1
 
 
@@ -153,7 +120,7 @@ def execute_flight(
     q_strategic: QTable,
     q_adaptive: QTable,
     world: GridWorld,
-    lb: LinkBudget,
+    cmap: CoverageMap,
     dest: Cell,
     step_cap: int,
     rng: random.Random | None = None,
@@ -164,21 +131,29 @@ def execute_flight(
 ) -> FlightResult:
     """Fly greedily from the start cell until arrival, crash, or the cap.
 
-    A crash terminates the flight as a failure (evaluation semantics, unlike
-    the pass-through used in training). The rng only breaks argmax ties.
+    ``cmap`` is the coverage map of the flight's band over this world's
+    grid; every step's SNR is read from it. A crash terminates the flight
+    as a failure (evaluation semantics, unlike the pass-through used in
+    training). The rng only breaks argmax ties.
     """
+    spec = world.spec
+    if not spec.in_bounds(dest):
+        raise ValueError(f"destination {dest} lies outside the grid")
     if dest == world.start_cell:
         raise ValueError("destination equals the start cell")
     if dest in world.obstacles:
         raise ValueError(f"destination {dest} is an obstacle cell")
+    if cmap.spec != spec:
+        raise ValueError("coverage map grid does not match the world grid")
     if rng is None:
         rng = random.Random(0)
-    spec = world.spec
-    bs = world.base_station_cell
-    threshold = lb.snr_threshold_db
+    snr_by_index = cmap.snr_by_index
+    threshold = cmap.snr_threshold_db
+    moves = world.moves
     pos = world.start_cell
+    at, goal = world.index(pos), world.index(dest)
     trajectory = [pos]
-    min_snr = cell_snr_db(lb, spec, bs, pos)
+    min_snr = snr_by_index[at]
     steps = 0
     outage_steps = 0
     outcome = FlightOutcome.STEP_CAP_HIT
@@ -193,20 +168,20 @@ def execute_flight(
             a = decide(
                 q_strategic, q_adaptive, pos, dest, safety, world, rng, normalize, allowed
             )
-        nxt, event = apply_action(world, pos, a, dest)
+        to, nxt, event = moves[at][a]
         steps += 1
-        snr = cell_snr_db(lb, spec, bs, nxt)
+        snr = snr_by_index[to]
         if snr < min_snr:
             min_snr = snr
         if snr < threshold:
             outage_steps += 1
-        if nxt != pos:
+        if to != at:
             trajectory.append(nxt)
-        pos = nxt
-        if event == StepEvent.CRASHED_INTO_OBSTACLE:
+        pos, at = nxt, to
+        if event is StepEvent.CRASHED_INTO_OBSTACLE:
             outcome = FlightOutcome.CRASHED
             break
-        if event == StepEvent.ARRIVED_AT_DESTINATION:
+        if to == goal and event is StepEvent.MOVED:
             outcome = FlightOutcome.ARRIVED
             break
     return FlightResult(
@@ -228,21 +203,25 @@ def greedy_trajectory(
     rng: random.Random | None = None,
 ) -> tuple[list[Cell], FlightOutcome]:
     """Roll out a single table's greedy policy (no safety filter, no fusion)."""
+    if not world.spec.in_bounds(dest):
+        raise ValueError(f"destination {dest} lies outside the grid")
     if rng is None:
         rng = random.Random(0)
+    moves = world.moves
     pos = world.start_cell
+    at, goal = world.index(pos), world.index(dest)
     trajectory = [pos]
     steps = 0
     while steps < step_cap:
         s_key: StateKey = (pos, dest) if table.goal_conditioned else pos
-        a = _greedy(table, s_key, ACTIONS, rng)
-        nxt, event = apply_action(world, pos, a, dest)
+        a = greedy_action(table.values(s_key), ACTIONS, rng)
+        to, nxt, event = moves[at][a]
         steps += 1
-        if nxt != pos:
+        if to != at:
             trajectory.append(nxt)
-        pos = nxt
-        if event == StepEvent.CRASHED_INTO_OBSTACLE:
+        pos, at = nxt, to
+        if event is StepEvent.CRASHED_INTO_OBSTACLE:
             return trajectory, FlightOutcome.CRASHED
-        if event == StepEvent.ARRIVED_AT_DESTINATION:
+        if to == goal and event is StepEvent.MOVED:
             return trajectory, FlightOutcome.ARRIVED
     return trajectory, FlightOutcome.STEP_CAP_HIT

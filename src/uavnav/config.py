@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -86,8 +87,10 @@ class TrainConfig:
             )
         if not self.bands_mhz:
             raise ConfigError("bands_mhz must list at least one band")
-        if any(b <= 0 for b in self.bands_mhz):
-            raise ConfigError("bands_mhz entries must be positive")
+        if not all(math.isfinite(b) and b > 0 for b in self.bands_mhz):
+            raise ConfigError(
+                f"bands_mhz entries must be positive finite numbers, got {list(self.bands_mhz)}"
+            )
         if self.episodes_strategic < 1 or self.episodes_adaptive < 1:
             raise ConfigError("episode counts must be >= 1")
         if self.step_cap is not None and self.step_cap < 1:
@@ -97,8 +100,14 @@ class TrainConfig:
                 f"distance_metric must be 'euclidean' or 'manhattan', "
                 f"got {self.distance_metric!r}"
             )
-        if self.uav_velocity_ms <= 0:
-            raise ConfigError("uav_velocity_ms must be positive")
+        if not (math.isfinite(self.uav_velocity_ms) and self.uav_velocity_ms > 0):
+            raise ConfigError(
+                f"uav_velocity_ms must be a positive finite number, got {self.uav_velocity_ms}"
+            )
+        if not math.isfinite(self.max_altitude_m):
+            raise ConfigError(
+                f"max_altitude_m must be a finite number, got {self.max_altitude_m}"
+            )
         if self.eval_flights < 0:
             raise ConfigError("eval_flights must be >= 0")
         if not self.grid.in_bounds(self.start_cell):
@@ -224,7 +233,9 @@ def config_from_dict(
         elif key in _CELL_FIELDS:
             kwargs[key] = None if value is None else _as_cell(path, text, key, value)
         elif key == "bands_mhz":
-            if not isinstance(value, list):
+            if not isinstance(value, list) or not all(
+                isinstance(b, (int, float)) and not isinstance(b, bool) for b in value
+            ):
                 _fail(path, text, key, "expected a list of frequencies in MHz")
             kwargs[key] = tuple(float(b) for b in value)
         else:

@@ -11,6 +11,14 @@ excluding the start cell and the base-station column. During training an
 agent passes *through* obstacle cells (the step is reported as a crash but
 the episode continues); evaluation treats a crash as terminal. That split is
 handled by the callers -- this module only reports what a step did.
+
+Cells also have a flat index, ``(ix * ny + iy) * nz + iz``: the C order of
+an ``(nx, ny, nz)`` array, so a flattened per-cell array (such as a
+coverage map's SNR) is read at the same index. Each world builds, on first
+use and once, a move table (``GridWorld.moves``): for every cell and
+action, where the step lands and whether it was a plain move, a crash or
+blocked at the boundary. ``apply_action``, the training loops and the
+flight arbiter all step through that table; ``build`` does not pay for it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from itertools import product, repeat
 from typing import NamedTuple
 
 # A cell address. Plain tuples keep hashing and construction cheap in the
@@ -44,8 +54,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.nx < 1 or self.ny < 1 or self.nz < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.cell_size_m <= 0 or self.cell_height_m <= 0:
-            raise ValueError("cell sizes must be positive")
+        if not all(
+            math.isfinite(v) and v > 0 for v in (self.cell_size_m, self.cell_height_m)
+        ):
+            raise ValueError("cell sizes must be positive finite numbers")
 
     @property
     def region_side_m(self) -> float:
@@ -106,6 +118,12 @@ class StepOutcome(NamedTuple):
     event: StepEvent
 
 
+# One move-table entry: (landing cell's flat index, landing cell, event).
+# The event is MOVED, BLOCKED_AT_BOUNDARY or CRASHED_INTO_OBSTACLE; arrival
+# depends on the destination and is checked by whoever steps.
+Move = tuple[int, Cell, StepEvent]
+
+
 @dataclass(frozen=True)
 class GridWorld:
     """Immutable environment: lattice, obstacle set, start and BS site.
@@ -123,6 +141,73 @@ class GridWorld:
     @property
     def n_free_cells(self) -> int:
         return self.spec.n_cells - len(self.obstacles)
+
+    def index(self, c: Cell) -> int:
+        """Flat index of an in-bounds cell."""
+        spec = self.spec
+        return (c[0] * spec.ny + c[1]) * spec.nz + c[2]
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """Every cell, in flat-index order."""
+        spec = self.spec
+        return tuple(product(range(spec.nx), range(spec.ny), range(spec.nz)))
+
+    @cached_property
+    def moves(self) -> tuple[tuple[Move, ...], ...]:
+        """``moves[i][a]``: what action ``a`` does from the cell of flat index ``i``.
+
+        Every cell has an entry, obstacle cells included: training passes
+        through them. A move off the lattice stays on the cell and is
+        BLOCKED_AT_BOUNDARY; a move onto an obstacle lands there and is
+        CRASHED_INTO_OBSTACLE.
+        """
+        spec, cells = self.spec, self.cells
+        n = len(cells)
+        arrive = [StepEvent.MOVED] * n
+        for c in self.obstacles:
+            if spec.in_bounds(c):
+                arrive[self.index(c)] = StepEvent.CRASHED_INTO_OBSTACLE
+        landing = list(zip(range(n), cells, arrive))
+        blocked = list(zip(range(n), cells, repeat(StepEvent.BLOCKED_AT_BOUNDARY)))
+        # One column per action, in Action order. Along an axis of the given
+        # stride, a cell steps stride indices up (down), unless it sits in
+        # the axis's last (first) layer, which repeats every stride * size
+        # indices and is blocked.
+        columns: list[list[Move]] = []
+        for stride, size in ((spec.ny * spec.nz, spec.nx), (spec.nz, spec.ny), (1, spec.nz)):
+            block, cut = stride * size, n - stride
+            plus = landing[stride:] + blocked[cut:]
+            minus = blocked[:stride] + landing[:cut]
+            if block < n:  # the boundary layers inside the array, by extended slices
+                for k in range(stride):
+                    last = block - stride + k
+                    plus[last::block] = blocked[last::block]
+                    minus[k::block] = blocked[k::block]
+            columns += (plus, minus)
+        return tuple(zip(*columns))
+
+    @cached_property
+    def safe_actions(self) -> tuple[tuple[Action, ...], ...]:
+        """Per flat index, the actions that do not land on an obstacle.
+
+        A boundary-blocked move stays on the current cell, so it counts as
+        safe. A cell with no safe action gets all of them.
+        """
+        crash = StepEvent.CRASHED_INTO_OBSTACLE
+        by_crashes: dict[tuple[bool, ...], tuple[Action, ...]] = {}
+        safe = []
+        for m0, m1, m2, m3, m4, m5 in self.moves:
+            crashes = (
+                m0[2] is crash, m1[2] is crash, m2[2] is crash,
+                m3[2] is crash, m4[2] is crash, m5[2] is crash,
+            )
+            actions = by_crashes.get(crashes)
+            if actions is None:
+                actions = tuple(a for a in ACTIONS if not crashes[a]) or ACTIONS
+                by_crashes[crashes] = actions
+            safe.append(actions)
+        return tuple(safe)
 
 
 def build(
@@ -179,16 +264,10 @@ def apply_action(world: GridWorld, at: Cell, action: Action, dest: Cell) -> Step
     is reported as a crash but the position advances into the obstacle cell
     (pass-through); landing on ``dest`` is an arrival.
     """
-    dx, dy, dz = ACTION_DELTAS[action]
-    nxt = (at[0] + dx, at[1] + dy, at[2] + dz)
-    spec = world.spec
-    if not (0 <= nxt[0] < spec.nx and 0 <= nxt[1] < spec.ny and 0 <= nxt[2] < spec.nz):
-        return StepOutcome(at, StepEvent.BLOCKED_AT_BOUNDARY)
-    if nxt in world.obstacles:
-        return StepOutcome(nxt, StepEvent.CRASHED_INTO_OBSTACLE)
-    if nxt == dest:
+    _, nxt, event = world.moves[world.index(at)][action]
+    if event is StepEvent.MOVED and nxt == dest:
         return StepOutcome(nxt, StepEvent.ARRIVED_AT_DESTINATION)
-    return StepOutcome(nxt, StepEvent.MOVED)
+    return StepOutcome(nxt, event)
 
 
 def cell_center_m(spec: GridSpec, c: Cell) -> tuple[float, float, float]:

@@ -27,6 +27,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .config import (
     seed_stream,
     stream_rng,
 )
-from .gridworld import ACTIONS, ACTIONS_XY, Cell, GridWorld, build
+from .gridworld import ACTIONS, ACTIONS_XY, Cell, GridWorld, build, cell_center_m
 from .qcore import FORMAT_VERSION, QTable
 from .qcore import load as load_table
 from .qcore import save as save_table
@@ -334,7 +335,7 @@ def run_flights(
     allowed = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     layer = cfg.start_cell[2] if cfg.altitude_locked else None
     for band in sorted(adaptive):
-        lb = cfg.link_for_band(band)
+        cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
         tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
         for _ in range(n_flights):
@@ -343,7 +344,7 @@ def run_flights(
                 strategic,
                 adaptive[band],
                 world,
-                lb,
+                cmap,
                 dest,
                 step_cap=cap,
                 rng=tie_rng,
@@ -428,8 +429,8 @@ def cmd_coverage(
 ) -> float:
     """Export the per-cell SNR/coverage CSV for one band; returns covered fraction."""
     cfg = load_config(config) if isinstance(config, str) else config
-    if band_mhz <= 0:
-        raise ConfigError(f"band must be positive, got {band_mhz}")
+    if not (math.isfinite(band_mhz) and band_mhz > 0):
+        raise ConfigError(f"band must be a positive finite number, got {band_mhz}")
     world = build_world(cfg)
     cmap = coverage_map(cfg.link_for_band(band_mhz), world)
     spec = cfg.grid
@@ -439,9 +440,7 @@ def cmd_coverage(
         for x in range(spec.nx):
             for y in range(spec.ny):
                 for z in range(spec.nz):
-                    cx = (x + 0.5) * spec.cell_size_m
-                    cy = (y + 0.5) * spec.cell_size_m
-                    cz = (z + 0.5) * spec.cell_height_m
+                    cx, cy, cz = cell_center_m(spec, (x, y, z))
                     snr = float(cmap.snr[x, y, z])
                     writer.writerow(
                         [

@@ -11,6 +11,10 @@ The update is the standard one-step bootstrap
 
 and action selection is epsilon-greedy with uniform random tie-breaking
 among maximizers, so the symmetric grid picks up no directional bias.
+Both rules exist once: ``store_update`` holds the update arithmetic and
+``greedy_action`` the argmax with random ties. ``q_update`` and
+``select_action`` are built on them, and so are the training loops in
+``agents`` and the flight arbiter, which keep their own row lookups.
 
 A checkpoint (format v2, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
@@ -162,6 +166,35 @@ class QTable:
             yield (s, int(a)), v
 
 
+def store_update(
+    rows: dict[StateKey, list[float]],
+    s: StateKey,
+    row: list[float] | None,
+    a: int,
+    r: float,
+    max_next: float,
+    alpha: float,
+    gamma: float,
+) -> list[float] | None:
+    """Write the bootstrapped Q(s, a) into ``row``, which is ``rows.get(s)``.
+
+    ``max_next`` is max_a' Q(s', a'), read before this write. A missing row
+    is created only when the new value is non-zero, so a state whose values
+    all stay 0.0 takes no row. Returns the row of ``s`` (None if still
+    absent).
+    """
+    q = row[a] if row is not None else 0.0
+    # weighted form of the same update; exact when alpha is 1
+    new = (1.0 - alpha) * q + alpha * (r + gamma * max_next)
+    if row is None:
+        if new == 0.0:
+            return None
+        row = [0.0] * N_ACTIONS
+        rows[s] = row
+    row[a] = new
+    return row
+
+
 def q_update(
     table: QTable, s: StateKey, a: Action, r: float, s_next: StateKey, h: Hyper
 ) -> float:
@@ -171,17 +204,22 @@ def q_update(
     rows = table._rows
     next_row = rows.get(s_next)
     max_next = max(next_row) if next_row is not None else 0.0
-    row = rows.get(s)
-    q = row[a] if row is not None else 0.0
-    # weighted form of the same update; exact when alpha is 1
-    new = (1.0 - h.alpha) * q + h.alpha * (r + h.gamma * max_next)
-    if row is None:
-        if new == 0.0:
-            return 0.0
-        row = [0.0] * N_ACTIONS
-        rows[s] = row
-    row[a] = new
-    return new
+    row = store_update(rows, s, rows.get(s), a, r, max_next, h.alpha, h.gamma)
+    return row[a] if row is not None else 0.0
+
+
+def greedy_action(
+    row: Sequence[float], candidates: Sequence[Action], rng: random.Random
+) -> Action:
+    """The candidate with the highest value in ``row``, ties broken uniformly.
+
+    ``rng`` is drawn from only when two or more candidates tie.
+    """
+    best = max([row[a] for a in candidates])
+    ties = [a for a in candidates if row[a] == best]
+    if len(ties) == 1:
+        return ties[0]
+    return ties[rng.randrange(len(ties))]
 
 
 def select_action(
@@ -204,11 +242,7 @@ def select_action(
     row = table._rows.get(s)
     if row is None:
         return candidates[rng.randrange(len(candidates))]
-    best = max(row[a] for a in candidates)
-    ties = [a for a in candidates if row[a] == best]
-    if len(ties) == 1:
-        return ties[0]
-    return ties[rng.randrange(len(ties))]
+    return greedy_action(row, candidates, rng)
 
 
 def _key_width(goal_conditioned: bool) -> int:

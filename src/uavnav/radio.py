@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,13 @@ class LinkBudget:
     d_min_km: float = 0.01
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a threshold of -inf is legal: every cell counts as covered
+            if f.name == "snr_threshold_db" and value == -math.inf:
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.f_mhz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.h_b_m <= 0:
@@ -168,6 +176,11 @@ class CoverageMap:
 
     def snr_at(self, c: Cell) -> float:
         return float(self.snr[c[0], c[1], c[2]])
+
+    @cached_property
+    def snr_by_index(self) -> list[float]:
+        """SNR per flat cell index (``GridWorld.index``), as Python floats."""
+        return self.snr.ravel().tolist()
 
 
 def coverage_map(lb: LinkBudget, world: GridWorld) -> CoverageMap:

@@ -45,6 +45,9 @@ def test_reward_params_invariants():
         RewardParams(r_outage=1.0)
     with pytest.raises(ValueError):
         RewardParams(r_closer=-1.0, r_farther=1.0, r_crash=-5.0, r_arrive=10.0)
+    # each finite, but a crash step's reward would be -inf
+    with pytest.raises(ValueError, match="finite"):
+        RewardParams(r_farther=-1e308, r_crash=-1.7e308)
 
 
 def test_reward_strategic_closer():

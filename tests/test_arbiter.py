@@ -5,7 +5,6 @@ import pytest
 
 from uavnav.arbiter import (
     FlightOutcome,
-    _safe_candidates,
     decide,
     execute_flight,
     greedy_trajectory,
@@ -21,6 +20,7 @@ from uavnav.gridworld import (
 )
 from uavnav.harness import build_world
 from uavnav.qcore import Hyper, QTable
+from uavnav.radio import coverage_map
 
 from oracles import alg3_choice
 
@@ -134,7 +134,7 @@ def test_safe_candidates_keeps_boundary_clamps():
         start_cell=(0, 0, 0),
         obstacle_density=0.0,
     )
-    cands = _safe_candidates(world, (0, 0, 0))
+    cands = world.safe_actions[world.index((0, 0, 0))]
     assert Action.PLUS_X not in cands
     assert Action.PLUS_Y not in cands
     assert Action.MINUS_X in cands  # clamps in place, lands on a free cell
@@ -147,7 +147,7 @@ def test_execute_flight_dest_adjacent_one_step():
     world = build_world(cfg)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, goal_conditioned=True)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(qs, qa, world, cfg.link, (1, 0, 0), step_cap=50)
+    res = execute_flight(qs, qa, world, coverage_map(cfg.link, world), (1, 0, 0), step_cap=50)
     assert res.outcome == FlightOutcome.ARRIVED
     assert res.steps == 1
     assert res.trajectory == [(0, 0, 0), (1, 0, 0)]
@@ -158,7 +158,8 @@ def test_execute_flight_validation():
     qa = QTable("adaptive", GRID, Hyper(), 0)
     cfg = TrainConfig()
     with pytest.raises(ValueError):
-        execute_flight(qs, qa, EMPTY_WORLD, cfg.link, EMPTY_WORLD.start_cell, 10)
+        execute_flight(qs, qa, EMPTY_WORLD, coverage_map(cfg.link, EMPTY_WORLD),
+                       EMPTY_WORLD.start_cell, 10)
 
 
 def test_execute_flight_trained_small_world():
@@ -177,6 +178,7 @@ def test_execute_flight_trained_small_world():
     qa, _ = train_adaptive(world, cfg.link_for_band(900.0), cfg, stream_rng(7, "a"))
     from oracles import bfs_shortest_len
 
+    cmap = coverage_map(cfg.link_for_band(900.0), world)
     rng = random.Random(0)
     dest_rng = random.Random(5)
     arrived = 0
@@ -186,8 +188,7 @@ def test_execute_flight_trained_small_world():
         dest = (dest_rng.randrange(6), dest_rng.randrange(6), dest_rng.randrange(2))
         if dest == world.start_cell:
             continue
-        res = execute_flight(qs, qa, world, cfg.link_for_band(900.0), dest,
-                             step_cap=200, rng=rng)
+        res = execute_flight(qs, qa, world, cmap, dest, step_cap=200, rng=rng)
         if res.outcome == FlightOutcome.ARRIVED:
             arrived += 1
             want = bfs_shortest_len(6, 6, 2, frozenset(), world.start_cell, dest)
@@ -208,7 +209,7 @@ def test_outage_steps_zero_with_low_threshold():
     lb = dataclasses.replace(cfg.link, snr_threshold_db=-math.inf)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, goal_conditioned=True)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(qs, qa, world, lb, (3, 3, 1), step_cap=30)
+    res = execute_flight(qs, qa, world, coverage_map(lb, world), (3, 3, 1), step_cap=30)
     assert res.outage_steps == 0
 
 
@@ -217,8 +218,8 @@ def test_flight_time_uses_velocity():
     world = build_world(cfg)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, goal_conditioned=True)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(qs, qa, world, cfg.link, (1, 0, 0), step_cap=10,
-                         velocity_ms=15.0)
+    res = execute_flight(qs, qa, world, coverage_map(cfg.link, world), (1, 0, 0),
+                         step_cap=10, velocity_ms=15.0)
     assert res.flight_time_s == res.steps * (50.0 / 15.0)
 
 
@@ -227,3 +228,24 @@ def test_greedy_trajectory_on_empty_table_terminates():
     traj, outcome = greedy_trajectory(qs, EMPTY_WORLD, (19, 19, 4), 100, random.Random(1))
     assert outcome in (FlightOutcome.ARRIVED, FlightOutcome.STEP_CAP_HIT)
     assert len(traj) <= 101
+
+
+def test_rollouts_reject_destination_outside_grid():
+    # a flat index of an off-grid cell would alias a cell inside the grid
+    qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+    qa = QTable("adaptive", GRID, Hyper(), 0)
+    off_grid = (0, GRID.ny, 0)
+    with pytest.raises(ValueError, match="outside the grid"):
+        greedy_trajectory(qs, EMPTY_WORLD, off_grid, 10)
+    cmap = coverage_map(TrainConfig().link, EMPTY_WORLD)
+    with pytest.raises(ValueError, match="outside the grid"):
+        execute_flight(qs, qa, EMPTY_WORLD, cmap, off_grid, 10)
+
+
+def test_execute_flight_rejects_map_of_another_grid():
+    qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+    qa = QTable("adaptive", GRID, Hyper(), 0)
+    small = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
+    cmap = coverage_map(TrainConfig().link, small)
+    with pytest.raises(ValueError, match="coverage map grid"):
+        execute_flight(qs, qa, EMPTY_WORLD, cmap, (3, 3, 1), 10)

@@ -1,0 +1,99 @@
+"""Golden content hashes of two fixed experiments.
+
+Each config is trained with ``cmd_train`` and evaluated with
+``cmd_evaluate`` at a fixed seed. The test hashes what the run computed,
+not how it is stored: every table's rows (keys sorted, each row as six
+little-endian float64), the reward CSVs, ``flights.csv`` and
+``evaluation.json``. A change that claims to leave training and
+evaluation bit-identical must leave every hash as recorded; a change of
+checkpoint format does not touch them.
+
+The constants were recorded with the code as it stood before the
+precomputed world core (move table, coverage-map SNR in flights) replaced
+the per-step calls. If a change is meant to alter what is computed,
+re-record them and say why in CHANGES.md.
+"""
+
+import hashlib
+import struct
+
+from uavnav.config import TrainConfig
+from uavnav.gridworld import GridSpec
+from uavnav.harness import cmd_evaluate, cmd_train, load_artifacts
+from uavnav.qcore import QTable
+
+CONFIGS = {
+    # the byte-determinism config of acceptance criterion 8
+    "criterion8": TrainConfig(
+        grid=GridSpec(nx=8, ny=8, nz=3),
+        obstacle_density=0.1,
+        bands_mhz=(900.0, 2100.0),
+        episodes_strategic=300,
+        episodes_adaptive=150,
+        seed=21,
+    ),
+    # three bands at 15 % density on 100 m cells
+    "three_band": TrainConfig(
+        grid=GridSpec(nx=10, ny=10, nz=5, cell_size_m=100.0, cell_height_m=20.0),
+        obstacle_density=0.15,
+        bands_mhz=(900.0, 1800.0, 2100.0),
+        episodes_strategic=3000,
+        episodes_adaptive=400,
+        seed=12,
+    ),
+}
+EVAL_FLIGHTS = 60
+EVAL_SEED = 5
+
+GOLDEN = {
+    "criterion8": {
+        "table strategic": "05d6d5f45a1e80a913d2c7f6d01021eed6213c6e60a860982624a82bc15de222",
+        "table adaptive 900": "33ae66b9e05c868cb6c6b117e62340f49ebb0e176761850b5675c2a470ea9fb6",
+        "table adaptive 2100": "6e78beeeebac6b0aa0f4eb640c44a17568821847f6b936c7dbf1ef57cee4b319",
+        "rewards_strategic.csv": "17796f908803049ebbef0bce26e78defdd7ed9154cc5e1eb35c1553ba6bef6e4",
+        "rewards_adaptive_900.csv": "a801b8c0a9c19cd649acb9c60c9d9fa9a6f679b2a2a25dacc4467bacb1b169c7",
+        "rewards_adaptive_2100.csv": "72e94ca9906cfceedb7da28fa1ed0d04db9024dde4b0e032c38aeebe606ab797",
+        "flights.csv": "4c2db31aa6fee43e63994c078229ae41533ae40040774b46b59b82ff41f7164b",
+        "evaluation.json": "94ddbbc72ba27e563c9159d03444ba9e3ee2e3337b5beadd55e46a2d9e225a52",
+    },
+    "three_band": {
+        "table strategic": "ad81df6564728f99fbf4828014bf7280b55980a9a82864010aa936749cb5d3cc",
+        "table adaptive 900": "1d5c0a05e57d29d4453557248857c0b123efddd9a74398a33a50c8db6ebed8c5",
+        "table adaptive 1800": "eda6b29795c3956989189de995bc8fa739b0851c1b6db2a7e25c5fad54f15ec2",
+        "table adaptive 2100": "0cfb48ca8a4efeb0bc66b4548da150ba1f75f533d15a166a73a5da107c0d61d8",
+        "rewards_strategic.csv": "bfc0be45447639c3cdb1f5f97b89d769ad40103a6ec144e8ec8a87867956ab1d",
+        "rewards_adaptive_900.csv": "333ab63c66204bcbcba8df5274e76600d6fcb9913add88894106749f249dd994",
+        "rewards_adaptive_1800.csv": "80b8089b9958b91178eb5284f4f118028c5161bea1e9284563f32c02778f718c",
+        "rewards_adaptive_2100.csv": "ce737f13acc09f0733fa85298f4ede7d3faf838f34fec1b8b50c997cccd29a4a",
+        "flights.csv": "943603cdf7c24419680a57e54f8f6b2900a90a744970b4ba8f2400afd64f8c2a",
+        "evaluation.json": "c1af69f56808acce56742b8639fda96e292a34e9efc2ed02e59f928176391c6f",
+    },
+}
+
+
+def table_digest(table: QTable) -> str:
+    h = hashlib.sha256()
+    for key in sorted(table._rows):
+        h.update(repr(key).encode())
+        h.update(struct.pack("<6d", *table._rows[key]))
+    return h.hexdigest()
+
+
+def run_digests(cfg: TrainConfig, out) -> dict[str, str]:
+    art = cmd_train(cfg, out)
+    cmd_evaluate(art, n_flights=EVAL_FLIGHTS, seed=EVAL_SEED)
+    _, strategic, adaptive = load_artifacts(art)
+    digests = {"table strategic": table_digest(strategic)}
+    for band, table in sorted(adaptive.items()):
+        digests[f"table adaptive {band:g}"] = table_digest(table)
+    names = ["rewards_strategic.csv"]
+    names += [f"rewards_adaptive_{band:g}.csv" for band in cfg.bands_mhz]
+    names += ["flights.csv", "evaluation.json"]
+    for name in names:
+        digests[name] = hashlib.sha256((art / name).read_bytes()).hexdigest()
+    return digests
+
+
+def test_golden_content_hashes(tmp_path):
+    got = {name: run_digests(cfg, tmp_path / name) for name, cfg in CONFIGS.items()}
+    assert got == GOLDEN

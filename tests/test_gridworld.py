@@ -8,6 +8,7 @@ from uavnav.gridworld import (
     ACTIONS,
     Action,
     GridSpec,
+    GridWorld,
     StepEvent,
     apply_action,
     build,
@@ -188,3 +189,38 @@ def test_random_free_cell_fully_blocked():
 
 def test_default_step_cap():
     assert default_step_cap(SPEC) == 4 * (20 + 20 + 5)
+
+
+def test_move_table_matches_step_rules():
+    # Shapes include one-cell axes, where every move along that axis is
+    # blocked; obstacles are drawn directly, so any cell may hold one.
+    rng = random.Random(11)
+    for trial in range(200):
+        spec = GridSpec(nx=rng.randint(1, 6), ny=rng.randint(1, 6), nz=rng.randint(1, 4))
+        cells = [(x, y, z) for x in range(spec.nx) for y in range(spec.ny) for z in range(spec.nz)]
+        obstacles = frozenset(c for c in cells if rng.random() < 0.3)
+        world = GridWorld(spec, obstacles, (0, 0, 0), (0, 0, 0), 0.0)
+        assert list(world.cells) == cells
+        for i, c in enumerate(cells):
+            assert world.index(c) == i
+            safe = []
+            for a in ACTIONS:
+                d = ACTION_DELTAS[a]
+                n = (c[0] + d[0], c[1] + d[1], c[2] + d[2])
+                if not spec.in_bounds(n):
+                    want = (i, c, StepEvent.BLOCKED_AT_BOUNDARY)
+                elif n in obstacles:
+                    want = (cells.index(n), n, StepEvent.CRASHED_INTO_OBSTACLE)
+                else:
+                    want = (cells.index(n), n, StepEvent.MOVED)
+                assert world.moves[i][a] == want, (trial, c, a)
+                if want[2] != StepEvent.CRASHED_INTO_OBSTACLE:
+                    safe.append(a)
+            assert world.safe_actions[i] == (tuple(safe) or ACTIONS)
+
+
+def test_move_table_is_built_on_first_use():
+    world = build(SPEC, 0.1, seed=2)
+    assert "moves" not in vars(world)
+    apply_action(world, world.start_cell, Action.PLUS_X, dest=(9, 9, 4))
+    assert "moves" in vars(world)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -429,6 +430,65 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "artifact error" in err
+
+
+# A quick config as JSON text; each case below changes one number.
+TINY_RAW = {
+    "grid": {"nx": 4, "ny": 4, "nz": 2},
+    "bands_mhz": [900.0],
+    "episodes_strategic": 20,
+    "episodes_adaptive": 20,
+}
+NON_FINITE = {
+    "bands_mhz NaN": {"bands_mhz": [math.nan]},
+    "bands_mhz inf": {"bands_mhz": [900.0, math.inf]},
+    "link.p_tx_dbm NaN": {"link": {"p_tx_dbm": math.nan}},
+    "link.h_b_m inf": {"link": {"h_b_m": math.inf}},
+    "link.snr_threshold_db NaN": {"link": {"snr_threshold_db": math.nan}},
+    "rewards.r_crash -inf": {"rewards": {"r_crash": -math.inf}},
+    "rewards.r_covered inf": {"rewards": {"r_covered": math.inf}},
+    "grid.cell_size_m NaN": {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": math.nan}},
+    "grid.cell_height_m NaN": {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_height_m": math.nan}},
+    "uav_velocity_ms NaN": {"uav_velocity_ms": math.nan},
+    "max_altitude_m NaN": {"max_altitude_m": math.nan},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_cli_train_rejects_non_finite_numbers(tmp_path, capsys, case):
+    cfg_path = tmp_path / "cfg.json"
+    # json writes NaN and Infinity literals, which json.loads reads back
+    cfg_path.write_text(json.dumps({**TINY_RAW, **NON_FINITE[case]}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", ["nan", "inf", "-inf"])
+def test_cli_coverage_rejects_non_finite_band(tmp_path, capsys, band):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_RAW))
+    out = tmp_path / "cov.csv"
+    assert cli_main(["coverage", "--config", str(cfg_path), f"--band={band}",
+                     "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_minus_infinite_threshold_stays_legal(tmp_path):
+    # -inf means every cell is covered
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY_RAW, "link": {"snr_threshold_db": -math.inf}}))
+    cfg = load_config(str(path))
+    assert cfg.link.snr_threshold_db == -math.inf
+    assert cmd_coverage(cfg, 900.0, tmp_path / "cov.csv") == 1.0
+
+
+@pytest.mark.parametrize("bands", [["900"], [None], [True]])
+def test_config_rejects_non_numeric_bands(bands):
+    with pytest.raises(ConfigError, match="bands_mhz"):
+        config_from_dict({"bands_mhz": bands})
 
 
 def test_eval_report_serialization():
