@@ -19,8 +19,9 @@ A flight steps through the world's move table, and the safety filter reads
 the world's per-cell safe-action sets (``GridWorld.safe_actions``), both
 built once per world. Each step's SNR is read from the band's
 ``CoverageMap``, the same map the coverage agent trained on: training and
-flight have one SNR source. Greedy choices use ``qcore.greedy_action``, the
-tie-break rule training uses.
+flight have one SNR source. Each step reads the two Q-rows straight from
+the tables' dense arrays (``QTable.q``) by flat cell index. Greedy choices
+use ``qcore.greedy_action``, the tie-break rule training uses.
 """
 
 from __future__ import annotations
@@ -93,16 +94,23 @@ def decide(
     normalize: bool = False,
     allowed: tuple[Action, ...] = ACTIONS,
 ) -> Action:
-    """Pick the next action from the two tables' preferences at s_pos."""
+    """Pick the next action from the two tables' preferences at s_pos.
+
+    Both tables must be on the world's grid: their rows are read from the
+    dense arrays by the world's flat cell index.
+    """
+    at = world.index(s_pos)
     if safety:
-        candidates = world.safe_actions[world.index(s_pos)]
+        candidates = world.safe_actions[at]
         if allowed != ACTIONS:
             candidates = tuple(a for a in candidates if a in allowed) or allowed
     else:
         candidates = allowed
-    s_key: StateKey = (s_pos, dest) if q_strategic.goal_conditioned else s_pos
-    row_s = q_strategic.values(s_key)
-    row_a = q_adaptive.values(s_pos)
+    if q_strategic.goal_conditioned:
+        row_s = q_strategic.q[at, world.index(dest)].tolist()
+    else:
+        row_s = q_strategic.q[at].tolist()
+    row_a = q_adaptive.q[at].tolist()
     a1 = greedy_action(row_s, candidates, rng)
     a2 = greedy_action(row_a, candidates, rng)
     if a1 == a2:
@@ -145,6 +153,8 @@ def execute_flight(
         raise ValueError(f"destination {dest} is an obstacle cell")
     if cmap.spec != spec:
         raise ValueError("coverage map grid does not match the world grid")
+    if q_strategic.grid != spec or q_adaptive.grid != spec:
+        raise ValueError("Q-table grid does not match the world grid")
     if rng is None:
         rng = random.Random(0)
     snr_by_index = cmap.snr_by_index

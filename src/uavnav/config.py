@@ -29,7 +29,7 @@ from typing import Any
 
 from .agents import RewardParams
 from .gridworld import Cell, GridSpec, default_step_cap
-from .qcore import EpsilonSchedule, Hyper
+from .qcore import EpsilonSchedule, Hyper, require_table_fits
 from .radio import LinkBudget
 
 DEFAULT_BANDS_MHZ = (900.0, 1800.0, 2100.0)
@@ -48,6 +48,22 @@ def seed_stream(master_seed: int, name: str) -> int:
 
 def stream_rng(master_seed: int, name: str) -> random.Random:
     return random.Random(seed_stream(master_seed, name))
+
+
+_INT_FIELDS = (
+    "episodes_strategic",
+    "episodes_adaptive",
+    "step_cap",
+    "eval_step_cap",
+    "seed",
+    "eval_flights",
+)
+_OPTIONAL_FIELDS = ("step_cap", "eval_step_cap")
+_BOOL_FIELDS = ("goal_conditioned", "altitude_locked", "record_steps")
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,19 @@ class TrainConfig:
     eval_flights: int = 100
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name in _OPTIONAL_FIELDS)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        # refused before any allocation: the planner's dense Q-table
+        try:
+            require_table_fits(self.grid, self.goal_conditioned)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.obstacle_density <= 0.5:
             raise ConfigError(
                 f"obstacle_density must be in [0, 0.5], got {self.obstacle_density}"
@@ -93,8 +122,10 @@ class TrainConfig:
             )
         if self.episodes_strategic < 1 or self.episodes_adaptive < 1:
             raise ConfigError("episode counts must be >= 1")
-        if self.step_cap is not None and self.step_cap < 1:
-            raise ConfigError("step_cap must be >= 1 when given")
+        for name in _OPTIONAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1 when given")
         if self.distance_metric not in ("euclidean", "manhattan"):
             raise ConfigError(
                 f"distance_metric must be 'euclidean' or 'manhattan', "
@@ -198,7 +229,7 @@ def _as_cell(path: str, text: str, key: str, raw: Any) -> Cell:
     if (
         not isinstance(raw, list)
         or len(raw) != 3
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
+        or not all(_is_int(v) for v in raw)
     ):
         _fail(path, text, key, "expected a [ix, iy, iz] triple of integers")
     return (raw[0], raw[1], raw[2])

@@ -12,9 +12,10 @@ agent passes *through* obstacle cells (the step is reported as a crash but
 the episode continues); evaluation treats a crash as terminal. That split is
 handled by the callers -- this module only reports what a step did.
 
-Cells also have a flat index, ``(ix * ny + iy) * nz + iz``: the C order of
-an ``(nx, ny, nz)`` array, so a flattened per-cell array (such as a
-coverage map's SNR) is read at the same index. Each world builds, on first
+Cells also have a flat index (``GridSpec.index``), ``(ix * ny + iy) * nz +
+iz``: the C order of an ``(nx, ny, nz)`` array, so a flattened per-cell
+array (such as a coverage map's SNR or a Q-table's rows) is read at the
+same index. Each world builds, on first
 use and once, a move table (``GridWorld.moves``): for every cell and
 action, where the step lands and whether it was a plain move, a crash or
 blocked at the boundary. ``apply_action``, the training loops and the
@@ -52,6 +53,9 @@ class GridSpec:
     cell_height_m: float = 20.0
 
     def __post_init__(self) -> None:
+        dims = (self.nx, self.ny, self.nz)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
+            raise ValueError(f"grid dimensions must be integers, got {list(dims)}")
         if self.nx < 1 or self.ny < 1 or self.nz < 1:
             raise ValueError("grid dimensions must be positive")
         if not all(
@@ -73,6 +77,10 @@ class GridSpec:
 
     def in_bounds(self, c: Cell) -> bool:
         return 0 <= c[0] < self.nx and 0 <= c[1] < self.ny and 0 <= c[2] < self.nz
+
+    def index(self, c: Cell) -> int:
+        """Flat index of an in-bounds cell."""
+        return (c[0] * self.ny + c[1]) * self.nz + c[2]
 
 
 class Action(IntEnum):
@@ -144,8 +152,7 @@ class GridWorld:
 
     def index(self, c: Cell) -> int:
         """Flat index of an in-bounds cell."""
-        spec = self.spec
-        return (c[0] * spec.ny + c[1]) * spec.nz + c[2]
+        return self.spec.index(c)
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:

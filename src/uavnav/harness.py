@@ -180,22 +180,26 @@ def _save_checkpoint(table: QTable, path: Path) -> str:
     return _sha256(path)
 
 
-def _require_takeoff_layer_free(cfg: TrainConfig, world: GridWorld) -> None:
-    """Altitude-locked missions need a free cell besides the start on its layer.
+def _require_mission_cells(cfg: TrainConfig, world: GridWorld, need: int) -> None:
+    """Missions need ``need`` free cells besides the start to draw from.
 
-    Without one, drawing a destination would never terminate.
+    With ``altitude_locked`` they must lie on the takeoff layer. A flight
+    draws a destination: one cell. Training with two or more episodes also
+    starts every other episode at a drawn cell and then draws a different
+    destination: two cells. With fewer, a draw would never terminate.
     """
-    if not cfg.altitude_locked:
-        return
-    spec, start = world.spec, world.start_cell
-    for x in range(spec.nx):
-        for y in range(spec.ny):
-            c = (x, y, start[2])
-            if c != start and c not in world.obstacles:
+    start = world.start_cell
+    found = 0
+    for c in world.cells:
+        if c != start and c not in world.obstacles and (
+            not cfg.altitude_locked or c[2] == start[2]
+        ):
+            found += 1
+            if found == need:
                 return
+    where = f"altitude_locked: takeoff layer z={start[2]}" if cfg.altitude_locked else "grid"
     raise ConfigError(
-        f"altitude_locked: takeoff layer z={start[2]} has no free cell "
-        "besides the start cell"
+        f"{where} has {found} free cell(s) besides the start cell; missions need {need}"
     )
 
 
@@ -207,7 +211,8 @@ def cmd_train(
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     world = build_world(cfg)
-    _require_takeoff_layer_free(cfg, world)
+    episodes = max(cfg.episodes_strategic, cfg.episodes_adaptive)
+    _require_mission_cells(cfg, world, 2 if episodes > 1 else 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
@@ -329,7 +334,7 @@ def run_flights(
     The destination stream restarts per band, so every band faces the same
     destination sequence.
     """
-    _require_takeoff_layer_free(cfg, world)
+    _require_mission_cells(cfg, world, 1)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
     allowed = ACTIONS_XY if cfg.altitude_locked else ACTIONS

@@ -3,7 +3,12 @@
 A Q-table maps (state key, action) to a learned value, defaulting to 0.0
 for anything never updated. State keys are position cells for the coverage
 agent and (position, destination) pairs for the goal-conditioned planner
-(plain position when trained against a single fixed destination).
+(plain position when trained against a single fixed destination). The
+values are one dense float64 array, ``QTable.q``, indexed by flat cell
+index: ``q[cell, dest, a]`` for the goal-conditioned planner, ``q[cell, a]``
+otherwise. At the default 20 x 20 x 5 grid the planner's array takes
+192 MB; a table over 2 GiB (``MAX_TABLE_BYTES``) is refused before it is
+allocated.
 
 The update is the standard one-step bootstrap
 
@@ -11,10 +16,11 @@ The update is the standard one-step bootstrap
 
 and action selection is epsilon-greedy with uniform random tie-breaking
 among maximizers, so the symmetric grid picks up no directional bias.
-Both rules exist once: ``store_update`` holds the update arithmetic and
-``greedy_action`` the argmax with random ties. ``q_update`` and
-``select_action`` are built on them, and so are the training loops in
-``agents`` and the flight arbiter, which keep their own row lookups.
+``bootstrap`` holds the update arithmetic, for Python floats and numpy
+arrays alike, and ``greedy_action`` the argmax with random ties.
+``q_update`` and ``select_action`` are built on them; so are the coverage
+agent's loop and the flight arbiter, and the planner's lockstep loop in
+``agents`` applies ``bootstrap`` to a whole batch of episodes at once.
 
 A checkpoint (format v2, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
@@ -28,7 +34,8 @@ A checkpoint (format v2, ``save``/``load``) is an uncompressed zip of three
 
 Every member carries a fixed timestamp, so a table always writes the same
 bytes. ``load`` checks the version, dtypes, shapes, key bounds and values,
-and raises ``CheckpointError`` on anything it cannot vouch for.
+and raises ``CheckpointError`` on anything it cannot vouch for; the stored
+rows are then scattered straight into the dense array.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ import math
 import random
 import zipfile
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -54,7 +60,9 @@ FORMAT_VERSION = 2
 _MEMBERS = ("keys", "values", "meta")
 
 N_ACTIONS = len(ACTIONS)
-_ZERO_ROW = (0.0,) * N_ACTIONS
+# The largest dense table a QTable allocates. The goal-conditioned planner's
+# table grows with the square of the cell count: 2 GiB is about 6,688 cells.
+MAX_TABLE_BYTES = 2 << 30
 
 
 class CheckpointError(ValueError):
@@ -98,12 +106,36 @@ class EpsilonSchedule:
         return max(self.epsilon_min, self.epsilon0 * self.decay**episode)
 
 
-class QTable:
-    """Sparse (state, action) -> value store with identifying metadata.
+def table_shape(grid: GridSpec, goal_conditioned: bool) -> tuple[int, ...]:
+    """Shape of a table's dense values: ``Q[cell, dest, a]`` or ``Q[cell, a]``."""
+    n = grid.n_cells
+    return (n, n, N_ACTIONS) if goal_conditioned else (n, N_ACTIONS)
 
-    Rows of six action values are created lazily; absent entries read as
-    exactly 0.0. A table is single-writer during training and treated as
-    frozen afterwards.
+
+def table_bytes(grid: GridSpec, goal_conditioned: bool) -> int:
+    """Bytes of a table's dense float64 values."""
+    return math.prod(table_shape(grid, goal_conditioned)) * 8
+
+
+def require_table_fits(grid: GridSpec, goal_conditioned: bool) -> None:
+    """Raise ValueError when a table's values would exceed ``MAX_TABLE_BYTES``."""
+    nbytes = table_bytes(grid, goal_conditioned)
+    if nbytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a {grid.nx} x {grid.ny} x {grid.nz} grid ({grid.n_cells:,} cells) needs "
+            f"a {nbytes:,}-byte Q-table, over the 2 GiB limit ({MAX_TABLE_BYTES:,} bytes)"
+        )
+
+
+class QTable:
+    """Dense (state, action) -> value store with identifying metadata.
+
+    The values live in one float64 array ``q``, indexed by flat cell index
+    (``GridSpec.index``): ``q[cell, dest, a]`` when goal-conditioned, else
+    ``q[cell, a]``. Every value starts at exactly 0.0, and a state is
+    *stored* when its row holds a non-zero value; only stored rows are
+    counted, listed and saved. A table is single-writer during training and
+    treated as frozen afterwards.
     """
 
     def __init__(
@@ -117,33 +149,64 @@ class QTable:
     ) -> None:
         if kind not in ("strategic", "adaptive"):
             raise ValueError(f"unknown agent kind {kind!r}")
+        require_table_fits(grid, goal_conditioned)
         self.kind = kind
         self.grid = grid
         self.hyper = hyper
         self.seed = seed
         self.goal_conditioned = goal_conditioned
         self.f_mhz = f_mhz
-        self._rows: dict[StateKey, list[float]] = {}
+        self.q = np.zeros(table_shape(grid, goal_conditioned))
+
+    def _at(self, s: StateKey) -> int | tuple[int, int]:
+        """Index of the row of ``s`` in ``q``."""
+        if self.goal_conditioned:
+            pos, dest = s
+            return self.grid.index(pos), self.grid.index(dest)
+        return self.grid.index(s)
 
     def get(self, s: StateKey, a: Action) -> float:
-        row = self._rows.get(s)
-        return row[a] if row is not None else 0.0
+        return float(self.q[self._at(s)][a])
 
     def values(self, s: StateKey) -> tuple[float, ...]:
         """All six action values at a state (zeros when unvisited)."""
-        row = self._rows.get(s)
-        return tuple(row) if row is not None else _ZERO_ROW
+        return tuple(self.q[self._at(s)].tolist())
+
+    def set_values(self, s: StateKey, values: Sequence[float]) -> None:
+        """Overwrite the six action values at a state."""
+        self.q[self._at(s)] = values
 
     def max_value(self, s: StateKey) -> float:
-        row = self._rows.get(s)
-        return max(row) if row is not None else 0.0
+        return float(self.q[self._at(s)].max())
 
     def n_states(self) -> int:
-        return len(self._rows)
+        return int(np.count_nonzero(self.q.any(axis=-1)))
+
+    def stored(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of the stored rows, sorted by key.
+
+        Keys are int32 cell coordinates, n x 3 or, goal-conditioned, n x 6
+        (position, then destination); values are float64, n x 6. C order of
+        ``q`` is key order, so no sort is needed.
+        """
+        flat = self.q.reshape(-1, N_ACTIONS)
+        where = np.flatnonzero(flat.any(axis=1))
+        g = self.grid
+        dims = (g.nx, g.ny, g.nz) * (2 if self.goal_conditioned else 1)
+        keys = np.column_stack(np.unravel_index(where, dims)).astype(np.int32)
+        return keys, flat[where]
+
+    def rows(self) -> Iterator[tuple[StateKey, tuple[float, ...]]]:
+        """Stored states and their six action values, sorted by key."""
+        keys, values = self.stored()
+        for key, row in zip(keys.tolist(), values.tolist()):
+            pos = (key[0], key[1], key[2])
+            s = (pos, (key[3], key[4], key[5])) if self.goal_conditioned else pos
+            yield s, tuple(row)
 
     def entries(self) -> Iterator[tuple[StateKey, Action, float]]:
-        """Non-zero entries, in insertion order."""
-        for s, row in self._rows.items():
+        """Non-zero entries, sorted by state key."""
+        for s, row in self.rows():
             for a in ACTIONS:
                 if row[a] != 0.0:
                     yield s, a, row[a]
@@ -158,41 +221,18 @@ class QTable:
             and self.seed == other.seed
             and self.goal_conditioned == other.goal_conditioned
             and self.f_mhz == other.f_mhz
-            and dict(self._iter_nonzero()) == dict(other._iter_nonzero())
+            and np.array_equal(self.q, other.q)
         )
 
-    def _iter_nonzero(self) -> Iterator[tuple[tuple[StateKey, int], float]]:
-        for s, a, v in self.entries():
-            yield (s, int(a)), v
 
+def bootstrap(q, r, max_next, alpha: float, gamma: float):
+    """The updated Q(s, a), from its old value ``q`` and max_a' Q(s', a').
 
-def store_update(
-    rows: dict[StateKey, list[float]],
-    s: StateKey,
-    row: list[float] | None,
-    a: int,
-    r: float,
-    max_next: float,
-    alpha: float,
-    gamma: float,
-) -> list[float] | None:
-    """Write the bootstrapped Q(s, a) into ``row``, which is ``rows.get(s)``.
-
-    ``max_next`` is max_a' Q(s', a'), read before this write. A missing row
-    is created only when the new value is non-zero, so a state whose values
-    all stay 0.0 takes no row. Returns the row of ``s`` (None if still
-    absent).
+    Written once for Python floats and numpy arrays alike, so every loop
+    rounds the update the same way.
     """
-    q = row[a] if row is not None else 0.0
-    # weighted form of the same update; exact when alpha is 1
-    new = (1.0 - alpha) * q + alpha * (r + gamma * max_next)
-    if row is None:
-        if new == 0.0:
-            return None
-        row = [0.0] * N_ACTIONS
-        rows[s] = row
-    row[a] = new
-    return row
+    # weighted form of the standard update; exact when alpha is 1
+    return (1.0 - alpha) * q + alpha * (r + gamma * max_next)
 
 
 def q_update(
@@ -201,11 +241,13 @@ def q_update(
     """One bootstrapped update of Q(s, a); returns the stored value."""
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
-    rows = table._rows
-    next_row = rows.get(s_next)
-    max_next = max(next_row) if next_row is not None else 0.0
-    row = store_update(rows, s, rows.get(s), a, r, max_next, h.alpha, h.gamma)
-    return row[a] if row is not None else 0.0
+    q = table.q
+    # max_a' Q(s', a') is read before the write: s' may be s
+    max_next = float(q[table._at(s_next)].max())
+    row = q[table._at(s)]
+    new = bootstrap(float(row[a]), r, max_next, h.alpha, h.gamma)
+    row[a] = new
+    return new
 
 
 def greedy_action(
@@ -239,10 +281,7 @@ def select_action(
         raise ValueError("candidate action set is empty")
     if epsilon > 0.0 and rng.random() < epsilon:
         return candidates[rng.randrange(len(candidates))]
-    row = table._rows.get(s)
-    if row is None:
-        return candidates[rng.randrange(len(candidates))]
-    return greedy_action(row, candidates, rng)
+    return greedy_action(table.values(s), candidates, rng)
 
 
 def _key_width(goal_conditioned: bool) -> int:
@@ -252,20 +291,10 @@ def _key_width(goal_conditioned: bool) -> int:
 def save(table: QTable, path) -> None:
     """Write a format-v2 checkpoint to exactly ``path``.
 
-    Rows are stored dense and sorted by key, so the same table always gives
-    the same bytes, whatever order its rows were inserted in.
+    Only stored rows are written, sorted by key, so the same values always
+    give the same bytes, whatever order they were written in.
     """
-    rows = table._rows
-    n, width = len(rows), _key_width(table.goal_conditioned)
-    flat = chain.from_iterable(rows)
-    if table.goal_conditioned:
-        flat = chain.from_iterable(flat)
-    keys = np.fromiter(flat, dtype=np.int32, count=n * width).reshape(n, width)
-    values = np.fromiter(
-        chain.from_iterable(rows.values()), dtype=np.float64, count=n * N_ACTIONS
-    ).reshape(n, N_ACTIONS)
-    # lexsort's primary key is its last one: reverse the columns
-    order = np.lexsort(keys.T[::-1])
+    keys, values = table.stored()
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": table.kind,
@@ -276,8 +305,8 @@ def save(table: QTable, path) -> None:
         "f_mhz": table.f_mhz,
     }
     members = (
-        ("keys", keys[order]),
-        ("values", values[order]),
+        ("keys", keys),
+        ("values", values),
         ("meta", np.array(json.dumps(meta, sort_keys=True))),
     )
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
@@ -331,12 +360,10 @@ def load(path) -> QTable:
     if not np.isfinite(values).all():
         raise CheckpointError(f"non-finite value in checkpoint {path}")
 
-    cols = keys.T.tolist()
-    cells = zip(*cols[:3])
-    states = zip(cells, zip(*cols[3:])) if table.goal_conditioned else cells
-    table._rows = dict(zip(states, values.tolist()))
-    if len(table._rows) != n:
+    rows = np.ravel_multi_index(tuple(keys.T), tuple(upper))
+    if np.unique(rows).size != n:
         raise CheckpointError(f"checkpoint {path}: duplicate state keys")
+    table.q.reshape(-1, N_ACTIONS)[rows] = values
     return table
 
 
@@ -369,8 +396,6 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
         raise CheckpointError(f"checkpoint {path}: goal_conditioned must be a bool")
     try:
         grid = GridSpec(**doc["grid"])
-        if not all(_is_int(v) for v in (grid.nx, grid.ny, grid.nz)):
-            raise TypeError("grid dimensions must be ints")
         seed, f_mhz = doc["seed"], doc["f_mhz"]
         if not _is_int(seed):
             raise TypeError(f"seed must be an int, got {seed!r}")

@@ -250,8 +250,8 @@ def test_criterion_7_arbiter_fidelity():
     def tables(sv, av):
         qs = QTable("strategic", grid, Hyper(), 0, goal_conditioned=True)
         qa = QTable("adaptive", grid, Hyper(), 0)
-        qs._rows[(pos, dest)] = list(sv)
-        qa._rows[pos] = list(av)
+        qs.set_values((pos, dest), sv)
+        qa.set_values(pos, av)
         return qs, qa
 
     agree_ok = 0
@@ -292,8 +292,8 @@ def test_criterion_7_arbiter_fidelity():
             continue
         qs = QTable("strategic", spec, Hyper(), 0, goal_conditioned=True)
         qa = QTable("adaptive", spec, Hyper(), 0)
-        qs._rows[(p, (5, 5, 2))] = [rng.uniform(-50, 50) for _ in ACTIONS]
-        qa._rows[p] = [rng.uniform(-50, 50) for _ in ACTIONS]
+        qs.set_values((p, (5, 5, 2)), [rng.uniform(-50, 50) for _ in ACTIONS])
+        qa.set_values(p, [rng.uniform(-50, 50) for _ in ACTIONS])
         a = decide(qs, qa, p, (5, 5, 2), True, w, rng)
         d = ACTION_DELTAS[a]
         nxt = (p[0] + d[0], p[1] + d[1], p[2] + d[2])

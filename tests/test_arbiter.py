@@ -30,7 +30,7 @@ EMPTY_WORLD = build(GRID, 0.0, seed=1, bs_xy=(10, 10, 0))
 
 def table_with_row(kind, key, values, goal_conditioned=False):
     t = QTable(kind=kind, grid=GRID, hyper=Hyper(), seed=0, goal_conditioned=goal_conditioned)
-    t._rows[key] = list(values)
+    t.set_values(key, values)
     return t
 
 

@@ -8,10 +8,14 @@ little-endian float64), the reward CSVs, ``flights.csv`` and
 evaluation bit-identical must leave every hash as recorded; a change of
 checkpoint format does not touch them.
 
-The constants were recorded with the code as it stood before the
-precomputed world core (move table, coverage-map SNR in flights) replaced
-the per-step calls. If a change is meant to alter what is computed,
-re-record them and say why in CHANGES.md.
+The adaptive constants were recorded with the code as it stood before
+the precomputed world core (move table, coverage-map SNR in flights)
+replaced the per-step calls. The strategic ones (``table strategic``,
+``rewards_strategic.csv``) and the evaluation outputs that fly the planner
+(``flights.csv``, ``evaluation.json``) were re-recorded when the planner's
+loop became the lockstep batch loop, which draws its random numbers from
+a numpy generator in a different order. If a change is meant to alter what
+is computed, re-record them and say why in CHANGES.md.
 """
 
 import hashlib
@@ -47,35 +51,35 @@ EVAL_SEED = 5
 
 GOLDEN = {
     "criterion8": {
-        "table strategic": "05d6d5f45a1e80a913d2c7f6d01021eed6213c6e60a860982624a82bc15de222",
+        "table strategic": "9df8fb45971634a69905fe7bf5419cc71328dca86d9fdebfac85229acd0ec81e",
         "table adaptive 900": "33ae66b9e05c868cb6c6b117e62340f49ebb0e176761850b5675c2a470ea9fb6",
         "table adaptive 2100": "6e78beeeebac6b0aa0f4eb640c44a17568821847f6b936c7dbf1ef57cee4b319",
-        "rewards_strategic.csv": "17796f908803049ebbef0bce26e78defdd7ed9154cc5e1eb35c1553ba6bef6e4",
+        "rewards_strategic.csv": "b80fb9f3340ffb1ffaeb45da000964b1f201400d74a3e7a2e1ab059da644cd88",
         "rewards_adaptive_900.csv": "a801b8c0a9c19cd649acb9c60c9d9fa9a6f679b2a2a25dacc4467bacb1b169c7",
         "rewards_adaptive_2100.csv": "72e94ca9906cfceedb7da28fa1ed0d04db9024dde4b0e032c38aeebe606ab797",
-        "flights.csv": "4c2db31aa6fee43e63994c078229ae41533ae40040774b46b59b82ff41f7164b",
-        "evaluation.json": "94ddbbc72ba27e563c9159d03444ba9e3ee2e3337b5beadd55e46a2d9e225a52",
+        "flights.csv": "4602a9a09e746cdeb034c60f71bcd5c7561e5749013be2dd23f6e630eed5064d",
+        "evaluation.json": "4223b34eb50ee6c1d3b37c970d0b6d27585fc99bb0a04a31f125b2747559cdb1",
     },
     "three_band": {
-        "table strategic": "ad81df6564728f99fbf4828014bf7280b55980a9a82864010aa936749cb5d3cc",
+        "table strategic": "1a8953e3af9d4b72e84ea1b1274fc28b9cb83c01dc5efe470e615088617d37e6",
         "table adaptive 900": "1d5c0a05e57d29d4453557248857c0b123efddd9a74398a33a50c8db6ebed8c5",
         "table adaptive 1800": "eda6b29795c3956989189de995bc8fa739b0851c1b6db2a7e25c5fad54f15ec2",
         "table adaptive 2100": "0cfb48ca8a4efeb0bc66b4548da150ba1f75f533d15a166a73a5da107c0d61d8",
-        "rewards_strategic.csv": "bfc0be45447639c3cdb1f5f97b89d769ad40103a6ec144e8ec8a87867956ab1d",
+        "rewards_strategic.csv": "94ed1b1dd29f59cca47319a5e84676c7c127394450b5ca75f768f45f45426f92",
         "rewards_adaptive_900.csv": "333ab63c66204bcbcba8df5274e76600d6fcb9913add88894106749f249dd994",
         "rewards_adaptive_1800.csv": "80b8089b9958b91178eb5284f4f118028c5161bea1e9284563f32c02778f718c",
         "rewards_adaptive_2100.csv": "ce737f13acc09f0733fa85298f4ede7d3faf838f34fec1b8b50c997cccd29a4a",
-        "flights.csv": "943603cdf7c24419680a57e54f8f6b2900a90a744970b4ba8f2400afd64f8c2a",
-        "evaluation.json": "c1af69f56808acce56742b8639fda96e292a34e9efc2ed02e59f928176391c6f",
+        "flights.csv": "64a31c42eaea9aff9f2d9a67ca5f2b55e6af418e531362f937196f575d706c1a",
+        "evaluation.json": "696b3ba945a057f2efe8b19691924f233c467f54bf8170b48e726c4dacb2f045",
     },
 }
 
 
 def table_digest(table: QTable) -> str:
     h = hashlib.sha256()
-    for key in sorted(table._rows):
+    for key, row in table.rows():
         h.update(repr(key).encode())
-        h.update(struct.pack("<6d", *table._rows[key]))
+        h.update(struct.pack("<6d", *row))
     return h.hexdigest()
 
 

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from uavnav.harness import (
     load_artifacts,
     run_flights,
 )
-from uavnav.qcore import QTable
+from uavnav.qcore import MAX_TABLE_BYTES, Hyper, QTable, table_bytes
 
 
 def rec(outcome, steps=10, outage=0, band=900.0):
@@ -369,6 +371,28 @@ def test_altitude_locked_without_free_takeoff_cell_fails_fast(tmp_path):
         run_flights(cfg, build_world(cfg), strategic, {900.0: adaptive}, 1, seed=0)
 
 
+@pytest.mark.parametrize("goal_conditioned", [True, False])
+def test_training_with_one_mission_cell_fails_fast(tmp_path, goal_conditioned):
+    # an odd episode draws a start and then a different destination, which
+    # needs two free cells besides the takeoff cell
+    cfg = TrainConfig(
+        grid=GridSpec(nx=1, ny=1, nz=2),
+        obstacle_density=0.0,
+        bands_mhz=(900.0,),
+        episodes_strategic=2,
+        episodes_adaptive=2,
+        goal_conditioned=goal_conditioned,
+        fixed_destination=None if goal_conditioned else (0, 0, 1),
+    )
+    with _deadline(30), pytest.raises(ConfigError, match="missions need 2"):
+        cmd_train(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    # one episode per agent never draws a start: that still trains
+    one = dataclasses.replace(cfg, episodes_strategic=1, episodes_adaptive=1)
+    with _deadline(30):
+        cmd_train(one, tmp_path / "one")
+
+
 def test_coverage_csv(tmp_path):
     cfg = TrainConfig(**SMALL)
     out_csv = tmp_path / "cov.csv"
@@ -462,6 +486,72 @@ def test_cli_train_rejects_non_finite_numbers(tmp_path, capsys, case):
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_train_rejects_non_int_seed(tmp_path, capsys):
+    # refused before training, so no artifact exists for evaluate to refuse
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, "seed": 1.5}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "seed must be an integer" in err
+    assert not out.exists()
+
+
+# Each case gives one integer or boolean field a value of the wrong type
+# (or, for eval_step_cap, one below its range).
+WRONG_TYPE = {
+    "grid.nx float": {"grid": {"nx": 2.5, "ny": 4, "nz": 2}},
+    "grid.ny bool": {"grid": {"nx": 4, "ny": True, "nz": 2}},
+    "grid.nz integral float": {"grid": {"nx": 4, "ny": 4, "nz": 2.0}},
+    "episodes_strategic float": {"episodes_strategic": 5.5},
+    "episodes_adaptive bool": {"episodes_adaptive": True},
+    "step_cap float": {"step_cap": 10.0},
+    "eval_step_cap float": {"eval_step_cap": 7.5},
+    "eval_step_cap zero": {"eval_step_cap": 0},
+    "eval_flights bool": {"eval_flights": False},
+    "seed bool": {"seed": True},
+    "seed text": {"seed": "3"},
+    "goal_conditioned int": {"goal_conditioned": 1},
+    "altitude_locked text": {"altitude_locked": "yes"},
+    "record_steps int": {"record_steps": 0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE))
+def test_cli_train_rejects_wrongly_typed_fields(tmp_path, capsys, case):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, **WRONG_TYPE[case]}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, capsys):
+    # 6,689 cells: Q[cell, dest, a] would take just over 2 GiB
+    over, under = GridSpec(nx=6689, ny=1, nz=1), GridSpec(nx=6688, ny=1, nz=1)
+    assert table_bytes(under, True) <= MAX_TABLE_BYTES < table_bytes(over, True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="GiB"):
+            TrainConfig(grid=over)
+        with pytest.raises(ValueError, match="GiB"):
+            QTable("strategic", over, Hyper(), 0, goal_conditioned=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a position-keyed planner on the same grid needs only Q[cell, a]
+    TrainConfig(grid=over, goal_conditioned=False, fixed_destination=(5, 0, 0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, "grid": {"nx": 6689, "ny": 1, "nz": 1}}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "over the 2 GiB limit" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,18 +1,26 @@
-"""The training loops against a reference loop built from the public calls.
+"""The training loops against the public calls.
 
-``train_strategic`` and ``train_adaptive`` step through the world's move
-table with the rewards and the update written out. The reference loops
-below take each step the plain way -- ``select_action``, ``apply_action``,
-``reward_strategic`` / ``reward_adaptive``, ``q_update`` -- and must give
-equal tables (rows, values and row order) and equal episode logs, step
-records included, down to the types of their fields, in every mode.
+``train_strategic`` runs up to ``LOCKSTEP_SLOTS`` episodes in lockstep on
+the dense table. Its check replays every episode's recorded actions, in
+episode order, through ``apply_action``, ``reward_strategic`` and
+``q_update``: the replay must give the same table, float bits included, and
+the same episode logs, step records included, down to the types of their
+fields. On steps taken at epsilon 0 the recorded action must be an argmax
+of the replayed row. The slot count must not change what is trained.
+
+``train_adaptive`` steps through the world's move table with the reward and
+the update written out. The reference loop below takes each step the plain
+way -- ``select_action``, ``apply_action``, ``reward_adaptive``,
+``q_update`` -- and must give an equal table and equal episode logs.
 """
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
+from uavnav import agents
 from uavnav.agents import (
     EpisodeLog,
     StepRecord,
@@ -35,48 +43,65 @@ from uavnav.gridworld import (
     manhattan_m,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import QTable, q_update, select_action
+from uavnav.qcore import EpsilonSchedule, QTable, q_update, select_action
 from uavnav.radio import coverage_map
 
 
-def reference_strategic(world, cfg, rng):
+def replay_strategic(world, cfg, logs):
+    """Replay each log's recorded actions in episode order.
+
+    Also returns the number of steps taken at epsilon 0 and, among them,
+    the actions taken from an all-zero row, where every candidate ties.
+    """
     table = QTable("strategic", world.spec, cfg.hyper, cfg.seed,
                    goal_conditioned=cfg.goal_conditioned)
     dist = manhattan_m if cfg.distance_metric == "manhattan" else distance_m
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
-    layer = world.start_cell[2] if cfg.altitude_locked else None
-    logs = []
-    for episode in range(cfg.episodes_strategic):
-        epsilon = cfg.schedule.at(episode)
-        if cfg.fixed_destination is not None:
-            pos, dest = world.start_cell, cfg.fixed_destination
+    cap = cfg.resolved_step_cap()
+    replayed, greedy_steps, tie_actions = [], 0, Counter()
+    for episode, log in enumerate(logs):
+        assert log.episode == episode
+        dest = log.destination
+        pos = log.records[0].state
+        # the mission rules
+        assert dest != world.start_cell and dest not in world.obstacles
+        if cfg.fixed_destination is not None or episode % 2 == 0:
+            assert pos == world.start_cell
         else:
-            pos = world.start_cell if episode % 2 == 0 else draw_free_cell(world, rng, layer)
-            dest = draw_free_cell(world, rng, layer)
-            while dest == pos:
-                dest = draw_free_cell(world, rng, layer)
+            assert pos != dest and pos not in world.obstacles
+        if cfg.fixed_destination is not None:
+            assert dest == cfg.fixed_destination
+        if cfg.altitude_locked:
+            assert pos[2] == dest[2] == world.start_cell[2]
+
         d_prev = dist(world, pos, dest)
-        total, steps = 0.0, 0
-        records = [] if cfg.record_steps else None
+        total, records = 0.0, []
         terminal = TerminalCause.STEP_CAP_HIT
-        while steps < cfg.resolved_step_cap():
+        for rec in log.records:
+            a = rec.action
+            assert a in candidates
             s_key = (pos, dest) if cfg.goal_conditioned else pos
-            a = select_action(table, s_key, epsilon, rng, candidates)
+            if log.epsilon == 0.0:
+                row = table.values(s_key)
+                assert row[a] == max(row[c] for c in candidates)
+                greedy_steps += 1
+                if not any(row):
+                    tie_actions[a] += 1
             nxt, event = apply_action(world, pos, a, dest)
             d_next = dist(world, nxt, dest)
             r = reward_strategic(d_prev, d_next, event, cfg.rewards)
             q_update(table, s_key, a, r, (nxt, dest) if cfg.goal_conditioned else nxt,
                      cfg.hyper)
-            if records is not None:
-                records.append(StepRecord(pos, a, r, event))
+            records.append(StepRecord(pos, a, r, event))
             total += r
-            steps += 1
             pos, d_prev = nxt, d_next
             if event == StepEvent.ARRIVED_AT_DESTINATION:
                 terminal = TerminalCause.ARRIVED
                 break
-        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon, records))
-    return table, logs
+        assert terminal is TerminalCause.ARRIVED or len(records) == cap
+        replayed.append(EpisodeLog(episode, dest, total, len(records), terminal,
+                                   cfg.schedule.at(episode), records))
+    return table, replayed, greedy_steps, tie_actions
 
 
 def reference_adaptive(world, lb, cfg, rng):
@@ -132,9 +157,8 @@ def log_signature(log: EpisodeLog):
 def assert_same_run(got, want):
     (t_got, logs_got), (t_want, logs_want) = got, want
     assert t_got == t_want
-    assert [(k, typed(v)) for k, v in t_got._rows.items()] == [
-        (k, typed(v)) for k, v in t_want._rows.items()
-    ]
+    # float bits, so -0.0 and 0.0 differ
+    assert t_got.q.tobytes() == t_want.q.tobytes()
     assert [log_signature(l) for l in logs_got] == [log_signature(l) for l in logs_want]
 
 
@@ -152,6 +176,8 @@ MODES = {
     "altitude_locked": {"altitude_locked": True},
     "manhattan": {"distance_metric": "manhattan"},
     "record_steps": {"record_steps": True},
+    # epsilon reaches exactly 0 from episode 108 on
+    "greedy": {"schedule": EpsilonSchedule(1.0, 0.0, 1e-3)},
 }
 
 
@@ -165,12 +191,36 @@ def mode_config(mode: str) -> TrainConfig:
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_train_strategic_matches_reference_loop(mode):
-    cfg = mode_config(mode)
+def test_train_strategic_replays_through_public_calls(mode):
+    cfg = dataclasses.replace(mode_config(mode), record_steps=True)
     world = build_world(cfg)
-    got = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
-    want = reference_strategic(build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic"))
-    assert_same_run(got, want)
+    table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+    replayed, replayed_logs, greedy_steps, ties = replay_strategic(build_world(cfg), cfg, logs)
+    assert_same_run((table, logs), (replayed, replayed_logs))
+    assert table.n_states() > 0
+    if mode == "greedy":
+        assert greedy_steps > 1000
+        # ties go to each of the six actions alike: chi-square, df=5, 0.001 level
+        n = sum(ties.values())
+        assert n > 600
+        assert sum((ties[a] - n / 6) ** 2 / (n / 6) for a in ACTIONS) < 20.5
+    if mode == "record_steps":
+        # recording draws nothing: a plain run gives the same table and logs
+        plain = dataclasses.replace(cfg, record_steps=False)
+        got = train_strategic(world, plain, stream_rng(cfg.seed, "train.strategic"))
+        unrecorded = [dataclasses.replace(log, records=None) for log in logs]
+        assert_same_run(got, (table, unrecorded))
+
+
+@pytest.mark.parametrize("slots", [1, 7])
+def test_train_strategic_does_not_depend_on_slot_count(monkeypatch, slots):
+    # one slot runs the episodes one after another, in episode order
+    cfg = mode_config("goal_conditioned")
+    world = build_world(cfg)
+    batched = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+    monkeypatch.setattr(agents, "LOCKSTEP_SLOTS", slots)
+    fewer = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+    assert_same_run(fewer, batched)
 
 
 @pytest.mark.parametrize("mode", ["goal_conditioned", "altitude_locked", "record_steps"])

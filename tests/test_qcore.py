@@ -134,7 +134,7 @@ def test_select_action_uniform_tie_break():
     s = (2, 2, 2)
     for a in ACTIONS:  # all equal, nonzero
         q_update(t, s, a, 3.0, s, Hyper(alpha=1.0, gamma=0.0))
-        t._rows[s][a] = 3.0
+    assert t.values(s) == (3.0,) * 6
     rng = random.Random(123)
     n = 60_000
     counts = {a: 0 for a in ACTIONS}
@@ -164,8 +164,8 @@ def test_argmax_shift_invariance():
         s = (1, 1, 1)
         values = [rng.uniform(-10, 10) for _ in ACTIONS]
         shift = rng.uniform(-100, 100)
-        t1._rows[s] = list(values)
-        t2._rows[s] = [v + shift for v in values]
+        t1.set_values(s, values)
+        t2.set_values(s, [v + shift for v in values])
         r1 = select_action(t1, s, 0.0, random.Random(99))
         r2 = select_action(t2, s, 0.0, random.Random(99))
         assert r1 == r2
@@ -196,7 +196,7 @@ def _random_table(rng, kind="strategic", n_states=60):
             key = (pos, dest)
         else:
             key = pos
-        t._rows[key] = [rng.uniform(-100, 100) for _ in ACTIONS]
+        t.set_values(key, [rng.uniform(-100, 100) for _ in ACTIONS])
     return t
 
 
@@ -238,14 +238,20 @@ def test_empty_table_round_trip(tmp_path):
 
 
 def test_all_zero_rows_round_trip(tmp_path):
-    # Stored rows stay stored, even when every value has decayed to zero.
+    # A row whose values are all zero is not stored: it reads as absent.
     for kind in ("strategic", "adaptive"):
         t = _random_table(random.Random(5), kind=kind, n_states=10)
-        zero_key = next(iter(t._rows))
-        t._rows[zero_key] = [0.0] * 6
+        n = t.n_states()
+        zero_key = next(t.rows())[0]
+        t.set_values(zero_key, [0.0] * 6)
+        assert t.n_states() == n - 1
+        assert zero_key not in dict(t.rows())
         save(t, tmp_path / "z.npz")
+        with np.load(tmp_path / "z.npz") as npz:
+            assert npz["keys"].shape[0] == n - 1
         back = load(tmp_path / "z.npz")
-        assert back._rows == t._rows
+        assert list(back.rows()) == list(t.rows())
+        assert back.values(zero_key) == (0.0,) * 6
         assert back == t
 
 
@@ -253,9 +259,10 @@ def test_save_bytes_stable_across_clock_and_insertion_order(tmp_path, monkeypatc
     t = _random_table(random.Random(9), kind="strategic", n_states=80)
     save(t, tmp_path / "a.npz")
     shuffled = make_table(kind="strategic", goal_conditioned=True)
-    items = list(t._rows.items())
+    items = list(t.rows())
     random.Random(1).shuffle(items)
-    shuffled._rows = dict(items)
+    for key, row in items:
+        shuffled.set_values(key, row)
     monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
     save(shuffled, tmp_path / "b.npz")
     assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
@@ -343,6 +350,16 @@ def test_load_rejects_malformed_members(tmp_path, name):
     keys, values, meta = _members(t, tmp_path / "t.npz")
     _write_members(tmp_path / "t.npz", *_CORRUPTIONS[name](keys, values, meta))
     with pytest.raises(CheckpointError):
+        load(tmp_path / "t.npz")
+
+
+def test_load_refuses_table_over_the_size_limit(tmp_path):
+    # an empty table on a 6,689-cell grid would take over 2 GiB when dense
+    keys, values, meta = _members(make_table("strategic", goal_conditioned=True),
+                                  tmp_path / "t.npz")
+    meta["grid"] = {**meta["grid"], "nx": 6689, "ny": 1, "nz": 1}
+    _write_members(tmp_path / "t.npz", keys, values, meta)
+    with pytest.raises(CheckpointError, match="GiB"):
         load(tmp_path / "t.npz")
 
 
