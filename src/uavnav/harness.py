@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import __version__
 from .agents import EpisodeLog, draw_free_cell, train_adaptive, train_strategic
-from .arbiter import FlightOutcome, FlightResult, execute_flight
+from .arbiter import FlightOutcome, FlightResult, TieMasks, execute_flight
 from .config import (
     ConfigError,
     TrainConfig,
@@ -332,13 +332,15 @@ def run_flights(
     """Fly ``n_flights`` per band to random free destinations.
 
     The destination stream restarts per band, so every band faces the same
-    destination sequence.
+    destination sequence. The planner's tie masks are built once and
+    shared by every band's flights.
     """
     _require_mission_cells(cfg, world, 1)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
     allowed = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     layer = cfg.start_cell[2] if cfg.altitude_locked else None
+    masks = TieMasks(world, strategic, safety, allowed)
     for band in sorted(adaptive):
         cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
@@ -357,6 +359,7 @@ def run_flights(
                 normalize=normalize,
                 velocity_ms=cfg.uav_velocity_ms,
                 allowed=allowed,
+                masks=masks,
             )
             records.append(
                 FlightRecord(

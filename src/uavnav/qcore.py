@@ -33,9 +33,10 @@ A checkpoint (format v2, ``save``/``load``) is an uncompressed zip of three
   ``goal_conditioned`` and ``f_mhz``
 
 Every member carries a fixed timestamp, so a table always writes the same
-bytes. ``load`` checks the version, dtypes, shapes, key bounds and values,
-and raises ``CheckpointError`` on anything it cannot vouch for; the stored
-rows are then scattered straight into the dense array.
+bytes. ``load`` checks the version, dtypes, shapes, key bounds, key order
+(strictly increasing, so no duplicates) and values, and raises
+``CheckpointError`` on anything it cannot vouch for; the stored rows are
+then scattered straight into the dense array.
 """
 
 from __future__ import annotations
@@ -361,8 +362,9 @@ def load(path) -> QTable:
         raise CheckpointError(f"non-finite value in checkpoint {path}")
 
     rows = np.ravel_multi_index(tuple(keys.T), tuple(upper))
-    if np.unique(rows).size != n:
-        raise CheckpointError(f"checkpoint {path}: duplicate state keys")
+    # save writes keys sorted, so strictly increasing rows also rule out duplicates
+    if not (rows[1:] > rows[:-1]).all():
+        raise CheckpointError(f"checkpoint {path}: state keys are duplicate or unsorted")
     table.q.reshape(-1, N_ACTIONS)[rows] = values
     return table
 

@@ -332,6 +332,7 @@ _CORRUPTIONS = {
     "value_nan": lambda k, v, m: (k, _set(v, (0, 0), math.nan), m),
     "value_inf": lambda k, v, m: (k, _set(v, (1, 2), -math.inf), m),
     "duplicate_key": lambda k, v, m: (_set(k, 1, k[0]), v, m),
+    "unsorted_key": lambda k, v, m: (k[[1, 0, *range(2, len(k))]], v, m),
     "object_values": lambda k, v, m: (k, v.astype(object), m),
     "meta_not_object": lambda k, v, m: (k, v, np.array("[1, 2]")),
     "meta_not_unicode": lambda k, v, m: (k, v, np.array(b"{}")),
