@@ -58,7 +58,6 @@ from .radio import (
     LinkBudget,
     cell_snr_db,
     coverage_map,
-    coverage_ok,
     mobile_correction_alpha,
     path_loss_db,
     snr_db,

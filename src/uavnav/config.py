@@ -56,7 +56,6 @@ _INT_FIELDS = (
     "step_cap",
     "eval_step_cap",
     "seed",
-    "eval_flights",
 )
 _OPTIONAL_FIELDS = ("step_cap", "eval_step_cap")
 _BOOL_FIELDS = ("goal_conditioned", "altitude_locked", "record_steps")
@@ -94,7 +93,6 @@ class TrainConfig:
     record_steps: bool = False
     uav_velocity_ms: float = UAV_MAX_VELOCITY_MS
     max_altitude_m: float = 100.0
-    eval_flights: int = 100
 
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
@@ -139,12 +137,17 @@ class TrainConfig:
             raise ConfigError(
                 f"max_altitude_m must be a finite number, got {self.max_altitude_m}"
             )
-        if self.eval_flights < 0:
-            raise ConfigError("eval_flights must be >= 0")
         if not self.grid.in_bounds(self.start_cell):
             raise ConfigError(f"start_cell {self.start_cell} out of bounds")
         if self.bs_cell is not None and not self.grid.in_bounds(self.bs_cell):
             raise ConfigError(f"bs_cell {self.bs_cell} out of bounds")
+        if not self.goal_conditioned and self.fixed_destination is None:
+            raise ConfigError("goal_conditioned false needs a fixed_destination")
+        if self.fixed_destination is not None:
+            if not self.grid.in_bounds(self.fixed_destination):
+                raise ConfigError(f"fixed_destination {self.fixed_destination} out of bounds")
+            if self.fixed_destination == self.start_cell:
+                raise ConfigError("fixed_destination equals start_cell")
         if self.grid.max_altitude_m > self.max_altitude_m + 1e-9:
             raise ConfigError(
                 f"grid tops out at {self.grid.max_altitude_m} m, above the "
@@ -278,8 +281,3 @@ def config_from_dict(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-
-def dump_config(cfg: TrainConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -3,7 +3,7 @@
 An experiment is fully determined by (config, master seed). Training writes
 an artifact directory holding one strategic checkpoint (``strategic.npz``),
 one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
-``qcore`` format v2, a per-episode reward CSV per agent, and a manifest.
+``qcore`` format v3, a per-episode reward CSV per agent, and a manifest.
 The manifest embeds the resolved config (so evaluation can rebuild the
 identical world), its sha256 (``config_sha256``) and, under ``files``, the
 sha256 of every checkpoint. Checkpoints and manifest are written to a

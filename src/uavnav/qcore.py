@@ -22,21 +22,21 @@ arrays alike, and ``greedy_action`` the argmax with random ties.
 agent's loop and the flight arbiter, and the planner's lockstep loop in
 ``agents`` applies ``bootstrap`` to a whole batch of episodes at once.
 
-A checkpoint (format v2, ``save``/``load``) is an uncompressed zip of three
+A checkpoint (format v3, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
 
-- ``keys``: int32, one row per stored state, sorted; n x 3 position cells,
-  or n x 6 (position, destination) pairs when ``goal_conditioned``
-- ``values``: float64, n x 6, the dense action values of each stored state
+- ``occupied``: uint8, ``np.packbits`` of which rows of ``q.reshape(-1, 6)``
+  are stored, ceil(rows / 8) bytes with zero padding bits
+- ``values``: float64, n x 6, the stored rows in C order of ``q``
 - ``meta``: a 0-d unicode array holding a JSON object with
   ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
   ``goal_conditioned`` and ``f_mhz``
 
 Every member carries a fixed timestamp, so a table always writes the same
-bytes. ``load`` checks the version, dtypes, shapes, key bounds, key order
-(strictly increasing, so no duplicates) and values, and raises
-``CheckpointError`` on anything it cannot vouch for; the stored rows are
-then scattered straight into the dense array.
+bytes. ``load`` checks the version, dtypes, shapes, padding bits, that the
+number of set bits is the number of value rows, and that every value is
+finite, and raises ``CheckpointError`` on anything it cannot vouch for; the
+stored rows are then scattered straight into the dense array.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from .gridworld import ACTIONS, Action, Cell, GridSpec
 # (position, destination) key (goal-conditioned planner).
 StateKey = Union[Cell, tuple[Cell, Cell]]
 
-FORMAT_VERSION = 2
-_MEMBERS = ("keys", "values", "meta")
+FORMAT_VERSION = 3
+_MEMBERS = ("occupied", "values", "meta")
 
 N_ACTIONS = len(ACTIONS)
 # The largest dense table a QTable allocates. The goal-conditioned planner's
@@ -166,9 +166,6 @@ class QTable:
             return self.grid.index(pos), self.grid.index(dest)
         return self.grid.index(s)
 
-    def get(self, s: StateKey, a: Action) -> float:
-        return float(self.q[self._at(s)][a])
-
     def values(self, s: StateKey) -> tuple[float, ...]:
         """All six action values at a state (zeros when unvisited)."""
         return tuple(self.q[self._at(s)].tolist())
@@ -177,30 +174,20 @@ class QTable:
         """Overwrite the six action values at a state."""
         self.q[self._at(s)] = values
 
-    def max_value(self, s: StateKey) -> float:
-        return float(self.q[self._at(s)].max())
-
     def n_states(self) -> int:
         return int(np.count_nonzero(self.q.any(axis=-1)))
 
-    def stored(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of the stored rows, sorted by key.
+    def rows(self) -> Iterator[tuple[StateKey, tuple[float, ...]]]:
+        """Stored states and their six action values, sorted by key.
 
-        Keys are int32 cell coordinates, n x 3 or, goal-conditioned, n x 6
-        (position, then destination); values are float64, n x 6. C order of
-        ``q`` is key order, so no sort is needed.
+        C order of ``q`` is key order, so no sort is needed.
         """
         flat = self.q.reshape(-1, N_ACTIONS)
         where = np.flatnonzero(flat.any(axis=1))
         g = self.grid
         dims = (g.nx, g.ny, g.nz) * (2 if self.goal_conditioned else 1)
-        keys = np.column_stack(np.unravel_index(where, dims)).astype(np.int32)
-        return keys, flat[where]
-
-    def rows(self) -> Iterator[tuple[StateKey, tuple[float, ...]]]:
-        """Stored states and their six action values, sorted by key."""
-        keys, values = self.stored()
-        for key, row in zip(keys.tolist(), values.tolist()):
+        keys = np.column_stack(np.unravel_index(where, dims))
+        for key, row in zip(keys.tolist(), flat[where].tolist()):
             pos = (key[0], key[1], key[2])
             s = (pos, (key[3], key[4], key[5])) if self.goal_conditioned else pos
             yield s, tuple(row)
@@ -285,17 +272,14 @@ def select_action(
     return greedy_action(table.values(s), candidates, rng)
 
 
-def _key_width(goal_conditioned: bool) -> int:
-    return 6 if goal_conditioned else 3
-
-
 def save(table: QTable, path) -> None:
-    """Write a format-v2 checkpoint to exactly ``path``.
+    """Write a format-v3 checkpoint to exactly ``path``.
 
-    Only stored rows are written, sorted by key, so the same values always
-    give the same bytes, whatever order they were written in.
+    Only stored rows are written, in C order of ``q``, so the same values
+    always give the same bytes, whatever order they were written in.
     """
-    keys, values = table.stored()
+    flat = table.q.reshape(-1, N_ACTIONS)
+    occupied = flat.any(axis=1)
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": table.kind,
@@ -306,8 +290,8 @@ def save(table: QTable, path) -> None:
         "f_mhz": table.f_mhz,
     }
     members = (
-        ("keys", keys),
-        ("values", values),
+        ("occupied", np.packbits(occupied)),
+        ("values", flat[occupied]),
         ("meta", np.array(json.dumps(meta, sort_keys=True))),
     )
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
@@ -321,8 +305,8 @@ def save(table: QTable, path) -> None:
 def load(path) -> QTable:
     """Read and validate a checkpoint written by ``save``.
 
-    Any unreadable, foreign, newer-version or inconsistent file raises
-    ``CheckpointError``.
+    Any unreadable, foreign, older- or newer-version or inconsistent file
+    raises ``CheckpointError``.
     """
     try:
         npz = np.load(path, allow_pickle=False)
@@ -334,38 +318,33 @@ def load(path) -> QTable:
                     f"checkpoint {path} holds {sorted(npz.files)}, "
                     f"expected {sorted(_MEMBERS)}"
                 )
-            keys, values, meta = (npz[name] for name in _MEMBERS)
+            occupied, values, meta = (npz[name] for name in _MEMBERS)
     except CheckpointError:
         raise
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     table = _table_from_meta(path, meta)
 
-    width = _key_width(table.goal_conditioned)
-    if keys.dtype != np.int32 or keys.ndim != 2 or keys.shape[1] != width:
+    flat = table.q.reshape(-1, N_ACTIONS)
+    n_bytes = (len(flat) + 7) // 8
+    if occupied.dtype != np.uint8 or occupied.shape != (n_bytes,):
         raise CheckpointError(
-            f"checkpoint {path}: keys must be int32 of shape (n, {width}) "
-            f"when goal_conditioned is {table.goal_conditioned}, "
-            f"got {keys.dtype} {keys.shape}"
+            f"checkpoint {path}: occupied must be uint8 of shape ({n_bytes},), "
+            f"got {occupied.dtype} {occupied.shape}"
         )
-    n = keys.shape[0]
+    bits = np.unpackbits(occupied).view(bool)
+    if bits[len(flat) :].any():
+        raise CheckpointError(f"checkpoint {path}: occupied has a set padding bit")
+    mask = bits[: len(flat)]
+    n = int(np.count_nonzero(mask))
     if values.dtype != np.float64 or values.shape != (n, N_ACTIONS):
         raise CheckpointError(
             f"checkpoint {path}: values must be float64 of shape ({n}, {N_ACTIONS}), "
-            f"got {values.dtype} {values.shape}"
+            f"one row per set bit of occupied, got {values.dtype} {values.shape}"
         )
-    g = table.grid
-    upper = np.array([g.nx, g.ny, g.nz] * (width // 3))
-    if not ((keys >= 0) & (keys < upper)).all():
-        raise CheckpointError(f"checkpoint {path}: a state key lies outside the grid")
     if not np.isfinite(values).all():
         raise CheckpointError(f"non-finite value in checkpoint {path}")
-
-    rows = np.ravel_multi_index(tuple(keys.T), tuple(upper))
-    # save writes keys sorted, so strictly increasing rows also rule out duplicates
-    if not (rows[1:] > rows[:-1]).all():
-        raise CheckpointError(f"checkpoint {path}: state keys are duplicate or unsorted")
-    table.q.reshape(-1, N_ACTIONS)[rows] = values
+    flat[mask] = values
     return table
 
 

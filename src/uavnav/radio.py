@@ -139,11 +139,6 @@ def snr_db(lb: LinkBudget, h_r_m: float, d_km: float) -> float:
     return lb.p_tx_dbm + lb.g_tx_db + lb.g_rx_db - loss - lb.noise_floor_dbm
 
 
-def coverage_ok(lb: LinkBudget, snr: float) -> bool:
-    """A cell counts as covered at or above the threshold (boundary inclusive)."""
-    return snr >= lb.snr_threshold_db
-
-
 def bs_antenna_point_m(spec: GridSpec, bs_cell: Cell, h_b_m: float) -> tuple[float, float, float]:
     """Antenna location: center of the BS column at the antenna height."""
     x = (bs_cell[0] + 0.5) * spec.cell_size_m
@@ -173,9 +168,6 @@ class CoverageMap:
 
     def covered_fraction(self) -> float:
         return float(np.count_nonzero(self.covered())) / self.spec.n_cells
-
-    def snr_at(self, c: Cell) -> float:
-        return float(self.snr[c[0], c[1], c[2]])
 
     @cached_property
     def snr_by_index(self) -> list[float]:

@@ -13,7 +13,7 @@ from uavnav.agents import (
     train_strategic,
 )
 from uavnav.arbiter import FlightOutcome, greedy_trajectory
-from uavnav.config import TrainConfig, stream_rng
+from uavnav.config import ConfigError, TrainConfig, stream_rng
 from uavnav.gridworld import GridSpec, StepEvent, apply_action, build
 from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule
@@ -127,14 +127,17 @@ def test_train_strategic_reproducible():
 
 
 def test_train_strategic_validation():
-    cfg = small_cfg(episodes_strategic=1)
+    cfg = small_cfg(episodes_strategic=1, obstacle_density=0.2)
     world = build_world(cfg)
-    bad = small_cfg(goal_conditioned=False)  # no fixed destination given
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
+        small_cfg(goal_conditioned=False)  # no fixed destination given
+    with pytest.raises(ConfigError):
+        small_cfg(fixed_destination=(0, 0, 0))  # equals the start cell
+    # whether the destination is an obstacle depends on the world
+    obstacle = min(world.obstacles)
+    bad = small_cfg(episodes_strategic=1, obstacle_density=0.2, fixed_destination=obstacle)
+    with pytest.raises(ValueError, match="obstacle"):
         train_strategic(world, bad, random.Random(0))
-    bad2 = small_cfg(fixed_destination=(0, 0, 0))  # equals the start cell
-    with pytest.raises(ValueError):
-        train_strategic(world, bad2, random.Random(0))
 
 
 def test_strategic_log_consistency_and_replay():
@@ -220,13 +223,13 @@ def test_adaptive_greedy_stays_covered_near_bs():
     cmap = coverage_map(lb, world)
     rng = random.Random(4)
     pos = (11, 10, 1)  # adjacent to the BS column at (10, 10)
-    assert cmap.snr_at(pos) >= lb.snr_threshold_db
+    assert cmap.snr[pos] >= lb.snr_threshold_db
     for _ in range(20):
         a = select_action(table, pos, 0.0, rng)
         out = apply_action(world, pos, a, dest=(0, 0, 0))
         if out.next != pos:
             pos = out.next
-        assert cmap.snr_at(pos) >= lb.snr_threshold_db
+        assert cmap.snr[pos] >= lb.snr_threshold_db
 
 
 def test_adaptive_band_learning_speed_ordering():

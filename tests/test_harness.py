@@ -17,7 +17,6 @@ from uavnav.config import (
     ConfigError,
     TrainConfig,
     config_from_dict,
-    dump_config,
     load_config,
     seed_stream,
 )
@@ -48,6 +47,10 @@ def rec(outcome, steps=10, outage=0, band=900.0):
         min_snr_db=50.0,
         flight_time_s=steps * 50.0 / 15.0,
     )
+
+
+def write_config(cfg, path):
+    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 SMALL = dict(
@@ -138,12 +141,12 @@ def test_config_defaults_match_environment_table():
 def test_config_round_trip(tmp_path):
     cfg = TrainConfig(**SMALL)
     path = tmp_path / "cfg.json"
-    dump_config(cfg, path)
+    write_config(cfg, path)
     back = load_config(str(path))
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
     # and a second emit-parse cycle is stable
-    dump_config(back, tmp_path / "cfg2.json")
+    write_config(back, tmp_path / "cfg2.json")
     assert load_config(str(tmp_path / "cfg2.json")) == cfg
 
 
@@ -434,7 +437,7 @@ def test_cli_round_trip(tmp_path, capsys):
     cfg = TrainConfig(**{**SMALL, "episodes_strategic": 60, "episodes_adaptive": 40,
                          "bands_mhz": (900.0,)})
     cfg_path = tmp_path / "cfg.json"
-    dump_config(cfg, cfg_path)
+    write_config(cfg, cfg_path)
     out_dir = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     assert cli_main(["evaluate", "--artifacts", str(out_dir), "--flights", "5"]) == 0
@@ -501,7 +504,8 @@ def test_cli_train_rejects_non_int_seed(tmp_path, capsys):
 
 
 # Each case gives one integer or boolean field a value of the wrong type
-# (or, for eval_step_cap, one below its range).
+# (or, for eval_step_cap, one below its range). eval_flights is no field at
+# all (``uavnav evaluate --flights`` sets the count), so it fails as unknown.
 WRONG_TYPE = {
     "grid.nx float": {"grid": {"nx": 2.5, "ny": 4, "nz": 2}},
     "grid.ny bool": {"grid": {"nx": 4, "ny": True, "nz": 2}},
@@ -528,6 +532,28 @@ def test_cli_train_rejects_wrongly_typed_fields(tmp_path, capsys, case):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+    assert ("eval_flights: unknown field" in err) == (case == "eval_flights bool")
+    assert not out.exists()
+
+
+# A fixed-destination planner needs a destination on the grid that is not
+# the takeoff cell; neither depends on the world, so the config refuses it.
+FIXED_DESTINATION = {
+    "missing": ({"goal_conditioned": False}, "needs a fixed_destination"),
+    "off grid": ({"fixed_destination": [9, 0, 0]}, "out of bounds"),
+    "start cell": ({"fixed_destination": [0, 0, 0]}, "equals start_cell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_DESTINATION))
+def test_cli_train_rejects_fixed_destination(tmp_path, capsys, case):
+    raw, message = FIXED_DESTINATION[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, "goal_conditioned": False, **raw}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
     assert not out.exists()
 
 

@@ -122,7 +122,7 @@ def reference_adaptive(world, lb, cfg, rng):
         while steps < cfg.resolved_step_cap():
             a = select_action(table, pos, epsilon, rng, candidates)
             nxt, event = apply_action(world, pos, a, dest)
-            snr = cmap.snr_at(nxt)
+            snr = float(cmap.snr[nxt])
             r = reward_adaptive(snr, lb.snr_threshold_db, cfg.rewards)
             q_update(table, pos, a, r, nxt, cfg.hyper)
             if records is not None:
@@ -172,7 +172,7 @@ BASE = dict(
 )
 MODES = {
     "goal_conditioned": {},
-    "fixed_destination": {"goal_conditioned": False, "fixed_destination": None},
+    "fixed_destination": {},  # mode_config picks the destination
     "altitude_locked": {"altitude_locked": True},
     "manhattan": {"distance_metric": "manhattan"},
     "record_steps": {"record_steps": True},
@@ -186,7 +186,7 @@ def mode_config(mode: str) -> TrainConfig:
     if mode == "fixed_destination":
         world = build_world(cfg)
         free = [c for c in world.cells if c not in world.obstacles and c != world.start_cell]
-        cfg = dataclasses.replace(cfg, fixed_destination=free[-1])
+        cfg = dataclasses.replace(cfg, goal_conditioned=False, fixed_destination=free[-1])
     return cfg
 
 

@@ -50,10 +50,10 @@ def test_q_update_worked_value():
     # alpha=1, gamma=0 writes the reward verbatim: seed next-state max = 4
     q_update(t, s2, Action.PLUS_X, 4.0, (2, 0, 0), Hyper(alpha=1.0, gamma=0.0))
     q_update(t, s2, Action.PLUS_Y, 1.0, (2, 0, 0), Hyper(alpha=1.0, gamma=0.0))
-    assert t.max_value(s2) == 4.0
+    assert max(t.values(s2)) == 4.0
     v = q_update(t, s, Action.PLUS_X, 10.0, s2, Hyper(alpha=0.8, gamma=0.5))
     assert abs(v - 9.6) < 1e-12
-    assert t.get(s, Action.PLUS_X) == v
+    assert t.values(s)[Action.PLUS_X] == v
 
 
 def test_q_update_fixed_point_zero():
@@ -102,10 +102,10 @@ def test_q_update_contraction_to_target():
     h = Hyper(alpha=0.8, gamma=0.5)
     q_update(t, s2, Action.PLUS_X, 4.0, (2, 2, 2), Hyper(alpha=1.0, gamma=0.0))
     r = 3.0
-    target = r + h.gamma * t.max_value(s2)
+    target = r + h.gamma * max(t.values(s2))
     for _ in range(200):
         q_update(t, s, Action.MINUS_Y, r, s2, h)
-    assert abs(t.get(s, Action.MINUS_Y) - target) < 1e-6
+    assert abs(t.values(s)[Action.MINUS_Y] - target) < 1e-6
 
 
 def test_select_action_pure_exploration_uniform():
@@ -187,15 +187,14 @@ def test_epsilon_schedule():
         sched.at(-1)
 
 
-def _random_table(rng, kind="strategic", n_states=60):
-    t = make_table(kind=kind, goal_conditioned=(kind == "strategic"))
+def _random_table(rng, kind="strategic", n_states=60, grid=GRID):
+    t = QTable(kind, grid, Hyper(), 0, goal_conditioned=(kind == "strategic"))
+
+    def cell():
+        return (rng.randrange(grid.nx), rng.randrange(grid.ny), rng.randrange(grid.nz))
+
     for _ in range(n_states):
-        pos = (rng.randrange(20), rng.randrange(20), rng.randrange(5))
-        if kind == "strategic":
-            dest = (rng.randrange(20), rng.randrange(20), rng.randrange(5))
-            key = (pos, dest)
-        else:
-            key = pos
+        key = (cell(), cell()) if kind == "strategic" else cell()
         t.set_values(key, [rng.uniform(-100, 100) for _ in ACTIONS])
     return t
 
@@ -248,7 +247,8 @@ def test_all_zero_rows_round_trip(tmp_path):
         assert zero_key not in dict(t.rows())
         save(t, tmp_path / "z.npz")
         with np.load(tmp_path / "z.npz") as npz:
-            assert npz["keys"].shape[0] == n - 1
+            assert npz["values"].shape[0] == n - 1
+            assert np.unpackbits(npz["occupied"]).sum() == n - 1
         back = load(tmp_path / "z.npz")
         assert list(back.rows()) == list(t.rows())
         assert back.values(zero_key) == (0.0,) * 6
@@ -273,42 +273,62 @@ def _members(table, path):
     """The arrays and metadata that ``save`` writes for ``table``."""
     save(table, path)
     with np.load(path, allow_pickle=False) as npz:
-        return npz["keys"], npz["values"], json.loads(npz["meta"].item())
+        return npz["occupied"], npz["values"], json.loads(npz["meta"].item())
 
 
-def _write_members(path, keys, values, meta):
+def _write_zip(path, members):
     """A checkpoint zip built by hand, so any member can be malformed."""
-    if isinstance(meta, dict):
-        meta = np.array(json.dumps(meta))
     with zipfile.ZipFile(path, "w") as zf:
-        for name, array in (("keys", keys), ("values", values), ("meta", meta)):
+        for name, array in members.items():
+            if isinstance(array, dict):
+                array = np.array(json.dumps(array))
             with zf.open(f"{name}.npy", "w") as f:
                 np.lib.format.write_array(f, np.asarray(array), allow_pickle=True)
 
 
+def _write_members(path, occupied, values, meta):
+    _write_zip(path, {"occupied": occupied, "values": values, "meta": meta})
+
+
+# 27 cells: the planner's 729 rows leave 7 padding bits in the last byte
+ODD_GRID = GridSpec(nx=3, ny=3, nz=3)
+
+
 def test_hand_built_checkpoint_loads(tmp_path):
     # the corruption tests below start from this valid baseline
-    t = _random_table(random.Random(2), kind="strategic", n_states=5)
-    keys, values, meta = _members(t, tmp_path / "t.npz")
-    _write_members(tmp_path / "copy.npz", keys, values, meta)
+    t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
+    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    assert occupied.shape == (92,) and occupied[-1] & 0x7F == 0
+    _write_members(tmp_path / "copy.npz", occupied, values, meta)
     assert load(tmp_path / "copy.npz") == t
 
 
 def test_load_rejects_newer_version(tmp_path):
-    keys, values, meta = _members(make_table(), tmp_path / "t.npz")
+    occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
     meta["format_version"] = FORMAT_VERSION + 1
-    _write_members(tmp_path / "t.npz", keys, values, meta)
+    _write_members(tmp_path / "t.npz", occupied, values, meta)
     with pytest.raises(CheckpointError, match="newest supported"):
         load(tmp_path / "t.npz")
 
 
-@pytest.mark.parametrize("version", ["1", 2.0, True, None, FORMAT_VERSION - 1])
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, FORMAT_VERSION - 1])
 def test_load_rejects_non_int_or_old_version(tmp_path, version):
-    keys, values, meta = _members(make_table(), tmp_path / "t.npz")
+    occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
     meta["format_version"] = version
-    _write_members(tmp_path / "t.npz", keys, values, meta)
+    _write_members(tmp_path / "t.npz", occupied, values, meta)
     with pytest.raises(CheckpointError):
         load(tmp_path / "t.npz")
+
+
+def test_load_rejects_v2_checkpoint(tmp_path):
+    # format v2 stored int32 coordinate keys in place of the occupancy bitmap
+    t = _random_table(random.Random(2), kind="adaptive", n_states=5)
+    _, values, meta = _members(t, tmp_path / "t.npz")
+    keys = np.array([pos for pos, _ in t.rows()], dtype=np.int32)
+    _write_zip(tmp_path / "v2.npz",
+               {"keys": keys, "values": values, "meta": {**meta, "format_version": 2}})
+    with pytest.raises(CheckpointError):
+        load(tmp_path / "v2.npz")
 
 
 def _set(array, index, value):
@@ -317,57 +337,65 @@ def _set(array, index, value):
     return out
 
 
-# Each maps the (keys, values, meta) that ``save`` wrote to a broken triple.
+def _flip_bit(occupied, row):
+    """``occupied`` with the bit of one row of ``q.reshape(-1, 6)`` flipped."""
+    return _set(occupied, row // 8, occupied[row // 8] ^ (0x80 >> row % 8))
+
+
+def _first_bit(occupied, value):
+    return int(np.flatnonzero(np.unpackbits(occupied) == value)[0])
+
+
+# Each maps the (occupied, values, meta) that ``save`` wrote to a broken triple.
 _CORRUPTIONS = {
-    "keys_int64": lambda k, v, m: (k.astype(np.int64), v, m),
-    "keys_1d": lambda k, v, m: (k.ravel(), v, m),
-    "values_float32": lambda k, v, m: (k, v.astype(np.float32), m),
-    "values_short_row": lambda k, v, m: (k, v[:, :5], m),
-    "values_missing_row": lambda k, v, m: (k, v[1:], m),
-    "width_3_when_goal": lambda k, v, m: (k[:, :3], v, m),
-    "width_6_when_position": lambda k, v, m: (k, v, {**m, "goal_conditioned": False}),
-    "key_off_grid": lambda k, v, m: (_set(k, (0, 0), GRID.nx), v, m),
-    "dest_off_grid": lambda k, v, m: (_set(k, (0, 5), GRID.nz), v, m),
-    "key_negative": lambda k, v, m: (_set(k, (1, 1), -1), v, m),
-    "value_nan": lambda k, v, m: (k, _set(v, (0, 0), math.nan), m),
-    "value_inf": lambda k, v, m: (k, _set(v, (1, 2), -math.inf), m),
-    "duplicate_key": lambda k, v, m: (_set(k, 1, k[0]), v, m),
-    "unsorted_key": lambda k, v, m: (k[[1, 0, *range(2, len(k))]], v, m),
-    "object_values": lambda k, v, m: (k, v.astype(object), m),
-    "meta_not_object": lambda k, v, m: (k, v, np.array("[1, 2]")),
-    "meta_not_unicode": lambda k, v, m: (k, v, np.array(b"{}")),
-    "meta_bad_grid": lambda k, v, m: (k, v, {**m, "grid": {**m["grid"], "nx": 0}}),
-    "meta_bad_hyper": lambda k, v, m: (k, v, {**m, "hyper": {"alpha": 2.0, "gamma": 0.5}}),
-    "meta_bad_kind": lambda k, v, m: (k, v, {**m, "kind": "tactical"}),
-    "meta_no_seed": lambda k, v, m: (k, v, {x: m[x] for x in m if x != "seed"}),
-    "meta_float_grid": lambda k, v, m: (k, v, {**m, "grid": {**m["grid"], "nx": 20.0}}),
-    "meta_text_band": lambda k, v, m: (k, v, {**m, "f_mhz": "900"}),
+    "occupied_int8": lambda o, v, m: (o.view(np.int8), v, m),
+    "occupied_short": lambda o, v, m: (o[:-1], v, m),
+    "occupied_long": lambda o, v, m: (np.append(o, o[:1]), v, m),
+    "occupied_2d": lambda o, v, m: (o[None, :], v, m),
+    "occupied_padding_bit": lambda o, v, m: (_set(o, -1, o[-1] | 1), v, m),
+    "occupied_extra_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 0)), v, m),
+    "occupied_missing_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 1)), v, m),
+    "values_float32": lambda o, v, m: (o, v.astype(np.float32), m),
+    "values_short_row": lambda o, v, m: (o, v[:, :5], m),
+    "values_missing_row": lambda o, v, m: (o, v[1:], m),
+    "value_nan": lambda o, v, m: (o, _set(v, (0, 0), math.nan), m),
+    "value_inf": lambda o, v, m: (o, _set(v, (1, 2), -math.inf), m),
+    "object_values": lambda o, v, m: (o, v.astype(object), m),
+    "meta_not_goal_conditioned": lambda o, v, m: (o, v, {**m, "goal_conditioned": False}),
+    "meta_not_object": lambda o, v, m: (o, v, np.array("[1, 2]")),
+    "meta_not_unicode": lambda o, v, m: (o, v, np.array(b"{}")),
+    "meta_bad_grid": lambda o, v, m: (o, v, {**m, "grid": {**m["grid"], "nx": 0}}),
+    "meta_bad_hyper": lambda o, v, m: (o, v, {**m, "hyper": {"alpha": 2.0, "gamma": 0.5}}),
+    "meta_bad_kind": lambda o, v, m: (o, v, {**m, "kind": "tactical"}),
+    "meta_no_seed": lambda o, v, m: (o, v, {x: m[x] for x in m if x != "seed"}),
+    "meta_float_grid": lambda o, v, m: (o, v, {**m, "grid": {**m["grid"], "nx": 3.0}}),
+    "meta_text_band": lambda o, v, m: (o, v, {**m, "f_mhz": "900"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
 def test_load_rejects_malformed_members(tmp_path, name):
-    t = _random_table(random.Random(4), kind="strategic", n_states=6)
-    keys, values, meta = _members(t, tmp_path / "t.npz")
-    _write_members(tmp_path / "t.npz", *_CORRUPTIONS[name](keys, values, meta))
+    t = _random_table(random.Random(4), kind="strategic", n_states=6, grid=ODD_GRID)
+    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    _write_members(tmp_path / "t.npz", *_CORRUPTIONS[name](occupied, values, meta))
     with pytest.raises(CheckpointError):
         load(tmp_path / "t.npz")
 
 
 def test_load_refuses_table_over_the_size_limit(tmp_path):
     # an empty table on a 6,689-cell grid would take over 2 GiB when dense
-    keys, values, meta = _members(make_table("strategic", goal_conditioned=True),
-                                  tmp_path / "t.npz")
+    occupied, values, meta = _members(make_table("strategic", goal_conditioned=True),
+                                      tmp_path / "t.npz")
     meta["grid"] = {**meta["grid"], "nx": 6689, "ny": 1, "nz": 1}
-    _write_members(tmp_path / "t.npz", keys, values, meta)
+    _write_members(tmp_path / "t.npz", occupied, values, meta)
     with pytest.raises(CheckpointError, match="GiB"):
         load(tmp_path / "t.npz")
 
 
 def test_load_rejects_wrong_member_set(tmp_path):
     t = _random_table(random.Random(4), kind="adaptive", n_states=6)
-    keys, values, meta = _members(t, tmp_path / "t.npz")
-    np.savez(tmp_path / "two.npz", keys=keys, values=values)
+    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    np.savez(tmp_path / "two.npz", occupied=occupied, values=values)
     with pytest.raises(CheckpointError):
         load(tmp_path / "two.npz")
     np.save(tmp_path / "bare.npy", values)
@@ -394,6 +422,4 @@ def test_load_rejects_corrupt_file(tmp_path):
 
 def test_lookup_default_zero():
     t = make_table()
-    assert t.get((9, 9, 4), Action.PLUS_X) == 0.0
     assert t.values((9, 9, 4)) == (0.0,) * 6
-    assert t.max_value((9, 9, 4)) == 0.0

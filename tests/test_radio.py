@@ -13,7 +13,6 @@ from uavnav.radio import (
     LinkBudget,
     cell_snr_db,
     coverage_map,
-    coverage_ok,
     mobile_correction_alpha,
     path_loss_db,
     snr_db,
@@ -136,11 +135,13 @@ def test_snr_decreasing_in_distance():
 
 
 def test_coverage_ok_boundary():
-    lb = LinkBudget(snr_threshold_db=5.0)
-    assert coverage_ok(lb, 5.0) is True
-    assert coverage_ok(lb, 4.999) is False
-    disabled = LinkBudget(snr_threshold_db=-math.inf)
-    assert coverage_ok(disabled, -1000.0) is True
+    # a cell is covered at or above the threshold; -inf covers every cell
+    spec = GridSpec(nx=3, ny=1, nz=1)
+    snr = np.array([5.0, 4.999, -1000.0]).reshape(3, 1, 1)
+    at_five = CoverageMap(spec, f_mhz=900.0, snr_threshold_db=5.0, snr=snr)
+    assert at_five.covered().ravel().tolist() == [True, False, False]
+    disabled = CoverageMap(spec, f_mhz=900.0, snr_threshold_db=-math.inf, snr=snr)
+    assert disabled.covered().all()
 
 
 def test_coverage_map_geometry_and_purity():
@@ -156,7 +157,7 @@ def test_coverage_map_geometry_and_purity():
         layer = m1.snr[:, :, z]
         assert layer[10, 10] == layer.max()
     # spot check one cell against the scalar path
-    assert m1.snr_at((3, 7, 2)) == cell_snr_db(lb, world.spec, (10, 10, 0), (3, 7, 2))
+    assert m1.snr[3, 7, 2] == cell_snr_db(lb, world.spec, (10, 10, 0), (3, 7, 2))
 
 
 def test_coverage_map_ignores_obstacles():
