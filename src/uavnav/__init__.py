@@ -34,6 +34,7 @@ from .harness import (
     ArtifactError,
     EvalReport,
     FlightRecord,
+    TrainingError,
     build_world,
     cmd_coverage,
     cmd_evaluate,

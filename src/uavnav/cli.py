@@ -6,7 +6,14 @@ import argparse
 import sys
 
 from .config import ConfigError
-from .harness import ArtifactError, band_label, cmd_coverage, cmd_evaluate, cmd_train
+from .harness import (
+    ArtifactError,
+    TrainingError,
+    band_label,
+    cmd_coverage,
+    cmd_evaluate,
+    cmd_train,
+)
 from .qcore import CheckpointError
 
 
@@ -84,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ArtifactError, CheckpointError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -11,6 +11,13 @@ temporary file and renamed into place. Rerunning with the same config and
 seed reproduces every artifact byte for byte; only the manifest timestamp
 differs.
 
+The planner and each band's coverage agent train in independent jobs: each
+draws from its own named random stream, rebuilds the world from the config
+and writes its own checkpoint and reward CSV. The jobs run concurrently in
+worker processes, one per usable CPU of the process (in-process when it
+has one), so the bytes do not depend on the worker count. The manifest is
+written only after every job has returned; a run that fails leaves none.
+
 Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in.
@@ -49,7 +56,7 @@ from .gridworld import ACTIONS, ACTIONS_XY, Cell, GridWorld, build, cell_center_
 from .qcore import FORMAT_VERSION, QTable
 from .qcore import load as load_table
 from .qcore import save as save_table
-from .radio import coverage_map
+from .radio import coverage_map, mark_validity_warned, warn_validity
 
 MANIFEST_NAME = "manifest.json"
 STRATEGIC_NAME = "strategic.npz"
@@ -57,6 +64,10 @@ STRATEGIC_NAME = "strategic.npz"
 
 class ArtifactError(ValueError):
     """An artifact directory is incomplete or inconsistent with its config."""
+
+
+class TrainingError(RuntimeError):
+    """A training job ended without a result: its worker process died."""
 
 
 @dataclass
@@ -203,6 +214,58 @@ def _require_mission_cells(cfg: TrainConfig, world: GridWorld, need: int) -> Non
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, str]:
+    """Train the planner (``band`` None) or one band's coverage agent.
+
+    Writes the checkpoint and the reward CSV into ``out`` and returns the
+    checkpoint's (file name, sha256). Arguments are picklable and the world
+    is rebuilt here, so a job runs alike in-process and in a worker.
+    """
+    world = build_world(cfg)
+    if band is None:
+        table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+        name, rewards = STRATEGIC_NAME, "rewards_strategic.csv"
+    else:
+        label = band_label(band)
+        rng = stream_rng(cfg.seed, f"train.adaptive.{label}")
+        table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
+        name, rewards = _adaptive_name(band), f"rewards_adaptive_{label}.csv"
+    sha = _save_checkpoint(table, out / name)
+    _write_rewards_csv(out / rewards, logs)
+    return name, sha
+
+
+def _run_jobs(cfg: TrainConfig, out: Path, jobs: list[float | None]) -> dict[str, str]:
+    """Run every job, in worker processes when more than one CPU is usable.
+
+    A job's exception reaches the caller with its type; a worker that dies
+    raises ``TrainingError``.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        return dict(_train_job(cfg, out, band) for band in jobs)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # cmd_train issued any validity warning before dispatch.
+    with ProcessPoolExecutor(workers, initializer=mark_validity_warned) as pool:
+        futures = [pool.submit(_train_job, cfg, out, band) for band in jobs]
+        try:
+            return dict(f.result() for f in futures)
+        except BrokenProcessPool:
+            raise TrainingError("a training worker process died before its job returned") from None
+        finally:
+            # after a failure, jobs that have not started are dropped
+            pool.shutdown(cancel_futures=True)
+
+
 def cmd_train(
     config: TrainConfig | str, out_dir: str | Path, seed: int | None = None
 ) -> Path:
@@ -213,20 +276,15 @@ def cmd_train(
     world = build_world(cfg)
     episodes = max(cfg.episodes_strategic, cfg.episodes_adaptive)
     _require_mission_cells(cfg, world, 2 if episodes > 1 else 1)
+    if cfg.fixed_destination in world.obstacles:
+        raise ConfigError(f"fixed_destination {cfg.fixed_destination} is an obstacle")
+    for band in cfg.bands_mhz:
+        warn_validity(cfg.link_for_band(band), cfg.grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-
-    table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
-    files[STRATEGIC_NAME] = _save_checkpoint(table, out / STRATEGIC_NAME)
-    _write_rewards_csv(out / "rewards_strategic.csv", logs)
-
-    for band in cfg.bands_mhz:
-        label = band_label(band)
-        rng = stream_rng(cfg.seed, f"train.adaptive.{label}")
-        atable, alogs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
-        files[_adaptive_name(band)] = _save_checkpoint(atable, out / _adaptive_name(band))
-        _write_rewards_csv(out / f"rewards_adaptive_{label}.csv", alogs)
+    # A manifest only ever lists checkpoints of the run that wrote it.
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
+    files = _run_jobs(cfg, out, [None, *cfg.bands_mhz])
 
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -259,6 +317,18 @@ def _read_manifest(art: Path) -> tuple[TrainConfig, dict[str, str]]:
         raise ArtifactError(f"corrupt manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ArtifactError(f"manifest {manifest_path} is not a JSON object")
+    # Checked first: the config of another format may not parse at all.
+    version = manifest.get("checkpoint_format_version")
+    if type(version) is not int:
+        raise ArtifactError(
+            f"manifest {manifest_path}: checkpoint_format_version is {version!r}, "
+            f"not a format number; retrain with this version (format {FORMAT_VERSION})"
+        )
+    if version != FORMAT_VERSION:
+        raise ArtifactError(
+            f"manifest {manifest_path} holds checkpoint format {version}, this version "
+            f"reads format {FORMAT_VERSION}; retrain"
+        )
     for key, kind in (("config", dict), ("config_sha256", str), ("files", dict)):
         if not isinstance(manifest.get(key), kind):
             raise ArtifactError(

@@ -340,6 +340,34 @@ def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
         load_artifacts(out)
 
 
+# A manifest of another checkpoint format is refused for its format, before
+# its config is parsed: a format-2 config still holds the since-removed
+# eval_flights field, which would otherwise fail as an unknown field.
+FORMAT_EDITS = {
+    "older": (lambda m: {**m, "checkpoint_format_version": 2,
+                         "config": {**m["config"], "eval_flights": 100}}, "format 2"),
+    "newer": (lambda m: {**m, "checkpoint_format_version": 4}, "format 4"),
+    "missing": (lambda m: {k: v for k, v in m.items() if k != "checkpoint_format_version"},
+                "is None"),
+    "text": (lambda m: {**m, "checkpoint_format_version": "3"}, "is '3'"),
+    "float": (lambda m: {**m, "checkpoint_format_version": 3.0}, "is 3.0"),
+    "bool": (lambda m: {**m, "checkpoint_format_version": True}, "is True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_EDITS))
+def test_evaluate_checks_format_version_first(tmp_path, capsys, case):
+    edit, held = FORMAT_EDITS[case]
+    out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
+    _edit_manifest(out, edit)
+    with pytest.raises(ArtifactError, match="retrain") as info:
+        load_artifacts(out)
+    assert held in str(info.value)
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "artifact error:" in err and "unknown field" not in err
+
+
 @contextmanager
 def _deadline(seconds):
     """Turn a hang (the bug under test) into a failure instead of a stuck suite."""
@@ -554,6 +582,20 @@ def test_cli_train_rejects_fixed_destination(tmp_path, capsys, case):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and message in err
+    assert not out.exists()
+
+
+def test_cli_train_rejects_fixed_destination_on_obstacle(tmp_path, capsys):
+    # the check needs the built world, so it runs before training, not in the config
+    raw = {**TINY_RAW, "obstacle_density": 0.3, "seed": 0,
+           "goal_conditioned": False, "fixed_destination": [0, 0, 1]}
+    assert (0, 0, 1) in build_world(config_from_dict(raw)).obstacles
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "is an obstacle" in err
     assert not out.exists()
 
 
