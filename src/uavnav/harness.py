@@ -14,9 +14,12 @@ differs.
 The planner and each band's coverage agent train in independent jobs: each
 draws from its own named random stream, rebuilds the world from the config
 and writes its own checkpoint and reward CSV. The jobs run concurrently in
-worker processes, one per usable CPU of the process (in-process when it
-has one), so the bytes do not depend on the worker count. The manifest is
-written only after every job has returned; a run that fails leaves none.
+worker processes, one per usable CPU of the process, so the bytes do not
+depend on the worker count. They run in-process when the process has one
+CPU, and also when a caller has replaced one of the functions in this
+module that do a job's work (a test double, a tracer): the replacement then
+sees every call, in the caller's process. The manifest is written only after
+every job has returned; a run that fails leaves none.
 
 Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
@@ -37,6 +40,7 @@ import json
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -56,7 +60,7 @@ from .gridworld import ACTIONS, ACTIONS_XY, Cell, GridWorld, build, cell_center_
 from .qcore import FORMAT_VERSION, QTable
 from .qcore import load as load_table
 from .qcore import save as save_table
-from .radio import coverage_map, mark_validity_warned, warn_validity
+from .radio import HataValidityWarning, coverage_map
 
 MANIFEST_NAME = "manifest.json"
 STRATEGIC_NAME = "strategic.npz"
@@ -242,20 +246,61 @@ def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, st
     return name, sha
 
 
-def _run_jobs(cfg: TrainConfig, out: Path, jobs: list[float | None]) -> dict[str, str]:
+# The names in this module of the functions that do a job's work, as
+# imported. A caller that replaces one of them gets the jobs in-process.
+_JOB_CALLEES = {
+    "_train_job": _train_job,
+    "build_world": build_world,
+    "train_strategic": train_strategic,
+    "train_adaptive": train_adaptive,
+    "_save_checkpoint": _save_checkpoint,
+    "save_table": save_table,
+    "_write_rewards_csv": _write_rewards_csv,
+}
+
+
+def _job_callees_replaced() -> bool:
+    names = globals()
+    return any(names[name] is not f for name, f in _JOB_CALLEES.items())
+
+
+def _pool_context():
+    """Fork on Linux: a job needs no fresh interpreter, and a forked worker
+    skips the interpreter start-up and imports that spawn and forkserver
+    pay on every run (forkserver cost 6-9 % of a benchmark run's training).
+    The program starts no thread of its own before the fork, and OpenBLAS
+    stops its idle thread pool at a fork. Elsewhere, where system libraries
+    may hold threads across a fork, the platform default is used.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    import multiprocessing
+
+    return multiprocessing.get_context("fork")
+
+
+def _run_jobs(
+    cfg: TrainConfig, world: GridWorld, out: Path, jobs: list[float | None]
+) -> dict[str, str]:
     """Run every job, in worker processes when more than one CPU is usable.
 
     A job's exception reaches the caller with its type; a worker that dies
     raises ``TrainingError``.
     """
     workers = min(len(jobs), _usable_cpus())
-    if workers <= 1:
+    if workers <= 1 or _job_callees_replaced():
         return dict(_train_job(cfg, out, band) for band in jobs)
+    import functools
+    import warnings
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # cmd_train issued any validity warning before dispatch.
-    with ProcessPoolExecutor(workers, initializer=mark_validity_warned) as pool:
+    # The COST 231 validity warning is issued here, once, on the path the
+    # band jobs take; the workers ignore it.
+    for band in cfg.bands_mhz:
+        coverage_map(cfg.link_for_band(band), world)
+    quiet = functools.partial(warnings.filterwarnings, "ignore", category=HataValidityWarning)
+    with ProcessPoolExecutor(workers, mp_context=_pool_context(), initializer=quiet) as pool:
         futures = [pool.submit(_train_job, cfg, out, band) for band in jobs]
         try:
             return dict(f.result() for f in futures)
@@ -278,13 +323,11 @@ def cmd_train(
     _require_mission_cells(cfg, world, 2 if episodes > 1 else 1)
     if cfg.fixed_destination in world.obstacles:
         raise ConfigError(f"fixed_destination {cfg.fixed_destination} is an obstacle")
-    for band in cfg.bands_mhz:
-        warn_validity(cfg.link_for_band(band), cfg.grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # A manifest only ever lists checkpoints of the run that wrote it.
     (out / MANIFEST_NAME).unlink(missing_ok=True)
-    files = _run_jobs(cfg, out, [None, *cfg.bands_mhz])
+    files = _run_jobs(cfg, world, out, [None, *cfg.bands_mhz])
 
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),

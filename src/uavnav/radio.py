@@ -60,22 +60,6 @@ def _warn_validity_once(f_mhz: float, h_r_m: float) -> None:
         )
 
 
-def warn_validity(lb: LinkBudget, spec: GridSpec) -> None:
-    """Issue now the one-time warning that ``coverage_map(lb, ·)`` would issue.
-
-    A cell's mobile height is its center's altitude, so the layers in
-    ascending order meet the (f, h) pairs in the order ``coverage_map`` does.
-    """
-    for z in range(spec.nz):
-        _warn_validity_once(lb.f_mhz, cell_center_m(spec, (0, 0, z))[2])
-
-
-def mark_validity_warned() -> None:
-    """Suppress the warning in a process whose parent already checked its inputs."""
-    global _validity_warned
-    _validity_warned = True
-
-
 @dataclass(frozen=True)
 class LinkBudget:
     """Carrier, antenna and receiver parameters for the SNR budget.

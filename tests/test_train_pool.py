@@ -2,8 +2,9 @@
 
 The planner and each band train in independent jobs, in worker processes
 when more than one CPU is usable. These tests set the usable CPU count
-through ``harness._usable_cpus``; a test that kills or patches a worker
-forces the pool, so the pytest process itself is never the one that dies.
+through ``harness._usable_cpus`` and the workers' start method through
+``harness._pool_context``; a test that kills a worker does so in a fresh
+process, so the pytest process itself is never the one that dies.
 """
 
 import json
@@ -76,6 +77,23 @@ def test_job_exception_keeps_its_type(tmp_path, monkeypatch, capsys):
     assert not (out / MANIFEST_NAME).exists()
 
 
+def test_replaced_callee_sees_every_job(tmp_path, monkeypatch):
+    """A wrapper around a job's callee (a tracer, say) runs in this process."""
+    _use_cpus(monkeypatch, 4)
+    real = harness.train_adaptive
+    seen = []
+
+    def recorded(world, lb, cfg, rng):
+        seen.append((os.getpid(), lb.f_mhz))
+        return real(world, lb, cfg, rng)
+
+    monkeypatch.setattr(harness, "train_adaptive", recorded)
+    wrapped = _artifacts(cmd_train(CFG, tmp_path / "wrapped"))
+    assert seen == [(os.getpid(), 900.0), (os.getpid(), 2100.0)]
+    monkeypatch.setattr(harness, "train_adaptive", real)
+    assert _artifacts(cmd_train(CFG, tmp_path / "pooled")) == wrapped
+
+
 def _train_subprocess(tmp_path, patch):
     """``uavnav train`` of CFG in a fresh process, after running ``patch``."""
     cfg_path = tmp_path / "cfg.json"
@@ -103,9 +121,9 @@ def test_dead_worker_is_an_error_line(tmp_path):
     proc = _train_subprocess(
         tmp_path,
         "harness._usable_cpus = lambda: 2\n"
-        # a forked worker inherits the patch
-        "import multiprocessing; multiprocessing.set_start_method('fork')\n"
-        "harness.train_adaptive = lambda *args: os._exit(1)",
+        # patched outside harness, so the jobs still go to forked workers,
+        # which inherit the patch
+        "import uavnav.agents; uavnav.agents.coverage_map = lambda *args: os._exit(1)",
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: a training worker process died")
@@ -122,10 +140,14 @@ def test_validity_warning_once_and_same_bytes(tmp_path, monkeypatch, cpus, metho
     proc = _train_subprocess(
         tmp_path,
         f"harness._usable_cpus = lambda: {cpus}\n"
-        f"import multiprocessing; multiprocessing.set_start_method({method!r})",
+        f"import multiprocessing\n"
+        f"harness._pool_context = lambda: multiprocessing.get_context({method!r})",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("HataValidityWarning") == 1, proc.stderr
+    # the text the first cell of coverage_map gives, pooled or in-process
+    (line,) = [s for s in proc.stderr.splitlines() if "HataValidityWarning" in s]
+    assert "radio.py" in line and "(f=900 MHz, mobile height=10 m)" in line
     # workers rebuild the world from the config alone, whatever the start method
     _use_cpus(monkeypatch, 1)
     in_process = cmd_train(CFG, tmp_path / "in_process")
