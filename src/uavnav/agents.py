@@ -57,12 +57,12 @@ import numpy as np
 
 from .gridworld import (
     ACTIONS,
-    ACTIONS_XY,
     Action,
     Cell,
     GridWorld,
     StepEvent,
     random_free_cell,
+    require_mission_cells,
 )
 from .qcore import N_ACTIONS, QTable, bootstrap, greedy_action
 from .radio import LinkBudget, coverage_map
@@ -165,24 +165,6 @@ def reward_adaptive(snr_db: float, threshold_db: float, p: RewardParams) -> floa
     return p.r_outage if snr_db < threshold_db else p.r_covered
 
 
-def _candidates(cfg: "TrainConfig") -> tuple[int, ...]:
-    # Plain ints: a list indexed by an int is faster than by an IntEnum
-    # member. Step records turn them back into Actions.
-    return tuple(map(int, ACTIONS_XY if cfg.altitude_locked else ACTIONS))
-
-
-def draw_free_cell(
-    world: GridWorld, rng: random.Random, layer: int | None = None
-) -> Cell:
-    """Random free cell, restricted to one altitude layer when locked."""
-    c = random_free_cell(world, rng)
-    if layer is None:
-        return c
-    while c[2] != layer:
-        c = random_free_cell(world, rng)
-    return c
-
-
 def _missions(
     world: GridWorld, cfg: "TrainConfig", gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,27 +172,19 @@ def _missions(
 
     With a fixed destination every episode flies from the takeoff cell to
     it. Otherwise even episodes start at the takeoff cell and odd ones at a
-    uniformly drawn free cell, and the destination is uniform over the free
-    cells other than the takeoff cell and the episode's start; with
-    ``altitude_locked`` both stay on the takeoff layer. These are the rules
-    of ``draw_free_cell``, drawn for all episodes at once.
+    uniformly drawn mission cell (``GridWorld.mission_cells``), and the
+    destination is uniform over the mission cells other than the episode's
+    start, drawn for all episodes at once.
     """
     n = cfg.episodes_strategic
     start = world.index(world.start_cell)
-    if cfg.fixed_destination is not None:
-        return np.full(n, start), np.full(n, world.index(cfg.fixed_destination))
-    free = np.ones(world.spec.n_cells, dtype=bool)
-    free[[world.index(c) for c in world.obstacles]] = False
-    free[start] = False
-    if cfg.altitude_locked:
-        free &= np.array([c[2] == world.start_cell[2] for c in world.cells])
-    pool = np.flatnonzero(free)
+    fixed = cfg.fixed_destination
+    need = 2 if n > 1 and fixed is None else 1
+    missions = require_mission_cells(world, cfg.altitude_locked, need, fixed)
+    if fixed is not None:
+        return np.full(n, start), np.full(n, world.index(fixed))
+    pool = np.array([world.index(c) for c in sorted(missions)])
     n_odd = n // 2
-    if pool.size < (2 if n_odd else 1):
-        raise ValueError(
-            f"{pool.size} free mission cell(s) besides the start cell; "
-            "training needs a start and a different destination"
-        )
     starts = np.full(n, start)
     drawn = gen.integers(pool.size, size=n_odd)
     starts[1::2] = pool[drawn]
@@ -266,7 +240,7 @@ def train_strategic(
     """Run the path-planning training loop for cfg.episodes_strategic episodes.
 
     In goal-conditioned mode, episodes alternate between the takeoff cell
-    and a uniformly random free cell as the start position. Episodes toward
+    and a uniformly random mission cell as the start position. Episodes toward
     the same destination then approach it from many directions, so the
     learned values form one connected basin per destination instead of a
     single thin corridor, and a flight nudged off its trained path can
@@ -289,9 +263,9 @@ def train_strategic(
     bits as a sequential loop over the episodes.
     """
     goal_conditioned = cfg.goal_conditioned
-    if cfg.fixed_destination in world.obstacles:
-        raise ValueError(f"fixed destination {cfg.fixed_destination} is an obstacle")
-
+    gen = np.random.default_rng(rng.getrandbits(128))
+    n = cfg.episodes_strategic
+    starts, dests = _missions(world, cfg, gen)
     table = QTable(
         kind="strategic",
         grid=world.spec,
@@ -302,9 +276,6 @@ def train_strategic(
     # q[cell, column, a]: a destination's column, or the one column of a
     # position-keyed table
     q = table.q.reshape(world.spec.n_cells, -1, N_ACTIONS)
-    gen = np.random.default_rng(rng.getrandbits(128))
-    n = cfg.episodes_strategic
-    starts, dests = _missions(world, cfg, gen)
     streams = gen.integers(1 << 64, size=n, dtype=np.uint64)  # stream keys
     epsilons = [cfg.schedule.at(e) for e in range(n)]
     eps_of = np.array(epsilons)
@@ -314,7 +285,7 @@ def train_strategic(
     dist = _distance_table(world, cfg.distance_metric)
     # ACTIONS_XY is the first four actions, so a candidate's position in
     # the candidate set is its action value.
-    n_candidates = len(_candidates(cfg))
+    n_candidates = len(cfg.actions)
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
     p = cfg.rewards
@@ -423,7 +394,7 @@ def train_adaptive(
     SNR per cell is read from the band's coverage map, the same map the
     flight arbiter reads.
 
-    Episodes alternate between the takeoff cell and a uniformly random free
+    Episodes alternate between the takeoff cell and a uniformly random mission
     cell as the start position. The coverage table is keyed by position
     alone and has to be informative over the whole region, which a random
     walk pinned to one corner never reaches; the takeoff-started half keeps
@@ -443,23 +414,27 @@ def train_adaptive(
     threshold = lb.snr_threshold_db
     p = cfg.rewards
     cell_reward = [p.r_outage if v < threshold else p.r_covered for v in snr]
-    candidates = _candidates(cfg)
+    # Plain ints: a list indexed by an int is faster than by an IntEnum
+    # member. Step records turn them back into Actions.
+    candidates = tuple(map(int, cfg.actions))
     n_candidates = len(candidates)
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
     uniform, randrange = rng.random, rng.randrange
     start = world.start_cell
-    layer = start[2] if cfg.altitude_locked else None
+    locked = cfg.altitude_locked
+    n = cfg.episodes_adaptive
+    require_mission_cells(world, locked, 2 if n > 1 else 1)
     logs: list[EpisodeLog] = []
 
     schedule = cfg.schedule_adaptive
-    for episode in range(cfg.episodes_adaptive):
+    for episode in range(n):
         epsilon = schedule.at(episode)
         explore = epsilon > 0.0
-        pos = start if episode % 2 == 0 else draw_free_cell(world, rng, layer)
-        dest = draw_free_cell(world, rng, layer)
+        pos = start if episode % 2 == 0 else random_free_cell(world, rng, locked)
+        dest = random_free_cell(world, rng, locked)
         while dest == pos:
-            dest = draw_free_cell(world, rng, layer)
+            dest = random_free_cell(world, rng, locked)
         at, goal = index(pos), index(dest)
         row = rows[at]
         total = 0.0

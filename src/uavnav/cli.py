@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError
+from .config import ConfigError, band_label
 from .harness import (
     ArtifactError,
     TrainingError,
-    band_label,
     cmd_coverage,
     cmd_evaluate,
     cmd_train,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .agents import RewardParams
-from .gridworld import Cell, GridSpec, default_step_cap
+from .gridworld import ACTIONS, ACTIONS_XY, Action, Cell, GridSpec, default_step_cap, is_int
 from .qcore import EpsilonSchedule, Hyper, require_table_fits
 from .radio import LinkBudget
 
@@ -61,8 +61,9 @@ _OPTIONAL_FIELDS = ("step_cap", "eval_step_cap")
 _BOOL_FIELDS = ("goal_conditioned", "altitude_locked", "record_steps")
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def band_label(band_mhz: float) -> str:
+    """A band's name in file names and reports."""
+    return f"{band_mhz:g}"
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if not (_is_int(value) or (value is None and name in _OPTIONAL_FIELDS)):
+            if not (is_int(value) or (value is None and name in _OPTIONAL_FIELDS)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _BOOL_FIELDS:
             value = getattr(self, name)
@@ -117,6 +118,12 @@ class TrainConfig:
         if not all(math.isfinite(b) and b > 0 for b in self.bands_mhz):
             raise ConfigError(
                 f"bands_mhz entries must be positive finite numbers, got {list(self.bands_mhz)}"
+            )
+        labels = [band_label(b) for b in self.bands_mhz]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(
+                f"bands_mhz {list(self.bands_mhz)} give repeated band labels {labels}; "
+                "each band's checkpoint needs its own file name"
             )
         if self.episodes_strategic < 1 or self.episodes_adaptive < 1:
             raise ConfigError("episode counts must be >= 1")
@@ -154,10 +161,10 @@ class TrainConfig:
                 f"{self.max_altitude_m} m flight ceiling"
             )
 
-    def resolved_bs_cell(self) -> Cell:
-        if self.bs_cell is not None:
-            return self.bs_cell
-        return (self.grid.nx // 2, self.grid.ny // 2, 0)
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        """The moves a mission may take: horizontal only when altitude_locked."""
+        return ACTIONS_XY if self.altitude_locked else ACTIONS
 
     def resolved_step_cap(self) -> int:
         return self.step_cap if self.step_cap is not None else default_step_cap(self.grid)
@@ -232,7 +239,7 @@ def _as_cell(path: str, text: str, key: str, raw: Any) -> Cell:
     if (
         not isinstance(raw, list)
         or len(raw) != 3
-        or not all(_is_int(v) for v in raw)
+        or not all(is_int(v) for v in raw)
     ):
         _fail(path, text, key, "expected a [ix, iy, iz] triple of integers")
     return (raw[0], raw[1], raw[2])

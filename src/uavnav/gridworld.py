@@ -37,6 +37,11 @@ from typing import NamedTuple
 Cell = tuple[int, int, int]
 
 
+def is_int(v: object) -> bool:
+    """An int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Lattice dimensions and physical cell size.
@@ -54,7 +59,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         dims = (self.nx, self.ny, self.nz)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
+        if not all(is_int(v) for v in dims):
             raise ValueError(f"grid dimensions must be integers, got {list(dims)}")
         if self.nx < 1 or self.ny < 1 or self.nz < 1:
             raise ValueError("grid dimensions must be positive")
@@ -146,10 +151,6 @@ class GridWorld:
     start_cell: Cell
     obstacle_density: float
 
-    @property
-    def n_free_cells(self) -> int:
-        return self.spec.n_cells - len(self.obstacles)
-
     def index(self, c: Cell) -> int:
         """Flat index of an in-bounds cell."""
         return self.spec.index(c)
@@ -159,6 +160,18 @@ class GridWorld:
         """Every cell, in flat-index order."""
         spec = self.spec
         return tuple(product(range(spec.nx), range(spec.ny), range(spec.nz)))
+
+    def mission_cells(self, altitude_locked: bool = False) -> frozenset[Cell]:
+        """The cells a mission may start or end at: free, not the start cell,
+        and on the start cell's layer when ``altitude_locked``. Sorted, they
+        are in flat-index order."""
+        return self._mission_cells[altitude_locked]
+
+    @cached_property
+    def _mission_cells(self) -> tuple[frozenset[Cell], frozenset[Cell]]:
+        start = self.start_cell
+        free = frozenset(self.cells) - self.obstacles - {start}
+        return free, frozenset(c for c in free if c[2] == start[2])
 
     @cached_property
     def moves(self) -> tuple[tuple[Move, ...], ...]:
@@ -305,17 +318,39 @@ def manhattan_m(world: GridWorld, a: Cell, b: Cell) -> float:
     )
 
 
-def random_free_cell(world: GridWorld, rng: random.Random) -> Cell:
-    """Draw a uniformly random non-obstacle cell, never the start cell."""
-    n_eligible = world.spec.n_cells - len(world.obstacles)
-    if world.start_cell not in world.obstacles:
-        n_eligible -= 1
-    if n_eligible <= 0:
-        raise ValueError("no free cell available besides the start cell")
+def require_mission_cells(
+    world: GridWorld, altitude_locked: bool, need: int, destination: Cell | None = None
+) -> frozenset[Cell]:
+    """The world's mission cells; ``ValueError`` if there are fewer than
+    ``need`` or ``destination`` is given and not among them.
+
+    A flight draws a destination: one cell. Training with two or more
+    episodes also starts every other episode at a drawn cell and then draws
+    a different destination: two cells. With fewer, a draw would never end.
+    """
+    cells = world.mission_cells(altitude_locked)
+    layer = world.start_cell[2]
+    if len(cells) < need:
+        where = f"altitude_locked: takeoff layer z={layer}" if altitude_locked else "grid"
+        raise ValueError(
+            f"{where} has {len(cells)} free cell(s) besides the start cell; missions need {need}"
+        )
+    if destination is not None and destination not in cells:
+        reason = (
+            "an obstacle" if destination in world.obstacles
+            else f"off the altitude_locked takeoff layer z={layer}"
+        )
+        raise ValueError(f"fixed_destination {destination} is {reason}")
+    return cells
+
+
+def random_free_cell(world: GridWorld, rng: random.Random, altitude_locked: bool = False) -> Cell:
+    """A uniformly drawn mission cell: whole-grid (x, y, z) draws until one is."""
+    cells = require_mission_cells(world, altitude_locked, 1)
     spec = world.spec
     while True:
         c = (rng.randrange(spec.nx), rng.randrange(spec.ny), rng.randrange(spec.nz))
-        if c != world.start_cell and c not in world.obstacles:
+        if c in cells:
             return c
 
 

@@ -46,17 +46,25 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .agents import EpisodeLog, draw_free_cell, train_adaptive, train_strategic
+from .agents import EpisodeLog, train_adaptive, train_strategic
 from .arbiter import FlightOutcome, FlightResult, TieMasks, execute_flight
 from .config import (
     ConfigError,
     TrainConfig,
+    band_label,
     config_from_dict,
     load_config,
     seed_stream,
     stream_rng,
 )
-from .gridworld import ACTIONS, ACTIONS_XY, Cell, GridWorld, build, cell_center_m
+from .gridworld import (
+    Cell,
+    GridWorld,
+    build,
+    cell_center_m,
+    random_free_cell,
+    require_mission_cells,
+)
 from .qcore import FORMAT_VERSION, QTable
 from .qcore import load as load_table
 from .qcore import save as save_table
@@ -105,10 +113,6 @@ class EvalReport:
         return d
 
 
-def band_label(band_mhz: float) -> str:
-    return f"{band_mhz:g}"
-
-
 def compute_metrics(records: list[FlightRecord]) -> EvalReport:
     """Aggregate flight records into percentages, with a per-band breakdown."""
     report = _metrics_flat(records)
@@ -150,7 +154,7 @@ def build_world(cfg: TrainConfig) -> GridWorld:
         density=cfg.obstacle_density,
         seed=seed_stream(cfg.seed, "obstacles"),
         start=cfg.start_cell,
-        bs_xy=cfg.resolved_bs_cell(),
+        bs_xy=cfg.bs_cell,
     )
 
 
@@ -195,27 +199,12 @@ def _save_checkpoint(table: QTable, path: Path) -> str:
     return _sha256(path)
 
 
-def _require_mission_cells(cfg: TrainConfig, world: GridWorld, need: int) -> None:
-    """Missions need ``need`` free cells besides the start to draw from.
-
-    With ``altitude_locked`` they must lie on the takeoff layer. A flight
-    draws a destination: one cell. Training with two or more episodes also
-    starts every other episode at a drawn cell and then draws a different
-    destination: two cells. With fewer, a draw would never terminate.
-    """
-    start = world.start_cell
-    found = 0
-    for c in world.cells:
-        if c != start and c not in world.obstacles and (
-            not cfg.altitude_locked or c[2] == start[2]
-        ):
-            found += 1
-            if found == need:
-                return
-    where = f"altitude_locked: takeoff layer z={start[2]}" if cfg.altitude_locked else "grid"
-    raise ConfigError(
-        f"{where} has {found} free cell(s) besides the start cell; missions need {need}"
-    )
+def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> None:
+    """``require_mission_cells`` for ``cfg``'s missions, refused as a ``ConfigError``."""
+    try:
+        require_mission_cells(world, cfg.altitude_locked, need, cfg.fixed_destination)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _usable_cpus() -> int:
@@ -320,9 +309,7 @@ def cmd_train(
         cfg = dataclasses.replace(cfg, seed=seed)
     world = build_world(cfg)
     episodes = max(cfg.episodes_strategic, cfg.episodes_adaptive)
-    _require_mission_cells(cfg, world, 2 if episodes > 1 else 1)
-    if cfg.fixed_destination in world.obstacles:
-        raise ConfigError(f"fixed_destination {cfg.fixed_destination} is an obstacle")
+    _require_missions(cfg, world, 2 if episodes > 1 else 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # A manifest only ever lists checkpoints of the run that wrote it.
@@ -442,24 +429,23 @@ def run_flights(
     safety: bool = True,
     normalize: bool = False,
 ) -> list[FlightRecord]:
-    """Fly ``n_flights`` per band to random free destinations.
+    """Fly ``n_flights`` per band to random mission cells.
 
     The destination stream restarts per band, so every band faces the same
     destination sequence. The planner's tie masks are built once and
     shared by every band's flights.
     """
-    _require_mission_cells(cfg, world, 1)
+    _require_missions(cfg, world, 1)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
-    allowed = ACTIONS_XY if cfg.altitude_locked else ACTIONS
-    layer = cfg.start_cell[2] if cfg.altitude_locked else None
+    allowed = cfg.actions
     masks = TieMasks(world, strategic, safety, allowed)
     for band in sorted(adaptive):
         cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
         tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
         for _ in range(n_flights):
-            dest = draw_free_cell(world, dest_rng, layer)
+            dest = random_free_cell(world, dest_rng, cfg.altitude_locked)
             result: FlightResult = execute_flight(
                 strategic,
                 adaptive[band],

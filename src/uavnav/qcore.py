@@ -51,7 +51,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .gridworld import ACTIONS, Action, Cell, GridSpec
+from .gridworld import ACTIONS, Action, Cell, GridSpec, is_int
 
 # Position key (coverage agent / fixed-destination planner) or
 # (position, destination) key (goal-conditioned planner).
@@ -358,7 +358,7 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path}: meta must be a JSON object")
     version = doc.get("format_version")
-    if not _is_int(version):
+    if not is_int(version):
         raise CheckpointError(
             f"checkpoint {path}: format_version must be an int, got {version!r}"
         )
@@ -378,7 +378,7 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
     try:
         grid = GridSpec(**doc["grid"])
         seed, f_mhz = doc["seed"], doc["f_mhz"]
-        if not _is_int(seed):
+        if not is_int(seed):
             raise TypeError(f"seed must be an int, got {seed!r}")
         if f_mhz is not None and not (type(f_mhz) in (int, float) and 0 < f_mhz < math.inf):
             raise ValueError(f"f_mhz must be a positive number or null, got {f_mhz!r}")
@@ -392,7 +392,3 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path}: malformed meta: {exc}") from exc
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)

@@ -45,7 +45,7 @@ def _start_component_fraction(world):
             if world.spec.in_bounds(n) and n not in world.obstacles and n not in seen:
                 seen.add(n)
                 q.append(n)
-    return len(seen) / world.n_free_cells
+    return len(seen) / (world.spec.n_cells - len(world.obstacles))
 
 
 @pytest.fixture(scope="session")

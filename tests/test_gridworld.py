@@ -187,6 +187,56 @@ def test_random_free_cell_fully_blocked():
         random_free_cell(world, random.Random(0))
 
 
+def old_random_free_cell(world, rng, layer):
+    """The sampler as it was: a free cell other than the start cell, by
+    rejection, redrawn by the same rule until it lies on ``layer``."""
+
+    def free_cell():
+        spec = world.spec
+        while True:
+            c = (rng.randrange(spec.nx), rng.randrange(spec.ny), rng.randrange(spec.nz))
+            if c != world.start_cell and c not in world.obstacles:
+                return c
+
+    c = free_cell()
+    while layer is not None and c[2] != layer:
+        c = free_cell()
+    return c
+
+
+def test_random_free_cell_draws_as_the_two_level_rejection_loop():
+    g = random.Random(0)
+    drawn_locked = 0
+    for trial in range(40):
+        spec = GridSpec(nx=g.randint(2, 5), ny=g.randint(2, 5), nz=g.randint(1, 3))
+        start = (g.randrange(spec.nx), g.randrange(spec.ny), g.randrange(spec.nz))
+        world = build(spec, g.choice([0.0, 0.2, 0.4]), seed=trial, start=start)
+        for locked in (False, True):
+            if not world.mission_cells(locked):
+                with pytest.raises(ValueError, match="missions need 1"):
+                    random_free_cell(world, random.Random(trial), locked)
+                continue
+            drawn_locked += locked
+            ours, old = random.Random(trial), random.Random(trial)
+            layer = start[2] if locked else None
+            for _ in range(30):
+                assert random_free_cell(world, ours, locked) == old_random_free_cell(
+                    world, old, layer
+                )
+                assert ours.getstate() == old.getstate()
+    assert drawn_locked > 20
+
+
+def test_mission_cells():
+    world = build(GridSpec(nx=4, ny=3, nz=3), 0.3, seed=2, start=(1, 1, 1))
+    free = {c for c in world.cells if c not in world.obstacles and c != (1, 1, 1)}
+    assert world.mission_cells() == free
+    assert world.mission_cells(True) == {c for c in free if c[2] == 1}
+    # sorted cells are in flat-index order
+    assert [world.index(c) for c in sorted(free)] == sorted(map(world.index, free))
+    assert world.mission_cells(True) is world.mission_cells(True)  # built once
+
+
 def test_default_step_cap():
     assert default_step_cap(SPEC) == 4 * (20 + 20 + 5)
 

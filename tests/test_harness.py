@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from uavnav.agents import train_adaptive, train_strategic
 from uavnav.arbiter import FlightOutcome
 from uavnav.cli import main as cli_main
 from uavnav.config import (
@@ -424,6 +425,23 @@ def test_training_with_one_mission_cell_fails_fast(tmp_path, goal_conditioned):
         cmd_train(one, tmp_path / "one")
 
 
+def test_train_loops_with_one_mission_cell_fail_fast():
+    # 1 x 1 x 2: (0, 0, 1) is the one mission cell. A second episode starts
+    # there and has no different destination to draw.
+    cfg = TrainConfig(
+        grid=GridSpec(nx=1, ny=1, nz=2),
+        obstacle_density=0.0,
+        bands_mhz=(900.0,),
+        episodes_strategic=2,
+        episodes_adaptive=2,
+    )
+    world = build_world(cfg)
+    with _deadline(10), pytest.raises(ValueError, match="missions need 2"):
+        train_adaptive(world, cfg.link_for_band(900.0), cfg, random.Random(0))
+    with _deadline(10), pytest.raises(ValueError, match="missions need 2"):
+        train_strategic(world, cfg, random.Random(0))
+
+
 def test_coverage_csv(tmp_path):
     cfg = TrainConfig(**SMALL)
     out_csv = tmp_path / "cov.csv"
@@ -596,6 +614,33 @@ def test_cli_train_rejects_fixed_destination_on_obstacle(tmp_path, capsys):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "is an obstacle" in err
+    assert not out.exists()
+
+
+def test_cli_train_rejects_fixed_destination_off_takeoff_layer(tmp_path, capsys):
+    # altitude_locked missions stay on the takeoff layer: a planner trained
+    # toward a cell above it would never arrive
+    raw = {**TINY_RAW, "seed": 3, "altitude_locked": True,
+           "goal_conditioned": False, "fixed_destination": [3, 3, 1]}
+    assert (3, 3, 1) not in build_world(config_from_dict(raw)).obstacles
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "off the altitude_locked takeoff layer z=0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bands", [[900, 900], [900, 900.0000001]], ids=["equal", "same label"])
+def test_cli_train_rejects_repeated_band_labels(tmp_path, capsys, bands):
+    # a band's label names its checkpoint: two bands would share one file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, "bands_mhz": bands}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "repeated band labels" in err
     assert not out.exists()
 
 

@@ -25,7 +25,6 @@ from uavnav.agents import (
     EpisodeLog,
     StepRecord,
     TerminalCause,
-    draw_free_cell,
     reward_adaptive,
     reward_strategic,
     train_adaptive,
@@ -41,6 +40,7 @@ from uavnav.gridworld import (
     apply_action,
     distance_m,
     manhattan_m,
+    random_free_cell,
 )
 from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule, QTable, q_update, select_action
@@ -108,14 +108,14 @@ def reference_adaptive(world, lb, cfg, rng):
     table = QTable("adaptive", world.spec, cfg.hyper, cfg.seed, f_mhz=lb.f_mhz)
     cmap = coverage_map(lb, world)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
-    layer = world.start_cell[2] if cfg.altitude_locked else None
+    locked = cfg.altitude_locked
     logs = []
     for episode in range(cfg.episodes_adaptive):
         epsilon = cfg.schedule_adaptive.at(episode)
-        pos = world.start_cell if episode % 2 == 0 else draw_free_cell(world, rng, layer)
-        dest = draw_free_cell(world, rng, layer)
+        pos = world.start_cell if episode % 2 == 0 else random_free_cell(world, rng, locked)
+        dest = random_free_cell(world, rng, locked)
         while dest == pos:
-            dest = draw_free_cell(world, rng, layer)
+            dest = random_free_cell(world, rng, locked)
         total, steps = 0.0, 0
         records = [] if cfg.record_steps else None
         terminal = TerminalCause.STEP_CAP_HIT
