@@ -21,7 +21,6 @@ from .gridworld import (
     GridSpec,
     GridWorld,
     StepEvent,
-    StepOutcome,
     apply_action,
     build,
     cell_center_m,

@@ -6,8 +6,9 @@ destination, with large additive terms for crashing into an obstacle or
 arriving. Its Q-table is goal-conditioned -- keys are (position,
 destination) pairs -- because each episode draws a fresh destination and a
 position-only table cannot represent distance-to-goal preferences for
-arbitrary targets. A fixed-destination mode keying on position alone is
-kept for literal single-goal replication.
+arbitrary targets. With a ``fixed_destination`` (literal single-goal
+replication) every episode flies to that one cell and the table keys on
+position alone.
 
 The coverage agent learns where the cellular link holds up: each step is
 rewarded by whether the SNR at the landed cell clears the threshold. Its
@@ -28,9 +29,10 @@ distinct destinations advance together, each step one batch of numpy
 operations on the dense ``Q[cell, dest, a]`` table: epsilon mask, argmax
 with uniform random ties, move-table lookup, reward, scatter update. Its
 choices follow the rule of ``select_action`` and its updates round as
-``q_update``'s do; a test replays each episode's recorded actions, in
-episode order, through ``apply_action``, ``reward_strategic`` and
-``q_update`` and gets the same table bit for bit.
+``q_update``'s do; a test runs the episodes one after another, picking
+each action from the episode's random stream and stepping through
+``apply_action``, ``reward_strategic`` and ``q_update``, and gets the same
+table and logs bit for bit.
 
 The coverage agent's table is keyed by position alone, so every episode
 reads every other's rows and its loop stays sequential: one update per
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
 from typing import TYPE_CHECKING
@@ -56,8 +58,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .gridworld import (
-    ACTIONS,
-    Action,
     Cell,
     GridWorld,
     StepEvent,
@@ -115,7 +115,6 @@ LOCKSTEP_SLOTS = 256
 
 MOVED = StepEvent.MOVED
 CRASHED = StepEvent.CRASHED_INTO_OBSTACLE
-ARRIVED = StepEvent.ARRIVED_AT_DESTINATION
 
 
 class TerminalCause(Enum):
@@ -124,17 +123,8 @@ class TerminalCause(Enum):
 
 
 @dataclass
-class StepRecord:
-    state: Cell
-    action: Action
-    reward: float
-    event: StepEvent
-    snr_db: float | None = None
-
-
-@dataclass
 class EpisodeLog:
-    """Per-episode bookkeeping; step records only when requested."""
+    """Per-episode bookkeeping."""
 
     episode: int
     destination: Cell
@@ -142,7 +132,6 @@ class EpisodeLog:
     steps: int
     terminal: TerminalCause
     epsilon: float
-    records: list[StepRecord] | None = field(default=None, repr=False)
 
 
 def reward_strategic(
@@ -239,13 +228,14 @@ def train_strategic(
 ) -> tuple[QTable, list[EpisodeLog]]:
     """Run the path-planning training loop for cfg.episodes_strategic episodes.
 
-    In goal-conditioned mode, episodes alternate between the takeoff cell
+    Without a fixed destination, episodes alternate between the takeoff cell
     and a uniformly random mission cell as the start position. Episodes toward
     the same destination then approach it from many directions, so the
     learned values form one connected basin per destination instead of a
     single thin corridor, and a flight nudged off its trained path can
-    re-join a valued route from wherever it ends up. Fixed-destination mode
-    keeps every episode at the takeoff cell.
+    re-join a valued route from wherever it ends up. With a fixed
+    destination every episode starts at the takeoff cell and the table is
+    keyed by position alone (``TrainConfig.goal_conditioned``).
 
     Up to ``LOCKSTEP_SLOTS`` episodes run together, each step of all of
     them one batch of array operations on ``table.q``. An update reads and
@@ -280,8 +270,7 @@ def train_strategic(
     epsilons = [cfg.schedule.at(e) for e in range(n)]
     eps_of = np.array(epsilons)
     landing = np.array([[m[0] for m in row] for row in world.moves], dtype=np.intp)
-    event_of = np.array([[m[2] for m in row] for row in world.moves], dtype=np.intp)
-    crashes = event_of == CRASHED
+    crashes = np.array([[m[2] is CRASHED for m in row] for row in world.moves])
     dist = _distance_table(world, cfg.distance_metric)
     # ACTIONS_XY is the first four actions, so a candidate's position in
     # the candidate set is its action value.
@@ -289,9 +278,6 @@ def train_strategic(
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
     p = cfg.rewards
-    records: list[list[StepRecord]] | None = (
-        [[] for _ in range(n)] if cfg.record_steps else None
-    )
 
     # after[e]: the next episode to e's destination, or -1
     order = np.argsort(dests, kind="stable")
@@ -343,12 +329,6 @@ def train_strategic(
         # max_a' Q(s', a') is read before the write: s' may be s
         max_next = reduce(np.maximum, q[to, col].T)
         q[at, col, a] = bootstrap(q[at, col, a], r, max_next, alpha, gamma)
-        if records is not None:
-            events = np.where(arrived, ARRIVED, event_of[at, a])
-            for e, c, act, rew, ev in zip(
-                ep.tolist(), at.tolist(), a.tolist(), r.tolist(), events.tolist()
-            ):
-                records[e].append(StepRecord(world.cells[c], ACTIONS[act], rew, StepEvent(ev)))
         at = to
         total += r
         steps += 1
@@ -377,7 +357,6 @@ def train_strategic(
             s,
             TerminalCause.ARRIVED if arr else TerminalCause.STEP_CAP_HIT,
             epsilons[e],
-            None if records is None else records[e],
         )
         for e, (d, t, s, arr) in enumerate(
             zip(dests.tolist(), total_of.tolist(), steps_of.tolist(), arrived_of.tolist())
@@ -414,8 +393,7 @@ def train_adaptive(
     threshold = lb.snr_threshold_db
     p = cfg.rewards
     cell_reward = [p.r_outage if v < threshold else p.r_covered for v in snr]
-    # Plain ints: a list indexed by an int is faster than by an IntEnum
-    # member. Step records turn them back into Actions.
+    # Plain ints: a list indexed by an int is faster than by an IntEnum member.
     candidates = tuple(map(int, cfg.actions))
     n_candidates = len(candidates)
     cap = cfg.resolved_step_cap()
@@ -439,30 +417,23 @@ def train_adaptive(
         row = rows[at]
         total = 0.0
         steps = 0
-        records: list[StepRecord] | None = [] if cfg.record_steps else None
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cap:
             if explore and uniform() < epsilon:
                 a = candidates[randrange(n_candidates)]
             else:
                 a = greedy_action(row, candidates, rng)
-            to, nxt, event = moves[at][a]
+            to, _, event = moves[at][a]
             r = cell_reward[to]
-            if to == goal and event is MOVED:
-                event = ARRIVED
             next_row = rows[to]
             # max_a' Q(s', a') is read before the write: s' may be s
             row[a] = bootstrap(row[a], r, max(next_row), alpha, gamma)
-            if records is not None:
-                records.append(StepRecord(pos, ACTIONS[a], r, event, snr_db=snr[to]))
             total += r
             steps += 1
-            if event is ARRIVED:
+            if to == goal and event is MOVED:
                 terminal = TerminalCause.ARRIVED
                 break
-            pos, at, row = nxt, to, next_row
-        logs.append(
-            EpisodeLog(episode, dest, total, steps, terminal, epsilon, records)
-        )
+            at, row = to, next_row
+        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
     table.q[:] = rows
     return table, logs

@@ -58,7 +58,6 @@ _INT_FIELDS = (
     "seed",
 )
 _OPTIONAL_FIELDS = ("step_cap", "eval_step_cap")
-_BOOL_FIELDS = ("goal_conditioned", "altitude_locked", "record_steps")
 
 
 def band_label(band_mhz: float) -> str:
@@ -87,11 +86,9 @@ class TrainConfig:
     seed: int = 0
     start_cell: Cell = (0, 0, 0)
     bs_cell: Cell | None = None
-    goal_conditioned: bool = True
     fixed_destination: Cell | None = None
     altitude_locked: bool = False
     distance_metric: str = "euclidean"
-    record_steps: bool = False
     uav_velocity_ms: float = UAV_MAX_VELOCITY_MS
     max_altitude_m: float = 100.0
 
@@ -100,10 +97,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (is_int(value) or (value is None and name in _OPTIONAL_FIELDS)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.altitude_locked, bool):
+            raise ConfigError(
+                f"altitude_locked must be true or false, got {self.altitude_locked!r}"
+            )
         # refused before any allocation: the planner's dense Q-table
         try:
             require_table_fits(self.grid, self.goal_conditioned)
@@ -148,8 +145,6 @@ class TrainConfig:
             raise ConfigError(f"start_cell {self.start_cell} out of bounds")
         if self.bs_cell is not None and not self.grid.in_bounds(self.bs_cell):
             raise ConfigError(f"bs_cell {self.bs_cell} out of bounds")
-        if not self.goal_conditioned and self.fixed_destination is None:
-            raise ConfigError("goal_conditioned false needs a fixed_destination")
         if self.fixed_destination is not None:
             if not self.grid.in_bounds(self.fixed_destination):
                 raise ConfigError(f"fixed_destination {self.fixed_destination} out of bounds")
@@ -160,6 +155,15 @@ class TrainConfig:
                 f"grid tops out at {self.grid.max_altitude_m} m, above the "
                 f"{self.max_altitude_m} m flight ceiling"
             )
+
+    @property
+    def goal_conditioned(self) -> bool:
+        """Whether the planner's table is keyed by (position, destination).
+
+        With a ``fixed_destination`` every episode and flight has that one
+        destination, so the planner keys on position alone.
+        """
+        return self.fixed_destination is None
 
     @property
     def actions(self) -> tuple[Action, ...]:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import product, repeat
-from typing import NamedTuple
 
 # A cell address. Plain tuples keep hashing and construction cheap in the
 # training hot loop.
@@ -124,11 +123,6 @@ class StepEvent(IntEnum):
     BLOCKED_AT_BOUNDARY = 1
     CRASHED_INTO_OBSTACLE = 2
     ARRIVED_AT_DESTINATION = 3
-
-
-class StepOutcome(NamedTuple):
-    next: Cell
-    event: StepEvent
 
 
 # One move-table entry: (landing cell's flat index, landing cell, event).
@@ -277,8 +271,10 @@ def build(
     )
 
 
-def apply_action(world: GridWorld, at: Cell, action: Action, dest: Cell) -> StepOutcome:
-    """Move one cell; report where the agent landed and what that means.
+def apply_action(
+    world: GridWorld, at: Cell, action: Action, dest: Cell
+) -> tuple[Cell, StepEvent]:
+    """Move one cell; return where the agent landed and what that means.
 
     Out-of-bounds moves leave the position unchanged. Landing on an obstacle
     is reported as a crash but the position advances into the obstacle cell
@@ -286,8 +282,8 @@ def apply_action(world: GridWorld, at: Cell, action: Action, dest: Cell) -> Step
     """
     _, nxt, event = world.moves[world.index(at)][action]
     if event is StepEvent.MOVED and nxt == dest:
-        return StepOutcome(nxt, StepEvent.ARRIVED_AT_DESTINATION)
-    return StepOutcome(nxt, event)
+        return nxt, StepEvent.ARRIVED_AT_DESTINATION
+    return nxt, event
 
 
 def cell_center_m(spec: GridSpec, c: Cell) -> tuple[float, float, float]:

@@ -25,9 +25,10 @@ Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in.
 
-Evaluation replays the trained tables over fresh random destinations and
-reports Table-style percentages: arrival, crash, step-cap, and outage both
-per flight (a flight counts once however many below-threshold steps it had)
+Evaluation flies the trained tables to fresh random destinations, or
+every flight to the config's ``fixed_destination``, and reports
+Table-style percentages: arrival, crash, step-cap, and outage both per
+flight (a flight counts once however many below-threshold steps it had)
 and per step.
 """
 
@@ -429,7 +430,8 @@ def run_flights(
     safety: bool = True,
     normalize: bool = False,
 ) -> list[FlightRecord]:
-    """Fly ``n_flights`` per band to random mission cells.
+    """Fly ``n_flights`` per band to random mission cells, or all of them to
+    ``cfg.fixed_destination``, the one destination the planner trained for.
 
     The destination stream restarts per band, so every band faces the same
     destination sequence. The planner's tie masks are built once and
@@ -445,7 +447,9 @@ def run_flights(
         dest_rng = stream_rng(seed, "eval.dest")
         tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
         for _ in range(n_flights):
-            dest = random_free_cell(world, dest_rng, cfg.altitude_locked)
+            dest = cfg.fixed_destination or random_free_cell(
+                world, dest_rng, cfg.altitude_locked
+            )
             result: FlightResult = execute_flight(
                 strategic,
                 adaptive[band],

@@ -63,3 +63,20 @@ def alg3_choice(a1, a2, q_strategic_of_a2, q_adaptive_of_a1):
     if q_strategic_of_a2 > q_adaptive_of_a1:
         return a2
     return a1
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def splitmix64_uniform(key, c):
+    """Draw c of the SplitMix64 stream with key ``key``, as a float in [0, 1).
+
+    The generator's c-th state is key + c * golden (mod 2**64); its output
+    is that state through the two xor-shift-multiply rounds and a final
+    xor-shift. The top 53 bits scale to [0, 1).
+    """
+    z = (key + c * _GOLDEN64) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53

@@ -79,9 +79,9 @@ def test_build_rejects_bad_inputs():
 
 def test_apply_action_boundary_clamp():
     world = build(SPEC, 0.0, seed=1)
-    out = apply_action(world, (0, 0, 0), Action.MINUS_X, dest=(5, 5, 0))
-    assert out.event == StepEvent.BLOCKED_AT_BOUNDARY
-    assert out.next == (0, 0, 0)
+    nxt, event = apply_action(world, (0, 0, 0), Action.MINUS_X, dest=(5, 5, 0))
+    assert event == StepEvent.BLOCKED_AT_BOUNDARY
+    assert nxt == (0, 0, 0)
 
 
 def test_apply_action_crash_pass_through():
@@ -93,16 +93,16 @@ def test_apply_action_crash_pass_through():
         start_cell=world.start_cell,
         obstacle_density=0.0,
     )
-    out = apply_action(world, (3, 4, 1), Action.PLUS_Y, dest=(9, 9, 4))
-    assert out.event == StepEvent.CRASHED_INTO_OBSTACLE
-    assert out.next == (3, 5, 1)
+    nxt, event = apply_action(world, (3, 4, 1), Action.PLUS_Y, dest=(9, 9, 4))
+    assert event == StepEvent.CRASHED_INTO_OBSTACLE
+    assert nxt == (3, 5, 1)
 
 
 def test_apply_action_arrival():
     world = build(SPEC, 0.0, seed=1)
-    out = apply_action(world, (3, 4, 1), Action.PLUS_X, dest=(4, 4, 1))
-    assert out.event == StepEvent.ARRIVED_AT_DESTINATION
-    assert out.next == (4, 4, 1)
+    nxt, event = apply_action(world, (3, 4, 1), Action.PLUS_X, dest=(4, 4, 1))
+    assert event == StepEvent.ARRIVED_AT_DESTINATION
+    assert nxt == (4, 4, 1)
 
 
 def test_transition_totality_and_boundary_safety():
@@ -111,9 +111,8 @@ def test_transition_totality_and_boundary_safety():
     pos = world.start_cell
     for _ in range(2000):
         a = ACTIONS[rng.randrange(6)]
-        out = apply_action(world, pos, a, dest=(19, 19, 4))
-        assert world.spec.in_bounds(out.next)
-        pos = out.next
+        pos, _ = apply_action(world, pos, a, dest=(19, 19, 4))
+        assert world.spec.in_bounds(pos)
 
 
 def test_action_set_is_six_unit_moves():

@@ -369,6 +369,16 @@ def test_evaluate_checks_format_version_first(tmp_path, capsys, case):
     assert "artifact error:" in err and "unknown field" not in err
 
 
+@pytest.mark.parametrize("name", ["goal_conditioned", "record_steps"])
+def test_evaluate_refuses_manifest_config_with_retired_field(tmp_path, capsys, name):
+    # a run trained while these were config fields has to be retrained
+    out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
+    _edit_manifest(out, lambda m: {**m, "config": {**m["config"], name: False}})
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "artifact error:" in err and f"{name}: unknown field" in err
+
+
 @contextmanager
 def _deadline(seconds):
     """Turn a hang (the bug under test) into a failure instead of a stuck suite."""
@@ -413,7 +423,6 @@ def test_training_with_one_mission_cell_fails_fast(tmp_path, goal_conditioned):
         bands_mhz=(900.0,),
         episodes_strategic=2,
         episodes_adaptive=2,
-        goal_conditioned=goal_conditioned,
         fixed_destination=None if goal_conditioned else (0, 0, 1),
     )
     with _deadline(30), pytest.raises(ConfigError, match="missions need 2"):
@@ -550,8 +559,10 @@ def test_cli_train_rejects_non_int_seed(tmp_path, capsys):
 
 
 # Each case gives one integer or boolean field a value of the wrong type
-# (or, for eval_step_cap, one below its range). eval_flights is no field at
-# all (``uavnav evaluate --flights`` sets the count), so it fails as unknown.
+# (or, for eval_step_cap, one below its range). The UNKNOWN_FIELDS cases
+# name no field at all, so they fail as unknown: ``uavnav evaluate
+# --flights`` sets the flight count, the planner's table layout follows
+# fixed_destination, and training records no steps.
 WRONG_TYPE = {
     "grid.nx float": {"grid": {"nx": 2.5, "ny": 4, "nz": 2}},
     "grid.ny bool": {"grid": {"nx": 4, "ny": True, "nz": 2}},
@@ -568,6 +579,7 @@ WRONG_TYPE = {
     "altitude_locked text": {"altitude_locked": "yes"},
     "record_steps int": {"record_steps": 0},
 }
+UNKNOWN_FIELDS = ("eval_flights bool", "goal_conditioned int", "record_steps int")
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPE))
@@ -578,14 +590,14 @@ def test_cli_train_rejects_wrongly_typed_fields(tmp_path, capsys, case):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
-    assert ("eval_flights: unknown field" in err) == (case == "eval_flights bool")
+    field = case.split()[0]
+    assert (f"{field}: unknown field" in err) == (case in UNKNOWN_FIELDS)
     assert not out.exists()
 
 
 # A fixed-destination planner needs a destination on the grid that is not
 # the takeoff cell; neither depends on the world, so the config refuses it.
 FIXED_DESTINATION = {
-    "missing": ({"goal_conditioned": False}, "needs a fixed_destination"),
     "off grid": ({"fixed_destination": [9, 0, 0]}, "out of bounds"),
     "start cell": ({"fixed_destination": [0, 0, 0]}, "equals start_cell"),
 }
@@ -595,7 +607,7 @@ FIXED_DESTINATION = {
 def test_cli_train_rejects_fixed_destination(tmp_path, capsys, case):
     raw, message = FIXED_DESTINATION[case]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY_RAW, "goal_conditioned": False, **raw}))
+    cfg_path.write_text(json.dumps({**TINY_RAW, **raw}))
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -605,8 +617,7 @@ def test_cli_train_rejects_fixed_destination(tmp_path, capsys, case):
 
 def test_cli_train_rejects_fixed_destination_on_obstacle(tmp_path, capsys):
     # the check needs the built world, so it runs before training, not in the config
-    raw = {**TINY_RAW, "obstacle_density": 0.3, "seed": 0,
-           "goal_conditioned": False, "fixed_destination": [0, 0, 1]}
+    raw = {**TINY_RAW, "obstacle_density": 0.3, "seed": 0, "fixed_destination": [0, 0, 1]}
     assert (0, 0, 1) in build_world(config_from_dict(raw)).obstacles
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
@@ -620,8 +631,7 @@ def test_cli_train_rejects_fixed_destination_on_obstacle(tmp_path, capsys):
 def test_cli_train_rejects_fixed_destination_off_takeoff_layer(tmp_path, capsys):
     # altitude_locked missions stay on the takeoff layer: a planner trained
     # toward a cell above it would never arrive
-    raw = {**TINY_RAW, "seed": 3, "altitude_locked": True,
-           "goal_conditioned": False, "fixed_destination": [3, 3, 1]}
+    raw = {**TINY_RAW, "seed": 3, "altitude_locked": True, "fixed_destination": [3, 3, 1]}
     assert (3, 3, 1) not in build_world(config_from_dict(raw)).obstacles
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
@@ -630,6 +640,23 @@ def test_cli_train_rejects_fixed_destination_off_takeoff_layer(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "config error:" in err and "off the altitude_locked takeoff layer z=0" in err
     assert not out.exists()
+
+
+def test_cli_fixed_destination_flights_all_fly_to_it(tmp_path):
+    # the planner trained toward one cell only; no flight may go elsewhere
+    raw = {"grid": {"nx": 6, "ny": 6, "nz": 2}, "obstacle_density": 0.1, "seed": 3,
+           "bands_mhz": [900.0, 2100.0], "episodes_strategic": 300, "episodes_adaptive": 50,
+           "fixed_destination": [5, 5, 0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert not load_artifacts(out)[1].goal_conditioned
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "50"]) == 0
+    with open(out / "flights.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 100
+    assert {(r["dest_ix"], r["dest_iy"], r["dest_iz"]) for r in rows} == {("5", "5", "0")}
 
 
 @pytest.mark.parametrize("bands", [[900, 900], [900, 900.0000001]], ids=["equal", "same label"])
@@ -659,7 +686,7 @@ def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, caps
         tracemalloc.stop()
     assert peak < 1 << 20
     # a position-keyed planner on the same grid needs only Q[cell, a]
-    TrainConfig(grid=over, goal_conditioned=False, fixed_destination=(5, 0, 0))
+    TrainConfig(grid=over, fixed_destination=(5, 0, 0))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TINY_RAW, "grid": {"nx": 6689, "ny": 1, "nz": 1}}))
     out = tmp_path / "run"

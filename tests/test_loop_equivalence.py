@@ -1,12 +1,16 @@
 """The training loops against the public calls.
 
 ``train_strategic`` runs up to ``LOCKSTEP_SLOTS`` episodes in lockstep on
-the dense table. Its check replays every episode's recorded actions, in
-episode order, through ``apply_action``, ``reward_strategic`` and
-``q_update``: the replay must give the same table, float bits included, and
-the same episode logs, step records included, down to the types of their
-fields. On steps taken at epsilon 0 the recorded action must be an argmax
-of the replayed row. The slot count must not change what is trained.
+the dense table. Its reference below is a sequential transcription: it
+draws the missions and stream keys as ``train_strategic`` does, then runs
+the episodes one after another, in episode order, and picks every action
+itself from the episode's SplitMix64 stream (``oracles.splitmix64_uniform``,
+Python ints): draw 2t is the exploration coin, draw 2t + 1 picks the
+``int(u * len(picks))``-th of the argmax ties, or of all candidates when
+exploring. It steps with ``apply_action``, ``reward_strategic`` and
+``q_update``. Both must give the same table, float bits included, and the
+same episode logs, down to the types of their fields. The slot count must
+not change what is trained.
 
 ``train_adaptive`` steps through the world's move table with the reward and
 the update written out. The reference loop below takes each step the plain
@@ -18,12 +22,12 @@ import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from uavnav import agents
 from uavnav.agents import (
     EpisodeLog,
-    StepRecord,
     TerminalCause,
     reward_adaptive,
     reward_strategic,
@@ -34,7 +38,6 @@ from uavnav.config import TrainConfig, stream_rng
 from uavnav.gridworld import (
     ACTIONS,
     ACTIONS_XY,
-    Action,
     GridSpec,
     StepEvent,
     apply_action,
@@ -46,62 +49,61 @@ from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule, QTable, q_update, select_action
 from uavnav.radio import coverage_map
 
+from oracles import splitmix64_uniform
 
-def replay_strategic(world, cfg, logs):
-    """Replay each log's recorded actions in episode order.
 
-    Also returns the number of steps taken at epsilon 0 and, among them,
-    the actions taken from an all-zero row, where every candidate ties.
+def reference_strategic(world, cfg, rng):
+    """``train_strategic``, one episode after another, each action picked here.
+
+    Also returns the steps taken per ``StepEvent`` and the actions taken at
+    epsilon 0 from an all-zero row, where every candidate ties.
     """
+    gen = np.random.default_rng(rng.getrandbits(128))
+    starts, dests = agents._missions(world, cfg, gen)
+    keys = gen.integers(1 << 64, size=cfg.episodes_strategic, dtype=np.uint64).tolist()
+    goal_conditioned = cfg.fixed_destination is None
     table = QTable("strategic", world.spec, cfg.hyper, cfg.seed,
-                   goal_conditioned=cfg.goal_conditioned)
+                   goal_conditioned=goal_conditioned)
     dist = manhattan_m if cfg.distance_metric == "manhattan" else distance_m
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
-    cap = cfg.resolved_step_cap()
-    replayed, greedy_steps, tie_actions = [], 0, Counter()
-    for episode, log in enumerate(logs):
-        assert log.episode == episode
-        dest = log.destination
-        pos = log.records[0].state
+    missions = world.mission_cells(cfg.altitude_locked)
+    logs, events, ties = [], Counter(), Counter()
+    for episode, key in enumerate(keys):
+        pos, dest = world.cells[starts[episode]], world.cells[dests[episode]]
         # the mission rules
-        assert dest != world.start_cell and dest not in world.obstacles
+        assert dest in missions
+        if cfg.fixed_destination is not None:
+            assert dest == cfg.fixed_destination
         if cfg.fixed_destination is not None or episode % 2 == 0:
             assert pos == world.start_cell
         else:
-            assert pos != dest and pos not in world.obstacles
-        if cfg.fixed_destination is not None:
-            assert dest == cfg.fixed_destination
-        if cfg.altitude_locked:
-            assert pos[2] == dest[2] == world.start_cell[2]
-
-        d_prev = dist(world, pos, dest)
-        total, records = 0.0, []
+            assert pos in missions and pos != dest
+        epsilon = cfg.schedule.at(episode)
+        total, steps = 0.0, 0
         terminal = TerminalCause.STEP_CAP_HIT
-        for rec in log.records:
-            a = rec.action
-            assert a in candidates
-            s_key = (pos, dest) if cfg.goal_conditioned else pos
-            if log.epsilon == 0.0:
-                row = table.values(s_key)
-                assert row[a] == max(row[c] for c in candidates)
-                greedy_steps += 1
-                if not any(row):
-                    tie_actions[a] += 1
+        while steps < cfg.resolved_step_cap():
+            coin = splitmix64_uniform(key, 2 * steps)
+            u = splitmix64_uniform(key, 2 * steps + 1)
+            s = (pos, dest) if goal_conditioned else pos
+            row = table.values(s)
+            best = max(row[a] for a in candidates)
+            picks = [a for a in candidates if coin < epsilon or row[a] == best]
+            a = picks[int(u * len(picks))]
+            if epsilon == 0.0 and not any(row):
+                ties[a] += 1
             nxt, event = apply_action(world, pos, a, dest)
-            d_next = dist(world, nxt, dest)
-            r = reward_strategic(d_prev, d_next, event, cfg.rewards)
-            q_update(table, s_key, a, r, (nxt, dest) if cfg.goal_conditioned else nxt,
-                     cfg.hyper)
-            records.append(StepRecord(pos, a, r, event))
+            r = reward_strategic(dist(world, pos, dest), dist(world, nxt, dest), event,
+                                 cfg.rewards)
+            q_update(table, s, a, r, (nxt, dest) if goal_conditioned else nxt, cfg.hyper)
+            events[event] += 1
             total += r
-            pos, d_prev = nxt, d_next
+            steps += 1
+            pos = nxt
             if event == StepEvent.ARRIVED_AT_DESTINATION:
                 terminal = TerminalCause.ARRIVED
                 break
-        assert terminal is TerminalCause.ARRIVED or len(records) == cap
-        replayed.append(EpisodeLog(episode, dest, total, len(records), terminal,
-                                   cfg.schedule.at(episode), records))
-    return table, replayed, greedy_steps, tie_actions
+        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
+    return table, logs, events, ties
 
 
 def reference_adaptive(world, lb, cfg, rng):
@@ -117,23 +119,19 @@ def reference_adaptive(world, lb, cfg, rng):
         while dest == pos:
             dest = random_free_cell(world, rng, locked)
         total, steps = 0.0, 0
-        records = [] if cfg.record_steps else None
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cfg.resolved_step_cap():
             a = select_action(table, pos, epsilon, rng, candidates)
             nxt, event = apply_action(world, pos, a, dest)
-            snr = float(cmap.snr[nxt])
-            r = reward_adaptive(snr, lb.snr_threshold_db, cfg.rewards)
+            r = reward_adaptive(float(cmap.snr[nxt]), lb.snr_threshold_db, cfg.rewards)
             q_update(table, pos, a, r, nxt, cfg.hyper)
-            if records is not None:
-                records.append(StepRecord(pos, a, r, event, snr_db=snr))
             total += r
             steps += 1
             pos = nxt
             if event == StepEvent.ARRIVED_AT_DESTINATION:
                 terminal = TerminalCause.ARRIVED
                 break
-        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon, records))
+        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
     return table, logs
 
 
@@ -147,19 +145,31 @@ def typed(value):
     return type(value), value
 
 
-def log_signature(log: EpisodeLog):
-    records = None
-    if log.records is not None:
-        records = [typed(dataclasses.astuple(rec)) for rec in log.records]
-    return typed(dataclasses.astuple(dataclasses.replace(log, records=None))), records
-
-
 def assert_same_run(got, want):
     (t_got, logs_got), (t_want, logs_want) = got, want
     assert t_got == t_want
     # float bits, so -0.0 and 0.0 differ
     assert t_got.q.tobytes() == t_want.q.tobytes()
-    assert [log_signature(l) for l in logs_got] == [log_signature(l) for l in logs_want]
+    assert [typed(dataclasses.astuple(l)) for l in logs_got] == [
+        typed(dataclasses.astuple(l)) for l in logs_want
+    ]
+
+
+# SplitMix64 seeded with 0: its first four outputs, as published with the
+# generator. Output c mixes the state c * golden.
+SPLITMIX64_SEED0 = (
+    0xE220A8397B1DCDAF,
+    0x6E789E6AA1B965F4,
+    0x06C45D188009454F,
+    0xF88BB8A8724C81EC,
+)
+
+
+def test_stream_draws_are_splitmix64():
+    want = [(v >> 11) * 2.0**-53 for v in SPLITMIX64_SEED0]
+    states = [c * 0x9E3779B97F4A7C15 % 2**64 for c in range(1, 5)]
+    assert agents._uniforms(np.array(states, dtype=np.uint64)).tolist() == want
+    assert [splitmix64_uniform(0, c) for c in range(1, 5)] == want
 
 
 BASE = dict(
@@ -175,7 +185,8 @@ MODES = {
     "fixed_destination": {},  # mode_config picks the destination
     "altitude_locked": {"altitude_locked": True},
     "manhattan": {"distance_metric": "manhattan"},
-    "record_steps": {"record_steps": True},
+    # an odd count: the last episode takes off from the takeoff cell
+    "401_episodes": {"episodes_strategic": 401, "episodes_adaptive": 401},
     # epsilon reaches exactly 0 from episode 108 on
     "greedy": {"schedule": EpsilonSchedule(1.0, 0.0, 1e-3)},
 }
@@ -185,31 +196,26 @@ def mode_config(mode: str) -> TrainConfig:
     cfg = TrainConfig(**{**BASE, **MODES[mode]})
     if mode == "fixed_destination":
         world = build_world(cfg)
-        free = [c for c in world.cells if c not in world.obstacles and c != world.start_cell]
-        cfg = dataclasses.replace(cfg, goal_conditioned=False, fixed_destination=free[-1])
+        cfg = dataclasses.replace(cfg, fixed_destination=max(world.mission_cells()))
     return cfg
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_train_strategic_replays_through_public_calls(mode):
-    cfg = dataclasses.replace(mode_config(mode), record_steps=True)
+    cfg = mode_config(mode)
     world = build_world(cfg)
-    table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
-    replayed, replayed_logs, greedy_steps, ties = replay_strategic(build_world(cfg), cfg, logs)
-    assert_same_run((table, logs), (replayed, replayed_logs))
+    got = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+    table, logs, _, ties = reference_strategic(
+        build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic")
+    )
+    assert_same_run(got, (table, logs))
     assert table.n_states() > 0
+    assert table.goal_conditioned == (mode != "fixed_destination")
     if mode == "greedy":
-        assert greedy_steps > 1000
         # ties go to each of the six actions alike: chi-square, df=5, 0.001 level
         n = sum(ties.values())
         assert n > 600
         assert sum((ties[a] - n / 6) ** 2 / (n / 6) for a in ACTIONS) < 20.5
-    if mode == "record_steps":
-        # recording draws nothing: a plain run gives the same table and logs
-        plain = dataclasses.replace(cfg, record_steps=False)
-        got = train_strategic(world, plain, stream_rng(cfg.seed, "train.strategic"))
-        unrecorded = [dataclasses.replace(log, records=None) for log in logs]
-        assert_same_run(got, (table, unrecorded))
 
 
 @pytest.mark.parametrize("slots", [1, 7])
@@ -223,7 +229,7 @@ def test_train_strategic_does_not_depend_on_slot_count(monkeypatch, slots):
     assert_same_run(fewer, batched)
 
 
-@pytest.mark.parametrize("mode", ["goal_conditioned", "altitude_locked", "record_steps"])
+@pytest.mark.parametrize("mode", ["goal_conditioned", "altitude_locked", "401_episodes"])
 def test_train_adaptive_matches_reference_loop(mode):
     cfg = mode_config(mode)
     world = build_world(cfg)
@@ -234,8 +240,8 @@ def test_train_adaptive_matches_reference_loop(mode):
 
 
 def test_compared_runs_cover_every_step_event():
-    cfg = mode_config("record_steps")
-    _, logs = train_strategic(build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic"))
-    records = [rec for log in logs for rec in log.records]
-    assert {rec.event for rec in records} == set(StepEvent)
-    assert all(type(rec.action) is Action and type(rec.event) is StepEvent for rec in records)
+    cfg = mode_config("goal_conditioned")
+    _, _, events, _ = reference_strategic(
+        build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic")
+    )
+    assert set(events) == set(StepEvent)
