@@ -46,7 +46,6 @@ from .qcore import (
     EpsilonSchedule,
     Hyper,
     QTable,
-    StateKey,
     q_update,
     select_action,
 )

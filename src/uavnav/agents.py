@@ -3,17 +3,18 @@
 The strategic planner learns shortest obstacle-aware paths: every step is
 rewarded by whether it strictly reduced the distance to the episode's
 destination, with large additive terms for crashing into an obstacle or
-arriving. Its Q-table is goal-conditioned -- keys are (position,
-destination) pairs -- because each episode draws a fresh destination and a
-position-only table cannot represent distance-to-goal preferences for
-arbitrary targets. With a ``fixed_destination`` (literal single-goal
-replication) every episode flies to that one cell and the table keys on
-position alone.
+arriving. Its Q-table is goal-conditioned -- one column per destination,
+so a state is a (position, destination) pair -- because each episode draws
+a fresh destination and a position-only table cannot represent
+distance-to-goal preferences for arbitrary targets. With a
+``fixed_destination`` (literal single-goal replication) every episode
+flies to that one cell and the table has one column
+(``TrainConfig.planner_columns``).
 
 The coverage agent learns where the cellular link holds up: each step is
 rewarded by whether the SNR at the landed cell clears the threshold. Its
-keys are positions only; the episode's destination merely decides when the
-episode ends.
+table has one column, so its states are positions only; the episode's
+destination merely decides when the episode ends.
 
 Crashes during training pass through (penalty, episode continues); a step
 cap aborts episodes that would otherwise wander unboundedly.
@@ -26,7 +27,7 @@ The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
 reads (s', same destination), so up to ``LOCKSTEP_SLOTS`` episodes with
 distinct destinations advance together, each step one batch of numpy
-operations on the dense ``Q[cell, dest, a]`` table: epsilon mask, argmax
+operations on the dense ``Q[cell, column, a]`` table: epsilon mask, argmax
 with uniform random ties, move-table lookup, reward, scatter update. Its
 choices follow the rule of ``select_action`` and its updates round as
 ``q_update``'s do; a test runs the episodes one after another, picking
@@ -34,10 +35,10 @@ each action from the episode's random stream and stepping through
 ``apply_action``, ``reward_strategic`` and ``q_update``, and gets the same
 table and logs bit for bit.
 
-The coverage agent's table is keyed by position alone, so every episode
-reads every other's rows and its loop stays sequential: one update per
-step, on Python lists of the table's rows indexed by flat cell index, with
-the coverage reward of every cell computed once per band from the band's
+The coverage agent's table has one column, so every episode reads every
+other's rows and its loop stays sequential: one update per step, on Python
+lists of the table's rows indexed by flat cell index, with the coverage
+reward of every cell computed once per band from the band's
 ``CoverageMap``. Its choices and updates are those of ``select_action``,
 ``apply_action``, ``reward_adaptive`` and ``q_update``, RNG draws
 included, and a test replays it against a loop built from those calls.
@@ -64,7 +65,7 @@ from .gridworld import (
     random_free_cell,
     require_mission_cells,
 )
-from .qcore import N_ACTIONS, QTable, bootstrap, greedy_action
+from .qcore import QTable, bootstrap, greedy_action
 from .radio import LinkBudget, coverage_map
 
 if TYPE_CHECKING:
@@ -234,8 +235,8 @@ def train_strategic(
     learned values form one connected basin per destination instead of a
     single thin corridor, and a flight nudged off its trained path can
     re-join a valued route from wherever it ends up. With a fixed
-    destination every episode starts at the takeoff cell and the table is
-    keyed by position alone (``TrainConfig.goal_conditioned``).
+    destination every episode starts at the takeoff cell and the table has
+    one column (``TrainConfig.planner_columns``).
 
     Up to ``LOCKSTEP_SLOTS`` episodes run together, each step of all of
     them one batch of array operations on ``table.q``. An update reads and
@@ -252,7 +253,6 @@ def train_strategic(
     and logs do not depend on ``LOCKSTEP_SLOTS``: one slot gives the same
     bits as a sequential loop over the episodes.
     """
-    goal_conditioned = cfg.goal_conditioned
     gen = np.random.default_rng(rng.getrandbits(128))
     n = cfg.episodes_strategic
     starts, dests = _missions(world, cfg, gen)
@@ -261,11 +261,9 @@ def train_strategic(
         grid=world.spec,
         hyper=cfg.hyper,
         seed=cfg.seed,
-        goal_conditioned=goal_conditioned,
+        columns=cfg.planner_columns,
     )
-    # q[cell, column, a]: a destination's column, or the one column of a
-    # position-keyed table
-    q = table.q.reshape(world.spec.n_cells, -1, N_ACTIONS)
+    q = table.q
     streams = gen.integers(1 << 64, size=n, dtype=np.uint64)  # stream keys
     epsilons = [cfg.schedule.at(e) for e in range(n)]
     eps_of = np.array(epsilons)
@@ -308,7 +306,7 @@ def train_strategic(
             draw = np.concatenate((draw, streams[new]))
         if not ep.size:
             break
-        col = goal if goal_conditioned else 0
+        col = table.column(goal)
 
         # epsilon-greedy over the candidates: a uniformly drawn one of the
         # maximizers, or of all candidates when exploring
@@ -374,10 +372,10 @@ def train_adaptive(
     flight arbiter reads.
 
     Episodes alternate between the takeoff cell and a uniformly random mission
-    cell as the start position. The coverage table is keyed by position
-    alone and has to be informative over the whole region, which a random
-    walk pinned to one corner never reaches; the takeoff-started half keeps
-    the early training signal representative of real departures.
+    cell as the start position. The coverage table has one column, keyed by
+    position alone, and has to be informative over the whole region, which a
+    random walk pinned to one corner never reaches; the takeoff-started half
+    keeps the early training signal representative of real departures.
     """
     table = QTable(
         kind="adaptive",
@@ -386,7 +384,7 @@ def train_adaptive(
         seed=cfg.seed,
         f_mhz=lb.f_mhz,
     )
-    rows = table.q.tolist()
+    rows = table.q[:, 0].tolist()
     moves = world.moves
     index = world.index
     snr = coverage_map(lb, world).snr_by_index
@@ -435,5 +433,5 @@ def train_adaptive(
                 break
             at, row = to, next_row
         logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
-    table.q[:] = rows
+    table.q[:, 0] = rows
     return table, logs

@@ -21,13 +21,14 @@ safe-action sets, and ``allowed``) and takes each argmax with
 ``qcore.greedy_action``, the tie-break rule training uses. A flight looks
 the same decisions up instead: the tables are frozen, so under a fixed
 candidate rule every row's argmax ties are fixed, and ``TieMasks`` holds
-them as 6-bit masks, filling the planner's one destination at a time, the
-first time that destination is flown. A step decodes both masks to their
-ties in ascending action order, the order ``decide`` lists its candidates
-in, and calls ``rng.randrange`` only when two or more actions tie, planner
-first and coverage agent second, as ``decide`` does. The same random numbers are
-drawn in the same order, so a flight is bit-identical to stepping
-``decide``; the replay tests hold every step to it.
+them as 6-bit masks, filling the planner's one column at a time, the
+first time a destination of that column is flown. A step decodes both
+masks to their ties in ascending action order, the order ``decide`` lists
+its candidates in, and calls ``rng.randrange`` only when two or more
+actions tie, planner first and coverage agent second, as ``decide`` does.
+The same random numbers are drawn in the same order, so a flight is
+bit-identical to stepping ``decide``; the replay tests hold every step to
+it.
 
 A flight steps through the world's move table. Each step's SNR is read
 from the band's ``CoverageMap``, the same map the coverage agent trained
@@ -120,11 +121,10 @@ class TieMasks:
     rule, ``safety`` and ``allowed`` as ``decide`` applies them; ``allowed``
     must list distinct actions in ascending order, as ``ACTIONS`` and
     ``ACTIONS_XY`` do. The planner's masks are one ``uint8`` per (cell,
-    destination) in an array ``[dest, cell]`` (one row for a fixed-destination
-    planner), shared by all bands; a destination's row is filled the first
-    time it is flown. A coverage table's masks, one per cell, are decoded
-    the first time that table is flown. No table may change while its masks
-    are in use.
+    column) in an array ``[column, cell]``, shared by all bands; a column is
+    filled the first time it is flown. A coverage table's masks, one per
+    cell of its one column, are decoded the first time that table is flown.
+    No table may change while its masks are in use.
     """
 
     def __init__(
@@ -148,9 +148,8 @@ class TieMasks:
         self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
         for i, safe in enumerate(world.safe_actions):
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
-        rows = n if q_strategic.goal_conditioned else 1
-        self._planner = np.zeros((rows, n), dtype=np.uint8)
-        self._done = np.zeros(rows, dtype=bool)
+        self._planner = np.zeros((q_strategic.columns, n), dtype=np.uint8)
+        self._done = np.zeros(q_strategic.columns, dtype=bool)
         self._coverage: dict[int, tuple[QTable, list[tuple[int, ...]], list[list[float]]]] = {}
 
     def planner(self, goal: int) -> tuple[list[int], np.ndarray]:
@@ -158,23 +157,20 @@ class TieMasks:
 
         ``goal`` is the destination's flat index.
         """
-        q = self.q_strategic.q
-        if self.q_strategic.goal_conditioned:
-            q = q[:, goal]
-        else:
-            goal = 0
-        if not self._done[goal]:
-            self._planner[goal] = _tie_masks(q, self._candidate_mask)
-            self._done[goal] = True
-        return self._planner[goal].tolist(), q
+        col = self.q_strategic.column(goal)
+        q = self.q_strategic.q[:, col]
+        if not self._done[col]:
+            self._planner[col] = _tie_masks(q, self._candidate_mask)
+            self._done[col] = True
+        return self._planner[col].tolist(), q
 
     def coverage(self, q_adaptive: QTable) -> tuple[list[tuple[int, ...]], list[list[float]]]:
         """A coverage table's ties per cell, decoded, and its rows as lists."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
-            if q_adaptive.goal_conditioned:
-                raise ValueError("the coverage table must be keyed by position")
-            q = q_adaptive.q
+            if q_adaptive.columns != 1:
+                raise ValueError("the coverage table must have one column")
+            q = q_adaptive.q[:, 0]
             ties = [_TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
             hit = (q_adaptive, ties, q.tolist())
             self._coverage[id(q_adaptive)] = hit
@@ -215,11 +211,8 @@ def decide(
             raise ValueError(f"cell {c} lies outside the grid")
     at = world.index(s_pos)
     candidates = _candidates(world.safe_actions[at], safety, allowed)
-    if q_strategic.goal_conditioned:
-        row_s = q_strategic.q[at, world.index(dest)].tolist()
-    else:
-        row_s = q_strategic.q[at].tolist()
-    row_a = q_adaptive.q[at].tolist()
+    row_s = q_strategic.q[at, q_strategic.column(world.index(dest))].tolist()
+    row_a = q_adaptive.q[at, 0].tolist()
     a1 = greedy_action(row_s, candidates, rng)
     a2 = greedy_action(row_a, candidates, rng)
     if a1 == a2:

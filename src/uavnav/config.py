@@ -103,7 +103,7 @@ class TrainConfig:
             )
         # refused before any allocation: the planner's dense Q-table
         try:
-            require_table_fits(self.grid, self.goal_conditioned)
+            require_table_fits(self.grid, self.planner_columns)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.obstacle_density <= 0.5:
@@ -157,13 +157,13 @@ class TrainConfig:
             )
 
     @property
-    def goal_conditioned(self) -> bool:
-        """Whether the planner's table is keyed by (position, destination).
+    def planner_columns(self) -> int:
+        """The planner's table columns: one per destination, or one.
 
         With a ``fixed_destination`` every episode and flight has that one
         destination, so the planner keys on position alone.
         """
-        return self.fixed_destination is None
+        return self.grid.n_cells if self.fixed_destination is None else 1
 
     @property
     def actions(self) -> tuple[Action, ...]:

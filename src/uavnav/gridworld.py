@@ -68,10 +68,6 @@ class GridSpec:
             raise ValueError("cell sizes must be positive finite numbers")
 
     @property
-    def region_side_m(self) -> float:
-        return self.nx * self.cell_size_m
-
-    @property
     def n_cells(self) -> int:
         return self.nx * self.ny * self.nz
 

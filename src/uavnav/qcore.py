@@ -1,14 +1,14 @@
 """Tabular Q-learning machinery shared by both agents.
 
-A Q-table maps (state key, action) to a learned value, defaulting to 0.0
-for anything never updated. State keys are position cells for the coverage
-agent and (position, destination) pairs for the goal-conditioned planner
-(plain position when trained against a single fixed destination). The
-values are one dense float64 array, ``QTable.q``, indexed by flat cell
-index: ``q[cell, dest, a]`` for the goal-conditioned planner, ``q[cell, a]``
-otherwise. At the default 20 x 20 x 5 grid the planner's array takes
-192 MB; a table over 2 GiB (``MAX_TABLE_BYTES``) is refused before it is
-allocated.
+A Q-table maps (state, action) to a learned value, defaulting to 0.0 for
+anything never updated. Every table is one dense float64 array of one
+shape, ``QTable.q[cell, column, a]``, indexed by flat cell index. The
+goal-conditioned planner has one column per destination, so the
+destination is part of its state; the fixed-destination planner and the
+coverage agent have one column. A state is a ``(cell, column)`` pair and
+``q[s]`` is its row; ``QTable.column`` maps a destination to its column.
+At the default 20 x 20 x 5 grid the planner's array takes 192 MB; a table
+over 2 GiB (``MAX_TABLE_BYTES``) is refused before it is allocated.
 
 The update is the standard one-step bootstrap
 
@@ -22,7 +22,7 @@ arrays alike, and ``greedy_action`` the argmax with random ties.
 agent's loop and the flight arbiter, and the planner's lockstep loop in
 ``agents`` applies ``bootstrap`` to a whole batch of episodes at once.
 
-A checkpoint (format v3, ``save``/``load``) is an uncompressed zip of three
+A checkpoint (format v4, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
 
 - ``occupied``: uint8, ``np.packbits`` of which rows of ``q.reshape(-1, 6)``
@@ -30,7 +30,7 @@ A checkpoint (format v3, ``save``/``load``) is an uncompressed zip of three
 - ``values``: float64, n x 6, the stored rows in C order of ``q``
 - ``meta``: a 0-d unicode array holding a JSON object with
   ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
-  ``goal_conditioned`` and ``f_mhz``
+  ``columns`` and ``f_mhz``
 
 Every member carries a fixed timestamp, so a table always writes the same
 bytes. ``load`` checks the version, dtypes, shapes, padding bits, that the
@@ -47,17 +47,13 @@ import math
 import random
 import zipfile
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gridworld import ACTIONS, Action, Cell, GridSpec, is_int
+from .gridworld import ACTIONS, Action, GridSpec, is_int
 
-# Position key (coverage agent / fixed-destination planner) or
-# (position, destination) key (goal-conditioned planner).
-StateKey = Union[Cell, tuple[Cell, Cell]]
-
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _MEMBERS = ("occupied", "values", "meta")
 
 N_ACTIONS = len(ACTIONS)
@@ -107,20 +103,9 @@ class EpsilonSchedule:
         return max(self.epsilon_min, self.epsilon0 * self.decay**episode)
 
 
-def table_shape(grid: GridSpec, goal_conditioned: bool) -> tuple[int, ...]:
-    """Shape of a table's dense values: ``Q[cell, dest, a]`` or ``Q[cell, a]``."""
-    n = grid.n_cells
-    return (n, n, N_ACTIONS) if goal_conditioned else (n, N_ACTIONS)
-
-
-def table_bytes(grid: GridSpec, goal_conditioned: bool) -> int:
-    """Bytes of a table's dense float64 values."""
-    return math.prod(table_shape(grid, goal_conditioned)) * 8
-
-
-def require_table_fits(grid: GridSpec, goal_conditioned: bool) -> None:
+def require_table_fits(grid: GridSpec, columns: int) -> None:
     """Raise ValueError when a table's values would exceed ``MAX_TABLE_BYTES``."""
-    nbytes = table_bytes(grid, goal_conditioned)
+    nbytes = grid.n_cells * columns * N_ACTIONS * 8
     if nbytes > MAX_TABLE_BYTES:
         raise ValueError(
             f"a {grid.nx} x {grid.ny} x {grid.nz} grid ({grid.n_cells:,} cells) needs "
@@ -131,12 +116,12 @@ def require_table_fits(grid: GridSpec, goal_conditioned: bool) -> None:
 class QTable:
     """Dense (state, action) -> value store with identifying metadata.
 
-    The values live in one float64 array ``q``, indexed by flat cell index
-    (``GridSpec.index``): ``q[cell, dest, a]`` when goal-conditioned, else
-    ``q[cell, a]``. Every value starts at exactly 0.0, and a state is
-    *stored* when its row holds a non-zero value; only stored rows are
-    counted, listed and saved. A table is single-writer during training and
-    treated as frozen afterwards.
+    The values live in one float64 array ``q[cell, column, a]``, indexed
+    by flat cell index (``GridSpec.index``), with ``columns`` either 1 or
+    one per cell of the grid (a column per destination). Every value starts
+    at exactly 0.0, and a state is *stored* when its row holds a non-zero
+    value; only stored rows are counted, listed and saved. A table is
+    single-writer during training and treated as frozen afterwards.
     """
 
     def __init__(
@@ -145,59 +130,34 @@ class QTable:
         grid: GridSpec,
         hyper: Hyper,
         seed: int,
-        goal_conditioned: bool = False,
+        columns: int = 1,
         f_mhz: float | None = None,
     ) -> None:
         if kind not in ("strategic", "adaptive"):
             raise ValueError(f"unknown agent kind {kind!r}")
-        require_table_fits(grid, goal_conditioned)
+        if not is_int(columns) or columns not in (1, grid.n_cells):
+            raise ValueError(f"columns must be 1 or {grid.n_cells}, got {columns!r}")
+        require_table_fits(grid, columns)
         self.kind = kind
         self.grid = grid
         self.hyper = hyper
         self.seed = seed
-        self.goal_conditioned = goal_conditioned
+        self.columns = columns
         self.f_mhz = f_mhz
-        self.q = np.zeros(table_shape(grid, goal_conditioned))
+        self.q = np.zeros((grid.n_cells, columns, N_ACTIONS))
 
-    def _at(self, s: StateKey) -> int | tuple[int, int]:
-        """Index of the row of ``s`` in ``q``."""
-        if self.goal_conditioned:
-            pos, dest = s
-            return self.grid.index(pos), self.grid.index(dest)
-        return self.grid.index(s)
-
-    def values(self, s: StateKey) -> tuple[float, ...]:
-        """All six action values at a state (zeros when unvisited)."""
-        return tuple(self.q[self._at(s)].tolist())
-
-    def set_values(self, s: StateKey, values: Sequence[float]) -> None:
-        """Overwrite the six action values at a state."""
-        self.q[self._at(s)] = values
+    def column(self, dest):
+        """The column of a destination's flat index, or of an array of them."""
+        return dest if self.columns > 1 else 0
 
     def n_states(self) -> int:
         return int(np.count_nonzero(self.q.any(axis=-1)))
 
-    def rows(self) -> Iterator[tuple[StateKey, tuple[float, ...]]]:
-        """Stored states and their six action values, sorted by key.
-
-        C order of ``q`` is key order, so no sort is needed.
-        """
-        flat = self.q.reshape(-1, N_ACTIONS)
-        where = np.flatnonzero(flat.any(axis=1))
-        g = self.grid
-        dims = (g.nx, g.ny, g.nz) * (2 if self.goal_conditioned else 1)
-        keys = np.column_stack(np.unravel_index(where, dims))
-        for key, row in zip(keys.tolist(), flat[where].tolist()):
-            pos = (key[0], key[1], key[2])
-            s = (pos, (key[3], key[4], key[5])) if self.goal_conditioned else pos
-            yield s, tuple(row)
-
-    def entries(self) -> Iterator[tuple[StateKey, Action, float]]:
-        """Non-zero entries, sorted by state key."""
-        for s, row in self.rows():
-            for a in ACTIONS:
-                if row[a] != 0.0:
-                    yield s, a, row[a]
+    def entries(self) -> Iterator[tuple[tuple[int, int], Action, float]]:
+        """Non-zero entries, sorted by state."""
+        where = np.nonzero(self.q)
+        for c, k, a, v in zip(*(i.tolist() for i in where), self.q[where].tolist()):
+            yield (c, k), ACTIONS[a], v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QTable):
@@ -207,7 +167,7 @@ class QTable:
             and self.grid == other.grid
             and self.hyper == other.hyper
             and self.seed == other.seed
-            and self.goal_conditioned == other.goal_conditioned
+            and self.columns == other.columns
             and self.f_mhz == other.f_mhz
             and np.array_equal(self.q, other.q)
         )
@@ -224,15 +184,18 @@ def bootstrap(q, r, max_next, alpha: float, gamma: float):
 
 
 def q_update(
-    table: QTable, s: StateKey, a: Action, r: float, s_next: StateKey, h: Hyper
+    table: QTable, s: tuple[int, int], a: Action, r: float, s_next: tuple[int, int], h: Hyper
 ) -> float:
-    """One bootstrapped update of Q(s, a); returns the stored value."""
+    """One bootstrapped update of Q(s, a); returns the stored value.
+
+    ``s`` and ``s_next`` are (cell, column) pairs of flat indices.
+    """
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
     q = table.q
     # max_a' Q(s', a') is read before the write: s' may be s
-    max_next = float(q[table._at(s_next)].max())
-    row = q[table._at(s)]
+    max_next = float(q[s_next].max())
+    row = q[s]
     new = bootstrap(float(row[a]), r, max_next, h.alpha, h.gamma)
     row[a] = new
     return new
@@ -254,7 +217,7 @@ def greedy_action(
 
 def select_action(
     table: QTable,
-    s: StateKey,
+    s: tuple[int, int],
     epsilon: float,
     rng: random.Random,
     candidates: Sequence[Action] = ACTIONS,
@@ -269,11 +232,11 @@ def select_action(
         raise ValueError("candidate action set is empty")
     if epsilon > 0.0 and rng.random() < epsilon:
         return candidates[rng.randrange(len(candidates))]
-    return greedy_action(table.values(s), candidates, rng)
+    return greedy_action(table.q[s].tolist(), candidates, rng)
 
 
 def save(table: QTable, path) -> None:
-    """Write a format-v3 checkpoint to exactly ``path``.
+    """Write a format-v4 checkpoint to exactly ``path``.
 
     Only stored rows are written, in C order of ``q``, so the same values
     always give the same bytes, whatever order they were written in.
@@ -286,7 +249,7 @@ def save(table: QTable, path) -> None:
         "grid": dataclasses.asdict(table.grid),
         "hyper": dataclasses.asdict(table.hyper),
         "seed": table.seed,
-        "goal_conditioned": table.goal_conditioned,
+        "columns": table.columns,
         "f_mhz": table.f_mhz,
     }
     members = (
@@ -372,9 +335,6 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
             f"checkpoint {path} has format version {version}, which is no "
             f"longer read; retrain to write version {FORMAT_VERSION}"
         )
-    goal_conditioned = doc.get("goal_conditioned")
-    if not isinstance(goal_conditioned, bool):
-        raise CheckpointError(f"checkpoint {path}: goal_conditioned must be a bool")
     try:
         grid = GridSpec(**doc["grid"])
         seed, f_mhz = doc["seed"], doc["f_mhz"]
@@ -387,7 +347,7 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
             grid=grid,
             hyper=Hyper(**doc["hyper"]),
             seed=seed,
-            goal_conditioned=goal_conditioned,
+            columns=doc["columns"],
             f_mhz=f_mhz,
         )
     except (KeyError, TypeError, ValueError) as exc:

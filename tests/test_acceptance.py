@@ -111,9 +111,11 @@ def test_criterion_1_path_loss_formula_oracle():
 
 
 def test_criterion_2_q_update_unit():
-    t = QTable("adaptive", GridSpec(), Hyper(), 0)
-    s, s2 = (0, 0, 0), (1, 0, 0)
-    q_update(t, s2, ACTIONS[0], 4.0, (2, 0, 0), Hyper(alpha=1.0, gamma=0.0))
+    grid = GridSpec()
+    t = QTable("adaptive", grid, Hyper(), 0)
+    # (cell, column) states of a one-column table
+    s, s2, s3 = ((grid.index(c), 0) for c in ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
+    q_update(t, s2, ACTIONS[0], 4.0, s3, Hyper(alpha=1.0, gamma=0.0))
     v = q_update(t, s, ACTIONS[0], 10.0, s2, Hyper(alpha=0.8, gamma=0.5))
     case1 = abs(v - 9.6) <= 1e-12
     t2 = QTable("adaptive", GridSpec(), Hyper(), 0)
@@ -248,10 +250,10 @@ def test_criterion_7_arbiter_fidelity():
     pos, dest = (7, 3, 2), (15, 12, 0)
 
     def tables(sv, av):
-        qs = QTable("strategic", grid, Hyper(), 0, goal_conditioned=True)
+        qs = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
         qa = QTable("adaptive", grid, Hyper(), 0)
-        qs.set_values((pos, dest), sv)
-        qa.set_values(pos, av)
+        qs.q[grid.index(pos), grid.index(dest)] = sv
+        qa.q[grid.index(pos), 0] = av
         return qs, qa
 
     agree_ok = 0
@@ -290,10 +292,10 @@ def test_criterion_7_arbiter_fidelity():
         )
         if not has_free:
             continue
-        qs = QTable("strategic", spec, Hyper(), 0, goal_conditioned=True)
+        qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
         qa = QTable("adaptive", spec, Hyper(), 0)
-        qs.set_values((p, (5, 5, 2)), [rng.uniform(-50, 50) for _ in ACTIONS])
-        qa.set_values(p, [rng.uniform(-50, 50) for _ in ACTIONS])
+        qs.q[spec.index(p), spec.index((5, 5, 2))] = [rng.uniform(-50, 50) for _ in ACTIONS]
+        qa.q[spec.index(p), 0] = [rng.uniform(-50, 50) for _ in ACTIONS]
         a = decide(qs, qa, p, (5, 5, 2), True, w, rng)
         d = ACTION_DELTAS[a]
         nxt = (p[0] + d[0], p[1] + d[1], p[2] + d[2])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from uavnav.agents import (
@@ -73,7 +74,7 @@ def test_reward_adaptive_branches():
 
 
 def test_train_strategic_fixed_destination_matches_bfs():
-    # 3x3x1 empty grid, fixed destination, position-only keys
+    # 3x3x1 empty grid, fixed destination, a one-column table
     cfg = TrainConfig(
         grid=GridSpec(nx=3, ny=3, nz=1),
         obstacle_density=0.0,
@@ -84,7 +85,6 @@ def test_train_strategic_fixed_destination_matches_bfs():
     world = build_world(cfg)
     table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "t"))
     assert len(logs) == 2000
-    assert not table.goal_conditioned
     traj, outcome = greedy_trajectory(table, world, (2, 2, 0), 50, random.Random(0))
     assert outcome == FlightOutcome.ARRIVED
     want = bfs_shortest_len(3, 3, 1, frozenset(), (0, 0, 0), (2, 2, 0))
@@ -129,9 +129,6 @@ def test_train_strategic_reproducible():
 def test_train_strategic_validation():
     cfg = small_cfg(episodes_strategic=1, obstacle_density=0.2)
     world = build_world(cfg)
-    # the planner's layout follows the destination: fixed, or one per episode
-    assert small_cfg().goal_conditioned
-    assert not small_cfg(fixed_destination=(4, 4, 1)).goal_conditioned
     with pytest.raises(ConfigError):
         small_cfg(fixed_destination=(0, 0, 0))  # equals the start cell
     # whether the destination is an obstacle depends on the world
@@ -219,7 +216,7 @@ def test_adaptive_greedy_stays_covered_near_bs():
     pos = (11, 10, 1)  # adjacent to the BS column at (10, 10)
     assert cmap.snr[pos] >= lb.snr_threshold_db
     for _ in range(20):
-        a = select_action(table, pos, 0.0, rng)
+        a = select_action(table, (world.index(pos), 0), 0.0, rng)
         pos, _ = apply_action(world, pos, a, dest=(0, 0, 0))
         assert cmap.snr[pos] >= lb.snr_threshold_db
 
@@ -254,6 +251,7 @@ def test_altitude_locked_training_stays_on_layer():
     assert {log.destination[2] for log in logs} == {0}
     # only takeoff-layer states toward takeoff-layer destinations are
     # updated, and never by a vertical move
-    for (pos, dest), row in table.rows():
-        assert pos[2] == dest[2] == 0
-        assert row[4] == row[5] == 0.0
+    cells = world.cells
+    for at, goal in np.argwhere(table.q.any(axis=-1)).tolist():
+        assert cells[at][2] == cells[goal][2] == 0
+        assert table.q[at, goal, 4] == table.q[at, goal, 5] == 0.0

@@ -33,16 +33,17 @@ GRID = GridSpec()
 EMPTY_WORLD = build(GRID, 0.0, seed=1, bs_xy=(10, 10, 0))
 
 
-def table_with_row(kind, key, values, goal_conditioned=False, grid=GRID):
-    t = QTable(kind=kind, grid=grid, hyper=Hyper(), seed=0, goal_conditioned=goal_conditioned)
-    t.set_values(key, values)
+def table_with_row(kind, pos, values, dest=None, grid=GRID):
+    """A table with one set row: pos's, in dest's column when dest is given."""
+    t = QTable(kind, grid, Hyper(), 0, columns=1 if dest is None else grid.n_cells)
+    t.q[grid.index(pos), 0 if dest is None else grid.index(dest)] = values
     return t
 
 
 def test_agreement_pass_through():
     pos, dest = (5, 5, 1), (9, 9, 1)
     # both tables prefer PLUS_X
-    qs = table_with_row("strategic", (pos, dest), [9, 0, 1, 1, 1, 1], goal_conditioned=True)
+    qs = table_with_row("strategic", pos, [9, 0, 1, 1, 1, 1], dest=dest)
     qa = table_with_row("adaptive", pos, [7, 2, 2, 2, 2, 2])
     a = decide(qs, qa, pos, dest, False, EMPTY_WORLD, random.Random(0))
     assert a == Action.PLUS_X
@@ -52,7 +53,7 @@ def test_cross_table_branch():
     pos, dest = (5, 5, 1), (9, 9, 1)
     # strategic prefers PLUS_X, adaptive prefers PLUS_Y
     # Q1 = strategic(PLUS_Y) = 3.0 > Q2 = adaptive(PLUS_X) = 1.0 -> PLUS_Y
-    qs = table_with_row("strategic", (pos, dest), [9, 0, 3.0, 0, 0, 0], goal_conditioned=True)
+    qs = table_with_row("strategic", pos, [9, 0, 3.0, 0, 0, 0], dest=dest)
     qa = table_with_row("adaptive", pos, [1.0, 0, 8, 0, 0, 0])
     a = decide(qs, qa, pos, dest, False, EMPTY_WORLD, random.Random(0))
     assert a == Action.PLUS_Y
@@ -64,7 +65,7 @@ def test_cross_table_branch():
 
 def test_cross_table_tie_goes_to_strategic():
     pos, dest = (5, 5, 1), (9, 9, 1)
-    qs = table_with_row("strategic", (pos, dest), [9, 0, 2.0, 0, 0, 0], goal_conditioned=True)
+    qs = table_with_row("strategic", pos, [9, 0, 2.0, 0, 0, 0], dest=dest)
     qa = table_with_row("adaptive", pos, [2.0, 0, 8, 0, 0, 0])
     a = decide(qs, qa, pos, dest, False, EMPTY_WORLD, random.Random(0))
     assert a == Action.PLUS_X
@@ -78,7 +79,7 @@ def test_decide_matches_transcription_oracle_10k():
         # distinct uniform values make both argmaxes unique
         sv = [rng.uniform(-50, 50) for _ in ACTIONS]
         av = [rng.uniform(-50, 50) for _ in ACTIONS]
-        qs = table_with_row("strategic", (pos, dest), sv, goal_conditioned=True)
+        qs = table_with_row("strategic", pos, sv, dest=dest)
         qa = table_with_row("adaptive", pos, av)
         a1 = ACTIONS[max(range(6), key=lambda i: sv[i])]
         a2 = ACTIONS[max(range(6), key=lambda i: av[i])]
@@ -108,7 +109,7 @@ def test_safety_filter_blocks_obstacle_moves():
         dest = (5, 5, 2) if pos != (5, 5, 2) else (0, 5, 2)
         sv = [rng.uniform(-50, 50) for _ in ACTIONS]
         av = [rng.uniform(-50, 50) for _ in ACTIONS]
-        qs = table_with_row("strategic", (pos, dest), sv, goal_conditioned=True, grid=spec)
+        qs = table_with_row("strategic", pos, sv, dest=dest, grid=spec)
         qa = table_with_row("adaptive", pos, av, grid=spec)
         a = decide(qs, qa, pos, dest, True, world, rng)
         d = ACTION_DELTAS[a]
@@ -123,7 +124,7 @@ def test_decide_total_over_random_tables():
     rng = random.Random(1)
     pos, dest = (0, 0, 0), (19, 19, 4)
     for _ in range(500):
-        qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+        qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
         qa = QTable("adaptive", GRID, Hyper(), 0)
         a = decide(qs, qa, pos, dest, rng.random() < 0.5, EMPTY_WORLD, rng)
         assert a in ACTIONS
@@ -150,7 +151,7 @@ def test_execute_flight_dest_adjacent_one_step():
     cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), obstacle_density=0.0,
                       episodes_strategic=200, episodes_adaptive=100, seed=2)
     world = build_world(cfg)
-    qs = QTable("strategic", cfg.grid, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
     res = execute_flight(qs, qa, world, coverage_map(cfg.link, world), (1, 0, 0), step_cap=50)
     assert res.outcome == FlightOutcome.ARRIVED
@@ -159,7 +160,7 @@ def test_execute_flight_dest_adjacent_one_step():
 
 
 def test_execute_flight_validation():
-    qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     qa = QTable("adaptive", GRID, Hyper(), 0)
     cfg = TrainConfig()
     with pytest.raises(ValueError):
@@ -212,7 +213,7 @@ def test_outage_steps_zero_with_low_threshold():
     cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), obstacle_density=0.0, seed=3)
     world = build_world(cfg)
     lb = dataclasses.replace(cfg.link, snr_threshold_db=-math.inf)
-    qs = QTable("strategic", cfg.grid, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
     res = execute_flight(qs, qa, world, coverage_map(lb, world), (3, 3, 1), step_cap=30)
     assert res.outage_steps == 0
@@ -221,7 +222,7 @@ def test_outage_steps_zero_with_low_threshold():
 def test_flight_time_uses_velocity():
     cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), obstacle_density=0.0, seed=3)
     world = build_world(cfg)
-    qs = QTable("strategic", cfg.grid, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
     res = execute_flight(qs, qa, world, coverage_map(cfg.link, world), (1, 0, 0),
                          step_cap=10, velocity_ms=15.0)
@@ -229,7 +230,7 @@ def test_flight_time_uses_velocity():
 
 
 def test_greedy_trajectory_on_empty_table_terminates():
-    qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     traj, outcome = greedy_trajectory(qs, EMPTY_WORLD, (19, 19, 4), 100, random.Random(1))
     assert outcome in (FlightOutcome.ARRIVED, FlightOutcome.STEP_CAP_HIT)
     assert len(traj) <= 101
@@ -237,7 +238,7 @@ def test_greedy_trajectory_on_empty_table_terminates():
 
 def test_rollouts_reject_destination_outside_grid():
     # a flat index of an off-grid cell would alias a cell inside the grid
-    qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     qa = QTable("adaptive", GRID, Hyper(), 0)
     off_grid = (0, GRID.ny, 0)
     with pytest.raises(ValueError, match="outside the grid"):
@@ -248,7 +249,7 @@ def test_rollouts_reject_destination_outside_grid():
 
 
 def test_execute_flight_rejects_map_of_another_grid():
-    qs = QTable("strategic", GRID, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     qa = QTable("adaptive", GRID, Hyper(), 0)
     small = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     cmap = coverage_map(TrainConfig().link, small)
@@ -260,7 +261,8 @@ def test_greedy_trajectory_refuses_table_of_another_grid():
     # a 3 x 3 x 2 table in a 4 x 4 x 2 world: (2, 2, 1) used to fly aliased
     # rows and (3, 3, 1) to die with a bare IndexError
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    small = QTable("strategic", GridSpec(nx=3, ny=3, nz=2), Hyper(), 0, goal_conditioned=True)
+    spec = GridSpec(nx=3, ny=3, nz=2)
+    small = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
     for dest in ((2, 2, 1), (3, 3, 1)):
         with pytest.raises(ValueError, match="Q-table grid"):
             greedy_trajectory(small, world, dest, 10)
@@ -269,7 +271,7 @@ def test_greedy_trajectory_refuses_table_of_another_grid():
 def test_greedy_trajectory_refuses_start_or_obstacle_destination():
     spec = GridSpec(nx=4, ny=4, nz=2)
     world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0), 0.0)
-    table = QTable("strategic", spec, Hyper(), 0, goal_conditioned=True)
+    table = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
     with pytest.raises(ValueError, match="start cell"):
         greedy_trajectory(table, world, (0, 0, 0), 10)
     with pytest.raises(ValueError, match="obstacle"):
@@ -281,9 +283,9 @@ def test_decide_refuses_tables_of_another_grid():
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     small, spec = GridSpec(nx=3, ny=3, nz=2), world.spec
     pairs = (
-        (QTable("strategic", small, Hyper(), 0, goal_conditioned=True),
+        (QTable("strategic", small, Hyper(), 0, columns=small.n_cells),
          QTable("adaptive", spec, Hyper(), 0)),
-        (QTable("strategic", spec, Hyper(), 0, goal_conditioned=True),
+        (QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells),
          QTable("adaptive", small, Hyper(), 0)),
     )
     for qs, qa in pairs:
@@ -294,7 +296,7 @@ def test_decide_refuses_tables_of_another_grid():
 def test_decide_refuses_cells_outside_the_grid():
     # (0, 4, 0) used to read the row of (1, 0, 0); (3, 3, 2) to die with a bare IndexError
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0)
     for pos, dest in (((0, 0, 0), (0, 4, 0)), ((3, 3, 2), (1, 1, 1)), ((0, 4, 1), (1, 1, 1))):
         with pytest.raises(ValueError, match="outside the grid"):
@@ -303,14 +305,14 @@ def test_decide_refuses_cells_outside_the_grid():
 
 def test_execute_flight_refuses_masks_of_another_rule():
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0)
     cmap = coverage_map(TrainConfig().link, world)
     masks = TieMasks(world, qs, safety=True)
     for kwargs in ({"safety": False}, {"allowed": ACTIONS_XY}):
         with pytest.raises(ValueError, match="tie masks"):
             execute_flight(qs, qa, world, cmap, (3, 3, 1), 10, masks=masks, **kwargs)
-    other = QTable("strategic", world.spec, Hyper(), 0, goal_conditioned=True)
+    other = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     with pytest.raises(ValueError, match="tie masks"):
         execute_flight(other, qa, world, cmap, (3, 3, 1), 10, masks=masks)
     for allowed in ((), (Action.PLUS_Y, Action.PLUS_X), (0, 0, 1), (0, 6)):
@@ -323,8 +325,8 @@ def test_execute_flight_refuses_masks_of_another_rule():
 _TIE_LEVELS = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
 
 
-def _tied_table(kind, spec, rng, goal_conditioned=False):
-    t = QTable(kind, spec, Hyper(), 0, goal_conditioned=goal_conditioned)
+def _tied_table(kind, spec, rng, per_destination=False):
+    t = QTable(kind, spec, Hyper(), 0, columns=spec.n_cells if per_destination else 1)
     t.q[...] = rng.choice(_TIE_LEVELS, size=t.q.shape)
     t.q[rng.random(t.q.shape[:-1]) < 0.25] = 0.0
     return t
@@ -357,11 +359,11 @@ def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, normalize, 
     return steps
 
 
-@pytest.mark.parametrize("goal_conditioned", [True, False], ids=["goal", "fixed_dest"])
+@pytest.mark.parametrize("per_destination", [True, False], ids=["goal", "fixed_dest"])
 @pytest.mark.parametrize("allowed", [ACTIONS, ACTIONS_XY], ids=["xyz", "xy"])
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
 @pytest.mark.parametrize("safety", [True, False], ids=["safe", "unsafe"])
-def test_flight_replays_decide_step_for_step(safety, normalize, allowed, goal_conditioned):
+def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_destination):
     """Every flight step picks decide's move and leaves the rng where decide does.
 
     The flight is cut after each step k (``step_cap=k``): its landing cell
@@ -369,7 +371,7 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, goal_co
     ``decide``. A boundary-blocked step is identified by its landing. One
     set of masks serves every flight and both coverage tables.
     """
-    rng = np.random.default_rng([safety, normalize, len(allowed), goal_conditioned])
+    rng = np.random.default_rng([safety, normalize, len(allowed), per_destination])
     overrides = crashes = steps_checked = 0
     for trial in range(6):
         spec = GridSpec(nx=int(rng.integers(2, 6)), ny=int(rng.integers(2, 6)),
@@ -378,7 +380,7 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, goal_co
         free = [c for c in world.cells if c != world.start_cell and c not in world.obstacles]
         if not free:
             continue
-        qs = _tied_table("strategic", spec, rng, goal_conditioned)
+        qs = _tied_table("strategic", spec, rng, per_destination)
         coverage = [_tied_table("adaptive", spec, rng) for _ in range(2)]
         masks = TieMasks(world, qs, safety, allowed)
         cmap = coverage_map(TrainConfig().link, world)
@@ -403,10 +405,10 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, goal_co
     assert crashes > 0 or safety
 
 
-@pytest.mark.parametrize("goal_conditioned", [True, False], ids=["goal", "fixed_dest"])
-def test_greedy_trajectory_replays_greedy_action(goal_conditioned):
+@pytest.mark.parametrize("per_destination", [True, False], ids=["goal", "fixed_dest"])
+def test_greedy_trajectory_replays_greedy_action(per_destination):
     """Each step is greedy_action over all six actions of the planner's row."""
-    rng = np.random.default_rng(7 + goal_conditioned)
+    rng = np.random.default_rng(7 + per_destination)
     for trial in range(10):
         spec = GridSpec(nx=int(rng.integers(2, 6)), ny=int(rng.integers(2, 6)),
                         nz=int(rng.integers(1, 4)))
@@ -414,15 +416,15 @@ def test_greedy_trajectory_replays_greedy_action(goal_conditioned):
         free = [c for c in world.cells if c != world.start_cell and c not in world.obstacles]
         if not free:
             continue
-        table = _tied_table("strategic", spec, rng, goal_conditioned)
+        table = _tied_table("strategic", spec, rng, per_destination)
         for _ in range(5):
             dest = free[int(rng.integers(len(free)))]
             seed = int(rng.integers(1 << 30))
             ref_rng = random.Random(seed)
+            col = world.index(dest) if per_destination else 0
             pos, want, outcome = world.start_cell, [world.start_cell], FlightOutcome.STEP_CAP_HIT
             for _ in range(30):
-                key = (pos, dest) if goal_conditioned else pos
-                a = greedy_action(table.values(key), ACTIONS, ref_rng)
+                a = greedy_action(table.q[world.index(pos), col].tolist(), ACTIONS, ref_rng)
                 _, nxt, event = world.moves[world.index(pos)][a]
                 if nxt != pos:
                     want.append(nxt)
@@ -440,9 +442,9 @@ def test_greedy_trajectory_replays_greedy_action(goal_conditioned):
 
 def test_flight_masks_refuse_nan_rows():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, goal_conditioned=True)
+    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0)
-    qa.q[4, 2] = math.nan
+    qa.q[4, 0, 2] = math.nan
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="NaN"):
         execute_flight(qs, qa, world, cmap, (2, 2, 0), 10)

@@ -21,6 +21,8 @@ is computed, re-record them and say why in CHANGES.md.
 import hashlib
 import struct
 
+import numpy as np
+
 from uavnav.config import TrainConfig
 from uavnav.gridworld import GridSpec
 from uavnav.harness import cmd_evaluate, cmd_train, load_artifacts
@@ -76,10 +78,15 @@ GOLDEN = {
 
 
 def table_digest(table: QTable) -> str:
+    """sha256 of the stored rows in C order, each keyed by its cell, and by
+    its destination too when the table has a column per destination."""
+    g = table.grid
+    cells = [(x, y, z) for x in range(g.nx) for y in range(g.ny) for z in range(g.nz)]
     h = hashlib.sha256()
-    for key, row in table.rows():
+    for at, col in np.argwhere(table.q.any(axis=-1)).tolist():
+        key = (cells[at], cells[col]) if table.columns > 1 else cells[at]
         h.update(repr(key).encode())
-        h.update(struct.pack("<6d", *row))
+        h.update(struct.pack("<6d", *table.q[at, col].tolist()))
     return h.hexdigest()
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavnav.agents import train_adaptive, train_strategic
@@ -35,7 +36,8 @@ from uavnav.harness import (
     load_artifacts,
     run_flights,
 )
-from uavnav.qcore import MAX_TABLE_BYTES, Hyper, QTable, table_bytes
+from uavnav.qcore import MAX_TABLE_BYTES, Hyper, QTable
+from uavnav.qcore import load as load_table
 
 
 def rec(outcome, steps=10, outage=0, band=900.0):
@@ -130,7 +132,7 @@ def test_seed_stream_stable_and_distinct():
 
 def test_config_defaults_match_environment_table():
     cfg = TrainConfig()
-    assert cfg.grid.region_side_m == 1000.0
+    assert cfg.grid.nx * cfg.grid.cell_size_m == 1000.0
     assert cfg.grid.max_altitude_m <= 100.0
     assert cfg.link.h_b_m == 60.0
     assert cfg.hyper.alpha == 0.8
@@ -344,10 +346,12 @@ def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
 # A manifest of another checkpoint format is refused for its format, before
 # its config is parsed: a format-2 config still holds the since-removed
 # eval_flights field, which would otherwise fail as an unknown field.
+# Format 3 checkpoints recorded goal_conditioned in place of columns.
 FORMAT_EDITS = {
-    "older": (lambda m: {**m, "checkpoint_format_version": 2,
-                         "config": {**m["config"], "eval_flights": 100}}, "format 2"),
-    "newer": (lambda m: {**m, "checkpoint_format_version": 4}, "format 4"),
+    "older": (lambda m: {**m, "checkpoint_format_version": 3}, "format 3"),
+    "oldest": (lambda m: {**m, "checkpoint_format_version": 2,
+                          "config": {**m["config"], "eval_flights": 100}}, "format 2"),
+    "newer": (lambda m: {**m, "checkpoint_format_version": 5}, "format 5"),
     "missing": (lambda m: {k: v for k, v in m.items() if k != "checkpoint_format_version"},
                 "is None"),
     "text": (lambda m: {**m, "checkpoint_format_version": "3"}, "is '3'"),
@@ -407,7 +411,7 @@ def test_altitude_locked_without_free_takeoff_cell_fails_fast(tmp_path):
     with _deadline(30), pytest.raises(ConfigError, match="altitude_locked"):
         cmd_train(cfg, tmp_path / "run")
     assert not (tmp_path / "run").exists()
-    strategic = QTable("strategic", cfg.grid, cfg.hyper, cfg.seed, goal_conditioned=True)
+    strategic = QTable("strategic", cfg.grid, cfg.hyper, cfg.seed, columns=cfg.planner_columns)
     adaptive = QTable("adaptive", cfg.grid, cfg.hyper, cfg.seed, f_mhz=900.0)
     with _deadline(30), pytest.raises(ConfigError, match="altitude_locked"):
         run_flights(cfg, build_world(cfg), strategic, {900.0: adaptive}, 1, seed=0)
@@ -651,12 +655,28 @@ def test_cli_fixed_destination_flights_all_fly_to_it(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert not load_artifacts(out)[1].goal_conditioned
     assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "50"]) == 0
     with open(out / "flights.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 100
     assert {(r["dest_ix"], r["dest_iy"], r["dest_iz"]) for r in rows} == {("5", "5", "0")}
+
+
+def test_trained_tables_have_one_shape(tmp_path):
+    # every table is Q[cell, column, a]: the planner has a column per
+    # destination, or one with a fixed destination; a coverage table has one
+    n = 4 * 4 * 2
+    for fixed, planner_columns in ((None, n), ((3, 3, 1), 1)):
+        cfg = config_from_dict({**TINY_RAW, "bands_mhz": [900.0, 2100.0],
+                                "fixed_destination": None if fixed is None else list(fixed)})
+        assert cfg.planner_columns == planner_columns
+        out = cmd_train(cfg, tmp_path / f"run{planner_columns}")
+        want = {"strategic.npz": (n, planner_columns, 6),
+                "adaptive_900.npz": (n, 1, 6), "adaptive_2100.npz": (n, 1, 6)}
+        for name, shape in want.items():
+            assert load_table(out / name).q.shape == shape
+            with np.load(out / name, allow_pickle=False) as npz:
+                assert json.loads(npz["meta"].item())["columns"] == shape[1]
 
 
 @pytest.mark.parametrize("bands", [[900, 900], [900, 900.0000001]], ids=["equal", "same label"])
@@ -672,20 +692,21 @@ def test_cli_train_rejects_repeated_band_labels(tmp_path, capsys, bands):
 
 
 def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, capsys):
-    # 6,689 cells: Q[cell, dest, a] would take just over 2 GiB
+    # 6,689 cells: Q[cell, column, a] with a column per destination would
+    # take just over 2 GiB
     over, under = GridSpec(nx=6689, ny=1, nz=1), GridSpec(nx=6688, ny=1, nz=1)
-    assert table_bytes(under, True) <= MAX_TABLE_BYTES < table_bytes(over, True)
+    assert under.n_cells**2 * 6 * 8 <= MAX_TABLE_BYTES < over.n_cells**2 * 6 * 8
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="GiB"):
             TrainConfig(grid=over)
         with pytest.raises(ValueError, match="GiB"):
-            QTable("strategic", over, Hyper(), 0, goal_conditioned=True)
+            QTable("strategic", over, Hyper(), 0, columns=over.n_cells)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # a position-keyed planner on the same grid needs only Q[cell, a]
+    # a fixed-destination planner on the same grid has one column
     TrainConfig(grid=over, fixed_destination=(5, 0, 0))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TINY_RAW, "grid": {"nx": 6689, "ny": 1, "nz": 1}}))

@@ -61,9 +61,10 @@ def reference_strategic(world, cfg, rng):
     gen = np.random.default_rng(rng.getrandbits(128))
     starts, dests = agents._missions(world, cfg, gen)
     keys = gen.integers(1 << 64, size=cfg.episodes_strategic, dtype=np.uint64).tolist()
-    goal_conditioned = cfg.fixed_destination is None
+    # a column per destination, or one toward the fixed destination
+    per_destination = cfg.fixed_destination is None
     table = QTable("strategic", world.spec, cfg.hyper, cfg.seed,
-                   goal_conditioned=goal_conditioned)
+                   columns=world.spec.n_cells if per_destination else 1)
     dist = manhattan_m if cfg.distance_metric == "manhattan" else distance_m
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     missions = world.mission_cells(cfg.altitude_locked)
@@ -79,13 +80,14 @@ def reference_strategic(world, cfg, rng):
         else:
             assert pos in missions and pos != dest
         epsilon = cfg.schedule.at(episode)
+        col = world.index(dest) if per_destination else 0
         total, steps = 0.0, 0
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cfg.resolved_step_cap():
             coin = splitmix64_uniform(key, 2 * steps)
             u = splitmix64_uniform(key, 2 * steps + 1)
-            s = (pos, dest) if goal_conditioned else pos
-            row = table.values(s)
+            s = (world.index(pos), col)
+            row = table.q[s].tolist()
             best = max(row[a] for a in candidates)
             picks = [a for a in candidates if coin < epsilon or row[a] == best]
             a = picks[int(u * len(picks))]
@@ -94,7 +96,7 @@ def reference_strategic(world, cfg, rng):
             nxt, event = apply_action(world, pos, a, dest)
             r = reward_strategic(dist(world, pos, dest), dist(world, nxt, dest), event,
                                  cfg.rewards)
-            q_update(table, s, a, r, (nxt, dest) if goal_conditioned else nxt, cfg.hyper)
+            q_update(table, s, a, r, (world.index(nxt), col), cfg.hyper)
             events[event] += 1
             total += r
             steps += 1
@@ -121,10 +123,10 @@ def reference_adaptive(world, lb, cfg, rng):
         total, steps = 0.0, 0
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cfg.resolved_step_cap():
-            a = select_action(table, pos, epsilon, rng, candidates)
+            a = select_action(table, (world.index(pos), 0), epsilon, rng, candidates)
             nxt, event = apply_action(world, pos, a, dest)
             r = reward_adaptive(float(cmap.snr[nxt]), lb.snr_threshold_db, cfg.rewards)
-            q_update(table, pos, a, r, nxt, cfg.hyper)
+            q_update(table, (world.index(pos), 0), a, r, (world.index(nxt), 0), cfg.hyper)
             total += r
             steps += 1
             pos = nxt
@@ -210,7 +212,6 @@ def test_train_strategic_replays_through_public_calls(mode):
     )
     assert_same_run(got, (table, logs))
     assert table.n_states() > 0
-    assert table.goal_conditioned == (mode != "fixed_destination")
     if mode == "greedy":
         # ties go to each of the six actions alike: chi-square, df=5, 0.001 level
         n = sum(ties.values())

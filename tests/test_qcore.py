@@ -23,15 +23,22 @@ from uavnav.qcore import (
 GRID = GridSpec()
 
 
-def make_table(kind="adaptive", goal_conditioned=False, **kw):
-    return QTable(
-        kind=kind,
-        grid=GRID,
-        hyper=Hyper(),
-        seed=0,
-        goal_conditioned=goal_conditioned,
-        **kw,
-    )
+def make_table(kind="adaptive", columns=1, **kw):
+    return QTable(kind=kind, grid=GRID, hyper=Hyper(), seed=0, columns=columns, **kw)
+
+
+def st(cell):
+    """The state of a cell in a one-column table on GRID."""
+    return GRID.index(cell), 0
+
+
+def row(t, s):
+    return tuple(t.q[s].tolist())
+
+
+def _stored(t):
+    """The (cell, column) index of every stored row, in C order."""
+    return [tuple(i) for i in np.argwhere(t.q.any(axis=-1)).tolist()]
 
 
 def test_hyper_validation():
@@ -46,46 +53,46 @@ def test_hyper_validation():
 
 def test_q_update_worked_value():
     t = make_table()
-    s, s2 = (0, 0, 0), (1, 0, 0)
+    s, s2 = st((0, 0, 0)), st((1, 0, 0))
     # alpha=1, gamma=0 writes the reward verbatim: seed next-state max = 4
-    q_update(t, s2, Action.PLUS_X, 4.0, (2, 0, 0), Hyper(alpha=1.0, gamma=0.0))
-    q_update(t, s2, Action.PLUS_Y, 1.0, (2, 0, 0), Hyper(alpha=1.0, gamma=0.0))
-    assert max(t.values(s2)) == 4.0
+    q_update(t, s2, Action.PLUS_X, 4.0, st((2, 0, 0)), Hyper(alpha=1.0, gamma=0.0))
+    q_update(t, s2, Action.PLUS_Y, 1.0, st((2, 0, 0)), Hyper(alpha=1.0, gamma=0.0))
+    assert max(row(t, s2)) == 4.0
     v = q_update(t, s, Action.PLUS_X, 10.0, s2, Hyper(alpha=0.8, gamma=0.5))
     assert abs(v - 9.6) < 1e-12
-    assert t.values(s)[Action.PLUS_X] == v
+    assert row(t, s)[Action.PLUS_X] == v
 
 
 def test_q_update_fixed_point_zero():
     t = make_table()
-    v = q_update(t, (0, 0, 0), Action.PLUS_X, 0.0, (1, 0, 0), Hyper())
+    v = q_update(t, st((0, 0, 0)), Action.PLUS_X, 0.0, st((1, 0, 0)), Hyper())
     assert v == 0.0
     assert t.n_states() == 0  # nothing worth storing
 
 
 def test_q_update_alpha1_gamma0_collapses_to_reward():
     t = make_table()
-    s = (4, 4, 0)
-    q_update(t, s, Action.MINUS_Z, -3.0, (4, 4, 1), Hyper())
-    v = q_update(t, s, Action.MINUS_Z, 7.0, (4, 4, 1), Hyper(alpha=1.0, gamma=0.0))
+    s = st((4, 4, 0))
+    q_update(t, s, Action.MINUS_Z, -3.0, st((4, 4, 1)), Hyper())
+    v = q_update(t, s, Action.MINUS_Z, 7.0, st((4, 4, 1)), Hyper(alpha=1.0, gamma=0.0))
     assert v == 7.0
 
 
 def test_q_update_rejects_nonfinite_reward():
     t = make_table()
     with pytest.raises(ValueError):
-        q_update(t, (0, 0, 0), Action.PLUS_X, math.inf, (1, 0, 0), Hyper())
+        q_update(t, st((0, 0, 0)), Action.PLUS_X, math.inf, st((1, 0, 0)), Hyper())
 
 
 def test_q_update_locality():
     rng = random.Random(1)
     t = make_table()
     for _ in range(200):
-        s = (rng.randrange(20), rng.randrange(20), rng.randrange(5))
+        s = st((rng.randrange(20), rng.randrange(20), rng.randrange(5)))
         q_update(t, s, ACTIONS[rng.randrange(6)], rng.uniform(-5, 5), s, Hyper())
     before = {(s, a): v for s, a, v in t.entries()}
-    target_s, target_a = (1, 2, 3), Action.PLUS_Y
-    q_update(t, target_s, target_a, 2.5, (9, 9, 4), Hyper())
+    target_s, target_a = st((1, 2, 3)), Action.PLUS_Y
+    q_update(t, target_s, target_a, 2.5, st((9, 9, 4)), Hyper())
     after = {(s, a): v for s, a, v in t.entries()}
     for key, v in before.items():
         if key != (target_s, target_a):
@@ -98,14 +105,14 @@ def test_q_update_locality():
 
 def test_q_update_contraction_to_target():
     t = make_table()
-    s, s2 = (0, 0, 0), (1, 1, 1)
+    s, s2 = st((0, 0, 0)), st((1, 1, 1))
     h = Hyper(alpha=0.8, gamma=0.5)
-    q_update(t, s2, Action.PLUS_X, 4.0, (2, 2, 2), Hyper(alpha=1.0, gamma=0.0))
+    q_update(t, s2, Action.PLUS_X, 4.0, st((2, 2, 2)), Hyper(alpha=1.0, gamma=0.0))
     r = 3.0
-    target = r + h.gamma * max(t.values(s2))
+    target = r + h.gamma * max(row(t, s2))
     for _ in range(200):
         q_update(t, s, Action.MINUS_Y, r, s2, h)
-    assert abs(t.values(s)[Action.MINUS_Y] - target) < 1e-6
+    assert abs(row(t, s)[Action.MINUS_Y] - target) < 1e-6
 
 
 def test_select_action_pure_exploration_uniform():
@@ -114,7 +121,7 @@ def test_select_action_pure_exploration_uniform():
     counts = {a: 0 for a in ACTIONS}
     n = 10_000
     for _ in range(n):
-        counts[select_action(t, (0, 0, 0), 1.0, rng)] += 1
+        counts[select_action(t, st((0, 0, 0)), 1.0, rng)] += 1
     expected = n / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 20.5  # chi-square df=5 at the 0.001 level
@@ -122,8 +129,8 @@ def test_select_action_pure_exploration_uniform():
 
 def test_select_action_pure_exploitation():
     t = make_table()
-    s = (0, 0, 0)
-    q_update(t, s, Action.PLUS_X, 5.0, (1, 0, 0), Hyper(alpha=1.0, gamma=0.0))
+    s = st((0, 0, 0))
+    q_update(t, s, Action.PLUS_X, 5.0, st((1, 0, 0)), Hyper(alpha=1.0, gamma=0.0))
     rng = random.Random(0)
     for _ in range(100):
         assert select_action(t, s, 0.0, rng) == Action.PLUS_X
@@ -131,10 +138,10 @@ def test_select_action_pure_exploitation():
 
 def test_select_action_uniform_tie_break():
     t = make_table()
-    s = (2, 2, 2)
+    s = st((2, 2, 2))
     for a in ACTIONS:  # all equal, nonzero
         q_update(t, s, a, 3.0, s, Hyper(alpha=1.0, gamma=0.0))
-    assert t.values(s) == (3.0,) * 6
+    assert row(t, s) == (3.0,) * 6
     rng = random.Random(123)
     n = 60_000
     counts = {a: 0 for a in ACTIONS}
@@ -148,7 +155,7 @@ def test_select_action_uniform_tie_break():
 
 def test_select_action_restricted_candidates():
     t = make_table()
-    s = (0, 0, 0)
+    s = st((0, 0, 0))
     q_update(t, s, Action.PLUS_X, 9.0, s, Hyper(alpha=1.0, gamma=0.0))
     rng = random.Random(0)
     picked = select_action(t, s, 0.0, rng, candidates=(Action.PLUS_Y, Action.MINUS_Y))
@@ -161,11 +168,11 @@ def test_argmax_shift_invariance():
     rng = random.Random(7)
     for _ in range(50):
         t1, t2 = make_table(), make_table()
-        s = (1, 1, 1)
+        s = st((1, 1, 1))
         values = [rng.uniform(-10, 10) for _ in ACTIONS]
         shift = rng.uniform(-100, 100)
-        t1.set_values(s, values)
-        t2.set_values(s, [v + shift for v in values])
+        t1.q[s] = values
+        t2.q[s] = [v + shift for v in values]
         r1 = select_action(t1, s, 0.0, random.Random(99))
         r2 = select_action(t2, s, 0.0, random.Random(99))
         assert r1 == r2
@@ -188,14 +195,15 @@ def test_epsilon_schedule():
 
 
 def _random_table(rng, kind="strategic", n_states=60, grid=GRID):
-    t = QTable(kind, grid, Hyper(), 0, goal_conditioned=(kind == "strategic"))
+    """A planner with one column per destination, or a one-column coverage table."""
+    t = QTable(kind, grid, Hyper(), 0, columns=grid.n_cells if kind == "strategic" else 1)
 
     def cell():
-        return (rng.randrange(grid.nx), rng.randrange(grid.ny), rng.randrange(grid.nz))
+        return grid.index((rng.randrange(grid.nx), rng.randrange(grid.ny), rng.randrange(grid.nz)))
 
     for _ in range(n_states):
-        key = (cell(), cell()) if kind == "strategic" else cell()
-        t.set_values(key, [rng.uniform(-100, 100) for _ in ACTIONS])
+        s = (cell(), cell()) if kind == "strategic" else (cell(), 0)
+        t.q[s] = [rng.uniform(-100, 100) for _ in ACTIONS]
     return t
 
 
@@ -210,7 +218,7 @@ def test_save_load_round_trip(tmp_path):
         assert back.kind == t.kind
         assert back.grid == t.grid
         assert back.hyper == t.hyper
-        assert back.goal_conditioned == t.goal_conditioned
+        assert back.columns == t.columns
 
 
 def test_save_load_thousand_entries(tmp_path):
@@ -227,12 +235,13 @@ def test_save_load_thousand_entries(tmp_path):
 
 def test_empty_table_round_trip(tmp_path):
     for kind in ("strategic", "adaptive"):
-        t = make_table(kind=kind, goal_conditioned=(kind == "strategic"), f_mhz=1800.0)
+        columns = GRID.n_cells if kind == "strategic" else 1
+        t = make_table(kind=kind, columns=columns, f_mhz=1800.0)
         save(t, tmp_path / "empty.npz")
         back = load(tmp_path / "empty.npz")
         assert back.n_states() == 0
         assert back.f_mhz == 1800.0
-        assert back.goal_conditioned == t.goal_conditioned
+        assert back.columns == columns
         assert back == t
 
 
@@ -241,28 +250,28 @@ def test_all_zero_rows_round_trip(tmp_path):
     for kind in ("strategic", "adaptive"):
         t = _random_table(random.Random(5), kind=kind, n_states=10)
         n = t.n_states()
-        zero_key = next(t.rows())[0]
-        t.set_values(zero_key, [0.0] * 6)
+        zero = _stored(t)[0]
+        t.q[zero] = 0.0
         assert t.n_states() == n - 1
-        assert zero_key not in dict(t.rows())
+        assert zero not in _stored(t)
         save(t, tmp_path / "z.npz")
         with np.load(tmp_path / "z.npz") as npz:
             assert npz["values"].shape[0] == n - 1
             assert np.unpackbits(npz["occupied"]).sum() == n - 1
         back = load(tmp_path / "z.npz")
-        assert list(back.rows()) == list(t.rows())
-        assert back.values(zero_key) == (0.0,) * 6
+        assert _stored(back) == _stored(t)
+        assert row(back, zero) == (0.0,) * 6
         assert back == t
 
 
 def test_save_bytes_stable_across_clock_and_insertion_order(tmp_path, monkeypatch):
     t = _random_table(random.Random(9), kind="strategic", n_states=80)
     save(t, tmp_path / "a.npz")
-    shuffled = make_table(kind="strategic", goal_conditioned=True)
-    items = list(t.rows())
+    shuffled = make_table(kind="strategic", columns=GRID.n_cells)
+    items = _stored(t)
     random.Random(1).shuffle(items)
-    for key, row in items:
-        shuffled.set_values(key, row)
+    for s in items:
+        shuffled.q[s] = t.q[s]
     monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
     save(shuffled, tmp_path / "b.npz")
     assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
@@ -311,7 +320,7 @@ def test_load_rejects_newer_version(tmp_path):
         load(tmp_path / "t.npz")
 
 
-@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, FORMAT_VERSION - 1])
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, FORMAT_VERSION - 1])
 def test_load_rejects_non_int_or_old_version(tmp_path, version):
     occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
     meta["format_version"] = version
@@ -324,11 +333,43 @@ def test_load_rejects_v2_checkpoint(tmp_path):
     # format v2 stored int32 coordinate keys in place of the occupancy bitmap
     t = _random_table(random.Random(2), kind="adaptive", n_states=5)
     _, values, meta = _members(t, tmp_path / "t.npz")
-    keys = np.array([pos for pos, _ in t.rows()], dtype=np.int32)
+    cells = [c for c, _ in _stored(t)]
+    keys = np.column_stack(np.unravel_index(cells, (GRID.nx, GRID.ny, GRID.nz))).astype(np.int32)
     _write_zip(tmp_path / "v2.npz",
                {"keys": keys, "values": values, "meta": {**meta, "format_version": 2}})
     with pytest.raises(CheckpointError):
         load(tmp_path / "v2.npz")
+
+
+def test_load_refuses_v3_checkpoint_with_retrain(tmp_path):
+    # format v3 wrote the same members, with goal_conditioned in the meta in place of columns
+    t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
+    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    del meta["columns"]
+    meta.update(format_version=3, goal_conditioned=True)
+    _write_members(tmp_path / "v3.npz", occupied, values, meta)
+    with pytest.raises(CheckpointError, match="retrain"):
+        load(tmp_path / "v3.npz")
+
+
+@pytest.mark.parametrize("columns", [0, 2, 28, True, 1.0, "1"])
+def test_qtable_columns_are_one_or_one_per_cell(columns):
+    for valid in (1, ODD_GRID.n_cells):
+        assert QTable("strategic", ODD_GRID, Hyper(), 0, columns=valid).q.shape == (27, valid, 6)
+    with pytest.raises(ValueError, match="columns"):
+        QTable("strategic", ODD_GRID, Hyper(), 0, columns=columns)
+
+
+def test_column_of_a_destination():
+    many = QTable("strategic", ODD_GRID, Hyper(), 0, columns=ODD_GRID.n_cells)
+    one = QTable("adaptive", ODD_GRID, Hyper(), 0)
+    assert (many.column(5), one.column(5)) == (5, 0)
+    dests = np.array([3, 26, 0])
+    np.testing.assert_array_equal(many.column(dests), dests)
+    many.q[1, dests, 2] = [1.0, 2.0, 3.0]
+    np.testing.assert_array_equal(many.q[1, many.column(dests), 2], [1.0, 2.0, 3.0])
+    one.q[dests, 0, 4] = [4.0, 5.0, 6.0]
+    np.testing.assert_array_equal(one.q[dests, one.column(dests), 4], [4.0, 5.0, 6.0])
 
 
 def _set(array, index, value):
@@ -361,7 +402,13 @@ _CORRUPTIONS = {
     "value_nan": lambda o, v, m: (o, _set(v, (0, 0), math.nan), m),
     "value_inf": lambda o, v, m: (o, _set(v, (1, 2), -math.inf), m),
     "object_values": lambda o, v, m: (o, v.astype(object), m),
-    "meta_not_goal_conditioned": lambda o, v, m: (o, v, {**m, "goal_conditioned": False}),
+    "meta_columns_missing": lambda o, v, m: (o, v, {x: m[x] for x in m if x != "columns"}),
+    "meta_columns_0": lambda o, v, m: (o, v, {**m, "columns": 0}),
+    "meta_columns_2": lambda o, v, m: (o, v, {**m, "columns": 2}),
+    "meta_columns_n_cells_plus_1": lambda o, v, m: (o, v, {**m, "columns": 28}),
+    "meta_columns_true": lambda o, v, m: (o, v, {**m, "columns": True}),
+    "meta_columns_float": lambda o, v, m: (o, v, {**m, "columns": 1.0}),
+    "meta_columns_text": lambda o, v, m: (o, v, {**m, "columns": "1"}),
     "meta_not_object": lambda o, v, m: (o, v, np.array("[1, 2]")),
     "meta_not_unicode": lambda o, v, m: (o, v, np.array(b"{}")),
     "meta_bad_grid": lambda o, v, m: (o, v, {**m, "grid": {**m["grid"], "nx": 0}}),
@@ -384,9 +431,10 @@ def test_load_rejects_malformed_members(tmp_path, name):
 
 def test_load_refuses_table_over_the_size_limit(tmp_path):
     # an empty table on a 6,689-cell grid would take over 2 GiB when dense
-    occupied, values, meta = _members(make_table("strategic", goal_conditioned=True),
+    occupied, values, meta = _members(make_table("strategic", columns=GRID.n_cells),
                                       tmp_path / "t.npz")
     meta["grid"] = {**meta["grid"], "nx": 6689, "ny": 1, "nz": 1}
+    meta["columns"] = 6689
     _write_members(tmp_path / "t.npz", occupied, values, meta)
     with pytest.raises(CheckpointError, match="GiB"):
         load(tmp_path / "t.npz")
@@ -422,4 +470,4 @@ def test_load_rejects_corrupt_file(tmp_path):
 
 def test_lookup_default_zero():
     t = make_table()
-    assert t.values((9, 9, 4)) == (0.0,) * 6
+    assert row(t, st((9, 9, 4))) == (0.0,) * 6
