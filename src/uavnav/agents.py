@@ -39,7 +39,10 @@ The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
 lists of the table's rows indexed by flat cell index, with the coverage
 reward of every cell computed once per band from the band's
-``CoverageMap``. Its choices and updates are those of ``select_action``,
+``CoverageMap``. Most of its updates write back the value the row already
+held (on band-flights, about 92 % of them), so it keeps each row's max and
+argmax ties beside the row and recomputes them only when an update changes
+a value. Its choices and updates are those of ``select_action``,
 ``apply_action``, ``reward_adaptive`` and ``q_update``, RNG draws
 included, and a test replays it against a loop built from those calls.
 Reward constants are finite by construction (``RewardParams`` rejects
@@ -65,7 +68,7 @@ from .gridworld import (
     random_free_cell,
     require_mission_cells,
 )
-from .qcore import QTable, bootstrap, greedy_action
+from .qcore import QTable, argmax_ties, bootstrap
 from .radio import LinkBudget, coverage_map
 
 if TYPE_CHECKING:
@@ -376,6 +379,15 @@ def train_adaptive(
     position alone, and has to be informative over the whole region, which a
     random walk pinned to one corner never reaches; the takeoff-started half
     keeps the early training signal representative of real departures.
+
+    Each row carries two caches: its max over all six actions, which the
+    bootstrap reads (under ``altitude_locked`` the never-written z actions
+    still count), and its argmax ties among the candidates, in candidate
+    order (``qcore.argmax_ties``). Both are recomputed only when an update
+    changes the row's value. A greedy step picks from the cached ties as
+    ``greedy_action`` picks from fresh ones, calling ``rng.randrange`` only
+    for two or more, so the table, the logs and the random draws are those
+    of the uncached loop.
     """
     table = QTable(
         kind="adaptive",
@@ -385,14 +397,19 @@ def train_adaptive(
         f_mhz=lb.f_mhz,
     )
     rows = table.q[:, 0].tolist()
+    # Plain ints: a list indexed by an int is faster than by an IntEnum member.
+    candidates = tuple(map(int, cfg.actions))
+    # Per-row caches, recomputed only when an update changes the row's
+    # value: top[i] is max_a Q(i, a) over all six actions, which the
+    # bootstrap reads, and ties[i] the row's argmax ties among the candidates.
+    top = [max(row) for row in rows]
+    ties = [argmax_ties(row, candidates) for row in rows]
     moves = world.moves
     index = world.index
     snr = coverage_map(lb, world).snr_by_index
     threshold = lb.snr_threshold_db
     p = cfg.rewards
     cell_reward = [p.r_outage if v < threshold else p.r_covered for v in snr]
-    # Plain ints: a list indexed by an int is faster than by an IntEnum member.
-    candidates = tuple(map(int, cfg.actions))
     n_candidates = len(candidates)
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
@@ -420,18 +437,27 @@ def train_adaptive(
             if explore and uniform() < epsilon:
                 a = candidates[randrange(n_candidates)]
             else:
-                a = greedy_action(row, candidates, rng)
+                # greedy_action's pick, from the cached ties
+                best = ties[at]
+                a = best[0] if len(best) == 1 else best[randrange(len(best))]
             to, _, event = moves[at][a]
             r = cell_reward[to]
-            next_row = rows[to]
-            # max_a' Q(s', a') is read before the write: s' may be s
-            row[a] = bootstrap(row[a], r, max(next_row), alpha, gamma)
+            old = row[a]
+            # max_a' Q(s', a') is read before the caches change: s' may be s
+            new = bootstrap(old, r, top[to], alpha, gamma)
+            # Written even when equal, so the sign of a zero is kept. Such a
+            # write changes neither cache: ties compare with ==, and the
+            # reward is never zero, so r + gamma * top[to] ignores top's sign.
+            row[a] = new
+            if new != old:
+                top[at] = max(row)
+                ties[at] = argmax_ties(row, candidates)
             total += r
             steps += 1
             if to == goal and event is MOVED:
                 terminal = TerminalCause.ARRIVED
                 break
-            at, row = to, next_row
+            at, row = to, rows[to]
         logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
     table.q[:, 0] = rows
     return table, logs

@@ -83,6 +83,11 @@ def _require_grid(world: GridWorld, *tables: QTable) -> None:
         raise ValueError("Q-table grid does not match the world grid")
 
 
+def _require_coverage(q_adaptive: QTable) -> None:
+    if q_adaptive.columns != 1:
+        raise ValueError("the coverage table must have one column")
+
+
 def _require_destination(world: GridWorld, dest: Cell) -> None:
     if not world.spec.in_bounds(dest):
         # its flat index would alias a cell inside the grid
@@ -102,6 +107,15 @@ def _candidates(
     if allowed == ACTIONS:
         return safe
     return tuple(a for a in safe if a in allowed) or allowed
+
+
+def _spans(values: np.ndarray) -> list[tuple[float, float]]:
+    """Per row of ``values`` (n x 6), its (min, max).
+
+    numpy may pick another zero than Python's ``min`` and ``max`` do; no
+    comparison of the normalized values tells the two apart.
+    """
+    return list(zip(values.min(axis=1).tolist(), values.max(axis=1).tolist()))
 
 
 def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -124,7 +138,10 @@ class TieMasks:
     column) in an array ``[column, cell]``, shared by all bands; a column is
     filled the first time it is flown. A coverage table's masks, one per
     cell of its one column, are decoded the first time that table is flown.
-    No table may change while its masks are in use.
+    Each row's (min, max), which ``normalize`` reads, is computed once too:
+    a coverage table's with its masks, a planner column's the first time a
+    normalized flight asks for it. No table may change while its masks are
+    in use.
     """
 
     def __init__(
@@ -150,7 +167,9 @@ class TieMasks:
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
         self._planner = np.zeros((q_strategic.columns, n), dtype=np.uint8)
         self._done = np.zeros(q_strategic.columns, dtype=bool)
-        self._coverage: dict[int, tuple[QTable, list[tuple[int, ...]], list[list[float]]]] = {}
+        self._planner_spans: dict[int, list[tuple[float, float]]] = {}
+        # id of each coverage table flown -> (table, ties, rows, spans)
+        self._coverage: dict[int, tuple] = {}
 
     def planner(self, goal: int) -> tuple[list[int], np.ndarray]:
         """The planner's tie mask per cell and its values (n x 6) toward ``goal``.
@@ -164,28 +183,37 @@ class TieMasks:
             self._done[col] = True
         return self._planner[col].tolist(), q
 
-    def coverage(self, q_adaptive: QTable) -> tuple[list[tuple[int, ...]], list[list[float]]]:
-        """A coverage table's ties per cell, decoded, and its rows as lists."""
+    def planner_spans(self, goal: int) -> list[tuple[float, float]]:
+        """Each cell's (min, max) planner value toward ``goal``, a flat index."""
+        col = self.q_strategic.column(goal)
+        spans = self._planner_spans.get(col)
+        if spans is None:
+            spans = self._planner_spans[col] = _spans(self.q_strategic.q[:, col])
+        return spans
+
+    def coverage(
+        self, q_adaptive: QTable
+    ) -> tuple[list[tuple[int, ...]], list[list[float]], list[tuple[float, float]]]:
+        """A coverage table's ties per cell, decoded, its rows as lists and their spans."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
-            if q_adaptive.columns != 1:
-                raise ValueError("the coverage table must have one column")
+            _require_coverage(q_adaptive)
             q = q_adaptive.q[:, 0]
             ties = [_TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
-            hit = (q_adaptive, ties, q.tolist())
+            hit = (q_adaptive, ties, q.tolist(), _spans(q))
             self._coverage[id(q_adaptive)] = hit
-        return hit[1], hit[2]
+        return hit[1:]
 
 
-def _normalized(row: list[float], a: int) -> float:
-    """row[a] min-max rescaled over the state's six action values.
+def _normalized(value: float, span: tuple[float, float]) -> float:
+    """A state's action value min-max rescaled over its six, whose (min, max) is ``span``.
 
     A flat row carries no preference; it maps to the neutral midpoint 0.5.
     """
-    lo, hi = min(row), max(row)
+    lo, hi = span
     if hi == lo:
         return 0.5
-    return (row[a] - lo) / (hi - lo)
+    return (value - lo) / (hi - lo)
 
 
 def decide(
@@ -206,6 +234,7 @@ def decide(
     and the index of an off-grid cell would alias a cell inside the grid.
     """
     _require_grid(world, q_strategic, q_adaptive)
+    _require_coverage(q_adaptive)
     for c in (s_pos, dest):
         if not world.spec.in_bounds(c):
             raise ValueError(f"cell {c} lies outside the grid")
@@ -218,8 +247,8 @@ def decide(
     if a1 == a2:
         return a1
     if normalize:
-        q1 = _normalized(row_s, a2)
-        q2 = _normalized(row_a, a1)
+        q1 = _normalized(row_s[a2], (min(row_s), max(row_s)))
+        q2 = _normalized(row_a[a1], (min(row_a), max(row_a)))
     else:
         q1 = row_s[a2]
         q2 = row_a[a1]
@@ -272,7 +301,8 @@ def execute_flight(
     pos = world.start_cell
     at, goal = world.index(pos), world.index(dest)
     plan, plan_q = masks.planner(goal)
-    cover, cover_q = masks.coverage(q_adaptive)
+    cover, cover_q, cover_spans = masks.coverage(q_adaptive)
+    plan_spans = masks.planner_spans(goal) if normalize else None
     # Delivery priority: once the destination is one move away, take that
     # move instead of arbitrating. Evaluation measures successful delivery;
     # without this, a destination inside a weak-coverage zone is
@@ -300,8 +330,8 @@ def execute_flight(
             a2 = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
             if a2 != a:
                 if normalize:
-                    q1 = _normalized(plan_q[at].tolist(), a2)
-                    q2 = _normalized(cover_q[at], a)
+                    q1 = _normalized(float(plan_q[at, a2]), plan_spans[at])
+                    q2 = _normalized(cover_q[at][a], cover_spans[at])
                 else:
                     q1 = plan_q[at, a2]
                     q2 = cover_q[at][a]

@@ -17,10 +17,12 @@ The update is the standard one-step bootstrap
 and action selection is epsilon-greedy with uniform random tie-breaking
 among maximizers, so the symmetric grid picks up no directional bias.
 ``bootstrap`` holds the update arithmetic, for Python floats and numpy
-arrays alike, and ``greedy_action`` the argmax with random ties.
+arrays alike, ``argmax_ties`` the tie rule and ``greedy_action`` the
+argmax with random ties, a uniform pick from ``argmax_ties``.
 ``q_update`` and ``select_action`` are built on them; so are the coverage
-agent's loop and the flight arbiter, and the planner's lockstep loop in
-``agents`` applies ``bootstrap`` to a whole batch of episodes at once.
+agent's loop, which caches each row's ties, and the flight arbiter, and
+the planner's lockstep loop in ``agents`` applies ``bootstrap`` to a whole
+batch of episodes at once.
 
 A checkpoint (format v4, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
@@ -201,6 +203,12 @@ def q_update(
     return new
 
 
+def argmax_ties(row: Sequence[float], candidates: Sequence[Action]) -> list[Action]:
+    """The candidates with the highest value in ``row``, in candidate order."""
+    best = max([row[a] for a in candidates])
+    return [a for a in candidates if row[a] == best]
+
+
 def greedy_action(
     row: Sequence[float], candidates: Sequence[Action], rng: random.Random
 ) -> Action:
@@ -208,8 +216,7 @@ def greedy_action(
 
     ``rng`` is drawn from only when two or more candidates tie.
     """
-    best = max([row[a] for a in candidates])
-    ties = [a for a in candidates if row[a] == best]
+    ties = argmax_ties(row, candidates)
     if len(ties) == 1:
         return ties[0]
     return ties[rng.randrange(len(ties))]

@@ -303,6 +303,18 @@ def test_decide_refuses_cells_outside_the_grid():
             decide(qs, qa, pos, dest, False, world, random.Random(0))
 
 
+def test_decide_and_flight_refuse_a_multi_column_coverage_table():
+    # decide used to read column 0 of it and return action 3
+    world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
+    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
+    qa = QTable("adaptive", world.spec, Hyper(), 0, columns=world.spec.n_cells)
+    with pytest.raises(ValueError, match="the coverage table must have one column"):
+        decide(qs, qa, (0, 0, 0), (2, 2, 0), True, world, random.Random(0))
+    cmap = coverage_map(TrainConfig().link, world)
+    with pytest.raises(ValueError, match="the coverage table must have one column"):
+        execute_flight(qs, qa, world, cmap, (2, 2, 0), 10)
+
+
 def test_execute_flight_refuses_masks_of_another_rule():
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)

@@ -13,9 +13,14 @@ same episode logs, down to the types of their fields. The slot count must
 not change what is trained.
 
 ``train_adaptive`` steps through the world's move table with the reward and
-the update written out. The reference loop below takes each step the plain
-way -- ``select_action``, ``apply_action``, ``reward_adaptive``,
-``q_update`` -- and must give an equal table and equal episode logs.
+the update written out, and reads each row's max and argmax ties from caches
+it recomputes only when an update changes the row. The reference loop below
+takes each step the plain way -- ``select_action``, ``apply_action``,
+``reward_adaptive``, ``q_update`` -- and must give an equal table, equal
+episode logs and leave the random generator in the same state. The extra
+modes stress the caches: greedy steps read the cached ties, ``alpha`` 1
+makes most updates change a value, and a link covered everywhere makes rows
+tie everywhere.
 """
 
 import dataclasses
@@ -46,7 +51,7 @@ from uavnav.gridworld import (
     random_free_cell,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import EpsilonSchedule, QTable, q_update, select_action
+from uavnav.qcore import EpsilonSchedule, Hyper, QTable, q_update, select_action
 from uavnav.radio import coverage_map
 
 from oracles import splitmix64_uniform
@@ -192,10 +197,17 @@ MODES = {
     # epsilon reaches exactly 0 from episode 108 on
     "greedy": {"schedule": EpsilonSchedule(1.0, 0.0, 1e-3)},
 }
+# Modes of the coverage loop alone.
+ADAPTIVE_MODES = {
+    # epsilon reaches exactly 0 from episode 108 on
+    "greedy_adaptive": {"schedule_adaptive": EpsilonSchedule(1.0, 0.0, 1e-3)},
+    "alpha_1": {"hyper": Hyper(alpha=1.0)},
+    "always_covered": {},  # the test lowers the link's threshold to -inf
+}
 
 
 def mode_config(mode: str) -> TrainConfig:
-    cfg = TrainConfig(**{**BASE, **MODES[mode]})
+    cfg = TrainConfig(**{**BASE, **{**MODES, **ADAPTIVE_MODES}[mode]})
     if mode == "fixed_destination":
         world = build_world(cfg)
         cfg = dataclasses.replace(cfg, fixed_destination=max(world.mission_cells()))
@@ -230,14 +242,20 @@ def test_train_strategic_does_not_depend_on_slot_count(monkeypatch, slots):
     assert_same_run(fewer, batched)
 
 
-@pytest.mark.parametrize("mode", ["goal_conditioned", "altitude_locked", "401_episodes"])
+@pytest.mark.parametrize(
+    "mode", ["goal_conditioned", "altitude_locked", "401_episodes", *ADAPTIVE_MODES]
+)
 def test_train_adaptive_matches_reference_loop(mode):
     cfg = mode_config(mode)
     world = build_world(cfg)
     lb = cfg.link_for_band(2100.0)
-    got = train_adaptive(world, lb, cfg, stream_rng(cfg.seed, "train.adaptive"))
-    want = reference_adaptive(build_world(cfg), lb, cfg, stream_rng(cfg.seed, "train.adaptive"))
+    if mode == "always_covered":
+        lb = dataclasses.replace(lb, snr_threshold_db=-math.inf)
+    rng_got, rng_want = (stream_rng(cfg.seed, "train.adaptive") for _ in range(2))
+    got = train_adaptive(world, lb, cfg, rng_got)
+    want = reference_adaptive(build_world(cfg), lb, cfg, rng_want)
     assert_same_run(got, want)
+    assert rng_got.getstate() == rng_want.getstate()
 
 
 def test_compared_runs_cover_every_step_event():
