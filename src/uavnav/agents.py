@@ -27,13 +27,18 @@ The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
 reads (s', same destination), so up to ``LOCKSTEP_SLOTS`` episodes with
 distinct destinations advance together, each step one batch of numpy
-operations on the dense ``Q[cell, column, a]`` table: epsilon mask, argmax
-with uniform random ties, move-table lookup, reward, scatter update. Its
-choices follow the rule of ``select_action`` and its updates round as
-``q_update``'s do; a test runs the episodes one after another, picking
-each action from the episode's random stream and stepping through
-``apply_action``, ``reward_strategic`` and ``q_update``, and gets the same
-table and logs bit for bit.
+operations on flat views of the dense ``Q[cell, column, a]`` table:
+epsilon mask, argmax with uniform random ties (as 6-bit tie masks,
+``qcore.TIES``), move-table lookup, reward, scatter update. When only a
+few destinations are left (``DRAIN_SLOTS``), it drains them: their
+episodes run one after another as a scalar loop on Python lists, so
+fixed-destination training, which has one destination, runs there
+throughout. Its choices follow the rule of ``select_action`` and its
+updates round as ``q_update``'s do; a test runs the episodes one after
+another, picking each action from the episode's random stream and stepping
+through ``apply_action``, ``reward_strategic`` and ``q_update``, and gets
+the same table and logs bit for bit, whatever the slot count and the
+drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -68,7 +73,7 @@ from .gridworld import (
     random_free_cell,
     require_mission_cells,
 )
-from .qcore import QTable, argmax_ties, bootstrap
+from .qcore import N_ACTIONS, TIES, QTable, argmax_ties, bootstrap
 from .radio import LinkBudget, coverage_map
 
 if TYPE_CHECKING:
@@ -116,6 +121,14 @@ class RewardParams:
 
 # Episodes the planner's loop advances together.
 LOCKSTEP_SLOTS = 256
+# Once no episode waits for a slot and at most this many run, the planner's
+# loop finishes them, and the later episodes to their destinations, one
+# step at a time (the drain). On planner-goals on a 2-vCPU host, a lockstep
+# step of 1-16 episodes costs 80-90 us and a drained step about 5 us. The
+# drain runs the chains one after another, so it pays for the sum of their
+# steps where the lockstep pays for the longest: 16 chains of equal length
+# about break even, and uneven ones, the usual case, favour the drain.
+DRAIN_SLOTS = 16
 
 MOVED = StepEvent.MOVED
 CRASHED = StepEvent.CRASHED_INTO_OBSTACLE
@@ -195,6 +208,12 @@ _NEXT_STEP = np.uint64(2 * _GOLDEN % 2**64)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# A tie mask m (``qcore.TIES``) holds _TIE_COUNT[m] actions, and its j-th in
+# ascending order is _TIE_NTH[m * N_ACTIONS + j]; action a is bit _BITS[a].
+_TIE_COUNT = np.array([len(t) for t in TIES], dtype=np.intp)
+_TIE_NTH = np.array([t + (0,) * (N_ACTIONS - len(t)) for t in TIES], dtype=np.intp).ravel()
+_BITS = 1 << np.arange(N_ACTIONS)
+
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
     """Uniform floats in [0, 1) from SplitMix64 states ``z`` (``k + c * golden``).
@@ -247,14 +266,24 @@ def train_strategic(
     destinations never see each other's writes: a free slot takes the
     lowest-numbered waiting episode whose destination no running episode
     has, and the episodes to one destination run one at a time, in episode
-    order, exactly as a sequential loop would run them. Fixed-destination
-    mode runs one episode at a time.
+    order, exactly as a sequential loop would run them.
+
+    Once no episode waits for a free slot and at most ``DRAIN_SLOTS`` run,
+    the work left is each running episode and the later episodes to its
+    destination (``after``). These chains share no rows, so the drain
+    finishes them one after another, one step at a time on the column's
+    rows as Python lists: a running episode continues from its cell, step
+    count, reward so far and stream position. A lockstep step of a few
+    episodes costs about as much as one of many, so this spares the tail
+    of the run, where the busiest destination's episodes run nearly alone,
+    a batch of array operations per step. Fixed-destination mode has one
+    destination, so it runs one episode at a time, wholly in the drain.
 
     ``rng`` seeds a numpy generator that draws the missions and one random
     stream per episode; step t of an episode takes draws 2t (exploration
     coin) and 2t + 1 (which candidate) of its stream. So the trained table
-    and logs do not depend on ``LOCKSTEP_SLOTS``: one slot gives the same
-    bits as a sequential loop over the episodes.
+    and logs depend on neither ``LOCKSTEP_SLOTS`` nor ``DRAIN_SLOTS``: one
+    slot gives the same bits as a sequential loop over the episodes.
     """
     gen = np.random.default_rng(rng.getrandbits(128))
     n = cfg.episodes_strategic
@@ -270,15 +299,29 @@ def train_strategic(
     streams = gen.integers(1 << 64, size=n, dtype=np.uint64)  # stream keys
     epsilons = [cfg.schedule.at(e) for e in range(n)]
     eps_of = np.array(epsilons)
-    landing = np.array([[m[0] for m in row] for row in world.moves], dtype=np.intp)
-    crashes = np.array([[m[2] is CRASHED for m in row] for row in world.moves])
+    p = cfg.rewards
+    moves = world.moves
+    # per (cell, action), flat: the landing cell and the reward's crash term
+    landing = np.array([[m[0] for m in row] for row in moves], dtype=np.intp).ravel()
+    crash_r = np.array(
+        [[p.r_crash if m[2] is CRASHED else 0.0 for m in row] for row in moves]
+    ).ravel()
     dist = _distance_table(world, cfg.distance_metric)
+    # Flat views of the table: state (cell, column) is row
+    # cell * columns + column of rows, and its action a is entry
+    # row * N_ACTIONS + a of entries. near[row] is the distance from the
+    # state's cell to the destination of its column.
+    columns = table.columns
+    rows = q.reshape(-1, N_ACTIONS)
+    entries = q.reshape(-1)
+    near = dist.reshape(-1) if columns > 1 else dist[:, dests[0]].copy()
     # ACTIONS_XY is the first four actions, so a candidate's position in
     # the candidate set is its action value.
-    n_candidates = len(cfg.actions)
+    candidates = tuple(map(int, cfg.actions))
+    bits = _BITS[: len(candidates)]
+    everything = int(bits.sum())  # the mask of all candidates
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
-    p = cfg.rewards
 
     # after[e]: the next episode to e's destination, or -1
     order = np.argsort(dests, kind="stable")
@@ -292,9 +335,9 @@ def train_strategic(
     steps_of = np.zeros(n, dtype=np.intp)
     arrived_of = np.zeros(n, dtype=bool)
     # the running episodes, one entry per slot: episode, cell, destination,
-    # steps taken, reward so far and the state of its stream
+    # steps taken, reward so far, epsilon and the state of its stream
     ep = at = goal = steps = np.zeros(0, dtype=np.intp)
-    total = np.zeros(0)
+    total = eps = np.zeros(0)
     draw = np.zeros(0, dtype=np.uint64)
     while True:
         k = min(LOCKSTEP_SLOTS - ep.size, len(ready))
@@ -306,30 +349,33 @@ def train_strategic(
             goal = np.concatenate((goal, dests[new]))
             steps = np.concatenate((steps, np.zeros(k, dtype=np.intp)))
             total = np.concatenate((total, np.zeros(k)))
+            eps = np.concatenate((eps, eps_of[new]))
             draw = np.concatenate((draw, streams[new]))
-        if not ep.size:
+        if not ready and ep.size <= DRAIN_SLOTS:
             break
         col = table.column(goal)
+        s = at * columns + col
 
         # epsilon-greedy over the candidates: a uniformly drawn one of the
         # maximizers, or of all candidates when exploring
         coin, u = _uniforms(draw + _COIN_AND_PICK)
-        row = q[at, col]
-        values = row[:, :n_candidates]
-        pick = values == reduce(np.maximum, values.T)[:, None]
-        pick |= (coin < eps_of[ep])[:, None]
-        ranks = pick.cumsum(axis=1)
-        nth = (u * ranks[:, -1]).astype(np.intp)
-        a = (ranks > nth[:, None]).argmax(axis=1)
+        values = rows.take(s, axis=0)[:, : len(candidates)]
+        ties = (values == reduce(np.maximum, values.T)[:, None]) @ bits
+        ties[coin < eps] = everything
+        nth = (u * _TIE_COUNT.take(ties)).astype(np.intp)
+        a = _TIE_NTH.take(ties * N_ACTIONS + nth)
 
-        to = landing[at, a]
+        move = at * N_ACTIONS + a
+        to = landing.take(move)
+        s_to = to * columns + col
         arrived = to == goal
-        r = np.where(dist[to, goal] < dist[at, goal], p.r_closer, p.r_farther) + np.where(
-            crashes[at, a], p.r_crash, np.where(arrived, p.r_arrive, 0.0)
+        r = np.where(near.take(s_to) < near.take(s), p.r_closer, p.r_farther) + np.where(
+            arrived, p.r_arrive, crash_r.take(move)
         )
         # max_a' Q(s', a') is read before the write: s' may be s
-        max_next = reduce(np.maximum, q[to, col].T)
-        q[at, col, a] = bootstrap(q[at, col, a], r, max_next, alpha, gamma)
+        max_next = reduce(np.maximum, rows.take(s_to, axis=0).T)
+        sa = s * N_ACTIONS + a
+        entries.put(sa, bootstrap(entries.take(sa), r, max_next, alpha, gamma))
         at = to
         total += r
         steps += 1
@@ -345,24 +391,63 @@ def train_strategic(
                 if e >= 0:
                     insort(ready, e)
             keep = ~done
-            ep, at, goal, steps, total, draw = (
-                x[keep] for x in (ep, at, goal, steps, total, draw)
+            ep, at, goal, steps, total, eps, draw = (
+                x[keep] for x in (ep, at, goal, steps, total, eps, draw)
             )
 
+    # The drain: each running episode, then the later episodes to its
+    # destination, one after another on the column's rows as lists.
+    # offsets[c] moves a stream state c draws on.
+    offsets = np.arange(2 * cap, dtype=np.uint64) * np.uint64(_GOLDEN)
+    arrival = StepEvent.ARRIVED_AT_DESTINATION
+    for i, (e, cell, dest, taken, reward) in enumerate(
+        zip(ep.tolist(), at.tolist(), goal.tolist(), steps.tolist(), total.tolist())
+    ):
+        col = table.column(dest)
+        chain = q[:, col].tolist()
+        to_dest = dist[:, dest].tolist()
+        state = draw[i]
+        while True:
+            epsilon = epsilons[e]
+            # the episode's remaining draws, two per step up to the cap
+            left = iter(_uniforms(state + offsets[: 2 * (cap - taken)]).tolist())
+            arrived = False
+            for coin, u in zip(left, left):
+                row = chain[cell]
+                picks = candidates if coin < epsilon else argmax_ties(row, candidates)
+                a = picks[int(u * len(picks))]
+                to, _, event = moves[cell][a]
+                arrived = to == dest
+                r = reward_strategic(
+                    to_dest[cell], to_dest[to], arrival if arrived else event, p
+                )
+                # max_a' Q(s', a') is read before the write: s' may be s
+                row[a] = bootstrap(row[a], r, max(chain[to]), alpha, gamma)
+                reward += r
+                taken += 1
+                cell = to
+                if arrived:
+                    break
+            total_of[e], steps_of[e], arrived_of[e] = reward, taken, arrived
+            e = int(after[e])
+            if e < 0:
+                break
+            cell, taken, reward, state = int(starts[e]), 0, 0.0, streams[e]
+        q[:, col] = chain
+
     cells = world.cells
-    logs = [
-        EpisodeLog(
-            e,
-            cells[d],
-            t,
-            s,
-            TerminalCause.ARRIVED if arr else TerminalCause.STEP_CAP_HIT,
-            epsilons[e],
+    terminal = (TerminalCause.STEP_CAP_HIT, TerminalCause.ARRIVED)
+    logs = list(
+        map(
+            EpisodeLog,
+            range(n),
+            [cells[d] for d in dests.tolist()],
+            total_of.tolist(),
+            steps_of.tolist(),
+            [terminal[arr] for arr in arrived_of.tolist()],
+            epsilons,
         )
-        for e, (d, t, s, arr) in enumerate(
-            zip(dests.tolist(), total_of.tolist(), steps_of.tolist(), arrived_of.tolist())
-        )
-    ]
+    )
     return table, logs
 
 

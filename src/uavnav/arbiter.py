@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
-from .qcore import N_ACTIONS, QTable, greedy_action
+from .qcore import N_ACTIONS, TIES, QTable, greedy_action
 from .radio import CoverageMap
 
 
@@ -70,12 +70,6 @@ class FlightResult:
     outage_steps: int
     min_snr_db: float
     flight_time_s: float
-
-
-# _TIES[m]: the actions whose bit is set in the tie mask m, ascending.
-_TIES: tuple[tuple[int, ...], ...] = tuple(
-    tuple(a for a in range(N_ACTIONS) if m >> a & 1) for m in range(1 << N_ACTIONS)
-)
 
 
 def _require_grid(world: GridWorld, *tables: QTable) -> None:
@@ -134,9 +128,9 @@ class TieMasks:
     Built for one world and one frozen planner table under one candidate
     rule, ``safety`` and ``allowed`` as ``decide`` applies them; ``allowed``
     must list distinct actions in ascending order, as ``ACTIONS`` and
-    ``ACTIONS_XY`` do. The planner's masks are one ``uint8`` per (cell,
-    column) in an array ``[column, cell]``, shared by all bands; a column is
-    filled the first time it is flown. A coverage table's masks, one per
+    ``ACTIONS_XY`` do. The planner's masks are one ``bytes`` per column,
+    one byte per cell, shared by all bands; a column's are computed the
+    first time it is flown. A coverage table's masks, one per
     cell of its one column, are decoded the first time that table is flown.
     Each row's (min, max), which ``normalize`` reads, is computed once too:
     a coverage table's with its masks, a planner column's the first time a
@@ -165,23 +159,23 @@ class TieMasks:
         self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
         for i, safe in enumerate(world.safe_actions):
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
-        self._planner = np.zeros((q_strategic.columns, n), dtype=np.uint8)
-        self._done = np.zeros(q_strategic.columns, dtype=bool)
+        # column -> its masks, one byte per cell
+        self._planner: dict[int, bytes] = {}
         self._planner_spans: dict[int, list[tuple[float, float]]] = {}
         # id of each coverage table flown -> (table, ties, rows, spans)
         self._coverage: dict[int, tuple] = {}
 
-    def planner(self, goal: int) -> tuple[list[int], np.ndarray]:
+    def planner(self, goal: int) -> tuple[bytes, np.ndarray]:
         """The planner's tie mask per cell and its values (n x 6) toward ``goal``.
 
         ``goal`` is the destination's flat index.
         """
         col = self.q_strategic.column(goal)
         q = self.q_strategic.q[:, col]
-        if not self._done[col]:
-            self._planner[col] = _tie_masks(q, self._candidate_mask)
-            self._done[col] = True
-        return self._planner[col].tolist(), q
+        masks = self._planner.get(col)
+        if masks is None:
+            masks = self._planner[col] = _tie_masks(q, self._candidate_mask).tobytes()
+        return masks, q
 
     def planner_spans(self, goal: int) -> list[tuple[float, float]]:
         """Each cell's (min, max) planner value toward ``goal``, a flat index."""
@@ -199,7 +193,7 @@ class TieMasks:
         if hit is None or hit[0] is not q_adaptive:
             _require_coverage(q_adaptive)
             q = q_adaptive.q[:, 0]
-            ties = [_TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
+            ties = [TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
             hit = (q_adaptive, ties, q.tolist(), _spans(q))
             self._coverage[id(q_adaptive)] = hit
         return hit[1:]
@@ -324,7 +318,7 @@ def execute_flight(
         a = enter(at)
         if a is None:
             # decide(), draw for draw: the planner's ties, then the coverage agent's
-            ties = _TIES[plan[at]]
+            ties = TIES[plan[at]]
             a = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
             ties = cover[at]
             a2 = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
@@ -387,7 +381,7 @@ def greedy_trajectory(
     trajectory = [world.start_cell]
     steps = 0
     while steps < step_cap:
-        ties = _TIES[plan[at]]
+        ties = TIES[plan[at]]
         a = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
         to, nxt, event = moves[at][a]
         steps += 1

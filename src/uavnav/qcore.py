@@ -22,7 +22,9 @@ argmax with random ties, a uniform pick from ``argmax_ties``.
 ``q_update`` and ``select_action`` are built on them; so are the coverage
 agent's loop, which caches each row's ties, and the flight arbiter, and
 the planner's lockstep loop in ``agents`` applies ``bootstrap`` to a whole
-batch of episodes at once.
+batch of episodes at once. ``TIES`` decodes a set of actions held as a
+6-bit mask, the form in which the flight arbiter and the planner's
+lockstep loop keep tie sets.
 
 A checkpoint (format v4, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
@@ -201,6 +203,13 @@ def q_update(
     new = bootstrap(float(row[a]), r, max_next, h.alpha, h.gamma)
     row[a] = new
     return new
+
+
+# TIES[m]: the actions whose bit is set in the tie mask m, ascending. A set
+# of actions as a mask has bit a for action a.
+TIES: tuple[tuple[int, ...], ...] = tuple(
+    tuple(a for a in range(N_ACTIONS) if m >> a & 1) for m in range(1 << N_ACTIONS)
+)
 
 
 def argmax_ties(row: Sequence[float], candidates: Sequence[Action]) -> list[Action]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavnav.agents import train_adaptive, train_strategic
+from uavnav.agents import EpisodeLog, TerminalCause, train_adaptive, train_strategic
 from uavnav.arbiter import FlightOutcome
 from uavnav.cli import main as cli_main
 from uavnav.config import (
@@ -27,6 +27,7 @@ from uavnav.harness import (
     ArtifactError,
     EvalReport,
     FlightRecord,
+    _write_rewards_csv,
     band_label,
     build_world,
     cmd_coverage,
@@ -216,6 +217,22 @@ def test_cmd_train_artifact_layout(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["episode", "total_reward", "epsilon", "steps"]
     assert len(rows) == 401
+
+
+def test_rewards_csv_is_what_csv_writer_writes(tmp_path):
+    logs = [
+        EpisodeLog(0, (0, 0, 0), -0.0, 1, TerminalCause.ARRIVED, 1.0),
+        EpisodeLog(1, (1, 2, 0), -1e-300, 100, TerminalCause.STEP_CAP_HIT, 0.05),
+        EpisodeLog(2, (3, 1, 1), 1.5e16, 7, TerminalCause.ARRIVED, 5e-324),
+    ]
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["episode", "total_reward", "epsilon", "steps"])
+        for log in logs:
+            writer.writerow([log.episode, repr(log.total_reward), repr(log.epsilon), log.steps])
+    _write_rewards_csv(tmp_path / "got.csv", logs)
+    assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
 
 
 def test_cmd_train_single_episode(tmp_path):

@@ -9,8 +9,10 @@ Python ints): draw 2t is the exploration coin, draw 2t + 1 picks the
 ``int(u * len(picks))``-th of the argmax ties, or of all candidates when
 exploring. It steps with ``apply_action``, ``reward_strategic`` and
 ``q_update``. Both must give the same table, float bits included, and the
-same episode logs, down to the types of their fields. The slot count must
-not change what is trained.
+same episode logs, down to the types of their fields. Neither the slot
+count nor the threshold below which ``train_strategic`` drains its last
+episodes one at a time (``DRAIN_SLOTS``) may change what is trained; the
+drain must pick up a running episode at its place in its stream.
 
 ``train_adaptive`` steps through the world's move table with the reward and
 the update written out, and reads each row's max and argmax ties from caches
@@ -32,6 +34,8 @@ import pytest
 
 from uavnav import agents
 from uavnav.agents import (
+    DRAIN_SLOTS,
+    LOCKSTEP_SLOTS,
     EpisodeLog,
     TerminalCause,
     reward_adaptive,
@@ -231,15 +235,53 @@ def test_train_strategic_replays_through_public_calls(mode):
         assert sum((ties[a] - n / 6) ** 2 / (n / 6) for a in ACTIONS) < 20.5
 
 
-@pytest.mark.parametrize("slots", [1, 7])
-def test_train_strategic_does_not_depend_on_slot_count(monkeypatch, slots):
-    # one slot runs the episodes one after another, in episode order
+@pytest.fixture(scope="module")
+def goal_conditioned_reference():
     cfg = mode_config("goal_conditioned")
-    world = build_world(cfg)
-    batched = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+    table, logs, _, _ = reference_strategic(
+        build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic")
+    )
+    return table, logs
+
+
+# (slots, drain threshold) of the runs whose drain takes over episodes
+# mid-stream: with 7 slots both thresholds reach the slot count, so the drain
+# starts when no episode waits, and the last 7 running are mid-episode.
+MID_EPISODE_DRAINS = {(7, DRAIN_SLOTS), (7, LOCKSTEP_SLOTS), (LOCKSTEP_SLOTS, DRAIN_SLOTS)}
+
+
+@pytest.mark.parametrize("slots", [1, 7, LOCKSTEP_SLOTS])
+@pytest.mark.parametrize(
+    "drain",
+    [0, DRAIN_SLOTS, LOCKSTEP_SLOTS],
+    ids=["lockstep_to_the_end", "default_drain", "drain_once_none_wait"],
+)
+def test_train_strategic_does_not_depend_on_slot_count(
+    monkeypatch, goal_conditioned_reference, slots, drain
+):
+    # One slot runs the episodes one after another, in episode order. A
+    # drain threshold of 0 never drains; LOCKSTEP_SLOTS drains as soon as no
+    # episode waits for a slot.
+    cfg = mode_config("goal_conditioned")
+    cap = cfg.resolved_step_cap()
     monkeypatch.setattr(agents, "LOCKSTEP_SLOTS", slots)
-    fewer = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
-    assert_same_run(fewer, batched)
+    monkeypatch.setattr(agents, "DRAIN_SLOTS", drain)
+    # The drain takes each episode's remaining draws in one call: fewer
+    # than 2 * cap of them means it took over an episode mid-stream.
+    resumed = []
+    uniforms = agents._uniforms
+
+    def spy(z):
+        if z.ndim == 1 and z.size < 2 * cap:
+            resumed.append(z.size)
+        return uniforms(z)
+
+    monkeypatch.setattr(agents, "_uniforms", spy)
+    got = train_strategic(build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic"))
+    assert_same_run(got, goal_conditioned_reference)
+    if (slots, drain) in MID_EPISODE_DRAINS:
+        # handed two or more destinations' episodes, each after some steps
+        assert len(resumed) >= 2
 
 
 @pytest.mark.parametrize(
