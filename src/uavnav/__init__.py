@@ -12,7 +12,14 @@ from .agents import (
     train_adaptive,
     train_strategic,
 )
-from .arbiter import FlightOutcome, FlightResult, decide, execute_flight, greedy_trajectory
+from .arbiter import (
+    FlightOutcome,
+    FlightRecord,
+    TieMasks,
+    decide,
+    execute_flight,
+    greedy_trajectory,
+)
 from .config import ConfigError, TrainConfig, load_config, seed_stream, stream_rng
 from .gridworld import (
     ACTIONS,
@@ -32,7 +39,6 @@ from .gridworld import (
 from .harness import (
     ArtifactError,
     EvalReport,
-    FlightRecord,
     TrainingError,
     build_world,
     cmd_coverage,

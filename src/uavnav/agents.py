@@ -304,7 +304,7 @@ def train_strategic(
     # per (cell, action), flat: the landing cell and the reward's crash term
     landing = np.array([[m[0] for m in row] for row in moves], dtype=np.intp).ravel()
     crash_r = np.array(
-        [[p.r_crash if m[2] is CRASHED else 0.0 for m in row] for row in moves]
+        [[p.r_crash if m[1] is CRASHED else 0.0 for m in row] for row in moves]
     ).ravel()
     dist = _distance_table(world, cfg.distance_metric)
     # Flat views of the table: state (cell, column) is row
@@ -416,7 +416,7 @@ def train_strategic(
                 row = chain[cell]
                 picks = candidates if coin < epsilon else argmax_ties(row, candidates)
                 a = picks[int(u * len(picks))]
-                to, _, event = moves[cell][a]
+                to, event = moves[cell][a]
                 arrived = to == dest
                 r = reward_strategic(
                     to_dest[cell], to_dest[to], arrival if arrived else event, p
@@ -525,7 +525,7 @@ def train_adaptive(
                 # greedy_action's pick, from the cached ties
                 best = ties[at]
                 a = best[0] if len(best) == 1 else best[randrange(len(best))]
-            to, _, event = moves[at][a]
+            to, event = moves[at][a]
             r = cell_reward[to]
             old = row[a]
             # max_a' Q(s', a') is read before the caches change: s' may be s

@@ -30,9 +30,13 @@ The same random numbers are drawn in the same order, so a flight is
 bit-identical to stepping ``decide``; the replay tests hold every step to
 it.
 
-A flight steps through the world's move table. Each step's SNR is read
-from the band's ``CoverageMap``, the same map the coverage agent trained
-on: training and flight have one SNR source.
+``execute_flight`` takes the ``TieMasks`` of the world, the planner and
+the candidate rule it flies under, and returns the ``FlightRecord`` the
+evaluation reports: band, destination, outcome and step counts, no
+trajectory. A flight steps through the world's move table, by flat cell
+index. Each step's SNR is read from the band's ``CoverageMap``, the same
+map the coverage agent trained on: training and flight have one SNR
+source.
 """
 
 from __future__ import annotations
@@ -55,16 +59,15 @@ class FlightOutcome(Enum):
 
 
 @dataclass
-class FlightResult:
+class FlightRecord:
     """One evaluation flight from the start cell toward ``destination``.
 
-    The trajectory lists distinct positions in visit order (a step blocked
-    at the boundary burns a step without adding a cell). ``outage_steps``
+    ``band_mhz`` is the carrier of the coverage map flown. ``outage_steps``
     counts steps that ended below the SNR threshold.
     """
 
+    band_mhz: float
     destination: Cell
-    trajectory: list[Cell]
     outcome: FlightOutcome
     steps: int
     outage_steps: int
@@ -135,7 +138,8 @@ class TieMasks:
     Each row's (min, max), which ``normalize`` reads, is computed once too:
     a coverage table's with its masks, a planner column's the first time a
     normalized flight asks for it. No table may change while its masks are
-    in use.
+    in use. A coverage table is checked against the world's grid, and for
+    its one column, the first time it is flown.
     """
 
     def __init__(
@@ -191,6 +195,7 @@ class TieMasks:
         """A coverage table's ties per cell, decoded, its rows as lists and their spans."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
+            _require_grid(self.world, q_adaptive)
             _require_coverage(q_adaptive)
             q = q_adaptive.q[:, 0]
             ties = [TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
@@ -250,50 +255,36 @@ def decide(
 
 
 def execute_flight(
-    q_strategic: QTable,
+    masks: TieMasks,
     q_adaptive: QTable,
-    world: GridWorld,
     cmap: CoverageMap,
     dest: Cell,
     step_cap: int,
     rng: random.Random | None = None,
-    safety: bool = True,
     normalize: bool = False,
     velocity_ms: float = 15.0,
-    allowed: tuple[Action, ...] = ACTIONS,
-    masks: TieMasks | None = None,
-) -> FlightResult:
+) -> FlightRecord:
     """Fly greedily from the start cell until arrival, crash, or the cap.
 
-    ``cmap`` is the coverage map of the flight's band over this world's
-    grid; every step's SNR is read from it. A crash terminates the flight
-    as a failure (evaluation semantics, unlike the pass-through used in
-    training). The rng only breaks argmax ties. ``masks`` are the tie sets
-    of ``q_strategic`` under this ``safety`` and ``allowed``; callers that
-    fly many missions build them once and pass them to every flight,
-    otherwise each flight builds its own.
+    The world, the planner and the candidate rule (``safety``, ``allowed``)
+    are those ``masks`` were built for; a caller that flies many missions
+    builds the masks once and passes them to every flight. ``cmap`` is the
+    coverage map of the flight's band over the world's grid; every step's
+    SNR is read from it. A crash terminates the flight as a failure
+    (evaluation semantics, unlike the pass-through used in training). The
+    rng only breaks argmax ties.
     """
-    spec = world.spec
+    world = masks.world
     _require_destination(world, dest)
-    if cmap.spec != spec:
+    if cmap.spec != world.spec:
         raise ValueError("coverage map grid does not match the world grid")
-    _require_grid(world, q_strategic, q_adaptive)
-    if masks is None:
-        masks = TieMasks(world, q_strategic, safety, allowed)
-    elif not (
-        masks.world is world
-        and masks.q_strategic is q_strategic
-        and (masks.safety, masks.allowed) == (safety, tuple(allowed))
-    ):
-        raise ValueError("the tie masks were built for another world, planner or rule")
     if rng is None:
         rng = random.Random(0)
     randrange = rng.randrange
     snr_by_index = cmap.snr_by_index
     threshold = cmap.snr_threshold_db
     moves = world.moves
-    pos = world.start_cell
-    at, goal = world.index(pos), world.index(dest)
+    at, goal = world.index(world.start_cell), world.index(dest)
     plan, plan_q = masks.planner(goal)
     cover, cover_q, cover_spans = masks.coverage(q_adaptive)
     plan_spans = masks.planner_spans(goal) if normalize else None
@@ -304,12 +295,11 @@ def execute_flight(
     # indefinitely. enter[i] is the allowed move onto dest from neighbour i.
     enter = {
         i: a
-        for i, _, _ in moves[goal]
+        for i, _ in moves[goal]
         if i != goal
         for a in masks.allowed
         if moves[i][a][0] == goal
     }.get
-    trajectory = [pos]
     min_snr = snr_by_index[at]
     steps = 0
     outage_steps = 0
@@ -331,30 +321,27 @@ def execute_flight(
                     q2 = cover_q[at][a]
                 if q1 > q2:
                     a = a2
-        to, nxt, event = moves[at][a]
+        at, event = moves[at][a]
         steps += 1
-        snr = snr_by_index[to]
+        snr = snr_by_index[at]
         if snr < min_snr:
             min_snr = snr
         if snr < threshold:
             outage_steps += 1
-        if to != at:
-            trajectory.append(nxt)
-        at = to
         if event is StepEvent.CRASHED_INTO_OBSTACLE:
             outcome = FlightOutcome.CRASHED
             break
-        if to == goal and event is StepEvent.MOVED:
+        if at == goal and event is StepEvent.MOVED:
             outcome = FlightOutcome.ARRIVED
             break
-    return FlightResult(
+    return FlightRecord(
+        band_mhz=cmap.f_mhz,
         destination=dest,
-        trajectory=trajectory,
         outcome=outcome,
         steps=steps,
         outage_steps=outage_steps,
         min_snr_db=min_snr,
-        flight_time_s=steps * (spec.cell_size_m / velocity_ms),
+        flight_time_s=steps * (world.spec.cell_size_m / velocity_ms),
     )
 
 
@@ -367,15 +354,17 @@ def greedy_trajectory(
 ) -> tuple[list[Cell], FlightOutcome]:
     """Roll out a single table's greedy policy.
 
-    All six actions are candidates: no safety filter, no coverage table and
-    no delivery override. Ties are read from the same masks a flight uses.
+    The trajectory lists distinct positions in visit order (a step blocked
+    at the boundary burns a step without adding a cell). All six actions
+    are candidates: no safety filter, no coverage table and no delivery
+    override. Ties are read from the same masks a flight uses.
     """
     _require_destination(world, dest)
     _require_grid(world, table)
     if rng is None:
         rng = random.Random(0)
     randrange = rng.randrange
-    moves = world.moves
+    moves, cells = world.moves, world.cells
     at, goal = world.index(world.start_cell), world.index(dest)
     plan, _ = TieMasks(world, table, safety=False).planner(goal)
     trajectory = [world.start_cell]
@@ -383,10 +372,10 @@ def greedy_trajectory(
     while steps < step_cap:
         ties = TIES[plan[at]]
         a = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
-        to, nxt, event = moves[at][a]
+        to, event = moves[at][a]
         steps += 1
         if to != at:
-            trajectory.append(nxt)
+            trajectory.append(cells[to])
         at = to
         if event is StepEvent.CRASHED_INTO_OBSTACLE:
             return trajectory, FlightOutcome.CRASHED

@@ -225,14 +225,27 @@ def _fail(path: str, text: str, key_path: str, message: str) -> None:
     raise ConfigError(f"{location}: {key_path}: {message}")
 
 
+def _is_number(v: object) -> bool:
+    """An int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_fields(path: str, text: str, prefix: str, cls: type, raw: dict[str, Any]) -> None:
+    """Refuse a key ``cls`` does not have, and a non-number where its
+    default is a float, naming the key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key, value in raw.items():
+        if key not in defaults:
+            _fail(path, text, prefix + key, "unknown field")
+        if type(defaults[key]) is float and not _is_number(value):
+            _fail(path, text, prefix + key, f"expected a number, got {value!r}")
+
+
 def _build_section(path: str, text: str, name: str, raw: Any) -> Any:
     cls = _SECTION_TYPES[name]
     if not isinstance(raw, dict):
         _fail(path, text, name, f"expected an object, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in raw:
-        if key not in known:
-            _fail(path, text, f"{name}.{key}", "unknown field")
+    _check_fields(path, text, f"{name}.", cls, raw)
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -268,19 +281,15 @@ def load_config(path: str) -> TrainConfig:
 def config_from_dict(
     raw: dict[str, Any], path: str = "<config>", text: str = ""
 ) -> TrainConfig:
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
+    _check_fields(path, text, "", TrainConfig, raw)
     kwargs: dict[str, Any] = {}
     for key, value in raw.items():
-        if key not in known:
-            _fail(path, text, key, "unknown field")
         if key in _SECTION_TYPES:
             kwargs[key] = _build_section(path, text, key, value)
         elif key in _CELL_FIELDS:
             kwargs[key] = None if value is None else _as_cell(path, text, key, value)
         elif key == "bands_mhz":
-            if not isinstance(value, list) or not all(
-                isinstance(b, (int, float)) and not isinstance(b, bool) for b in value
-            ):
+            if not isinstance(value, list) or not all(_is_number(b) for b in value):
                 _fail(path, text, key, "expected a list of frequencies in MHz")
             kwargs[key] = tuple(float(b) for b in value)
         else:

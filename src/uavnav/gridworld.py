@@ -17,9 +17,11 @@ iz``: the C order of an ``(nx, ny, nz)`` array, so a flattened per-cell
 array (such as a coverage map's SNR or a Q-table's rows) is read at the
 same index. Each world builds, on first
 use and once, a move table (``GridWorld.moves``): for every cell and
-action, where the step lands and whether it was a plain move, a crash or
-blocked at the boundary. ``apply_action``, the training loops and the
-flight arbiter all step through that table; ``build`` does not pay for it.
+action, the flat index of the cell the step lands on and whether it was a
+plain move, a crash or blocked at the boundary. ``apply_action``, the
+training loops and the flight arbiter all step through that table;
+``build`` does not pay for it. ``GridWorld.cells`` turns a flat index back
+into a ``Cell``.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ class StepEvent(IntEnum):
     ARRIVED_AT_DESTINATION = 3
 
 
-# One move-table entry: (landing cell's flat index, landing cell, event).
-# The event is MOVED, BLOCKED_AT_BOUNDARY or CRASHED_INTO_OBSTACLE; arrival
-# depends on the destination and is checked by whoever steps.
-Move = tuple[int, Cell, StepEvent]
+# One move-table entry: (landing cell's flat index, event). The event is
+# MOVED, BLOCKED_AT_BOUNDARY or CRASHED_INTO_OBSTACLE; arrival depends on
+# the destination and is checked by whoever steps.
+Move = tuple[int, StepEvent]
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,14 @@ class GridWorld:
         BLOCKED_AT_BOUNDARY; a move onto an obstacle lands there and is
         CRASHED_INTO_OBSTACLE.
         """
-        spec, cells = self.spec, self.cells
-        n = len(cells)
+        spec = self.spec
+        n = spec.n_cells
         arrive = [StepEvent.MOVED] * n
         for c in self.obstacles:
             if spec.in_bounds(c):
                 arrive[self.index(c)] = StepEvent.CRASHED_INTO_OBSTACLE
-        landing = list(zip(range(n), cells, arrive))
-        blocked = list(zip(range(n), cells, repeat(StepEvent.BLOCKED_AT_BOUNDARY)))
+        landing = list(zip(range(n), arrive))
+        blocked = list(zip(range(n), repeat(StepEvent.BLOCKED_AT_BOUNDARY)))
         # One column per action, in Action order. Along an axis of the given
         # stride, a cell steps stride indices up (down), unless it sits in
         # the axis's last (first) layer, which repeats every stride * size
@@ -209,8 +211,8 @@ class GridWorld:
         safe = []
         for m0, m1, m2, m3, m4, m5 in self.moves:
             crashes = (
-                m0[2] is crash, m1[2] is crash, m2[2] is crash,
-                m3[2] is crash, m4[2] is crash, m5[2] is crash,
+                m0[1] is crash, m1[1] is crash, m2[1] is crash,
+                m3[1] is crash, m4[1] is crash, m5[1] is crash,
             )
             actions = by_crashes.get(crashes)
             if actions is None:
@@ -276,7 +278,8 @@ def apply_action(
     is reported as a crash but the position advances into the obstacle cell
     (pass-through); landing on ``dest`` is an arrival.
     """
-    _, nxt, event = world.moves[world.index(at)][action]
+    to, event = world.moves[world.index(at)][action]
+    nxt = world.cells[to]
     if event is StepEvent.MOVED and nxt == dest:
         return nxt, StepEvent.ARRIVED_AT_DESTINATION
     return nxt, event

@@ -26,10 +26,11 @@ both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in.
 
 Evaluation flies the trained tables to fresh random destinations, or
-every flight to the config's ``fixed_destination``, and reports
-Table-style percentages: arrival, crash, step-cap, and outage both per
-flight (a flight counts once however many below-threshold steps it had)
-and per step.
+every flight to the config's ``fixed_destination``: one set of
+``arbiter.TieMasks`` per run, and per flight the ``arbiter.FlightRecord``
+that ``execute_flight`` returns. It reports Table-style percentages:
+arrival, crash, step-cap, and outage both per flight (a flight counts once
+however many below-threshold steps it had) and per step.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from . import __version__
 from .agents import EpisodeLog, train_adaptive, train_strategic
-from .arbiter import FlightOutcome, FlightResult, TieMasks, execute_flight
+from .arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
 from .config import (
     ConfigError,
     TrainConfig,
@@ -59,7 +60,6 @@ from .config import (
     stream_rng,
 )
 from .gridworld import (
-    Cell,
     GridWorld,
     build,
     cell_center_m,
@@ -81,19 +81,6 @@ class ArtifactError(ValueError):
 
 class TrainingError(RuntimeError):
     """A training job ended without a result: its worker process died."""
-
-
-@dataclass
-class FlightRecord:
-    """One evaluated flight, flattened for metrics and CSV export."""
-
-    band_mhz: float
-    destination: Cell
-    outcome: FlightOutcome
-    steps: int
-    outage_steps: int
-    min_snr_db: float
-    flight_time_s: float
 
 
 @dataclass
@@ -409,6 +396,11 @@ def load_artifacts(artifact_dir: str | Path) -> tuple[TrainConfig, QTable, dict[
         raise ArtifactError(f"{STRATEGIC_NAME} does not hold a strategic table")
     if strategic.grid != cfg.grid:
         raise ArtifactError("strategic checkpoint grid does not match the config grid")
+    if strategic.columns != cfg.planner_columns:
+        raise ArtifactError(
+            f"{STRATEGIC_NAME} has {strategic.columns} column(s), the config's planner "
+            f"has {cfg.planner_columns}"
+        )
 
     adaptive: dict[float, QTable] = {}
     for band in cfg.bands_mhz:
@@ -444,8 +436,7 @@ def run_flights(
     _require_missions(cfg, world, 1)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
-    allowed = cfg.actions
-    masks = TieMasks(world, strategic, safety, allowed)
+    masks = TieMasks(world, strategic, safety, cfg.actions)
     for band in sorted(adaptive):
         cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
@@ -454,31 +445,10 @@ def run_flights(
             dest = cfg.fixed_destination or random_free_cell(
                 world, dest_rng, cfg.altitude_locked
             )
-            result: FlightResult = execute_flight(
-                strategic,
-                adaptive[band],
-                world,
-                cmap,
-                dest,
-                step_cap=cap,
-                rng=tie_rng,
-                safety=safety,
-                normalize=normalize,
-                velocity_ms=cfg.uav_velocity_ms,
-                allowed=allowed,
-                masks=masks,
-            )
-            records.append(
-                FlightRecord(
-                    band_mhz=band,
-                    destination=dest,
-                    outcome=result.outcome,
-                    steps=result.steps,
-                    outage_steps=result.outage_steps,
-                    min_snr_db=result.min_snr_db,
-                    flight_time_s=result.flight_time_s,
-                )
-            )
+            # called through this module's name, which a tracer may replace
+            flight = execute_flight(masks, adaptive[band], cmap, dest, step_cap=cap, rng=tie_rng,
+                                    normalize=normalize, velocity_ms=cfg.uav_velocity_ms)
+            records.append(flight)
     return records
 
 
@@ -502,33 +472,11 @@ def cmd_evaluate(
 
     with open(art / "flights.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(
-            [
-                "band_mhz",
-                "dest_ix",
-                "dest_iy",
-                "dest_iz",
-                "outcome",
-                "steps",
-                "outage_steps",
-                "min_snr_db",
-                "flight_time_s",
-            ]
-        )
+        writer.writerow(["band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps",
+                         "outage_steps", "min_snr_db", "flight_time_s"])
         for r in records:
-            writer.writerow(
-                [
-                    band_label(r.band_mhz),
-                    r.destination[0],
-                    r.destination[1],
-                    r.destination[2],
-                    r.outcome.value,
-                    r.steps,
-                    r.outage_steps,
-                    repr(r.min_snr_db),
-                    repr(r.flight_time_s),
-                ]
-            )
+            writer.writerow([band_label(r.band_mhz), *r.destination, r.outcome.value, r.steps,
+                             r.outage_steps, repr(r.min_snr_db), repr(r.flight_time_s)])
     doc = report.to_dict()
     doc["seed"] = seed
     doc["safety"] = safety

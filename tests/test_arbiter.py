@@ -25,7 +25,7 @@ from uavnav.gridworld import (
 )
 from uavnav.harness import build_world
 from uavnav.qcore import Hyper, QTable, greedy_action
-from uavnav.radio import coverage_map
+from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
 
@@ -153,10 +153,11 @@ def test_execute_flight_dest_adjacent_one_step():
     world = build_world(cfg)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(qs, qa, world, coverage_map(cfg.link, world), (1, 0, 0), step_cap=50)
+    res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, world), (1, 0, 0),
+                         step_cap=50)
     assert res.outcome == FlightOutcome.ARRIVED
     assert res.steps == 1
-    assert res.trajectory == [(0, 0, 0), (1, 0, 0)]
+    assert (res.band_mhz, res.destination) == (cfg.link.f_mhz, (1, 0, 0))
 
 
 def test_execute_flight_validation():
@@ -164,7 +165,7 @@ def test_execute_flight_validation():
     qa = QTable("adaptive", GRID, Hyper(), 0)
     cfg = TrainConfig()
     with pytest.raises(ValueError):
-        execute_flight(qs, qa, EMPTY_WORLD, coverage_map(cfg.link, EMPTY_WORLD),
+        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, coverage_map(cfg.link, EMPTY_WORLD),
                        EMPTY_WORLD.start_cell, 10)
 
 
@@ -185,6 +186,7 @@ def test_execute_flight_trained_small_world():
     from oracles import bfs_shortest_len
 
     cmap = coverage_map(cfg.link_for_band(900.0), world)
+    masks = TieMasks(world, qs)
     rng = random.Random(0)
     dest_rng = random.Random(5)
     arrived = 0
@@ -194,16 +196,13 @@ def test_execute_flight_trained_small_world():
         dest = (dest_rng.randrange(6), dest_rng.randrange(6), dest_rng.randrange(2))
         if dest == world.start_cell:
             continue
-        res = execute_flight(qs, qa, world, cmap, dest, step_cap=200, rng=rng)
+        res = execute_flight(masks, qa, cmap, dest, step_cap=200, rng=rng)
         if res.outcome == FlightOutcome.ARRIVED:
             arrived += 1
             want = bfs_shortest_len(6, 6, 2, frozenset(), world.start_cell, dest)
             if res.steps == want:
                 optimal += 1
         assert res.outage_steps <= res.steps
-        assert res.trajectory[0] == world.start_cell
-        for a, b in zip(res.trajectory, res.trajectory[1:]):
-            assert sum(abs(x - y) for x, y in zip(a, b)) == 1
     assert arrived >= 0.9 * (n - 1)
 
 
@@ -215,7 +214,8 @@ def test_outage_steps_zero_with_low_threshold():
     lb = dataclasses.replace(cfg.link, snr_threshold_db=-math.inf)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(qs, qa, world, coverage_map(lb, world), (3, 3, 1), step_cap=30)
+    res = execute_flight(TieMasks(world, qs), qa, coverage_map(lb, world), (3, 3, 1),
+                         step_cap=30)
     assert res.outage_steps == 0
 
 
@@ -224,7 +224,7 @@ def test_flight_time_uses_velocity():
     world = build_world(cfg)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(qs, qa, world, coverage_map(cfg.link, world), (1, 0, 0),
+    res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, world), (1, 0, 0),
                          step_cap=10, velocity_ms=15.0)
     assert res.flight_time_s == res.steps * (50.0 / 15.0)
 
@@ -245,7 +245,7 @@ def test_rollouts_reject_destination_outside_grid():
         greedy_trajectory(qs, EMPTY_WORLD, off_grid, 10)
     cmap = coverage_map(TrainConfig().link, EMPTY_WORLD)
     with pytest.raises(ValueError, match="outside the grid"):
-        execute_flight(qs, qa, EMPTY_WORLD, cmap, off_grid, 10)
+        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, off_grid, 10)
 
 
 def test_execute_flight_rejects_map_of_another_grid():
@@ -254,7 +254,7 @@ def test_execute_flight_rejects_map_of_another_grid():
     small = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     cmap = coverage_map(TrainConfig().link, small)
     with pytest.raises(ValueError, match="coverage map grid"):
-        execute_flight(qs, qa, EMPTY_WORLD, cmap, (3, 3, 1), 10)
+        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, (3, 3, 1), 10)
 
 
 def test_greedy_trajectory_refuses_table_of_another_grid():
@@ -312,21 +312,14 @@ def test_decide_and_flight_refuse_a_multi_column_coverage_table():
         decide(qs, qa, (0, 0, 0), (2, 2, 0), True, world, random.Random(0))
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="the coverage table must have one column"):
-        execute_flight(qs, qa, world, cmap, (2, 2, 0), 10)
+        execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)
 
 
 def test_execute_flight_refuses_masks_of_another_rule():
+    # a flight reads its world, planner and rule from its masks; the masks
+    # accept only a rule decide can apply
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    qa = QTable("adaptive", world.spec, Hyper(), 0)
-    cmap = coverage_map(TrainConfig().link, world)
-    masks = TieMasks(world, qs, safety=True)
-    for kwargs in ({"safety": False}, {"allowed": ACTIONS_XY}):
-        with pytest.raises(ValueError, match="tie masks"):
-            execute_flight(qs, qa, world, cmap, (3, 3, 1), 10, masks=masks, **kwargs)
-    other = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    with pytest.raises(ValueError, match="tie masks"):
-        execute_flight(other, qa, world, cmap, (3, 3, 1), 10, masks=masks)
     for allowed in ((), (Action.PLUS_Y, Action.PLUS_X), (0, 0, 1), (0, 6)):
         with pytest.raises(ValueError, match="ascending"):
             TieMasks(world, qs, allowed=allowed)
@@ -361,7 +354,7 @@ def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, normalize, 
             a = ACTION_DELTAS.index(delta)
         else:
             a = decide(qs, qa, pos, dest, safety, world, rng, normalize, allowed)
-        to, _, event = moves[at][a]
+        to, event = moves[at][a]
         steps.append((to, rng.getstate(), override))
         at = to
         if event is StepEvent.CRASHED_INTO_OBSTACLE:
@@ -380,8 +373,13 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
 
     The flight is cut after each step k (``step_cap=k``): its landing cell
     and the tie rng's state must equal those of the k-th step taken with
-    ``decide``. A boundary-blocked step is identified by its landing. One
-    set of masks serves every flight and both coverage tables.
+    ``decide``. The landing is read from the outage count: the flight's
+    coverage map is 0 dB everywhere but -1 dB at the reference's k-th
+    landing, under a -0.5 dB threshold, so the flight counts as many outage
+    steps as the reference's first k landings hold that cell. The first
+    k - 1 landings were checked at k - 1, so the count pins landing k. A
+    boundary-blocked step is identified by its landing. One set of masks
+    serves every flight and both coverage tables.
     """
     rng = np.random.default_rng([safety, normalize, len(allowed), per_destination])
     overrides = crashes = steps_checked = 0
@@ -395,7 +393,6 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
         qs = _tied_table("strategic", spec, rng, per_destination)
         coverage = [_tied_table("adaptive", spec, rng) for _ in range(2)]
         masks = TieMasks(world, qs, safety, allowed)
-        cmap = coverage_map(TrainConfig().link, world)
         for flight in range(8):
             qa = coverage[flight % 2]
             dest = free[int(rng.integers(len(free)))]
@@ -403,12 +400,15 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
             want = _landings_via_decide(qs, qa, world, dest, 25, random.Random(seed),
                                         safety, normalize, allowed)
             overrides += sum(o for _, _, o in want)
+            landings = [landing for landing, _, _ in want]
             for k, (landing, state, _) in enumerate(want, start=1):
+                snr = np.zeros(spec.n_cells)
+                snr[landing] = -1.0
+                cmap = CoverageMap(spec, 900.0, -0.5, snr.reshape(spec.nx, spec.ny, spec.nz))
                 tie_rng = random.Random(seed)
-                res = execute_flight(qs, qa, world, cmap, dest, k, tie_rng, safety, normalize,
-                                     allowed=allowed, masks=masks)
+                res = execute_flight(masks, qa, cmap, dest, k, tie_rng, normalize)
                 assert res.steps == k
-                assert world.index(res.trajectory[-1]) == landing
+                assert res.outage_steps == landings[:k].count(landing)
                 assert tie_rng.getstate() == state
                 steps_checked += 1
             crashes += res.outcome is FlightOutcome.CRASHED
@@ -437,7 +437,8 @@ def test_greedy_trajectory_replays_greedy_action(per_destination):
             pos, want, outcome = world.start_cell, [world.start_cell], FlightOutcome.STEP_CAP_HIT
             for _ in range(30):
                 a = greedy_action(table.q[world.index(pos), col].tolist(), ACTIONS, ref_rng)
-                _, nxt, event = world.moves[world.index(pos)][a]
+                to, event = world.moves[world.index(pos)][a]
+                nxt = world.cells[to]
                 if nxt != pos:
                     want.append(nxt)
                 pos = nxt
@@ -459,4 +460,4 @@ def test_flight_masks_refuse_nan_rows():
     qa.q[4, 0, 2] = math.nan
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="NaN"):
-        execute_flight(qs, qa, world, cmap, (2, 2, 0), 10)
+        execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)

@@ -257,13 +257,13 @@ def test_move_table_matches_step_rules():
                 d = ACTION_DELTAS[a]
                 n = (c[0] + d[0], c[1] + d[1], c[2] + d[2])
                 if not spec.in_bounds(n):
-                    want = (i, c, StepEvent.BLOCKED_AT_BOUNDARY)
+                    want = (i, StepEvent.BLOCKED_AT_BOUNDARY)
                 elif n in obstacles:
-                    want = (cells.index(n), n, StepEvent.CRASHED_INTO_OBSTACLE)
+                    want = (cells.index(n), StepEvent.CRASHED_INTO_OBSTACLE)
                 else:
-                    want = (cells.index(n), n, StepEvent.MOVED)
+                    want = (cells.index(n), StepEvent.MOVED)
                 assert world.moves[i][a] == want, (trial, c, a)
-                if want[2] != StepEvent.CRASHED_INTO_OBSTACLE:
+                if want[1] != StepEvent.CRASHED_INTO_OBSTACLE:
                     safe.append(a)
             assert world.safe_actions[i] == (tuple(safe) or ACTIONS)
 

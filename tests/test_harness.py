@@ -390,6 +390,25 @@ def test_evaluate_checks_format_version_first(tmp_path, capsys, case):
     assert "artifact error:" in err and "unknown field" not in err
 
 
+def test_evaluate_refuses_planner_of_another_column_layout(tmp_path, capsys):
+    # A fixed-destination planner's checkpoint, with its hash in the
+    # manifest, in a goal-conditioned run: evaluation used to fly every
+    # destination on its one column.
+    raw = {**TINY_RAW, "obstacle_density": 0.1, "seed": 3}
+    goals = cmd_train(config_from_dict(raw), tmp_path / "goals")
+    fixed = cmd_train(config_from_dict({**raw, "fixed_destination": [3, 3, 0]}),
+                      tmp_path / "fixed")
+    swapped = (fixed / "strategic.npz").read_bytes()
+    (goals / "strategic.npz").write_bytes(swapped)
+    sha = hashlib.sha256(swapped).hexdigest()
+    _edit_manifest(goals, lambda m: {**m, "files": {**m["files"], "strategic.npz": sha}})
+    with pytest.raises(ArtifactError, match="1 column"):
+        load_artifacts(goals)
+    assert cli_main(["evaluate", "--artifacts", str(goals), "--flights", "1"]) == 3
+    assert "artifact error:" in capsys.readouterr().err
+    assert not (goals / "flights.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["goal_conditioned", "record_steps"])
 def test_evaluate_refuses_manifest_config_with_retired_field(tmp_path, capsys, name):
     # a run trained while these were config fields has to be retrained
@@ -751,6 +770,37 @@ def test_minus_infinite_threshold_stays_legal(tmp_path):
     cfg = load_config(str(path))
     assert cfg.link.snr_threshold_db == -math.inf
     assert cmd_coverage(cfg, 900.0, tmp_path / "cov.csv") == 1.0
+
+
+# A boolean or a string where a number belongs. A bool used to pass as the
+# number 1 or 0; a string failed with a message that did not name its key.
+NOT_A_NUMBER = {
+    "uav_velocity_ms bool": {"uav_velocity_ms": True},
+    "obstacle_density text": {"obstacle_density": "0.1"},
+    "max_altitude_m null": {"max_altitude_m": None},
+    "hyper.alpha bool": {"hyper": {"alpha": True}},
+    "grid.cell_size_m bool": {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": True}},
+    "link.h_b_m text": {"link": {"h_b_m": "60"}},
+    "schedule.decay list": {"schedule": {"decay": [0.9]}},
+    "rewards.r_crash bool": {"rewards": {"r_crash": False}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+def test_config_refuses_non_numbers_naming_the_key(tmp_path, capsys, case):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, **NOT_A_NUMBER[case]}, indent=1))
+    key_path = case.split()[0]
+    key = key_path.split(".")[-1]
+    line = next(i for i, text in enumerate(cfg_path.read_text().splitlines(), start=1)
+                if f'"{key}"' in text)
+    with pytest.raises(ConfigError) as info:
+        load_config(str(cfg_path))
+    assert str(info.value).startswith(f"{cfg_path}:{line}: {key_path}: expected a number")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bands", [["900"], [None], [True]])
