@@ -50,6 +50,12 @@ argmax ties beside the row and recomputes them only when an update changes
 a value. Its choices and updates are those of ``select_action``,
 ``apply_action``, ``reward_adaptive`` and ``q_update``, RNG draws
 included, and a test replays it against a loop built from those calls.
+It takes each pick of one of n (an explored candidate, or one of two or
+more tied maximizers) straight from the generator, as ``rng.randrange(n)``
+draws it without its Python-level wrapper: ``getrandbits(k)`` for
+k = n.bit_length(), drawn again while it is n or more. The same words of
+the same Mersenne Twister are drawn, so the generator ends in the same
+state.
 Reward constants are finite by construction (``RewardParams`` rejects
 anything else), so the loops skip ``q_update``'s finiteness check.
 """
@@ -470,9 +476,10 @@ def train_adaptive(
     still count), and its argmax ties among the candidates, in candidate
     order (``qcore.argmax_ties``). Both are recomputed only when an update
     changes the row's value. A greedy step picks from the cached ties as
-    ``greedy_action`` picks from fresh ones, calling ``rng.randrange`` only
-    for two or more, so the table, the logs and the random draws are those
-    of the uncached loop.
+    ``greedy_action`` picks from fresh ones, drawing only for two or more,
+    so the table, the logs and the random draws are those of the uncached
+    loop. Every pick of one of n draws what ``rng.randrange(n)`` draws,
+    through ``rng.getrandbits`` (see the module docstring).
     """
     table = QTable(
         kind="adaptive",
@@ -496,9 +503,10 @@ def train_adaptive(
     p = cfg.rewards
     cell_reward = [p.r_outage if v < threshold else p.r_covered for v in snr]
     n_candidates = len(candidates)
+    k_candidates = n_candidates.bit_length()
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
-    uniform, randrange = rng.random, rng.randrange
+    uniform, getrandbits = rng.random, rng.getrandbits
     start = world.start_cell
     locked = cfg.altitude_locked
     n = cfg.episodes_adaptive
@@ -519,12 +527,25 @@ def train_adaptive(
         steps = 0
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cap:
+            # randrange(n), draw for draw: getrandbits(n.bit_length()),
+            # drawn again while it is n or more
             if explore and uniform() < epsilon:
-                a = candidates[randrange(n_candidates)]
+                i = getrandbits(k_candidates)
+                while i >= n_candidates:
+                    i = getrandbits(k_candidates)
+                a = candidates[i]
             else:
                 # greedy_action's pick, from the cached ties
                 best = ties[at]
-                a = best[0] if len(best) == 1 else best[randrange(len(best))]
+                n_ties = len(best)
+                if n_ties == 1:
+                    a = best[0]
+                else:
+                    k = n_ties.bit_length()
+                    i = getrandbits(k)
+                    while i >= n_ties:
+                        i = getrandbits(k)
+                    a = best[i]
             to, event = moves[at][a]
             r = cell_reward[to]
             old = row[a]

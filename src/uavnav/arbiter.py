@@ -24,11 +24,13 @@ candidate rule every row's argmax ties are fixed, and ``TieMasks`` holds
 them as 6-bit masks, filling the planner's one column at a time, the
 first time a destination of that column is flown. A step decodes both
 masks to their ties in ascending action order, the order ``decide`` lists
-its candidates in, and calls ``rng.randrange`` only when two or more
-actions tie, planner first and coverage agent second, as ``decide`` does.
-The same random numbers are drawn in the same order, so a flight is
-bit-identical to stepping ``decide``; the replay tests hold every step to
-it.
+its candidates in, and draws a pick only when two or more actions tie,
+planner first and coverage agent second, as ``decide`` does. It draws a
+pick of one of n as ``rng.randrange(n)`` does, without that call's
+Python-level wrapper: ``getrandbits(k)`` for k = n.bit_length(), drawn
+again while it is n or more. The same random numbers are drawn in the
+same order, so a flight is bit-identical to stepping ``decide``; the
+replay tests hold every step to it.
 
 ``execute_flight`` takes the ``TieMasks`` of the world, the planner and
 the candidate rule it flies under, and returns the ``FlightRecord`` the
@@ -280,7 +282,7 @@ def execute_flight(
         raise ValueError("coverage map grid does not match the world grid")
     if rng is None:
         rng = random.Random(0)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     snr_by_index = cmap.snr_by_index
     threshold = cmap.snr_threshold_db
     moves = world.moves
@@ -307,11 +309,28 @@ def execute_flight(
     while steps < step_cap:
         a = enter(at)
         if a is None:
-            # decide(), draw for draw: the planner's ties, then the coverage agent's
+            # decide(), draw for draw: the planner's ties, then the coverage
+            # agent's, each picked as randrange(n) draws (see the module docstring)
             ties = TIES[plan[at]]
-            a = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
+            n = len(ties)
+            if n == 1:
+                a = ties[0]
+            else:
+                k = n.bit_length()
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                a = ties[i]
             ties = cover[at]
-            a2 = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
+            n = len(ties)
+            if n == 1:
+                a2 = ties[0]
+            else:
+                k = n.bit_length()
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                a2 = ties[i]
             if a2 != a:
                 if normalize:
                     q1 = _normalized(float(plan_q[at, a2]), plan_spans[at])

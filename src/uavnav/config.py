@@ -231,14 +231,20 @@ def _is_number(v: object) -> bool:
 
 
 def _check_fields(path: str, text: str, prefix: str, cls: type, raw: dict[str, Any]) -> None:
-    """Refuse a key ``cls`` does not have, and a non-number where its
-    default is a float, naming the key."""
+    """Refuse a key ``cls`` does not have, a non-number where its default
+    is a float and a non-integer where it is an int, naming the key. The
+    optional step caps take an integer or null."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in raw.items():
         if key not in defaults:
             _fail(path, text, prefix + key, "unknown field")
-        if type(defaults[key]) is float and not _is_number(value):
+        default = defaults[key]
+        if type(default) is float and not _is_number(value):
             _fail(path, text, prefix + key, f"expected a number, got {value!r}")
+        if (type(default) is int or key in _OPTIONAL_FIELDS) and not (
+            is_int(value) or (value is None and default is None)
+        ):
+            _fail(path, text, prefix + key, f"expected an integer, got {value!r}")
 
 
 def _build_section(path: str, text: str, name: str, raw: Any) -> Any:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from uavnav.gridworld import (
     build,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import Hyper, QTable, greedy_action
+from uavnav.qcore import N_ACTIONS, Hyper, QTable, greedy_action
 from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
@@ -325,8 +326,9 @@ def test_execute_flight_refuses_masks_of_another_rule():
             TieMasks(world, qs, allowed=allowed)
 
 
-# Values drawn from a few levels, and every fourth row all zero, so most rows
-# hold ties among the candidates.
+# Values drawn from a few levels, every fourth row all zero and about one row
+# in eight zero but for one -1, so most rows hold ties among the candidates,
+# five-way ties included.
 _TIE_LEVELS = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
 
 
@@ -334,7 +336,27 @@ def _tied_table(kind, spec, rng, per_destination=False):
     t = QTable(kind, spec, Hyper(), 0, columns=spec.n_cells if per_destination else 1)
     t.q[...] = rng.choice(_TIE_LEVELS, size=t.q.shape)
     t.q[rng.random(t.q.shape[:-1]) < 0.25] = 0.0
+    five = rng.random(t.q.shape[:-1]) < 0.125
+    rows = np.zeros((int(five.sum()), N_ACTIONS))
+    rows[np.arange(len(rows)), rng.integers(N_ACTIONS, size=len(rows))] = -1.0
+    t.q[five] = rows
     return t
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts the n of every ``randrange(n)`` it serves.
+
+    It overrides neither ``random`` nor ``getrandbits``, so it draws as
+    ``random.Random`` does.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sizes = Counter()
+
+    def randrange(self, n):
+        self.sizes[n] += 1
+        return super().randrange(n)
 
 
 def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, normalize, allowed):
@@ -383,6 +405,7 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
     """
     rng = np.random.default_rng([safety, normalize, len(allowed), per_destination])
     overrides = crashes = steps_checked = 0
+    tie_sizes = Counter()  # the n of each tie-break decide drew
     for trial in range(6):
         spec = GridSpec(nx=int(rng.integers(2, 6)), ny=int(rng.integers(2, 6)),
                         nz=int(rng.integers(1, 4)))
@@ -397,8 +420,10 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
             qa = coverage[flight % 2]
             dest = free[int(rng.integers(len(free)))]
             seed = int(rng.integers(1 << 30))
-            want = _landings_via_decide(qs, qa, world, dest, 25, random.Random(seed),
+            ref_rng = _CountingRandom(seed)
+            want = _landings_via_decide(qs, qa, world, dest, 25, ref_rng,
                                         safety, normalize, allowed)
+            tie_sizes += ref_rng.sizes
             overrides += sum(o for _, _, o in want)
             landings = [landing for landing, _, _ in want]
             for k, (landing, state, _) in enumerate(want, start=1):
@@ -415,6 +440,9 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
     assert steps_checked > 300
     assert overrides > 0
     assert crashes > 0 or safety
+    # ties of every size from 2 to all allowed actions, so every rejection
+    # rate of the flight's getrandbits draws
+    assert set(tie_sizes) == set(range(2, len(allowed) + 1))
 
 
 @pytest.mark.parametrize("per_destination", [True, False], ids=["goal", "fixed_dest"])

@@ -594,7 +594,7 @@ def test_cli_train_rejects_non_int_seed(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and "seed must be an integer" in err
+    assert f"config error: {cfg_path}:1: seed: expected an integer, got 1.5" in err
     assert not out.exists()
 
 
@@ -801,6 +801,45 @@ def test_config_refuses_non_numbers_naming_the_key(tmp_path, capsys, case):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A non-integer where an integer belongs, at the top level and in a
+# section. The top-level ones used to fail from TrainConfig without a file
+# or line, a section's naming only its section.
+NOT_AN_INTEGER = {
+    "seed text": ({"seed": "3"}, "'3'"),
+    "seed float": ({"seed": 1.5}, "1.5"),
+    "seed null": ({"seed": None}, "None"),
+    "episodes_adaptive bool": ({"episodes_adaptive": True}, "True"),
+    "step_cap integral float": ({"step_cap": 10.0}, "10.0"),
+    "eval_step_cap text": ({"eval_step_cap": "7"}, "'7'"),
+    "grid.ny bool": ({"grid": {"nx": 4, "ny": True, "nz": 2}}, "True"),
+    "grid.nx float": ({"grid": {"nx": 2.5, "ny": 4, "nz": 2}}, "2.5"),
+    "grid.nz null": ({"grid": {"nx": 4, "ny": 4, "nz": None}}, "None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_AN_INTEGER))
+def test_config_refuses_non_integers_naming_the_key(tmp_path, capsys, case):
+    raw, got = NOT_AN_INTEGER[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, **raw}, indent=1))
+    key_path = case.split()[0]
+    key = key_path.split(".")[-1]
+    line = next(i for i, text in enumerate(cfg_path.read_text().splitlines(), start=1)
+                if f'"{key}"' in text)
+    with pytest.raises(ConfigError) as info:
+        load_config(str(cfg_path))
+    assert str(info.value) == f"{cfg_path}:{line}: {key_path}: expected an integer, got {got}"
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keeps_null_step_caps_legal():
+    cfg = config_from_dict({"step_cap": None, "eval_step_cap": None})
+    assert cfg.step_cap is None and cfg.eval_step_cap is None
 
 
 @pytest.mark.parametrize("bands", [["900"], [None], [True]])

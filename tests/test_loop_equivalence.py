@@ -27,6 +27,7 @@ tie everywhere.
 
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -55,7 +56,14 @@ from uavnav.gridworld import (
     random_free_cell,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import EpsilonSchedule, Hyper, QTable, q_update, select_action
+from uavnav.qcore import (
+    EpsilonSchedule,
+    Hyper,
+    QTable,
+    argmax_ties,
+    q_update,
+    select_action,
+)
 from uavnav.radio import coverage_map
 
 from oracles import splitmix64_uniform
@@ -117,12 +125,30 @@ def reference_strategic(world, cfg, rng):
     return table, logs, events, ties
 
 
+def next_pick(table, s, epsilon, rng, candidates):
+    """The pick ``select_action`` is about to draw from ``rng``.
+
+    ``("explore", n)`` over n candidates, or ``("tie", n)`` among n tied
+    maximizers (n == 1 draws nothing). The exploration coin is read from a
+    copy of ``rng``, so ``rng`` itself is not drawn from.
+    """
+    peek = random.Random()
+    peek.setstate(rng.getstate())
+    if epsilon > 0.0 and peek.random() < epsilon:
+        return "explore", len(candidates)
+    return "tie", len(argmax_ties(table.q[s].tolist(), candidates))
+
+
 def reference_adaptive(world, lb, cfg, rng):
+    """``train_adaptive`` step by step through the public calls.
+
+    Also returns how often each pick (``next_pick``) was drawn.
+    """
     table = QTable("adaptive", world.spec, cfg.hyper, cfg.seed, f_mhz=lb.f_mhz)
     cmap = coverage_map(lb, world)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     locked = cfg.altitude_locked
-    logs = []
+    logs, picks = [], Counter()
     for episode in range(cfg.episodes_adaptive):
         epsilon = cfg.schedule_adaptive.at(episode)
         pos = world.start_cell if episode % 2 == 0 else random_free_cell(world, rng, locked)
@@ -132,7 +158,9 @@ def reference_adaptive(world, lb, cfg, rng):
         total, steps = 0.0, 0
         terminal = TerminalCause.STEP_CAP_HIT
         while steps < cfg.resolved_step_cap():
-            a = select_action(table, (world.index(pos), 0), epsilon, rng, candidates)
+            s = (world.index(pos), 0)
+            picks[next_pick(table, s, epsilon, rng, candidates)] += 1
+            a = select_action(table, s, epsilon, rng, candidates)
             nxt, event = apply_action(world, pos, a, dest)
             r = reward_adaptive(float(cmap.snr[nxt]), lb.snr_threshold_db, cfg.rewards)
             q_update(table, (world.index(pos), 0), a, r, (world.index(nxt), 0), cfg.hyper)
@@ -143,7 +171,7 @@ def reference_adaptive(world, lb, cfg, rng):
                 terminal = TerminalCause.ARRIVED
                 break
         logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
-    return table, logs
+    return table, logs, picks
 
 
 def typed(value):
@@ -295,9 +323,40 @@ def test_train_adaptive_matches_reference_loop(mode):
         lb = dataclasses.replace(lb, snr_threshold_db=-math.inf)
     rng_got, rng_want = (stream_rng(cfg.seed, "train.adaptive") for _ in range(2))
     got = train_adaptive(world, lb, cfg, rng_got)
-    want = reference_adaptive(build_world(cfg), lb, cfg, rng_want)
+    *want, picks = reference_adaptive(build_world(cfg), lb, cfg, rng_want)
     assert_same_run(got, want)
     assert rng_got.getstate() == rng_want.getstate()
+    # Every pick size the loop draws for: exploration over all candidates
+    # and ties of 2 up to all of them, so every rejection rate of its
+    # getrandbits draws. The greedy mode's epsilon is 1e-3 by its second
+    # episode, and it meets only some tie sizes.
+    n = len(cfg.actions)
+    sizes = {("explore", n), *(("tie", k) for k in range(2, n + 1))}
+    drawn = set(picks) - {("tie", 1)}
+    assert drawn <= sizes
+    assert drawn == sizes or mode == "greedy_adaptive"
+
+
+def randrange_via_getrandbits(rng, n):
+    """How the coverage loop and the flights pick one of n: getrandbits(k)
+    for k = n.bit_length(), drawn again while it is n or more."""
+    k = n.bit_length()
+    i = rng.getrandbits(k)
+    while i >= n:
+        i = rng.getrandbits(k)
+    return i
+
+
+def test_getrandbits_rule_draws_as_randrange():
+    # The hot loops rely on this being what randrange(n) draws; if a Python
+    # version changes how randrange draws, the loops no longer replay the
+    # reference calls, and this test names the cause.
+    for seed in range(40):
+        got, want = random.Random(seed), random.Random(seed)
+        for n in range(1, 65):
+            for _ in range(8):
+                assert randrange_via_getrandbits(got, n) == want.randrange(n)
+            assert got.getstate() == want.getstate()
 
 
 def test_compared_runs_cover_every_step_event():
