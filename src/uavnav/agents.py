@@ -25,20 +25,19 @@ table (``GridWorld.moves``) and compute the rewards inline; both apply
 
 The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
-reads (s', same destination), so up to ``LOCKSTEP_SLOTS`` episodes with
-distinct destinations advance together, each step one batch of numpy
-operations on flat views of the dense ``Q[cell, column, a]`` table:
-epsilon mask, argmax with uniform random ties (as 6-bit tie masks,
-``qcore.TIES``), move-table lookup, reward, scatter update. When only a
-few destinations are left (``DRAIN_SLOTS``), it drains them: their
-episodes run one after another as a scalar loop on Python lists, so
+reads (s', same destination), so each destination's chain of episodes
+holds one slot for the whole run and all chains advance together, each
+step one batch of numpy operations on flat views of the dense
+``Q[cell, column, a]`` table: epsilon mask, argmax with uniform random ties
+(as 6-bit tie masks, ``qcore.TIES``), move-table lookup, reward, scatter
+update. When only a few chains are left (``DRAIN_SLOTS``), it drains them:
+their episodes run one after another as a scalar loop on Python lists, so
 fixed-destination training, which has one destination, runs there
 throughout. Its choices follow the rule of ``select_action`` and its
 updates round as ``q_update``'s do; a test runs the episodes one after
 another, picking each action from the episode's random stream and stepping
 through ``apply_action``, ``reward_strategic`` and ``q_update``, and gets
-the same table and logs bit for bit, whatever the slot count and the
-drain's threshold.
+the same table and logs bit for bit, whatever the drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -64,7 +63,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import insort
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
@@ -125,15 +123,13 @@ class RewardParams:
             raise ValueError("require r_outage < 0 < r_covered")
 
 
-# Episodes the planner's loop advances together.
-LOCKSTEP_SLOTS = 256
-# Once no episode waits for a slot and at most this many run, the planner's
-# loop finishes them, and the later episodes to their destinations, one
-# step at a time (the drain). On planner-goals on a 2-vCPU host, a lockstep
-# step of 1-16 episodes costs 80-90 us and a drained step about 5 us. The
-# drain runs the chains one after another, so it pays for the sum of their
-# steps where the lockstep pays for the longest: 16 chains of equal length
-# about break even, and uneven ones, the usual case, favour the drain.
+# Once at most this many destinations' chains of episodes are left, the
+# planner's loop finishes them one step at a time (the drain). On
+# planner-goals on a 2-vCPU host, a lockstep step of 1-16 episodes costs
+# 80-90 us and a drained step about 5 us. The drain runs the chains one
+# after another, so it pays for the sum of their steps where the lockstep
+# pays for the longest: 16 chains of equal length about break even, and
+# uneven ones, the usual case, favour the drain.
 DRAIN_SLOTS = 16
 
 MOVED = StepEvent.MOVED
@@ -232,8 +228,9 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
     return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
-def _distance_table(world: GridWorld, metric: str) -> np.ndarray:
-    """``dist[c, g]``: the shaping distance between cells of flat index c and g.
+def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.ndarray:
+    """``dist[c, j]``: the shaping distance from the cell of flat index c to
+    the cell of flat index ``targets[j]``.
 
     Each entry is computed with the arithmetic of ``distance_m`` (or
     ``manhattan_m``), so it rounds exactly as they do. Built in blocks of
@@ -241,10 +238,11 @@ def _distance_table(world: GridWorld, metric: str) -> np.ndarray:
     """
     spec = world.spec
     coords = np.array(world.cells, dtype=np.intp)
+    ends = coords[targets]
     scale = np.array([spec.cell_size_m, spec.cell_size_m, spec.cell_height_m])
-    dist = np.empty((len(coords), len(coords)))
+    dist = np.empty((len(coords), len(ends)))
     for lo in range(0, len(coords), 256):
-        ex, ey, ez = np.moveaxis((coords[lo : lo + 256, None] - coords) * scale, -1, 0)
+        ex, ey, ez = np.moveaxis((coords[lo : lo + 256, None] - ends) * scale, -1, 0)
         if metric == "euclidean":
             dist[lo : lo + 256] = np.sqrt(ex * ex + ey * ey + ez * ez)
         else:
@@ -266,30 +264,30 @@ def train_strategic(
     destination every episode starts at the takeoff cell and the table has
     one column (``TrainConfig.planner_columns``).
 
-    Up to ``LOCKSTEP_SLOTS`` episodes run together, each step of all of
-    them one batch of array operations on ``table.q``. An update reads and
-    writes only rows of its own destination, so episodes to different
-    destinations never see each other's writes: a free slot takes the
-    lowest-numbered waiting episode whose destination no running episode
-    has, and the episodes to one destination run one at a time, in episode
-    order, exactly as a sequential loop would run them.
+    Every destination's episodes form a chain (``after``), and each chain
+    holds one lockstep slot for the whole run: all chains start at once,
+    and each step of all running episodes is one batch of array
+    operations on ``table.q``. An update reads and writes only rows of its
+    own destination, so chains never see each other's writes. When an
+    episode ends, its successor starts in the same slot at the next step,
+    so the episodes to one destination run one at a time, in episode
+    order, exactly as a sequential loop would run them. A chain that ends
+    gives up its slot.
 
-    Once no episode waits for a free slot and at most ``DRAIN_SLOTS`` run,
-    the work left is each running episode and the later episodes to its
-    destination (``after``). These chains share no rows, so the drain
-    finishes them one after another, one step at a time on the column's
-    rows as Python lists: a running episode continues from its cell, step
-    count, reward so far and stream position. A lockstep step of a few
-    episodes costs about as much as one of many, so this spares the tail
-    of the run, where the busiest destination's episodes run nearly alone,
-    a batch of array operations per step. Fixed-destination mode has one
+    Once at most ``DRAIN_SLOTS`` chains run, the drain finishes them one
+    after another, one step at a time on the column's rows as Python
+    lists: a running episode continues from its cell, step count, reward
+    so far and stream position. A lockstep step of a few episodes costs
+    about as much as one of many, so this spares the tail of the run,
+    where the busiest destination's episodes run nearly alone, a batch of
+    array operations per step. Fixed-destination mode has one
     destination, so it runs one episode at a time, wholly in the drain.
 
     ``rng`` seeds a numpy generator that draws the missions and one random
     stream per episode; step t of an episode takes draws 2t (exploration
     coin) and 2t + 1 (which candidate) of its stream. So the trained table
-    and logs depend on neither ``LOCKSTEP_SLOTS`` nor ``DRAIN_SLOTS``: one
-    slot gives the same bits as a sequential loop over the episodes.
+    and logs do not depend on ``DRAIN_SLOTS``: draining from the start
+    gives the same bits as a sequential loop over the episodes.
     """
     gen = np.random.default_rng(rng.getrandbits(128))
     n = cfg.episodes_strategic
@@ -312,15 +310,18 @@ def train_strategic(
     crash_r = np.array(
         [[p.r_crash if m[1] is CRASHED else 0.0 for m in row] for row in moves]
     ).ravel()
-    dist = _distance_table(world, cfg.distance_metric)
+    # dist[cell, column]: the distance to the column's destination
+    columns = table.columns
+    dist = _distance_table(
+        world, cfg.distance_metric, np.arange(columns) if columns > 1 else dests[:1]
+    )
     # Flat views of the table: state (cell, column) is row
     # cell * columns + column of rows, and its action a is entry
     # row * N_ACTIONS + a of entries. near[row] is the distance from the
     # state's cell to the destination of its column.
-    columns = table.columns
     rows = q.reshape(-1, N_ACTIONS)
     entries = q.reshape(-1)
-    near = dist.reshape(-1) if columns > 1 else dist[:, dests[0]].copy()
+    near = dist.reshape(-1)
     # ACTIONS_XY is the first four actions, so a candidate's position in
     # the candidate set is its action value.
     candidates = tuple(map(int, cfg.actions))
@@ -334,31 +335,19 @@ def train_strategic(
     same = dests[order[1:]] == dests[order[:-1]]
     after = np.full(n, -1, dtype=np.intp)
     after[order[:-1][same]] = order[1:][same]
-    # waiting episodes whose destination no running episode has, ascending
-    ready = sorted(order[np.r_[True, ~same]].tolist())
 
     total_of = np.zeros(n)
     steps_of = np.zeros(n, dtype=np.intp)
     arrived_of = np.zeros(n, dtype=bool)
-    # the running episodes, one entry per slot: episode, cell, destination,
-    # steps taken, reward so far, epsilon and the state of its stream
-    ep = at = goal = steps = np.zeros(0, dtype=np.intp)
-    total = eps = np.zeros(0)
-    draw = np.zeros(0, dtype=np.uint64)
-    while True:
-        k = min(LOCKSTEP_SLOTS - ep.size, len(ready))
-        if k:
-            new = np.array(ready[:k], dtype=np.intp)
-            del ready[:k]
-            ep = np.concatenate((ep, new))
-            at = np.concatenate((at, starts[new]))
-            goal = np.concatenate((goal, dests[new]))
-            steps = np.concatenate((steps, np.zeros(k, dtype=np.intp)))
-            total = np.concatenate((total, np.zeros(k)))
-            eps = np.concatenate((eps, eps_of[new]))
-            draw = np.concatenate((draw, streams[new]))
-        if not ready and ep.size <= DRAIN_SLOTS:
-            break
+    # One slot per destination, for the whole run: the running episode of
+    # its chain, its cell and destination, steps taken, reward so far,
+    # epsilon and the state of its stream. Each chain starts with its
+    # destination's first episode.
+    ep = order[np.r_[True, ~same]]
+    at, goal, eps, draw = starts[ep], dests[ep], eps_of[ep], streams[ep]
+    steps = np.zeros(ep.size, dtype=np.intp)
+    total = np.zeros(ep.size)
+    while ep.size > DRAIN_SLOTS:
         col = table.column(goal)
         s = at * columns + col
 
@@ -387,19 +376,27 @@ def train_strategic(
         steps += 1
         draw += _NEXT_STEP
 
-        done = arrived | (steps >= cap)
-        if done.any():
+        done = (arrived | (steps >= cap)).nonzero()[0]
+        if done.size:
+            # record the ended episodes and start their successors in
+            # their slots
             fin = ep[done]
             total_of[fin] = total[done]
             steps_of[fin] = steps[done]
             arrived_of[fin] = arrived[done]
-            for e in after[fin].tolist():
-                if e >= 0:
-                    insort(ready, e)
-            keep = ~done
-            ep, at, goal, steps, total, eps, draw = (
-                x[keep] for x in (ep, at, goal, steps, total, eps, draw)
-            )
+            e = after[fin]
+            ep[done] = e
+            at[done] = starts[e]
+            steps[done] = 0
+            total[done] = 0.0
+            eps[done] = eps_of[e]
+            draw[done] = streams[e]
+            if (e < 0).any():
+                # chains that ended give up their slots
+                keep = ep >= 0
+                ep, at, goal, steps, total, eps, draw = (
+                    x[keep] for x in (ep, at, goal, steps, total, eps, draw)
+                )
 
     # The drain: each running episode, then the later episodes to its
     # destination, one after another on the column's rows as lists.
@@ -411,7 +408,7 @@ def train_strategic(
     ):
         col = table.column(dest)
         chain = q[:, col].tolist()
-        to_dest = dist[:, dest].tolist()
+        to_dest = dist[:, col].tolist()
         state = draw[i]
         while True:
             epsilon = epsilons[e]

@@ -30,7 +30,7 @@ from typing import Any
 from .agents import RewardParams
 from .gridworld import ACTIONS, ACTIONS_XY, Action, Cell, GridSpec, default_step_cap, is_int
 from .qcore import EpsilonSchedule, Hyper, require_table_fits
-from .radio import LinkBudget
+from .radio import LinkBudget, require_finite_snr
 
 DEFAULT_BANDS_MHZ = (900.0, 1800.0, 2100.0)
 UAV_MAX_VELOCITY_MS = 15.0
@@ -154,6 +154,45 @@ class TrainConfig:
             raise ConfigError(
                 f"grid tops out at {self.grid.max_altitude_m} m, above the "
                 f"{self.max_altitude_m} m flight ceiling"
+            )
+        self._require_finite_outputs()
+
+    def _require_finite_outputs(self) -> None:
+        """Refuse what would make training or evaluation compute inf or NaN."""
+        # From all-zero tables, every learned value stays within
+        # max |step reward| / (1 - gamma) of zero.
+        p, gamma = self.rewards, self.hyper.gamma
+        for agent, reward in (
+            ("planner", max(-(p.r_farther + p.r_crash), p.r_closer + p.r_arrive)),
+            ("coverage agent", max(-p.r_outage, p.r_covered)),
+        ):
+            if not math.isfinite(reward / (1.0 - gamma)):
+                raise ConfigError(
+                    f"rewards: the {agent}'s step rewards reach {reward:g}, so with "
+                    f"hyper.gamma {gamma:g} its learned values can overflow to infinity"
+                )
+        bs = self.grid.center_cell if self.bs_cell is None else self.bs_cell
+        for band in self.bands_mhz:
+            try:
+                require_finite_snr(self.link_for_band(band), self.grid, bs)
+            except ValueError as exc:
+                g = self.grid
+                raise ConfigError(
+                    f"the coverage map of band {band:g} MHz is not finite ({exc}): "
+                    f"check link.h_b_m {self.link.h_b_m:g}, grid.cell_size_m "
+                    f"{g.cell_size_m:g}, grid.cell_height_m {g.cell_height_m:g} "
+                    f"and the link's other terms"
+                ) from exc
+        cap = self.resolved_eval_step_cap()
+        try:
+            longest_s = cap * (self.grid.cell_size_m / self.uav_velocity_ms)
+        except OverflowError:  # a step cap past the largest float
+            longest_s = math.inf
+        if not math.isfinite(longest_s):
+            raise ConfigError(
+                f"a flight of {cap} steps (eval_step_cap) of {self.grid.cell_size_m:g} m "
+                f"(grid.cell_size_m) at uav_velocity_ms {self.uav_velocity_ms:g} lasts "
+                f"longer than a float can hold"
             )
 
     @property

@@ -77,6 +77,11 @@ class GridSpec:
     def max_altitude_m(self) -> float:
         return self.nz * self.cell_height_m
 
+    @property
+    def center_cell(self) -> Cell:
+        """The ground cell at the horizontal center: the default base-station column."""
+        return (self.nx // 2, self.ny // 2, 0)
+
     def in_bounds(self, c: Cell) -> bool:
         return 0 <= c[0] < self.nx and 0 <= c[1] < self.ny and 0 <= c[2] < self.nz
 
@@ -240,7 +245,7 @@ def build(
     if not spec.in_bounds(start):
         raise ValueError(f"start cell {start} out of bounds")
     if bs_xy is None:
-        bs_xy = (spec.nx // 2, spec.ny // 2, 0)
+        bs_xy = spec.center_cell
     if not spec.in_bounds(bs_xy):
         raise ValueError(f"base-station cell {bs_xy} out of bounds")
 

@@ -36,16 +36,19 @@ A checkpoint (format v4, ``save``/``load``) is an uncompressed zip of three
   ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
   ``columns`` and ``f_mhz``
 
-Every member carries a fixed timestamp, so a table always writes the same
-bytes. ``load`` checks the version, dtypes, shapes, padding bits, that the
-number of set bits is the number of value rows, and that every value is
-finite, and raises ``CheckpointError`` on anything it cannot vouch for; the
+Every member carries a fixed timestamp, and only a member over
+``zipfile.ZIP64_LIMIT`` is written as zip64 (whose headers differ between
+Python versions), so a table always writes the same bytes. ``load``
+checks the version, dtypes, shapes, padding bits, that the number of set
+bits is the number of value rows, and that every value is finite, and
+raises ``CheckpointError`` on anything it cannot vouch for; the
 stored rows are then scattered straight into the dense array.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import random
@@ -277,7 +280,14 @@ def save(table: QTable, path) -> None:
         for name, array in members:
             # a fixed timestamp keeps checkpoints byte-identical across reruns
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            with zf.open(info, "w", force_zip64=True) as f:
+            # Python 3.10 and 3.11+ write different zip64 local headers, so
+            # a member is zip64 only when it has to be
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, np.lib.format.header_data_from_array_1_0(array)
+            )
+            size = header.tell() + array.nbytes
+            with zf.open(info, "w", force_zip64=size > zipfile.ZIP64_LIMIT) as f:
                 np.lib.format.write_array(f, array, allow_pickle=False)
 
 

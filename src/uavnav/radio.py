@@ -27,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -152,6 +153,28 @@ def cell_snr_db(lb: LinkBudget, spec: GridSpec, bs_cell: Cell, c: Cell) -> float
     bx, by, bz = bs_antenna_point_m(spec, bs_cell, lb.h_b_m)
     d_km = math.sqrt((cx - bx) ** 2 + (cy - by) ** 2 + (cz - bz) ** 2) / 1000.0
     return snr_db(lb, cz, d_km)
+
+
+def require_finite_snr(lb: LinkBudget, spec: GridSpec, bs_cell: Cell) -> None:
+    """Raise ValueError unless every cell's SNR is a finite number.
+
+    Every term of a cell's SNR -- each axis of its offset from the antenna,
+    its height, its distance -- is largest in magnitude at a corner of the
+    grid, and its height is smallest on the ground layer, so the corners
+    are checked. The check leaves the validity warning to the coverage map.
+    """
+    global _validity_warned
+    warned, _validity_warned = _validity_warned, True
+    try:
+        for c in product((0, spec.nx - 1), (0, spec.ny - 1), (0, spec.nz - 1)):
+            try:
+                value = cell_snr_db(lb, spec, bs_cell, c)
+            except OverflowError as exc:
+                raise ValueError(f"overflow at cell {c}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"SNR {value} at cell {c}")
+    finally:
+        _validity_warned = warned
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,29 @@ def test_train_strategic_fixed_destination_matches_bfs():
     assert outcome == FlightOutcome.ARRIVED
     want = bfs_shortest_len(3, 3, 1, frozenset(), (0, 0, 0), (2, 2, 0))
     assert len(traj) - 1 == want
+
+
+def test_fixed_destination_training_allocates_one_distance_column():
+    # A one-column planner reads the distances to its one destination; the
+    # n x n table of every pair of cells took a 235 MiB peak here, for a
+    # 0.21 MiB Q-table.
+    cfg = TrainConfig(
+        grid=GridSpec(nx=30, ny=30, nz=5),
+        obstacle_density=0.05,
+        episodes_strategic=20,
+        fixed_destination=(29, 29, 0),
+        seed=2,
+    )
+    world = build_world(cfg)
+    world.moves  # built on first use; not the planner's own allocation
+    tracemalloc.start()
+    try:
+        table, _ = train_strategic(world, cfg, stream_rng(cfg.seed, "t"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.q.nbytes < 1 << 20
+    assert peak < 20 << 20
 
 
 def test_train_strategic_no_obstacles_never_crashes():

@@ -837,6 +837,76 @@ def test_config_refuses_non_integers_naming_the_key(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Finite inputs whose outputs are not: learned values past the largest
+# float, a coverage map that overflows or a flight time that does. Each
+# used to pass the loader and fail later, as a bare OverflowError, a
+# checkpoint that evaluate refuses or an evaluation.json holding Infinity.
+# The second entry is the field the refusal names.
+OVERFLOWING = {
+    "rewards 1e308": (
+        {"rewards": {"r_covered": 1e308, "r_arrive": 1e308, "r_closer": 1e307}},
+        "rewards",
+    ),
+    "link.h_b_m 1e308": ({"link": {"h_b_m": 1e308}}, "link.h_b_m"),
+    "grid.cell_height_m 1e300": (
+        {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_height_m": 1e300}, "max_altitude_m": 1e308},
+        "grid.cell_height_m",
+    ),
+    "grid.cell_size_m 1e308": (
+        {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": 1e308}},
+        "grid.cell_size_m",
+    ),
+    "grid cell sizes 5e-324": (
+        {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": 5e-324, "cell_height_m": 5e-324}},
+        "grid.cell_height_m",
+    ),
+    "link gains 1e308": ({"link": {"p_tx_dbm": 1e308, "g_tx_db": 1e308}}, "link"),
+    "uav_velocity_ms 5e-324": ({"uav_velocity_ms": 5e-324}, "uav_velocity_ms"),
+    "eval_step_cap 1e400": ({"eval_step_cap": 10**400}, "eval_step_cap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_config_refuses_inputs_whose_outputs_overflow(tmp_path, capsys, case):
+    raw, field = OVERFLOWING[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, **raw}))
+    with pytest.raises(ConfigError, match=field):
+        load_config(str(cfg_path))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_extreme_finite_config_runs_to_finite_outputs(tmp_path, capsys):
+    # each value a decade inside the refusals above
+    raw = {
+        **TINY_RAW,
+        "rewards": {"r_covered": 1e307, "r_arrive": 1e307, "r_closer": 1e306},
+        "link": {"h_b_m": 1e150},
+        "uav_velocity_ms": 1e-300,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "5"]) == 0
+    report = _strict_json((out / "evaluation.json").read_text())
+    assert report["mean_flight_time_s"] > 1e300
+    _, strategic, adaptive = load_artifacts(out)
+    assert max(abs(strategic.q).max(), abs(adaptive[900.0].q).max()) > 1e306
+
+
 def test_config_keeps_null_step_caps_legal():
     cfg = config_from_dict({"step_cap": None, "eval_step_cap": None})
     assert cfg.step_cap is None and cfg.eval_step_cap is None

@@ -1,18 +1,20 @@
 """The training loops against the public calls.
 
-``train_strategic`` runs up to ``LOCKSTEP_SLOTS`` episodes in lockstep on
-the dense table. Its reference below is a sequential transcription: it
-draws the missions and stream keys as ``train_strategic`` does, then runs
-the episodes one after another, in episode order, and picks every action
-itself from the episode's SplitMix64 stream (``oracles.splitmix64_uniform``,
-Python ints): draw 2t is the exploration coin, draw 2t + 1 picks the
+``train_strategic`` runs every destination's chain of episodes in lockstep
+on the dense table, one slot per destination. Its reference below is a
+sequential transcription: it draws the missions and stream keys as
+``train_strategic`` does, then runs the episodes one after another, in
+episode order, and picks every action itself from the episode's SplitMix64
+stream (``oracles.splitmix64_uniform``, Python ints): draw 2t is the
+exploration coin, draw 2t + 1 picks the
 ``int(u * len(picks))``-th of the argmax ties, or of all candidates when
 exploring. It steps with ``apply_action``, ``reward_strategic`` and
 ``q_update``. Both must give the same table, float bits included, and the
-same episode logs, down to the types of their fields. Neither the slot
-count nor the threshold below which ``train_strategic`` drains its last
-episodes one at a time (``DRAIN_SLOTS``) may change what is trained; the
-drain must pick up a running episode at its place in its stream.
+same episode logs, down to the types of their fields. The number of
+chains below which ``train_strategic`` drains the rest one at a time
+(``DRAIN_SLOTS``) must not change what is trained, whether the lockstep
+runs to the end, hands over mid-run or never runs; the drain must pick up
+a running episode at its place in its stream.
 
 ``train_adaptive`` steps through the world's move table with the reward and
 the update written out, and reads each row's max and argmax ties from caches
@@ -36,7 +38,6 @@ import pytest
 from uavnav import agents
 from uavnav.agents import (
     DRAIN_SLOTS,
-    LOCKSTEP_SLOTS,
     EpisodeLog,
     TerminalCause,
     reward_adaptive,
@@ -272,44 +273,48 @@ def goal_conditioned_reference():
     return table, logs
 
 
-# (slots, drain threshold) of the runs whose drain takes over episodes
-# mid-stream: with 7 slots both thresholds reach the slot count, so the drain
-# starts when no episode waits, and the last 7 running are mid-episode.
-MID_EPISODE_DRAINS = {(7, DRAIN_SLOTS), (7, LOCKSTEP_SLOTS), (LOCKSTEP_SLOTS, DRAIN_SLOTS)}
+# Drain thresholds: 0 runs the lockstep to the end, so chains that end free
+# their slots mid-run; DRAIN_SLOTS hands the last chains to the drain
+# mid-episode; a threshold of at least the number of destinations drains
+# from the start, one chain after another.
+DRAINS = {"lockstep_to_the_end": 0, "default_drain": DRAIN_SLOTS, "chains_one_by_one": None}
 
 
-@pytest.mark.parametrize("slots", [1, 7, LOCKSTEP_SLOTS])
-@pytest.mark.parametrize(
-    "drain",
-    [0, DRAIN_SLOTS, LOCKSTEP_SLOTS],
-    ids=["lockstep_to_the_end", "default_drain", "drain_once_none_wait"],
-)
-def test_train_strategic_does_not_depend_on_slot_count(
-    monkeypatch, goal_conditioned_reference, slots, drain
+@pytest.mark.parametrize("drain", sorted(DRAINS))
+def test_train_strategic_does_not_depend_on_drain(
+    monkeypatch, goal_conditioned_reference, drain
 ):
-    # One slot runs the episodes one after another, in episode order. A
-    # drain threshold of 0 never drains; LOCKSTEP_SLOTS drains as soon as no
-    # episode waits for a slot.
     cfg = mode_config("goal_conditioned")
+    world = build_world(cfg)
     cap = cfg.resolved_step_cap()
-    monkeypatch.setattr(agents, "LOCKSTEP_SLOTS", slots)
-    monkeypatch.setattr(agents, "DRAIN_SLOTS", drain)
+    destinations = len(world.mission_cells())
+    threshold = DRAINS[drain]
+    monkeypatch.setattr(
+        agents, "DRAIN_SLOTS", destinations if threshold is None else threshold
+    )
     # The drain takes each episode's remaining draws in one call: fewer
     # than 2 * cap of them means it took over an episode mid-stream.
-    resumed = []
+    resumed, drained = [], []
     uniforms = agents._uniforms
 
     def spy(z):
-        if z.ndim == 1 and z.size < 2 * cap:
-            resumed.append(z.size)
+        if z.ndim == 1:
+            drained.append(z.size)
+            if z.size < 2 * cap:
+                resumed.append(z.size)
         return uniforms(z)
 
     monkeypatch.setattr(agents, "_uniforms", spy)
-    got = train_strategic(build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic"))
+    got = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
     assert_same_run(got, goal_conditioned_reference)
-    if (slots, drain) in MID_EPISODE_DRAINS:
+    if drain == "lockstep_to_the_end":
+        assert not drained
+    elif drain == "default_drain":
         # handed two or more destinations' episodes, each after some steps
         assert len(resumed) >= 2
+    else:
+        # every episode, each from its first step
+        assert len(drained) == cfg.episodes_strategic and not resumed
 
 
 @pytest.mark.parametrize(

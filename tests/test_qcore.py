@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -471,3 +472,58 @@ def test_load_rejects_corrupt_file(tmp_path):
 def test_lookup_default_zero():
     t = make_table()
     assert row(t, st((9, 9, 4))) == (0.0,) * 6
+
+
+# The console-script check's tiny config (4 x 4 x 2, two bands): the sha256
+# of every checkpoint file it trains, bytes and not contents, so a change of
+# zip headers between Python versions shows here.
+TINY_CHECKPOINTS = {
+    "adaptive_1800.npz": "d5f13c8b275b4c035009f313bbb9aa9378538ad67e07aea9de48527a348053de",
+    "adaptive_900.npz": "b79f7e41ffbb2405d46c75a7019743d9b199e2868158da47a7121fe9d8570e0e",
+    "strategic.npz": "dda120465b7dc4630d66501f05487e35cae4d41538e0d76a0b8b639ab08a92cd",
+}
+
+
+def test_tiny_config_checkpoint_bytes(tmp_path):
+    from uavnav.config import TrainConfig
+    from uavnav.harness import cmd_train
+
+    cfg = TrainConfig(
+        grid=GridSpec(nx=4, ny=4, nz=2),
+        bands_mhz=(900.0, 1800.0),
+        episodes_strategic=200,
+        episodes_adaptive=100,
+    )
+    out = cmd_train(cfg, tmp_path / "run")
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.glob("*.npz"))
+    }
+    assert got == TINY_CHECKPOINTS
+
+
+def _local_extras(path):
+    """Each member's size and the length of its local header's extra field,
+    which holds the zip64 sizes of a member written as zip64."""
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        return {
+            i.filename: (i.file_size, int.from_bytes(data[at + 28 : at + 30], "little"))
+            for i in zf.infolist()
+            for at in [i.header_offset]
+        }
+
+
+def test_only_a_member_over_the_zip64_limit_is_zip64(tmp_path, monkeypatch):
+    t = _random_table(random.Random(3), kind="strategic", n_states=40)
+    save(t, tmp_path / "small.npz")
+    assert all(extra == 0 for _, extra in _local_extras(tmp_path / "small.npz").values())
+    # with a lower limit, the members over it are written as zip64
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+    save(t, tmp_path / "big.npz")
+    members = _local_extras(tmp_path / "big.npz")
+    monkeypatch.undo()
+    assert {name for name, (_, extra) in members.items() if extra} == {
+        name for name, (size, _) in members.items() if size > 1000
+    } == {"occupied.npy", "values.npy"}
+    assert load(tmp_path / "big.npz") == t
