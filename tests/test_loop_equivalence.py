@@ -14,7 +14,8 @@ same episode logs, down to the types of their fields. The number of
 chains below which ``train_strategic`` drains the rest one at a time
 (``DRAIN_SLOTS``) must not change what is trained, whether the lockstep
 runs to the end, hands over mid-run or never runs; the drain must pick up
-a running episode at its place in its stream.
+a running episode at its place in its stream. Nor may the number of slots:
+a run folded onto fewer destinations matches its own reference.
 
 ``train_adaptive`` steps through the world's move table with the reward and
 the update written out, and reads each row's max and argmax ties from caches
@@ -315,6 +316,66 @@ def test_train_strategic_does_not_depend_on_drain(
     else:
         # every episode, each from its first step
         assert len(drained) == cfg.episodes_strategic and not resumed
+
+
+# The lockstep holds one slot per destination. A run folded onto 1 or 7
+# destinations has that many slots, fewer than DRAIN_SLOTS, so the drain
+# runs long chains from the start; 256 is more slots than this world has
+# destinations, so the run is left as drawn.
+@pytest.mark.parametrize("slots", [1, 7, 256])
+@pytest.mark.parametrize("drain", [DRAIN_SLOTS], ids=["default_drain"])
+def test_train_strategic_does_not_depend_on_slot_count(
+    monkeypatch, goal_conditioned_reference, slots, drain
+):
+    cfg = mode_config("goal_conditioned")
+    world = build_world(cfg)
+    cap = cfg.resolved_step_cap()
+    lowest = sorted(map(world.index, world.mission_cells()))[:2]
+    missions = agents._missions
+
+    def folded(world, cfg, gen):
+        # episode e flies to the (e mod slots)-th of the first destinations
+        # drawn; one that would start at its destination starts at the
+        # lowest other mission cell instead
+        starts, dests = missions(world, cfg, gen)
+        _, first = np.unique(dests, return_index=True)
+        if first.size <= slots:
+            return starts, dests
+        pool = dests[np.sort(first)[:slots]]
+        dests = pool[np.arange(dests.size) % slots]
+        other = np.where(dests == lowest[0], lowest[1], lowest[0])
+        starts = np.where(starts == dests, other, starts)
+        return starts, dests
+
+    monkeypatch.setattr(agents, "_missions", folded)
+    monkeypatch.setattr(agents, "DRAIN_SLOTS", drain)
+    if slots < len(world.mission_cells()):
+        table, logs, _, _ = reference_strategic(
+            build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic")
+        )
+        want = (table, logs)
+        assert len({log.destination for log in logs}) == slots
+    else:
+        want = goal_conditioned_reference
+    resumed, drained = [], []
+    uniforms = agents._uniforms
+
+    def spy(z):
+        if z.ndim == 1:
+            drained.append(z.size)
+            if z.size < 2 * cap:
+                resumed.append(z.size)
+        return uniforms(z)
+
+    monkeypatch.setattr(agents, "_uniforms", spy)
+    got = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
+    assert_same_run(got, want)
+    if slots <= drain:
+        # every episode, each from its first step
+        assert len(drained) == cfg.episodes_strategic and not resumed
+    else:
+        # handed two or more destinations' episodes, each after some steps
+        assert len(resumed) >= 2
 
 
 @pytest.mark.parametrize(
