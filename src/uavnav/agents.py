@@ -277,7 +277,8 @@ def train_strategic(
     Once at most ``DRAIN_SLOTS`` chains run, the drain finishes them one
     after another, one step at a time on the column's rows as Python
     lists: a running episode continues from its cell, step count, reward
-    so far and stream position. A lockstep step of a few episodes costs
+    so far and stream position, its uniforms drawn a block of at most 128
+    steps at a time, whatever the step cap. A lockstep step of a few episodes costs
     about as much as one of many, so this spares the tail of the run,
     where the busiest destination's episodes run nearly alone, a batch of
     array operations per step. Fixed-destination mode has one
@@ -400,42 +401,45 @@ def train_strategic(
 
     # The drain: each running episode, then the later episodes to its
     # destination, one after another on the column's rows as lists.
-    # offsets[c] moves a stream state c draws on.
-    offsets = np.arange(2 * cap, dtype=np.uint64) * np.uint64(_GOLDEN)
+    # offsets[c] moves a stream state c draws on, within a block of steps;
+    # a default cap, 4 * (nx + ny + nz), fits one block up to a sum of 32.
+    block = min(cap, 128)
+    offsets = np.arange(2 * block, dtype=np.uint64) * np.uint64(_GOLDEN)
     arrival = StepEvent.ARRIVED_AT_DESTINATION
-    for i, (e, cell, dest, taken, reward) in enumerate(
-        zip(ep.tolist(), at.tolist(), goal.tolist(), steps.tolist(), total.tolist())
+    for e, cell, dest, taken, reward, state in zip(
+        ep.tolist(), at.tolist(), goal.tolist(), steps.tolist(), total.tolist(), draw.tolist()
     ):
         col = table.column(dest)
         chain = q[:, col].tolist()
         to_dest = dist[:, col].tolist()
-        state = draw[i]
         while True:
             epsilon = epsilons[e]
-            # the episode's remaining draws, two per step up to the cap
-            left = iter(_uniforms(state + offsets[: 2 * (cap - taken)]).tolist())
             arrived = False
-            for coin, u in zip(left, left):
-                row = chain[cell]
-                picks = candidates if coin < epsilon else argmax_ties(row, candidates)
-                a = picks[int(u * len(picks))]
-                to, event = moves[cell][a]
-                arrived = to == dest
-                r = reward_strategic(
-                    to_dest[cell], to_dest[to], arrival if arrived else event, p
-                )
-                # max_a' Q(s', a') is read before the write: s' may be s
-                row[a] = bootstrap(row[a], r, max(chain[to]), alpha, gamma)
-                reward += r
-                taken += 1
-                cell = to
-                if arrived:
-                    break
+            while not arrived and taken < cap:
+                # the next block's draws, two per step up to the cap
+                left = iter(_uniforms(np.uint64(state) + offsets[: 2 * (cap - taken)]).tolist())
+                state = (state + 2 * block * _GOLDEN) % 2**64
+                for coin, u in zip(left, left):
+                    row = chain[cell]
+                    picks = candidates if coin < epsilon else argmax_ties(row, candidates)
+                    a = picks[int(u * len(picks))]
+                    to, event = moves[cell][a]
+                    arrived = to == dest
+                    r = reward_strategic(
+                        to_dest[cell], to_dest[to], arrival if arrived else event, p
+                    )
+                    # max_a' Q(s', a') is read before the write: s' may be s
+                    row[a] = bootstrap(row[a], r, max(chain[to]), alpha, gamma)
+                    reward += r
+                    taken += 1
+                    cell = to
+                    if arrived:
+                        break
             total_of[e], steps_of[e], arrived_of[e] = reward, taken, arrived
             e = int(after[e])
             if e < 0:
                 break
-            cell, taken, reward, state = int(starts[e]), 0, 0.0, streams[e]
+            cell, taken, reward, state = int(starts[e]), 0, 0.0, int(streams[e])
         q[:, col] = chain
 
     cells = world.cells

@@ -12,16 +12,18 @@ the path.
 
 The raw cross-table comparison mixes two reward scales, exactly as the
 underlying rule prescribes; an optional per-state min-max normalization of
-each table's six action values is available as a robustness variant and is
-flagged in evaluation reports when used.
+each table's six action values (``normalize``) is available as a robustness
+variant and is flagged in evaluation reports when used.
 
 ``decide`` is the one-step reference of that rule: it reads both rows,
 applies the candidate rule (the safety filter, from the world's per-cell
-safe-action sets, and ``allowed``) and takes each argmax with
-``qcore.greedy_action``, the tie-break rule training uses. A flight looks
-the same decisions up instead: the tables are frozen, so under a fixed
-candidate rule every row's argmax ties are fixed, and ``TieMasks`` holds
-them as 6-bit masks, filling the planner's one column at a time, the
+safe-action sets, and ``allowed``), takes each argmax with
+``qcore.greedy_action``, the tie-break rule training uses, and applies the
+comparison rule (raw or normalized values). A flight looks the same
+decisions up instead: the tables are frozen, so under a fixed candidate
+rule every row's argmax ties are fixed, and under a fixed comparison rule
+so are the values a disagreement compares. ``TieMasks`` holds both, the
+ties as 6-bit masks, filling the planner's one column at a time, the
 first time a destination of that column is flown. A step decodes both
 masks to their ties in ascending action order, the order ``decide`` lists
 its candidates in, and draws a pick only when two or more actions tie,
@@ -33,7 +35,7 @@ same order, so a flight is bit-identical to stepping ``decide``; the
 replay tests hold every step to it.
 
 ``execute_flight`` takes the ``TieMasks`` of the world, the planner and
-the candidate rule it flies under, and returns the ``FlightRecord`` the
+both rules it flies under, and returns the ``FlightRecord`` the
 evaluation reports: band, destination, outcome and step counts, no
 trajectory. A flight steps through the world's move table, by flat cell
 index. Each step's SNR is read from the band's ``CoverageMap``, the same
@@ -108,15 +110,6 @@ def _candidates(
     return tuple(a for a in safe if a in allowed) or allowed
 
 
-def _spans(values: np.ndarray) -> list[tuple[float, float]]:
-    """Per row of ``values`` (n x 6), its (min, max).
-
-    numpy may pick another zero than Python's ``min`` and ``max`` do; no
-    comparison of the normalized values tells the two apart.
-    """
-    return list(zip(values.min(axis=1).tolist(), values.max(axis=1).tolist()))
-
-
 def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Per row of ``values`` (n x 6), the mask of its argmax ties among ``candidates``."""
     best = np.where(candidates, values, -np.inf).max(axis=1, keepdims=True)
@@ -127,21 +120,38 @@ def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return masks
 
 
+def _compared(values: np.ndarray, normalize: bool) -> np.ndarray:
+    """The values (n x 6) a disagreement compares: ``values`` itself, or each
+    row rescaled as ``_normalized`` rescales it.
+
+    numpy's subtraction and division round as Python's do, and give NaN
+    where they do (a row spanning more than the largest float); numpy may
+    pick another zero than Python's ``min`` and ``max`` do, which no
+    comparison tells apart.
+    """
+    if not normalize:
+        return values
+    lo = values.min(axis=1, keepdims=True)
+    hi = values.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(hi == lo, 0.5, (values - lo) / (hi - lo))
+
+
 class TieMasks:
-    """The argmax ties a flight looks up, as masks with bit ``a`` for action ``a``.
+    """What a flight looks up: argmax ties, as masks with bit ``a`` for
+    action ``a``, and the values a disagreement compares.
 
     Built for one world and one frozen planner table under one candidate
-    rule, ``safety`` and ``allowed`` as ``decide`` applies them; ``allowed``
-    must list distinct actions in ascending order, as ``ACTIONS`` and
-    ``ACTIONS_XY`` do. The planner's masks are one ``bytes`` per column,
-    one byte per cell, shared by all bands; a column's are computed the
-    first time it is flown. A coverage table's masks, one per
-    cell of its one column, are decoded the first time that table is flown.
-    Each row's (min, max), which ``normalize`` reads, is computed once too:
-    a coverage table's with its masks, a planner column's the first time a
-    normalized flight asks for it. No table may change while its masks are
-    in use. A coverage table is checked against the world's grid, and for
-    its one column, the first time it is flown.
+    rule, ``safety`` and ``allowed`` as ``decide`` applies them, and one
+    comparison rule, ``normalize``; ``allowed`` must list distinct actions
+    in ascending order, as ``ACTIONS`` and ``ACTIONS_XY`` do. The planner's
+    masks are one ``bytes`` per column, one byte per cell, shared by all
+    bands; a column's masks and compared values are computed the first time
+    it is flown. A coverage table's masks, one per cell of its one column,
+    are decoded with its compared values the first time that table is
+    flown. No table may change while its masks are in use. A coverage table
+    is checked against the world's grid, and for its one column, the first
+    time it is flown.
     """
 
     def __init__(
@@ -150,6 +160,7 @@ class TieMasks:
         q_strategic: QTable,
         safety: bool = True,
         allowed: tuple[Action, ...] = ACTIONS,
+        normalize: bool = False,
     ) -> None:
         _require_grid(world, q_strategic)
         allowed = tuple(allowed)
@@ -161,47 +172,36 @@ class TieMasks:
         self.q_strategic = q_strategic
         self.safety = safety
         self.allowed = allowed
+        self.normalize = normalize
         n = world.spec.n_cells
         self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
         for i, safe in enumerate(world.safe_actions):
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
-        # column -> its masks, one byte per cell
-        self._planner: dict[int, bytes] = {}
-        self._planner_spans: dict[int, list[tuple[float, float]]] = {}
-        # id of each coverage table flown -> (table, ties, rows, spans)
+        # column -> its masks, one byte per cell, and compared values
+        self._planner: dict[int, tuple[bytes, np.ndarray]] = {}
+        # id of each coverage table flown -> (table, ties, compared rows)
         self._coverage: dict[int, tuple] = {}
 
     def planner(self, goal: int) -> tuple[bytes, np.ndarray]:
-        """The planner's tie mask per cell and its values (n x 6) toward ``goal``.
-
-        ``goal`` is the destination's flat index.
-        """
+        """The planner's tie mask per cell and its compared values (n x 6)
+        toward ``goal``, the destination's flat index."""
         col = self.q_strategic.column(goal)
-        q = self.q_strategic.q[:, col]
-        masks = self._planner.get(col)
-        if masks is None:
-            masks = self._planner[col] = _tie_masks(q, self._candidate_mask).tobytes()
-        return masks, q
+        hit = self._planner.get(col)
+        if hit is None:
+            q = self.q_strategic.q[:, col]
+            masks = _tie_masks(q, self._candidate_mask).tobytes()
+            hit = self._planner[col] = (masks, _compared(q, self.normalize))
+        return hit
 
-    def planner_spans(self, goal: int) -> list[tuple[float, float]]:
-        """Each cell's (min, max) planner value toward ``goal``, a flat index."""
-        col = self.q_strategic.column(goal)
-        spans = self._planner_spans.get(col)
-        if spans is None:
-            spans = self._planner_spans[col] = _spans(self.q_strategic.q[:, col])
-        return spans
-
-    def coverage(
-        self, q_adaptive: QTable
-    ) -> tuple[list[tuple[int, ...]], list[list[float]], list[tuple[float, float]]]:
-        """A coverage table's ties per cell, decoded, its rows as lists and their spans."""
+    def coverage(self, q_adaptive: QTable) -> tuple[list[tuple[int, ...]], list[list[float]]]:
+        """A coverage table's ties per cell, decoded, and its compared rows as lists."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
             _require_grid(self.world, q_adaptive)
             _require_coverage(q_adaptive)
             q = q_adaptive.q[:, 0]
             ties = [TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
-            hit = (q_adaptive, ties, q.tolist(), _spans(q))
+            hit = (q_adaptive, ties, _compared(q, self.normalize).tolist())
             self._coverage[id(q_adaptive)] = hit
         return hit[1:]
 
@@ -263,13 +263,13 @@ def execute_flight(
     dest: Cell,
     step_cap: int,
     rng: random.Random | None = None,
-    normalize: bool = False,
     velocity_ms: float = 15.0,
 ) -> FlightRecord:
     """Fly greedily from the start cell until arrival, crash, or the cap.
 
-    The world, the planner and the candidate rule (``safety``, ``allowed``)
-    are those ``masks`` were built for; a caller that flies many missions
+    The world, the planner, the candidate rule (``safety``, ``allowed``)
+    and the comparison rule (``normalize``) are those ``masks`` were built
+    for; a caller that flies many missions
     builds the masks once and passes them to every flight. ``cmap`` is the
     coverage map of the flight's band over the world's grid; every step's
     SNR is read from it. A crash terminates the flight as a failure
@@ -288,8 +288,7 @@ def execute_flight(
     moves = world.moves
     at, goal = world.index(world.start_cell), world.index(dest)
     plan, plan_q = masks.planner(goal)
-    cover, cover_q, cover_spans = masks.coverage(q_adaptive)
-    plan_spans = masks.planner_spans(goal) if normalize else None
+    cover, cover_q = masks.coverage(q_adaptive)
     # Delivery priority: once the destination is one move away, take that
     # move instead of arbitrating. Evaluation measures successful delivery;
     # without this, a destination inside a weak-coverage zone is
@@ -331,15 +330,8 @@ def execute_flight(
                 while i >= n:
                     i = getrandbits(k)
                 a2 = ties[i]
-            if a2 != a:
-                if normalize:
-                    q1 = _normalized(float(plan_q[at, a2]), plan_spans[at])
-                    q2 = _normalized(cover_q[at][a], cover_spans[at])
-                else:
-                    q1 = plan_q[at, a2]
-                    q2 = cover_q[at][a]
-                if q1 > q2:
-                    a = a2
+            if a2 != a and plan_q[at, a2] > cover_q[at][a]:
+                a = a2
         at, event = moves[at][a]
         steps += 1
         snr = snr_by_index[at]

@@ -430,13 +430,14 @@ def run_flights(
     ``cfg.fixed_destination``, the one destination the planner trained for.
 
     The destination stream restarts per band, so every band faces the same
-    destination sequence. The planner's tie masks are built once and
-    shared by every band's flights.
+    destination sequence. The planner's tie masks and compared values are
+    built once, under ``safety`` and ``normalize``, and shared by every
+    band's flights.
     """
     _require_missions(cfg, world, 1)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
-    masks = TieMasks(world, strategic, safety, cfg.actions)
+    masks = TieMasks(world, strategic, safety, cfg.actions, normalize)
     for band in sorted(adaptive):
         cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
@@ -447,7 +448,7 @@ def run_flights(
             )
             # called through this module's name, which a tracer may replace
             flight = execute_flight(masks, adaptive[band], cmap, dest, step_cap=cap, rng=tie_rng,
-                                    normalize=normalize, velocity_ms=cfg.uav_velocity_ms)
+                                    velocity_ms=cfg.uav_velocity_ms)
             records.append(flight)
     return records
 

@@ -249,9 +249,12 @@ def test_criterion_7_arbiter_fidelity():
     rng = random.Random(77)
     pos, dest = (7, 3, 2), (15, 12, 0)
 
+    # decide reads only pos's planner row toward dest and pos's coverage
+    # row, so every case reuses two tables, those rows rewritten
+    qs = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
+    qa = QTable("adaptive", grid, Hyper(), 0)
+
     def tables(sv, av):
-        qs = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
-        qa = QTable("adaptive", grid, Hyper(), 0)
         qs.q[grid.index(pos), grid.index(dest)] = sv
         qa.q[grid.index(pos), 0] = av
         return qs, qa

@@ -9,6 +9,7 @@ import numpy as np
 from uavnav.arbiter import (
     FlightOutcome,
     TieMasks,
+    _normalized,
     decide,
     execute_flight,
     greedy_trajectory,
@@ -415,7 +416,7 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
             continue
         qs = _tied_table("strategic", spec, rng, per_destination)
         coverage = [_tied_table("adaptive", spec, rng) for _ in range(2)]
-        masks = TieMasks(world, qs, safety, allowed)
+        masks = TieMasks(world, qs, safety, allowed, normalize)
         for flight in range(8):
             qa = coverage[flight % 2]
             dest = free[int(rng.integers(len(free)))]
@@ -431,7 +432,7 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
                 snr[landing] = -1.0
                 cmap = CoverageMap(spec, 900.0, -0.5, snr.reshape(spec.nx, spec.ny, spec.nz))
                 tie_rng = random.Random(seed)
-                res = execute_flight(masks, qa, cmap, dest, k, tie_rng, normalize)
+                res = execute_flight(masks, qa, cmap, dest, k, tie_rng)
                 assert res.steps == k
                 assert res.outage_steps == landings[:k].count(landing)
                 assert tie_rng.getstate() == state
@@ -489,3 +490,38 @@ def test_flight_masks_refuse_nan_rows():
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="NaN"):
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)
+
+
+# Rows whose span is more than the largest float (their rescaled values
+# overflow, and some come out NaN), flat rows, and rows of signed zeros.
+_EXTREME_ROWS = [
+    [1e308, -1e308, 0.0, 5e307, -1e308, 1e308],
+    [-1e308, 1e308, 1.0, -1.0, 0.0, -0.0],
+    [-1e308, -1e308, -1e308, -1e308, -1e308, -1e308],
+    [3.5, 3.5, 3.5, 3.5, 3.5, 3.5],
+    [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+    [-0.0, 0.0, 1.0, -0.0, 2.0, 0.0],
+    [-0.0, -1.0, 0.0, -0.0, -1.0, 0.0],
+]
+
+
+def test_normalized_masks_rescale_as_the_scalar_rule():
+    """The values normalized flights compare equal ``_normalized``'s, NaN included."""
+    world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
+    spec = world.spec
+    qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
+    qa = QTable("adaptive", spec, Hyper(), 0)
+    rows = np.array(_EXTREME_ROWS)
+    goal = spec.n_cells - 1
+    qs.q[: len(rows), goal] = rows
+    qa.q[: len(rows), 0] = rows[::-1]
+    masks = TieMasks(world, qs, normalize=True)
+    got = {"planner": masks.planner(goal)[1], "coverage": np.array(masks.coverage(qa)[1])}
+    for name, table in (("planner", qs.q[:, goal]), ("coverage", qa.q[:, 0])):
+        want = [[_normalized(v, (min(row), max(row))) for v in row] for row in table.tolist()]
+        np.testing.assert_array_equal(got[name], want, err_msg=name)
+        assert np.isnan(got[name]).any()
+    # without normalize, a disagreement compares the table's own values
+    raw = TieMasks(world, qs)
+    assert raw.planner(goal)[1].tobytes() == qs.q[:, goal].tobytes()
+    assert raw.coverage(qa)[1] == qa.q[:, 0].tolist()

@@ -15,7 +15,9 @@ chains below which ``train_strategic`` drains the rest one at a time
 (``DRAIN_SLOTS``) must not change what is trained, whether the lockstep
 runs to the end, hands over mid-run or never runs; the drain must pick up
 a running episode at its place in its stream. Nor may the number of slots:
-a run folded onto fewer destinations matches its own reference.
+a run folded onto fewer destinations matches its own reference. The drain
+draws an episode's uniforms a block of steps at a time, so a step cap far
+beyond any episode's length costs nothing.
 
 ``train_adaptive`` steps through the world's move table with the reward and
 the update written out, and reads each row's max and argmax ties from caches
@@ -224,6 +226,8 @@ BASE = dict(
 MODES = {
     "goal_conditioned": {},
     "fixed_destination": {},  # mode_config picks the destination
+    # a cap no episode reaches; the drain's draws do not grow with it
+    "fixed_destination_uncapped": {"step_cap": 10**12},
     "altitude_locked": {"altitude_locked": True},
     "manhattan": {"distance_metric": "manhattan"},
     # an odd count: the last episode takes off from the takeoff cell
@@ -242,7 +246,7 @@ ADAPTIVE_MODES = {
 
 def mode_config(mode: str) -> TrainConfig:
     cfg = TrainConfig(**{**BASE, **{**MODES, **ADAPTIVE_MODES}[mode]})
-    if mode == "fixed_destination":
+    if mode.startswith("fixed_destination"):
         world = build_world(cfg)
         cfg = dataclasses.replace(cfg, fixed_destination=max(world.mission_cells()))
     return cfg
@@ -274,6 +278,33 @@ def goal_conditioned_reference():
     return table, logs
 
 
+def spy_drain(monkeypatch, world, cfg):
+    """The first step of each episode the drain runs, filled in as it runs.
+
+    The drain draws an episode's uniforms a block of steps at a time, each
+    block from the stream state of a step's coin, key + 2t * golden. An
+    episode whose first drained step t is above 0 was taken over mid-run.
+    """
+    gen = np.random.default_rng(stream_rng(cfg.seed, "train.strategic").getrandbits(128))
+    agents._missions(world, cfg, gen)
+    keys = gen.integers(1 << 64, size=cfg.episodes_strategic, dtype=np.uint64).tolist()
+    coin = {
+        (key + 2 * t * 0x9E3779B97F4A7C15) % 2**64: (e, t)
+        for e, key in enumerate(keys)
+        for t in range(cfg.resolved_step_cap())
+    }
+    first = {}
+    uniforms = agents._uniforms
+
+    def spy(z):
+        if z.ndim == 1:  # the lockstep draws for all slots at once, in two rows
+            first.setdefault(*coin[int(z[0])])
+        return uniforms(z)
+
+    monkeypatch.setattr(agents, "_uniforms", spy)
+    return first
+
+
 # Drain thresholds: 0 runs the lockstep to the end, so chains that end free
 # their slots mid-run; DRAIN_SLOTS hands the last chains to the drain
 # mid-episode; a threshold of at least the number of destinations drains
@@ -287,27 +318,15 @@ def test_train_strategic_does_not_depend_on_drain(
 ):
     cfg = mode_config("goal_conditioned")
     world = build_world(cfg)
-    cap = cfg.resolved_step_cap()
     destinations = len(world.mission_cells())
     threshold = DRAINS[drain]
     monkeypatch.setattr(
         agents, "DRAIN_SLOTS", destinations if threshold is None else threshold
     )
-    # The drain takes each episode's remaining draws in one call: fewer
-    # than 2 * cap of them means it took over an episode mid-stream.
-    resumed, drained = [], []
-    uniforms = agents._uniforms
-
-    def spy(z):
-        if z.ndim == 1:
-            drained.append(z.size)
-            if z.size < 2 * cap:
-                resumed.append(z.size)
-        return uniforms(z)
-
-    monkeypatch.setattr(agents, "_uniforms", spy)
+    drained = spy_drain(monkeypatch, world, cfg)
     got = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
     assert_same_run(got, goal_conditioned_reference)
+    resumed = [e for e, t in drained.items() if t > 0]
     if drain == "lockstep_to_the_end":
         assert not drained
     elif drain == "default_drain":
@@ -329,7 +348,6 @@ def test_train_strategic_does_not_depend_on_slot_count(
 ):
     cfg = mode_config("goal_conditioned")
     world = build_world(cfg)
-    cap = cfg.resolved_step_cap()
     lowest = sorted(map(world.index, world.mission_cells()))[:2]
     missions = agents._missions
 
@@ -357,19 +375,10 @@ def test_train_strategic_does_not_depend_on_slot_count(
         assert len({log.destination for log in logs}) == slots
     else:
         want = goal_conditioned_reference
-    resumed, drained = [], []
-    uniforms = agents._uniforms
-
-    def spy(z):
-        if z.ndim == 1:
-            drained.append(z.size)
-            if z.size < 2 * cap:
-                resumed.append(z.size)
-        return uniforms(z)
-
-    monkeypatch.setattr(agents, "_uniforms", spy)
+    drained = spy_drain(monkeypatch, world, cfg)
     got = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
     assert_same_run(got, want)
+    resumed = [e for e, t in drained.items() if t > 0]
     if slots <= drain:
         # every episode, each from its first step
         assert len(drained) == cfg.episodes_strategic and not resumed
