@@ -48,6 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -112,8 +113,10 @@ def _candidates(
 
 def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Per row of ``values`` (n x 6), the mask of its argmax ties among ``candidates``."""
-    best = np.where(candidates, values, -np.inf).max(axis=1, keepdims=True)
-    ties = candidates & (values == best)
+    # elementwise maxima of the six columns: .max(axis=1) would run one
+    # short reduction per row
+    best = reduce(np.maximum, np.where(candidates, values, -np.inf).T)
+    ties = candidates & (values == best[:, None])
     masks = np.packbits(ties, axis=1, bitorder="little")[:, 0]
     if not masks.all():  # every row has a candidate, so only NaN leaves none
         raise ValueError("a Q-table row holds NaN")

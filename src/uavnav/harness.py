@@ -3,7 +3,7 @@
 An experiment is fully determined by (config, master seed). Training writes
 an artifact directory holding one strategic checkpoint (``strategic.npz``),
 one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
-``qcore`` format v4, a per-episode reward CSV per agent, and a manifest.
+``qcore`` format v5, a per-episode reward CSV per agent, and a manifest.
 The manifest embeds the resolved config (so evaluation can rebuild the
 identical world), its sha256 (``config_sha256``) and, under ``files``, the
 sha256 of every checkpoint. Checkpoints and manifest are written to a
@@ -23,7 +23,8 @@ every job has returned; a run that fails leaves none.
 
 Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
-are never flown in a world other than the one they were trained in.
+are never flown in a world other than the one they were trained in. Each
+checkpoint is read once, and the bytes it hashes are the bytes it parses.
 
 Evaluation flies the trained tables to fresh random destinations, or
 every flight to the config's ``fixed_destination``: one set of
@@ -370,11 +371,16 @@ def _read_manifest(art: Path) -> tuple[TrainConfig, dict[str, str]]:
 
 def _load_verified(art: Path, name: str, files: dict[str, str]) -> QTable:
     path = art / name
-    if not path.exists():
-        raise ArtifactError(f"missing checkpoint {path}")
-    if _sha256(path) != files[name]:
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ArtifactError(f"missing checkpoint {path}") from None
+    except OSError as exc:
+        raise ArtifactError(f"unreadable checkpoint {path}: {exc}") from exc
+    if hashlib.sha256(data).hexdigest() != files[name]:
         raise ArtifactError(f"{path} does not match its sha256 in the manifest")
-    return load_table(path)
+    # called through this module's name, which a tracer may replace
+    return load_table(path, data)
 
 
 def load_artifacts(artifact_dir: str | Path) -> tuple[TrainConfig, QTable, dict[float, QTable]]:

@@ -26,12 +26,13 @@ batch of episodes at once. ``TIES`` decodes a set of actions held as a
 6-bit mask, the form in which the flight arbiter and the planner's
 lockstep loop keep tie sets.
 
-A checkpoint (format v4, ``save``/``load``) is an uncompressed zip of three
+A checkpoint (format v5, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
 
-- ``occupied``: uint8, ``np.packbits`` of which rows of ``q.reshape(-1, 6)``
-  are stored, ceil(rows / 8) bytes with zero padding bits
-- ``values``: float64, n x 6, the stored rows in C order of ``q``
+- ``occupied``: uint8, ``np.packbits`` of which entries of ``q.reshape(-1)``
+  are stored, ceil(entries / 8) bytes with zero padding bits; an entry is
+  stored when its bits are not zero, so a ``-0.0`` is kept
+- ``values``: float64, 1-D, the stored entries in C order of ``q``
 - ``meta``: a 0-d unicode array holding a JSON object with
   ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
   ``columns`` and ``f_mhz``
@@ -40,9 +41,10 @@ Every member carries a fixed timestamp, and only a member over
 ``zipfile.ZIP64_LIMIT`` is written as zip64 (whose headers differ between
 Python versions), so a table always writes the same bytes. ``load``
 checks the version, dtypes, shapes, padding bits, that the number of set
-bits is the number of value rows, and that every value is finite, and
-raises ``CheckpointError`` on anything it cannot vouch for; the
-stored rows are then scattered straight into the dense array.
+bits is the number of values, that every value is finite and that none is
+``+0.0`` (so a table has one encoding), and raises ``CheckpointError`` on
+anything it cannot vouch for; the stored entries are then written straight
+to their flat indices in the dense array, every bit of ``q`` as it was saved.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 
 from .gridworld import ACTIONS, Action, GridSpec, is_int
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _MEMBERS = ("occupied", "values", "meta")
 
 N_ACTIONS = len(ACTIONS)
@@ -126,9 +128,10 @@ class QTable:
     The values live in one float64 array ``q[cell, column, a]``, indexed
     by flat cell index (``GridSpec.index``), with ``columns`` either 1 or
     one per cell of the grid (a column per destination). Every value starts
-    at exactly 0.0, and a state is *stored* when its row holds a non-zero
-    value; only stored rows are counted, listed and saved. A table is
-    single-writer during training and treated as frozen afterwards.
+    at exactly 0.0. ``n_states`` counts the rows that hold a non-zero value
+    and ``entries`` lists the non-zero values; a checkpoint stores every
+    entry whose bits are not zero, so it keeps a ``-0.0`` as well. A table
+    is single-writer during training and treated as frozen afterwards.
     """
 
     def __init__(
@@ -255,13 +258,13 @@ def select_action(
 
 
 def save(table: QTable, path) -> None:
-    """Write a format-v4 checkpoint to exactly ``path``.
+    """Write a format-v5 checkpoint to exactly ``path``.
 
-    Only stored rows are written, in C order of ``q``, so the same values
+    Only stored entries are written, in C order of ``q``, so the same values
     always give the same bytes, whatever order they were written in.
     """
-    flat = table.q.reshape(-1, N_ACTIONS)
-    occupied = flat.any(axis=1)
+    flat = table.q.reshape(-1)
+    stored = flat.view(np.uint64) != 0
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": table.kind,
@@ -272,8 +275,9 @@ def save(table: QTable, path) -> None:
         "f_mhz": table.f_mhz,
     }
     members = (
-        ("occupied", np.packbits(occupied)),
-        ("values", flat[occupied]),
+        ("occupied", np.packbits(stored)),
+        # gathering at indices is faster than with the boolean mask
+        ("values", flat[np.flatnonzero(stored)]),
         ("meta", np.array(json.dumps(meta, sort_keys=True))),
     )
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
@@ -291,14 +295,15 @@ def save(table: QTable, path) -> None:
                 np.lib.format.write_array(f, array, allow_pickle=False)
 
 
-def load(path) -> QTable:
+def load(path, data: bytes | None = None) -> QTable:
     """Read and validate a checkpoint written by ``save``.
 
-    Any unreadable, foreign, older- or newer-version or inconsistent file
-    raises ``CheckpointError``.
+    ``data``, when given, is the file's content, already read; ``path``
+    then only names it in errors. Any unreadable, foreign, older- or
+    newer-version or inconsistent file raises ``CheckpointError``.
     """
     try:
-        npz = np.load(path, allow_pickle=False)
+        npz = np.load(path if data is None else io.BytesIO(data), allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):
             raise CheckpointError(f"not a Q-table checkpoint: {path}")
         with npz:
@@ -314,7 +319,7 @@ def load(path) -> QTable:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     table = _table_from_meta(path, meta)
 
-    flat = table.q.reshape(-1, N_ACTIONS)
+    flat = table.q.reshape(-1)
     n_bytes = (len(flat) + 7) // 8
     if occupied.dtype != np.uint8 or occupied.shape != (n_bytes,):
         raise CheckpointError(
@@ -324,16 +329,20 @@ def load(path) -> QTable:
     bits = np.unpackbits(occupied).view(bool)
     if bits[len(flat) :].any():
         raise CheckpointError(f"checkpoint {path}: occupied has a set padding bit")
-    mask = bits[: len(flat)]
-    n = int(np.count_nonzero(mask))
-    if values.dtype != np.float64 or values.shape != (n, N_ACTIONS):
+    # numpy finds the true entries of a bool array several times faster than
+    # the non-zero ones of a uint8 array
+    at = np.flatnonzero(bits[: len(flat)])
+    del bits  # not held through the scatter, where evaluation's memory peaks
+    if values.dtype != np.float64 or values.shape != at.shape:
         raise CheckpointError(
-            f"checkpoint {path}: values must be float64 of shape ({n}, {N_ACTIONS}), "
-            f"one row per set bit of occupied, got {values.dtype} {values.shape}"
+            f"checkpoint {path}: values must be float64 of shape ({len(at)},), "
+            f"one per set bit of occupied, got {values.dtype} {values.shape}"
         )
     if not np.isfinite(values).all():
         raise CheckpointError(f"non-finite value in checkpoint {path}")
-    flat[mask] = values
+    if not values.view(np.uint64).all():
+        raise CheckpointError(f"checkpoint {path} stores a +0.0, which save never writes")
+    flat[at] = values
     return table
 
 

@@ -10,6 +10,7 @@ from uavnav.arbiter import (
     FlightOutcome,
     TieMasks,
     _normalized,
+    _tie_masks,
     decide,
     execute_flight,
     greedy_trajectory,
@@ -480,6 +481,23 @@ def test_greedy_trajectory_replays_greedy_action(per_destination):
             tie_rng = random.Random(seed)
             assert greedy_trajectory(table, world, dest, 30, tie_rng) == (want, outcome)
             assert tie_rng.getstate() == ref_rng.getstate()
+
+
+def test_tie_masks_match_a_direct_transcription():
+    # rows drawn from few values, so they tie, with -inf and both zeros among them
+    rng = np.random.default_rng(3)
+    pool = np.array([-math.inf, -2.5, -0.0, 0.0, 1.0, 7.0])
+    values = pool[rng.integers(0, len(pool), (500, N_ACTIONS))]
+    candidates = rng.random((500, N_ACTIONS)) < 0.6
+    candidates[np.arange(500), rng.integers(0, N_ACTIONS, 500)] = True
+    want = []
+    for row, allowed in zip(values.tolist(), candidates.tolist()):
+        best = max(v for v, ok in zip(row, allowed) if ok)
+        want.append(sum(1 << a for a in range(N_ACTIONS) if allowed[a] and row[a] == best))
+    assert _tie_masks(values, candidates).tolist() == want
+    values[7, 2] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _tie_masks(values, candidates | True)
 
 
 def test_flight_masks_refuse_nan_rows():

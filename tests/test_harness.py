@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavnav import harness
 from uavnav.agents import EpisodeLog, TerminalCause, train_adaptive, train_strategic
 from uavnav.arbiter import FlightOutcome
 from uavnav.cli import main as cli_main
@@ -37,7 +38,7 @@ from uavnav.harness import (
     load_artifacts,
     run_flights,
 )
-from uavnav.qcore import MAX_TABLE_BYTES, Hyper, QTable
+from uavnav.qcore import FORMAT_VERSION, MAX_TABLE_BYTES, Hyper, QTable
 from uavnav.qcore import load as load_table
 
 
@@ -307,6 +308,38 @@ def test_evaluate_band_checkpoint_mismatch(tmp_path):
         load_artifacts(out)
 
 
+def test_evaluate_loads_the_bytes_it_verified(tmp_path, monkeypatch):
+    # Each checkpoint is read once: swapping the file for another run's after
+    # its hash was checked does not change what is loaded.
+    cfg = TrainConfig(**{**SMALL, "bands_mhz": (900.0,)})
+    out = cmd_train(cfg, tmp_path / "run")
+    other = cmd_train(cfg, tmp_path / "other", seed=6)
+    trained = {p.name: load_table(p).q.tobytes() for p in out.glob("*.npz")}
+    loaded = []
+
+    def swap_then_load(path, *args):
+        path.write_bytes((other / path.name).read_bytes())
+        table = load_table(path, *args)
+        loaded.append(path.name)
+        assert table.q.tobytes() == trained[path.name]
+        return table
+
+    monkeypatch.setattr(harness, "load_table", swap_then_load)
+    load_artifacts(out)
+    assert sorted(loaded) == sorted(trained)
+
+
+def test_evaluate_refuses_a_directory_in_place_of_a_checkpoint(tmp_path, capsys):
+    out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
+    (out / "strategic.npz").unlink()
+    (out / "strategic.npz").mkdir()
+    with pytest.raises(ArtifactError, match="unreadable checkpoint"):
+        load_artifacts(out)
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    assert "artifact error:" in capsys.readouterr().err
+    assert not (out / "flights.csv").exists()
+
+
 def _edit_manifest(out, edit):
     path = out / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -363,12 +396,15 @@ def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
 # A manifest of another checkpoint format is refused for its format, before
 # its config is parsed: a format-2 config still holds the since-removed
 # eval_flights field, which would otherwise fail as an unknown field.
-# Format 3 checkpoints recorded goal_conditioned in place of columns.
+# Format 3 checkpoints recorded goal_conditioned in place of columns; format 4
+# stored whole rows.
 FORMAT_EDITS = {
+    "previous": (lambda m: {**m, "checkpoint_format_version": 4}, "format 4"),
     "older": (lambda m: {**m, "checkpoint_format_version": 3}, "format 3"),
     "oldest": (lambda m: {**m, "checkpoint_format_version": 2,
                           "config": {**m["config"], "eval_flights": 100}}, "format 2"),
-    "newer": (lambda m: {**m, "checkpoint_format_version": 5}, "format 5"),
+    "newer": (lambda m: {**m, "checkpoint_format_version": FORMAT_VERSION + 1},
+              f"format {FORMAT_VERSION + 1}"),
     "missing": (lambda m: {k: v for k, v in m.items() if k != "checkpoint_format_version"},
                 "is None"),
     "text": (lambda m: {**m, "checkpoint_format_version": "3"}, "is '3'"),

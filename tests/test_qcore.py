@@ -247,22 +247,39 @@ def test_empty_table_round_trip(tmp_path):
 
 
 def test_all_zero_rows_round_trip(tmp_path):
-    # A row whose values are all zero is not stored: it reads as absent.
+    # A zero entry is not stored: an all-zero row reads as absent.
     for kind in ("strategic", "adaptive"):
         t = _random_table(random.Random(5), kind=kind, n_states=10)
         n = t.n_states()
         zero = _stored(t)[0]
         t.q[zero] = 0.0
+        t.q[_stored(t)[0] + (2,)] = 0.0
         assert t.n_states() == n - 1
         assert zero not in _stored(t)
         save(t, tmp_path / "z.npz")
         with np.load(tmp_path / "z.npz") as npz:
-            assert npz["values"].shape[0] == n - 1
-            assert np.unpackbits(npz["occupied"]).sum() == n - 1
+            assert npz["values"].shape == (6 * (n - 1) - 1,)
+            assert np.unpackbits(npz["occupied"]).sum() == 6 * (n - 1) - 1
         back = load(tmp_path / "z.npz")
         assert _stored(back) == _stored(t)
         assert row(back, zero) == (0.0,) * 6
         assert back == t
+
+
+def test_negative_zero_round_trips_bit_for_bit(tmp_path):
+    # -0.0 has a set sign bit, so it is stored, alone in a row or beside
+    # non-zero values; a format that stored rows read the first back as +0.0.
+    for kind in ("strategic", "adaptive"):
+        t = _random_table(random.Random(8), kind=kind, n_states=5)
+        alone, beside = _stored(t)[0], _stored(t)[1]
+        t.q[alone] = 0.0
+        t.q[alone + (3,)] = -0.0
+        t.q[beside + (4,)] = -0.0
+        save(t, tmp_path / "neg.npz")
+        back = load(tmp_path / "neg.npz")
+        assert back.q.tobytes() == t.q.tobytes()
+        assert math.copysign(1.0, back.q[alone + (3,)]) == -1.0
+        assert math.copysign(1.0, back.q[beside + (4,)]) == -1.0
 
 
 def test_save_bytes_stable_across_clock_and_insertion_order(tmp_path, monkeypatch):
@@ -300,7 +317,7 @@ def _write_members(path, occupied, values, meta):
     _write_zip(path, {"occupied": occupied, "values": values, "meta": meta})
 
 
-# 27 cells: the planner's 729 rows leave 7 padding bits in the last byte
+# 27 cells: the planner's 4,374 entries leave 2 padding bits in the last byte
 ODD_GRID = GridSpec(nx=3, ny=3, nz=3)
 
 
@@ -308,7 +325,7 @@ def test_hand_built_checkpoint_loads(tmp_path):
     # the corruption tests below start from this valid baseline
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
     occupied, values, meta = _members(t, tmp_path / "t.npz")
-    assert occupied.shape == (92,) and occupied[-1] & 0x7F == 0
+    assert occupied.shape == (547,) and occupied[-1] & 0x03 == 0
     _write_members(tmp_path / "copy.npz", occupied, values, meta)
     assert load(tmp_path / "copy.npz") == t
 
@@ -321,7 +338,7 @@ def test_load_rejects_newer_version(tmp_path):
         load(tmp_path / "t.npz")
 
 
-@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, FORMAT_VERSION - 1])
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, FORMAT_VERSION - 1])
 def test_load_rejects_non_int_or_old_version(tmp_path, version):
     occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
     meta["format_version"] = version
@@ -353,6 +370,18 @@ def test_load_refuses_v3_checkpoint_with_retrain(tmp_path):
         load(tmp_path / "v3.npz")
 
 
+def test_load_refuses_v4_checkpoint_with_retrain(tmp_path):
+    # format v4 stored whole rows: a bit per row of q.reshape(-1, 6), and n x 6 values
+    t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
+    _, _, meta = _members(t, tmp_path / "t.npz")
+    rows = t.q.reshape(-1, 6)
+    stored = rows.any(axis=1)
+    _write_members(tmp_path / "v4.npz", np.packbits(stored), rows[stored],
+                   {**meta, "format_version": 4})
+    with pytest.raises(CheckpointError, match="retrain"):
+        load(tmp_path / "v4.npz")
+
+
 @pytest.mark.parametrize("columns", [0, 2, 28, True, 1.0, "1"])
 def test_qtable_columns_are_one_or_one_per_cell(columns):
     for valid in (1, ODD_GRID.n_cells):
@@ -379,16 +408,17 @@ def _set(array, index, value):
     return out
 
 
-def _flip_bit(occupied, row):
-    """``occupied`` with the bit of one row of ``q.reshape(-1, 6)`` flipped."""
-    return _set(occupied, row // 8, occupied[row // 8] ^ (0x80 >> row % 8))
+def _flip_bit(occupied, entry):
+    """``occupied`` with the bit of one entry of ``q.reshape(-1)`` flipped."""
+    return _set(occupied, entry // 8, occupied[entry // 8] ^ (0x80 >> entry % 8))
 
 
 def _first_bit(occupied, value):
     return int(np.flatnonzero(np.unpackbits(occupied) == value)[0])
 
 
-# Each maps the (occupied, values, meta) that ``save`` wrote to a broken triple.
+# Each maps the (occupied, values, meta) that ``save`` wrote to a broken
+# triple; the occupied_*_row cases set or clear the bit of one entry.
 _CORRUPTIONS = {
     "occupied_int8": lambda o, v, m: (o.view(np.int8), v, m),
     "occupied_short": lambda o, v, m: (o[:-1], v, m),
@@ -398,10 +428,12 @@ _CORRUPTIONS = {
     "occupied_extra_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 0)), v, m),
     "occupied_missing_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 1)), v, m),
     "values_float32": lambda o, v, m: (o, v.astype(np.float32), m),
-    "values_short_row": lambda o, v, m: (o, v[:, :5], m),
-    "values_missing_row": lambda o, v, m: (o, v[1:], m),
-    "value_nan": lambda o, v, m: (o, _set(v, (0, 0), math.nan), m),
-    "value_inf": lambda o, v, m: (o, _set(v, (1, 2), -math.inf), m),
+    "values_short_row": lambda o, v, m: (o, v[:-1], m),
+    "values_missing_row": lambda o, v, m: (o, v[6:], m),
+    "values_2d": lambda o, v, m: (o, v.reshape(-1, 6), m),
+    "value_nan": lambda o, v, m: (o, _set(v, 0, math.nan), m),
+    "value_inf": lambda o, v, m: (o, _set(v, 8, -math.inf), m),
+    "value_plus_zero": lambda o, v, m: (o, _set(v, 3, 0.0), m),
     "object_values": lambda o, v, m: (o, v.astype(object), m),
     "meta_columns_missing": lambda o, v, m: (o, v, {x: m[x] for x in m if x != "columns"}),
     "meta_columns_0": lambda o, v, m: (o, v, {**m, "columns": 0}),
@@ -476,11 +508,11 @@ def test_lookup_default_zero():
 
 # The console-script check's tiny config (4 x 4 x 2, two bands): the sha256
 # of every checkpoint file it trains, bytes and not contents, so a change of
-# zip headers between Python versions shows here.
+# zip headers between Python versions shows here. Recorded with format v5.
 TINY_CHECKPOINTS = {
-    "adaptive_1800.npz": "d5f13c8b275b4c035009f313bbb9aa9378538ad67e07aea9de48527a348053de",
-    "adaptive_900.npz": "b79f7e41ffbb2405d46c75a7019743d9b199e2868158da47a7121fe9d8570e0e",
-    "strategic.npz": "dda120465b7dc4630d66501f05487e35cae4d41538e0d76a0b8b639ab08a92cd",
+    "adaptive_1800.npz": "2180e5e40cd7c0a13450191f920fcb9962cf0488493f235bf8c6d46c8db58ac7",
+    "adaptive_900.npz": "324b413b6eaa6f600df0dabd2bbcdf176e6641ea1d0da732b1315a5d0ffa44d8",
+    "strategic.npz": "523c680d97275525e5fbe150a174183389a5ca28f412ac7d6cc4cbcbba3a578c",
 }
 
 
@@ -500,6 +532,38 @@ def test_tiny_config_checkpoint_bytes(tmp_path):
         for p in sorted(out.glob("*.npz"))
     }
     assert got == TINY_CHECKPOINTS
+
+
+def _npy_header_bytes(raw):
+    """The length of a version 1.0 ``.npy`` header: magic, version, length, text."""
+    assert raw[:8] == b"\x93NUMPY\x01\x00"
+    return 10 + int.from_bytes(raw[8:10], "little")
+
+
+def test_checkpoint_holds_nothing_but_non_zero_entries(tmp_path):
+    # A trained checkpoint's size is its headers, one bit per entry and eight
+    # bytes per non-zero entry: a zero written back into it fails here.
+    from uavnav.config import TrainConfig
+    from uavnav.harness import cmd_train
+
+    cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), bands_mhz=(900.0,),
+                      episodes_strategic=100, episodes_adaptive=50)
+    out = cmd_train(cfg, tmp_path / "run")
+    for name in ("strategic.npz", "adaptive_900.npz"):
+        path = out / name
+        q = load(path).q
+        non_zero = int(np.count_nonzero(q.view(np.uint64)))
+        assert 0 < non_zero < q.size
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+            members = {i.filename: zf.read(i) for i in infos}
+        assert all(i.compress_type == zipfile.ZIP_STORED and not i.extra for i in infos)
+        # a local header and a central directory entry per member, then the end record
+        zip_headers = sum(30 + 46 + 2 * len(i.filename) for i in infos) + 22
+        headers = zip_headers + sum(map(_npy_header_bytes, members.values()))
+        meta = len(members["meta.npy"]) - _npy_header_bytes(members["meta.npy"])
+        expected = headers + meta + (q.size + 7) // 8 + 8 * non_zero
+        assert path.stat().st_size == expected
 
 
 def _local_extras(path):
