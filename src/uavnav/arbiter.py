@@ -10,20 +10,19 @@ action that would enter an obstacle cell is dropped from consideration
 whenever at least one non-obstacle action exists, even if that lengthens
 the path.
 
-The raw cross-table comparison mixes two reward scales, exactly as the
-underlying rule prescribes; an optional per-state min-max normalization of
-each table's six action values (``normalize``) is available as a robustness
-variant and is flagged in evaluation reports when used.
+The comparison reads each table's own values, so it mixes two reward
+scales, as the underlying rule prescribes: ``agents.RewardParams`` sets
+them a decade apart so that it defers to the planner except where coverage
+is in question.
 
 ``decide`` is the one-step reference of that rule: it reads both rows,
 applies the candidate rule (the safety filter, from the world's per-cell
 safe-action sets, and ``allowed``), takes each argmax with
-``qcore.greedy_action``, the tie-break rule training uses, and applies the
-comparison rule (raw or normalized values). A flight looks the same
-decisions up instead: the tables are frozen, so under a fixed candidate
-rule every row's argmax ties are fixed, and under a fixed comparison rule
-so are the values a disagreement compares. ``TieMasks`` holds both, the
-ties as 6-bit masks, filling the planner's one column at a time, the
+``qcore.greedy_action``, the tie-break rule training uses, and compares
+on a disagreement. A flight looks the same decisions up instead: the
+tables are frozen, so under a fixed candidate rule every row's argmax ties
+are fixed. ``TieMasks`` holds them as 6-bit masks, beside the values a
+disagreement compares, filling the planner's one column at a time, the
 first time a destination of that column is flown. A step decodes both
 masks to their ties in ascending action order, the order ``decide`` lists
 its candidates in, and draws a pick only when two or more actions tie,
@@ -35,7 +34,7 @@ same order, so a flight is bit-identical to stepping ``decide``; the
 replay tests hold every step to it.
 
 ``execute_flight`` takes the ``TieMasks`` of the world, the planner and
-both rules it flies under, and returns the ``FlightRecord`` the
+the candidate rule it flies under, and returns the ``FlightRecord`` the
 evaluation reports: band, destination, outcome and step counts, no
 trajectory. A flight steps through the world's move table, by flat cell
 index. Each step's SNR is read from the band's ``CoverageMap``, the same
@@ -123,38 +122,21 @@ def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _compared(values: np.ndarray, normalize: bool) -> np.ndarray:
-    """The values (n x 6) a disagreement compares: ``values`` itself, or each
-    row rescaled as ``_normalized`` rescales it.
-
-    numpy's subtraction and division round as Python's do, and give NaN
-    where they do (a row spanning more than the largest float); numpy may
-    pick another zero than Python's ``min`` and ``max`` do, which no
-    comparison tells apart.
-    """
-    if not normalize:
-        return values
-    lo = values.min(axis=1, keepdims=True)
-    hi = values.max(axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(hi == lo, 0.5, (values - lo) / (hi - lo))
-
-
 class TieMasks:
     """What a flight looks up: argmax ties, as masks with bit ``a`` for
     action ``a``, and the values a disagreement compares.
 
     Built for one world and one frozen planner table under one candidate
-    rule, ``safety`` and ``allowed`` as ``decide`` applies them, and one
-    comparison rule, ``normalize``; ``allowed`` must list distinct actions
-    in ascending order, as ``ACTIONS`` and ``ACTIONS_XY`` do. The planner's
-    masks are one ``bytes`` per column, one byte per cell, shared by all
-    bands; a column's masks and compared values are computed the first time
-    it is flown. A coverage table's masks, one per cell of its one column,
-    are decoded with its compared values the first time that table is
-    flown. No table may change while its masks are in use. A coverage table
-    is checked against the world's grid, and for its one column, the first
-    time it is flown.
+    rule, ``safety`` and ``allowed`` as ``decide`` applies them; ``allowed``
+    must list distinct actions in ascending order, as ``ACTIONS`` and
+    ``ACTIONS_XY`` do. The compared values are the tables' own. The
+    planner's masks are one ``bytes`` per column, one byte per cell, shared
+    by all bands; a column's masks are computed, and its values sliced, the
+    first time it is flown. A coverage table's masks, one per cell of its
+    one column, are decoded, and its rows listed, the first time that table
+    is flown. No table may change while its masks are in use. A coverage
+    table is checked against the world's grid, and for its one column, the
+    first time it is flown.
     """
 
     def __init__(
@@ -163,7 +145,6 @@ class TieMasks:
         q_strategic: QTable,
         safety: bool = True,
         allowed: tuple[Action, ...] = ACTIONS,
-        normalize: bool = False,
     ) -> None:
         _require_grid(world, q_strategic)
         allowed = tuple(allowed)
@@ -175,49 +156,37 @@ class TieMasks:
         self.q_strategic = q_strategic
         self.safety = safety
         self.allowed = allowed
-        self.normalize = normalize
         n = world.spec.n_cells
         self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
         for i, safe in enumerate(world.safe_actions):
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
-        # column -> its masks, one byte per cell, and compared values
+        # column -> its masks, one byte per cell, and its values
         self._planner: dict[int, tuple[bytes, np.ndarray]] = {}
-        # id of each coverage table flown -> (table, ties, compared rows)
+        # id of each coverage table flown -> (table, ties, rows)
         self._coverage: dict[int, tuple] = {}
 
     def planner(self, goal: int) -> tuple[bytes, np.ndarray]:
-        """The planner's tie mask per cell and its compared values (n x 6)
-        toward ``goal``, the destination's flat index."""
+        """The planner's tie mask per cell and its values (n x 6) toward
+        ``goal``, the destination's flat index."""
         col = self.q_strategic.column(goal)
         hit = self._planner.get(col)
         if hit is None:
             q = self.q_strategic.q[:, col]
             masks = _tie_masks(q, self._candidate_mask).tobytes()
-            hit = self._planner[col] = (masks, _compared(q, self.normalize))
+            hit = self._planner[col] = (masks, q)
         return hit
 
     def coverage(self, q_adaptive: QTable) -> tuple[list[tuple[int, ...]], list[list[float]]]:
-        """A coverage table's ties per cell, decoded, and its compared rows as lists."""
+        """A coverage table's ties per cell, decoded, and its rows as lists."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
             _require_grid(self.world, q_adaptive)
             _require_coverage(q_adaptive)
             q = q_adaptive.q[:, 0]
             ties = [TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
-            hit = (q_adaptive, ties, _compared(q, self.normalize).tolist())
+            hit = (q_adaptive, ties, q.tolist())
             self._coverage[id(q_adaptive)] = hit
         return hit[1:]
-
-
-def _normalized(value: float, span: tuple[float, float]) -> float:
-    """A state's action value min-max rescaled over its six, whose (min, max) is ``span``.
-
-    A flat row carries no preference; it maps to the neutral midpoint 0.5.
-    """
-    lo, hi = span
-    if hi == lo:
-        return 0.5
-    return (value - lo) / (hi - lo)
 
 
 def decide(
@@ -228,7 +197,6 @@ def decide(
     safety: bool,
     world: GridWorld,
     rng: random.Random,
-    normalize: bool = False,
     allowed: tuple[Action, ...] = ACTIONS,
 ) -> Action:
     """Pick the next action from the two tables' preferences at s_pos.
@@ -250,13 +218,7 @@ def decide(
     a2 = greedy_action(row_a, candidates, rng)
     if a1 == a2:
         return a1
-    if normalize:
-        q1 = _normalized(row_s[a2], (min(row_s), max(row_s)))
-        q2 = _normalized(row_a[a1], (min(row_a), max(row_a)))
-    else:
-        q1 = row_s[a2]
-        q2 = row_a[a1]
-    return a2 if q1 > q2 else a1
+    return a2 if row_s[a2] > row_a[a1] else a1
 
 
 def execute_flight(
@@ -270,12 +232,11 @@ def execute_flight(
 ) -> FlightRecord:
     """Fly greedily from the start cell until arrival, crash, or the cap.
 
-    The world, the planner, the candidate rule (``safety``, ``allowed``)
-    and the comparison rule (``normalize``) are those ``masks`` were built
-    for; a caller that flies many missions
-    builds the masks once and passes them to every flight. ``cmap`` is the
-    coverage map of the flight's band over the world's grid; every step's
-    SNR is read from it. A crash terminates the flight as a failure
+    The world, the planner and the candidate rule (``safety``,
+    ``allowed``) are those ``masks`` were built for; a caller that flies
+    many missions builds the masks once and passes them to every flight.
+    ``cmap`` is the coverage map of the flight's band over the world's
+    grid; every step's SNR is read from it. A crash terminates the flight as a failure
     (evaluation semantics, unlike the pass-through used in training). The
     rng only breaks argmax ties.
     """

@@ -37,11 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the obstacle-avoidance action filter",
     )
-    p_eval.add_argument(
-        "--normalize-q",
-        action="store_true",
-        help="min-max normalize per-state Q values before cross-table comparison",
-    )
 
     p_cov = sub.add_parser("coverage", help="export a per-cell SNR/coverage CSV")
     p_cov.add_argument("--config", required=True, help="JSON config file")
@@ -63,7 +58,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_flights=args.flights,
                 seed=args.seed,
                 safety=not args.no_safety,
-                normalize=args.normalize_q,
             )
             print(
                 f"flights={report.flights} arrival={report.arrival_pct:.1f}% "

@@ -28,7 +28,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .agents import RewardParams
-from .gridworld import ACTIONS, ACTIONS_XY, Action, Cell, GridSpec, default_step_cap, is_int
+from .gridworld import (
+    ACTIONS,
+    ACTIONS_XY,
+    Action,
+    Cell,
+    GridSpec,
+    default_step_cap,
+    is_int,
+    require_obstacle_room,
+)
 from .qcore import EpsilonSchedule, Hyper, require_table_fits
 from .radio import LinkBudget, require_finite_snr
 
@@ -145,6 +154,10 @@ class TrainConfig:
             raise ConfigError(f"start_cell {self.start_cell} out of bounds")
         if self.bs_cell is not None and not self.grid.in_bounds(self.bs_cell):
             raise ConfigError(f"bs_cell {self.bs_cell} out of bounds")
+        try:
+            require_obstacle_room(self.grid, self.obstacle_density, self.start_cell, self.bs_cell)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.fixed_destination is not None:
             if not self.grid.in_bounds(self.fixed_destination):
                 raise ConfigError(f"fixed_destination {self.fixed_destination} out of bounds")

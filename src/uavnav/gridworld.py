@@ -227,6 +227,27 @@ class GridWorld:
         return tuple(safe)
 
 
+def require_obstacle_room(
+    spec: GridSpec, density: float, start: Cell, bs_xy: Cell | None = None
+) -> int:
+    """The obstacle count ``build`` places, ``round(density * n_cells)``.
+
+    Obstacles go outside the start cell and the base-station (x, y) column,
+    the grid's center column when ``bs_xy`` is None; a count past the cells
+    left raises ``ValueError``.
+    """
+    if bs_xy is None:
+        bs_xy = spec.center_cell
+    n_obstacles = round(density * spec.n_cells)
+    # the column, and the start cell unless it lies in the column
+    eligible = spec.n_cells - spec.nz - (start[:2] != bs_xy[:2])
+    if n_obstacles > eligible:
+        raise ValueError(
+            f"grid too small: {n_obstacles} obstacles requested, {eligible} eligible cells"
+        )
+    return n_obstacles
+
+
 def build(
     spec: GridSpec,
     density: float,
@@ -249,7 +270,7 @@ def build(
     if not spec.in_bounds(bs_xy):
         raise ValueError(f"base-station cell {bs_xy} out of bounds")
 
-    n_obstacles = round(density * spec.n_cells)
+    n_obstacles = require_obstacle_room(spec, density, start, bs_xy)
     bs_column = {(bs_xy[0], bs_xy[1], z) for z in range(spec.nz)}
     eligible = [
         (x, y, z)
@@ -258,11 +279,6 @@ def build(
         for z in range(spec.nz)
         if (x, y, z) != start and (x, y, z) not in bs_column
     ]
-    if n_obstacles > len(eligible):
-        raise ValueError(
-            f"grid too small: {n_obstacles} obstacles requested, "
-            f"{len(eligible)} eligible cells"
-        )
     rng = random.Random(seed)
     obstacles = frozenset(rng.sample(eligible, n_obstacles))
     return GridWorld(

@@ -430,20 +430,18 @@ def run_flights(
     n_flights: int,
     seed: int,
     safety: bool = True,
-    normalize: bool = False,
 ) -> list[FlightRecord]:
     """Fly ``n_flights`` per band to random mission cells, or all of them to
     ``cfg.fixed_destination``, the one destination the planner trained for.
 
     The destination stream restarts per band, so every band faces the same
-    destination sequence. The planner's tie masks and compared values are
-    built once, under ``safety`` and ``normalize``, and shared by every
-    band's flights.
+    destination sequence. The planner's tie masks and values are built once,
+    under ``safety``, and shared by every band's flights.
     """
     _require_missions(cfg, world, 1)
     records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
-    masks = TieMasks(world, strategic, safety, cfg.actions, normalize)
+    masks = TieMasks(world, strategic, safety, cfg.actions)
     for band in sorted(adaptive):
         cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
@@ -464,7 +462,6 @@ def cmd_evaluate(
     n_flights: int,
     seed: int = 0,
     safety: bool = True,
-    normalize: bool = False,
 ) -> EvalReport:
     """Evaluate a trained artifact directory; writes report JSON and flight CSV."""
     if n_flights < 0:
@@ -472,9 +469,7 @@ def cmd_evaluate(
     art = Path(artifact_dir)
     cfg, strategic, adaptive = load_artifacts(art)
     world = build_world(cfg)
-    records = run_flights(
-        cfg, world, strategic, adaptive, n_flights, seed, safety, normalize
-    )
+    records = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)
     report = compute_metrics(records)
 
     with open(art / "flights.csv", "w", newline="", encoding="utf-8") as f:
@@ -487,7 +482,6 @@ def cmd_evaluate(
     doc = report.to_dict()
     doc["seed"] = seed
     doc["safety"] = safety
-    doc["normalize_q"] = normalize
     with open(art / "evaluation.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -9,7 +9,6 @@ import numpy as np
 from uavnav.arbiter import (
     FlightOutcome,
     TieMasks,
-    _normalized,
     _tie_masks,
     decide,
     execute_flight,
@@ -361,7 +360,7 @@ class _CountingRandom(random.Random):
         return super().randrange(n)
 
 
-def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, normalize, allowed):
+def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, allowed):
     """Each step of a flight taken with decide: (landing index, rng state, override?).
 
     Transcribes execute_flight's loop on the one-step reference: the move
@@ -377,7 +376,7 @@ def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, normalize, 
         if override:
             a = ACTION_DELTAS.index(delta)
         else:
-            a = decide(qs, qa, pos, dest, safety, world, rng, normalize, allowed)
+            a = decide(qs, qa, pos, dest, safety, world, rng, allowed)
         to, event = moves[at][a]
         steps.append((to, rng.getstate(), override))
         at = to
@@ -390,9 +389,9 @@ def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, normalize, 
 
 @pytest.mark.parametrize("per_destination", [True, False], ids=["goal", "fixed_dest"])
 @pytest.mark.parametrize("allowed", [ACTIONS, ACTIONS_XY], ids=["xyz", "xy"])
-@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-@pytest.mark.parametrize("safety", [True, False], ids=["safe", "unsafe"])
-def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_destination):
+# "raw": a disagreement compares the tables' own values
+@pytest.mark.parametrize("safety", [True, False], ids=["safe-raw", "unsafe-raw"])
+def test_flight_replays_decide_step_for_step(safety, allowed, per_destination):
     """Every flight step picks decide's move and leaves the rng where decide does.
 
     The flight is cut after each step k (``step_cap=k``): its landing cell
@@ -405,7 +404,7 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
     boundary-blocked step is identified by its landing. One set of masks
     serves every flight and both coverage tables.
     """
-    rng = np.random.default_rng([safety, normalize, len(allowed), per_destination])
+    rng = np.random.default_rng([safety, 0, len(allowed), per_destination])
     overrides = crashes = steps_checked = 0
     tie_sizes = Counter()  # the n of each tie-break decide drew
     for trial in range(6):
@@ -417,14 +416,13 @@ def test_flight_replays_decide_step_for_step(safety, normalize, allowed, per_des
             continue
         qs = _tied_table("strategic", spec, rng, per_destination)
         coverage = [_tied_table("adaptive", spec, rng) for _ in range(2)]
-        masks = TieMasks(world, qs, safety, allowed, normalize)
+        masks = TieMasks(world, qs, safety, allowed)
         for flight in range(8):
             qa = coverage[flight % 2]
             dest = free[int(rng.integers(len(free)))]
             seed = int(rng.integers(1 << 30))
             ref_rng = _CountingRandom(seed)
-            want = _landings_via_decide(qs, qa, world, dest, 25, ref_rng,
-                                        safety, normalize, allowed)
+            want = _landings_via_decide(qs, qa, world, dest, 25, ref_rng, safety, allowed)
             tie_sizes += ref_rng.sizes
             overrides += sum(o for _, _, o in want)
             landings = [landing for landing, _, _ in want]
@@ -510,8 +508,8 @@ def test_flight_masks_refuse_nan_rows():
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)
 
 
-# Rows whose span is more than the largest float (their rescaled values
-# overflow, and some come out NaN), flat rows, and rows of signed zeros.
+# Rows whose span is more than the largest float, flat rows, and rows of
+# signed zeros: a disagreement compares each as stored, -0.0 included.
 _EXTREME_ROWS = [
     [1e308, -1e308, 0.0, 5e307, -1e308, 1e308],
     [-1e308, 1e308, 1.0, -1.0, 0.0, -0.0],
@@ -523,8 +521,7 @@ _EXTREME_ROWS = [
 ]
 
 
-def test_normalized_masks_rescale_as_the_scalar_rule():
-    """The values normalized flights compare equal ``_normalized``'s, NaN included."""
+def test_masks_compare_the_tables_own_values():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
     spec = world.spec
     qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
@@ -533,13 +530,6 @@ def test_normalized_masks_rescale_as_the_scalar_rule():
     goal = spec.n_cells - 1
     qs.q[: len(rows), goal] = rows
     qa.q[: len(rows), 0] = rows[::-1]
-    masks = TieMasks(world, qs, normalize=True)
-    got = {"planner": masks.planner(goal)[1], "coverage": np.array(masks.coverage(qa)[1])}
-    for name, table in (("planner", qs.q[:, goal]), ("coverage", qa.q[:, 0])):
-        want = [[_normalized(v, (min(row), max(row))) for v in row] for row in table.tolist()]
-        np.testing.assert_array_equal(got[name], want, err_msg=name)
-        assert np.isnan(got[name]).any()
-    # without normalize, a disagreement compares the table's own values
-    raw = TieMasks(world, qs)
-    assert raw.planner(goal)[1].tobytes() == qs.q[:, goal].tobytes()
-    assert raw.coverage(qa)[1] == qa.q[:, 0].tolist()
+    masks = TieMasks(world, qs)
+    assert masks.planner(goal)[1].tobytes() == qs.q[:, goal].tobytes()
+    assert masks.coverage(qa)[1] == qa.q[:, 0].tolist()

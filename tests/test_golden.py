@@ -14,8 +14,10 @@ replaced the per-step calls. The strategic ones (``table strategic``,
 ``rewards_strategic.csv``) and the evaluation outputs that fly the planner
 (``flights.csv``, ``evaluation.json``) were re-recorded when the planner's
 loop became the lockstep batch loop, which draws its random numbers from
-a numpy generator in a different order. If a change is meant to alter what
-is computed, re-record them and say why in CHANGES.md.
+a numpy generator in a different order. The ``evaluation.json`` ones were
+re-recorded again when the report dropped its ``normalize_q`` field, the
+one line that changed. If a change is meant to alter what is computed,
+re-record them and say why in CHANGES.md.
 """
 
 import hashlib
@@ -60,7 +62,7 @@ GOLDEN = {
         "rewards_adaptive_900.csv": "a801b8c0a9c19cd649acb9c60c9d9fa9a6f679b2a2a25dacc4467bacb1b169c7",
         "rewards_adaptive_2100.csv": "72e94ca9906cfceedb7da28fa1ed0d04db9024dde4b0e032c38aeebe606ab797",
         "flights.csv": "4602a9a09e746cdeb034c60f71bcd5c7561e5749013be2dd23f6e630eed5064d",
-        "evaluation.json": "4223b34eb50ee6c1d3b37c970d0b6d27585fc99bb0a04a31f125b2747559cdb1",
+        "evaluation.json": "a407dab1956da795f325f54a6163541886afb3e9063c430d0996b33bf52f4cce",
     },
     "three_band": {
         "table strategic": "1a8953e3af9d4b72e84ea1b1274fc28b9cb83c01dc5efe470e615088617d37e6",
@@ -72,7 +74,7 @@ GOLDEN = {
         "rewards_adaptive_1800.csv": "80b8089b9958b91178eb5284f4f118028c5161bea1e9284563f32c02778f718c",
         "rewards_adaptive_2100.csv": "ce737f13acc09f0733fa85298f4ede7d3faf838f34fec1b8b50c997cccd29a4a",
         "flights.csv": "64a31c42eaea9aff9f2d9a67ca5f2b55e6af418e531362f937196f575d706c1a",
-        "evaluation.json": "696b3ba945a057f2efe8b19691924f233c467f54bf8170b48e726c4dacb2f045",
+        "evaluation.json": "24a8ff4e4bc15a9d663d1e43940f56e362353c93760ed82a40e13312ec911c11",
     },
 }
 

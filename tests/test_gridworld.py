@@ -17,6 +17,7 @@ from uavnav.gridworld import (
     distance_m,
     manhattan_m,
     random_free_cell,
+    require_obstacle_room,
 )
 
 from oracles import euclid_cells
@@ -75,6 +76,26 @@ def test_build_rejects_bad_inputs():
     tiny = GridSpec(nx=1, ny=2, nz=1)
     with pytest.raises(ValueError):
         build(tiny, 0.5, seed=1, start=(0, 0, 0), bs_xy=(0, 1, 0))
+
+
+def test_obstacle_room_counts_the_cells_build_may_fill():
+    # every cell of small grids as start and as base station, at the
+    # densest setting, against a count of the cells build leaves eligible
+    for nx, ny, nz in [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 1, 3), (3, 2, 2)]:
+        spec = GridSpec(nx=nx, ny=ny, nz=nz)
+        cells = [(x, y, z) for x in range(nx) for y in range(ny) for z in range(nz)]
+        for start in cells:
+            for bs in cells:
+                eligible = sum(c != start and c[:2] != bs[:2] for c in cells)
+                want = round(0.5 * spec.n_cells)
+                if want > eligible:
+                    with pytest.raises(ValueError, match=f"{eligible} eligible cells"):
+                        require_obstacle_room(spec, 0.5, start, bs)
+                    with pytest.raises(ValueError, match="grid too small"):
+                        build(spec, 0.5, seed=1, start=start, bs_xy=bs)
+                else:
+                    assert require_obstacle_room(spec, 0.5, start, bs) == want
+                    assert len(build(spec, 0.5, seed=1, start=start, bs_xy=bs).obstacles) == want
 
 
 def test_apply_action_boundary_clamp():

@@ -763,6 +763,21 @@ def test_cli_train_rejects_repeated_band_labels(tmp_path, capsys, bands):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [{"nx": 1, "ny": 1, "nz": 2}, {"nx": 2, "ny": 1, "nz": 1}],
+                         ids=["column", "row"])
+def test_cli_refuses_more_obstacles_than_the_grid_holds(tmp_path, capsys, grid):
+    # the base-station column and the start cell leave no cell for the one obstacle
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": grid, "obstacle_density": 0.5}))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert cli_main(["coverage", "--config", str(cfg_path), "--band", "900",
+                     "--out", str(tmp_path / "cov.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: grid too small: 1 obstacles requested, 0 eligible") == 2
+
+
 def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, capsys):
     # 6,689 cells: Q[cell, column, a] with a column per destination would
     # take just over 2 GiB
