@@ -146,7 +146,6 @@ class GridWorld:
     obstacles: frozenset[Cell]
     base_station_cell: Cell
     start_cell: Cell
-    obstacle_density: float
 
     def index(self, c: Cell) -> int:
         """Flat index of an in-bounds cell."""
@@ -271,23 +270,13 @@ def build(
         raise ValueError(f"base-station cell {bs_xy} out of bounds")
 
     n_obstacles = require_obstacle_room(spec, density, start, bs_xy)
-    bs_column = {(bs_xy[0], bs_xy[1], z) for z in range(spec.nz)}
     eligible = [
-        (x, y, z)
-        for x in range(spec.nx)
-        for y in range(spec.ny)
-        for z in range(spec.nz)
-        if (x, y, z) != start and (x, y, z) not in bs_column
+        c
+        for c in product(range(spec.nx), range(spec.ny), range(spec.nz))
+        if c != start and c[:2] != bs_xy[:2]
     ]
-    rng = random.Random(seed)
-    obstacles = frozenset(rng.sample(eligible, n_obstacles))
-    return GridWorld(
-        spec=spec,
-        obstacles=obstacles,
-        base_station_cell=bs_xy,
-        start_cell=start,
-        obstacle_density=density,
-    )
+    obstacles = frozenset(random.Random(seed).sample(eligible, n_obstacles))
+    return GridWorld(spec=spec, obstacles=obstacles, base_station_cell=bs_xy, start_cell=start)
 
 
 def apply_action(

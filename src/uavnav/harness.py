@@ -21,6 +21,12 @@ module that do a job's work (a test double, a tracer): the replacement then
 sees every call, in the caller's process. The manifest is written only after
 every job has returned; a run that fails leaves none.
 
+Every text file is written by one of two helpers. ``_write_csv`` writes a
+CSV as ``csv.writer`` does (unquoted fields, floats as their ``repr``, rows
+ending in ``\\r\\n``); ``_json_text`` gives the manifest and
+``evaluation.json`` two-space indents, sorted keys and a final newline. The
+coverage export lists cells in flat-index order (``GridWorld.cells``).
+
 Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in. Each
@@ -36,7 +42,6 @@ however many below-threshold steps it had) and per step.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -44,12 +49,14 @@ import math
 import os
 import random
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .agents import EpisodeLog, train_adaptive, train_strategic
+from .agents import train_adaptive, train_strategic
 from .arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
 from .config import (
     ConfigError,
@@ -147,18 +154,18 @@ def build_world(cfg: TrainConfig) -> GridWorld:
     )
 
 
-def _write_rewards_csv(path: Path, logs: list[EpisodeLog]) -> None:
-    """The bytes ``csv.writer`` writes for these rows, in one write.
-
-    No field needs quoting: ints and the ``repr`` of floats hold no comma,
-    quote or line break.
+def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Write ``header`` and ``rows`` in place, in one call, as the bytes
+    ``csv.writer`` writes: no field needs quoting, since names, ints, band
+    labels and the ``repr`` of Python floats hold no comma, quote or line break.
     """
-    lines = [
-        f"{log.episode},{log.total_reward!r},{log.epsilon!r},{log.steps}\r\n"
-        for log in logs
-    ]
-    lines.insert(0, "episode,total_reward,epsilon,steps\r\n")
-    path.write_bytes("".join(lines).encode())
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    Path(path).write_bytes("".join([line % row for row in (header, *rows)]).encode())
+
+
+def _json_text(doc: dict) -> str:
+    """A JSON document as written: two-space indent, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _adaptive_name(band_mhz: float) -> str:
@@ -224,7 +231,8 @@ def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, st
         table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
         name, rewards = _adaptive_name(band), f"rewards_adaptive_{label}.csv"
     sha = _save_checkpoint(table, out / name)
-    _write_rewards_csv(out / rewards, logs)
+    columns = ("episode", "total_reward", "epsilon", "steps")  # EpisodeLog fields
+    _write_csv(out / rewards, columns, map(attrgetter(*columns), logs))
     return name, sha
 
 
@@ -237,7 +245,7 @@ _JOB_CALLEES = {
     "train_adaptive": train_adaptive,
     "_save_checkpoint": _save_checkpoint,
     "save_table": save_table,
-    "_write_rewards_csv": _write_rewards_csv,
+    "_write_csv": _write_csv,
 }
 
 
@@ -318,13 +326,8 @@ def cmd_train(
         "config_sha256": cfg.config_hash(),
         "files": files,
     }
-
-    def write_manifest(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    _replace_from_temp(out / MANIFEST_NAME, write_manifest)
+    text = _json_text(manifest)
+    _replace_from_temp(out / MANIFEST_NAME, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return out
 
 
@@ -472,19 +475,15 @@ def cmd_evaluate(
     records = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)
     report = compute_metrics(records)
 
-    with open(art / "flights.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps",
-                         "outage_steps", "min_snr_db", "flight_time_s"])
-        for r in records:
-            writer.writerow([band_label(r.band_mhz), *r.destination, r.outcome.value, r.steps,
-                             r.outage_steps, repr(r.min_snr_db), repr(r.flight_time_s)])
-    doc = report.to_dict()
-    doc["seed"] = seed
-    doc["safety"] = safety
-    with open(art / "evaluation.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_csv(
+        art / "flights.csv",
+        ("band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps", "outage_steps",
+         "min_snr_db", "flight_time_s"),
+        ((band_label(r.band_mhz), *r.destination, r.outcome.value, r.steps, r.outage_steps,
+          r.min_snr_db, r.flight_time_s) for r in records),
+    )
+    doc = {**report.to_dict(), "seed": seed, "safety": safety}
+    (art / "evaluation.json").write_text(_json_text(doc), encoding="utf-8")
     return report
 
 
@@ -497,25 +496,11 @@ def cmd_coverage(
         raise ConfigError(f"band must be a positive finite number, got {band_mhz}")
     world = build_world(cfg)
     cmap = coverage_map(cfg.link_for_band(band_mhz), world)
-    spec = cfg.grid
-    with open(out_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["ix", "iy", "iz", "x_m", "y_m", "z_m", "snr_db", "covered"])
-        for x in range(spec.nx):
-            for y in range(spec.ny):
-                for z in range(spec.nz):
-                    cx, cy, cz = cell_center_m(spec, (x, y, z))
-                    snr = float(cmap.snr[x, y, z])
-                    writer.writerow(
-                        [
-                            x,
-                            y,
-                            z,
-                            repr(cx),
-                            repr(cy),
-                            repr(cz),
-                            repr(snr),
-                            int(snr >= cmap.snr_threshold_db),
-                        ]
-                    )
+    threshold = cmap.snr_threshold_db
+    _write_csv(
+        out_path,
+        ("ix", "iy", "iz", "x_m", "y_m", "z_m", "snr_db", "covered"),
+        ((*c, *cell_center_m(cfg.grid, c), snr, int(snr >= threshold))
+         for c, snr in zip(world.cells, cmap.snr_by_index)),
+    )
     return cmap.covered_fraction()

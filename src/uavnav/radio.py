@@ -201,12 +201,9 @@ class CoverageMap:
 def coverage_map(lb: LinkBudget, world: GridWorld) -> CoverageMap:
     """Evaluate the SNR budget at every cell center of the world's grid."""
     spec = world.spec
-    snr = np.empty((spec.nx, spec.ny, spec.nz), dtype=np.float64)
     bs = world.base_station_cell
-    for x in range(spec.nx):
-        for y in range(spec.ny):
-            for z in range(spec.nz):
-                snr[x, y, z] = cell_snr_db(lb, spec, bs, (x, y, z))
+    snr = np.array([cell_snr_db(lb, spec, bs, c) for c in world.cells], dtype=np.float64)
+    snr = snr.reshape(spec.nx, spec.ny, spec.nz)
     return CoverageMap(
         spec=spec, f_mhz=lb.f_mhz, snr_threshold_db=lb.snr_threshold_db, snr=snr
     )

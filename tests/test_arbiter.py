@@ -140,7 +140,6 @@ def test_safe_candidates_keeps_boundary_clamps():
         obstacles=frozenset({(1, 0, 0), (0, 1, 0)}),
         base_station_cell=(2, 2, 0),
         start_cell=(0, 0, 0),
-        obstacle_density=0.0,
     )
     cands = world.safe_actions[world.index((0, 0, 0))]
     assert Action.PLUS_X not in cands
@@ -272,7 +271,7 @@ def test_greedy_trajectory_refuses_table_of_another_grid():
 
 def test_greedy_trajectory_refuses_start_or_obstacle_destination():
     spec = GridSpec(nx=4, ny=4, nz=2)
-    world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0), 0.0)
+    world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0))
     table = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
     with pytest.raises(ValueError, match="start cell"):
         greedy_trajectory(table, world, (0, 0, 0), 10)

@@ -3,10 +3,11 @@
 Each config is trained with ``cmd_train`` and evaluated with
 ``cmd_evaluate`` at a fixed seed. The test hashes what the run computed,
 not how it is stored: every table's rows (keys sorted, each row as six
-little-endian float64), the reward CSVs, ``flights.csv`` and
-``evaluation.json``. A change that claims to leave training and
-evaluation bit-identical must leave every hash as recorded; a change of
-checkpoint format does not touch them.
+little-endian float64), the reward CSVs, ``flights.csv``,
+``evaluation.json`` and the CSV ``cmd_coverage`` exports for each band. A
+change that claims to leave training and evaluation bit-identical must
+leave every hash as recorded; a change of checkpoint format does not touch
+them.
 
 The adaptive constants were recorded with the code as it stood before
 the precomputed world core (move table, coverage-map SNR in flights)
@@ -16,8 +17,10 @@ replaced the per-step calls. The strategic ones (``table strategic``,
 loop became the lockstep batch loop, which draws its random numbers from
 a numpy generator in a different order. The ``evaluation.json`` ones were
 re-recorded again when the report dropped its ``normalize_q`` field, the
-one line that changed. If a change is meant to alter what is computed,
-re-record them and say why in CHANGES.md.
+one line that changed. The coverage constants were recorded with the code
+as it stood before every CSV went through one writer and the coverage map
+walked the cells in flat-index order. If a change is meant to alter what
+is computed, re-record them and say why in CHANGES.md.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ import numpy as np
 
 from uavnav.config import TrainConfig
 from uavnav.gridworld import GridSpec
-from uavnav.harness import cmd_evaluate, cmd_train, load_artifacts
+from uavnav.harness import cmd_coverage, cmd_evaluate, cmd_train, load_artifacts
 from uavnav.qcore import QTable
 
 CONFIGS = {
@@ -63,6 +66,8 @@ GOLDEN = {
         "rewards_adaptive_2100.csv": "72e94ca9906cfceedb7da28fa1ed0d04db9024dde4b0e032c38aeebe606ab797",
         "flights.csv": "4602a9a09e746cdeb034c60f71bcd5c7561e5749013be2dd23f6e630eed5064d",
         "evaluation.json": "a407dab1956da795f325f54a6163541886afb3e9063c430d0996b33bf52f4cce",
+        "coverage 900": "359d8cf476332919bdb21700e99eedec6c76ab5a8bf644a74c4c3ba81ea69c29",
+        "coverage 2100": "bf14289ef9e34132fe58001595b9a024047d829d5a098d3d66e70ffd29822f29",
     },
     "three_band": {
         "table strategic": "1a8953e3af9d4b72e84ea1b1274fc28b9cb83c01dc5efe470e615088617d37e6",
@@ -75,6 +80,9 @@ GOLDEN = {
         "rewards_adaptive_2100.csv": "ce737f13acc09f0733fa85298f4ede7d3faf838f34fec1b8b50c997cccd29a4a",
         "flights.csv": "64a31c42eaea9aff9f2d9a67ca5f2b55e6af418e531362f937196f575d706c1a",
         "evaluation.json": "24a8ff4e4bc15a9d663d1e43940f56e362353c93760ed82a40e13312ec911c11",
+        "coverage 900": "f9c9a8487b95b0a32b7bf312abe9675eb8238ccec40ef777948f73f4163d9c13",
+        "coverage 1800": "ae061db644258ab3354ce5ac22d419b8c317846b3cfe7468436b8abda564e7b6",
+        "coverage 2100": "e6869f382a47aaf3b51350ab739fddd20c754332992751f4647ec5ce411353a9",
     },
 }
 
@@ -104,6 +112,10 @@ def run_digests(cfg: TrainConfig, out) -> dict[str, str]:
     names += ["flights.csv", "evaluation.json"]
     for name in names:
         digests[name] = hashlib.sha256((art / name).read_bytes()).hexdigest()
+    for band in cfg.bands_mhz:
+        path = out / f"coverage_{band:g}.csv"
+        cmd_coverage(cfg, band, path)
+        digests[f"coverage {band:g}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 
 

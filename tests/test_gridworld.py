@@ -112,7 +112,6 @@ def test_apply_action_crash_pass_through():
         obstacles=frozenset({(3, 5, 1)}),
         base_station_cell=world.base_station_cell,
         start_cell=world.start_cell,
-        obstacle_density=0.0,
     )
     nxt, event = apply_action(world, (3, 4, 1), Action.PLUS_Y, dest=(9, 9, 4))
     assert event == StepEvent.CRASHED_INTO_OBSTACLE
@@ -269,7 +268,7 @@ def test_move_table_matches_step_rules():
         spec = GridSpec(nx=rng.randint(1, 6), ny=rng.randint(1, 6), nz=rng.randint(1, 4))
         cells = [(x, y, z) for x in range(spec.nx) for y in range(spec.ny) for z in range(spec.nz)]
         obstacles = frozenset(c for c in cells if rng.random() < 0.3)
-        world = GridWorld(spec, obstacles, (0, 0, 0), (0, 0, 0), 0.0)
+        world = GridWorld(spec, obstacles, (0, 0, 0), (0, 0, 0))
         assert list(world.cells) == cells
         for i, c in enumerate(cells):
             assert world.index(c) == i

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from uavnav import harness
-from uavnav.agents import EpisodeLog, TerminalCause, train_adaptive, train_strategic
+from uavnav.agents import train_adaptive, train_strategic
 from uavnav.arbiter import FlightOutcome
 from uavnav.cli import main as cli_main
 from uavnav.config import (
@@ -28,7 +28,7 @@ from uavnav.harness import (
     ArtifactError,
     EvalReport,
     FlightRecord,
-    _write_rewards_csv,
+    _write_csv,
     band_label,
     build_world,
     cmd_coverage,
@@ -205,7 +205,9 @@ def test_cmd_train_artifact_layout(tmp_path):
         "rewards_strategic.csv",
         "strategic.npz",
     ]
-    manifest = json.loads((out / "manifest.json").read_text())
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     assert manifest["seed"] == 5
     assert manifest["config"]["episodes_strategic"] == 400
     assert manifest["config_sha256"] == cfg.config_hash()
@@ -220,19 +222,36 @@ def test_cmd_train_artifact_layout(tmp_path):
     assert len(rows) == 401
 
 
-def test_rewards_csv_is_what_csv_writer_writes(tmp_path):
-    logs = [
-        EpisodeLog(0, (0, 0, 0), -0.0, 1, TerminalCause.ARRIVED, 1.0),
-        EpisodeLog(1, (1, 2, 0), -1e-300, 100, TerminalCause.STEP_CAP_HIT, 0.05),
-        EpisodeLog(2, (3, 1, 1), 1.5e16, 7, TerminalCause.ARRIVED, 5e-324),
-    ]
+# One row of each CSV the program writes, with the fields that could tell
+# the one writer from ``csv.writer``: signed zeros, subnormals, large
+# floats, fractional band labels.
+CSV_ROWS = {
+    "reward": (
+        ("episode", "total_reward", "epsilon", "steps"),
+        [(0, -0.0, 1.0, 1), (1, -1e-300, 0.05, 100), (2, 1.5e16, 5e-324, 7)],
+    ),
+    "flight": (
+        ("band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps", "outage_steps",
+         "min_snr_db", "flight_time_s"),
+        [(band_label(900.0), 1, 2, 0, FlightOutcome.ARRIVED.value, 9, 0, 51.25, 30.0),
+         (band_label(2412.5), 3, 0, 1, FlightOutcome.CRASHED.value, 4, 2, -math.inf, 13.5)],
+    ),
+    "coverage": (
+        ("ix", "iy", "iz", "x_m", "y_m", "z_m", "snr_db", "covered"),
+        [(0, 0, 0, 25.0, 25.0, 10.0, -0.0, 0), (0, 0, 1, -1e-300, 5e-324, 1.5e16, 46.0, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_ROWS))
+def test_rewards_csv_is_what_csv_writer_writes(tmp_path, kind):
+    header, rows = CSV_ROWS[kind]
     want = tmp_path / "want.csv"
     with open(want, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["episode", "total_reward", "epsilon", "steps"])
-        for log in logs:
-            writer.writerow([log.episode, repr(log.total_reward), repr(log.epsilon), log.steps])
-    _write_rewards_csv(tmp_path / "got.csv", logs)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_csv(tmp_path / "got.csv", header, iter(rows))
     assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
 
 
