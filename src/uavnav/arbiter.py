@@ -131,7 +131,7 @@ class TieMasks:
     must list distinct actions in ascending order, as ``ACTIONS`` and
     ``ACTIONS_XY`` do. The compared values are the tables' own. The
     planner's masks are one ``bytes`` per column, one byte per cell, shared
-    by all bands; a column's masks are computed, and its values sliced, the
+    by all bands; a column's masks are computed, and its values read, the
     first time it is flown. A coverage table's masks, one per cell of its
     one column, are decoded, and its rows listed, the first time that table
     is flown. No table may change while its masks are in use. A coverage
@@ -171,7 +171,7 @@ class TieMasks:
         col = self.q_strategic.column(goal)
         hit = self._planner.get(col)
         if hit is None:
-            q = self.q_strategic.q[:, col]
+            q = self.q_strategic.column_values(col)
             masks = _tie_masks(q, self._candidate_mask).tobytes()
             hit = self._planner[col] = (masks, q)
         return hit
@@ -182,7 +182,7 @@ class TieMasks:
         if hit is None or hit[0] is not q_adaptive:
             _require_grid(self.world, q_adaptive)
             _require_coverage(q_adaptive)
-            q = q_adaptive.q[:, 0]
+            q = q_adaptive.column_values(0)
             ties = [TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
             hit = (q_adaptive, ties, q.tolist())
             self._coverage[id(q_adaptive)] = hit

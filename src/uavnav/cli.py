@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, band_label
@@ -84,6 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ArtifactError, CheckpointError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of a pipe closed it early (``--out /dev/stdout | head``):
+        # nothing is left to report to it. Python flushes stdout at exit,
+        # which would raise again, so stdout goes to devnull instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

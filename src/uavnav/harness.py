@@ -3,7 +3,7 @@
 An experiment is fully determined by (config, master seed). Training writes
 an artifact directory holding one strategic checkpoint (``strategic.npz``),
 one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
-``qcore`` format v5, a per-episode reward CSV per agent, and a manifest.
+``qcore`` format v6, a per-episode reward CSV per agent, and a manifest.
 The manifest embeds the resolved config (so evaluation can rebuild the
 identical world), its sha256 (``config_sha256``) and, under ``files``, the
 sha256 of every checkpoint. Checkpoints and manifest are written to a
@@ -31,6 +31,9 @@ Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in. Each
 checkpoint is read once, and the bytes it hashes are the bytes it parses.
+The loaded tables keep those bytes and read a column from them the first
+time a flight flies it, so evaluation never builds the dense planner.
+Training hashes each checkpoint as ``qcore.save`` writes it.
 
 Evaluation flies the trained tables to fresh random destinations, or
 every flight to the config's ``fixed_destination``: one set of
@@ -172,31 +175,24 @@ def _adaptive_name(band_mhz: float) -> str:
     return f"adaptive_{band_label(band_mhz)}.npz"
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _replace_from_temp(path: Path, write) -> None:
-    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it over ``path``.
+def _replace_from_temp(path: Path, write):
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it over
+    ``path``; returns what ``write`` returned.
 
     A reader never sees a half-written file under the final name.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        write(tmp)
+        result = write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return result
 
 
 def _save_checkpoint(table: QTable, path: Path) -> str:
-    """Write a checkpoint into place; returns its sha256."""
-    _replace_from_temp(path, lambda tmp: save_table(table, tmp))
-    return _sha256(path)
+    """Write a checkpoint into place; returns its sha256, hashed as it was written."""
+    return _replace_from_temp(path, lambda tmp: save_table(table, tmp))
 
 
 def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> None:

@@ -26,49 +26,68 @@ batch of episodes at once. ``TIES`` decodes a set of actions held as a
 6-bit mask, the form in which the flight arbiter and the planner's
 lockstep loop keep tie sets.
 
-A checkpoint (format v5, ``save``/``load``) is an uncompressed zip of three
+A checkpoint (format v6, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
 
-- ``occupied``: uint8, ``np.packbits`` of which entries of ``q.reshape(-1)``
-  are stored, ceil(entries / 8) bytes with zero padding bits; an entry is
-  stored when its bits are not zero, so a ``-0.0`` is kept
-- ``values``: float64, 1-D, the stored entries in C order of ``q``
+- ``occupied``: uint8, one row per column, the ``np.packbits`` of which of
+  that column's ``(cell, a)`` entries are stored, ceil(cells * 6 / 8) bytes
+  with zero padding bits; an entry is stored when its bits are not zero, so
+  a ``-0.0`` is kept
+- ``values``: float64, 1-D, the stored entries in ``(column, cell, a)``
+  order, so each column's entries lie together
 - ``meta``: a 0-d unicode array holding a JSON object with
   ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
   ``columns`` and ``f_mhz``
 
-Every member carries a fixed timestamp, and only a member over
-``zipfile.ZIP64_LIMIT`` is written as zip64 (whose headers differ between
-Python versions), so a table always writes the same bytes. ``load``
-checks the version, dtypes, shapes, padding bits, that the number of set
-bits is the number of values, that every value is finite and that none is
-``+0.0`` (so a table has one encoding), and raises ``CheckpointError`` on
-anything it cannot vouch for; the stored entries are then written straight
-to their flat indices in the dense array, every bit of ``q`` as it was saved.
+A column's entries start in ``values`` at the number of set bits in the
+rows before it. ``save`` writes the zip itself, with fixed timestamps and
+without zip64 (a table of at most ``MAX_TABLE_BYTES`` fits the 32-bit
+sizes), so a table writes the same bytes on every Python, and it returns
+the sha256 of those bytes, hashed as they are written. ``load`` checks
+every member's CRC, the version, dtypes, shapes, padding bits, that the
+number of set bits is the number of values, that every value is finite and
+that none is ``+0.0`` (so a table has one encoding), and raises
+``CheckpointError`` on anything it cannot vouch for. The loaded table
+keeps the members as views of the bytes it was given: ``column_values``
+reads one column from them, and ``q`` builds the dense array, every bit as
+it was saved, only when something asks for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import random
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .gridworld import ACTIONS, Action, GridSpec, is_int
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _MEMBERS = ("occupied", "values", "meta")
 
 N_ACTIONS = len(ACTIONS)
 # The largest dense table a QTable allocates. The goal-conditioned planner's
 # table grows with the square of the cell count: 2 GiB is about 6,688 cells.
 MAX_TABLE_BYTES = 2 << 30
+# Column blocks of about this many bytes of values are read or written at a
+# time, so that no whole-table temporary is made. Blocks that stay in cache
+# while they are reordered save fastest: 256 KiB beat 1 and 4 MiB on 500-
+# and 2,000-cell planners.
+_BLOCK_BYTES = 1 << 18
+# A row of six values as one item: numpy reorders 48-byte items between the
+# (cell, column) and (column, cell) orders faster than runs of six floats
+_ROW = np.dtype((np.void, N_ACTIONS * 8))
+# _POPCOUNT[b]: the number of set bits in the byte b
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class CheckpointError(ValueError):
@@ -122,16 +141,36 @@ def require_table_fits(grid: GridSpec, columns: int) -> None:
         )
 
 
-class QTable:
-    """Dense (state, action) -> value store with identifying metadata.
+class _Stored(NamedTuple):
+    """A loaded table's members, views of the checkpoint's bytes."""
 
-    The values live in one float64 array ``q[cell, column, a]``, indexed
-    by flat cell index (``GridSpec.index``), with ``columns`` either 1 or
-    one per cell of the grid (a column per destination). Every value starts
-    at exactly 0.0. ``n_states`` counts the rows that hold a non-zero value
-    and ``entries`` lists the non-zero values; a checkpoint stores every
-    entry whose bits are not zero, so it keeps a ``-0.0`` as well. A table
-    is single-writer during training and treated as frozen afterwards.
+    occupied: np.ndarray  # uint8, (columns, row bytes)
+    offsets: np.ndarray  # int64, (columns + 1,): where each column starts in values
+    values: np.ndarray  # float64, (stored entries,)
+    entries: int  # entries per column, cells * 6
+
+    def bits(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which entries of columns ``c0:c1`` are stored, (c1 - c0) x entries,
+        and their values in order."""
+        bits = np.unpackbits(self.occupied[c0:c1], axis=1, count=self.entries).view(bool)
+        return bits, self.values[self.offsets[c0] : self.offsets[c1]]
+
+
+class QTable:
+    """(state, action) -> value store with identifying metadata.
+
+    The values are one float64 array ``q[cell, column, a]``, indexed by
+    flat cell index (``GridSpec.index``), with ``columns`` either 1 or one
+    per cell of the grid (a column per destination). Every value starts at
+    exactly 0.0. ``n_states`` counts the rows that hold a non-zero value and
+    ``entries`` lists the non-zero values; a checkpoint stores every entry
+    whose bits are not zero, so it keeps a ``-0.0`` as well. A table is
+    single-writer during training and treated as frozen afterwards.
+
+    ``q`` is allocated on first use. A table that ``load`` returns holds
+    its checkpoint's members instead: ``column_values`` and ``n_states``
+    read them, and ``q`` builds the dense array from them once, after which
+    the table is dense like any other.
     """
 
     def __init__(
@@ -154,14 +193,62 @@ class QTable:
         self.seed = seed
         self.columns = columns
         self.f_mhz = f_mhz
-        self.q = np.zeros((grid.n_cells, columns, N_ACTIONS))
+        self._q: np.ndarray | None = None
+        self._stored: _Stored | None = None
+
+    @property
+    def q(self) -> np.ndarray:
+        """The dense values, ``q[cell, column, a]``."""
+        if self._q is None:
+            q = np.zeros((self.grid.n_cells, self.columns, N_ACTIONS))
+            if self._stored is not None:
+                rows = q.view(_ROW)[..., 0]
+                for c0, c1 in self._blocks():
+                    rows[:, c0:c1] = self._block(c0, c1).view(_ROW)[..., 0].T
+            self._q, self._stored = q, None
+        return self._q
 
     def column(self, dest):
         """The column of a destination's flat index, or of an array of them."""
         return dest if self.columns > 1 else 0
 
+    def column_values(self, col: int) -> np.ndarray:
+        """The values of one column, ``q[:, col]``, without building ``q``
+        on a loaded table."""
+        if self._stored is None:
+            return self.q[:, col]
+        return self._block(col, col + 1)[0]
+
+    def _blocks(self) -> Iterator[tuple[int, int]]:
+        """Column ranges ``c0:c1`` of about ``_BLOCK_BYTES`` of values each."""
+        per = max(1, _BLOCK_BYTES // (self.grid.n_cells * N_ACTIONS * 8))
+        for c0 in range(0, self.columns, per):
+            yield c0, min(c0 + per, self.columns)
+
+    def _block(self, c0: int, c1: int) -> np.ndarray:
+        """Columns ``c0:c1`` in column order, a new (c1 - c0) x cells x 6 array."""
+        if self._stored is None:
+            rows = self.q.view(_ROW)[..., 0]
+            block = np.ascontiguousarray(rows[:, c0:c1].T).view(np.float64)
+            return block.reshape(c1 - c0, self.grid.n_cells, N_ACTIONS)
+        bits, values = self._stored.bits(c0, c1)
+        block = np.zeros(bits.size)
+        # scattering to indices is faster than through the boolean mask
+        block[np.flatnonzero(bits)] = values
+        return block.reshape(c1 - c0, self.grid.n_cells, N_ACTIONS)
+
     def n_states(self) -> int:
-        return int(np.count_nonzero(self.q.any(axis=-1)))
+        if self._stored is None:
+            return int(np.count_nonzero(self.q.any(axis=-1)))
+        n = 0
+        for c0, c1 in self._blocks():
+            bits, values = self._stored.bits(c0, c1)
+            # the rows of the stored entries that are not -0.0, ascending: each
+            # change of row between neighbours starts one more row
+            rows = np.flatnonzero(bits)[values != 0] // N_ACTIONS
+            if len(rows):
+                n += 1 + int(np.count_nonzero(np.diff(rows)))
+        return n
 
     def entries(self) -> Iterator[tuple[tuple[int, int], Action, float]]:
         """Non-zero entries, sorted by state."""
@@ -257,14 +344,22 @@ def select_action(
     return greedy_action(table.q[s].tolist(), candidates, rng)
 
 
-def save(table: QTable, path) -> None:
-    """Write a format-v5 checkpoint to exactly ``path``.
+def save(table: QTable, path) -> str:
+    """Write a format-v6 checkpoint to exactly ``path``; returns its sha256.
 
-    Only stored entries are written, in C order of ``q``, so the same values
-    always give the same bytes, whatever order they were written in.
+    Only stored entries are written, in column order, a block of columns at
+    a time, so the same values always give the same bytes, whatever order
+    they were written in.
     """
-    flat = table.q.reshape(-1)
-    stored = flat.view(np.uint64) != 0
+    entries = table.grid.n_cells * N_ACTIONS
+    occupied = np.empty((table.columns, (entries + 7) // 8), dtype=np.uint8)
+    values = []
+    for c0, c1 in table._blocks():
+        block = table._block(c0, c1).reshape(c1 - c0, entries)
+        stored = block.view(np.uint64) != 0
+        occupied[c0:c1] = np.packbits(stored, axis=1)
+        # gathering at indices is faster than with the boolean mask
+        values.append(block.reshape(-1)[np.flatnonzero(stored)])
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": table.kind,
@@ -274,25 +369,83 @@ def save(table: QTable, path) -> None:
         "columns": table.columns,
         "f_mhz": table.f_mhz,
     }
-    members = (
-        ("occupied", np.packbits(stored)),
-        # gathering at indices is faster than with the boolean mask
-        ("values", flat[np.flatnonzero(stored)]),
-        ("meta", np.array(json.dumps(meta, sort_keys=True))),
+    meta_array = np.array(json.dumps(meta, sort_keys=True))
+    n_values = sum(len(v) for v in values)
+    return _write_zip(
+        path,
+        (
+            ("occupied", [_npy_header(occupied.dtype, occupied.shape), occupied]),
+            ("values", [_npy_header(np.dtype(np.float64), (n_values,)), *values]),
+            ("meta", [_npy_header(meta_array.dtype, ()), meta_array]),
+        ),
     )
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name, array in members:
-            # a fixed timestamp keeps checkpoints byte-identical across reruns
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            # Python 3.10 and 3.11+ write different zip64 local headers, so
-            # a member is zip64 only when it has to be
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(
-                header, np.lib.format.header_data_from_array_1_0(array)
+
+
+def _npy_header(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
+    """The version 1.0 ``.npy`` header of a C-order array."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape},
+    )
+    return header.getvalue()
+
+
+# Zip records (APPNOTE.TXT 4.3.7, 4.3.12, 4.3.16): local file header,
+# central directory header and end of central directory.
+_LOCAL = struct.Struct("<IHHHHHIIIHH")
+_CENTRAL = struct.Struct("<IHHHHHHIIIHHHHHII")
+_END = struct.Struct("<IHHHHIIH")
+_LOCAL_SIG, _CENTRAL_SIG, _END_SIG = 0x04034B50, 0x02014B50, 0x06054B50
+# version 2.0 of the format; 1980-01-01 00:00 in MS-DOS form
+_ZIP_VERSION, _DOS_TIME, _DOS_DATE = 20, 0, (1 << 5) | 1
+
+
+def _write_zip(path, members) -> str:
+    """Write ``(name, chunks)`` members as an uncompressed zip; returns the
+    sha256 of the bytes written.
+
+    Each member's size and CRC are known before its local header is written,
+    so the file is written front to back and hashed on the way.
+    """
+    sha = hashlib.sha256()
+    central = []
+    offset = 0
+    with open(path, "wb") as f:
+
+        def put(view: memoryview) -> None:
+            nonlocal offset
+            f.write(view)
+            sha.update(view)
+            offset += len(view)
+
+        for name, chunks in members:
+            views = [_raw(c) for c in chunks]
+            crc, size = 0, 0
+            for view in views:
+                crc, size = zlib.crc32(view, crc), size + len(view)
+            filename = f"{name}.npy".encode()
+            fields = (_DOS_TIME, _DOS_DATE, crc, size, size, len(filename))
+            central.append(
+                _CENTRAL.pack(_CENTRAL_SIG, _ZIP_VERSION, _ZIP_VERSION, 0, 0, *fields,
+                              0, 0, 0, 0, 0, offset)
+                + filename
             )
-            size = header.tell() + array.nbytes
-            with zf.open(info, "w", force_zip64=size > zipfile.ZIP64_LIMIT) as f:
-                np.lib.format.write_array(f, array, allow_pickle=False)
+            put(_raw(_LOCAL.pack(_LOCAL_SIG, _ZIP_VERSION, 0, 0, *fields, 0) + filename))
+            for view in views:
+                put(view)
+        start = offset
+        for record in central:
+            put(_raw(record))
+        put(_raw(_END.pack(_END_SIG, 0, 0, len(central), len(central), offset - start, start, 0)))
+    return sha.hexdigest()
+
+
+def _raw(chunk) -> memoryview:
+    """The bytes of ``bytes`` or of a C-contiguous array, without a copy."""
+    if isinstance(chunk, np.ndarray):
+        chunk = chunk.reshape(-1).view(np.uint8)
+    return memoryview(chunk)
 
 
 def load(path, data: bytes | None = None) -> QTable:
@@ -300,50 +453,82 @@ def load(path, data: bytes | None = None) -> QTable:
 
     ``data``, when given, is the file's content, already read; ``path``
     then only names it in errors. Any unreadable, foreign, older- or
-    newer-version or inconsistent file raises ``CheckpointError``.
+    newer-version or inconsistent file raises ``CheckpointError``. The table
+    returned reads its values from ``data`` and holds on to it.
     """
     try:
-        npz = np.load(path if data is None else io.BytesIO(data), allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"not a Q-table checkpoint: {path}")
-        with npz:
-            if sorted(npz.files) != sorted(_MEMBERS):
-                raise CheckpointError(
-                    f"checkpoint {path} holds {sorted(npz.files)}, "
-                    f"expected {sorted(_MEMBERS)}"
-                )
-            occupied, values, meta = (npz[name] for name in _MEMBERS)
+        if data is None:
+            with open(path, "rb") as f:
+                data = f.read()
+        occupied, values, meta = _read_members(path, data)
     except CheckpointError:
         raise
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, struct.error, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     table = _table_from_meta(path, meta)
 
-    flat = table.q.reshape(-1)
-    n_bytes = (len(flat) + 7) // 8
-    if occupied.dtype != np.uint8 or occupied.shape != (n_bytes,):
+    entries = table.grid.n_cells * N_ACTIONS
+    shape = (table.columns, (entries + 7) // 8)
+    if occupied.dtype != np.uint8 or occupied.shape != shape:
         raise CheckpointError(
-            f"checkpoint {path}: occupied must be uint8 of shape ({n_bytes},), "
+            f"checkpoint {path}: occupied must be uint8 of shape {shape}, "
             f"got {occupied.dtype} {occupied.shape}"
         )
-    bits = np.unpackbits(occupied).view(bool)
-    if bits[len(flat) :].any():
+    padding = -entries % 8
+    if padding and (occupied[:, -1] & ((1 << padding) - 1)).any():
         raise CheckpointError(f"checkpoint {path}: occupied has a set padding bit")
-    # numpy finds the true entries of a bool array several times faster than
-    # the non-zero ones of a uint8 array
-    at = np.flatnonzero(bits[: len(flat)])
-    del bits  # not held through the scatter, where evaluation's memory peaks
-    if values.dtype != np.float64 or values.shape != at.shape:
+    offsets = np.zeros(table.columns + 1, dtype=np.int64)
+    np.cumsum(_POPCOUNT[occupied].sum(axis=1, dtype=np.int64), out=offsets[1:])
+    if values.dtype != np.float64 or values.shape != (offsets[-1],):
         raise CheckpointError(
-            f"checkpoint {path}: values must be float64 of shape ({len(at)},), "
+            f"checkpoint {path}: values must be float64 of shape ({offsets[-1]},), "
             f"one per set bit of occupied, got {values.dtype} {values.shape}"
         )
     if not np.isfinite(values).all():
         raise CheckpointError(f"non-finite value in checkpoint {path}")
     if not values.view(np.uint64).all():
         raise CheckpointError(f"checkpoint {path} stores a +0.0, which save never writes")
-    flat[at] = values
+    table._stored = _Stored(occupied, offsets, values, entries)
     return table
+
+
+def _read_members(path, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members of a checkpoint zip, as views of ``data``."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        infos = zf.infolist()
+    names = sorted(info.filename for info in infos)
+    expected = sorted(f"{name}.npy" for name in _MEMBERS)
+    if names != expected:
+        raise CheckpointError(f"checkpoint {path} holds {names}, expected {expected}")
+    view = memoryview(data)
+    arrays = {}
+    for info in infos:
+        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+            raise CheckpointError(f"checkpoint {path}: {info.filename} is compressed or encrypted")
+        sig, *_, name_len, extra_len = _LOCAL.unpack_from(data, info.header_offset)
+        if sig != _LOCAL_SIG:
+            raise CheckpointError(f"checkpoint {path}: no local header for {info.filename}")
+        start = info.header_offset + _LOCAL.size + name_len + extra_len
+        member = view[start : start + info.file_size]
+        if len(member) != info.file_size or zlib.crc32(member) != info.CRC:
+            raise CheckpointError(f"checkpoint {path}: {info.filename} fails its CRC check")
+        arrays[info.filename[: -len(".npy")]] = _npy_view(path, info.filename, member)
+    return arrays["occupied"], arrays["values"], arrays["meta"]
+
+
+def _npy_view(path, name: str, member: memoryview) -> np.ndarray:
+    """The array a version 1.0 ``.npy`` member holds, as a view of it."""
+    # the header alone is copied to parse it
+    header = io.BytesIO(member[: 1 << 16])
+    if np.lib.format.read_magic(header) != (1, 0):
+        raise CheckpointError(f"checkpoint {path}: {name} is not a version 1.0 .npy")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+    if fortran_order or dtype.hasobject:
+        raise CheckpointError(f"checkpoint {path}: {name} is in Fortran order or holds objects")
+    count = math.prod(shape)
+    if header.tell() + count * dtype.itemsize != len(member):
+        raise CheckpointError(f"checkpoint {path}: {name} does not hold a {shape} {dtype} array")
+    return np.frombuffer(member, dtype, count, header.tell()).reshape(shape)
 
 
 def _table_from_meta(path, meta: np.ndarray) -> QTable:

@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -416,9 +419,9 @@ def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
 # its config is parsed: a format-2 config still holds the since-removed
 # eval_flights field, which would otherwise fail as an unknown field.
 # Format 3 checkpoints recorded goal_conditioned in place of columns; format 4
-# stored whole rows.
+# stored whole rows; format 5 stored entries in (cell, column, a) order.
 FORMAT_EDITS = {
-    "previous": (lambda m: {**m, "checkpoint_format_version": 4}, "format 4"),
+    "previous": (lambda m: {**m, "checkpoint_format_version": 5}, "format 5"),
     "older": (lambda m: {**m, "checkpoint_format_version": 3}, "format 3"),
     "oldest": (lambda m: {**m, "checkpoint_format_version": 2,
                           "config": {**m["config"], "eval_flights": 100}}, "format 2"),
@@ -596,6 +599,30 @@ def test_cli_round_trip(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "artifacts written" in printed
     assert "covered_fraction" in printed
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_cli_coverage_into_a_pipe_its_reader_closes_early(tmp_path):
+    # uavnav coverage --out /dev/stdout | head -3: the export, 4,500 rows,
+    # outgrows the pipe, so its write fails once the reader has gone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": {"nx": 30, "ny": 30, "nz": 5}}))
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uavnav.cli", "coverage", "--config", str(cfg_path),
+         "--band", "900", "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert head[0] == b"ix,iy,iz,x_m,y_m,z_m,snr_db,covered\r\n"
+    # no error line, and no second failure at the interpreter's exit
+    assert "Broken pipe" not in err and "Exception ignored" not in err, err
+    assert not any(line.startswith("error:") for line in err.splitlines()), err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

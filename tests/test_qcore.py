@@ -11,6 +11,7 @@ import pytest
 from uavnav.gridworld import ACTIONS, Action, GridSpec
 from uavnav.qcore import (
     FORMAT_VERSION,
+    MAX_TABLE_BYTES,
     CheckpointError,
     EpsilonSchedule,
     Hyper,
@@ -317,7 +318,8 @@ def _write_members(path, occupied, values, meta):
     _write_zip(path, {"occupied": occupied, "values": values, "meta": meta})
 
 
-# 27 cells: the planner's 4,374 entries leave 2 padding bits in the last byte
+# 27 cells: each column's 162 entries leave 6 padding bits in the last byte
+# of its row of occupied
 ODD_GRID = GridSpec(nx=3, ny=3, nz=3)
 
 
@@ -325,7 +327,7 @@ def test_hand_built_checkpoint_loads(tmp_path):
     # the corruption tests below start from this valid baseline
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
     occupied, values, meta = _members(t, tmp_path / "t.npz")
-    assert occupied.shape == (547,) and occupied[-1] & 0x03 == 0
+    assert occupied.shape == (27, 21) and not (occupied[:, -1] & 0x3F).any()
     _write_members(tmp_path / "copy.npz", occupied, values, meta)
     assert load(tmp_path / "copy.npz") == t
 
@@ -338,7 +340,7 @@ def test_load_rejects_newer_version(tmp_path):
         load(tmp_path / "t.npz")
 
 
-@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, FORMAT_VERSION - 1])
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, 4, FORMAT_VERSION - 1])
 def test_load_rejects_non_int_or_old_version(tmp_path, version):
     occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
     meta["format_version"] = version
@@ -382,6 +384,18 @@ def test_load_refuses_v4_checkpoint_with_retrain(tmp_path):
         load(tmp_path / "v4.npz")
 
 
+def test_load_refuses_v5_checkpoint_with_retrain(tmp_path):
+    # format v5 stored entries in (cell, column, a) order, under one bitmap
+    t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
+    _, _, meta = _members(t, tmp_path / "t.npz")
+    flat = t.q.reshape(-1)
+    stored = flat.view(np.uint64) != 0
+    _write_members(tmp_path / "v5.npz", np.packbits(stored), flat[stored],
+                   {**meta, "format_version": 5})
+    with pytest.raises(CheckpointError, match="retrain"):
+        load(tmp_path / "v5.npz")
+
+
 @pytest.mark.parametrize("columns", [0, 2, 28, True, 1.0, "1"])
 def test_qtable_columns_are_one_or_one_per_cell(columns):
     for valid in (1, ODD_GRID.n_cells):
@@ -408,9 +422,11 @@ def _set(array, index, value):
     return out
 
 
-def _flip_bit(occupied, entry):
-    """``occupied`` with the bit of one entry of ``q.reshape(-1)`` flipped."""
-    return _set(occupied, entry // 8, occupied[entry // 8] ^ (0x80 >> entry % 8))
+def _flip_bit(occupied, bit):
+    """``occupied`` with one bit flipped, counting through its rows in order."""
+    out = occupied.copy()
+    out.reshape(-1)[bit // 8] ^= 0x80 >> bit % 8
+    return out
 
 
 def _first_bit(occupied, value):
@@ -429,6 +445,7 @@ _CORRUPTIONS = {
     "occupied_missing_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 1)), v, m),
     "values_float32": lambda o, v, m: (o, v.astype(np.float32), m),
     "values_short_row": lambda o, v, m: (o, v[:-1], m),
+    "values_one_long": lambda o, v, m: (o, np.append(v, 1.0), m),
     "values_missing_row": lambda o, v, m: (o, v[6:], m),
     "values_2d": lambda o, v, m: (o, v.reshape(-1, 6), m),
     "value_nan": lambda o, v, m: (o, _set(v, 0, math.nan), m),
@@ -508,11 +525,11 @@ def test_lookup_default_zero():
 
 # The console-script check's tiny config (4 x 4 x 2, two bands): the sha256
 # of every checkpoint file it trains, bytes and not contents, so a change of
-# zip headers between Python versions shows here. Recorded with format v5.
+# zip headers between Python versions shows here. Recorded with format v6.
 TINY_CHECKPOINTS = {
-    "adaptive_1800.npz": "2180e5e40cd7c0a13450191f920fcb9962cf0488493f235bf8c6d46c8db58ac7",
-    "adaptive_900.npz": "324b413b6eaa6f600df0dabd2bbcdf176e6641ea1d0da732b1315a5d0ffa44d8",
-    "strategic.npz": "523c680d97275525e5fbe150a174183389a5ca28f412ac7d6cc4cbcbba3a578c",
+    "adaptive_1800.npz": "8d7f71a29bb9d96040017d0d6a10a9370732708c1ffd3e2598edd05b156e935c",
+    "adaptive_900.npz": "ef5ba7b24ee655c9d17c8dd027dd806ef8ebd13d0d3058d17bf251ea6b41e30f",
+    "strategic.npz": "7a5d4ba1b5e154e828631d8cdb57c2add129c49d4301bd551e688204bece1845",
 }
 
 
@@ -562,7 +579,8 @@ def test_checkpoint_holds_nothing_but_non_zero_entries(tmp_path):
         zip_headers = sum(30 + 46 + 2 * len(i.filename) for i in infos) + 22
         headers = zip_headers + sum(map(_npy_header_bytes, members.values()))
         meta = len(members["meta.npy"]) - _npy_header_bytes(members["meta.npy"])
-        expected = headers + meta + (q.size + 7) // 8 + 8 * non_zero
+        cells, columns, _ = q.shape
+        expected = headers + meta + columns * ((cells * 6 + 7) // 8) + 8 * non_zero
         assert path.stat().st_size == expected
 
 
@@ -578,16 +596,96 @@ def _local_extras(path):
         }
 
 
-def test_only_a_member_over_the_zip64_limit_is_zip64(tmp_path, monkeypatch):
+def test_no_member_is_zip64(tmp_path, monkeypatch):
+    # Python versions write different zip64 headers. save writes none: the
+    # members of the largest table it accepts fit the zip's 32-bit sizes and
+    # offsets, whatever zipfile's own limit.
+    assert MAX_TABLE_BYTES + MAX_TABLE_BYTES // 64 + (1 << 16) < 0xFFFFFFFF
     t = _random_table(random.Random(3), kind="strategic", n_states=40)
     save(t, tmp_path / "small.npz")
     assert all(extra == 0 for _, extra in _local_extras(tmp_path / "small.npz").values())
-    # with a lower limit, the members over it are written as zip64
     monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
     save(t, tmp_path / "big.npz")
-    members = _local_extras(tmp_path / "big.npz")
     monkeypatch.undo()
-    assert {name for name, (_, extra) in members.items() if extra} == {
-        name for name, (size, _) in members.items() if size > 1000
-    } == {"occupied.npy", "values.npy"}
+    assert (tmp_path / "big.npz").read_bytes() == (tmp_path / "small.npz").read_bytes()
     assert load(tmp_path / "big.npz") == t
+
+
+def test_save_returns_the_sha256_of_the_file(tmp_path):
+    for kind in ("strategic", "adaptive"):
+        path = tmp_path / f"{kind}.npz"
+        sha = save(_random_table(random.Random(12), kind=kind), path)
+        assert sha == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_column_reads_equal_the_trained_columns_bit_for_bit(tmp_path):
+    from uavnav.agents import train_strategic
+    from uavnav.config import TrainConfig, stream_rng
+    from uavnav.harness import build_world
+
+    # ODD_GRID's rows of occupied end in padding bits
+    cfg = TrainConfig(grid=ODD_GRID, bands_mhz=(900.0,), episodes_strategic=300,
+                      episodes_adaptive=10)
+    t, _ = train_strategic(build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic"))
+    alone, beside = _stored(t)[0], _stored(t)[-1]
+    t.q[alone] = 0.0
+    t.q[alone + (3,)] = -0.0
+    t.q[beside + (4,)] = -0.0
+    save(t, tmp_path / "t.npz")
+    back = load(tmp_path / "t.npz")
+    for col in range(t.columns):
+        assert back.column_values(col).tobytes() == t.q[:, col].tobytes()
+    assert back.n_states() == t.n_states() > 0
+    assert back._q is None  # neither built the dense table
+    assert back.q.tobytes() == t.q.tobytes()
+
+
+def test_loaded_tables_stay_sparse_through_run_flights(tmp_path):
+    from uavnav.config import TrainConfig
+    from uavnav.harness import build_world, cmd_train, load_artifacts, run_flights
+
+    cfg = TrainConfig(grid=GridSpec(nx=5, ny=5, nz=2), bands_mhz=(900.0, 1800.0),
+                      episodes_strategic=300, episodes_adaptive=50)
+    out = cmd_train(cfg, tmp_path / "run")
+    _, strategic, adaptive = load_artifacts(out)
+    world = build_world(cfg)
+    records = run_flights(cfg, world, strategic, adaptive, 10, seed=2)
+    assert strategic._q is None
+    assert all(t._q is None for t in adaptive.values())
+    # the same flights as on the dense tables
+    _, dense, dense_adaptive = load_artifacts(out)
+    for table in (dense, *dense_adaptive.values()):
+        assert table.q.any()
+    assert run_flights(cfg, world, dense, dense_adaptive, 10, seed=2) == records
+
+
+def _values_start(path):
+    """The offset in the file of the first stored value."""
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("values.npy")
+    at = info.header_offset + 30 + len(info.filename)
+    return at + _npy_header_bytes(data[at:])
+
+
+def test_load_rejects_a_flipped_byte_in_values(tmp_path):
+    path = tmp_path / "t.npz"
+    save(_random_table(random.Random(4), kind="strategic", n_states=6, grid=ODD_GRID), path)
+    data = bytearray(path.read_bytes())
+    # the lowest byte of a value: still finite and not zero, but not what was saved
+    data[_values_start(path) + 8 * 5] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="CRC"):
+        load(path)
+
+
+def test_load_rejects_a_set_padding_bit_in_any_row(tmp_path):
+    t = _random_table(random.Random(4), kind="strategic", n_states=6, grid=ODD_GRID)
+    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    for row in range(t.columns):
+        for bit in range(6):
+            broken = occupied.copy()
+            broken[row, -1] |= 1 << bit
+            _write_members(tmp_path / "t.npz", broken, values, meta)
+            with pytest.raises(CheckpointError, match="padding"):
+                load(tmp_path / "t.npz")
