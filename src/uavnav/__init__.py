@@ -66,4 +66,5 @@ from .radio import (
     mobile_correction_alpha,
     path_loss_db,
     snr_db,
+    warn_outside_validity,
 )

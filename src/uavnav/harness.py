@@ -80,7 +80,7 @@ from .gridworld import (
 from .qcore import FORMAT_VERSION, QTable
 from .qcore import load as load_table
 from .qcore import save as save_table
-from .radio import HataValidityWarning, coverage_map
+from .radio import coverage_map, warn_outside_validity
 
 MANIFEST_NAME = "manifest.json"
 STRATEGIC_NAME = "strategic.npz"
@@ -265,9 +265,7 @@ def _pool_context():
     return multiprocessing.get_context("fork")
 
 
-def _run_jobs(
-    cfg: TrainConfig, world: GridWorld, out: Path, jobs: list[float | None]
-) -> dict[str, str]:
+def _run_jobs(cfg: TrainConfig, out: Path, jobs: list[float | None]) -> dict[str, str]:
     """Run every job, in worker processes when more than one CPU is usable.
 
     A job's exception reaches the caller with its type; a worker that dies
@@ -276,17 +274,10 @@ def _run_jobs(
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or _job_callees_replaced():
         return dict(_train_job(cfg, out, band) for band in jobs)
-    import functools
-    import warnings
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # The COST 231 validity warning is issued here, once, on the path the
-    # band jobs take; the workers ignore it.
-    for band in cfg.bands_mhz:
-        coverage_map(cfg.link_for_band(band), world)
-    quiet = functools.partial(warnings.filterwarnings, "ignore", category=HataValidityWarning)
-    with ProcessPoolExecutor(workers, mp_context=_pool_context(), initializer=quiet) as pool:
+    with ProcessPoolExecutor(workers, mp_context=_pool_context()) as pool:
         futures = [pool.submit(_train_job, cfg, out, band) for band in jobs]
         try:
             return dict(f.result() for f in futures)
@@ -311,7 +302,8 @@ def cmd_train(
     out.mkdir(parents=True, exist_ok=True)
     # A manifest only ever lists checkpoints of the run that wrote it.
     (out / MANIFEST_NAME).unlink(missing_ok=True)
-    files = _run_jobs(cfg, world, out, [None, *cfg.bands_mhz])
+    warn_outside_validity(cfg.bands_mhz, cfg.grid)
+    files = _run_jobs(cfg, out, [None, *cfg.bands_mhz])
 
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -467,6 +459,7 @@ def cmd_evaluate(
         raise ValueError("n_flights must be >= 0")
     art = Path(artifact_dir)
     cfg, strategic, adaptive = load_artifacts(art)
+    warn_outside_validity(sorted(adaptive), cfg.grid)  # the order run_flights flies
     world = build_world(cfg)
     records = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)
     report = compute_metrics(records)
@@ -490,6 +483,7 @@ def cmd_coverage(
     cfg = load_config(config) if isinstance(config, str) else config
     if not (math.isfinite(band_mhz) and band_mhz > 0):
         raise ConfigError(f"band must be a positive finite number, got {band_mhz}")
+    warn_outside_validity((band_mhz,), cfg.grid)
     world = build_world(cfg)
     cmap = coverage_map(cfg.link_for_band(band_mhz), world)
     threshold = cmap.snr_threshold_db

@@ -12,19 +12,22 @@ antenna correction
     a(h_R) = (1.1 log10(f) - 0.7) h_R - (1.56 log10(f) - 0.8).
 
 The model is applied exactly as written even where the inputs leave the
-canonical COST 231 validity box (mobile height 1-10 m, 1500-2000 MHz); a
-single warning is emitted the first time that happens. Distances below
-``d_min_km`` are clamped up to it, since the formula diverges at d -> 0 and
-is not meaningful in the near field anyway.
+canonical COST 231 validity box (mobile height 1-10 m, 1500-2000 MHz).
+Distances below ``d_min_km`` are clamped up to it, since the formula
+diverges at d -> 0 and is not meaningful in the near field anyway.
 
-All functions are pure; a coverage map is a plain function of the link
-budget and the grid geometry and ignores obstacles entirely.
+The formula and coverage functions are pure and never warn. The one
+``HataValidityWarning`` comes from ``warn_outside_validity``, which each
+command (train, evaluate, coverage) calls once before it evaluates a band.
+A coverage map is a plain function of the link budget and the grid
+geometry and ignores obstacles entirely.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import product
@@ -41,24 +44,25 @@ class HataValidityWarning(UserWarning):
     """Inputs are outside the canonical COST 231 Hata validity ranges."""
 
 
-_validity_warned = False
-
-
-def _warn_validity_once(f_mhz: float, h_r_m: float) -> None:
-    global _validity_warned
-    if _validity_warned:
-        return
-    out_f = not VALID_F_RANGE_MHZ[0] <= f_mhz <= VALID_F_RANGE_MHZ[1]
-    out_h = not VALID_H_R_RANGE_M[0] <= h_r_m <= VALID_H_R_RANGE_M[1]
-    if out_f or out_h:
-        _validity_warned = True
-        warnings.warn(
-            f"COST 231 Hata evaluated outside its canonical validity ranges "
-            f"(f={f_mhz:g} MHz, mobile height={h_r_m:g} m); applying the "
-            f"formula as written",
-            HataValidityWarning,
-            stacklevel=3,
-        )
+def warn_outside_validity(bands_mhz: Iterable[float], spec: GridSpec) -> None:
+    """Warn once about the first (band, layer's cell-centre height) pair
+    outside the canonical COST 231 box, bands in order, then layers: the
+    first that coverage maps of these bands, built in this order, evaluate,
+    since ``GridWorld.cells`` runs through the layers innermost."""
+    for f_mhz, z in product(bands_mhz, range(spec.nz)):
+        h_r_m = cell_center_m(spec, (0, 0, z))[2]
+        if not (
+            VALID_F_RANGE_MHZ[0] <= f_mhz <= VALID_F_RANGE_MHZ[1]
+            and VALID_H_R_RANGE_M[0] <= h_r_m <= VALID_H_R_RANGE_M[1]
+        ):
+            warnings.warn(
+                f"COST 231 Hata evaluated outside its canonical validity ranges "
+                f"(f={f_mhz:g} MHz, mobile height={h_r_m:g} m); applying the "
+                f"formula as written",
+                HataValidityWarning,
+                stacklevel=1,
+            )
+            return
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,6 @@ def path_loss_db(lb: LinkBudget, h_r_m: float, d_km: float) -> float:
         raise ValueError("path-loss inputs must be finite")
     if h_r_m <= 0:
         raise ValueError("mobile height must be positive")
-    _warn_validity_once(lb.f_mhz, h_r_m)
     d = max(d_km, lb.d_min_km)
     logf = math.log10(lb.f_mhz)
     logh = math.log10(lb.h_b_m)
@@ -161,20 +164,15 @@ def require_finite_snr(lb: LinkBudget, spec: GridSpec, bs_cell: Cell) -> None:
     Every term of a cell's SNR -- each axis of its offset from the antenna,
     its height, its distance -- is largest in magnitude at a corner of the
     grid, and its height is smallest on the ground layer, so the corners
-    are checked. The check leaves the validity warning to the coverage map.
+    are checked.
     """
-    global _validity_warned
-    warned, _validity_warned = _validity_warned, True
-    try:
-        for c in product((0, spec.nx - 1), (0, spec.ny - 1), (0, spec.nz - 1)):
-            try:
-                value = cell_snr_db(lb, spec, bs_cell, c)
-            except OverflowError as exc:
-                raise ValueError(f"overflow at cell {c}") from exc
-            if not math.isfinite(value):
-                raise ValueError(f"SNR {value} at cell {c}")
-    finally:
-        _validity_warned = warned
+    for c in product((0, spec.nx - 1), (0, spec.ny - 1), (0, spec.nz - 1)):
+        try:
+            value = cell_snr_db(lb, spec, bs_cell, c)
+        except OverflowError as exc:
+            raise ValueError(f"overflow at cell {c}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"SNR {value} at cell {c}")
 
 
 @dataclass(frozen=True)

@@ -601,19 +601,52 @@ def test_cli_round_trip(tmp_path, capsys):
     assert "covered_fraction" in printed
 
 
+def _cli_env():
+    """The environment of a fresh ``python -m uavnav.cli`` process."""
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cli_subprocess(*args):
+    """``python -m uavnav.cli`` with ``args`` in a fresh process, which the
+    warning filters of this process do not reach."""
+    return subprocess.run([sys.executable, "-m", "uavnav.cli", *args],
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+
+
+def test_cli_commands_print_one_validity_warning_each(tmp_path):
+    # layer centres at 10 and 30 m; 1800 MHz is in the box, 900 MHz is not
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": {"nx": 4, "ny": 4, "nz": 2}, "bands_mhz": [1800, 900],
+                                    "episodes_strategic": 200, "episodes_adaptive": 100}))
+    run = str(tmp_path / "run")
+    expected = {
+        # bands in config order, as training's coverage agents take them
+        ("train", "--config", str(cfg_path), "--out", run): "(f=1800 MHz, mobile height=30 m)",
+        # bands in the sorted order that run_flights flies them
+        ("evaluate", "--artifacts", run, "--flights", "5"): "(f=900 MHz, mobile height=10 m)",
+        ("coverage", "--config", str(cfg_path), "--band", "1800",
+         "--out", str(tmp_path / "cov.csv")): "(f=1800 MHz, mobile height=30 m)",
+    }
+    for args, pair in expected.items():
+        proc = _cli_subprocess(*args)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [s for s in proc.stderr.splitlines() if "HataValidityWarning" in s]
+        assert "radio.py" in line and pair in line, proc.stderr
+
+
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
 def test_cli_coverage_into_a_pipe_its_reader_closes_early(tmp_path):
     # uavnav coverage --out /dev/stdout | head -3: the export, 4,500 rows,
     # outgrows the pipe, so its write fails once the reader has gone
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"grid": {"nx": 30, "ny": 30, "nz": 5}}))
-    env = dict(os.environ)
-    src = str(Path(harness.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "uavnav.cli", "coverage", "--config", str(cfg_path),
          "--band", "900", "--out", "/dev/stdout"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     head = [proc.stdout.readline() for _ in range(3)]
     proc.stdout.close()

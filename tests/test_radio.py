@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-import uavnav.radio as radio
 from uavnav.gridworld import GridSpec, build
 from uavnav.radio import (
     CoverageMap,
@@ -15,7 +14,9 @@ from uavnav.radio import (
     coverage_map,
     mobile_correction_alpha,
     path_loss_db,
+    require_finite_snr,
     snr_db,
+    warn_outside_validity,
 )
 
 from oracles import cost231_path_loss
@@ -176,21 +177,38 @@ def test_band_coverage_fraction_ordering():
     assert below[2100.0] >= below[900.0]
 
 
-def test_validity_warning_fires_once():
-    radio._validity_warned = False
-    lb = LinkBudget(f_mhz=900.0)
+def test_formula_functions_never_warn():
+    # the default grid and bands lie outside the canonical COST 231 box
+    spec = GridSpec()
+    world = build(spec, 0.0, seed=1, bs_xy=(10, 10, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for band in (900.0, 2100.0):
+            lb = LinkBudget(f_mhz=band)
+            path_loss_db(lb, 50.0, 0.5)
+            cell_snr_db(lb, spec, (10, 10, 0), (0, 0, 4))
+            coverage_map(lb, world)
+            require_finite_snr(lb, spec, (10, 10, 0))
+
+
+def _validity_warnings(bands, spec):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        path_loss_db(lb, 50.0, 0.5)
-        path_loss_db(lb, 50.0, 0.5)
-    assert sum(issubclass(w.category, HataValidityWarning) for w in caught) == 1
-    # inside the canonical box nothing fires
-    radio._validity_warned = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        path_loss_db(LinkBudget(f_mhz=1800.0), 5.0, 1.0)
-    assert not caught
-    radio._validity_warned = True
+        warn_outside_validity(bands, spec)
+    return [str(w.message) for w in caught if issubclass(w.category, HataValidityWarning)]
+
+
+def test_validity_warning_names_the_first_pair_outside_the_box():
+    # layer centres at 10, 30 and 50 m: only the ground layer is in the box
+    spec = GridSpec(nx=2, ny=2, nz=3)
+    (msg,) = _validity_warnings([1800.0, 900.0], spec)
+    assert "(f=1800 MHz, mobile height=30 m)" in msg
+    (msg,) = _validity_warnings([900.0, 1800.0], spec)
+    assert "(f=900 MHz, mobile height=10 m)" in msg
+    # inside the box nothing fires
+    one_layer = GridSpec(nx=2, ny=2, nz=1, cell_height_m=10.0)
+    assert _validity_warnings([1800.0], one_layer) == []
+    assert _validity_warnings([1500.0, 2000.0], GridSpec(nx=2, ny=2, nz=1)) == []
 
 
 def test_link_budget_validation():
