@@ -28,12 +28,9 @@ from .gridworld import (
     GridSpec,
     GridWorld,
     StepEvent,
-    apply_action,
     build,
     cell_center_m,
     default_step_cap,
-    distance_m,
-    manhattan_m,
     random_free_cell,
 )
 from .harness import (
@@ -53,7 +50,6 @@ from .qcore import (
     Hyper,
     QTable,
     q_update,
-    select_action,
 )
 from .qcore import load as load_qtable
 from .qcore import save as save_qtable

@@ -33,11 +33,12 @@ step one batch of numpy operations on flat views of the dense
 update. When only a few chains are left (``DRAIN_SLOTS``), it drains them:
 their episodes run one after another as a scalar loop on Python lists, so
 fixed-destination training, which has one destination, runs there
-throughout. Its choices follow the rule of ``select_action`` and its
-updates round as ``q_update``'s do; a test runs the episodes one after
-another, picking each action from the episode's random stream and stepping
-through ``apply_action``, ``reward_strategic`` and ``q_update``, and gets
-the same table and logs bit for bit, whatever the drain's threshold.
+throughout. Its choices are epsilon-greedy with uniform ties, as
+``greedy_action`` breaks them, and its updates round as ``q_update``'s do;
+a test runs the episodes one after another, picking each action from the
+episode's random stream and stepping one move-table entry at a time
+through ``reward_strategic`` and ``q_update``, and gets the same table and
+logs bit for bit, whatever the drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -46,9 +47,10 @@ reward of every cell computed once per band from the band's
 ``CoverageMap``. Most of its updates write back the value the row already
 held (on band-flights, about 92 % of them), so it keeps each row's max and
 argmax ties beside the row and recomputes them only when an update changes
-a value. Its choices and updates are those of ``select_action``,
-``apply_action``, ``reward_adaptive`` and ``q_update``, RNG draws
-included, and a test replays it against a loop built from those calls.
+a value. Its choices and updates are those of an epsilon-greedy pick
+through ``greedy_action``, one move-table step, ``reward_adaptive`` and
+``q_update``, RNG draws included, and a test replays it against a loop
+built from those calls.
 It takes each pick of one of n (an explored candidate, or one of two or
 more tied maximizers) straight from the generator, as ``rng.randrange(n)``
 draws it without its Python-level wrapper: ``getrandbits(k)`` for
@@ -232,9 +234,9 @@ def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.nd
     """``dist[c, j]``: the shaping distance from the cell of flat index c to
     the cell of flat index ``targets[j]``.
 
-    Each entry is computed with the arithmetic of ``distance_m`` (or
-    ``manhattan_m``), so it rounds exactly as they do. Built in blocks of
-    rows to keep the temporaries small.
+    ``metric`` is ``"euclidean"``, the distance between cell centres, or
+    ``"manhattan"``, its axis-summed (taxicab) form, both in metres. Built
+    in blocks of rows to keep the temporaries small.
     """
     spec = world.spec
     coords = np.array(world.cells, dtype=np.intp)
@@ -500,9 +502,7 @@ def train_adaptive(
     moves = world.moves
     index = world.index
     snr = coverage_map(lb, world).snr_by_index
-    threshold = lb.snr_threshold_db
-    p = cfg.rewards
-    cell_reward = [p.r_outage if v < threshold else p.r_covered for v in snr]
+    cell_reward = [reward_adaptive(v, lb.snr_threshold_db, cfg.rewards) for v in snr]
     n_candidates = len(candidates)
     k_candidates = n_candidates.bit_length()
     cap = cfg.resolved_step_cap()

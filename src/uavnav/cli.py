@@ -96,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python's own is bare
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -237,7 +237,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)
-        d["grid"] = dataclasses.asdict(self.grid)
         d["bands_mhz"] = list(self.bands_mhz)
         d["start_cell"] = list(self.start_cell)
         d["bs_cell"] = None if self.bs_cell is None else list(self.bs_cell)

@@ -18,9 +18,9 @@ array (such as a coverage map's SNR or a Q-table's rows) is read at the
 same index. Each world builds, on first
 use and once, a move table (``GridWorld.moves``): for every cell and
 action, the flat index of the cell the step lands on and whether it was a
-plain move, a crash or blocked at the boundary. ``apply_action``, the
-training loops and the flight arbiter all step through that table;
-``build`` does not pay for it. ``GridWorld.cells`` turns a flat index back
+plain move, a crash or blocked at the boundary. The training loops and
+the flight arbiter step through that table; ``build`` does not pay for
+it. ``GridWorld.cells`` turns a flat index back
 into a ``Cell``.
 """
 
@@ -279,47 +279,12 @@ def build(
     return GridWorld(spec=spec, obstacles=obstacles, base_station_cell=bs_xy, start_cell=start)
 
 
-def apply_action(
-    world: GridWorld, at: Cell, action: Action, dest: Cell
-) -> tuple[Cell, StepEvent]:
-    """Move one cell; return where the agent landed and what that means.
-
-    Out-of-bounds moves leave the position unchanged. Landing on an obstacle
-    is reported as a crash but the position advances into the obstacle cell
-    (pass-through); landing on ``dest`` is an arrival.
-    """
-    to, event = world.moves[world.index(at)][action]
-    nxt = world.cells[to]
-    if event is StepEvent.MOVED and nxt == dest:
-        return nxt, StepEvent.ARRIVED_AT_DESTINATION
-    return nxt, event
-
-
 def cell_center_m(spec: GridSpec, c: Cell) -> tuple[float, float, float]:
     """Metric coordinates of a cell center."""
     return (
         (c[0] + 0.5) * spec.cell_size_m,
         (c[1] + 0.5) * spec.cell_size_m,
         (c[2] + 0.5) * spec.cell_height_m,
-    )
-
-
-def distance_m(world: GridWorld, a: Cell, b: Cell) -> float:
-    """Euclidean distance between cell centers, in metres."""
-    s = world.spec
-    dx = (a[0] - b[0]) * s.cell_size_m
-    dy = (a[1] - b[1]) * s.cell_size_m
-    dz = (a[2] - b[2]) * s.cell_height_m
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def manhattan_m(world: GridWorld, a: Cell, b: Cell) -> float:
-    """Axis-summed (taxicab) distance between cell centers, in metres."""
-    s = world.spec
-    return (
-        abs(a[0] - b[0]) * s.cell_size_m
-        + abs(a[1] - b[1]) * s.cell_size_m
-        + abs(a[2] - b[2]) * s.cell_height_m
     )
 
 

@@ -107,9 +107,7 @@ class EvalReport:
     per_band: dict[str, "EvalReport"] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["per_band"] = {k: v.to_dict() for k, v in self.per_band.items()}
-        return d
+        return dataclasses.asdict(self)
 
 
 def compute_metrics(records: list[FlightRecord]) -> EvalReport:

@@ -19,10 +19,10 @@ among maximizers, so the symmetric grid picks up no directional bias.
 ``bootstrap`` holds the update arithmetic, for Python floats and numpy
 arrays alike, ``argmax_ties`` the tie rule and ``greedy_action`` the
 argmax with random ties, a uniform pick from ``argmax_ties``.
-``q_update`` and ``select_action`` are built on them; so are the coverage
-agent's loop, which caches each row's ties, and the flight arbiter, and
-the planner's lockstep loop in ``agents`` applies ``bootstrap`` to a whole
-batch of episodes at once. ``TIES`` decodes a set of actions held as a
+``q_update`` is built on them; so are the coverage agent's loop, which
+caches each row's ties, and the flight arbiter, and the planner's lockstep
+loop in ``agents`` applies ``bootstrap`` to a whole batch of episodes at
+once. ``TIES`` decodes a set of actions held as a
 6-bit mask, the form in which the flight arbiter and the planner's
 lockstep loop keep tie sets.
 
@@ -322,26 +322,6 @@ def greedy_action(
     if len(ties) == 1:
         return ties[0]
     return ties[rng.randrange(len(ties))]
-
-
-def select_action(
-    table: QTable,
-    s: tuple[int, int],
-    epsilon: float,
-    rng: random.Random,
-    candidates: Sequence[Action] = ACTIONS,
-) -> Action:
-    """Epsilon-greedy choice over ``candidates``.
-
-    With probability epsilon the action is uniform over the candidates;
-    otherwise the argmax of Q(s, .) restricted to them, ties broken
-    uniformly at random.
-    """
-    if not candidates:
-        raise ValueError("candidate action set is empty")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return candidates[rng.randrange(len(candidates))]
-    return greedy_action(table.q[s].tolist(), candidates, rng)
 
 
 def save(table: QTable, path) -> str:

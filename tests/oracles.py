@@ -55,6 +55,14 @@ def euclid_cells(a, b, cell_size_m, cell_height_m):
     return sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def manhattan_cells(a, b, cell_size_m, cell_height_m):
+    return (
+        abs(a[0] - b[0]) * cell_size_m
+        + abs(a[1] - b[1]) * cell_size_m
+        + abs(a[2] - b[2]) * cell_height_m
+    )
+
+
 def alg3_choice(a1, a2, q_strategic_of_a2, q_adaptive_of_a1):
     """The decision rule exactly as pseudocoded: agreement passes through,
     otherwise the cross-table comparison, with the tie going to a1."""

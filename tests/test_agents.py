@@ -16,7 +16,7 @@ from uavnav.agents import (
 )
 from uavnav.arbiter import FlightOutcome, greedy_trajectory
 from uavnav.config import ConfigError, TrainConfig, stream_rng
-from uavnav.gridworld import GridSpec, StepEvent, apply_action
+from uavnav.gridworld import ACTIONS, GridSpec, StepEvent
 from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule
 
@@ -228,7 +228,7 @@ def test_adaptive_greedy_stays_covered_near_bs():
     # next to the BS column keeps to covered cells: everything near the
     # column clears the threshold and the learned values avoid the border
     # ring. Uses the coverage map as the oracle.
-    from uavnav.qcore import select_action
+    from uavnav.qcore import greedy_action
     from uavnav.radio import coverage_map
 
     cfg = TrainConfig(seed=12, obstacle_density=0.0, episodes_adaptive=4000)
@@ -240,8 +240,9 @@ def test_adaptive_greedy_stays_covered_near_bs():
     pos = (11, 10, 1)  # adjacent to the BS column at (10, 10)
     assert cmap.snr[pos] >= lb.snr_threshold_db
     for _ in range(20):
-        a = select_action(table, (world.index(pos), 0), 0.0, rng)
-        pos, _ = apply_action(world, pos, a, dest=(0, 0, 0))
+        i = world.index(pos)
+        a = greedy_action(table.q[i, 0].tolist(), ACTIONS, rng)
+        pos = world.cells[world.moves[i][a][0]]
         assert cmap.snr[pos] >= lb.snr_threshold_db
 
 

@@ -1,26 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from uavnav.agents import _distance_table
 from uavnav.gridworld import (
     ACTION_DELTAS,
     ACTIONS,
-    Action,
     GridSpec,
     GridWorld,
     StepEvent,
-    apply_action,
     build,
     cell_center_m,
     default_step_cap,
-    distance_m,
-    manhattan_m,
     random_free_cell,
     require_obstacle_room,
 )
 
-from oracles import euclid_cells
+from oracles import euclid_cells, manhattan_cells
 
 SPEC = GridSpec()  # 20x20x5, 50 m / 20 m
 
@@ -98,41 +96,13 @@ def test_obstacle_room_counts_the_cells_build_may_fill():
                     assert len(build(spec, 0.5, seed=1, start=start, bs_xy=bs).obstacles) == want
 
 
-def test_apply_action_boundary_clamp():
-    world = build(SPEC, 0.0, seed=1)
-    nxt, event = apply_action(world, (0, 0, 0), Action.MINUS_X, dest=(5, 5, 0))
-    assert event == StepEvent.BLOCKED_AT_BOUNDARY
-    assert nxt == (0, 0, 0)
-
-
-def test_apply_action_crash_pass_through():
-    world = build(SPEC, 0.0, seed=1)
-    world = type(world)(
-        spec=world.spec,
-        obstacles=frozenset({(3, 5, 1)}),
-        base_station_cell=world.base_station_cell,
-        start_cell=world.start_cell,
-    )
-    nxt, event = apply_action(world, (3, 4, 1), Action.PLUS_Y, dest=(9, 9, 4))
-    assert event == StepEvent.CRASHED_INTO_OBSTACLE
-    assert nxt == (3, 5, 1)
-
-
-def test_apply_action_arrival():
-    world = build(SPEC, 0.0, seed=1)
-    nxt, event = apply_action(world, (3, 4, 1), Action.PLUS_X, dest=(4, 4, 1))
-    assert event == StepEvent.ARRIVED_AT_DESTINATION
-    assert nxt == (4, 4, 1)
-
-
 def test_transition_totality_and_boundary_safety():
     world = build(SPEC, 0.2, seed=3)
     rng = random.Random(0)
-    pos = world.start_cell
+    i = world.index(world.start_cell)
     for _ in range(2000):
-        a = ACTIONS[rng.randrange(6)]
-        pos, _ = apply_action(world, pos, a, dest=(19, 19, 4))
-        assert world.spec.in_bounds(pos)
+        i, _ = world.moves[i][rng.randrange(6)]
+        assert 0 <= i < world.spec.n_cells
 
 
 def test_action_set_is_six_unit_moves():
@@ -152,35 +122,47 @@ def test_cell_centers_respect_altitude_cap():
         assert cell_center_m(SPEC, (0, 0, z))[2] <= 100.0
 
 
+def distances(world, metric):
+    """The planner's shaping distance between every two cells, as
+    ``dist(a, b)``."""
+    table = _distance_table(world, metric, np.arange(world.spec.n_cells)).tolist()
+    return lambda a, b: table[world.index(a)][world.index(b)]
+
+
 def test_distance_values():
-    world = build(SPEC, 0.0, seed=1)
-    assert distance_m(world, (2, 3, 1), (2, 3, 1)) == 0.0
-    assert distance_m(world, (0, 0, 0), (3, 4, 0)) == 250.0
-    d = distance_m(world, (0, 0, 0), (1, 1, 1))
+    dist = distances(build(SPEC, 0.0, seed=1), "euclidean")
+    assert dist((2, 3, 1), (2, 3, 1)) == 0.0
+    assert dist((0, 0, 0), (3, 4, 0)) == 250.0
+    d = dist((0, 0, 0), (1, 1, 1))
     assert abs(d - math.sqrt(50**2 + 50**2 + 20**2)) < 1e-12
     assert abs(d - 73.485) < 1e-3
 
 
 def test_distance_is_a_metric():
-    world = build(SPEC, 0.0, seed=1)
+    # Equal to the oracles bit for bit: the planner's reward compares two
+    # distances with <, so a difference in the last bit could flip it.
+    spec = GridSpec(nx=20, ny=20, nz=5, cell_size_m=33.3, cell_height_m=12.3)
+    world = build(spec, 0.0, seed=1)
     rng = random.Random(5)
 
     def rand_cell():
         return (rng.randrange(20), rng.randrange(20), rng.randrange(5))
 
-    for _ in range(300):
-        a, b, c = rand_cell(), rand_cell(), rand_cell()
-        dab = distance_m(world, a, b)
-        assert dab >= 0.0
-        assert (dab == 0.0) == (a == b)
-        assert dab == distance_m(world, b, a)
-        assert dab <= distance_m(world, a, c) + distance_m(world, c, b) + 1e-9
-        assert abs(dab - euclid_cells(a, b, 50.0, 20.0)) < 1e-9
+    for metric, oracle in (("euclidean", euclid_cells), ("manhattan", manhattan_cells)):
+        dist = distances(world, metric)
+        for _ in range(300):
+            a, b, c = rand_cell(), rand_cell(), rand_cell()
+            dab = dist(a, b)
+            assert dab >= 0.0
+            assert (dab == 0.0) == (a == b)
+            assert dab == dist(b, a)
+            assert dab <= dist(a, c) + dist(c, b) + 1e-9
+            assert dab == oracle(a, b, 33.3, 12.3)
 
 
 def test_manhattan_distance():
-    world = build(SPEC, 0.0, seed=1)
-    assert manhattan_m(world, (0, 0, 0), (3, 4, 1)) == 3 * 50 + 4 * 50 + 20
+    dist = distances(build(SPEC, 0.0, seed=1), "manhattan")
+    assert dist((0, 0, 0), (3, 4, 1)) == 3 * 50 + 4 * 50 + 20
 
 
 def test_random_free_cell_properties():
@@ -291,5 +273,5 @@ def test_move_table_matches_step_rules():
 def test_move_table_is_built_on_first_use():
     world = build(SPEC, 0.1, seed=2)
     assert "moves" not in vars(world)
-    apply_action(world, world.start_cell, Action.PLUS_X, dest=(9, 9, 4))
+    world.moves[world.index(world.start_cell)]
     assert "moves" in vars(world)

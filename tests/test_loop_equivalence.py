@@ -1,4 +1,4 @@
-"""The training loops against the public calls.
+"""The training loops against step-by-step references.
 
 ``train_strategic`` runs every destination's chain of episodes in lockstep
 on the dense table, one slot per destination. Its reference below is a
@@ -8,8 +8,10 @@ episode order, and picks every action itself from the episode's SplitMix64
 stream (``oracles.splitmix64_uniform``, Python ints): draw 2t is the
 exploration coin, draw 2t + 1 picks the
 ``int(u * len(picks))``-th of the argmax ties, or of all candidates when
-exploring. It steps with ``apply_action``, ``reward_strategic`` and
-``q_update``. Both must give the same table, float bits included, and the
+exploring. It steps with ``step`` (one move-table entry), measures
+distances with ``oracles.euclid_cells`` or ``oracles.manhattan_cells``, and
+rewards and updates with ``reward_strategic`` and ``q_update``. Both must
+give the same table, float bits included, and the
 same episode logs, down to the types of their fields. The number of
 chains below which ``train_strategic`` drains the rest one at a time
 (``DRAIN_SLOTS``) must not change what is trained, whether the lockstep
@@ -22,9 +24,10 @@ beyond any episode's length costs nothing.
 ``train_adaptive`` steps through the world's move table with the reward and
 the update written out, and reads each row's max and argmax ties from caches
 it recomputes only when an update changes the row. The reference loop below
-takes each step the plain way -- ``select_action``, ``apply_action``,
-``reward_adaptive``, ``q_update`` -- and must give an equal table, equal
-episode logs and leave the random generator in the same state. The extra
+takes each step the plain way -- ``select_action`` (an exploration coin,
+else ``qcore.greedy_action``), ``step``, ``reward_adaptive`` and
+``q_update`` -- and must give an equal table, equal episode logs and leave
+the random generator in the same state. The extra
 modes stress the caches: greedy steps read the cached ties, ``alpha`` 1
 makes most updates change a value, and a link covered everywhere makes rows
 tie everywhere.
@@ -54,9 +57,6 @@ from uavnav.gridworld import (
     ACTIONS_XY,
     GridSpec,
     StepEvent,
-    apply_action,
-    distance_m,
-    manhattan_m,
     random_free_cell,
 )
 from uavnav.harness import build_world
@@ -65,12 +65,28 @@ from uavnav.qcore import (
     Hyper,
     QTable,
     argmax_ties,
+    greedy_action,
     q_update,
-    select_action,
 )
 from uavnav.radio import coverage_map
 
-from oracles import splitmix64_uniform
+from oracles import euclid_cells, manhattan_cells, splitmix64_uniform
+
+
+def step(world, pos, a, dest):
+    """The move-table entry of ``a`` from ``pos``; a plain move onto ``dest`` arrives."""
+    to, event = world.moves[world.index(pos)][a]
+    nxt = world.cells[to]
+    if event is StepEvent.MOVED and nxt == dest:
+        return nxt, StepEvent.ARRIVED_AT_DESTINATION
+    return nxt, event
+
+
+def select_action(table, s, epsilon, rng, candidates):
+    """Epsilon-greedy over ``candidates``, ties broken by ``greedy_action``."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return candidates[rng.randrange(len(candidates))]
+    return greedy_action(table.q[s].tolist(), candidates, rng)
 
 
 def reference_strategic(world, cfg, rng):
@@ -86,7 +102,8 @@ def reference_strategic(world, cfg, rng):
     per_destination = cfg.fixed_destination is None
     table = QTable("strategic", world.spec, cfg.hyper, cfg.seed,
                    columns=world.spec.n_cells if per_destination else 1)
-    dist = manhattan_m if cfg.distance_metric == "manhattan" else distance_m
+    dist = manhattan_cells if cfg.distance_metric == "manhattan" else euclid_cells
+    sizes = (world.spec.cell_size_m, world.spec.cell_height_m)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     missions = world.mission_cells(cfg.altitude_locked)
     logs, events, ties = [], Counter(), Counter()
@@ -114,8 +131,8 @@ def reference_strategic(world, cfg, rng):
             a = picks[int(u * len(picks))]
             if epsilon == 0.0 and not any(row):
                 ties[a] += 1
-            nxt, event = apply_action(world, pos, a, dest)
-            r = reward_strategic(dist(world, pos, dest), dist(world, nxt, dest), event,
+            nxt, event = step(world, pos, a, dest)
+            r = reward_strategic(dist(pos, dest, *sizes), dist(nxt, dest, *sizes), event,
                                  cfg.rewards)
             q_update(table, s, a, r, (world.index(nxt), col), cfg.hyper)
             events[event] += 1
@@ -144,7 +161,7 @@ def next_pick(table, s, epsilon, rng, candidates):
 
 
 def reference_adaptive(world, lb, cfg, rng):
-    """``train_adaptive`` step by step through the public calls.
+    """``train_adaptive`` step by step through the reference calls.
 
     Also returns how often each pick (``next_pick``) was drawn.
     """
@@ -165,7 +182,7 @@ def reference_adaptive(world, lb, cfg, rng):
             s = (world.index(pos), 0)
             picks[next_pick(table, s, epsilon, rng, candidates)] += 1
             a = select_action(table, s, epsilon, rng, candidates)
-            nxt, event = apply_action(world, pos, a, dest)
+            nxt, event = step(world, pos, a, dest)
             r = reward_adaptive(float(cmap.snr[nxt]), lb.snr_threshold_db, cfg.rewards)
             q_update(table, (world.index(pos), 0), a, r, (world.index(nxt), 0), cfg.hyper)
             total += r

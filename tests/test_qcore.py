@@ -16,10 +16,10 @@ from uavnav.qcore import (
     EpsilonSchedule,
     Hyper,
     QTable,
+    greedy_action,
     load,
     q_update,
     save,
-    select_action,
 )
 
 GRID = GridSpec()
@@ -117,66 +117,43 @@ def test_q_update_contraction_to_target():
     assert abs(row(t, s)[Action.MINUS_Y] - target) < 1e-6
 
 
-def test_select_action_pure_exploration_uniform():
-    t = make_table()
-    rng = random.Random(0)
-    counts = {a: 0 for a in ACTIONS}
-    n = 10_000
-    for _ in range(n):
-        counts[select_action(t, st((0, 0, 0)), 1.0, rng)] += 1
-    expected = n / 6
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < 20.5  # chi-square df=5 at the 0.001 level
-
-
-def test_select_action_pure_exploitation():
-    t = make_table()
-    s = st((0, 0, 0))
-    q_update(t, s, Action.PLUS_X, 5.0, st((1, 0, 0)), Hyper(alpha=1.0, gamma=0.0))
+def test_greedy_action_picks_the_maximizer():
+    values = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    values[Action.PLUS_X] = 5.0
     rng = random.Random(0)
     for _ in range(100):
-        assert select_action(t, s, 0.0, rng) == Action.PLUS_X
+        assert greedy_action(values, ACTIONS, rng) == Action.PLUS_X
+    # one maximizer: nothing drawn
+    assert rng.getstate() == random.Random(0).getstate()
 
 
-def test_select_action_uniform_tie_break():
-    t = make_table()
-    s = st((2, 2, 2))
-    for a in ACTIONS:  # all equal, nonzero
-        q_update(t, s, a, 3.0, s, Hyper(alpha=1.0, gamma=0.0))
-    assert row(t, s) == (3.0,) * 6
+def test_greedy_action_uniform_tie_break():
     rng = random.Random(123)
     n = 60_000
     counts = {a: 0 for a in ACTIONS}
     for _ in range(n):
-        counts[select_action(t, s, 0.0, rng)] += 1
+        counts[greedy_action([3.0] * 6, ACTIONS, rng)] += 1
     # binomial p=1/6: five sigma around the mean
     sigma = math.sqrt(n * (1 / 6) * (5 / 6))
     for c in counts.values():
         assert abs(c - n / 6) < 5 * sigma
 
 
-def test_select_action_restricted_candidates():
-    t = make_table()
-    s = st((0, 0, 0))
-    q_update(t, s, Action.PLUS_X, 9.0, s, Hyper(alpha=1.0, gamma=0.0))
+def test_greedy_action_restricted_candidates():
+    values = [9.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     rng = random.Random(0)
-    picked = select_action(t, s, 0.0, rng, candidates=(Action.PLUS_Y, Action.MINUS_Y))
-    assert picked in (Action.PLUS_Y, Action.MINUS_Y)
-    with pytest.raises(ValueError):
-        select_action(t, s, 0.0, rng, candidates=())
+    candidates = (Action.PLUS_Y, Action.MINUS_Y)
+    picked = {greedy_action(values, candidates, rng) for _ in range(50)}
+    assert picked == set(candidates)
 
 
 def test_argmax_shift_invariance():
     rng = random.Random(7)
     for _ in range(50):
-        t1, t2 = make_table(), make_table()
-        s = st((1, 1, 1))
         values = [rng.uniform(-10, 10) for _ in ACTIONS]
         shift = rng.uniform(-100, 100)
-        t1.q[s] = values
-        t2.q[s] = [v + shift for v in values]
-        r1 = select_action(t1, s, 0.0, random.Random(99))
-        r2 = select_action(t2, s, 0.0, random.Random(99))
+        r1 = greedy_action(values, ACTIONS, random.Random(99))
+        r2 = greedy_action([v + shift for v in values], ACTIONS, random.Random(99))
         assert r1 == r2
 
 

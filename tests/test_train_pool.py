@@ -94,10 +94,11 @@ def test_replaced_callee_sees_every_job(tmp_path, monkeypatch):
     assert _artifacts(cmd_train(CFG, tmp_path / "pooled")) == wrapped
 
 
-def _train_subprocess(tmp_path, patch):
-    """``uavnav train`` of CFG in a fresh process, after running ``patch``."""
+def _train_subprocess(tmp_path, patch, cfg=None):
+    """``uavnav train`` of ``cfg`` (a config dict, CFG's by default) in a
+    fresh process, after running ``patch``."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(CFG.to_dict()))
+    cfg_path.write_text(json.dumps(cfg or CFG.to_dict()))
     code = "\n".join([
         "import os, sys",
         "import uavnav.harness as harness",
@@ -128,6 +129,28 @@ def test_dead_worker_is_an_error_line(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: a training worker process died")
     assert "Traceback" not in proc.stderr and "BrokenProcessPool" not in proc.stderr
+    assert not (tmp_path / "run" / MANIFEST_NAME).exists()
+
+
+# More planner episodes than can be allocated: their 10**15 start cells
+# alone take 7 PiB, past the address space, so the allocation fails even
+# where memory is overcommitted.
+UNALLOCATABLE = {
+    "grid": {"nx": 4, "ny": 4, "nz": 2},
+    "bands_mhz": [1800],
+    "episodes_strategic": 10**15,
+    "episodes_adaptive": 10,
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unallocatable_training_is_an_error_line(tmp_path, cpus):
+    proc = _train_subprocess(
+        tmp_path, f"harness._usable_cpus = lambda: {cpus}", UNALLOCATABLE
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "run" / MANIFEST_NAME).exists()
 
 
