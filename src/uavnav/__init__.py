@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .agents import (
     EpisodeLog,
+    EpisodeLogs,
     RewardParams,
-    TerminalCause,
     reward_adaptive,
     reward_strategic,
     train_adaptive,

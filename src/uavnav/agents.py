@@ -59,6 +59,14 @@ the same Mersenne Twister are drawn, so the generator ends in the same
 state.
 Reward constants are finite by construction (``RewardParams`` rejects
 anything else), so the loops skip ``q_update``'s finiteness check.
+
+Both loops return their per-episode bookkeeping as columns
+(``EpisodeLogs``): one array each of destinations, total rewards, steps,
+arrivals and epsilons, a fixed number of bytes per episode. The planner
+fills its arrays as episodes end, the coverage loop writes into arrays
+allocated before its first episode, and both take the whole run's epsilons
+from ``EpsilonSchedule.first``. An ``EpisodeLog`` record per episode is
+built only for a caller that iterates the logs.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from enum import Enum
+from collections.abc import Iterator, Sequence
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -138,21 +146,47 @@ MOVED = StepEvent.MOVED
 CRASHED = StepEvent.CRASHED_INTO_OBSTACLE
 
 
-class TerminalCause(Enum):
-    ARRIVED = "arrived"
-    STEP_CAP_HIT = "step_cap_hit"
-
-
 @dataclass
 class EpisodeLog:
-    """Per-episode bookkeeping."""
+    """One episode's bookkeeping, a row of ``EpisodeLogs``."""
 
     episode: int
     destination: Cell
     total_reward: float
     steps: int
-    terminal: TerminalCause
+    arrived: bool  # else it stopped at the step cap
     epsilon: float
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeLogs:
+    """A training run's per-episode bookkeeping, one array per field,
+    indexed by episode.
+
+    Iterating yields each episode's ``EpisodeLog``, built only then; the
+    training command reads the arrays.
+    """
+
+    cells: Sequence[Cell]  # the world's cells, by flat index
+    destination: np.ndarray  # intp, the flat index of the episode's destination
+    total_reward: np.ndarray  # float64
+    steps: np.ndarray  # intp
+    arrived: np.ndarray  # bool
+    epsilon: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __iter__(self) -> Iterator[EpisodeLog]:
+        return map(
+            EpisodeLog,
+            range(len(self)),
+            map(self.cells.__getitem__, self.destination.tolist()),
+            self.total_reward.tolist(),
+            self.steps.tolist(),
+            self.arrived.tolist(),
+            self.epsilon.tolist(),
+        )
 
 
 def reward_strategic(
@@ -254,7 +288,7 @@ def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.nd
 
 def train_strategic(
     world: GridWorld, cfg: "TrainConfig", rng: random.Random
-) -> tuple[QTable, list[EpisodeLog]]:
+) -> tuple[QTable, EpisodeLogs]:
     """Run the path-planning training loop for cfg.episodes_strategic episodes.
 
     Without a fixed destination, episodes alternate between the takeoff cell
@@ -304,8 +338,7 @@ def train_strategic(
     )
     q = table.q
     streams = gen.integers(1 << 64, size=n, dtype=np.uint64)  # stream keys
-    epsilons = [cfg.schedule.at(e) for e in range(n)]
-    eps_of = np.array(epsilons)
+    eps_of = cfg.schedule.first(n)
     p = cfg.rewards
     moves = world.moves
     # per (cell, action), flat: the landing cell and the reward's crash term
@@ -415,7 +448,7 @@ def train_strategic(
         chain = q[:, col].tolist()
         to_dest = dist[:, col].tolist()
         while True:
-            epsilon = epsilons[e]
+            epsilon = eps_of.item(e)
             arrived = False
             while not arrived and taken < cap:
                 # the next block's draws, two per step up to the cap
@@ -444,25 +477,12 @@ def train_strategic(
             cell, taken, reward, state = int(starts[e]), 0, 0.0, int(streams[e])
         q[:, col] = chain
 
-    cells = world.cells
-    terminal = (TerminalCause.STEP_CAP_HIT, TerminalCause.ARRIVED)
-    logs = list(
-        map(
-            EpisodeLog,
-            range(n),
-            [cells[d] for d in dests.tolist()],
-            total_of.tolist(),
-            steps_of.tolist(),
-            [terminal[arr] for arr in arrived_of.tolist()],
-            epsilons,
-        )
-    )
-    return table, logs
+    return table, EpisodeLogs(world.cells, dests, total_of, steps_of, arrived_of, eps_of)
 
 
 def train_adaptive(
     world: GridWorld, lb: LinkBudget, cfg: "TrainConfig", rng: random.Random
-) -> tuple[QTable, list[EpisodeLog]]:
+) -> tuple[QTable, EpisodeLogs]:
     """Run the coverage training loop for cfg.episodes_adaptive episodes.
 
     SNR per cell is read from the band's coverage map, the same map the
@@ -512,11 +532,14 @@ def train_adaptive(
     locked = cfg.altitude_locked
     n = cfg.episodes_adaptive
     require_mission_cells(world, locked, 2 if n > 1 else 1)
-    logs: list[EpisodeLog] = []
+    eps_of = cfg.schedule_adaptive.first(n)
+    dest_of = np.empty(n, dtype=np.intp)
+    total_of = np.empty(n)
+    steps_of = np.empty(n, dtype=np.intp)
+    arrived_of = np.zeros(n, dtype=bool)
 
-    schedule = cfg.schedule_adaptive
     for episode in range(n):
-        epsilon = schedule.at(episode)
+        epsilon = eps_of.item(episode)
         explore = epsilon > 0.0
         pos = start if episode % 2 == 0 else random_free_cell(world, rng, locked)
         dest = random_free_cell(world, rng, locked)
@@ -526,7 +549,6 @@ def train_adaptive(
         row = rows[at]
         total = 0.0
         steps = 0
-        terminal = TerminalCause.STEP_CAP_HIT
         while steps < cap:
             # randrange(n), draw for draw: getrandbits(n.bit_length()),
             # drawn again while it is n or more
@@ -562,9 +584,9 @@ def train_adaptive(
             total += r
             steps += 1
             if to == goal and event is MOVED:
-                terminal = TerminalCause.ARRIVED
+                arrived_of[episode] = True
                 break
             at, row = to, rows[to]
-        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
+        dest_of[episode], total_of[episode], steps_of[episode] = goal, total, steps
     table.q[:, 0] = rows
-    return table, logs
+    return table, EpisodeLogs(world.cells, dest_of, total_of, steps_of, arrived_of, eps_of)

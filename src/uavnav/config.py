@@ -38,11 +38,20 @@ from .gridworld import (
     is_int,
     require_obstacle_room,
 )
-from .qcore import EpsilonSchedule, Hyper, require_table_fits
+from .qcore import MAX_TABLE_BYTES, EpsilonSchedule, Hyper, require_table_fits
 from .radio import LinkBudget, require_finite_snr
 
 DEFAULT_BANDS_MHZ = (900.0, 1800.0, 2100.0)
 UAV_MAX_VELOCITY_MS = 15.0
+
+
+# The bytes a training job (the planner's, or one band's coverage agent's)
+# holds per episode: the per-episode arrays of its loop, its reward CSV's
+# columns as they are written, and their temporaries. Measured with
+# tracemalloc, as the growth of a job's peak from 50,000 to 200,000
+# episodes on a 4 x 4 x 2 grid: 73.2 for the planner and 73.4 for a
+# coverage agent, rounded up.
+EPISODE_BYTES = 80
 
 
 class ConfigError(ValueError):
@@ -133,6 +142,15 @@ class TrainConfig:
             )
         if self.episodes_strategic < 1 or self.episodes_adaptive < 1:
             raise ConfigError("episode counts must be >= 1")
+        # refused before any allocation: a training job's per-episode records
+        for name in ("episodes_strategic", "episodes_adaptive"):
+            episodes = getattr(self, name)
+            if episodes * EPISODE_BYTES > MAX_TABLE_BYTES:
+                raise ConfigError(
+                    f"{name} {episodes:,} needs {episodes * EPISODE_BYTES:,} bytes of "
+                    f"per-episode training records ({EPISODE_BYTES} per episode), over "
+                    f"the 2 GiB limit ({MAX_TABLE_BYTES:,} bytes)"
+                )
         for name in _OPTIONAL_FIELDS:
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -55,8 +55,10 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import attrgetter
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .agents import train_adaptive, train_strategic
@@ -156,12 +158,26 @@ def build_world(cfg: TrainConfig) -> GridWorld:
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """Write ``header`` and ``rows`` in place, in one call, as the bytes
-    ``csv.writer`` writes: no field needs quoting, since names, ints, band
-    labels and the ``repr`` of Python floats hold no comma, quote or line break.
+    """Write ``header`` and ``rows`` in place, as the bytes ``csv.writer``
+    writes: no field needs quoting, since names, ints, band labels and the
+    ``repr`` of Python floats hold no comma, quote or line break. Rows are
+    formatted and written a block at a time, so the text of a long file is
+    never held whole.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
-    Path(path).write_bytes("".join([line % row for row in (header, *rows)]).encode())
+    rows = iter(rows)
+    with open(path, "wb") as f:
+        f.write((line % header).encode())
+        while block := [line % row for row in islice(rows, 1 << 14)]:
+            f.write("".join(block).encode())
+
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each float64 of ``column``, formatting each distinct
+    value once (by its bits, so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _json_text(doc: dict) -> str:
@@ -225,8 +241,11 @@ def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, st
         table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
         name, rewards = _adaptive_name(band), f"rewards_adaptive_{label}.csv"
     sha = _save_checkpoint(table, out / name)
-    columns = ("episode", "total_reward", "epsilon", "steps")  # EpisodeLog fields
-    _write_csv(out / rewards, columns, map(attrgetter(*columns), logs))
+    rows = zip(
+        range(len(logs)), _float_texts(logs.total_reward), _float_texts(logs.epsilon),
+        logs.steps.tolist(),
+    )
+    _write_csv(out / rewards, ("episode", "total_reward", "epsilon", "steps"), rows)
     return name, sha
 
 

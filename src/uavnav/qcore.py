@@ -65,6 +65,7 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -129,6 +130,14 @@ class EpsilonSchedule:
         if episode < 0:
             raise ValueError("episode must be >= 0")
         return max(self.epsilon_min, self.epsilon0 * self.decay**episode)
+
+    def first(self, n: int) -> np.ndarray:
+        """The rates of episodes 0 to n - 1 as float64, each ``at(e)`` bit
+        for bit: ``x ** e`` is ``pow(x, e)``, float products round alike in
+        numpy, and ``max(lo, y)`` is y only where y > lo."""
+        powers = np.fromiter(map(pow, repeat(self.decay), range(n)), np.float64, n)
+        rates = self.epsilon0 * powers
+        return np.where(rates > self.epsilon_min, rates, self.epsilon_min)
 
 
 def require_table_fits(grid: GridSpec, columns: int) -> None:
@@ -443,7 +452,10 @@ def load(path, data: bytes | None = None) -> QTable:
         occupied, values, meta = _read_members(path, data)
     except CheckpointError:
         raise
-    except (OSError, EOFError, ValueError, KeyError, struct.error, zipfile.BadZipFile) as exc:
+    except (
+        OSError, EOFError, ValueError, KeyError, struct.error, zipfile.BadZipFile,
+        NotImplementedError,  # zipfile: a header asks for a newer zip version
+    ) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     table = _table_from_meta(path, meta)
 

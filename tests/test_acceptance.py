@@ -74,8 +74,8 @@ def matrix():
                 "component_fraction": _start_component_fraction(world),
             }
             if density == 0.05:
-                curves["strategic"][seed] = [l.total_reward for l in slogs]
-                curves["adaptive"][(band, seed)] = [l.total_reward for l in alogs]
+                curves["strategic"][seed] = slogs.total_reward.tolist()
+                curves["adaptive"][(band, seed)] = alogs.total_reward.tolist()
             timings[(density, band, seed)] = time.perf_counter() - t0
     # the band-comparison curves need the high band on the default density
     for seed in SEEDS:
@@ -85,7 +85,7 @@ def matrix():
             world, cfg.link_for_band(2100.0), cfg,
             stream_rng(seed, "train.adaptive.2100"),
         )
-        curves["adaptive"][(2100.0, seed)] = [l.total_reward for l in alogs]
+        curves["adaptive"][(2100.0, seed)] = alogs.total_reward.tolist()
     return {"runs": runs, "curves": curves, "timings": timings}
 
 

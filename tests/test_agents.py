@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from uavnav.agents import (
-    EpisodeLog,
     RewardParams,
-    TerminalCause,
     reward_adaptive,
     reward_strategic,
     train_adaptive,
@@ -134,9 +132,7 @@ def test_train_strategic_learning_signal():
     world = build_world(cfg)
     _, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "t"))
     n = len(logs) // 10
-    first = sum(l.total_reward for l in logs[:n]) / n
-    last = sum(l.total_reward for l in logs[-n:]) / n
-    assert last > first
+    assert logs.total_reward[-n:].mean() > logs.total_reward[:n].mean()
 
 
 def test_train_strategic_reproducible():
@@ -145,9 +141,8 @@ def test_train_strategic_reproducible():
     t1, logs1 = train_strategic(world, cfg, stream_rng(cfg.seed, "t"))
     t2, logs2 = train_strategic(world, cfg, stream_rng(cfg.seed, "t"))
     assert t1 == t2
-    assert [(l.destination, l.total_reward, l.steps) for l in logs1] == [
-        (l.destination, l.total_reward, l.steps) for l in logs2
-    ]
+    for name in ("destination", "total_reward", "steps"):
+        assert np.array_equal(getattr(logs1, name), getattr(logs2, name))
 
 
 def test_train_strategic_validation():
@@ -170,11 +165,11 @@ def test_strategic_reward_bounds():
     world = build_world(cfg)
     _, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "t"))
     rp = cfg.rewards
-    assert sum(log.terminal == TerminalCause.ARRIVED for log in logs) > 0
+    assert logs.arrived.any()
     for log in logs:
         # every step earns r_closer or r_farther, plus r_crash on a crash;
         # the arriving step adds r_arrive
-        arrive = rp.r_arrive if log.terminal == TerminalCause.ARRIVED else 0.0
+        arrive = rp.r_arrive if log.arrived else 0.0
         assert any(
             math.isclose(
                 log.total_reward,
@@ -210,7 +205,7 @@ def test_train_adaptive_reward_bounds_and_replay():
             math.isclose(log.total_reward, k * rp.r_covered + (log.steps - k) * rp.r_outage)
             for k in range(log.steps + 1)
         )
-        assert log.terminal == TerminalCause.ARRIVED or log.steps == cfg.resolved_step_cap()
+        assert log.arrived or log.steps == cfg.resolved_step_cap()
 
 
 def test_train_adaptive_reproducible():
@@ -256,7 +251,7 @@ def test_adaptive_band_learning_speed_ordering():
         _, logs = train_adaptive(
             world, cfg.link_for_band(band), cfg, stream_rng(cfg.seed, f"a{band}")
         )
-        totals = [l.total_reward for l in logs]
+        totals = logs.total_reward.tolist()
         crossings[band] = next(
             (
                 i

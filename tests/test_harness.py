@@ -6,6 +6,7 @@ import math
 import os
 import random
 import signal
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from uavnav.agents import train_adaptive, train_strategic
 from uavnav.arbiter import FlightOutcome
 from uavnav.cli import main as cli_main
 from uavnav.config import (
+    EPISODE_BYTES,
     ConfigError,
     TrainConfig,
     config_from_dict,
@@ -41,7 +43,7 @@ from uavnav.harness import (
     load_artifacts,
     run_flights,
 )
-from uavnav.qcore import FORMAT_VERSION, MAX_TABLE_BYTES, Hyper, QTable
+from uavnav.qcore import FORMAT_VERSION, MAX_TABLE_BYTES, CheckpointError, Hyper, QTable
 from uavnav.qcore import load as load_table
 
 
@@ -467,6 +469,28 @@ def test_evaluate_refuses_planner_of_another_column_layout(tmp_path, capsys):
     assert not (goals / "flights.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["strategic.npz", "adaptive_900.npz"])
+def test_evaluate_refuses_a_checkpoint_of_a_newer_zip_version(tmp_path, capsys, name):
+    # One bit of a central-directory "version needed to extract" field, with
+    # the manifest's hash updated: zipfile raised NotImplementedError, which
+    # reached the command line as a traceback.
+    out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
+    data = bytearray((out / name).read_bytes())
+    end = data.rindex(b"PK\x05\x06")  # the end record, which holds no comment
+    (cd_offset,) = struct.unpack_from("<I", data, end + 16)
+    assert data[cd_offset : cd_offset + 4] == b"PK\x01\x02"
+    data[cd_offset + 6] ^= 0x40
+    (out / name).write_bytes(data)
+    sha = hashlib.sha256(data).hexdigest()
+    _edit_manifest(out, lambda m: {**m, "files": {**m["files"], name: sha}})
+    with pytest.raises(CheckpointError, match="zip file version 8.4"):
+        load_artifacts(out)
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "artifact error:" in err and "Traceback" not in err
+    assert not (out / "flights.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["goal_conditioned", "record_steps"])
 def test_evaluate_refuses_manifest_config_with_retired_field(tmp_path, capsys, name):
     # a run trained while these were config fields has to be retrained
@@ -880,6 +904,23 @@ def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, caps
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "over the 2 GiB limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["episodes_strategic", "episodes_adaptive"])
+def test_config_refuses_episode_records_past_the_memory_limit(tmp_path, capsys, name):
+    # a training job holds EPISODE_BYTES per episode
+    most = MAX_TABLE_BYTES // EPISODE_BYTES
+    TrainConfig(**{name: most})
+    with pytest.raises(ConfigError, match=f"{name} {most + 1:,} .* over the 2 GiB limit"):
+        TrainConfig(**{name: most + 1})
+    # refused at load: a previous run in --out is left as it was
+    out = cmd_train(config_from_dict(TINY_RAW), tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps({**TINY_RAW, name: 10**15}))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("band", ["nan", "inf", "-inf"])

@@ -11,8 +11,9 @@ exploration coin, draw 2t + 1 picks the
 exploring. It steps with ``step`` (one move-table entry), measures
 distances with ``oracles.euclid_cells`` or ``oracles.manhattan_cells``, and
 rewards and updates with ``reward_strategic`` and ``q_update``. Both must
-give the same table, float bits included, and the
-same episode logs, down to the types of their fields. The number of
+give the same table, float bits included, and the same episode logs: each
+column of ``EpisodeLogs`` with its dtype and float bits, and each record it
+yields down to the types of its fields. The number of
 chains below which ``train_strategic`` drains the rest one at a time
 (``DRAIN_SLOTS``) must not change what is trained, whether the lockstep
 runs to the end, hands over mid-run or never runs; the drain must pick up
@@ -45,7 +46,7 @@ from uavnav import agents
 from uavnav.agents import (
     DRAIN_SLOTS,
     EpisodeLog,
-    TerminalCause,
+    EpisodeLogs,
     reward_adaptive,
     reward_strategic,
     train_adaptive,
@@ -119,8 +120,7 @@ def reference_strategic(world, cfg, rng):
             assert pos in missions and pos != dest
         epsilon = cfg.schedule.at(episode)
         col = world.index(dest) if per_destination else 0
-        total, steps = 0.0, 0
-        terminal = TerminalCause.STEP_CAP_HIT
+        total, steps, arrived = 0.0, 0, False
         while steps < cfg.resolved_step_cap():
             coin = splitmix64_uniform(key, 2 * steps)
             u = splitmix64_uniform(key, 2 * steps + 1)
@@ -140,9 +140,9 @@ def reference_strategic(world, cfg, rng):
             steps += 1
             pos = nxt
             if event == StepEvent.ARRIVED_AT_DESTINATION:
-                terminal = TerminalCause.ARRIVED
+                arrived = True
                 break
-        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
+        logs.append(EpisodeLog(episode, dest, total, steps, arrived, epsilon))
     return table, logs, events, ties
 
 
@@ -176,8 +176,7 @@ def reference_adaptive(world, lb, cfg, rng):
         dest = random_free_cell(world, rng, locked)
         while dest == pos:
             dest = random_free_cell(world, rng, locked)
-        total, steps = 0.0, 0
-        terminal = TerminalCause.STEP_CAP_HIT
+        total, steps, arrived = 0.0, 0, False
         while steps < cfg.resolved_step_cap():
             s = (world.index(pos), 0)
             picks[next_pick(table, s, epsilon, rng, candidates)] += 1
@@ -189,9 +188,9 @@ def reference_adaptive(world, lb, cfg, rng):
             steps += 1
             pos = nxt
             if event == StepEvent.ARRIVED_AT_DESTINATION:
-                terminal = TerminalCause.ARRIVED
+                arrived = True
                 break
-        logs.append(EpisodeLog(episode, dest, total, steps, terminal, epsilon))
+        logs.append(EpisodeLog(episode, dest, total, steps, arrived, epsilon))
     return table, logs, picks
 
 
@@ -205,11 +204,37 @@ def typed(value):
     return type(value), value
 
 
+# The dtype of each column of EpisodeLogs.
+COLUMN_DTYPES = {
+    "destination": np.intp,
+    "total_reward": np.float64,
+    "steps": np.intp,
+    "arrived": np.bool_,
+    "epsilon": np.float64,
+}
+
+
 def assert_same_run(got, want):
+    """The same table and logs, float bits included: the loop's log columns
+    against columns built from the reference's records, and the records
+    the columns yield against the reference's."""
     (t_got, logs_got), (t_want, logs_want) = got, want
     assert t_got == t_want
     # float bits, so -0.0 and 0.0 differ
     assert t_got.q.tobytes() == t_want.q.tobytes()
+    assert isinstance(logs_got, EpisodeLogs)
+    assert len(logs_got) == len(logs_want)
+    world_index = {cell: i for i, cell in enumerate(logs_got.cells)}
+    for name, dtype in COLUMN_DTYPES.items():
+        column = getattr(logs_got, name)
+        values = [getattr(log, name) for log in logs_want]
+        if name == "destination":
+            values = [world_index[cell] for cell in values]
+        want_column = np.array(values, dtype=dtype)
+        assert column.dtype == want_column.dtype and column.shape == want_column.shape, name
+        if dtype is np.float64:
+            column, want_column = column.view(np.uint64), want_column.view(np.uint64)
+        assert np.array_equal(column, want_column), name
     assert [typed(dataclasses.astuple(l)) for l in logs_got] == [
         typed(dataclasses.astuple(l)) for l in logs_want
     ]

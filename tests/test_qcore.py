@@ -173,6 +173,29 @@ def test_epsilon_schedule():
         sched.at(-1)
 
 
+# (schedule, episodes): no decay; a floor of 0.0, reached when the power
+# underflows; a floor of -0.0, which max keeps over an underflowed 0.0; a
+# floor first reached near episode 299,600; the two defaults.
+FIRST_RATES = {
+    "no_decay": (EpsilonSchedule(0.7, 0.05, 1.0), 1_000),
+    "zero_floor": (EpsilonSchedule(1.0, 0.0, 1e-3), 1_000),
+    "negative_zero_floor": (EpsilonSchedule(1.0, -0.0, 0.5), 2_000),
+    "late_floor": (EpsilonSchedule(1.0, 0.05, 0.99999), 300_000),
+    "planner_default": (EpsilonSchedule(), 20_000),
+    "coverage_default": (EpsilonSchedule(1.0, 0.5, 0.995), 20_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_RATES))
+def test_epsilon_schedule_first_is_at_bit_for_bit(case):
+    sched, n = FIRST_RATES[case]
+    got = sched.first(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    want = np.array([sched.at(e) for e in range(n)], dtype=np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert sched.first(0).shape == (0,)
+
+
 def _random_table(rng, kind="strategic", n_states=60, grid=GRID):
     """A planner with one column per destination, or a one-column coverage table."""
     t = QTable(kind, grid, Hyper(), 0, columns=grid.n_cells if kind == "strategic" else 1)

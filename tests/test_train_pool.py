@@ -132,23 +132,22 @@ def test_dead_worker_is_an_error_line(tmp_path):
     assert not (tmp_path / "run" / MANIFEST_NAME).exists()
 
 
-# More planner episodes than can be allocated: their 10**15 start cells
-# alone take 7 PiB, past the address space, so the allocation fails even
-# where memory is overcommitted.
-UNALLOCATABLE = {
-    "grid": {"nx": 4, "ny": 4, "nz": 2},
-    "bands_mhz": [1800],
-    "episodes_strategic": 10**15,
-    "episodes_adaptive": 10,
-}
+# An allocation the planner job cannot make: 10**15 start cells take
+# 7 PiB, past the address space, so it fails even where memory is
+# overcommitted. Patched outside harness, so forked workers inherit it.
+UNALLOCATABLE = (
+    "import numpy, uavnav.agents\n"
+    "uavnav.agents._missions = lambda world, cfg, gen: (numpy.full(10**15, 0),) * 2"
+)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_unallocatable_training_is_an_error_line(tmp_path, cpus):
     proc = _train_subprocess(
-        tmp_path, f"harness._usable_cpus = lambda: {cpus}", UNALLOCATABLE
+        tmp_path, f"harness._usable_cpus = lambda: {cpus}\n{UNALLOCATABLE}"
     )
     assert proc.returncode == 1, proc.stderr
+    assert "Unable to allocate" in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "run" / MANIFEST_NAME).exists()
