@@ -204,11 +204,6 @@ def _replace_from_temp(path: Path, write):
     return result
 
 
-def _save_checkpoint(table: QTable, path: Path) -> str:
-    """Write a checkpoint into place; returns its sha256, hashed as it was written."""
-    return _replace_from_temp(path, lambda tmp: save_table(table, tmp))
-
-
 def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> None:
     """``require_mission_cells`` for ``cfg``'s missions, refused as a ``ConfigError``."""
     try:
@@ -240,7 +235,8 @@ def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, st
         rng = stream_rng(cfg.seed, f"train.adaptive.{label}")
         table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
         name, rewards = _adaptive_name(band), f"rewards_adaptive_{label}.csv"
-    sha = _save_checkpoint(table, out / name)
+    # the sha256 of the checkpoint, hashed as it was written
+    sha = _replace_from_temp(out / name, lambda tmp: save_table(table, tmp))
     rows = zip(
         range(len(logs)), _float_texts(logs.total_reward), _float_texts(logs.epsilon),
         logs.steps.tolist(),
@@ -256,7 +252,6 @@ _JOB_CALLEES = {
     "build_world": build_world,
     "train_strategic": train_strategic,
     "train_adaptive": train_adaptive,
-    "_save_checkpoint": _save_checkpoint,
     "save_table": save_table,
     "_write_csv": _write_csv,
 }
@@ -306,10 +301,10 @@ def _run_jobs(cfg: TrainConfig, out: Path, jobs: list[float | None]) -> dict[str
 
 
 def cmd_train(
-    config: TrainConfig | str, out_dir: str | Path, seed: int | None = None
+    config: TrainConfig | str | Path, out_dir: str | Path, seed: int | None = None
 ) -> Path:
     """Train both agents (the adaptive one once per band) into an artifact dir."""
-    cfg = load_config(config) if isinstance(config, str) else config
+    cfg = config if isinstance(config, TrainConfig) else load_config(config)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     world = build_world(cfg)
@@ -494,10 +489,10 @@ def cmd_evaluate(
 
 
 def cmd_coverage(
-    config: TrainConfig | str, band_mhz: float, out_path: str | Path
+    config: TrainConfig | str | Path, band_mhz: float, out_path: str | Path
 ) -> float:
     """Export the per-cell SNR/coverage CSV for one band; returns covered fraction."""
-    cfg = load_config(config) if isinstance(config, str) else config
+    cfg = config if isinstance(config, TrainConfig) else load_config(config)
     if not (math.isfinite(band_mhz) and band_mhz > 0):
         raise ConfigError(f"band must be a positive finite number, got {band_mhz}")
     warn_outside_validity((band_mhz,), cfg.grid)

@@ -43,11 +43,14 @@ A column's entries start in ``values`` at the number of set bits in the
 rows before it. ``save`` writes the zip itself, with fixed timestamps and
 without zip64 (a table of at most ``MAX_TABLE_BYTES`` fits the 32-bit
 sizes), so a table writes the same bytes on every Python, and it returns
-the sha256 of those bytes, hashed as they are written. ``load`` checks
-every member's CRC, the version, dtypes, shapes, padding bits, that the
-number of set bits is the number of values, that every value is finite and
-that none is ``+0.0`` (so a table has one encoding), and raises
-``CheckpointError`` on anything it cannot vouch for. The loaded table
+the sha256 of those bytes, hashed as they are written. ``load`` accepts
+exactly what ``save`` writes: every zip header, every ``.npy`` header and
+the meta text must be the bytes ``save`` writes for them (the zip headers
+are packed by the same two functions, ``_headers`` and ``_directory``, on
+both sides), and it checks every member's CRC, the version, dtypes,
+shapes, padding bits, that the number of set bits is the number of values,
+that every value is finite and that none is ``+0.0`` (so a table has one
+encoding). It raises ``CheckpointError`` on anything else. The loaded table
 keeps the members as views of the bytes it was given: ``column_values``
 reads one column from them, and ``q`` builds the dense array, every bit as
 it was saved, only when something asks for it.
@@ -62,7 +65,6 @@ import json
 import math
 import random
 import struct
-import zipfile
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
@@ -349,16 +351,7 @@ def save(table: QTable, path) -> str:
         occupied[c0:c1] = np.packbits(stored, axis=1)
         # gathering at indices is faster than with the boolean mask
         values.append(block.reshape(-1)[np.flatnonzero(stored)])
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "kind": table.kind,
-        "grid": dataclasses.asdict(table.grid),
-        "hyper": dataclasses.asdict(table.hyper),
-        "seed": table.seed,
-        "columns": table.columns,
-        "f_mhz": table.f_mhz,
-    }
-    meta_array = np.array(json.dumps(meta, sort_keys=True))
+    meta_array = np.array(_meta_text(table))
     n_values = sum(len(v) for v in values)
     return _write_zip(
         path,
@@ -368,6 +361,20 @@ def save(table: QTable, path) -> str:
             ("meta", [_npy_header(meta_array.dtype, ()), meta_array]),
         ),
     )
+
+
+def _meta_text(table: QTable) -> str:
+    """The JSON text of a table's ``meta`` member."""
+    meta = {
+        "format_version": FORMAT_VERSION,
+        "kind": table.kind,
+        "grid": dataclasses.asdict(table.grid),
+        "hyper": dataclasses.asdict(table.hyper),
+        "seed": table.seed,
+        "columns": table.columns,
+        "f_mhz": table.f_mhz,
+    }
+    return json.dumps(meta, sort_keys=True)
 
 
 def _npy_header(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
@@ -390,6 +397,24 @@ _LOCAL_SIG, _CENTRAL_SIG, _END_SIG = 0x04034B50, 0x02014B50, 0x06054B50
 _ZIP_VERSION, _DOS_TIME, _DOS_DATE = 20, 0, (1 << 5) | 1
 
 
+def _headers(name: str, crc: int, size: int, offset: int) -> tuple[bytes, bytes]:
+    """The local file header and the central directory record of the stored
+    member ``name``.npy, whose local header starts at ``offset``."""
+    filename = f"{name}.npy".encode()
+    fields = (_DOS_TIME, _DOS_DATE, crc, size, size, len(filename))
+    local = _LOCAL.pack(_LOCAL_SIG, _ZIP_VERSION, 0, 0, *fields, 0) + filename
+    central = _CENTRAL.pack(_CENTRAL_SIG, _ZIP_VERSION, _ZIP_VERSION, 0, 0, *fields,
+                            0, 0, 0, 0, 0, offset) + filename
+    return local, central
+
+
+def _directory(central: list[bytes], start: int) -> bytes:
+    """The central directory of ``central`` records, starting at ``start``,
+    and the end record after it."""
+    n, size = len(central), sum(map(len, central))
+    return b"".join(central) + _END.pack(_END_SIG, 0, 0, n, n, size, start, 0)
+
+
 def _write_zip(path, members) -> str:
     """Write ``(name, chunks)`` members as an uncompressed zip; returns the
     sha256 of the bytes written.
@@ -402,7 +427,7 @@ def _write_zip(path, members) -> str:
     offset = 0
     with open(path, "wb") as f:
 
-        def put(view: memoryview) -> None:
+        def put(view) -> None:
             nonlocal offset
             f.write(view)
             sha.update(view)
@@ -413,20 +438,12 @@ def _write_zip(path, members) -> str:
             crc, size = 0, 0
             for view in views:
                 crc, size = zlib.crc32(view, crc), size + len(view)
-            filename = f"{name}.npy".encode()
-            fields = (_DOS_TIME, _DOS_DATE, crc, size, size, len(filename))
-            central.append(
-                _CENTRAL.pack(_CENTRAL_SIG, _ZIP_VERSION, _ZIP_VERSION, 0, 0, *fields,
-                              0, 0, 0, 0, 0, offset)
-                + filename
-            )
-            put(_raw(_LOCAL.pack(_LOCAL_SIG, _ZIP_VERSION, 0, 0, *fields, 0) + filename))
+            local, record = _headers(name, crc, size, offset)
+            central.append(record)
+            put(local)
             for view in views:
                 put(view)
-        start = offset
-        for record in central:
-            put(_raw(record))
-        put(_raw(_END.pack(_END_SIG, 0, 0, len(central), len(central), offset - start, start, 0)))
+        put(_directory(central, offset))
     return sha.hexdigest()
 
 
@@ -452,12 +469,11 @@ def load(path, data: bytes | None = None) -> QTable:
         occupied, values, meta = _read_members(path, data)
     except CheckpointError:
         raise
-    except (
-        OSError, EOFError, ValueError, KeyError, struct.error, zipfile.BadZipFile,
-        NotImplementedError,  # zipfile: a header asks for a newer zip version
-    ) as exc:
+    except (OSError, EOFError, ValueError, struct.error) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     table = _table_from_meta(path, meta)
+    if meta.item() != _meta_text(table):
+        raise CheckpointError(f"checkpoint {path}: meta is not the text save writes")
 
     entries = table.grid.n_cells * N_ACTIONS
     shape = (table.columns, (entries + 7) // 8)
@@ -484,42 +500,41 @@ def load(path, data: bytes | None = None) -> QTable:
     return table
 
 
-def _read_members(path, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The members of a checkpoint zip, as views of ``data``."""
-    with zipfile.ZipFile(io.BytesIO(data)) as zf:
-        infos = zf.infolist()
-    names = sorted(info.filename for info in infos)
-    expected = sorted(f"{name}.npy" for name in _MEMBERS)
-    if names != expected:
-        raise CheckpointError(f"checkpoint {path} holds {names}, expected {expected}")
+def _read_members(path, data: bytes) -> list[np.ndarray]:
+    """The members of a checkpoint zip, in ``_MEMBERS`` order, as views of
+    ``data``: every header must be the one ``save`` writes for them."""
     view = memoryview(data)
-    arrays = {}
-    for info in infos:
-        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
-            raise CheckpointError(f"checkpoint {path}: {info.filename} is compressed or encrypted")
-        sig, *_, name_len, extra_len = _LOCAL.unpack_from(data, info.header_offset)
-        if sig != _LOCAL_SIG:
-            raise CheckpointError(f"checkpoint {path}: no local header for {info.filename}")
-        start = info.header_offset + _LOCAL.size + name_len + extra_len
-        member = view[start : start + info.file_size]
-        if len(member) != info.file_size or zlib.crc32(member) != info.CRC:
-            raise CheckpointError(f"checkpoint {path}: {info.filename} fails its CRC check")
-        arrays[info.filename[: -len(".npy")]] = _npy_view(path, info.filename, member)
-    return arrays["occupied"], arrays["values"], arrays["meta"]
+    arrays, central, at = [], [], 0
+    for name in _MEMBERS:
+        crc, size = _LOCAL.unpack_from(data, at)[6:8]
+        local, record = _headers(name, crc, size, at)
+        if view[at : at + len(local)] != local:
+            raise CheckpointError(f"checkpoint {path}: {name}: not the local header save writes")
+        at += len(local)
+        member = view[at : at + size]
+        if len(member) != size or zlib.crc32(member) != crc:
+            raise CheckpointError(f"checkpoint {path}: {name}.npy fails its CRC check")
+        arrays.append(_npy_view(path, name, member))
+        central.append(record)
+        at += size
+    if view[at:] != _directory(central, at):
+        raise CheckpointError(f"checkpoint {path}: not the central directory save writes")
+    return arrays
 
 
 def _npy_view(path, name: str, member: memoryview) -> np.ndarray:
-    """The array a version 1.0 ``.npy`` member holds, as a view of it."""
-    # the header alone is copied to parse it
+    """The array a ``.npy`` member holds, as a view of it; its header must be
+    the one ``save`` writes for that dtype and shape."""
+    # the header alone is copied to parse it, past the magic and version
     header = io.BytesIO(member[: 1 << 16])
-    if np.lib.format.read_magic(header) != (1, 0):
-        raise CheckpointError(f"checkpoint {path}: {name} is not a version 1.0 .npy")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
-    if fortran_order or dtype.hasobject:
-        raise CheckpointError(f"checkpoint {path}: {name} is in Fortran order or holds objects")
+    header.seek(len(np.lib.format.MAGIC_PREFIX) + 2)
+    shape, _, dtype = np.lib.format.read_array_header_1_0(header)
+    if member[: header.tell()] != _npy_header(dtype, shape):
+        raise CheckpointError(f"checkpoint {path}: {name}.npy: not the .npy header save writes")
     count = math.prod(shape)
     if header.tell() + count * dtype.itemsize != len(member):
-        raise CheckpointError(f"checkpoint {path}: {name} does not hold a {shape} {dtype} array")
+        raise CheckpointError(f"checkpoint {path}: {name}.npy does not hold a {shape} {dtype}")
+    # np.frombuffer refuses an object dtype with a ValueError
     return np.frombuffer(member, dtype, count, header.tell()).reshape(shape)
 
 

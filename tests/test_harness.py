@@ -471,24 +471,31 @@ def test_evaluate_refuses_planner_of_another_column_layout(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["strategic.npz", "adaptive_900.npz"])
 def test_evaluate_refuses_a_checkpoint_of_a_newer_zip_version(tmp_path, capsys, name):
-    # One bit of a central-directory "version needed to extract" field, with
-    # the manifest's hash updated: zipfile raised NotImplementedError, which
-    # reached the command line as a traceback.
+    # One bit of a zip header, with the manifest's hash updated. In a central
+    # directory "version needed to extract" field, zipfile raised
+    # NotImplementedError, which reached the command line as a traceback; the
+    # local header's file name, its time and the end record's comment length
+    # were not read at all.
     out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
-    data = bytearray((out / name).read_bytes())
-    end = data.rindex(b"PK\x05\x06")  # the end record, which holds no comment
-    (cd_offset,) = struct.unpack_from("<I", data, end + 16)
-    assert data[cd_offset : cd_offset + 4] == b"PK\x01\x02"
-    data[cd_offset + 6] ^= 0x40
-    (out / name).write_bytes(data)
-    sha = hashlib.sha256(data).hexdigest()
-    _edit_manifest(out, lambda m: {**m, "files": {**m["files"], name: sha}})
-    with pytest.raises(CheckpointError, match="zip file version 8.4"):
-        load_artifacts(out)
-    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
-    err = capsys.readouterr().err
-    assert "artifact error:" in err and "Traceback" not in err
-    assert not (out / "flights.csv").exists()
+    saved = (out / name).read_bytes()
+    end = saved.rindex(b"PK\x05\x06")  # the end record, which holds no comment
+    (cd_offset,) = struct.unpack_from("<I", saved, end + 16)
+    assert saved[cd_offset : cd_offset + 4] == b"PK\x01\x02"
+    # the central version needed, the local file name, the local DOS time and
+    # the end record's comment length
+    for at, where in ((cd_offset + 6, "central directory"), (30, "local header"),
+                      (10, "local header"), (len(saved) - 2, "central directory")):
+        data = bytearray(saved)
+        data[at] ^= 0x40
+        (out / name).write_bytes(data)
+        sha = hashlib.sha256(data).hexdigest()
+        _edit_manifest(out, lambda m: {**m, "files": {**m["files"], name: sha}})
+        with pytest.raises(CheckpointError, match=f"{where} .*save"):
+            load_artifacts(out)
+        assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "artifact error:" in err and "Traceback" not in err
+        assert not (out / "flights.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["goal_conditioned", "record_steps"])
@@ -585,6 +592,19 @@ def test_coverage_csv(tmp_path):
     assert frac900 >= frac2100
     with pytest.raises(ConfigError):
         cmd_coverage(cfg, -5.0, tmp_path / "bad.csv")
+
+
+def test_commands_read_a_config_path(tmp_path):
+    # a config named by a Path, as by a str, is read from that file
+    cfg = TrainConfig(**{**SMALL, "bands_mhz": (900.0,)})
+    write_config(cfg, tmp_path / "c.json")
+    for config in (tmp_path / "c.json", str(tmp_path / "c.json")):
+        out = cmd_train(config, tmp_path / "run")
+        assert load_artifacts(out)[0] == cfg
+        assert cmd_coverage(config, 900.0, tmp_path / "cov.csv") == cmd_coverage(
+            cfg, 900.0, tmp_path / "cov_cfg.csv"
+        )
+        assert (tmp_path / "cov.csv").read_bytes() == (tmp_path / "cov_cfg.csv").read_bytes()
 
 
 def test_coverage_single_cell_at_bs(tmp_path):

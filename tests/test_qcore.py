@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from uavnav import qcore
 from uavnav.gridworld import ACTIONS, Action, GridSpec
 from uavnav.qcore import (
     FORMAT_VERSION,
@@ -305,13 +307,17 @@ def _members(table, path):
 
 
 def _write_zip(path, members):
-    """A checkpoint zip built by hand, so any member can be malformed."""
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, array in members.items():
-            if isinstance(array, dict):
-                array = np.array(json.dumps(array))
-            with zf.open(f"{name}.npy", "w") as f:
-                np.lib.format.write_array(f, np.asarray(array), allow_pickle=True)
+    """A checkpoint built by hand, so any member can be malformed: each
+    member is ``np.save``'s bytes, in the zip layout ``save`` writes, so a
+    malformed member reaches the checks of its contents."""
+    chunks = []
+    for name, array in members.items():
+        if isinstance(array, dict):
+            array = np.array(json.dumps(array))
+        npy = io.BytesIO()
+        np.lib.format.write_array(npy, np.asarray(array), allow_pickle=True)
+        chunks.append((name, [npy.getvalue()]))
+    qcore._write_zip(path, chunks)
 
 
 def _write_members(path, occupied, values, meta):
@@ -467,6 +473,9 @@ _CORRUPTIONS = {
     "meta_no_seed": lambda o, v, m: (o, v, {x: m[x] for x in m if x != "seed"}),
     "meta_float_grid": lambda o, v, m: (o, v, {**m, "grid": {**m["grid"], "nx": 3.0}}),
     "meta_text_band": lambda o, v, m: (o, v, {**m, "f_mhz": "900"}),
+    # a key of format v3, and the hyper keys out of save's sorted order
+    "meta_extra_key": lambda o, v, m: (o, v, {**m, "goal_conditioned": True}),
+    "meta_reordered": lambda o, v, m: (o, v, {**m, "hyper": dict(reversed(m["hyper"].items()))}),
 }
 
 
@@ -516,6 +525,43 @@ def test_load_rejects_corrupt_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-40])  # truncated
     with pytest.raises(CheckpointError):
         load(path)
+
+
+def _mutants(data, rng, n):
+    """``n`` seeded mutants of ``data``, each one byte set, one truncation,
+    one inserted byte or one flipped bit."""
+    for _ in range(n):
+        b = bytearray(data)
+        at, op = rng.randrange(len(b)), rng.randrange(4)
+        if op == 0:
+            b[at] = rng.randrange(256)
+        elif op == 1:
+            del b[at:]
+        elif op == 2:
+            b.insert(at, rng.randrange(256))
+        else:
+            b[at] ^= 1 << rng.randrange(8)
+        yield bytes(b)
+
+
+def test_load_accepts_only_the_bytes_save_writes(tmp_path):
+    # A mutant is refused, or it is read as a table that saves to the same
+    # bytes: load reads no file that save would not write.
+    rng = random.Random(0)
+    for kind in ("strategic", "adaptive"):
+        t = _random_table(random.Random(4), kind=kind, n_states=6, grid=ODD_GRID)
+        save(t, tmp_path / "t.npz")
+        data = (tmp_path / "t.npz").read_bytes()
+        refused = 0
+        for b in _mutants(data, rng, 3000):
+            try:
+                back = load("mutant.npz", b)
+            except CheckpointError:
+                refused += 1
+                continue
+            save(back, tmp_path / "back.npz")
+            assert (tmp_path / "back.npz").read_bytes() == b
+        assert refused > 2900
 
 
 def test_lookup_default_zero():
