@@ -12,14 +12,7 @@ from .agents import (
     train_adaptive,
     train_strategic,
 )
-from .arbiter import (
-    FlightOutcome,
-    FlightRecord,
-    TieMasks,
-    decide,
-    execute_flight,
-    greedy_trajectory,
-)
+from .arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
 from .config import ConfigError, TrainConfig, load_config, seed_stream, stream_rng
 from .gridworld import (
     ACTIONS,
@@ -44,13 +37,7 @@ from .harness import (
     compute_metrics,
     run_flights,
 )
-from .qcore import (
-    CheckpointError,
-    EpsilonSchedule,
-    Hyper,
-    QTable,
-    q_update,
-)
+from .qcore import CheckpointError, EpsilonSchedule, Hyper, QTable
 from .qcore import load as load_qtable
 from .qcore import save as save_qtable
 from .radio import (

@@ -21,7 +21,9 @@ cap aborts episodes that would otherwise wander unboundedly.
 
 Both loops are written for speed. They step through the world's move
 table (``GridWorld.moves``) and compute the rewards inline; both apply
-``qcore.bootstrap``, the update ``q_update`` applies.
+``qcore.bootstrap``. Each is held to a step-by-step loop built from the
+references in ``tests/reference.py`` (``q_update``, ``greedy_action``,
+``epsilon_at``).
 
 The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
@@ -33,12 +35,11 @@ step one batch of numpy operations on flat views of the dense
 update. When only a few chains are left (``DRAIN_SLOTS``), it drains them:
 their episodes run one after another as a scalar loop on Python lists, so
 fixed-destination training, which has one destination, runs there
-throughout. Its choices are epsilon-greedy with uniform ties, as
-``greedy_action`` breaks them, and its updates round as ``q_update``'s do;
-a test runs the episodes one after another, picking each action from the
-episode's random stream and stepping one move-table entry at a time
-through ``reward_strategic`` and ``q_update``, and gets the same table and
-logs bit for bit, whatever the drain's threshold.
+throughout. Its choices are epsilon-greedy with uniform ties; a test runs
+the episodes one after another, picking each action from the episode's
+random stream and stepping one move-table entry at a time through
+``reward_strategic`` and the reference ``q_update``, and gets the same
+table and logs bit for bit, whatever the drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -48,9 +49,9 @@ reward of every cell computed once per band from the band's
 held (on band-flights, about 92 % of them), so it keeps each row's max and
 argmax ties beside the row and recomputes them only when an update changes
 a value. Its choices and updates are those of an epsilon-greedy pick
-through ``greedy_action``, one move-table step, ``reward_adaptive`` and
-``q_update``, RNG draws included, and a test replays it against a loop
-built from those calls.
+through the reference ``greedy_action``, one move-table step,
+``reward_adaptive`` and the reference ``q_update``, RNG draws included, and
+a test replays it against a loop built from those calls.
 It takes each pick of one of n (an explored candidate, or one of two or
 more tied maximizers) straight from the generator, as ``rng.randrange(n)``
 draws it without its Python-level wrapper: ``getrandbits(k)`` for
@@ -58,7 +59,7 @@ k = n.bit_length(), drawn again while it is n or more. The same words of
 the same Mersenne Twister are drawn, so the generator ends in the same
 state.
 Reward constants are finite by construction (``RewardParams`` rejects
-anything else), so the loops skip ``q_update``'s finiteness check.
+anything else), so no update checks its reward.
 
 Both loops return their per-episode bookkeeping as columns
 (``EpisodeLogs``): one array each of destinations, total rewards, steps,
@@ -498,10 +499,10 @@ def train_adaptive(
     bootstrap reads (under ``altitude_locked`` the never-written z actions
     still count), and its argmax ties among the candidates, in candidate
     order (``qcore.argmax_ties``). Both are recomputed only when an update
-    changes the row's value. A greedy step picks from the cached ties as
-    ``greedy_action`` picks from fresh ones, drawing only for two or more,
-    so the table, the logs and the random draws are those of the uncached
-    loop. Every pick of one of n draws what ``rng.randrange(n)`` draws,
+    changes the row's value. A greedy step picks from the cached ties, as
+    the reference ``greedy_action`` picks from fresh ones, drawing only for
+    two or more, so the table, the logs and the random draws are those of
+    the uncached loop. Every pick of one of n draws what ``rng.randrange(n)`` draws,
     through ``rng.getrandbits`` (see the module docstring).
     """
     table = QTable(
@@ -558,7 +559,7 @@ def train_adaptive(
                     i = getrandbits(k_candidates)
                 a = candidates[i]
             else:
-                # greedy_action's pick, from the cached ties
+                # a uniform pick among the cached ties
                 best = ties[at]
                 n_ties = len(best)
                 if n_ties == 1:

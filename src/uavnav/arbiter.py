@@ -15,23 +15,20 @@ scales, as the underlying rule prescribes: ``agents.RewardParams`` sets
 them a decade apart so that it defers to the planner except where coverage
 is in question.
 
-``decide`` is the one-step reference of that rule: it reads both rows,
-applies the candidate rule (the safety filter, from the world's per-cell
-safe-action sets, and ``allowed``), takes each argmax with
-``qcore.greedy_action``, the tie-break rule training uses, and compares
-on a disagreement. A flight looks the same decisions up instead: the
-tables are frozen, so under a fixed candidate rule every row's argmax ties
+A flight looks each decision up instead of recomputing it: the tables
+are frozen, so under a fixed candidate rule (the safety filter, from the
+world's per-cell safe-action sets, then ``allowed``) every row's argmax ties
 are fixed. ``TieMasks`` holds them as 6-bit masks, beside the values a
 disagreement compares, filling the planner's one column at a time, the
 first time a destination of that column is flown. A step decodes both
-masks to their ties in ascending action order, the order ``decide`` lists
-its candidates in, and draws a pick only when two or more actions tie,
-planner first and coverage agent second, as ``decide`` does. It draws a
-pick of one of n as ``rng.randrange(n)`` does, without that call's
+masks to their ties in ascending action order and draws a pick only when
+two or more actions tie, planner first and coverage agent second. It draws
+a pick of one of n as ``rng.randrange(n)`` does, without that call's
 Python-level wrapper: ``getrandbits(k)`` for k = n.bit_length(), drawn
-again while it is n or more. The same random numbers are drawn in the
-same order, so a flight is bit-identical to stepping ``decide``; the
-replay tests hold every step to it.
+again while it is n or more. ``decide`` in ``tests/reference.py`` is the
+same rule taken one step at a time, each argmax recomputed from the rows
+and picked with ``randrange``; the replay tests hold every flight step to
+it, random draws included.
 
 ``execute_flight`` takes the ``TieMasks`` of the world, the planner and
 the candidate rule it flies under, and returns the ``FlightRecord`` the
@@ -52,7 +49,7 @@ from functools import reduce
 import numpy as np
 
 from .gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
-from .qcore import N_ACTIONS, TIES, QTable, greedy_action
+from .qcore import N_ACTIONS, TIES, QTable
 from .radio import CoverageMap
 
 
@@ -127,12 +124,12 @@ class TieMasks:
     action ``a``, and the values a disagreement compares.
 
     Built for one world and one frozen planner table under one candidate
-    rule, ``safety`` and ``allowed`` as ``decide`` applies them; ``allowed``
-    must list distinct actions in ascending order, as ``ACTIONS`` and
-    ``ACTIONS_XY`` do. The compared values are the tables' own. The
-    planner's masks are one ``bytes`` per column, one byte per cell, shared
-    by all bands; a column's masks are computed, and its values read, the
-    first time it is flown. A coverage table's masks, one per cell of its
+    rule, ``safety`` and ``allowed``; ``allowed`` must list distinct
+    actions in ascending order, as ``ACTIONS`` and ``ACTIONS_XY`` do. The
+    compared values are the tables' own. The planner's masks are one
+    ``bytes`` per column, one byte per cell, shared by all bands; a
+    column's masks are computed, and its values read, the first time it is
+    flown. A coverage table's masks, one per cell of its
     one column, are decoded, and its rows listed, the first time that table
     is flown. No table may change while its masks are in use. A coverage
     table is checked against the world's grid, and for its one column, the
@@ -189,38 +186,6 @@ class TieMasks:
         return hit[1:]
 
 
-def decide(
-    q_strategic: QTable,
-    q_adaptive: QTable,
-    s_pos: Cell,
-    dest: Cell,
-    safety: bool,
-    world: GridWorld,
-    rng: random.Random,
-    allowed: tuple[Action, ...] = ACTIONS,
-) -> Action:
-    """Pick the next action from the two tables' preferences at s_pos.
-
-    Both tables and both cells must be on the world's grid (else
-    ``ValueError``): rows are read from the dense arrays by flat cell index,
-    and the index of an off-grid cell would alias a cell inside the grid.
-    """
-    _require_grid(world, q_strategic, q_adaptive)
-    _require_coverage(q_adaptive)
-    for c in (s_pos, dest):
-        if not world.spec.in_bounds(c):
-            raise ValueError(f"cell {c} lies outside the grid")
-    at = world.index(s_pos)
-    candidates = _candidates(world.safe_actions[at], safety, allowed)
-    row_s = q_strategic.q[at, q_strategic.column(world.index(dest))].tolist()
-    row_a = q_adaptive.q[at, 0].tolist()
-    a1 = greedy_action(row_s, candidates, rng)
-    a2 = greedy_action(row_a, candidates, rng)
-    if a1 == a2:
-        return a1
-    return a2 if row_s[a2] > row_a[a1] else a1
-
-
 def execute_flight(
     masks: TieMasks,
     q_adaptive: QTable,
@@ -272,8 +237,8 @@ def execute_flight(
     while steps < step_cap:
         a = enter(at)
         if a is None:
-            # decide(), draw for draw: the planner's ties, then the coverage
-            # agent's, each picked as randrange(n) draws (see the module docstring)
+            # the planner's ties, then the coverage agent's, each picked as
+            # randrange(n) draws (see the module docstring)
             ties = TIES[plan[at]]
             n = len(ties)
             if n == 1:
@@ -318,42 +283,3 @@ def execute_flight(
         min_snr_db=min_snr,
         flight_time_s=steps * (world.spec.cell_size_m / velocity_ms),
     )
-
-
-def greedy_trajectory(
-    table: QTable,
-    world: GridWorld,
-    dest: Cell,
-    step_cap: int,
-    rng: random.Random | None = None,
-) -> tuple[list[Cell], FlightOutcome]:
-    """Roll out a single table's greedy policy.
-
-    The trajectory lists distinct positions in visit order (a step blocked
-    at the boundary burns a step without adding a cell). All six actions
-    are candidates: no safety filter, no coverage table and no delivery
-    override. Ties are read from the same masks a flight uses.
-    """
-    _require_destination(world, dest)
-    _require_grid(world, table)
-    if rng is None:
-        rng = random.Random(0)
-    randrange = rng.randrange
-    moves, cells = world.moves, world.cells
-    at, goal = world.index(world.start_cell), world.index(dest)
-    plan, _ = TieMasks(world, table, safety=False).planner(goal)
-    trajectory = [world.start_cell]
-    steps = 0
-    while steps < step_cap:
-        ties = TIES[plan[at]]
-        a = ties[0] if len(ties) == 1 else ties[randrange(len(ties))]
-        to, event = moves[at][a]
-        steps += 1
-        if to != at:
-            trajectory.append(cells[to])
-        at = to
-        if event is StepEvent.CRASHED_INTO_OBSTACLE:
-            return trajectory, FlightOutcome.CRASHED
-        if to == goal and event is StepEvent.MOVED:
-            return trajectory, FlightOutcome.ARRIVED
-    return trajectory, FlightOutcome.STEP_CAP_HIT

@@ -6,9 +6,8 @@ one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
 ``qcore`` format v6, a per-episode reward CSV per agent, and a manifest.
 The manifest embeds the resolved config (so evaluation can rebuild the
 identical world), its sha256 (``config_sha256``) and, under ``files``, the
-sha256 of every checkpoint. Checkpoints and manifest are written to a
-temporary file and renamed into place. Rerunning with the same config and
-seed reproduces every artifact byte for byte; only the manifest timestamp
+sha256 of every checkpoint. Rerunning with the same config and seed
+reproduces every artifact byte for byte; only the manifest timestamp
 differs.
 
 The planner and each band's coverage agent train in independent jobs: each
@@ -18,8 +17,11 @@ worker processes, one per usable CPU of the process, so the bytes do not
 depend on the worker count. They run in-process when the process has one
 CPU, and also when a caller has replaced one of the functions in this
 module that do a job's work (a test double, a tracer): the replacement then
-sees every call, in the caller's process. The manifest is written only after
-every job has returned; a run that fails leaves none.
+sees every call, in the caller's process. The jobs write into a private
+temporary directory inside the artifact directory. Only after every job
+has returned are their files renamed into place, the manifest last; a run
+that fails removes the temporary directory and leaves the artifact
+directory as it found it, a previous run's manifest included.
 
 Every text file is written by one of two helpers. ``_write_csv`` writes a
 CSV as ``csv.writer`` does (unquoted fields, floats as their ``repr``, rows
@@ -52,6 +54,7 @@ import math
 import os
 import random
 import sys
+import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -79,13 +82,18 @@ from .gridworld import (
     random_free_cell,
     require_mission_cells,
 )
-from .qcore import FORMAT_VERSION, QTable
+from .qcore import FORMAT_VERSION, MAX_TABLE_BYTES, QTable
 from .qcore import load as load_table
 from .qcore import save as save_table
 from .radio import coverage_map, warn_outside_validity
 
 MANIFEST_NAME = "manifest.json"
 STRATEGIC_NAME = "strategic.npz"
+# The bytes evaluation holds per flight: its FlightRecord and what the
+# report and the flight CSV build from it. Measured with tracemalloc, as the
+# growth of cmd_evaluate's peak from 20,000 to 60,000 flights on a
+# 4 x 4 x 2, one-band run: 232, rounded up.
+FLIGHT_BYTES = 240
 
 
 class ArtifactError(ValueError):
@@ -189,21 +197,6 @@ def _adaptive_name(band_mhz: float) -> str:
     return f"adaptive_{band_label(band_mhz)}.npz"
 
 
-def _replace_from_temp(path: Path, write):
-    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it over
-    ``path``; returns what ``write`` returned.
-
-    A reader never sees a half-written file under the final name.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        result = write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return result
-
-
 def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> None:
     """``require_mission_cells`` for ``cfg``'s missions, refused as a ``ConfigError``."""
     try:
@@ -235,8 +228,7 @@ def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, st
         rng = stream_rng(cfg.seed, f"train.adaptive.{label}")
         table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
         name, rewards = _adaptive_name(band), f"rewards_adaptive_{label}.csv"
-    # the sha256 of the checkpoint, hashed as it was written
-    sha = _replace_from_temp(out / name, lambda tmp: save_table(table, tmp))
+    sha = save_table(table, out / name)
     rows = zip(
         range(len(logs)), _float_texts(logs.total_reward), _float_texts(logs.epsilon),
         logs.steps.tolist(),
@@ -312,22 +304,24 @@ def cmd_train(
     _require_missions(cfg, world, 2 if episodes > 1 else 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # A manifest only ever lists checkpoints of the run that wrote it.
-    (out / MANIFEST_NAME).unlink(missing_ok=True)
     warn_outside_validity(cfg.bands_mhz, cfg.grid)
-    files = _run_jobs(cfg, out, [None, *cfg.bands_mhz])
-
-    manifest = {
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "tool_version": __version__,
-        "checkpoint_format_version": FORMAT_VERSION,
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.config_hash(),
-        "files": files,
-    }
-    text = _json_text(manifest)
-    _replace_from_temp(out / MANIFEST_NAME, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    with tempfile.TemporaryDirectory(prefix=".train-", dir=out) as tmp:
+        staged = Path(tmp)
+        files = _run_jobs(cfg, staged, [None, *cfg.bands_mhz])
+        manifest = {
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "tool_version": __version__,
+            "checkpoint_format_version": FORMAT_VERSION,
+            "seed": cfg.seed,
+            "config": cfg.to_dict(),
+            "config_sha256": cfg.config_hash(),
+            "files": files,
+        }
+        # the manifest last: it is in place only once the files it lists are
+        for path in list(staged.iterdir()):
+            os.replace(path, out / path.name)
+        (staged / MANIFEST_NAME).write_text(_json_text(manifest), encoding="utf-8")
+        os.replace(staged / MANIFEST_NAME, out / MANIFEST_NAME)
     return out
 
 
@@ -471,6 +465,13 @@ def cmd_evaluate(
         raise ValueError("n_flights must be >= 0")
     art = Path(artifact_dir)
     cfg, strategic, adaptive = load_artifacts(art)
+    need = n_flights * len(adaptive) * FLIGHT_BYTES
+    if need > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"{n_flights:,} flights on each of {len(adaptive)} band(s) need {need:,} bytes "
+            f"of flight records ({FLIGHT_BYTES} per flight), over the 2 GiB limit "
+            f"({MAX_TABLE_BYTES:,} bytes)"
+        )
     warn_outside_validity(sorted(adaptive), cfg.grid)  # the order run_flights flies
     world = build_world(cfg)
     records = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)

@@ -17,14 +17,13 @@ The update is the standard one-step bootstrap
 and action selection is epsilon-greedy with uniform random tie-breaking
 among maximizers, so the symmetric grid picks up no directional bias.
 ``bootstrap`` holds the update arithmetic, for Python floats and numpy
-arrays alike, ``argmax_ties`` the tie rule and ``greedy_action`` the
-argmax with random ties, a uniform pick from ``argmax_ties``.
-``q_update`` is built on them; so are the coverage agent's loop, which
-caches each row's ties, and the flight arbiter, and the planner's lockstep
-loop in ``agents`` applies ``bootstrap`` to a whole batch of episodes at
-once. ``TIES`` decodes a set of actions held as a
-6-bit mask, the form in which the flight arbiter and the planner's
-lockstep loop keep tie sets.
+arrays alike, and ``argmax_ties`` the tie rule. The coverage agent's loop
+caches each row's ties from ``argmax_ties``, the planner's lockstep loop in
+``agents`` applies ``bootstrap`` to a whole batch of episodes at once, and
+``TIES`` decodes a set of actions held as a 6-bit mask, the form in which
+the flight arbiter and the planner's lockstep loop keep tie sets. The
+single-entry update and the argmax with random ties, taken one step at a
+time, are the references in ``tests/reference.py``.
 
 A checkpoint (format v6, ``save``/``load``) is an uncompressed zip of three
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
@@ -63,7 +62,6 @@ import hashlib
 import io
 import json
 import math
-import random
 import struct
 import zlib
 from dataclasses import dataclass
@@ -127,16 +125,11 @@ class EpsilonSchedule:
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
 
-    def at(self, episode: int) -> float:
-        """Exploration rate for an episode index (non-increasing)."""
-        if episode < 0:
-            raise ValueError("episode must be >= 0")
-        return max(self.epsilon_min, self.epsilon0 * self.decay**episode)
-
     def first(self, n: int) -> np.ndarray:
-        """The rates of episodes 0 to n - 1 as float64, each ``at(e)`` bit
-        for bit: ``x ** e`` is ``pow(x, e)``, float products round alike in
-        numpy, and ``max(lo, y)`` is y only where y > lo."""
+        """The rates of episodes 0 to n - 1 as float64: episode e's is
+        ``max(epsilon_min, epsilon0 * decay ** e)`` bit for bit, since
+        ``x ** e`` is ``pow(x, e)``, float products round alike in numpy, and
+        ``max(lo, y)`` is y only where y > lo."""
         powers = np.fromiter(map(pow, repeat(self.decay), range(n)), np.float64, n)
         rates = self.epsilon0 * powers
         return np.where(rates > self.epsilon_min, rates, self.epsilon_min)
@@ -291,24 +284,6 @@ def bootstrap(q, r, max_next, alpha: float, gamma: float):
     return (1.0 - alpha) * q + alpha * (r + gamma * max_next)
 
 
-def q_update(
-    table: QTable, s: tuple[int, int], a: Action, r: float, s_next: tuple[int, int], h: Hyper
-) -> float:
-    """One bootstrapped update of Q(s, a); returns the stored value.
-
-    ``s`` and ``s_next`` are (cell, column) pairs of flat indices.
-    """
-    if not math.isfinite(r):
-        raise ValueError(f"reward must be finite, got {r}")
-    q = table.q
-    # max_a' Q(s', a') is read before the write: s' may be s
-    max_next = float(q[s_next].max())
-    row = q[s]
-    new = bootstrap(float(row[a]), r, max_next, h.alpha, h.gamma)
-    row[a] = new
-    return new
-
-
 # TIES[m]: the actions whose bit is set in the tie mask m, ascending. A set
 # of actions as a mask has bit a for action a.
 TIES: tuple[tuple[int, ...], ...] = tuple(
@@ -320,19 +295,6 @@ def argmax_ties(row: Sequence[float], candidates: Sequence[Action]) -> list[Acti
     """The candidates with the highest value in ``row``, in candidate order."""
     best = max([row[a] for a in candidates])
     return [a for a in candidates if row[a] == best]
-
-
-def greedy_action(
-    row: Sequence[float], candidates: Sequence[Action], rng: random.Random
-) -> Action:
-    """The candidate with the highest value in ``row``, ties broken uniformly.
-
-    ``rng`` is drawn from only when two or more candidates tie.
-    """
-    ties = argmax_ties(row, candidates)
-    if len(ties) == 1:
-        return ties[0]
-    return ties[rng.randrange(len(ties))]
 
 
 def save(table: QTable, path) -> str:

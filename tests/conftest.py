@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-# Make tests/oracles.py importable regardless of how pytest was invoked.
+# Make tests/oracles.py and tests/reference.py importable regardless of how
+# pytest was invoked.
 sys.path.insert(0, str(Path(__file__).parent))
 
 from uavnav.radio import HataValidityWarning

@@ -15,14 +15,15 @@ from collections import deque
 import pytest
 
 from uavnav.agents import train_adaptive, train_strategic
-from uavnav.arbiter import FlightOutcome, decide, greedy_trajectory
+from uavnav.arbiter import FlightOutcome
 from uavnav.config import TrainConfig, stream_rng
 from uavnav.gridworld import ACTION_DELTAS, ACTIONS, GridSpec, build, random_free_cell
 from uavnav.harness import build_world, cmd_train, compute_metrics, run_flights
-from uavnav.qcore import Hyper, QTable, q_update
+from uavnav.qcore import Hyper, QTable
 from uavnav.radio import LinkBudget, path_loss_db
 
 from oracles import alg3_choice, bfs_shortest_len, cost231_path_loss
+from reference import decide, greedy_trajectory, q_update
 
 SEEDS = (12, 13, 14)
 SCENARIOS = ((0.05, 900.0), (0.15, 1800.0), (0.30, 2100.0))

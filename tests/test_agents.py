@@ -12,13 +12,14 @@ from uavnav.agents import (
     train_adaptive,
     train_strategic,
 )
-from uavnav.arbiter import FlightOutcome, greedy_trajectory
+from uavnav.arbiter import FlightOutcome
 from uavnav.config import ConfigError, TrainConfig, stream_rng
 from uavnav.gridworld import ACTIONS, GridSpec, StepEvent
 from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule
 
 from oracles import bfs_shortest_len
+from reference import greedy_action, greedy_trajectory
 
 # Reward constants from the examples this suite checks against.
 RP = RewardParams(r_closer=1.0, r_farther=-1.0, r_crash=-100.0, r_arrive=100.0,
@@ -223,7 +224,6 @@ def test_adaptive_greedy_stays_covered_near_bs():
     # next to the BS column keeps to covered cells: everything near the
     # column clears the threshold and the learned values avoid the border
     # ring. Uses the coverage map as the oracle.
-    from uavnav.qcore import greedy_action
     from uavnav.radio import coverage_map
 
     cfg = TrainConfig(seed=12, obstacle_density=0.0, episodes_adaptive=4000)

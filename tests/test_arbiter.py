@@ -6,14 +6,7 @@ import pytest
 
 import numpy as np
 
-from uavnav.arbiter import (
-    FlightOutcome,
-    TieMasks,
-    _tie_masks,
-    decide,
-    execute_flight,
-    greedy_trajectory,
-)
+from uavnav.arbiter import FlightOutcome, TieMasks, _tie_masks, execute_flight
 from uavnav.config import TrainConfig, stream_rng
 from uavnav.gridworld import (
     ACTION_DELTAS,
@@ -26,10 +19,11 @@ from uavnav.gridworld import (
     build,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import N_ACTIONS, Hyper, QTable, greedy_action
+from uavnav.qcore import N_ACTIONS, Hyper, QTable
 from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
+from reference import decide, greedy_action, greedy_trajectory
 
 GRID = GridSpec()
 EMPTY_WORLD = build(GRID, 0.0, seed=1, bs_xy=(10, 10, 0))
@@ -242,8 +236,6 @@ def test_rollouts_reject_destination_outside_grid():
     qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     qa = QTable("adaptive", GRID, Hyper(), 0)
     off_grid = (0, GRID.ny, 0)
-    with pytest.raises(ValueError, match="outside the grid"):
-        greedy_trajectory(qs, EMPTY_WORLD, off_grid, 10)
     cmap = coverage_map(TrainConfig().link, EMPTY_WORLD)
     with pytest.raises(ValueError, match="outside the grid"):
         execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, off_grid, 10)
@@ -258,59 +250,47 @@ def test_execute_flight_rejects_map_of_another_grid():
         execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, (3, 3, 1), 10)
 
 
+def test_flight_refuses_tables_of_another_grid():
+    # a 3 x 3 x 2 table in a 4 x 4 x 2 world: its rows would be read at
+    # aliased or missing flat indices
+    world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
+    small, spec = GridSpec(nx=3, ny=3, nz=2), world.spec
+    with pytest.raises(ValueError, match="Q-table grid"):
+        TieMasks(world, QTable("strategic", small, Hyper(), 0, columns=small.n_cells))
+    masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
+    cmap = coverage_map(TrainConfig().link, world)
+    with pytest.raises(ValueError, match="Q-table grid"):
+        execute_flight(masks, QTable("adaptive", small, Hyper(), 0), cmap, (3, 3, 1), 10)
+
+
 def test_greedy_trajectory_refuses_table_of_another_grid():
     # a 3 x 3 x 2 table in a 4 x 4 x 2 world: (2, 2, 1) used to fly aliased
-    # rows and (3, 3, 1) to die with a bare IndexError
+    # rows and (3, 3, 1) to die with a bare IndexError; the refusal is that
+    # of the planner masks a flight reads
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     spec = GridSpec(nx=3, ny=3, nz=2)
     small = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
     for dest in ((2, 2, 1), (3, 3, 1)):
         with pytest.raises(ValueError, match="Q-table grid"):
-            greedy_trajectory(small, world, dest, 10)
+            greedy_trajectory(small, world, dest, 10, random.Random(0))
 
 
-def test_greedy_trajectory_refuses_start_or_obstacle_destination():
+def test_execute_flight_refuses_start_or_obstacle_destination():
     spec = GridSpec(nx=4, ny=4, nz=2)
     world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0))
-    table = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
+    masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
+    qa = QTable("adaptive", spec, Hyper(), 0)
+    cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="start cell"):
-        greedy_trajectory(table, world, (0, 0, 0), 10)
+        execute_flight(masks, qa, cmap, (0, 0, 0), 10)
     with pytest.raises(ValueError, match="obstacle"):
-        greedy_trajectory(table, world, (1, 1, 0), 10)
+        execute_flight(masks, qa, cmap, (1, 1, 0), 10)
 
 
-def test_decide_refuses_tables_of_another_grid():
-    # used to die with a bare IndexError (index 31, size 18)
-    world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    small, spec = GridSpec(nx=3, ny=3, nz=2), world.spec
-    pairs = (
-        (QTable("strategic", small, Hyper(), 0, columns=small.n_cells),
-         QTable("adaptive", spec, Hyper(), 0)),
-        (QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells),
-         QTable("adaptive", small, Hyper(), 0)),
-    )
-    for qs, qa in pairs:
-        with pytest.raises(ValueError, match="Q-table grid"):
-            decide(qs, qa, (3, 3, 1), (1, 0, 0), True, world, random.Random(0))
-
-
-def test_decide_refuses_cells_outside_the_grid():
-    # (0, 4, 0) used to read the row of (1, 0, 0); (3, 3, 2) to die with a bare IndexError
-    world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    qa = QTable("adaptive", world.spec, Hyper(), 0)
-    for pos, dest in (((0, 0, 0), (0, 4, 0)), ((3, 3, 2), (1, 1, 1)), ((0, 4, 1), (1, 1, 1))):
-        with pytest.raises(ValueError, match="outside the grid"):
-            decide(qs, qa, pos, dest, False, world, random.Random(0))
-
-
-def test_decide_and_flight_refuse_a_multi_column_coverage_table():
-    # decide used to read column 0 of it and return action 3
+def test_flight_refuses_a_multi_column_coverage_table():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    with pytest.raises(ValueError, match="the coverage table must have one column"):
-        decide(qs, qa, (0, 0, 0), (2, 2, 0), True, world, random.Random(0))
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="the coverage table must have one column"):
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)
@@ -318,7 +298,7 @@ def test_decide_and_flight_refuse_a_multi_column_coverage_table():
 
 def test_execute_flight_refuses_masks_of_another_rule():
     # a flight reads its world, planner and rule from its masks; the masks
-    # accept only a rule decide can apply
+    # accept only an ordered set of actions
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     for allowed in ((), (Action.PLUS_Y, Action.PLUS_X), (0, 0, 1), (0, 6)):

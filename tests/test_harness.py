@@ -30,6 +30,7 @@ from uavnav.config import (
 )
 from uavnav.gridworld import GridSpec
 from uavnav.harness import (
+    FLIGHT_BYTES,
     ArtifactError,
     EvalReport,
     FlightRecord,
@@ -940,6 +941,22 @@ def test_config_refuses_episode_records_past_the_memory_limit(tmp_path, capsys, 
     cfg_path.write_text(json.dumps({**TINY_RAW, name: 10**15}))
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_evaluate_refuses_flight_records_past_the_memory_limit(tmp_path, capsys):
+    # evaluation holds FLIGHT_BYTES per flight of every band; 10**15 flights
+    # used to run until killed
+    out = cmd_train(config_from_dict({**TINY_RAW, "bands_mhz": [900.0, 1800.0]}),
+                    tmp_path / "run")
+    cmd_evaluate(out, n_flights=2)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    most = MAX_TABLE_BYTES // (2 * FLIGHT_BYTES)
+    for flights in (most + 1, 10**15, -1):
+        assert cli_main(["evaluate", "--artifacts", str(out), "--flights", str(flights)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flights < 0 or f"{flights:,} flights on each of 2 band(s)" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

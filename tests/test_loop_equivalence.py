@@ -10,7 +10,9 @@ exploration coin, draw 2t + 1 picks the
 ``int(u * len(picks))``-th of the argmax ties, or of all candidates when
 exploring. It steps with ``step`` (one move-table entry), measures
 distances with ``oracles.euclid_cells`` or ``oracles.manhattan_cells``, and
-rewards and updates with ``reward_strategic`` and ``q_update``. Both must
+rewards and updates with ``reward_strategic`` and ``q_update`` (this
+module's ``q_update``, ``greedy_action``, ``argmax_ties`` and
+``epsilon_at`` are those of ``tests/reference.py``). Both must
 give the same table, float bits included, and the same episode logs: each
 column of ``EpisodeLogs`` with its dtype and float bits, and each record it
 yields down to the types of its fields. The number of
@@ -26,7 +28,7 @@ beyond any episode's length costs nothing.
 the update written out, and reads each row's max and argmax ties from caches
 it recomputes only when an update changes the row. The reference loop below
 takes each step the plain way -- ``select_action`` (an exploration coin,
-else ``qcore.greedy_action``), ``step``, ``reward_adaptive`` and
+else ``greedy_action``), ``step``, ``reward_adaptive`` and
 ``q_update`` -- and must give an equal table, equal episode logs and leave
 the random generator in the same state. The extra
 modes stress the caches: greedy steps read the cached ties, ``alpha`` 1
@@ -61,17 +63,11 @@ from uavnav.gridworld import (
     random_free_cell,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import (
-    EpsilonSchedule,
-    Hyper,
-    QTable,
-    argmax_ties,
-    greedy_action,
-    q_update,
-)
+from uavnav.qcore import EpsilonSchedule, Hyper, QTable
 from uavnav.radio import coverage_map
 
 from oracles import euclid_cells, manhattan_cells, splitmix64_uniform
+from reference import argmax_ties, epsilon_at, greedy_action, q_update
 
 
 def step(world, pos, a, dest):
@@ -118,7 +114,7 @@ def reference_strategic(world, cfg, rng):
             assert pos == world.start_cell
         else:
             assert pos in missions and pos != dest
-        epsilon = cfg.schedule.at(episode)
+        epsilon = epsilon_at(cfg.schedule, episode)
         col = world.index(dest) if per_destination else 0
         total, steps, arrived = 0.0, 0, False
         while steps < cfg.resolved_step_cap():
@@ -171,7 +167,7 @@ def reference_adaptive(world, lb, cfg, rng):
     locked = cfg.altitude_locked
     logs, picks = [], Counter()
     for episode in range(cfg.episodes_adaptive):
-        epsilon = cfg.schedule_adaptive.at(episode)
+        epsilon = epsilon_at(cfg.schedule_adaptive, episode)
         pos = world.start_cell if episode % 2 == 0 else random_free_cell(world, rng, locked)
         dest = random_free_cell(world, rng, locked)
         while dest == pos:

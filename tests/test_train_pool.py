@@ -7,6 +7,7 @@ through ``harness._usable_cpus`` and the workers' start method through
 process, so the pytest process itself is never the one that dies.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import uavnav
+import uavnav.agents
 import uavnav.harness as harness
 from uavnav.cli import main as cli_main
 from uavnav.config import TrainConfig
@@ -57,24 +59,24 @@ def test_artifacts_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     assert runs[4] == runs[1]
 
 
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device", "adaptive_2100.npz")
+
+
 def test_job_exception_keeps_its_type(tmp_path, monkeypatch, capsys):
     _use_cpus(monkeypatch, 2)
-    out = cmd_train(CFG, tmp_path / "run")
-    # a non-empty directory where a checkpoint goes: renaming onto it fails
-    (out / "adaptive_2100.npz").unlink()
-    (out / "adaptive_2100.npz").mkdir()
-    (out / "adaptive_2100.npz" / "keep").write_text("")
-    with pytest.raises(IsADirectoryError):
-        cmd_train(CFG, out)
-    # the earlier run's manifest is gone with the checkpoints it listed
-    assert not (out / MANIFEST_NAME).exists()
+    # patched outside harness, so the jobs still go to forked workers, which
+    # inherit the patch
+    monkeypatch.setattr(uavnav.agents, "coverage_map", _disk_full)
+    with pytest.raises(OSError) as info:
+        cmd_train(CFG, tmp_path / "run")
+    assert info.value.errno == errno.ENOSPC
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(CFG.to_dict()))
-    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "adaptive_2100.npz" in err
-    assert not (out / MANIFEST_NAME).exists()
+    assert err.startswith("error: [Errno 28]") and "adaptive_2100.npz" in err
 
 
 def test_replaced_callee_sees_every_job(tmp_path, monkeypatch):
@@ -130,6 +132,34 @@ def test_dead_worker_is_an_error_line(tmp_path):
     assert proc.stderr.splitlines()[-1].startswith("error: a training worker process died")
     assert "Traceback" not in proc.stderr and "BrokenProcessPool" not in proc.stderr
     assert not (tmp_path / "run" / MANIFEST_NAME).exists()
+
+
+def _entries(path):
+    """Every entry of ``path``, hidden ones included, with a file's bytes."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failed_job_leaves_out_as_it_was(tmp_path, cpus):
+    # a previous run, then one of another seed, whose planner writes other
+    # bytes, while every band job raises
+    cmd_train(CFG, tmp_path / "run")
+    before = _entries(tmp_path / "run")
+    proc = _train_subprocess(
+        tmp_path,
+        f"harness._usable_cpus = lambda: {cpus}\n"
+        # patched outside harness, so with 2 CPUs the jobs still go to
+        # forked workers, which inherit the patch
+        "import uavnav.agents\n"
+        "def disk_full(*args): raise OSError(28, 'No space left on device')\n"
+        "uavnav.agents.coverage_map = disk_full",
+        cfg={**CFG.to_dict(), "seed": 4},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "error: [Errno 28] No space left on device"
+    assert "Traceback" not in proc.stderr
+    assert _entries(tmp_path / "run") == before
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "run"]
 
 
 # An allocation the planner job cannot make: 10**15 start cells take
