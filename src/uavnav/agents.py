@@ -211,7 +211,7 @@ def reward_adaptive(snr_db: float, threshold_db: float, p: RewardParams) -> floa
 
 
 def _missions(
-    world: GridWorld, cfg: "TrainConfig", gen: np.random.Generator
+    world: GridWorld, cfg: TrainConfig, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Start and destination flat index of every planner episode.
 
@@ -288,7 +288,7 @@ def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.nd
 
 
 def train_strategic(
-    world: GridWorld, cfg: "TrainConfig", rng: random.Random
+    world: GridWorld, cfg: TrainConfig, rng: random.Random
 ) -> tuple[QTable, EpisodeLogs]:
     """Run the path-planning training loop for cfg.episodes_strategic episodes.
 
@@ -482,7 +482,7 @@ def train_strategic(
 
 
 def train_adaptive(
-    world: GridWorld, lb: LinkBudget, cfg: "TrainConfig", rng: random.Random
+    world: GridWorld, lb: LinkBudget, cfg: TrainConfig, rng: random.Random
 ) -> tuple[QTable, EpisodeLogs]:
     """Run the coverage training loop for cfg.episodes_adaptive episodes.
 

@@ -3,7 +3,7 @@
 An experiment is fully determined by (config, master seed). Training writes
 an artifact directory holding one strategic checkpoint (``strategic.npz``),
 one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
-``qcore`` format v6, a per-episode reward CSV per agent, and a manifest.
+``qcore`` format v7, a per-episode reward CSV per agent, and a manifest.
 The manifest embeds the resolved config (so evaluation can rebuild the
 identical world), its sha256 (``config_sha256``) and, under ``files``, the
 sha256 of every checkpoint. Rerunning with the same config and seed
@@ -52,7 +52,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import sys
 import tempfile
 from collections.abc import Iterable

@@ -25,34 +25,46 @@ the flight arbiter and the planner's lockstep loop keep tie sets. The
 single-entry update and the argmax with random ties, taken one step at a
 time, are the references in ``tests/reference.py``.
 
-A checkpoint (format v6, ``save``/``load``) is an uncompressed zip of three
+A checkpoint (format v7, ``save``/``load``) is an uncompressed zip of five
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
 
 - ``occupied``: uint8, one row per column, the ``np.packbits`` of which of
   that column's ``(cell, a)`` entries are stored, ceil(cells * 6 / 8) bytes
   with zero padding bits; an entry is stored when its bits are not zero, so
   a ``-0.0`` is kept
-- ``values``: float64, 1-D, the stored entries in ``(column, cell, a)``
-  order, so each column's entries lie together
+- ``codes``: uint16, 1-D, one per stored entry in ``(column, cell, a)``
+  order, so each column's entries lie together. The entries are cut into
+  runs of ``RUN_LENGTH`` (32,768) consecutive entries, the last run
+  shorter, and each entry is stored as its position in its run's dictionary
+- ``dictionary``: float64, 1-D, the runs' dictionaries one after another;
+  a run's dictionary is its distinct values, ascending by their bits as
+  uint64 (``np.unique`` of the run's ``view(np.uint64)``), so a ``-0.0``
+  is a value of its own
+- ``sizes``: uint16, 1-D, the length of each run's dictionary
 - ``meta``: a 0-d unicode array holding a JSON object with
   ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
   ``columns`` and ``f_mhz``
 
-A column's entries start in ``values`` at the number of set bits in the
-rows before it. ``save`` writes the zip itself, with fixed timestamps and
-without zip64 (a table of at most ``MAX_TABLE_BYTES`` fits the 32-bit
-sizes), so a table writes the same bytes on every Python, and it returns
-the sha256 of those bytes, hashed as they are written. ``load`` accepts
-exactly what ``save`` writes: every zip header, every ``.npy`` header and
-the meta text must be the bytes ``save`` writes for them (the zip headers
-are packed by the same two functions, ``_headers`` and ``_directory``, on
-both sides), and it checks every member's CRC, the version, dtypes,
-shapes, padding bits, that the number of set bits is the number of values,
-that every value is finite and that none is ``+0.0`` (so a table has one
-encoding). It raises ``CheckpointError`` on anything else. The loaded table
-keeps the members as views of the bytes it was given: ``column_values``
-reads one column from them, and ``q`` builds the dense array, every bit as
-it was saved, only when something asks for it.
+A column's entries start at the number of set bits in the rows before it;
+entry ``i`` is entry ``codes[i]`` of the dictionary of run
+``i // RUN_LENGTH``. ``save`` writes the zip itself, with fixed
+timestamps and without zip64 (a table of at most ``MAX_TABLE_BYTES`` fits
+the 32-bit sizes), so a table writes the same
+bytes on every Python, and it returns the sha256 of those bytes, hashed as
+they are written. ``load`` accepts exactly what ``save`` writes: every zip
+header, every ``.npy`` header and the meta text must be the bytes ``save``
+writes for them (the zip headers are packed by the same two functions,
+``_headers`` and ``_directory``, on both sides), and it checks every
+member's CRC, the version, dtypes, shapes, padding bits, that the number of
+set bits is the number of codes, that there is one size per run and the
+sizes add up to the dictionary's length, that every code is below its
+run's size, that each run's dictionary is strictly ascending and has no
+entry that no code of its run uses, that every dictionary value is finite
+and that none is ``+0.0`` (so a table has one encoding). It raises
+``CheckpointError`` on anything else. The loaded table keeps the members as
+views of the bytes it was given: ``column_values`` decodes one column from
+them, and ``q`` builds the dense array, every bit as it was saved, only
+when something asks for it.
 """
 
 from __future__ import annotations
@@ -72,8 +84,11 @@ import numpy as np
 
 from .gridworld import ACTIONS, Action, GridSpec, is_int
 
-FORMAT_VERSION = 6
-_MEMBERS = ("occupied", "values", "meta")
+FORMAT_VERSION = 7
+_MEMBERS = ("occupied", "codes", "dictionary", "sizes", "meta")
+# Stored entries are dictionary-coded in runs of RUN_LENGTH, so that a run's
+# codes, and the length of its dictionary, fit uint16
+RUN_LENGTH = 1 << 15
 
 N_ACTIONS = len(ACTIONS)
 # The largest dense table a QTable allocates. The goal-conditioned planner's
@@ -149,15 +164,24 @@ class _Stored(NamedTuple):
     """A loaded table's members, views of the checkpoint's bytes."""
 
     occupied: np.ndarray  # uint8, (columns, row bytes)
-    offsets: np.ndarray  # int64, (columns + 1,): where each column starts in values
-    values: np.ndarray  # float64, (stored entries,)
+    offsets: np.ndarray  # int64, (columns + 1,): where each column starts in codes
+    codes: np.ndarray  # uint16, (stored entries,)
+    dictionary: np.ndarray  # float64, the runs' dictionaries, concatenated
+    starts: np.ndarray  # int64, (runs + 1,): where each run's dictionary starts
     entries: int  # entries per column, cells * 6
 
     def bits(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
         """Which entries of columns ``c0:c1`` are stored, (c1 - c0) x entries,
         and their values in order."""
         bits = np.unpackbits(self.occupied[c0:c1], axis=1, count=self.entries).view(bool)
-        return bits, self.values[self.offsets[c0] : self.offsets[c1]]
+        lo, hi = int(self.offsets[c0]), int(self.offsets[c1])
+        values = np.empty(hi - lo)
+        # a run at a time, so each slice of codes reads one dictionary
+        for run in range(lo // RUN_LENGTH, -(-hi // RUN_LENGTH)):
+            a, b = max(lo, run * RUN_LENGTH), min(hi, (run + 1) * RUN_LENGTH)
+            run_dictionary = self.dictionary[self.starts[run] : self.starts[run + 1]]
+            values[a - lo : b - lo] = run_dictionary[self.codes[a:b]]
+        return bits, values
 
 
 class QTable:
@@ -298,28 +322,47 @@ def argmax_ties(row: Sequence[float], candidates: Sequence[Action]) -> list[Acti
 
 
 def save(table: QTable, path) -> str:
-    """Write a format-v6 checkpoint to exactly ``path``; returns its sha256.
+    """Write a format-v7 checkpoint to exactly ``path``; returns its sha256.
 
     Only stored entries are written, in column order, a block of columns at
     a time, so the same values always give the same bytes, whatever order
-    they were written in.
+    they were written in. Each run of ``RUN_LENGTH`` entries is encoded as
+    soon as it is complete; the entries of a run not yet complete carry
+    over to the next block.
     """
     entries = table.grid.n_cells * N_ACTIONS
     occupied = np.empty((table.columns, (entries + 7) // 8), dtype=np.uint8)
-    values = []
+    codes, dictionary, sizes = [], [], []
+
+    def encode(run: np.ndarray) -> None:
+        distinct, inverse = np.unique(run.view(np.uint64), return_inverse=True)
+        codes.append(inverse.astype(np.uint16))
+        dictionary.append(distinct)  # the float64 values' bytes
+        sizes.append(len(distinct))
+
+    pending = np.empty(0)
     for c0, c1 in table._blocks():
         block = table._block(c0, c1).reshape(c1 - c0, entries)
         stored = block.view(np.uint64) != 0
         occupied[c0:c1] = np.packbits(stored, axis=1)
         # gathering at indices is faster than with the boolean mask
-        values.append(block.reshape(-1)[np.flatnonzero(stored)])
+        pending = np.concatenate((pending, block.reshape(-1)[np.flatnonzero(stored)]))
+        complete = len(pending) - len(pending) % RUN_LENGTH
+        for at in range(0, complete, RUN_LENGTH):
+            encode(pending[at : at + RUN_LENGTH])
+        pending = pending[complete:]
+    if len(pending):
+        encode(pending)
     meta_array = np.array(_meta_text(table))
-    n_values = sum(len(v) for v in values)
+    n_codes, n_dictionary = sum(map(len, codes)), sum(sizes)
     return _write_zip(
         path,
         (
             ("occupied", [_npy_header(occupied.dtype, occupied.shape), occupied]),
-            ("values", [_npy_header(np.dtype(np.float64), (n_values,)), *values]),
+            ("codes", [_npy_header(np.dtype(np.uint16), (n_codes,)), *codes]),
+            ("dictionary", [_npy_header(np.dtype(np.float64), (n_dictionary,)), *dictionary]),
+            ("sizes", [_npy_header(np.dtype(np.uint16), (len(sizes),)),
+                       np.array(sizes, dtype=np.uint16)]),
             ("meta", [_npy_header(meta_array.dtype, ()), meta_array]),
         ),
     )
@@ -428,7 +471,7 @@ def load(path, data: bytes | None = None) -> QTable:
         if data is None:
             with open(path, "rb") as f:
                 data = f.read()
-        occupied, values, meta = _read_members(path, data)
+        occupied, codes, dictionary, sizes, meta = _read_members(path, data)
     except CheckpointError:
         raise
     except (OSError, EOFError, ValueError, struct.error) as exc:
@@ -439,36 +482,62 @@ def load(path, data: bytes | None = None) -> QTable:
 
     entries = table.grid.n_cells * N_ACTIONS
     shape = (table.columns, (entries + 7) // 8)
-    if occupied.dtype != np.uint8 or occupied.shape != shape:
-        raise CheckpointError(
-            f"checkpoint {path}: occupied must be uint8 of shape {shape}, "
-            f"got {occupied.dtype} {occupied.shape}"
-        )
+    _require_array(path, "occupied", occupied, np.uint8, shape)
     padding = -entries % 8
     if padding and (occupied[:, -1] & ((1 << padding) - 1)).any():
         raise CheckpointError(f"checkpoint {path}: occupied has a set padding bit")
     offsets = np.zeros(table.columns + 1, dtype=np.int64)
     np.cumsum(_POPCOUNT[occupied].sum(axis=1, dtype=np.int64), out=offsets[1:])
-    if values.dtype != np.float64 or values.shape != (offsets[-1],):
-        raise CheckpointError(
-            f"checkpoint {path}: values must be float64 of shape ({offsets[-1]},), "
-            f"one per set bit of occupied, got {values.dtype} {values.shape}"
-        )
-    if not np.isfinite(values).all():
+    n = int(offsets[-1])
+    _require_array(path, "codes", codes, np.uint16, (n,), "one per set bit of occupied")
+    runs = -(-n // RUN_LENGTH)
+    _require_array(path, "sizes", sizes, np.uint16, (runs,), f"one per run of {RUN_LENGTH}")
+    starts = np.zeros(runs + 1, dtype=np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=starts[1:])
+    _require_array(path, "dictionary", dictionary, np.float64, (int(starts[-1]),),
+                   "the sum of sizes")
+    if not np.isfinite(dictionary).all():
         raise CheckpointError(f"non-finite value in checkpoint {path}")
-    if not values.view(np.uint64).all():
+    if not dictionary.view(np.uint64).all():
         raise CheckpointError(f"checkpoint {path} stores a +0.0, which save never writes")
-    table._stored = _Stored(occupied, offsets, values, entries)
+    for run in range(runs):
+        bits = dictionary[starts[run] : starts[run + 1]].view(np.uint64)
+        if not (bits[1:] > bits[:-1]).all():
+            raise CheckpointError(
+                f"checkpoint {path}: the dictionary of run {run} is not strictly ascending"
+            )
+        run_codes = codes[run * RUN_LENGTH : (run + 1) * RUN_LENGTH]
+        # a code past the size makes the count longer, an unused entry leaves a zero
+        uses = np.bincount(run_codes, minlength=len(bits))
+        if len(uses) != len(bits) or not uses.all():
+            raise CheckpointError(
+                f"checkpoint {path}: the codes of run {run} do not use exactly "
+                f"its {len(bits)} dictionary entries"
+            )
+    table._stored = _Stored(occupied, offsets, codes, dictionary, starts, entries)
     return table
+
+
+def _require_array(path, name: str, array: np.ndarray, dtype, shape, what: str = "") -> None:
+    """Raise CheckpointError unless ``array`` is a ``dtype`` of ``shape``."""
+    if array.dtype != dtype or array.shape != shape:
+        raise CheckpointError(
+            f"checkpoint {path}: {name} must be {np.dtype(dtype)} of shape {shape}"
+            f"{', ' + what if what else ''}, got {array.dtype} {array.shape}"
+        )
 
 
 def _read_members(path, data: bytes) -> list[np.ndarray]:
     """The members of a checkpoint zip, in ``_MEMBERS`` order, as views of
-    ``data``: every header must be the one ``save`` writes for them."""
+    ``data``: every header must be the one ``save`` writes for them. A zip
+    of other members whose meta is of another format version is refused
+    for its version."""
     view = memoryview(data)
-    arrays, central, at = [], [], 0
-    for name in _MEMBERS:
-        crc, size = _LOCAL.unpack_from(data, at)[6:8]
+    names, arrays, central, at = [], [], [], 0
+    while _LOCAL.unpack_from(data, at)[0] == _LOCAL_SIG:
+        crc, size, _, name_length = _LOCAL.unpack_from(data, at)[6:10]
+        start = at + _LOCAL.size
+        name = bytes(view[start : start + name_length]).decode().removesuffix(".npy")
         local, record = _headers(name, crc, size, at)
         if view[at : at + len(local)] != local:
             raise CheckpointError(f"checkpoint {path}: {name}: not the local header save writes")
@@ -476,9 +545,17 @@ def _read_members(path, data: bytes) -> list[np.ndarray]:
         member = view[at : at + size]
         if len(member) != size or zlib.crc32(member) != crc:
             raise CheckpointError(f"checkpoint {path}: {name}.npy fails its CRC check")
+        names.append(name)
         arrays.append(_npy_view(path, name, member))
         central.append(record)
         at += size
+    if names != list(_MEMBERS):
+        if "meta" in names:
+            _meta_doc(path, arrays[names.index("meta")])
+        raise CheckpointError(
+            f"checkpoint {path}: members {names}, not the local header names save "
+            f"writes, {list(_MEMBERS)}"
+        )
     if view[at:] != _directory(central, at):
         raise CheckpointError(f"checkpoint {path}: not the central directory save writes")
     return arrays
@@ -500,7 +577,8 @@ def _npy_view(path, name: str, member: memoryview) -> np.ndarray:
     return np.frombuffer(member, dtype, count, header.tell()).reshape(shape)
 
 
-def _table_from_meta(path, meta: np.ndarray) -> QTable:
+def _meta_doc(path, meta: np.ndarray) -> dict:
+    """The JSON object of a ``meta`` member of this format version."""
     if meta.dtype.kind != "U" or meta.ndim != 0:
         raise CheckpointError(f"checkpoint {path}: meta must be a 0-d unicode array")
     try:
@@ -524,6 +602,11 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
             f"checkpoint {path} has format version {version}, which is no "
             f"longer read; retrain to write version {FORMAT_VERSION}"
         )
+    return doc
+
+
+def _table_from_meta(path, meta: np.ndarray) -> QTable:
+    doc = _meta_doc(path, meta)
     try:
         grid = GridSpec(**doc["grid"])
         seed, f_mhz = doc["seed"], doc["f_mhz"]

@@ -16,7 +16,6 @@ from uavnav.arbiter import FlightOutcome
 from uavnav.config import ConfigError, TrainConfig, stream_rng
 from uavnav.gridworld import ACTIONS, GridSpec, StepEvent
 from uavnav.harness import build_world
-from uavnav.qcore import EpsilonSchedule
 
 from oracles import bfs_shortest_len
 from reference import greedy_action, greedy_trajectory

@@ -422,9 +422,10 @@ def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
 # its config is parsed: a format-2 config still holds the since-removed
 # eval_flights field, which would otherwise fail as an unknown field.
 # Format 3 checkpoints recorded goal_conditioned in place of columns; format 4
-# stored whole rows; format 5 stored entries in (cell, column, a) order.
+# stored whole rows; format 5 stored entries in (cell, column, a) order;
+# format 6 stored the float64 values themselves, not dictionary codes.
 FORMAT_EDITS = {
-    "previous": (lambda m: {**m, "checkpoint_format_version": 5}, "format 5"),
+    "previous": (lambda m: {**m, "checkpoint_format_version": 6}, "format 6"),
     "older": (lambda m: {**m, "checkpoint_format_version": 3}, "format 3"),
     "oldest": (lambda m: {**m, "checkpoint_format_version": 2,
                           "config": {**m["config"], "eval_flights": 100}}, "format 2"),

@@ -14,6 +14,7 @@ from uavnav.gridworld import ACTIONS, Action, GridSpec
 from uavnav.qcore import (
     FORMAT_VERSION,
     MAX_TABLE_BYTES,
+    RUN_LENGTH,
     CheckpointError,
     EpsilonSchedule,
     Hyper,
@@ -253,7 +254,7 @@ def test_all_zero_rows_round_trip(tmp_path):
         assert zero not in _stored(t)
         save(t, tmp_path / "z.npz")
         with np.load(tmp_path / "z.npz") as npz:
-            assert npz["values"].shape == (6 * (n - 1) - 1,)
+            assert npz["codes"].shape == (6 * (n - 1) - 1,)
             assert np.unpackbits(npz["occupied"]).sum() == 6 * (n - 1) - 1
         back = load(tmp_path / "z.npz")
         assert _stored(back) == _stored(t)
@@ -277,6 +278,85 @@ def test_negative_zero_round_trips_bit_for_bit(tmp_path):
         assert math.copysign(1.0, back.q[beside + (4,)]) == -1.0
 
 
+def _assert_round_trips(t, path, runs):
+    """``load(save(t))`` is ``t`` bit for bit, read by column as well as
+    dense, from ``runs`` runs."""
+    save(t, path)
+    with np.load(path) as npz:
+        assert len(npz["sizes"]) == runs
+    back = load(path)
+    for col in range(t.columns):
+        assert back.column_values(col).tobytes() == t.q[:, col].tobytes()
+    assert back.n_states() == t.n_states()
+    assert back._q is None
+    assert back == t and back.q.tobytes() == t.q.tobytes()
+
+
+@pytest.mark.parametrize("n", [RUN_LENGTH - 1, RUN_LENGTH, RUN_LENGTH + 1])
+def test_round_trip_at_a_run_boundary(tmp_path, n):
+    # n stored entries, drawn from 100 values: one run, one full run, and a
+    # full run then a run of one entry
+    rng = np.random.default_rng(n)
+    t = _long_table(rng.choice(rng.uniform(-9, 9, 100), n))
+    _assert_round_trips(t, tmp_path / "t.npz", -(-n // RUN_LENGTH))
+
+
+def test_round_trip_of_a_run_of_distinct_values(tmp_path):
+    # the largest dictionary a run can have: RUN_LENGTH entries, codes up to
+    # RUN_LENGTH - 1
+    values = np.random.default_rng(1).permutation(np.linspace(1, 2, RUN_LENGTH))
+    t = _long_table(values)
+    _assert_round_trips(t, tmp_path / "t.npz", 1)
+    with np.load(tmp_path / "t.npz") as npz:
+        assert npz["sizes"].tolist() == [RUN_LENGTH]
+        assert npz["codes"].max() == RUN_LENGTH - 1
+
+
+def test_round_trip_past_65536_dictionary_entries(tmp_path):
+    # Three runs with 32,768, 32,000 and 32,768 distinct values: the third
+    # run's dictionary starts at 64,768, so its entries lie on both sides of
+    # 65,536, where a uint16 position would wrap.
+    grid = GridSpec(nx=128, ny=128, nz=1)
+    t = QTable("adaptive", grid, Hyper(), 0)
+    values = np.random.default_rng(5).permutation(np.linspace(1, 2, 3 * RUN_LENGTH))
+    values[RUN_LENGTH + 32_000 : 2 * RUN_LENGTH] = values[RUN_LENGTH : RUN_LENGTH + 768]
+    t.q.reshape(-1)[:] = values
+    _assert_round_trips(t, tmp_path / "t.npz", 3)
+    with np.load(tmp_path / "t.npz") as npz:
+        assert npz["sizes"].tolist() == [RUN_LENGTH, 32_000, RUN_LENGTH]
+        assert npz["codes"][2 * RUN_LENGTH :].max() == RUN_LENGTH - 1
+
+
+def test_round_trip_of_negative_zero_beside_both_signs(tmp_path):
+    # -0.0 sorts after every positive value and before every other negative
+    # one as uint64: its own dictionary entry, decoded with its sign
+    tiny = 5e-324
+    values = np.array([-0.0, 1.5, -1.5, tiny, -tiny, -0.0, 2.0, -2.0, 1.5, -0.0] * 3_840)
+    t = _long_table(values)
+    _assert_round_trips(t, tmp_path / "t.npz", 2)
+    with np.load(tmp_path / "t.npz") as npz:
+        assert npz["sizes"].tolist() == [7, 7]
+        assert _bits(-0.0) in npz["dictionary"].view(np.uint64)
+
+
+def test_round_trip_of_one_column_over_two_runs(tmp_path):
+    # every entry of a one-column table stored: its column spans both runs
+    t = _long_table(np.random.default_rng(2).uniform(-100, 100, LONG_GRID.n_cells * 6))
+    _assert_round_trips(t, tmp_path / "t.npz", 2)
+
+
+def test_round_trip_of_a_planner_column_across_a_run_boundary(tmp_path):
+    # 100 columns of 600 entries, all stored: column 54 holds entries
+    # 32,400 to 32,999, so it starts in the first run and ends in the second.
+    # Column c draws from 500 values plus c, so no two runs share a value.
+    grid = GridSpec(nx=10, ny=10, nz=1)
+    t = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
+    rng = np.random.default_rng(4)
+    t.q[:] = rng.choice(rng.uniform(0.5, 0.9, 500), t.q.shape) + np.arange(100)[:, None]
+    assert 54 * 600 < RUN_LENGTH < 55 * 600
+    _assert_round_trips(t, tmp_path / "t.npz", 2)
+
+
 def test_save_bytes_stable_across_clock_and_insertion_order(tmp_path, monkeypatch):
     t = _random_table(random.Random(9), kind="strategic", n_states=80)
     save(t, tmp_path / "a.npz")
@@ -292,10 +372,13 @@ def test_save_bytes_stable_across_clock_and_insertion_order(tmp_path, monkeypatc
 
 
 def _members(table, path):
-    """The arrays and metadata that ``save`` writes for ``table``."""
+    """The members that ``save`` writes for ``table``, by name, in file
+    order, with the meta as a dict."""
     save(table, path)
     with np.load(path, allow_pickle=False) as npz:
-        return npz["occupied"], npz["values"], json.loads(npz["meta"].item())
+        members = {name: npz[name] for name in npz.files}
+    members["meta"] = json.loads(members["meta"].item())
+    return members
 
 
 def _write_zip(path, members):
@@ -312,10 +395,6 @@ def _write_zip(path, members):
     qcore._write_zip(path, chunks)
 
 
-def _write_members(path, occupied, values, meta):
-    _write_zip(path, {"occupied": occupied, "values": values, "meta": meta})
-
-
 # 27 cells: each column's 162 entries leave 6 padding bits in the last byte
 # of its row of occupied
 ODD_GRID = GridSpec(nx=3, ny=3, nz=3)
@@ -324,25 +403,29 @@ ODD_GRID = GridSpec(nx=3, ny=3, nz=3)
 def test_hand_built_checkpoint_loads(tmp_path):
     # the corruption tests below start from this valid baseline
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
-    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    members = _members(t, tmp_path / "t.npz")
+    assert list(members) == ["occupied", "codes", "dictionary", "sizes", "meta"]
+    occupied = members["occupied"]
     assert occupied.shape == (27, 21) and not (occupied[:, -1] & 0x3F).any()
-    _write_members(tmp_path / "copy.npz", occupied, values, meta)
+    _write_zip(tmp_path / "copy.npz", members)
     assert load(tmp_path / "copy.npz") == t
 
 
+def _with_meta(members, **meta):
+    return {**members, "meta": {**members["meta"], **meta}}
+
+
 def test_load_rejects_newer_version(tmp_path):
-    occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
-    meta["format_version"] = FORMAT_VERSION + 1
-    _write_members(tmp_path / "t.npz", occupied, values, meta)
+    members = _members(make_table(), tmp_path / "t.npz")
+    _write_zip(tmp_path / "t.npz", _with_meta(members, format_version=FORMAT_VERSION + 1))
     with pytest.raises(CheckpointError, match="newest supported"):
         load(tmp_path / "t.npz")
 
 
-@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, 4, FORMAT_VERSION - 1])
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, 4, 5, FORMAT_VERSION - 1])
 def test_load_rejects_non_int_or_old_version(tmp_path, version):
-    occupied, values, meta = _members(make_table(), tmp_path / "t.npz")
-    meta["format_version"] = version
-    _write_members(tmp_path / "t.npz", occupied, values, meta)
+    members = _members(make_table(), tmp_path / "t.npz")
+    _write_zip(tmp_path / "t.npz", _with_meta(members, format_version=version))
     with pytest.raises(CheckpointError):
         load(tmp_path / "t.npz")
 
@@ -350,9 +433,10 @@ def test_load_rejects_non_int_or_old_version(tmp_path, version):
 def test_load_rejects_v2_checkpoint(tmp_path):
     # format v2 stored int32 coordinate keys in place of the occupancy bitmap
     t = _random_table(random.Random(2), kind="adaptive", n_states=5)
-    _, values, meta = _members(t, tmp_path / "t.npz")
+    meta = _members(t, tmp_path / "t.npz")["meta"]
     cells = [c for c, _ in _stored(t)]
     keys = np.column_stack(np.unravel_index(cells, (GRID.nx, GRID.ny, GRID.nz))).astype(np.int32)
+    values = t.q[cells, 0]
     _write_zip(tmp_path / "v2.npz",
                {"keys": keys, "values": values, "meta": {**meta, "format_version": 2}})
     with pytest.raises(CheckpointError):
@@ -360,12 +444,12 @@ def test_load_rejects_v2_checkpoint(tmp_path):
 
 
 def test_load_refuses_v3_checkpoint_with_retrain(tmp_path):
-    # format v3 wrote the same members, with goal_conditioned in the meta in place of columns
+    # format v3 recorded goal_conditioned in the meta in place of columns
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
-    occupied, values, meta = _members(t, tmp_path / "t.npz")
-    del meta["columns"]
+    members = _members(t, tmp_path / "t.npz")
+    meta = {k: v for k, v in members["meta"].items() if k != "columns"}
     meta.update(format_version=3, goal_conditioned=True)
-    _write_members(tmp_path / "v3.npz", occupied, values, meta)
+    _write_zip(tmp_path / "v3.npz", {**members, "meta": meta})
     with pytest.raises(CheckpointError, match="retrain"):
         load(tmp_path / "v3.npz")
 
@@ -373,11 +457,11 @@ def test_load_refuses_v3_checkpoint_with_retrain(tmp_path):
 def test_load_refuses_v4_checkpoint_with_retrain(tmp_path):
     # format v4 stored whole rows: a bit per row of q.reshape(-1, 6), and n x 6 values
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
-    _, _, meta = _members(t, tmp_path / "t.npz")
+    meta = _members(t, tmp_path / "t.npz")["meta"]
     rows = t.q.reshape(-1, 6)
     stored = rows.any(axis=1)
-    _write_members(tmp_path / "v4.npz", np.packbits(stored), rows[stored],
-                   {**meta, "format_version": 4})
+    _write_zip(tmp_path / "v4.npz", {"occupied": np.packbits(stored), "values": rows[stored],
+                                     "meta": {**meta, "format_version": 4}})
     with pytest.raises(CheckpointError, match="retrain"):
         load(tmp_path / "v4.npz")
 
@@ -385,13 +469,28 @@ def test_load_refuses_v4_checkpoint_with_retrain(tmp_path):
 def test_load_refuses_v5_checkpoint_with_retrain(tmp_path):
     # format v5 stored entries in (cell, column, a) order, under one bitmap
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
-    _, _, meta = _members(t, tmp_path / "t.npz")
+    meta = _members(t, tmp_path / "t.npz")["meta"]
     flat = t.q.reshape(-1)
     stored = flat.view(np.uint64) != 0
-    _write_members(tmp_path / "v5.npz", np.packbits(stored), flat[stored],
-                   {**meta, "format_version": 5})
+    _write_zip(tmp_path / "v5.npz", {"occupied": np.packbits(stored), "values": flat[stored],
+                                     "meta": {**meta, "format_version": 5}})
     with pytest.raises(CheckpointError, match="retrain"):
         load(tmp_path / "v5.npz")
+
+
+def test_load_refuses_v6_checkpoint_with_retrain(tmp_path):
+    # format v6 stored the float64 values themselves, in (column, cell, a)
+    # order, under v7's occupancy bitmap
+    t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
+    members = _members(t, tmp_path / "t.npz")
+    by_column = t.q.transpose(1, 0, 2).reshape(t.columns, -1)
+    stored = by_column.view(np.uint64) != 0
+    occupied = np.packbits(stored, axis=1)
+    assert np.array_equal(occupied, members["occupied"])
+    _write_zip(tmp_path / "v6.npz", {"occupied": occupied, "values": by_column[stored],
+                                     "meta": {**members["meta"], "format_version": 6}})
+    with pytest.raises(CheckpointError, match="retrain"):
+        load(tmp_path / "v6.npz")
 
 
 @pytest.mark.parametrize("columns", [0, 2, 28, True, 1.0, "1"])
@@ -427,77 +526,231 @@ def _flip_bit(occupied, bit):
     return out
 
 
-def _first_bit(occupied, value):
-    return int(np.flatnonzero(np.unpackbits(occupied) == value)[0])
+def _flip_first(occupied, value):
+    """``occupied`` with its first bit of ``value`` flipped."""
+    return _flip_bit(occupied, int(np.flatnonzero(np.unpackbits(occupied) == value)[0]))
 
 
-# Each maps the (occupied, values, meta) that ``save`` wrote to a broken
-# triple; the occupied_*_row cases set or clear the bit of one entry.
+def _meta_edit(edit):
+    """A corruption that replaces the meta with ``edit(meta)``."""
+    return lambda m: {"meta": edit(m["meta"])}
+
+
+# Each maps the members that ``save`` wrote to the members it replaces; the
+# occupied_*_row cases set or clear the bit of one entry, and the values_*
+# and value_* cases break the codes and the dictionary that hold the values.
 _CORRUPTIONS = {
-    "occupied_int8": lambda o, v, m: (o.view(np.int8), v, m),
-    "occupied_short": lambda o, v, m: (o[:-1], v, m),
-    "occupied_long": lambda o, v, m: (np.append(o, o[:1]), v, m),
-    "occupied_2d": lambda o, v, m: (o[None, :], v, m),
-    "occupied_padding_bit": lambda o, v, m: (_set(o, -1, o[-1] | 1), v, m),
-    "occupied_extra_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 0)), v, m),
-    "occupied_missing_row": lambda o, v, m: (_flip_bit(o, _first_bit(o, 1)), v, m),
-    "values_float32": lambda o, v, m: (o, v.astype(np.float32), m),
-    "values_short_row": lambda o, v, m: (o, v[:-1], m),
-    "values_one_long": lambda o, v, m: (o, np.append(v, 1.0), m),
-    "values_missing_row": lambda o, v, m: (o, v[6:], m),
-    "values_2d": lambda o, v, m: (o, v.reshape(-1, 6), m),
-    "value_nan": lambda o, v, m: (o, _set(v, 0, math.nan), m),
-    "value_inf": lambda o, v, m: (o, _set(v, 8, -math.inf), m),
-    "value_plus_zero": lambda o, v, m: (o, _set(v, 3, 0.0), m),
-    "object_values": lambda o, v, m: (o, v.astype(object), m),
-    "meta_columns_missing": lambda o, v, m: (o, v, {x: m[x] for x in m if x != "columns"}),
-    "meta_columns_0": lambda o, v, m: (o, v, {**m, "columns": 0}),
-    "meta_columns_2": lambda o, v, m: (o, v, {**m, "columns": 2}),
-    "meta_columns_n_cells_plus_1": lambda o, v, m: (o, v, {**m, "columns": 28}),
-    "meta_columns_true": lambda o, v, m: (o, v, {**m, "columns": True}),
-    "meta_columns_float": lambda o, v, m: (o, v, {**m, "columns": 1.0}),
-    "meta_columns_text": lambda o, v, m: (o, v, {**m, "columns": "1"}),
-    "meta_not_object": lambda o, v, m: (o, v, np.array("[1, 2]")),
-    "meta_not_unicode": lambda o, v, m: (o, v, np.array(b"{}")),
-    "meta_bad_grid": lambda o, v, m: (o, v, {**m, "grid": {**m["grid"], "nx": 0}}),
-    "meta_bad_hyper": lambda o, v, m: (o, v, {**m, "hyper": {"alpha": 2.0, "gamma": 0.5}}),
-    "meta_bad_kind": lambda o, v, m: (o, v, {**m, "kind": "tactical"}),
-    "meta_no_seed": lambda o, v, m: (o, v, {x: m[x] for x in m if x != "seed"}),
-    "meta_float_grid": lambda o, v, m: (o, v, {**m, "grid": {**m["grid"], "nx": 3.0}}),
-    "meta_text_band": lambda o, v, m: (o, v, {**m, "f_mhz": "900"}),
+    "occupied_int8": lambda m: {"occupied": m["occupied"].view(np.int8)},
+    "occupied_short": lambda m: {"occupied": m["occupied"][:-1]},
+    "occupied_long": lambda m: {"occupied": np.append(m["occupied"], m["occupied"][:1])},
+    "occupied_2d": lambda m: {"occupied": m["occupied"][None, :]},
+    "occupied_padding_bit": lambda m: {"occupied": _set(m["occupied"], -1, m["occupied"][-1] | 1)},
+    "occupied_extra_row": lambda m: {"occupied": _flip_first(m["occupied"], 0)},
+    "occupied_missing_row": lambda m: {"occupied": _flip_first(m["occupied"], 1)},
+    "values_float32": lambda m: {"dictionary": m["dictionary"].astype(np.float32)},
+    "values_short_row": lambda m: {"codes": m["codes"][:-1]},
+    "values_one_long": lambda m: {"codes": np.append(m["codes"], m["codes"][:1])},
+    "values_missing_row": lambda m: {"codes": m["codes"][6:]},
+    "values_2d": lambda m: {"codes": m["codes"].reshape(-1, 6)},
+    "value_nan": lambda m: {"dictionary": _set(m["dictionary"], 0, math.nan)},
+    "value_inf": lambda m: {"dictionary": _set(m["dictionary"], 8, -math.inf)},
+    "value_plus_zero": lambda m: {"dictionary": _set(m["dictionary"], 3, 0.0)},
+    "object_values": lambda m: {"dictionary": m["dictionary"].astype(object)},
+    "meta_columns_missing": _meta_edit(lambda m: {x: m[x] for x in m if x != "columns"}),
+    "meta_columns_0": _meta_edit(lambda m: {**m, "columns": 0}),
+    "meta_columns_2": _meta_edit(lambda m: {**m, "columns": 2}),
+    "meta_columns_n_cells_plus_1": _meta_edit(lambda m: {**m, "columns": 28}),
+    "meta_columns_true": _meta_edit(lambda m: {**m, "columns": True}),
+    "meta_columns_float": _meta_edit(lambda m: {**m, "columns": 1.0}),
+    "meta_columns_text": _meta_edit(lambda m: {**m, "columns": "1"}),
+    "meta_not_object": _meta_edit(lambda m: np.array("[1, 2]")),
+    "meta_not_unicode": _meta_edit(lambda m: np.array(b"{}")),
+    "meta_bad_grid": _meta_edit(lambda m: {**m, "grid": {**m["grid"], "nx": 0}}),
+    "meta_bad_hyper": _meta_edit(lambda m: {**m, "hyper": {"alpha": 2.0, "gamma": 0.5}}),
+    "meta_bad_kind": _meta_edit(lambda m: {**m, "kind": "tactical"}),
+    "meta_no_seed": _meta_edit(lambda m: {x: m[x] for x in m if x != "seed"}),
+    "meta_float_grid": _meta_edit(lambda m: {**m, "grid": {**m["grid"], "nx": 3.0}}),
+    "meta_text_band": _meta_edit(lambda m: {**m, "f_mhz": "900"}),
     # a key of format v3, and the hyper keys out of save's sorted order
-    "meta_extra_key": lambda o, v, m: (o, v, {**m, "goal_conditioned": True}),
-    "meta_reordered": lambda o, v, m: (o, v, {**m, "hyper": dict(reversed(m["hyper"].items()))}),
+    "meta_extra_key": _meta_edit(lambda m: {**m, "goal_conditioned": True}),
+    "meta_reordered": _meta_edit(lambda m: {**m, "hyper": dict(reversed(m["hyper"].items()))}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
 def test_load_rejects_malformed_members(tmp_path, name):
     t = _random_table(random.Random(4), kind="strategic", n_states=6, grid=ODD_GRID)
-    occupied, values, meta = _members(t, tmp_path / "t.npz")
-    _write_members(tmp_path / "t.npz", *_CORRUPTIONS[name](occupied, values, meta))
+    members = _members(t, tmp_path / "t.npz")
+    _write_zip(tmp_path / "t.npz", {**members, **_CORRUPTIONS[name](members)})
     with pytest.raises(CheckpointError):
         load(tmp_path / "t.npz")
 
 
+def _bits(x):
+    return np.array(x, dtype=np.float64).view(np.uint64)
+
+
+def _recode(run, edit):
+    """A corruption of one run: ``edit(codes, bits)`` gives the run's new
+    codes and dictionary, as uint64 bits, and ``sizes`` follows them, so
+    the members stay consistent in every other way. ``run`` -1 is the last."""
+
+    def corrupt(m):
+        starts = np.concatenate(([0], np.cumsum(m["sizes"], dtype=np.int64)))
+        codes = [m["codes"][at : at + RUN_LENGTH] for at in range(0, len(m["codes"]), RUN_LENGTH)]
+        bits = [m["dictionary"][a:b].view(np.uint64) for a, b in zip(starts[:-1], starts[1:])]
+        codes[run], bits[run] = edit(codes[run].copy(), bits[run].copy())
+        return {
+            "codes": np.concatenate(codes).astype(np.uint16),
+            "dictionary": np.concatenate(bits).view(np.float64),
+            "sizes": np.array([len(b) for b in bits], dtype=np.uint16),
+        }
+
+    return corrupt
+
+
+def _duplicate_first(codes, bits):
+    # entry 0 twice, and one of its uses moved to the copy
+    codes += codes > 0
+    codes[np.flatnonzero(codes == 0)[-1]] = 1
+    return codes, np.insert(bits, 1, bits[0])
+
+
+def _swap_first_two(codes, bits):
+    # the same values, from a dictionary out of order
+    return np.choose(np.minimum(codes, 2), [1, 0, codes]), bits[[1, 0, *range(2, len(bits))]]
+
+
+def _used_plus_zero(codes, bits):
+    # +0.0 first in the dictionary, as its bits sort, and one code using it
+    codes += 1
+    codes[0] = 0
+    return codes, np.insert(bits, 0, 0)
+
+
+def _sizes_edit(edit):
+    return lambda m: {"sizes": edit(m["sizes"].copy())}
+
+
+def _add(array, index, value):
+    array[index] = int(array[index]) + value
+    return array
+
+
+# The dictionary coding's own checks, each with what load's refusal names.
+# Each case breaks the first or the last run; on a table of two runs of
+# different sizes a code valid in the first run is at the last run's size.
+_UNUSED, _ORDER = "do not use exactly", "not strictly ascending"
+_CODING_CORRUPTIONS = {
+    "code_at_size": (_recode(-1, lambda c, b: (_set(c, -1, len(b)), b)), _UNUSED),
+    "code_past_size": (_recode(0, lambda c, b: (_set(c, 0, 0xFFFF), b)), _UNUSED),
+    "dictionary_unused_entry": (
+        _recode(-1, lambda c, b: (c, np.append(b, b[-1] + np.uint64(1)))), _UNUSED),
+    "dictionary_duplicate": (_recode(-1, _duplicate_first), _ORDER),
+    "dictionary_out_of_order": (_recode(0, _swap_first_two), _ORDER),
+    "dictionary_plus_zero": (_recode(0, _used_plus_zero), r"\+0\.0"),
+    "dictionary_nan": (_recode(-1, lambda c, b: (c, _set(b, -1, _bits(math.nan)))), "non-finite"),
+    "dictionary_inf": (_recode(0, lambda c, b: (c, _set(b, -1, _bits(-math.inf)))), "non-finite"),
+    "sizes_sum_long": (_sizes_edit(lambda s: _add(s, -1, 1)), "sum of sizes"),
+    "sizes_sum_short": (_sizes_edit(lambda s: _add(s, -1, -1)), "sum of sizes"),
+    # the sum holds, but the first run takes the last run's first entry
+    "sizes_shifted": (_sizes_edit(lambda s: _add(_add(s, 0, 1), -1, -1)), f"{_UNUSED}|{_ORDER}"),
+    "sizes_extra_run": (_sizes_edit(lambda s: np.append(s, s[:1])), "one per run"),
+    "sizes_missing_run": (_sizes_edit(lambda s: s[:-1]), "one per run"),
+    "codes_int16": (lambda m: {"codes": m["codes"].astype(np.int16)}, "codes must be uint16"),
+    "codes_uint32": (lambda m: {"codes": m["codes"].astype(np.uint32)}, "codes must be uint16"),
+    "dictionary_float32": (lambda m: {"dictionary": m["dictionary"].astype(np.float32)},
+                           "dictionary must be float64"),
+    "dictionary_as_uint64": (lambda m: {"dictionary": m["dictionary"].view(np.uint64)},
+                             "dictionary must be float64"),
+    "sizes_int16": (lambda m: {"sizes": m["sizes"].astype(np.int16)}, "sizes must be uint16"),
+    "sizes_uint32": (lambda m: {"sizes": m["sizes"].astype(np.uint32)}, "sizes must be uint16"),
+    "sizes_float64": (lambda m: {"sizes": m["sizes"].astype(np.float64)}, "sizes must be uint16"),
+}
+
+# 6,400 cells: a one-column table of 38,400 entries, more than one run
+LONG_GRID = GridSpec(nx=80, ny=80, nz=1)
+
+
+def _long_table(values):
+    """A one-column table on LONG_GRID whose first entries are ``values``."""
+    t = QTable("adaptive", LONG_GRID, Hyper(), 0)
+    t.q.reshape(-1)[: len(values)] = values
+    return t
+
+
+def _two_run_table():
+    # the first run draws from 40 values and the second from 10
+    rng = np.random.default_rng(3)
+    levels = rng.uniform(-50, 50, 40)
+    return _long_table(np.concatenate((rng.choice(levels, RUN_LENGTH),
+                                       rng.choice(levels[:10], 38_400 - RUN_LENGTH))))
+
+
+@pytest.mark.parametrize("name", sorted(_CODING_CORRUPTIONS))
+def test_load_rejects_malformed_coding(tmp_path, name):
+    members = _members(_two_run_table(), tmp_path / "t.npz")
+    assert members["sizes"].tolist() == [40, 10]
+    corrupt, refusal = _CODING_CORRUPTIONS[name]
+    _write_zip(tmp_path / "t.npz", {**members, **corrupt(members)})
+    with pytest.raises(CheckpointError, match=refusal):
+        load(tmp_path / "t.npz")
+
+
+def test_coding_corruptions_keep_the_values(tmp_path):
+    # The cases that re-code a run decode to the values saved: load refuses
+    # them for their coding alone.
+    members = _members(_two_run_table(), tmp_path / "t.npz")
+    want = load(tmp_path / "t.npz").q
+    for name in ("dictionary_duplicate", "dictionary_out_of_order"):
+        m = _CODING_CORRUPTIONS[name][0](members)
+        starts = np.cumsum(m["sizes"], dtype=np.int64) - m["sizes"]
+        run = np.arange(len(m["codes"])) // RUN_LENGTH
+        got = m["dictionary"][starts[run] + m["codes"]]
+        assert got.tobytes() == want.reshape(-1).tobytes(), name
+
+
+def test_cli_refuses_malformed_coding_with_exit_3(tmp_path, capsys):
+    from uavnav.cli import main as cli_main
+    from uavnav.config import TrainConfig
+    from uavnav.harness import cmd_train
+
+    cfg = TrainConfig(grid=GridSpec(nx=10, ny=10, nz=2), bands_mhz=(900.0,),
+                      episodes_strategic=2000, episodes_adaptive=20)
+    out = cmd_train(cfg, tmp_path / "run")
+    path = out / "strategic.npz"
+    members = _members(load(path), tmp_path / "t.npz")
+    assert len(members["sizes"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name, (corrupt, _) in sorted(_CODING_CORRUPTIONS.items()):
+        _write_zip(path, {**members, **corrupt(members)})
+        manifest["files"]["strategic.npz"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3, name
+        err = capsys.readouterr().err
+        assert "artifact error:" in err and "strategic.npz" in err, name
+        assert "Traceback" not in err, name
+        assert not (out / "flights.csv").exists()
+
+
 def test_load_refuses_table_over_the_size_limit(tmp_path):
     # an empty table on a 6,689-cell grid would take over 2 GiB when dense
-    occupied, values, meta = _members(make_table("strategic", columns=GRID.n_cells),
-                                      tmp_path / "t.npz")
-    meta["grid"] = {**meta["grid"], "nx": 6689, "ny": 1, "nz": 1}
-    meta["columns"] = 6689
-    _write_members(tmp_path / "t.npz", occupied, values, meta)
+    members = _members(make_table("strategic", columns=GRID.n_cells), tmp_path / "t.npz")
+    meta = {**members["meta"], "grid": {**members["meta"]["grid"], "nx": 6689, "ny": 1, "nz": 1},
+            "columns": 6689}
+    _write_zip(tmp_path / "t.npz", {**members, "meta": meta})
     with pytest.raises(CheckpointError, match="GiB"):
         load(tmp_path / "t.npz")
 
 
 def test_load_rejects_wrong_member_set(tmp_path):
     t = _random_table(random.Random(4), kind="adaptive", n_states=6)
-    occupied, values, meta = _members(t, tmp_path / "t.npz")
-    np.savez(tmp_path / "two.npz", occupied=occupied, values=values)
+    members = _members(t, tmp_path / "t.npz")
+    del members["meta"]
+    np.savez(tmp_path / "four.npz", **members)
     with pytest.raises(CheckpointError):
-        load(tmp_path / "two.npz")
-    np.save(tmp_path / "bare.npy", values)
+        load(tmp_path / "four.npz")
+    np.save(tmp_path / "bare.npy", members["dictionary"])
     with pytest.raises(CheckpointError):
         load(tmp_path / "bare.npy")
 
@@ -563,11 +816,11 @@ def test_lookup_default_zero():
 
 # The console-script check's tiny config (4 x 4 x 2, two bands): the sha256
 # of every checkpoint file it trains, bytes and not contents, so a change of
-# zip headers between Python versions shows here. Recorded with format v6.
+# zip headers between Python versions shows here. Recorded with format v7.
 TINY_CHECKPOINTS = {
-    "adaptive_1800.npz": "8d7f71a29bb9d96040017d0d6a10a9370732708c1ffd3e2598edd05b156e935c",
-    "adaptive_900.npz": "ef5ba7b24ee655c9d17c8dd027dd806ef8ebd13d0d3058d17bf251ea6b41e30f",
-    "strategic.npz": "7a5d4ba1b5e154e828631d8cdb57c2add129c49d4301bd551e688204bece1845",
+    "adaptive_1800.npz": "8f713921e0476049f4a266ae355ad6d11e1525565eb2b9278f2c791496ecf77f",
+    "adaptive_900.npz": "245c1985b0cec7151db2470456b186a1aa26b7c03b9eecac0c4e7b1d06f74249",
+    "strategic.npz": "3049c8490eaebdd018e886c42043b4a440d9a9ac06b0138149acb734694bc95d",
 }
 
 
@@ -595,9 +848,19 @@ def _npy_header_bytes(raw):
     return 10 + int.from_bytes(raw[8:10], "little")
 
 
+def _dictionary_entries(q):
+    """The number of distinct bit patterns in each run of ``RUN_LENGTH`` of
+    q's non-zero entries, taken in (column, cell, a) order."""
+    bits = q.transpose(1, 0, 2).reshape(-1).view(np.uint64)
+    bits = bits[bits != 0]
+    return [len(np.unique(bits[at : at + RUN_LENGTH])) for at in range(0, len(bits), RUN_LENGTH)]
+
+
 def test_checkpoint_holds_nothing_but_non_zero_entries(tmp_path):
-    # A trained checkpoint's size is its headers, one bit per entry and eight
-    # bytes per non-zero entry: a zero written back into it fails here.
+    # A trained checkpoint's size is its headers, one bit per entry, a
+    # two-byte code per non-zero entry, eight bytes per distinct value of
+    # each run and a two-byte size per run: a zero written back into it, or
+    # a value in a run's dictionary twice, fails here.
     from uavnav.config import TrainConfig
     from uavnav.harness import cmd_train
 
@@ -609,6 +872,7 @@ def test_checkpoint_holds_nothing_but_non_zero_entries(tmp_path):
         q = load(path).q
         non_zero = int(np.count_nonzero(q.view(np.uint64)))
         assert 0 < non_zero < q.size
+        sizes = _dictionary_entries(q)
         with zipfile.ZipFile(path) as zf:
             infos = zf.infolist()
             members = {i.filename: zf.read(i) for i in infos}
@@ -618,7 +882,8 @@ def test_checkpoint_holds_nothing_but_non_zero_entries(tmp_path):
         headers = zip_headers + sum(map(_npy_header_bytes, members.values()))
         meta = len(members["meta.npy"]) - _npy_header_bytes(members["meta.npy"])
         cells, columns, _ = q.shape
-        expected = headers + meta + columns * ((cells * 6 + 7) // 8) + 8 * non_zero
+        expected = (headers + meta + columns * ((cells * 6 + 7) // 8)
+                    + 2 * non_zero + 8 * sum(sizes) + 2 * len(sizes))
         assert path.stat().st_size == expected
 
 
@@ -698,10 +963,10 @@ def test_loaded_tables_stay_sparse_through_run_flights(tmp_path):
 
 
 def _values_start(path):
-    """The offset in the file of the first stored value."""
+    """The offset in the file of the first value of the dictionary."""
     data = path.read_bytes()
     with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo("values.npy")
+        info = zf.getinfo("dictionary.npy")
     at = info.header_offset + 30 + len(info.filename)
     return at + _npy_header_bytes(data[at:])
 
@@ -719,11 +984,11 @@ def test_load_rejects_a_flipped_byte_in_values(tmp_path):
 
 def test_load_rejects_a_set_padding_bit_in_any_row(tmp_path):
     t = _random_table(random.Random(4), kind="strategic", n_states=6, grid=ODD_GRID)
-    occupied, values, meta = _members(t, tmp_path / "t.npz")
+    members = _members(t, tmp_path / "t.npz")
     for row in range(t.columns):
         for bit in range(6):
-            broken = occupied.copy()
+            broken = members["occupied"].copy()
             broken[row, -1] |= 1 << bit
-            _write_members(tmp_path / "t.npz", broken, values, meta)
+            _write_zip(tmp_path / "t.npz", {**members, "occupied": broken})
             with pytest.raises(CheckpointError, match="padding"):
                 load(tmp_path / "t.npz")
