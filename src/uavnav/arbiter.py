@@ -18,9 +18,12 @@ is in question.
 A flight looks each decision up instead of recomputing it: the tables
 are frozen, so under a fixed candidate rule (the safety filter, from the
 world's per-cell safe-action sets, then ``allowed``) every row's argmax ties
-are fixed. ``TieMasks`` holds them as 6-bit masks, beside the values a
-disagreement compares, filling the planner's one column at a time, the
-first time a destination of that column is flown. A step decodes both
+are fixed. ``TieMasks`` holds them as 6-bit masks, the planner's built per
+destination the first time that destination is flown. Of the values a
+disagreement compares, it holds the planner's for one column, the last one
+asked for, so a caller that flies a destination on every band before it
+draws the next, as ``harness.run_flights`` does, decodes each drawn
+destination's column once. A step decodes both
 masks to their ties in ascending action order and draws a pick only when
 two or more actions tie, planner first and coverage agent second. It draws
 a pick of one of n as ``rng.randrange(n)`` does, without that call's
@@ -59,7 +62,7 @@ class FlightOutcome(Enum):
     STEP_CAP_HIT = "step_cap_hit"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlightRecord:
     """One evaluation flight from the start cell toward ``destination``.
 
@@ -126,14 +129,15 @@ class TieMasks:
     Built for one world and one frozen planner table under one candidate
     rule, ``safety`` and ``allowed``; ``allowed`` must list distinct
     actions in ascending order, as ``ACTIONS`` and ``ACTIONS_XY`` do. The
-    compared values are the tables' own. The planner's masks are one
-    ``bytes`` per column, one byte per cell, shared by all bands; a
-    column's masks are computed, and its values read, the first time it is
-    flown. A coverage table's masks, one per cell of its
-    one column, are decoded, and its rows listed, the first time that table
-    is flown. No table may change while its masks are in use. A coverage
-    table is checked against the world's grid, and for its one column, the
-    first time it is flown.
+    compared values are the tables' own. The planner's masks, one ``bytes``
+    of one byte per cell shared by all bands, and its delivery moves are
+    built per destination, the first time that destination is flown, and
+    kept. Its values are kept for one column only, the one last asked for:
+    a destination of another column decodes that column again. A coverage
+    table's masks, one per cell of its one column, are decoded, and its
+    rows listed, the first time that table is flown. No table may change
+    while its masks are in use. A coverage table is checked against the
+    world's grid, and for its one column, the first time it is flown.
     """
 
     def __init__(
@@ -157,21 +161,33 @@ class TieMasks:
         self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
         for i, safe in enumerate(world.safe_actions):
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
-        # column -> its masks, one byte per cell, and its values
-        self._planner: dict[int, tuple[bytes, np.ndarray]] = {}
+        # destination -> its masks, one byte per cell, and its delivery moves
+        self._planner: dict[int, tuple[bytes, dict[int, Action]]] = {}
+        # the column whose values were last decoded, and those values
+        self._values: tuple[int, np.ndarray] | None = None
         # id of each coverage table flown -> (table, ties, rows)
         self._coverage: dict[int, tuple] = {}
 
-    def planner(self, goal: int) -> tuple[bytes, np.ndarray]:
-        """The planner's tie mask per cell and its values (n x 6) toward
-        ``goal``, the destination's flat index."""
+    def planner(self, goal: int) -> tuple[bytes, np.ndarray, dict[int, Action]]:
+        """Toward ``goal``, the destination's flat index: the planner's tie
+        mask per cell, its values (n x 6), and the allowed move onto ``goal``
+        from each neighbour that has one."""
         col = self.q_strategic.column(goal)
-        hit = self._planner.get(col)
+        if self._values is None or self._values[0] != col:
+            self._values = (col, self.q_strategic.column_values(col))
+        q = self._values[1]
+        hit = self._planner.get(goal)
         if hit is None:
-            q = self.q_strategic.column_values(col)
-            masks = _tie_masks(q, self._candidate_mask).tobytes()
-            hit = self._planner[col] = (masks, q)
-        return hit
+            moves = self.world.moves
+            enter = {
+                i: a
+                for i, _ in moves[goal]
+                if i != goal
+                for a in self.allowed
+                if moves[i][a][0] == goal
+            }
+            hit = self._planner[goal] = (_tie_masks(q, self._candidate_mask).tobytes(), enter)
+        return hit[0], q, hit[1]
 
     def coverage(self, q_adaptive: QTable) -> tuple[list[tuple[int, ...]], list[list[float]]]:
         """A coverage table's ties per cell, decoded, and its rows as lists."""
@@ -216,20 +232,14 @@ def execute_flight(
     threshold = cmap.snr_threshold_db
     moves = world.moves
     at, goal = world.index(world.start_cell), world.index(dest)
-    plan, plan_q = masks.planner(goal)
+    plan, plan_q, onto_goal = masks.planner(goal)
     cover, cover_q = masks.coverage(q_adaptive)
     # Delivery priority: once the destination is one move away, take that
     # move instead of arbitrating. Evaluation measures successful delivery;
     # without this, a destination inside a weak-coverage zone is
     # unreachable, because the coverage table votes to back away from it
-    # indefinitely. enter[i] is the allowed move onto dest from neighbour i.
-    enter = {
-        i: a
-        for i, _ in moves[goal]
-        if i != goal
-        for a in masks.allowed
-        if moves[i][a][0] == goal
-    }.get
+    # indefinitely.
+    enter = onto_goal.get
     min_snr = snr_by_index[at]
     steps = 0
     outage_steps = 0

@@ -33,16 +33,20 @@ Evaluation loads only what it can verify: ``load_artifacts`` recomputes
 both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in. Each
 checkpoint is read once, and the bytes it hashes are the bytes it parses.
-The loaded tables keep those bytes and read a column from them the first
-time a flight flies it, so evaluation never builds the dense planner.
+The loaded tables keep those bytes and decode a column from them when a
+flight needs it, so evaluation never builds the dense planner.
 Training hashes each checkpoint as ``qcore.save`` writes it.
 
 Evaluation flies the trained tables to fresh random destinations, or
-every flight to the config's ``fixed_destination``: one set of
-``arbiter.TieMasks`` per run, and per flight the ``arbiter.FlightRecord``
-that ``execute_flight`` returns. It reports Table-style percentages:
-arrival, crash, step-cap, and outage both per flight (a flight counts once
-however many below-threshold steps it had) and per step.
+every flight to the config's ``fixed_destination``. It draws each
+destination once, from one stream, and flies it on every band before it
+draws the next, so the planner's values are decoded for one destination's
+column at a time and that column's values are the only ones held. One set
+of ``arbiter.TieMasks`` serves the run, and each flight yields the
+``arbiter.FlightRecord`` that ``execute_flight`` returns. Evaluation
+reports Table-style percentages: arrival, crash, step-cap, and outage both
+per flight (a flight counts once however many below-threshold steps it
+had) and per step.
 """
 
 from __future__ import annotations
@@ -91,8 +95,8 @@ STRATEGIC_NAME = "strategic.npz"
 # The bytes evaluation holds per flight: its FlightRecord and what the
 # report and the flight CSV build from it. Measured with tracemalloc, as the
 # growth of cmd_evaluate's peak from 20,000 to 60,000 flights on a
-# 4 x 4 x 2, one-band run: 232, rounded up.
-FLIGHT_BYTES = 240
+# 4 x 4 x 2, one-band run: 184, rounded up.
+FLIGHT_BYTES = 192
 
 
 class ArtifactError(ValueError):
@@ -430,27 +434,31 @@ def run_flights(
     """Fly ``n_flights`` per band to random mission cells, or all of them to
     ``cfg.fixed_destination``, the one destination the planner trained for.
 
-    The destination stream restarts per band, so every band faces the same
-    destination sequence. The planner's tie masks and values are built once,
-    under ``safety``, and shared by every band's flights.
+    Each destination, drawn once from the ``eval.dest`` stream, is flown on
+    every band, in sorted band order, before the next is drawn, so every
+    band faces the same destination sequence and the planner's values are
+    decoded for one destination at a time. Each band breaks ties from its
+    own ``eval.ties.<band>`` stream. The records come band by band, each
+    band's in flight order. One set of tie masks, under ``safety``, serves
+    every band's flights.
     """
     _require_missions(cfg, world, 1)
-    records: list[FlightRecord] = []
     cap = cfg.resolved_eval_step_cap()
     masks = TieMasks(world, strategic, safety, cfg.actions)
-    for band in sorted(adaptive):
-        cmap = coverage_map(cfg.link_for_band(band), world)
-        dest_rng = stream_rng(seed, "eval.dest")
-        tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
-        for _ in range(n_flights):
-            dest = cfg.fixed_destination or random_free_cell(
-                world, dest_rng, cfg.altitude_locked
-            )
+    bands = [
+        (adaptive[band], coverage_map(cfg.link_for_band(band), world),
+         stream_rng(seed, f"eval.ties.{band_label(band)}"), [])
+        for band in sorted(adaptive)
+    ]
+    dest_rng = stream_rng(seed, "eval.dest")
+    for _ in range(n_flights):
+        dest = cfg.fixed_destination or random_free_cell(world, dest_rng, cfg.altitude_locked)
+        for table, cmap, tie_rng, records in bands:
             # called through this module's name, which a tracer may replace
-            flight = execute_flight(masks, adaptive[band], cmap, dest, step_cap=cap, rng=tie_rng,
+            flight = execute_flight(masks, table, cmap, dest, step_cap=cap, rng=tie_rng,
                                     velocity_ms=cfg.uav_velocity_ms)
             records.append(flight)
-    return records
+    return [flight for *_, records in bands for flight in records]
 
 
 def cmd_evaluate(

@@ -18,6 +18,10 @@ compare the two:
   comparison on a disagreement. ``execute_flight`` looks the same decisions
   up from ``arbiter.TieMasks``; the replays hold it to ``decide`` step by
   step, random draws included.
+- ``run_flights_by_band`` flies an evaluation band after band, restarting
+  the destination stream for each band. ``harness.run_flights`` draws each
+  destination once and flies it on every band before drawing the next; it
+  must return the same records in the same order.
 - ``greedy_trajectory`` rolls out one table's greedy policy over all six
   actions, through the world's move table and the planner masks a flight
   reads (``TieMasks(..., safety=False).planner``); criterion 3 compares its
@@ -33,9 +37,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from uavnav.arbiter import FlightOutcome, TieMasks
-from uavnav.gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
+from uavnav.arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
+from uavnav.config import TrainConfig, band_label, stream_rng
+from uavnav.gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent, random_free_cell
 from uavnav.qcore import TIES, EpsilonSchedule, Hyper, QTable, bootstrap
+from uavnav.radio import coverage_map
 
 
 def q_update(
@@ -120,6 +126,35 @@ def decide(
     return a2 if row_s[a2] > row_a[a1] else a1
 
 
+def run_flights_by_band(
+    cfg: TrainConfig,
+    world: GridWorld,
+    strategic: QTable,
+    adaptive: dict[float, QTable],
+    n_flights: int,
+    seed: int,
+    safety: bool = True,
+) -> list[FlightRecord]:
+    """``harness.run_flights`` one band at a time, in sorted band order.
+
+    Each band restarts the ``eval.dest`` stream, so it draws the same
+    destinations as every other band, and breaks ties from its own
+    ``eval.ties.<band>`` stream.
+    """
+    masks = TieMasks(world, strategic, safety, cfg.actions)
+    cap = cfg.resolved_eval_step_cap()
+    records = []
+    for band in sorted(adaptive):
+        cmap = coverage_map(cfg.link_for_band(band), world)
+        dest_rng = stream_rng(seed, "eval.dest")
+        tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
+        for _ in range(n_flights):
+            dest = cfg.fixed_destination or random_free_cell(world, dest_rng, cfg.altitude_locked)
+            records.append(execute_flight(masks, adaptive[band], cmap, dest, cap, tie_rng,
+                                          cfg.uav_velocity_ms))
+    return records
+
+
 def greedy_trajectory(
     table: QTable,
     world: GridWorld,
@@ -136,7 +171,7 @@ def greedy_trajectory(
     """
     moves, cells = world.moves, world.cells
     at, goal = world.index(world.start_cell), world.index(dest)
-    plan, _ = TieMasks(world, table, safety=False).planner(goal)
+    plan = TieMasks(world, table, safety=False).planner(goal)[0]
     trajectory = [world.start_cell]
     for _ in range(step_cap):
         ties = TIES[plan[at]]

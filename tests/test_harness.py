@@ -44,8 +44,17 @@ from uavnav.harness import (
     load_artifacts,
     run_flights,
 )
-from uavnav.qcore import FORMAT_VERSION, MAX_TABLE_BYTES, CheckpointError, Hyper, QTable
+from uavnav.qcore import (
+    FORMAT_VERSION,
+    MAX_TABLE_BYTES,
+    N_ACTIONS,
+    CheckpointError,
+    Hyper,
+    QTable,
+)
 from uavnav.qcore import load as load_table
+
+from reference import run_flights_by_band
 
 
 def rec(outcome, steps=10, outage=0, band=900.0):
@@ -308,6 +317,82 @@ def test_evaluate_zero_flights(tmp_path):
     report = cmd_evaluate(out, n_flights=0, seed=3)
     assert report.flights == 0
     assert report.arrival_pct == 0.0
+
+
+# Evaluations on a 3 x 3 x 2 grid: (config fields, flights per band, safety).
+# 40 flights are more than the grid has mission cells, so destinations repeat.
+BY_BAND = {
+    "one band": (dict(bands_mhz=(900.0,)), 40, True),
+    "two bands, no safety": (dict(bands_mhz=(900.0, 1800.0)), 40, False),
+    "three bands": (dict(bands_mhz=(2100.0, 900.0, 1800.0)), 40, True),
+    "altitude locked": (dict(bands_mhz=(900.0, 1800.0), altitude_locked=True), 40, True),
+    "fixed destination": (dict(bands_mhz=(900.0, 1800.0), fixed_destination=(2, 2, 0)), 40, True),
+    "no flights": (dict(bands_mhz=(900.0, 1800.0)), 0, True),
+    "one flight": (dict(bands_mhz=(900.0, 1800.0)), 1, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BY_BAND))
+def test_run_flights_flies_as_band_after_band(case):
+    """Flying each destination on every band in turn gives the records of
+    flying band after band, each band restarting the destination stream.
+
+    The tables hold values from a few levels, so most rows tie and every
+    band draws from its own tie stream.
+    """
+    fields, n_flights, safety = BY_BAND[case]
+    cfg = TrainConfig(grid=GridSpec(nx=3, ny=3, nz=2), obstacle_density=0.1, seed=4, **fields)
+    world = build_world(cfg)
+    rng = np.random.default_rng(sorted(BY_BAND).index(case))
+    levels = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
+    strategic = QTable("strategic", cfg.grid, cfg.hyper, cfg.seed, columns=cfg.planner_columns)
+    strategic.q[...] = rng.choice(levels, size=strategic.q.shape)
+    adaptive = {}
+    for band in cfg.bands_mhz:
+        adaptive[band] = QTable("adaptive", cfg.grid, cfg.hyper, cfg.seed, f_mhz=band)
+        adaptive[band].q[...] = rng.choice(levels, size=adaptive[band].q.shape)
+    records = run_flights(cfg, world, strategic, adaptive, n_flights, seed=7, safety=safety)
+    assert records == run_flights_by_band(cfg, world, strategic, adaptive, n_flights, seed=7,
+                                          safety=safety)
+    assert len(records) == n_flights * len(cfg.bands_mhz)
+    assert [r.band_mhz for r in records] == sorted(r.band_mhz for r in records)
+    if n_flights == 40:
+        assert len({r.destination for r in records}) < n_flights
+
+
+def test_run_flights_holds_one_decoded_planner_column(tmp_path):
+    """Flying every destination of a loaded goal-conditioned run holds the
+    decoded values of one planner column, not one per destination.
+
+    From a few flights to all of them, the peak grows by the records
+    (``FLIGHT_BYTES`` each), each destination's masks and delivery moves,
+    and two decoded columns of slack. Holding every flown column's values
+    grows it by 48 bytes per cell for each destination.
+    """
+    cfg = TrainConfig(grid=GridSpec(nx=8, ny=8, nz=3), obstacle_density=0.05, seed=3,
+                      bands_mhz=(900.0, 1800.0, 2100.0), episodes_strategic=2000,
+                      episodes_adaptive=50)
+    out = cmd_train(cfg, tmp_path / "run")
+    world = build_world(cfg)
+    cells = cfg.grid.n_cells
+    few, many = 4, 4 * len(world.mission_cells())
+
+    def traced_peak(n_flights):
+        _, strategic, adaptive = load_artifacts(out)
+        tracemalloc.start()
+        try:
+            records = run_flights(cfg, world, strategic, adaptive, n_flights, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, len({r.destination for r in records})
+
+    (peak_few, _), (peak_many, destinations) = traced_peak(few), traced_peak(many)
+    assert destinations > 0.9 * len(world.mission_cells())
+    column = cells * N_ACTIONS * 8
+    extra = (many - few) * len(cfg.bands_mhz)
+    masks = destinations * (cells + 1024)
+    assert peak_many - peak_few <= extra * FLIGHT_BYTES + masks + 2 * column
 
 
 def test_evaluate_missing_artifacts(tmp_path):
