@@ -21,9 +21,10 @@ cap aborts episodes that would otherwise wander unboundedly.
 
 Both loops are written for speed. They step through the world's move
 table (``GridWorld.moves``) and compute the rewards inline; both apply
-``qcore.bootstrap``. Each is held to a step-by-step loop built from the
-references in ``tests/reference.py`` (``q_update``, ``greedy_action``,
-``epsilon_at``).
+``qcore.bootstrap``'s float operations, the planner by calling it. Each is
+held to a step-by-step loop built from the references in
+``tests/reference.py`` (``q_update``, ``greedy_action``, ``epsilon_at``,
+``random_free_cell``).
 
 The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
@@ -46,18 +47,23 @@ other's rows and its loop stays sequential: one update per step, on Python
 lists of the table's rows indexed by flat cell index, with the coverage
 reward of every cell computed once per band from the band's
 ``CoverageMap``. Most of its updates write back the value the row already
-held (on band-flights, about 92 % of them), so it keeps each row's max and
-argmax ties beside the row and recomputes them only when an update changes
-a value. Its choices and updates are those of an epsilon-greedy pick
-through the reference ``greedy_action``, one move-table step,
-``reward_adaptive`` and the reference ``q_update``, RNG draws included, and
-a test replays it against a loop built from those calls.
+held (on band-flights, about 92 % of them), so it keeps beside each row
+its max, its argmax ties (and the greedy action when there is one) and the
+bootstrap target of a step landing on it, ``alpha * (r + gamma * max)``.
+An update that raises a value updates them in place: the max and target
+when the new value is above the max, the ties when it reaches their value.
+Only an update that lowers a value recomputes them. Its choices and
+updates are those of an epsilon-greedy pick through the reference
+``greedy_action``, one move-table step, ``reward_adaptive`` and the
+reference ``q_update``, RNG draws included, and a test replays it against
+a loop built from those calls.
 It takes each pick of one of n (an explored candidate, or one of two or
 more tied maximizers) straight from the generator, as ``rng.randrange(n)``
 draws it without its Python-level wrapper: ``getrandbits(k)`` for
 k = n.bit_length(), drawn again while it is n or more. The same words of
 the same Mersenne Twister are drawn, so the generator ends in the same
-state.
+state. Its mission draws (``random_free_cell``) draw each axis by the same
+rule.
 Reward constants are finite by construction (``RewardParams`` rejects
 anything else), so no update checks its reward.
 
@@ -276,7 +282,8 @@ def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.nd
     spec = world.spec
     coords = np.array(world.cells, dtype=np.intp)
     ends = coords[targets]
-    scale = np.array([spec.cell_size_m, spec.cell_size_m, spec.cell_height_m])
+    # float even when a size is an int past int64, which would make an object array
+    scale = np.array([spec.cell_size_m, spec.cell_size_m, spec.cell_height_m], dtype=float)
     dist = np.empty((len(coords), len(ends)))
     for lo in range(0, len(coords), 256):
         ex, ey, ez = np.moveaxis((coords[lo : lo + 256, None] - ends) * scale, -1, 0)
@@ -495,15 +502,24 @@ def train_adaptive(
     random walk pinned to one corner never reaches; the takeoff-started half
     keeps the early training signal representative of real departures.
 
-    Each row carries two caches: its max over all six actions, which the
-    bootstrap reads (under ``altitude_locked`` the never-written z actions
-    still count), and its argmax ties among the candidates, in candidate
-    order (``qcore.argmax_ties``). Both are recomputed only when an update
-    changes the row's value. A greedy step picks from the cached ties, as
-    the reference ``greedy_action`` picks from fresh ones, drawing only for
-    two or more, so the table, the logs and the random draws are those of
-    the uncached loop. Every pick of one of n draws what ``rng.randrange(n)`` draws,
-    through ``rng.getrandbits`` (see the module docstring).
+    Each row carries caches: its max over all six actions, ``top`` (under
+    ``altitude_locked`` the never-written z actions still count); its
+    argmax ties among the candidates, in candidate order
+    (``qcore.argmax_ties``), with the greedy action beside them when there
+    is one tie; and the bootstrap target an update landing on it reads,
+    ``alpha * (r + gamma * top)``, refreshed whenever ``top`` changes. An
+    update that writes back the row's value changes no cache. One that
+    lowers it (a fall) recomputes the max and the ties. One that raises
+    action a's value to ``new`` (a rise) moves ``top`` up to ``new`` if it
+    is higher, and compares ``new`` with the value of the ties (the old
+    value when a was among them): above it, a alone is the tie; equal to
+    it, a joins the ties, which are recomputed; below it, the ties stand.
+    A greedy step picks from the cached ties, as the reference
+    ``greedy_action`` picks from fresh ones, drawing only for two or more,
+    so the table, the logs and the random draws are those of the uncached
+    loop. Every pick of one of n draws what ``rng.randrange(n)`` draws,
+    through ``rng.getrandbits`` (see the module docstring), and so do the
+    mission draws (``random_free_cell``).
     """
     table = QTable(
         kind="adaptive",
@@ -515,24 +531,30 @@ def train_adaptive(
     rows = table.q[:, 0].tolist()
     # Plain ints: a list indexed by an int is faster than by an IntEnum member.
     candidates = tuple(map(int, cfg.actions))
-    # Per-row caches, recomputed only when an update changes the row's
-    # value: top[i] is max_a Q(i, a) over all six actions, which the
-    # bootstrap reads, and ties[i] the row's argmax ties among the candidates.
-    top = [max(row) for row in rows]
-    ties = [argmax_ties(row, candidates) for row in rows]
     moves = world.moves
     index = world.index
     snr = coverage_map(lb, world).snr_by_index
     cell_reward = [reward_adaptive(v, lb.snr_threshold_db, cfg.rewards) for v in snr]
+    alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
+    # qcore.bootstrap, (1 - alpha) * q + alpha * (r + gamma * max_next), as
+    # keep * q + target[s'], the same float operations in the same order
+    keep = 1.0 - alpha
+    # Per-row caches (see the docstring): top[i] is max_a Q(i, a) over all
+    # six actions, target[i] the bootstrap target of a step landing on i,
+    # ties[i] the row's argmax ties among the candidates and greedy[i] the
+    # one tie, or -1 when two or more tie.
+    top = [max(row) for row in rows]
+    target = [alpha * (r + gamma * t) for r, t in zip(cell_reward, top)]
+    ties = [argmax_ties(row, candidates) for row in rows]
+    greedy = [best[0] if len(best) == 1 else -1 for best in ties]
     n_candidates = len(candidates)
     k_candidates = n_candidates.bit_length()
     cap = cfg.resolved_step_cap()
-    alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
     uniform, getrandbits = rng.random, rng.getrandbits
     start = world.start_cell
     locked = cfg.altitude_locked
     n = cfg.episodes_adaptive
-    require_mission_cells(world, locked, 2 if n > 1 else 1)
+    missions = require_mission_cells(world, locked, 2 if n > 1 else 1)
     eps_of = cfg.schedule_adaptive.first(n)
     dest_of = np.empty(n, dtype=np.intp)
     total_of = np.empty(n)
@@ -542,15 +564,15 @@ def train_adaptive(
     for episode in range(n):
         epsilon = eps_of.item(episode)
         explore = epsilon > 0.0
-        pos = start if episode % 2 == 0 else random_free_cell(world, rng, locked)
-        dest = random_free_cell(world, rng, locked)
+        pos = start if episode % 2 == 0 else random_free_cell(world, rng, locked, missions)
+        dest = random_free_cell(world, rng, locked, missions)
         while dest == pos:
-            dest = random_free_cell(world, rng, locked)
+            dest = random_free_cell(world, rng, locked, missions)
         at, goal = index(pos), index(dest)
         row = rows[at]
         total = 0.0
-        steps = 0
-        while steps < cap:
+        # the cap is at least 1 (TrainConfig), so steps is always bound
+        for steps in range(1, cap + 1):
             # randrange(n), draw for draw: getrandbits(n.bit_length()),
             # drawn again while it is n or more
             if explore and uniform() < epsilon:
@@ -559,31 +581,42 @@ def train_adaptive(
                     i = getrandbits(k_candidates)
                 a = candidates[i]
             else:
-                # a uniform pick among the cached ties
-                best = ties[at]
-                n_ties = len(best)
-                if n_ties == 1:
-                    a = best[0]
-                else:
+                a = greedy[at]
+                if a < 0:
+                    # a uniform pick among the cached ties
+                    best = ties[at]
+                    n_ties = len(best)
                     k = n_ties.bit_length()
                     i = getrandbits(k)
                     while i >= n_ties:
                         i = getrandbits(k)
                     a = best[i]
             to, event = moves[at][a]
-            r = cell_reward[to]
             old = row[a]
-            # max_a' Q(s', a') is read before the caches change: s' may be s
-            new = bootstrap(old, r, top[to], alpha, gamma)
+            # the target is read before the caches change: s' may be s
+            new = keep * old + target[to]
             # Written even when equal, so the sign of a zero is kept. Such a
-            # write changes neither cache: ties compare with ==, and the
-            # reward is never zero, so r + gamma * top[to] ignores top's sign.
+            # write changes no cache: ties compare with ==, and the reward
+            # is never zero, so r + gamma * top ignores top's sign.
             row[a] = new
-            if new != old:
-                top[at] = max(row)
-                ties[at] = argmax_ties(row, candidates)
-            total += r
-            steps += 1
+            if new > old:
+                if new > top[at]:
+                    top[at] = new
+                    target[at] = alpha * (cell_reward[at] + gamma * new)
+                best = ties[at]
+                tied = old if best[0] == a else row[best[0]]
+                if new > tied:
+                    ties[at] = [a]
+                    greedy[at] = a
+                elif new == tied:
+                    ties[at] = argmax_ties(row, candidates)
+                    greedy[at] = -1
+            elif new < old:
+                top[at] = t = max(row)
+                target[at] = alpha * (cell_reward[at] + gamma * t)
+                ties[at] = best = argmax_ties(row, candidates)
+                greedy[at] = best[0] if len(best) == 1 else -1
+            total += cell_reward[to]
             if to == goal and event is MOVED:
                 arrived_of[episode] = True
                 break

@@ -314,13 +314,40 @@ def require_mission_cells(
     return cells
 
 
-def random_free_cell(world: GridWorld, rng: random.Random, altitude_locked: bool = False) -> Cell:
-    """A uniformly drawn mission cell: whole-grid (x, y, z) draws until one is."""
-    cells = require_mission_cells(world, altitude_locked, 1)
+def random_free_cell(
+    world: GridWorld,
+    rng: random.Random,
+    altitude_locked: bool = False,
+    missions: frozenset[Cell] | None = None,
+) -> Cell:
+    """A uniformly drawn mission cell: whole-grid (x, y, z) draws until one is.
+
+    A caller that draws many binds ``missions``, the set
+    ``require_mission_cells`` returned for ``altitude_locked``, once;
+    otherwise it is looked up and checked on every call. Each axis of n
+    cells is drawn as ``rng.randrange(n)`` draws it, without that call's
+    Python-level wrapper: ``getrandbits(k)`` for k = n.bit_length(), drawn
+    again while it is n or more. The same words of the same Mersenne
+    Twister are drawn, so the generator ends in the same state.
+    """
+    if missions is None:
+        missions = require_mission_cells(world, altitude_locked, 1)
     spec = world.spec
+    nx, ny, nz = spec.nx, spec.ny, spec.nz
+    kx, ky, kz = nx.bit_length(), ny.bit_length(), nz.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        c = (rng.randrange(spec.nx), rng.randrange(spec.ny), rng.randrange(spec.nz))
-        if c in cells:
+        x = getrandbits(kx)
+        while x >= nx:
+            x = getrandbits(kx)
+        y = getrandbits(ky)
+        while y >= ny:
+            y = getrandbits(ky)
+        z = getrandbits(kz)
+        while z >= nz:
+            z = getrandbits(kz)
+        c = (x, y, z)
+        if c in missions:
             return c
 
 

@@ -79,6 +79,7 @@ from .config import (
     stream_rng,
 )
 from .gridworld import (
+    Cell,
     GridWorld,
     build,
     cell_center_m,
@@ -200,10 +201,10 @@ def _adaptive_name(band_mhz: float) -> str:
     return f"adaptive_{band_label(band_mhz)}.npz"
 
 
-def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> None:
+def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> frozenset[Cell]:
     """``require_mission_cells`` for ``cfg``'s missions, refused as a ``ConfigError``."""
     try:
-        require_mission_cells(world, cfg.altitude_locked, need, cfg.fixed_destination)
+        return require_mission_cells(world, cfg.altitude_locked, need, cfg.fixed_destination)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -442,7 +443,7 @@ def run_flights(
     band's in flight order. One set of tie masks, under ``safety``, serves
     every band's flights.
     """
-    _require_missions(cfg, world, 1)
+    missions = _require_missions(cfg, world, 1)
     cap = cfg.resolved_eval_step_cap()
     masks = TieMasks(world, strategic, safety, cfg.actions)
     bands = [
@@ -452,7 +453,9 @@ def run_flights(
     ]
     dest_rng = stream_rng(seed, "eval.dest")
     for _ in range(n_flights):
-        dest = cfg.fixed_destination or random_free_cell(world, dest_rng, cfg.altitude_locked)
+        dest = cfg.fixed_destination or random_free_cell(
+            world, dest_rng, cfg.altitude_locked, missions
+        )
         for table, cmap, tie_rng, records in bands:
             # called through this module's name, which a tracer may replace
             flight = execute_flight(masks, table, cmap, dest, step_cap=cap, rng=tie_rng,

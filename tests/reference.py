@@ -11,6 +11,11 @@ compare the two:
   ``rng.randrange(n)`` does; the training loops and the flights draw their
   picks through ``getrandbits`` and must leave the generator in the same
   state.
+- ``random_free_cell`` draws a mission cell with ``rng.randrange``, one
+  axis at a time, until the cell is free, not the takeoff cell and, when
+  altitude-locked, on the takeoff layer; ``gridworld.random_free_cell``
+  draws each axis through ``getrandbits`` and must draw the same cells
+  and leave the generator in the same state.
 - ``epsilon_at`` is one episode's exploration rate, which
   ``EpsilonSchedule.first`` computes for a whole run at once.
 - ``decide`` is one step of the dual-table rule (Algorithm 3): both rows,
@@ -28,8 +33,9 @@ compare the two:
   paths with breadth-first shortest paths.
 
 Where it costs a few lines, a reference computes a rule itself instead of
-importing it: ``argmax_ties`` and ``candidates`` do not call the ``qcore``
-and ``arbiter`` code they mirror, so a replay compares two implementations.
+importing it: ``argmax_ties``, ``candidates`` and ``random_free_cell`` do
+not call the ``qcore``, ``arbiter`` and ``gridworld`` code they mirror, so a
+replay compares two implementations.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Sequence
 
 from uavnav.arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
 from uavnav.config import TrainConfig, band_label, stream_rng
-from uavnav.gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent, random_free_cell
+from uavnav.gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
 from uavnav.qcore import TIES, EpsilonSchedule, Hyper, QTable, bootstrap
 from uavnav.radio import coverage_map
 
@@ -77,6 +83,17 @@ def greedy_action(
     if len(ties) == 1:
         return ties[0]
     return ties[rng.randrange(len(ties))]
+
+
+def random_free_cell(world: GridWorld, rng: random.Random, altitude_locked: bool = False) -> Cell:
+    """A uniformly drawn mission cell, by ``randrange`` draws of x, y and z
+    over the whole grid until one is. The world must have one."""
+    spec, start = world.spec, world.start_cell
+    while True:
+        c = (rng.randrange(spec.nx), rng.randrange(spec.ny), rng.randrange(spec.nz))
+        on_layer = c[2] == start[2] or not altitude_locked
+        if c != start and c not in world.obstacles and on_layer:
+            return c
 
 
 def epsilon_at(schedule: EpsilonSchedule, episode: int) -> float:

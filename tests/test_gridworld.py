@@ -218,13 +218,15 @@ def test_random_free_cell_draws_as_the_two_level_rejection_loop():
                     random_free_cell(world, random.Random(trial), locked)
                 continue
             drawn_locked += locked
-            ours, old = random.Random(trial), random.Random(trial)
+            # looked up on every call, bound once by the caller, and by randrange
+            ours, bound, old = (random.Random(trial) for _ in range(3))
+            missions = world.mission_cells(locked)
             layer = start[2] if locked else None
             for _ in range(30):
-                assert random_free_cell(world, ours, locked) == old_random_free_cell(
-                    world, old, layer
-                )
-                assert ours.getstate() == old.getstate()
+                want = old_random_free_cell(world, old, layer)
+                assert random_free_cell(world, ours, locked) == want
+                assert random_free_cell(world, bound, locked, missions) == want
+                assert ours.getstate() == bound.getstate() == old.getstate()
     assert drawn_locked > 20
 
 

@@ -782,6 +782,7 @@ def test_cli_coverage_into_a_pipe_its_reader_closes_early(tmp_path):
     head = [proc.stdout.readline() for _ in range(3)]
     proc.stdout.close()
     err = proc.stderr.read().decode()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert head[0] == b"ix,iy,iz,x_m,y_m,z_m,snr_db,covered\r\n"
     # no error line, and no second failure at the interpreter's exit
@@ -831,6 +832,18 @@ def test_cli_train_rejects_non_finite_numbers(tmp_path, capsys, case):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cmd_train_with_a_cell_size_past_int64(tmp_path):
+    # JSON reads 18446744073709551616 as an int, which numpy holds in no
+    # integer dtype; the run trains on float distances or is refused
+    raw = {**TINY_RAW, "grid": {"nx": 3, "ny": 3, "nz": 2, "cell_size_m": 2**64}}
+    try:
+        out = cmd_train(config_from_dict(raw), tmp_path / "run")
+    except ConfigError:
+        return
+    for name in ("strategic.npz", "adaptive_900.npz"):
+        assert np.isfinite(load_table(out / name).q).all(), name
 
 
 def test_cli_train_rejects_non_int_seed(tmp_path, capsys):

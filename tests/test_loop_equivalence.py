@@ -25,15 +25,19 @@ draws an episode's uniforms a block of steps at a time, so a step cap far
 beyond any episode's length costs nothing.
 
 ``train_adaptive`` steps through the world's move table with the reward and
-the update written out, and reads each row's max and argmax ties from caches
-it recomputes only when an update changes the row. The reference loop below
-takes each step the plain way -- ``select_action`` (an exploration coin,
-else ``greedy_action``), ``step``, ``reward_adaptive`` and
-``q_update`` -- and must give an equal table, equal episode logs and leave
-the random generator in the same state. The extra
+the update written out, and reads each row's max, argmax ties and bootstrap
+target from caches that it updates in place when an update raises a value
+and recomputes when one lowers it. The reference loop below takes each step
+the plain way -- ``random_free_cell`` by ``randrange``, ``select_action``
+(an exploration coin, else ``greedy_action``), ``step``,
+``reward_adaptive`` and ``q_update`` -- and must give an equal table, equal
+episode logs and leave the random generator in the same state. The extra
 modes stress the caches: greedy steps read the cached ties, ``alpha`` 1
-makes most updates change a value, and a link covered everywhere makes rows
-tie everywhere.
+makes most updates change a value, a link covered everywhere makes rows tie
+everywhere, and with ``gamma`` 0 as well every update writes exactly
+``r_covered``, so a rise often ties the row's max. The default link covers
+every cell of the test grid, so only the mode whose threshold puts half the
+cells in outage lowers values.
 """
 
 import dataclasses
@@ -60,14 +64,13 @@ from uavnav.gridworld import (
     ACTIONS_XY,
     GridSpec,
     StepEvent,
-    random_free_cell,
 )
 from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule, Hyper, QTable
 from uavnav.radio import coverage_map
 
 from oracles import euclid_cells, manhattan_cells, splitmix64_uniform
-from reference import argmax_ties, epsilon_at, greedy_action, q_update
+from reference import argmax_ties, epsilon_at, greedy_action, q_update, random_free_cell
 
 
 def step(world, pos, a, dest):
@@ -279,7 +282,15 @@ ADAPTIVE_MODES = {
     "greedy_adaptive": {"schedule_adaptive": EpsilonSchedule(1.0, 0.0, 1e-3)},
     "alpha_1": {"hyper": Hyper(alpha=1.0)},
     "always_covered": {},  # the test lowers the link's threshold to -inf
+    # covered everywhere too, so every update writes exactly r_covered:
+    # rises that tie the row's max are common
+    "writes_r_covered": {"hyper": Hyper(alpha=1.0, gamma=0.0)},
+    # the test raises the threshold to the median SNR: an outage reward
+    # lowers values, which no other mode's link does
+    "half_in_outage": {},
 }
+# Adaptive modes whose link covers every cell.
+EVERY_CELL_COVERED = {"always_covered", "writes_r_covered"}
 
 
 def mode_config(mode: str) -> TrainConfig:
@@ -432,8 +443,11 @@ def test_train_adaptive_matches_reference_loop(mode):
     cfg = mode_config(mode)
     world = build_world(cfg)
     lb = cfg.link_for_band(2100.0)
-    if mode == "always_covered":
+    if mode in EVERY_CELL_COVERED:
         lb = dataclasses.replace(lb, snr_threshold_db=-math.inf)
+    elif mode == "half_in_outage":
+        median = float(np.median(coverage_map(lb, world).snr_by_index))
+        lb = dataclasses.replace(lb, snr_threshold_db=median)
     rng_got, rng_want = (stream_rng(cfg.seed, "train.adaptive") for _ in range(2))
     got = train_adaptive(world, lb, cfg, rng_got)
     *want, picks = reference_adaptive(build_world(cfg), lb, cfg, rng_want)
