@@ -29,6 +29,7 @@ from .gridworld import (
 from .harness import (
     ArtifactError,
     EvalReport,
+    Flights,
     TrainingError,
     build_world,
     cmd_coverage,

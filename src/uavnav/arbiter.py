@@ -19,27 +19,29 @@ A flight looks each decision up instead of recomputing it: the tables
 are frozen, so under a fixed candidate rule (the safety filter, from the
 world's per-cell safe-action sets, then ``allowed``) every row's argmax ties
 are fixed. ``TieMasks`` holds them as 6-bit masks, the planner's built per
-destination the first time that destination is flown. Of the values a
-disagreement compares, it holds the planner's for one column, the last one
-asked for, so a caller that flies a destination on every band before it
-draws the next, as ``harness.run_flights`` does, decodes each drawn
-destination's column once. A step decodes both
-masks to their ties in ascending action order and draws a pick only when
-two or more actions tie, planner first and coverage agent second. It draws
-a pick of one of n as ``rng.randrange(n)`` does, without that call's
-Python-level wrapper: ``getrandbits(k)`` for k = n.bit_length(), drawn
-again while it is n or more. ``decide`` in ``tests/reference.py`` is the
-same rule taken one step at a time, each argmax recomputed from the rows
-and picked with ``randrange``; the replay tests hold every flight step to
-it, random draws included.
+destination the first time that destination is flown; at each neighbour of
+the destination the planner's byte holds the delivery move onto it instead,
+as ``_DELIVER + a``. Of the values a disagreement compares, it holds the
+planner's for one column, the last one asked for, so a caller that flies a
+destination on every band before it draws the next, as
+``harness.run_flights`` does, decodes each drawn destination's column once.
+A step looks both masks up in ``_PICKS``, their ties in ascending action
+order with the count n and n.bit_length() beside them, and draws a pick
+only when two or more actions tie, planner first and coverage agent
+second. It draws a pick of one of n as ``rng.randrange(n)`` does, without
+that call's Python-level wrapper: ``getrandbits(k)`` for
+k = n.bit_length(), drawn again while it is n or more. ``decide`` in
+``tests/reference.py`` is the same rule taken one step at a time, each
+argmax recomputed from the rows and picked with ``randrange``; the replay
+tests hold every flight step to it, random draws included.
 
 ``execute_flight`` takes the ``TieMasks`` of the world, the planner and
-the candidate rule it flies under, and returns the ``FlightRecord`` the
-evaluation reports: band, destination, outcome and step counts, no
-trajectory. A flight steps through the world's move table, by flat cell
-index. Each step's SNR is read from the band's ``CoverageMap``, the same
-map the coverage agent trained on: training and flight have one SNR
-source.
+the candidate rule it flies under, and returns a ``FlightRecord``: band,
+destination, outcome and step counts, no trajectory. ``harness.run_flights``
+copies each into its columns. A flight steps through the world's move
+table, by flat cell index. Each step's SNR is read from the band's
+``CoverageMap``, the same map the coverage agent trained on: training and
+flight have one SNR source.
 """
 
 from __future__ import annotations
@@ -54,6 +56,16 @@ import numpy as np
 from .gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
 from .qcore import N_ACTIONS, TIES, QTable
 from .radio import CoverageMap
+
+
+# A planner mask byte of _DELIVER + a at a neighbour of the destination: the
+# move a enters the destination.
+_DELIVER = 1 << N_ACTIONS
+# _PICKS[m]: the ties of mask m (``qcore.TIES``), their count n and
+# n.bit_length(), the bits a pick of one of them draws.
+_PICKS: tuple[tuple[tuple[int, ...], int, int], ...] = tuple(
+    (ties, len(ties), len(ties).bit_length()) for ties in TIES
+)
 
 
 class FlightOutcome(Enum):
@@ -130,14 +142,15 @@ class TieMasks:
     rule, ``safety`` and ``allowed``; ``allowed`` must list distinct
     actions in ascending order, as ``ACTIONS`` and ``ACTIONS_XY`` do. The
     compared values are the tables' own. The planner's masks, one ``bytes``
-    of one byte per cell shared by all bands, and its delivery moves are
-    built per destination, the first time that destination is flown, and
-    kept. Its values are kept for one column only, the one last asked for:
-    a destination of another column decodes that column again. A coverage
-    table's masks, one per cell of its one column, are decoded, and its
-    rows listed, the first time that table is flown. No table may change
-    while its masks are in use. A coverage table is checked against the
-    world's grid, and for its one column, the first time it is flown.
+    of one byte per cell shared by all bands, with the delivery moves in
+    the destination's neighbours, are built per destination, the first
+    time that destination is flown, and kept. Its values are kept for one
+    column only, the one last asked for: a destination of another column
+    decodes that column again. A coverage table's picks, one per cell of
+    its one column, are decoded, and its rows listed, the first time that
+    table is flown. No table may change while its masks are in use. A
+    coverage table is checked against the world's grid, and for its one
+    column, the first time it is flown.
     """
 
     def __init__(
@@ -161,43 +174,43 @@ class TieMasks:
         self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
         for i, safe in enumerate(world.safe_actions):
             self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
-        # destination -> its masks, one byte per cell, and its delivery moves
-        self._planner: dict[int, tuple[bytes, dict[int, Action]]] = {}
+        # destination -> its masks, one byte per cell
+        self._planner: dict[int, bytes] = {}
         # the column whose values were last decoded, and those values
-        self._values: tuple[int, np.ndarray] | None = None
-        # id of each coverage table flown -> (table, ties, rows)
+        self._values: tuple[int, memoryview] | None = None
+        # id of each coverage table flown -> (table, picks, rows)
         self._coverage: dict[int, tuple] = {}
 
-    def planner(self, goal: int) -> tuple[bytes, np.ndarray, dict[int, Action]]:
-        """Toward ``goal``, the destination's flat index: the planner's tie
-        mask per cell, its values (n x 6), and the allowed move onto ``goal``
-        from each neighbour that has one."""
+    def planner(self, goal: int) -> tuple[bytes, memoryview]:
+        """Toward ``goal``, the destination's flat index: the planner's byte
+        per cell, a tie mask or, at a neighbour of ``goal``, ``_DELIVER + a``
+        for the allowed move ``a`` onto it; and its values (n x 6)."""
         col = self.q_strategic.column(goal)
         if self._values is None or self._values[0] != col:
-            self._values = (col, self.q_strategic.column_values(col))
-        q = self._values[1]
-        hit = self._planner.get(goal)
-        if hit is None:
+            self._values = (col, memoryview(self.q_strategic.column_values(col)))
+        plan = self._planner.get(goal)
+        if plan is None:
+            masks = _tie_masks(np.asarray(self._values[1]), self._candidate_mask)
             moves = self.world.moves
-            enter = {
-                i: a
-                for i, _ in moves[goal]
-                if i != goal
-                for a in self.allowed
-                if moves[i][a][0] == goal
-            }
-            hit = self._planner[goal] = (_tie_masks(q, self._candidate_mask).tobytes(), enter)
-        return hit[0], q, hit[1]
+            for i, _ in moves[goal]:
+                if i != goal:
+                    for a in self.allowed:
+                        if moves[i][a][0] == goal:
+                            masks[i] = _DELIVER + a
+            plan = self._planner[goal] = masks.tobytes()
+        return plan, self._values[1]
 
-    def coverage(self, q_adaptive: QTable) -> tuple[list[tuple[int, ...]], list[list[float]]]:
-        """A coverage table's ties per cell, decoded, and its rows as lists."""
+    def coverage(
+        self, q_adaptive: QTable
+    ) -> tuple[list[tuple[tuple[int, ...], int, int]], list[list[float]]]:
+        """A coverage table's picks per cell (``_PICKS``) and its rows as lists."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
             _require_grid(self.world, q_adaptive)
             _require_coverage(q_adaptive)
             q = q_adaptive.column_values(0)
-            ties = [TIES[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
-            hit = (q_adaptive, ties, q.tolist())
+            picks = [_PICKS[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
+            hit = (q_adaptive, picks, q.tolist())
             self._coverage[id(q_adaptive)] = hit
         return hit[1:]
 
@@ -232,14 +245,8 @@ def execute_flight(
     threshold = cmap.snr_threshold_db
     moves = world.moves
     at, goal = world.index(world.start_cell), world.index(dest)
-    plan, plan_q, onto_goal = masks.planner(goal)
+    plan, plan_q = masks.planner(goal)
     cover, cover_q = masks.coverage(q_adaptive)
-    # Delivery priority: once the destination is one move away, take that
-    # move instead of arbitrating. Evaluation measures successful delivery;
-    # without this, a destination inside a weak-coverage zone is
-    # unreachable, because the coverage table votes to back away from it
-    # indefinitely.
-    enter = onto_goal.get
     # bound once: a local is read faster than an enum member
     crashed, moved = StepEvent.CRASHED_INTO_OBSTACLE, StepEvent.MOVED
     min_snr = snr_by_index[at]
@@ -247,26 +254,29 @@ def execute_flight(
     outage_steps = 0
     outcome = FlightOutcome.STEP_CAP_HIT
     while steps < step_cap:
-        a = enter(at)
-        if a is None:
+        m = plan[at]
+        if m >= _DELIVER:
+            # Delivery priority: once the destination is one move away, take
+            # that move instead of arbitrating. Evaluation measures successful
+            # delivery; without this, a destination inside a weak-coverage
+            # zone is unreachable, because the coverage table votes to back
+            # away from it indefinitely.
+            a = m - _DELIVER
+        else:
             # the planner's ties, then the coverage agent's, each picked as
             # randrange(n) draws (see the module docstring)
-            ties = TIES[plan[at]]
-            n = len(ties)
+            ties, n, k = _PICKS[m]
             if n == 1:
                 a = ties[0]
             else:
-                k = n.bit_length()
                 i = getrandbits(k)
                 while i >= n:
                     i = getrandbits(k)
                 a = ties[i]
-            ties = cover[at]
-            n = len(ties)
+            ties, n, k = cover[at]
             if n == 1:
                 a2 = ties[0]
             else:
-                k = n.bit_length()
                 i = getrandbits(k)
                 while i >= n:
                     i = getrandbits(k)

@@ -21,11 +21,15 @@ sees every call, in the caller's process. The jobs write into a private
 temporary directory inside the artifact directory. Only after every job
 has returned are their files renamed into place, the manifest last; a run
 that fails removes the temporary directory and leaves the artifact
-directory as it found it, a previous run's manifest included.
+directory as it found it, a previous run's manifest included. Evaluation
+publishes the same way: ``flights.csv`` and ``evaluation.json`` are
+written into a temporary directory of their own and renamed into place,
+``evaluation.json`` last, so a failed evaluation leaves the previous pair.
 
 Every text file is written by one of two helpers. ``_write_csv`` writes a
 CSV as ``csv.writer`` does (unquoted fields, floats as their ``repr``, rows
-ending in ``\\r\\n``); ``_json_text`` gives the manifest and
+ending in ``\\r\\n``), formatting at most ``_BLOCK_ROWS`` rows at a time;
+``_json_text`` gives the manifest and
 ``evaluation.json`` two-space indents, sorted keys and a final newline. The
 coverage export lists cells in flat-index order (``GridWorld.cells``).
 
@@ -42,11 +46,13 @@ every flight to the config's ``fixed_destination``. It draws each
 destination once, from one stream, and flies it on every band before it
 draws the next, so the planner's values are decoded for one destination's
 column at a time and that column's values are the only ones held. One set
-of ``arbiter.TieMasks`` serves the run, and each flight yields the
-``arbiter.FlightRecord`` that ``execute_flight`` returns. Evaluation
-reports Table-style percentages: arrival, crash, step-cap, and outage both
-per flight (a flight counts once however many below-threshold steps it
-had) and per step.
+of ``arbiter.TieMasks`` serves the run. The flights are kept as columns
+(``Flights``), numpy arrays allocated before the first flight, into which
+each ``arbiter.FlightRecord`` that ``execute_flight`` returns is copied:
+a flight costs ``FLIGHT_BYTES``, not a Python record. Evaluation reports
+Table-style percentages: arrival, crash, step-cap, and outage both per
+flight (a flight counts once however many below-threshold steps it had)
+and per step.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
@@ -68,7 +74,7 @@ import numpy as np
 
 from . import __version__
 from .agents import train_adaptive, train_strategic
-from .arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
+from .arbiter import FlightOutcome, TieMasks, execute_flight
 from .config import (
     ConfigError,
     TrainConfig,
@@ -93,11 +99,19 @@ from .radio import coverage_map, warn_outside_validity
 
 MANIFEST_NAME = "manifest.json"
 STRATEGIC_NAME = "strategic.npz"
-# The bytes evaluation holds per flight: its FlightRecord and what the
-# report and the flight CSV build from it. Measured with tracemalloc, as the
-# growth of cmd_evaluate's peak from 20,000 to 60,000 flights on a
-# 4 x 4 x 2, one-band run: 184, rounded up.
-FLIGHT_BYTES = 192
+EVALUATION_NAME = "evaluation.json"
+# The bytes evaluation holds per flight: its columns and what the report
+# builds from them. Measured with tracemalloc, as the growth of
+# cmd_evaluate's peak from 20,000 to 60,000 flights on a 4 x 4 x 2,
+# one-band run: 33.0, rounded up to a multiple of 8.
+FLIGHT_BYTES = 40
+# The most rows a CSV writer formats at once, and the most flights whose
+# columns are converted to Python objects at once.
+_BLOCK_ROWS = 1 << 10
+# A flight's outcome code in Flights.outcome: its index in FlightOutcome.
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(FlightOutcome)}
+_OUTCOME_TEXT = tuple(outcome.value for outcome in FlightOutcome)
+_ARRIVED, _CRASHED = _OUTCOME_CODE[FlightOutcome.ARRIVED], _OUTCOME_CODE[FlightOutcome.CRASHED]
 
 
 class ArtifactError(ValueError):
@@ -124,28 +138,57 @@ class EvalReport:
         return dataclasses.asdict(self)
 
 
-def compute_metrics(records: list[FlightRecord]) -> EvalReport:
-    """Aggregate flight records into percentages, with a per-band breakdown."""
-    report = _metrics_flat(records)
-    bands = sorted({r.band_mhz for r in records})
-    if len(bands) > 1:
-        for b in bands:
-            report.per_band[band_label(b)] = _metrics_flat(
-                [r for r in records if r.band_mhz == b]
-            )
+@dataclass(frozen=True, eq=False)
+class Flights:
+    """An evaluation's flights, one array per field. Row ``b`` of a
+    per-band array is the ``b``-th band of ``bands_mhz``, and column ``j``
+    the ``j``-th destination drawn, which every band flies.
+    """
+
+    cells: Sequence[Cell]  # the world's cells, by flat index
+    bands_mhz: tuple[float, ...]  # ascending
+    seconds_per_step: float  # cell_size_m / velocity_ms
+    destination: np.ndarray  # intp (flights,), the destination's flat index
+    outcome: np.ndarray  # uint8 (bands, flights), the index in FlightOutcome
+    steps: np.ndarray  # int64 (bands, flights)
+    outage_steps: np.ndarray  # int64 (bands, flights)
+    min_snr_db: np.ndarray  # float64 (bands, flights)
+
+
+def compute_metrics(flights: Flights) -> EvalReport:
+    """Aggregate flights into percentages, with a per-band breakdown."""
+    bands = flights.bands_mhz
+    report = _metrics_flat(flights, slice(None))
+    if len(bands) > 1 and report.flights:
+        for b, band in enumerate(bands):
+            report.per_band[band_label(band)] = _metrics_flat(flights, slice(b, b + 1))
     return report
 
 
-def _metrics_flat(records: list[FlightRecord]) -> EvalReport:
-    n = len(records)
+def _metrics_flat(flights: Flights, bands: slice) -> EvalReport:
+    outcome, steps = flights.outcome[bands], flights.steps[bands]
+    outage = flights.outage_steps[bands]
+    n = outcome.size
     if n == 0:
         return EvalReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    n_arrived = sum(1 for r in records if r.outcome == FlightOutcome.ARRIVED)
-    n_crashed = sum(1 for r in records if r.outcome == FlightOutcome.CRASHED)
+    # The outcome codes are counted in their bytes, and each flight's time is
+    # execute_flight's own Python expression: a process's first numpy
+    # comparison, or product of int64s by a float, grew a 300-flight
+    # evaluation's peak RSS by a 128 KiB step of its heap.
+    codes = outcome.tobytes()
+    n_arrived, n_crashed = codes.count(_ARRIVED), codes.count(_CRASHED)
     n_capped = n - n_arrived - n_crashed
-    n_outage_flights = sum(1 for r in records if r.outage_steps > 0)
-    total_steps = sum(r.steps for r in records)
-    total_outage = sum(r.outage_steps for r in records)
+    n_outage_flights = int(np.count_nonzero(outage))
+    total_steps, total_outage = int(steps.sum()), int(outage.sum())
+    # summed flight by flight, band after band, as one record per flight
+    # would be: a numpy sum adds in another order
+    per_step = flights.seconds_per_step
+    flight_times = (
+        n_steps * per_step
+        for row in steps
+        for i in range(0, len(row), _BLOCK_ROWS)
+        for n_steps in row[i:i + _BLOCK_ROWS].tolist()
+    )
     return EvalReport(
         flights=n,
         arrival_pct=100.0 * n_arrived / n,
@@ -154,7 +197,7 @@ def _metrics_flat(records: list[FlightRecord]) -> EvalReport:
         outage_flight_pct=100.0 * n_outage_flights / n,
         outage_step_pct=(100.0 * total_outage / total_steps) if total_steps else 0.0,
         mean_steps=total_steps / n,
-        mean_flight_time_s=sum(r.flight_time_s for r in records) / n,
+        mean_flight_time_s=sum(flight_times) / n,
     )
 
 
@@ -173,14 +216,14 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple])
     """Write ``header`` and ``rows`` in place, as the bytes ``csv.writer``
     writes: no field needs quoting, since names, ints, band labels and the
     ``repr`` of Python floats hold no comma, quote or line break. Rows are
-    formatted and written a block at a time, so the text of a long file is
-    never held whole.
+    formatted and written ``_BLOCK_ROWS`` at a time, so the text of a long
+    file is never held whole.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
     rows = iter(rows)
     with open(path, "wb") as f:
         f.write((line % header).encode())
-        while block := [line % row for row in islice(rows, 1 << 14)]:
+        while block := [line % row for row in islice(rows, _BLOCK_ROWS)]:
             f.write("".join(block).encode())
 
 
@@ -321,12 +364,18 @@ def cmd_train(
             "config_sha256": cfg.config_hash(),
             "files": files,
         }
-        # the manifest last: it is in place only once the files it lists are
-        for path in list(staged.iterdir()):
-            os.replace(path, out / path.name)
         (staged / MANIFEST_NAME).write_text(_json_text(manifest), encoding="utf-8")
-        os.replace(staged / MANIFEST_NAME, out / MANIFEST_NAME)
+        _publish(staged, out, MANIFEST_NAME)
     return out
+
+
+def _publish(staged: Path, out: Path, last: str) -> None:
+    """Rename every file of ``staged`` into ``out``, ``last`` last: the file
+    that vouches for the others is in place only once they are."""
+    for path in list(staged.iterdir()):
+        if path.name != last:
+            os.replace(path, out / path.name)
+    os.replace(staged / last, out / last)
 
 
 def _read_manifest(art: Path) -> tuple[TrainConfig, dict[str, str]]:
@@ -431,7 +480,7 @@ def run_flights(
     n_flights: int,
     seed: int,
     safety: bool = True,
-) -> list[FlightRecord]:
+) -> Flights:
     """Fly ``n_flights`` per band to random mission cells, or all of them to
     ``cfg.fixed_destination``, the one destination the planner trained for.
 
@@ -439,29 +488,69 @@ def run_flights(
     every band, in sorted band order, before the next is drawn, so every
     band faces the same destination sequence and the planner's values are
     decoded for one destination at a time. Each band breaks ties from its
-    own ``eval.ties.<band>`` stream. The records come band by band, each
-    band's in flight order. One set of tie masks, under ``safety``, serves
-    every band's flights.
+    own ``eval.ties.<band>`` stream. The flights come as columns, allocated
+    before the first flight: the destinations once, and each band's
+    outcomes, steps, outage steps and minimum SNRs in flight order. One set
+    of tie masks, under ``safety``, serves every band's flights.
     """
     missions = _require_missions(cfg, world, 1)
     cap = cfg.resolved_eval_step_cap()
     masks = TieMasks(world, strategic, safety, cfg.actions)
+    bands_mhz = tuple(sorted(adaptive))
+    shape = (len(bands_mhz), n_flights)
+    flights = Flights(
+        cells=world.cells,
+        bands_mhz=bands_mhz,
+        seconds_per_step=world.spec.cell_size_m / cfg.uav_velocity_ms,
+        destination=np.empty(n_flights, dtype=np.intp),
+        outcome=np.empty(shape, dtype=np.uint8),
+        steps=np.empty(shape, dtype=np.int64),
+        outage_steps=np.empty(shape, dtype=np.int64),
+        min_snr_db=np.empty(shape, dtype=np.float64),
+    )
     bands = [
         (adaptive[band], coverage_map(cfg.link_for_band(band), world),
-         stream_rng(seed, f"eval.ties.{band_label(band)}"), [])
-        for band in sorted(adaptive)
+         stream_rng(seed, f"eval.ties.{band_label(band)}"), flights.outcome[b],
+         flights.steps[b], flights.outage_steps[b], flights.min_snr_db[b])
+        for b, band in enumerate(bands_mhz)
     ]
     dest_rng = stream_rng(seed, "eval.dest")
-    for _ in range(n_flights):
+    for j in range(n_flights):
         dest = cfg.fixed_destination or random_free_cell(
             world, dest_rng, cfg.altitude_locked, missions
         )
-        for table, cmap, tie_rng, records in bands:
+        flights.destination[j] = world.index(dest)
+        for table, cmap, tie_rng, outcome, steps, outage_steps, min_snr_db in bands:
             # called through this module's name, which a tracer may replace
             flight = execute_flight(masks, table, cmap, dest, step_cap=cap, rng=tie_rng,
                                     velocity_ms=cfg.uav_velocity_ms)
-            records.append(flight)
-    return [flight for *_, records in bands for flight in records]
+            outcome[j] = _OUTCOME_CODE[flight.outcome]
+            steps[j] = flight.steps
+            outage_steps[j] = flight.outage_steps
+            min_snr_db[j] = flight.min_snr_db
+    return flights
+
+
+def _flight_rows(flights: Flights) -> Iterator[tuple]:
+    """The rows of ``flights.csv``: band after band, each in flight order.
+    A flight's time is ``execute_flight``'s, ``steps * seconds_per_step``.
+    The columns are converted ``_BLOCK_ROWS`` flights at a time."""
+    cells = flights.cells
+    for b, band in enumerate(flights.bands_mhz):
+        label = band_label(band)
+        for i in range(0, len(flights.destination), _BLOCK_ROWS):
+            block = slice(i, i + _BLOCK_ROWS)
+            yield from (
+                (label, *cells[dest], _OUTCOME_TEXT[outcome], n_steps, outage, min_snr,
+                 n_steps * flights.seconds_per_step)
+                for dest, outcome, n_steps, outage, min_snr in zip(
+                    flights.destination[block].tolist(),
+                    flights.outcome[b, block].tolist(),
+                    flights.steps[b, block].tolist(),
+                    flights.outage_steps[b, block].tolist(),
+                    flights.min_snr_db[b, block].tolist(),
+                )
+            )
 
 
 def cmd_evaluate(
@@ -470,7 +559,11 @@ def cmd_evaluate(
     seed: int = 0,
     safety: bool = True,
 ) -> EvalReport:
-    """Evaluate a trained artifact directory; writes report JSON and flight CSV."""
+    """Evaluate a trained artifact directory; writes report JSON and flight CSV.
+
+    Both files are written into a temporary directory inside the artifact
+    directory and renamed into place, ``evaluation.json`` last.
+    """
     if n_flights < 0:
         raise ValueError("n_flights must be >= 0")
     art = Path(artifact_dir)
@@ -479,23 +572,24 @@ def cmd_evaluate(
     if need > MAX_TABLE_BYTES:
         raise ValueError(
             f"{n_flights:,} flights on each of {len(adaptive)} band(s) need {need:,} bytes "
-            f"of flight records ({FLIGHT_BYTES} per flight), over the 2 GiB limit "
+            f"of flight columns ({FLIGHT_BYTES} per flight), over the 2 GiB limit "
             f"({MAX_TABLE_BYTES:,} bytes)"
         )
     warn_outside_validity(sorted(adaptive), cfg.grid)  # the order run_flights flies
     world = build_world(cfg)
-    records = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)
-    report = compute_metrics(records)
-
-    _write_csv(
-        art / "flights.csv",
-        ("band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps", "outage_steps",
-         "min_snr_db", "flight_time_s"),
-        ((band_label(r.band_mhz), *r.destination, r.outcome.value, r.steps, r.outage_steps,
-          r.min_snr_db, r.flight_time_s) for r in records),
-    )
+    flights = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)
+    report = compute_metrics(flights)
     doc = {**report.to_dict(), "seed": seed, "safety": safety}
-    (art / "evaluation.json").write_text(_json_text(doc), encoding="utf-8")
+    with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=art) as tmp:
+        staged = Path(tmp)
+        _write_csv(
+            staged / "flights.csv",
+            ("band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps", "outage_steps",
+             "min_snr_db", "flight_time_s"),
+            _flight_rows(flights),
+        )
+        (staged / EVALUATION_NAME).write_text(_json_text(doc), encoding="utf-8")
+        _publish(staged, art, EVALUATION_NAME)
     return report
 
 

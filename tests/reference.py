@@ -24,13 +24,17 @@ compare the two:
   up from ``arbiter.TieMasks``; the replays hold it to ``decide`` step by
   step, random draws included.
 - ``run_flights_by_band`` flies an evaluation band after band, restarting
-  the destination stream for each band. ``harness.run_flights`` draws each
-  destination once and flies it on every band before drawing the next; it
-  must return the same records in the same order.
+  the destination stream for each band, and lists the ``FlightRecord`` of
+  every flight. ``harness.run_flights`` draws each destination once and
+  flies it on every band before drawing the next; its columns, listed as
+  records by ``records_of``, must be the same records in the same order.
+  ``flights_of`` turns records back into columns, for metrics over hand-made
+  or pooled records.
 - ``greedy_trajectory`` rolls out one table's greedy policy over all six
-  actions, through the world's move table and the planner masks a flight
-  reads (``TieMasks(..., safety=False).planner``); criterion 3 compares its
-  paths with breadth-first shortest paths.
+  actions, through the world's move table, the planner values a flight
+  reads (``TieMasks(..., safety=False).planner``) and the tie rule its
+  planner bytes are built with (``arbiter._tie_masks``); criterion 3
+  compares its paths with breadth-first shortest paths.
 
 Where it costs a few lines, a reference computes a rule itself instead of
 importing it: ``argmax_ties``, ``candidates`` and ``random_free_cell`` do
@@ -43,9 +47,12 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from uavnav.arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
+import numpy as np
+
+from uavnav.arbiter import FlightOutcome, FlightRecord, TieMasks, _tie_masks, execute_flight
 from uavnav.config import TrainConfig, band_label, stream_rng
 from uavnav.gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
+from uavnav.harness import Flights
 from uavnav.qcore import TIES, EpsilonSchedule, Hyper, QTable, bootstrap
 from uavnav.radio import coverage_map
 
@@ -172,6 +179,53 @@ def run_flights_by_band(
     return records
 
 
+def records_of(flights: Flights) -> list[FlightRecord]:
+    """The record of each flight, band after band, each band in flight order;
+    a flight's time is ``execute_flight``'s, ``steps * seconds_per_step``."""
+    outcomes = list(FlightOutcome)
+    return [
+        FlightRecord(band, flights.cells[dest], outcomes[outcome], steps, outage, min_snr,
+                     steps * flights.seconds_per_step)
+        for b, band in enumerate(flights.bands_mhz)
+        for dest, outcome, steps, outage, min_snr in zip(
+            flights.destination.tolist(), flights.outcome[b].tolist(), flights.steps[b].tolist(),
+            flights.outage_steps[b].tolist(), flights.min_snr_db[b].tolist(),
+        )
+    ]
+
+
+def flights_of(
+    records: Sequence[FlightRecord], cells: Sequence[Cell], seconds_per_step: float
+) -> Flights:
+    """The columns of ``records``, which must come band after band, in
+    ascending band order, each band flying the same destinations, each
+    flight's time ``steps * seconds_per_step``."""
+    bands = sorted({r.band_mhz for r in records})
+    n = len(records) // len(bands) if bands else 0
+    by_band = [records[b * n:(b + 1) * n] for b in range(len(bands))]
+    assert len(records) == n * len(bands)
+    assert all(r.band_mhz == band for band, rs in zip(bands, by_band) for r in rs)
+    assert all([r.destination for r in rs] == [r.destination for r in by_band[0]]
+               for rs in by_band)
+    assert all(r.flight_time_s == r.steps * seconds_per_step for r in records)
+    index = {cell: i for i, cell in enumerate(cells)}
+    outcomes = list(FlightOutcome)
+
+    def column(value, dtype):
+        return np.array([[value(r) for r in rs] for rs in by_band], dtype=dtype).reshape(len(bands), n)
+
+    return Flights(
+        cells=cells,
+        bands_mhz=tuple(bands),
+        seconds_per_step=seconds_per_step,
+        destination=np.array([index[r.destination] for r in records[:n]], dtype=np.intp),
+        outcome=column(lambda r: outcomes.index(r.outcome), np.uint8),
+        steps=column(lambda r: r.steps, np.int64),
+        outage_steps=column(lambda r: r.outage_steps, np.int64),
+        min_snr_db=column(lambda r: r.min_snr_db, np.float64),
+    )
+
+
 def greedy_trajectory(
     table: QTable,
     world: GridWorld,
@@ -184,11 +238,14 @@ def greedy_trajectory(
     The trajectory lists distinct positions in visit order (a step blocked
     at the boundary burns a step without adding a cell). All six actions
     are candidates: no safety filter, no coverage table and no delivery
-    override. Ties are read from the masks a flight reads.
+    override. Ties are computed from the planner values a flight reads
+    (``TieMasks(..., safety=False).planner``), by the rule its planner
+    bytes are built with, without the delivery moves those bytes hold.
     """
     moves, cells = world.moves, world.cells
     at, goal = world.index(world.start_cell), world.index(dest)
-    plan = TieMasks(world, table, safety=False).planner(goal)[0]
+    values = np.asarray(TieMasks(world, table, safety=False).planner(goal)[1])
+    plan = _tie_masks(values, np.ones(values.shape, dtype=bool)).tolist()
     trajectory = [world.start_cell]
     for _ in range(step_cap):
         ties = TIES[plan[at]]

@@ -23,7 +23,7 @@ from uavnav.qcore import Hyper, QTable
 from uavnav.radio import LinkBudget, path_loss_db
 
 from oracles import alg3_choice, bfs_shortest_len, cost231_path_loss
-from reference import decide, greedy_trajectory, q_update
+from reference import decide, flights_of, greedy_trajectory, q_update, records_of
 
 SEEDS = (12, 13, 14)
 SCENARIOS = ((0.05, 900.0), (0.15, 1800.0), (0.30, 2100.0))
@@ -51,7 +51,7 @@ def _start_component_fraction(world):
 
 @pytest.fixture(scope="session")
 def matrix():
-    """Train the scenario matrix once; keep flight records and reward curves."""
+    """Train the scenario matrix once; keep flights and reward curves."""
     runs = {}
     curves = {"strategic": {}, "adaptive": {}}
     timings = {}
@@ -67,11 +67,11 @@ def matrix():
                 world, cfg.link_for_band(band), cfg,
                 stream_rng(seed, f"train.adaptive.{band:g}"),
             )
-            records = run_flights(
+            flights = run_flights(
                 cfg, world, qs, {band: qa}, N_FLIGHTS, seed=EVAL_SEED
             )
             runs[(density, band, seed)] = {
-                "records": records,
+                "flights": flights,
                 "component_fraction": _start_component_fraction(world),
             }
             if density == 0.05:
@@ -161,12 +161,12 @@ def test_criterion_4_low_mid_density_scenarios(matrix):
     details = []
     passes_a, passes_b = 0, 0
     for seed in SEEDS:
-        rep = compute_metrics(runs[(0.05, 900.0, seed)]["records"])
+        rep = compute_metrics(runs[(0.05, 900.0, seed)]["flights"])
         ok = rep.arrival_pct >= 95.0 and rep.crash_pct == 0.0
         passes_a += ok
         details.append(f"5%/900 seed {seed}: {rep.arrival_pct:.0f}%/{rep.crash_pct:.0f}%")
     for seed in SEEDS:
-        rep = compute_metrics(runs[(0.15, 1800.0, seed)]["records"])
+        rep = compute_metrics(runs[(0.15, 1800.0, seed)]["flights"])
         passes_b += rep.arrival_pct >= 90.0
         details.append(f"15%/1800 seed {seed}: {rep.arrival_pct:.0f}%")
     elapsed = sum(t for (d, _, _), t in timings.items() if d in (0.05, 0.15))
@@ -184,10 +184,11 @@ def test_criterion_5_scenario_ordering(matrix):
         assert run["component_fraction"] > 0.5, f"degenerate world for {key}"
     pooled = []
     for density, band in SCENARIOS:
-        recs = []
-        for seed in SEEDS:
-            recs.extend(runs[(density, band, seed)]["records"])
-        pooled.append(compute_metrics(recs))
+        runs_of = [runs[(density, band, seed)]["flights"] for seed in SEEDS]
+        recs = [r for flights in runs_of for r in records_of(flights)]
+        pooled.append(compute_metrics(
+            flights_of(recs, runs_of[0].cells, runs_of[0].seconds_per_step)
+        ))
     arrivals = [r.arrival_pct for r in pooled]
     crashes = [r.crash_pct for r in pooled]
     outages = [r.outage_step_pct for r in pooled]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 
 from uavnav import harness
 from uavnav.agents import train_adaptive, train_strategic
-from uavnav.arbiter import FlightOutcome
+from uavnav.arbiter import FlightOutcome, FlightRecord
 from uavnav.cli import main as cli_main
 from uavnav.config import (
     EPISODE_BYTES,
@@ -33,7 +34,6 @@ from uavnav.harness import (
     FLIGHT_BYTES,
     ArtifactError,
     EvalReport,
-    FlightRecord,
     _write_csv,
     band_label,
     build_world,
@@ -54,7 +54,9 @@ from uavnav.qcore import (
 )
 from uavnav.qcore import load as load_table
 
-from reference import run_flights_by_band
+from reference import flights_of, records_of, run_flights_by_band
+
+SECONDS_PER_STEP = 50.0 / 15.0
 
 
 def rec(outcome, steps=10, outage=0, band=900.0):
@@ -65,8 +67,13 @@ def rec(outcome, steps=10, outage=0, band=900.0):
         steps=steps,
         outage_steps=outage,
         min_snr_db=50.0,
-        flight_time_s=steps * 50.0 / 15.0,
+        flight_time_s=steps * SECONDS_PER_STEP,
     )
+
+
+def metrics(records):
+    """compute_metrics of hand-made records, as columns."""
+    return compute_metrics(flights_of(records, [(1, 1, 0)], SECONDS_PER_STEP))
 
 
 def write_config(cfg, path):
@@ -86,13 +93,13 @@ SMALL = dict(
 def test_metrics_single_outage_flight():
     records = [rec(FlightOutcome.ARRIVED) for _ in range(99)]
     records.append(rec(FlightOutcome.ARRIVED, outage=3))
-    report = compute_metrics(records)
+    report = metrics(records)
     assert report.outage_flight_pct == 1.0
     assert report.arrival_pct == 100.0
 
 
 def test_metrics_all_arrived_clean():
-    report = compute_metrics([rec(FlightOutcome.ARRIVED) for _ in range(40)])
+    report = metrics([rec(FlightOutcome.ARRIVED) for _ in range(40)])
     assert (report.arrival_pct, report.crash_pct, report.stepcap_pct) == (100.0, 0.0, 0.0)
     assert report.outage_flight_pct == 0.0
     assert report.mean_steps == 10.0
@@ -101,13 +108,13 @@ def test_metrics_all_arrived_clean():
 def test_metrics_crash_share():
     records = [rec(FlightOutcome.ARRIVED) for _ in range(90)]
     records += [rec(FlightOutcome.CRASHED) for _ in range(10)]
-    report = compute_metrics(records)
+    report = metrics(records)
     assert report.crash_pct == 10.0
     assert report.arrival_pct <= 90.0
 
 
 def test_metrics_empty():
-    report = compute_metrics([])
+    report = metrics([])
     assert report.flights == 0
     assert report.arrival_pct == report.crash_pct == report.outage_step_pct == 0.0
 
@@ -119,22 +126,29 @@ def test_metrics_percentage_identity_random():
         n = rng.randrange(1, 60)
         records = [
             rec(outcomes[rng.randrange(3)], steps=rng.randrange(1, 30),
-                outage=rng.randrange(0, 5), band=rng.choice((900.0, 1800.0)))
+                outage=rng.randrange(0, 5), band=band)
+            for band in rng.choice([(900.0,), (900.0, 1800.0)])
             for _ in range(n)
         ]
-        report = compute_metrics(records)
+        report = metrics(records)
         assert abs(report.arrival_pct + report.crash_pct + report.stepcap_pct - 100.0) < 1e-9
         for sub in report.per_band.values():
             assert abs(sub.arrival_pct + sub.crash_pct + sub.stepcap_pct - 100.0) < 1e-9
         total_outage = sum(r.outage_steps for r in records)
         total_steps = sum(r.steps for r in records)
         assert abs(report.outage_step_pct - 100.0 * total_outage / total_steps) < 1e-9
+        # the flight times summed record by record, float bits included
+        mean_time = sum(r.flight_time_s for r in records) / len(records)
+        assert report.mean_flight_time_s.hex() == mean_time.hex()
+        for band, sub in report.per_band.items():
+            times = [r.flight_time_s for r in records if band_label(r.band_mhz) == band]
+            assert sub.mean_flight_time_s.hex() == (sum(times) / len(times)).hex()
 
 
 def test_metrics_per_band_split():
     records = [rec(FlightOutcome.ARRIVED, band=900.0) for _ in range(10)]
     records += [rec(FlightOutcome.CRASHED, band=1800.0) for _ in range(10)]
-    report = compute_metrics(records)
+    report = metrics(records)
     assert set(report.per_band) == {"900", "1800"}
     assert report.per_band["900"].arrival_pct == 100.0
     assert report.per_band["1800"].crash_pct == 100.0
@@ -317,6 +331,7 @@ def test_evaluate_zero_flights(tmp_path):
     report = cmd_evaluate(out, n_flights=0, seed=3)
     assert report.flights == 0
     assert report.arrival_pct == 0.0
+    assert report.per_band == {}  # no band flew
 
 
 # Evaluations on a 3 x 3 x 2 grid: (config fields, flights per band, safety).
@@ -351,7 +366,9 @@ def test_run_flights_flies_as_band_after_band(case):
     for band in cfg.bands_mhz:
         adaptive[band] = QTable("adaptive", cfg.grid, cfg.hyper, cfg.seed, f_mhz=band)
         adaptive[band].q[...] = rng.choice(levels, size=adaptive[band].q.shape)
-    records = run_flights(cfg, world, strategic, adaptive, n_flights, seed=7, safety=safety)
+    flights = run_flights(cfg, world, strategic, adaptive, n_flights, seed=7, safety=safety)
+    assert flights.bands_mhz == tuple(sorted(cfg.bands_mhz))
+    records = records_of(flights)
     assert records == run_flights_by_band(cfg, world, strategic, adaptive, n_flights, seed=7,
                                           safety=safety)
     assert len(records) == n_flights * len(cfg.bands_mhz)
@@ -364,9 +381,9 @@ def test_run_flights_holds_one_decoded_planner_column(tmp_path):
     """Flying every destination of a loaded goal-conditioned run holds the
     decoded values of one planner column, not one per destination.
 
-    From a few flights to all of them, the peak grows by the records
-    (``FLIGHT_BYTES`` each), each destination's masks and delivery moves,
-    and two decoded columns of slack. Holding every flown column's values
+    From a few flights to all of them, the peak grows by the flight columns
+    (under ``FLIGHT_BYTES`` each), each destination's masks, and two decoded
+    columns of slack. Holding every flown column's values
     grows it by 48 bytes per cell for each destination.
     """
     cfg = TrainConfig(grid=GridSpec(nx=8, ny=8, nz=3), obstacle_density=0.05, seed=3,
@@ -381,17 +398,19 @@ def test_run_flights_holds_one_decoded_planner_column(tmp_path):
         _, strategic, adaptive = load_artifacts(out)
         tracemalloc.start()
         try:
-            records = run_flights(cfg, world, strategic, adaptive, n_flights, seed=1)
+            flights = run_flights(cfg, world, strategic, adaptive, n_flights, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak, len({r.destination for r in records})
+        return peak, len(set(flights.destination.tolist()))
 
     (peak_few, _), (peak_many, destinations) = traced_peak(few), traced_peak(many)
     assert destinations > 0.9 * len(world.mission_cells())
     column = cells * N_ACTIONS * 8
     extra = (many - few) * len(cfg.bands_mhz)
-    masks = destinations * (cells + 1024)
+    # a destination's bytes, its 33-byte header and its dict slot, both
+    # dict tables at a resize
+    masks = destinations * (cells + 256)
     assert peak_many - peak_few <= extra * FLIGHT_BYTES + masks + 2 * column
 
 
@@ -1056,6 +1075,108 @@ def test_evaluate_refuses_flight_records_past_the_memory_limit(tmp_path, capsys)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert flights < 0 or f"{flights:,} flights on each of 2 band(s)" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_flight_bytes_is_evaluations_growth_per_flight(tmp_path):
+    """``FLIGHT_BYTES`` is what its comment says: the growth of
+    cmd_evaluate's tracemalloc peak from 20,000 to 60,000 flights on a
+    4 x 4 x 2, one-band run, per flight, rounded up to a multiple of 8. Only
+    the flight columns grow with the flights: a destination's flat index
+    and the one band's outcome code, steps, outage steps and minimum SNR."""
+    out = cmd_train(config_from_dict({**TINY_RAW, "bands_mhz": [1800.0],
+                                      "episodes_strategic": 200}), tmp_path / "run")
+
+    def traced_peak(n_flights):
+        tracemalloc.start()
+        try:
+            cmd_evaluate(out, n_flights=n_flights, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    per_flight = (traced_peak(60_000) - traced_peak(20_000)) / 40_000
+    assert per_flight <= FLIGHT_BYTES == 8 * math.ceil(per_flight / 8)
+    columns = np.dtype(np.intp).itemsize + np.dtype(np.uint8).itemsize + 3 * 8
+    assert abs(per_flight - columns) < 1
+
+
+class _FailingFile:
+    """A file whose ``k``-th write raises as a full disk does."""
+
+    def __init__(self, f, k):
+        self._f, self._left = f, k
+
+    def write(self, data):
+        self._left -= 1
+        if self._left == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _evaluation_pair(out):
+    return {name: (out / name).read_bytes() for name in ("flights.csv", "evaluation.json")}
+
+
+def test_failed_evaluate_leaves_the_previous_pair(tmp_path, monkeypatch):
+    """An evaluation whose flights.csv write fails at any block leaves the
+    previous flights.csv and evaluation.json, and no staged file; one that
+    writes every block replaces both. 1,500 flights on each of 2 bands are
+    3,000 rows: a header and three blocks of at most 1,024 rows."""
+    out = cmd_train(config_from_dict({**TINY_RAW, "bands_mhz": [900.0, 1800.0]}),
+                    tmp_path / "run")
+    cmd_evaluate(out, n_flights=20, seed=1)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    writes = 1 + math.ceil(3000 / 1024)
+    for k in range(1, writes + 2):
+        def failing_open(path, mode="r", **kwargs):
+            f = open(path, mode, **kwargs)
+            return _FailingFile(f, k) if "w" in mode else f
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        if k <= writes:
+            with pytest.raises(OSError, match="No space left"):
+                cmd_evaluate(out, n_flights=1500, seed=2)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before, k
+        else:  # the (writes + 1)-th write never comes
+            cmd_evaluate(out, n_flights=1500, seed=2)
+    monkeypatch.undo()
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    after = _evaluation_pair(out)
+    assert json.loads(after["evaluation.json"])["flights"] == 3000
+    cmd_evaluate(out, n_flights=1500, seed=2)
+    assert _evaluation_pair(out) == after
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+def test_evaluate_past_its_file_size_limit_leaves_the_previous_pair(tmp_path):
+    # a full disk in small: the process may write no file past 20,000 bytes
+    out = cmd_train(config_from_dict({**TINY_RAW, "bands_mhz": [900.0, 1800.0]}),
+                    tmp_path / "run")
+    cmd_evaluate(out, n_flights=20, seed=1)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    limited = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (20000, 20000))\n"
+        "from uavnav.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, "evaluate", "--artifacts", str(out),
+         "--flights", "2000", "--seed", "2"],
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
