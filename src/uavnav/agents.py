@@ -552,9 +552,8 @@ def train_adaptive(
     cap = cfg.resolved_step_cap()
     uniform, getrandbits = rng.random, rng.getrandbits
     start = world.start_cell
-    locked = cfg.altitude_locked
     n = cfg.episodes_adaptive
-    missions = require_mission_cells(world, locked, 2 if n > 1 else 1)
+    missions = require_mission_cells(world, cfg.altitude_locked, 2 if n > 1 else 1)
     eps_of = cfg.schedule_adaptive.first(n)
     dest_of = np.empty(n, dtype=np.intp)
     total_of = np.empty(n)
@@ -564,10 +563,10 @@ def train_adaptive(
     for episode in range(n):
         epsilon = eps_of.item(episode)
         explore = epsilon > 0.0
-        pos = start if episode % 2 == 0 else random_free_cell(world, rng, locked, missions)
-        dest = random_free_cell(world, rng, locked, missions)
+        pos = start if episode % 2 == 0 else random_free_cell(world, rng, missions)
+        dest = random_free_cell(world, rng, missions)
         while dest == pos:
-            dest = random_free_cell(world, rng, locked, missions)
+            dest = random_free_cell(world, rng, missions)
         at, goal = index(pos), index(dest)
         row = rows[at]
         total = 0.0

@@ -36,10 +36,13 @@ argmax recomputed from the rows and picked with ``randrange``; the replay
 tests hold every flight step to it, random draws included.
 
 ``execute_flight`` takes the ``TieMasks`` of the world, the planner and
-the candidate rule it flies under, and returns a ``FlightRecord``: band,
-destination, outcome and step counts, no trajectory. ``harness.run_flights``
-copies each into its columns. A flight steps through the world's move
-table, by flat cell index. Each step's SNR is read from the band's
+the candidate rule it flies under, and returns a ``FlightRecord`` of what
+the flight decided: its outcome, steps, outage steps and minimum SNR, no
+trajectory. The caller knows the band and the destination it flew, and
+``harness.Flights`` turns steps into flight time. A destination must be
+one of the world's mission cells (``GridWorld.mission_cells``), the rule
+that decides where a mission may fly. A flight steps through the world's
+move table, by flat cell index. Each step's SNR is read from the band's
 ``CoverageMap``, the same map the coverage agent trained on: training and
 flight have one SNR source.
 """
@@ -76,19 +79,13 @@ class FlightOutcome(Enum):
 
 @dataclass(slots=True)
 class FlightRecord:
-    """One evaluation flight from the start cell toward ``destination``.
+    """What one evaluation flight decided. ``outage_steps`` counts steps
+    that ended below the SNR threshold."""
 
-    ``band_mhz`` is the carrier of the coverage map flown. ``outage_steps``
-    counts steps that ended below the SNR threshold.
-    """
-
-    band_mhz: float
-    destination: Cell
     outcome: FlightOutcome
     steps: int
     outage_steps: int
     min_snr_db: float
-    flight_time_s: float
 
 
 def _require_grid(world: GridWorld, *tables: QTable) -> None:
@@ -99,16 +96,6 @@ def _require_grid(world: GridWorld, *tables: QTable) -> None:
 def _require_coverage(q_adaptive: QTable) -> None:
     if q_adaptive.columns != 1:
         raise ValueError("the coverage table must have one column")
-
-
-def _require_destination(world: GridWorld, dest: Cell) -> None:
-    if not world.spec.in_bounds(dest):
-        # its flat index would alias a cell inside the grid
-        raise ValueError(f"destination {dest} lies outside the grid")
-    if dest == world.start_cell:
-        raise ValueError("destination equals the start cell")
-    if dest in world.obstacles:
-        raise ValueError(f"destination {dest} is an obstacle cell")
 
 
 def _candidates(
@@ -221,10 +208,10 @@ def execute_flight(
     cmap: CoverageMap,
     dest: Cell,
     step_cap: int,
-    rng: random.Random | None = None,
-    velocity_ms: float = 15.0,
+    rng: random.Random,
 ) -> FlightRecord:
-    """Fly greedily from the start cell until arrival, crash, or the cap.
+    """Fly greedily from the start cell to ``dest``, a mission cell, until
+    arrival, crash, or the cap.
 
     The world, the planner and the candidate rule (``safety``,
     ``allowed``) are those ``masks`` were built for; a caller that flies
@@ -235,11 +222,13 @@ def execute_flight(
     rng only breaks argmax ties.
     """
     world = masks.world
-    _require_destination(world, dest)
+    if dest not in world.mission_cells():
+        raise ValueError(
+            f"destination {dest} is not a mission cell: off the grid, the start cell "
+            "or an obstacle"
+        )
     if cmap.spec != world.spec:
         raise ValueError("coverage map grid does not match the world grid")
-    if rng is None:
-        rng = random.Random(0)
     getrandbits = rng.getrandbits
     snr_by_index = cmap.snr_by_index
     threshold = cmap.snr_threshold_db
@@ -296,12 +285,4 @@ def execute_flight(
         if at == goal and event is moved:
             outcome = FlightOutcome.ARRIVED
             break
-    return FlightRecord(
-        band_mhz=cmap.f_mhz,
-        destination=dest,
-        outcome=outcome,
-        steps=steps,
-        outage_steps=outage_steps,
-        min_snr_db=min_snr,
-        flight_time_s=steps * (world.spec.cell_size_m / velocity_ms),
-    )
+    return FlightRecord(outcome, steps, outage_steps, min_snr)

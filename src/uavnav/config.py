@@ -254,14 +254,8 @@ class TrainConfig:
         return dataclasses.replace(self.link, f_mhz=band_mhz)
 
     def to_dict(self) -> dict[str, Any]:
-        d = dataclasses.asdict(self)
-        d["bands_mhz"] = list(self.bands_mhz)
-        d["start_cell"] = list(self.start_cell)
-        d["bs_cell"] = None if self.bs_cell is None else list(self.bs_cell)
-        d["fixed_destination"] = (
-            None if self.fixed_destination is None else list(self.fixed_destination)
-        )
-        return d
+        # json writes the tuples as lists
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)

@@ -314,24 +314,16 @@ def require_mission_cells(
     return cells
 
 
-def random_free_cell(
-    world: GridWorld,
-    rng: random.Random,
-    altitude_locked: bool = False,
-    missions: frozenset[Cell] | None = None,
-) -> Cell:
-    """A uniformly drawn mission cell: whole-grid (x, y, z) draws until one is.
+def random_free_cell(world: GridWorld, rng: random.Random, missions: frozenset[Cell]) -> Cell:
+    """A uniformly drawn cell of ``missions``, the set ``require_mission_cells``
+    returned: whole-grid (x, y, z) draws until one is in it.
 
-    A caller that draws many binds ``missions``, the set
-    ``require_mission_cells`` returned for ``altitude_locked``, once;
-    otherwise it is looked up and checked on every call. Each axis of n
-    cells is drawn as ``rng.randrange(n)`` draws it, without that call's
-    Python-level wrapper: ``getrandbits(k)`` for k = n.bit_length(), drawn
-    again while it is n or more. The same words of the same Mersenne
-    Twister are drawn, so the generator ends in the same state.
+    Each axis of n cells is drawn as ``rng.randrange(n)`` draws it, without
+    that call's Python-level wrapper: ``getrandbits(k)`` for
+    k = n.bit_length(), drawn again while it is n or more. The same words of
+    the same Mersenne Twister are drawn, so the generator ends in the same
+    state.
     """
-    if missions is None:
-        missions = require_mission_cells(world, altitude_locked, 1)
     spec = world.spec
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     kx, ky, kz = nx.bit_length(), ny.bit_length(), nz.bit_length()

@@ -25,6 +25,8 @@ directory as it found it, a previous run's manifest included. Evaluation
 publishes the same way: ``flights.csv`` and ``evaluation.json`` are
 written into a temporary directory of their own and renamed into place,
 ``evaluation.json`` last, so a failed evaluation leaves the previous pair.
+A coverage export to a regular file or a new path is staged and renamed
+the same way; one to anything else, a pipe or ``/dev/stdout``, streams.
 
 Every text file is written by one of two helpers. ``_write_csv`` writes a
 CSV as ``csv.writer`` does (unquoted fields, floats as their ``repr``, rows
@@ -49,10 +51,11 @@ column at a time and that column's values are the only ones held. One set
 of ``arbiter.TieMasks`` serves the run. The flights are kept as columns
 (``Flights``), numpy arrays allocated before the first flight, into which
 each ``arbiter.FlightRecord`` that ``execute_flight`` returns is copied:
-a flight costs ``FLIGHT_BYTES``, not a Python record. Evaluation reports
-Table-style percentages: arrival, crash, step-cap, and outage both per
-flight (a flight counts once however many below-threshold steps it had)
-and per step.
+a flight costs ``FLIGHT_BYTES``, not a Python record. A flight's time is
+``steps * Flights.seconds_per_step``, computed nowhere else. Evaluation
+reports Table-style percentages: arrival, crash, step-cap, and outage both
+per flight (a flight counts once however many below-threshold steps it
+had) and per step.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ class Flights:
 
     cells: Sequence[Cell]  # the world's cells, by flat index
     bands_mhz: tuple[float, ...]  # ascending
-    seconds_per_step: float  # cell_size_m / velocity_ms
+    seconds_per_step: float  # cell_size_m / uav_velocity_ms
     destination: np.ndarray  # intp (flights,), the destination's flat index
     outcome: np.ndarray  # uint8 (bands, flights), the index in FlightOutcome
     steps: np.ndarray  # int64 (bands, flights)
@@ -172,9 +175,9 @@ def _metrics_flat(flights: Flights, bands: slice) -> EvalReport:
     if n == 0:
         return EvalReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     # The outcome codes are counted in their bytes, and each flight's time is
-    # execute_flight's own Python expression: a process's first numpy
-    # comparison, or product of int64s by a float, grew a 300-flight
-    # evaluation's peak RSS by a 128 KiB step of its heap.
+    # a product of Python numbers: a process's first numpy comparison, or
+    # product of int64s by a float, grew a 300-flight evaluation's peak RSS
+    # by a 128 KiB step of its heap.
     codes = outcome.tobytes()
     n_arrived, n_crashed = codes.count(_ARRIVED), codes.count(_CRASHED)
     n_capped = n - n_arrived - n_crashed
@@ -516,14 +519,11 @@ def run_flights(
     ]
     dest_rng = stream_rng(seed, "eval.dest")
     for j in range(n_flights):
-        dest = cfg.fixed_destination or random_free_cell(
-            world, dest_rng, cfg.altitude_locked, missions
-        )
+        dest = cfg.fixed_destination or random_free_cell(world, dest_rng, missions)
         flights.destination[j] = world.index(dest)
         for table, cmap, tie_rng, outcome, steps, outage_steps, min_snr_db in bands:
             # called through this module's name, which a tracer may replace
-            flight = execute_flight(masks, table, cmap, dest, step_cap=cap, rng=tie_rng,
-                                    velocity_ms=cfg.uav_velocity_ms)
+            flight = execute_flight(masks, table, cmap, dest, step_cap=cap, rng=tie_rng)
             outcome[j] = _OUTCOME_CODE[flight.outcome]
             steps[j] = flight.steps
             outage_steps[j] = flight.outage_steps
@@ -533,7 +533,6 @@ def run_flights(
 
 def _flight_rows(flights: Flights) -> Iterator[tuple]:
     """The rows of ``flights.csv``: band after band, each in flight order.
-    A flight's time is ``execute_flight``'s, ``steps * seconds_per_step``.
     The columns are converted ``_BLOCK_ROWS`` flights at a time."""
     cells = flights.cells
     for b, band in enumerate(flights.bands_mhz):
@@ -596,7 +595,12 @@ def cmd_evaluate(
 def cmd_coverage(
     config: TrainConfig | str | Path, band_mhz: float, out_path: str | Path
 ) -> float:
-    """Export the per-cell SNR/coverage CSV for one band; returns covered fraction."""
+    """Export the per-cell SNR/coverage CSV for one band; returns covered fraction.
+
+    A regular file or a new path is written into a temporary directory
+    beside it and renamed into place, so a failed export leaves the previous
+    file. Anything else, a pipe or ``/dev/stdout``, is written in place.
+    """
     cfg = config if isinstance(config, TrainConfig) else load_config(config)
     if not (math.isfinite(band_mhz) and band_mhz > 0):
         raise ConfigError(f"band must be a positive finite number, got {band_mhz}")
@@ -604,10 +608,17 @@ def cmd_coverage(
     world = build_world(cfg)
     cmap = coverage_map(cfg.link_for_band(band_mhz), world)
     threshold = cmap.snr_threshold_db
-    _write_csv(
-        out_path,
-        ("ix", "iy", "iz", "x_m", "y_m", "z_m", "snr_db", "covered"),
-        ((*c, *cell_center_m(cfg.grid, c), snr, int(snr >= threshold))
-         for c, snr in zip(world.cells, cmap.snr_by_index)),
+    header = ("ix", "iy", "iz", "x_m", "y_m", "z_m", "snr_db", "covered")
+    rows = (
+        (*c, *cell_center_m(cfg.grid, c), snr, int(snr >= threshold))
+        for c, snr in zip(world.cells, cmap.snr_by_index)
     )
+    out = Path(out_path)
+    if out.exists() and not out.is_file():
+        _write_csv(out, header, rows)
+    else:
+        out = out.resolve()  # a symlink stays, and its target is replaced
+        with tempfile.TemporaryDirectory(prefix=".coverage-", dir=out.parent) as tmp:
+            _write_csv(Path(tmp) / out.name, header, rows)
+            _publish(Path(tmp), out.parent, out.name)
     return cmap.covered_fraction()

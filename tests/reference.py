@@ -24,12 +24,11 @@ compare the two:
   up from ``arbiter.TieMasks``; the replays hold it to ``decide`` step by
   step, random draws included.
 - ``run_flights_by_band`` flies an evaluation band after band, restarting
-  the destination stream for each band, and lists the ``FlightRecord`` of
-  every flight. ``harness.run_flights`` draws each destination once and
-  flies it on every band before drawing the next; its columns, listed as
-  records by ``records_of``, must be the same records in the same order.
-  ``flights_of`` turns records back into columns, for metrics over hand-made
-  or pooled records.
+  the destination stream for each band, and puts every flight's
+  ``FlightRecord`` into columns with ``flights_of``. ``harness.run_flights``
+  draws each destination once and flies it on every band before drawing
+  the next; ``same_flights`` holds its columns equal to these.
+  ``flights_of`` also builds columns of hand-made records, for metrics.
 - ``greedy_trajectory`` rolls out one table's greedy policy over all six
   actions, through the world's move table, the planner values a flight
   reads (``TieMasks(..., safety=False).planner``) and the tie rule its
@@ -158,7 +157,7 @@ def run_flights_by_band(
     n_flights: int,
     seed: int,
     safety: bool = True,
-) -> list[FlightRecord]:
+) -> Flights:
     """``harness.run_flights`` one band at a time, in sorted band order.
 
     Each band restarts the ``eval.dest`` stream, so it draws the same
@@ -167,62 +166,57 @@ def run_flights_by_band(
     """
     masks = TieMasks(world, strategic, safety, cfg.actions)
     cap = cfg.resolved_eval_step_cap()
-    records = []
+    records, destinations = {}, set()
     for band in sorted(adaptive):
         cmap = coverage_map(cfg.link_for_band(band), world)
         dest_rng = stream_rng(seed, "eval.dest")
         tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
-        for _ in range(n_flights):
-            dest = cfg.fixed_destination or random_free_cell(world, dest_rng, cfg.altitude_locked)
-            records.append(execute_flight(masks, adaptive[band], cmap, dest, cap, tie_rng,
-                                          cfg.uav_velocity_ms))
-    return records
-
-
-def records_of(flights: Flights) -> list[FlightRecord]:
-    """The record of each flight, band after band, each band in flight order;
-    a flight's time is ``execute_flight``'s, ``steps * seconds_per_step``."""
-    outcomes = list(FlightOutcome)
-    return [
-        FlightRecord(band, flights.cells[dest], outcomes[outcome], steps, outage, min_snr,
-                     steps * flights.seconds_per_step)
-        for b, band in enumerate(flights.bands_mhz)
-        for dest, outcome, steps, outage, min_snr in zip(
-            flights.destination.tolist(), flights.outcome[b].tolist(), flights.steps[b].tolist(),
-            flights.outage_steps[b].tolist(), flights.min_snr_db[b].tolist(),
-        )
-    ]
+        dests = [
+            cfg.fixed_destination or random_free_cell(world, dest_rng, cfg.altitude_locked)
+            for _ in range(n_flights)
+        ]
+        destinations.add(tuple(dests))
+        records[band] = [execute_flight(masks, adaptive[band], cmap, dest, cap, tie_rng)
+                         for dest in dests]
+    (dests,) = destinations  # every band drew the same destinations
+    seconds_per_step = world.spec.cell_size_m / cfg.uav_velocity_ms
+    return flights_of(records, [world.index(c) for c in dests], world.cells, seconds_per_step)
 
 
 def flights_of(
-    records: Sequence[FlightRecord], cells: Sequence[Cell], seconds_per_step: float
+    records: dict[float, Sequence[FlightRecord]],
+    destination: Sequence[int],
+    cells: Sequence[Cell],
+    seconds_per_step: float,
 ) -> Flights:
-    """The columns of ``records``, which must come band after band, in
-    ascending band order, each band flying the same destinations, each
-    flight's time ``steps * seconds_per_step``."""
-    bands = sorted({r.band_mhz for r in records})
-    n = len(records) // len(bands) if bands else 0
-    by_band = [records[b * n:(b + 1) * n] for b in range(len(bands))]
-    assert len(records) == n * len(bands)
-    assert all(r.band_mhz == band for band, rs in zip(bands, by_band) for r in rs)
-    assert all([r.destination for r in rs] == [r.destination for r in by_band[0]]
-               for rs in by_band)
-    assert all(r.flight_time_s == r.steps * seconds_per_step for r in records)
-    index = {cell: i for i, cell in enumerate(cells)}
+    """The columns of each band's records, every band flying to
+    ``destination`` (flat indices into ``cells``) in order."""
+    bands = sorted(records)
     outcomes = list(FlightOutcome)
 
     def column(value, dtype):
-        return np.array([[value(r) for r in rs] for rs in by_band], dtype=dtype).reshape(len(bands), n)
+        rows = [[value(r) for r in records[band]] for band in bands]
+        return np.array(rows, dtype=dtype).reshape(len(bands), len(destination))
 
     return Flights(
         cells=cells,
         bands_mhz=tuple(bands),
         seconds_per_step=seconds_per_step,
-        destination=np.array([index[r.destination] for r in records[:n]], dtype=np.intp),
+        destination=np.array(destination, dtype=np.intp),
         outcome=column(lambda r: outcomes.index(r.outcome), np.uint8),
         steps=column(lambda r: r.steps, np.int64),
         outage_steps=column(lambda r: r.outage_steps, np.int64),
         min_snr_db=column(lambda r: r.min_snr_db, np.float64),
+    )
+
+
+def same_flights(a: Flights, b: Flights) -> bool:
+    """Whether two evaluations flew the same flights: equal columns, bands,
+    cells and time per step."""
+    return (
+        (a.cells, a.bands_mhz, a.seconds_per_step) == (b.cells, b.bands_mhz, b.seconds_per_step)
+        and all(np.array_equal(getattr(a, name), getattr(b, name))
+                for name in ("destination", "outcome", "steps", "outage_steps", "min_snr_db"))
     )
 
 

@@ -7,11 +7,13 @@ across criteria. All runs are fully deterministic, so the asserted numbers
 reproduce exactly on every machine.
 """
 
+import dataclasses
 import json
 import random
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 
 from uavnav.agents import train_adaptive, train_strategic
@@ -23,7 +25,7 @@ from uavnav.qcore import Hyper, QTable
 from uavnav.radio import LinkBudget, path_loss_db
 
 from oracles import alg3_choice, bfs_shortest_len, cost231_path_loss
-from reference import decide, flights_of, greedy_trajectory, q_update, records_of
+from reference import decide, greedy_trajectory, q_update
 
 SEEDS = (12, 13, 14)
 SCENARIOS = ((0.05, 900.0), (0.15, 1800.0), (0.30, 2100.0))
@@ -144,7 +146,7 @@ def test_criterion_3_shortest_path_oracle():
     rollout_rng = random.Random(3)
     matches = 0
     for _ in range(50):
-        dest = random_free_cell(world, dest_rng)
+        dest = random_free_cell(world, dest_rng, world.mission_cells())
         traj, outcome = greedy_trajectory(
             table, world, dest, cfg.resolved_step_cap(), rollout_rng
         )
@@ -175,6 +177,16 @@ def test_criterion_4_low_mid_density_scenarios(matrix):
             "; ".join(details) + f"; train+eval {elapsed:.0f}s")
 
 
+def _pooled(runs):
+    """The flights of evaluations of the same bands, as one evaluation."""
+    return dataclasses.replace(
+        runs[0],
+        destination=np.concatenate([f.destination for f in runs]),
+        **{name: np.concatenate([getattr(f, name) for f in runs], axis=1)
+           for name in ("outcome", "steps", "outage_steps", "min_snr_db")},
+    )
+
+
 def test_criterion_5_scenario_ordering(matrix):
     runs = matrix["runs"]
     # Precondition: every scenario world is flyable (the takeoff cell's free
@@ -184,10 +196,8 @@ def test_criterion_5_scenario_ordering(matrix):
         assert run["component_fraction"] > 0.5, f"degenerate world for {key}"
     pooled = []
     for density, band in SCENARIOS:
-        runs_of = [runs[(density, band, seed)]["flights"] for seed in SEEDS]
-        recs = [r for flights in runs_of for r in records_of(flights)]
         pooled.append(compute_metrics(
-            flights_of(recs, runs_of[0].cells, runs_of[0].seconds_per_step)
+            _pooled([runs[(density, band, seed)]["flights"] for seed in SEEDS])
         ))
     arrivals = [r.arrival_pct for r in pooled]
     crashes = [r.crash_pct for r in pooled]

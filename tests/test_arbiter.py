@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -149,10 +150,9 @@ def test_execute_flight_dest_adjacent_one_step():
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
     res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, world), (1, 0, 0),
-                         step_cap=50)
+                         step_cap=50, rng=random.Random(0))
     assert res.outcome == FlightOutcome.ARRIVED
     assert res.steps == 1
-    assert (res.band_mhz, res.destination) == (cfg.link.f_mhz, (1, 0, 0))
 
 
 def test_execute_flight_validation():
@@ -161,7 +161,7 @@ def test_execute_flight_validation():
     cfg = TrainConfig()
     with pytest.raises(ValueError):
         execute_flight(TieMasks(EMPTY_WORLD, qs), qa, coverage_map(cfg.link, EMPTY_WORLD),
-                       EMPTY_WORLD.start_cell, 10)
+                       EMPTY_WORLD.start_cell, 10, random.Random(0))
 
 
 def test_execute_flight_trained_small_world():
@@ -210,18 +210,8 @@ def test_outage_steps_zero_with_low_threshold():
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
     res = execute_flight(TieMasks(world, qs), qa, coverage_map(lb, world), (3, 3, 1),
-                         step_cap=30)
+                         step_cap=30, rng=random.Random(0))
     assert res.outage_steps == 0
-
-
-def test_flight_time_uses_velocity():
-    cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), obstacle_density=0.0, seed=3)
-    world = build_world(cfg)
-    qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
-    qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, world), (1, 0, 0),
-                         step_cap=10, velocity_ms=15.0)
-    assert res.flight_time_s == res.steps * (50.0 / 15.0)
 
 
 def test_greedy_trajectory_on_empty_table_terminates():
@@ -231,23 +221,13 @@ def test_greedy_trajectory_on_empty_table_terminates():
     assert len(traj) <= 101
 
 
-def test_rollouts_reject_destination_outside_grid():
-    # a flat index of an off-grid cell would alias a cell inside the grid
-    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
-    qa = QTable("adaptive", GRID, Hyper(), 0)
-    off_grid = (0, GRID.ny, 0)
-    cmap = coverage_map(TrainConfig().link, EMPTY_WORLD)
-    with pytest.raises(ValueError, match="outside the grid"):
-        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, off_grid, 10)
-
-
 def test_execute_flight_rejects_map_of_another_grid():
     qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     qa = QTable("adaptive", GRID, Hyper(), 0)
     small = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     cmap = coverage_map(TrainConfig().link, small)
     with pytest.raises(ValueError, match="coverage map grid"):
-        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, (3, 3, 1), 10)
+        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, (3, 3, 1), 10, random.Random(0))
 
 
 def test_flight_refuses_tables_of_another_grid():
@@ -260,7 +240,8 @@ def test_flight_refuses_tables_of_another_grid():
     masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="Q-table grid"):
-        execute_flight(masks, QTable("adaptive", small, Hyper(), 0), cmap, (3, 3, 1), 10)
+        execute_flight(masks, QTable("adaptive", small, Hyper(), 0), cmap, (3, 3, 1), 10,
+                       random.Random(0))
 
 
 def test_greedy_trajectory_refuses_table_of_another_grid():
@@ -275,16 +256,26 @@ def test_greedy_trajectory_refuses_table_of_another_grid():
             greedy_trajectory(small, world, dest, 10, random.Random(0))
 
 
-def test_execute_flight_refuses_start_or_obstacle_destination():
+# Destinations no mission may fly to. The flat index of an off-grid cell
+# would alias a cell inside the grid.
+NOT_MISSION_CELLS = {
+    "past the grid": (0, 4, 0),
+    "before the grid": (-1, 0, 0),
+    "the start cell": (0, 0, 0),
+    "an obstacle": (1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_MISSION_CELLS))
+def test_execute_flight_refuses_a_destination_that_is_no_mission_cell(case):
     spec = GridSpec(nx=4, ny=4, nz=2)
     world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0))
     masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
     qa = QTable("adaptive", spec, Hyper(), 0)
     cmap = coverage_map(TrainConfig().link, world)
-    with pytest.raises(ValueError, match="start cell"):
-        execute_flight(masks, qa, cmap, (0, 0, 0), 10)
-    with pytest.raises(ValueError, match="obstacle"):
-        execute_flight(masks, qa, cmap, (1, 1, 0), 10)
+    dest = NOT_MISSION_CELLS[case]
+    with pytest.raises(ValueError, match=re.escape(f"destination {dest} is not a mission cell")):
+        execute_flight(masks, qa, cmap, dest, 10, random.Random(0))
 
 
 def test_flight_refuses_a_multi_column_coverage_table():
@@ -293,7 +284,7 @@ def test_flight_refuses_a_multi_column_coverage_table():
     qa = QTable("adaptive", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="the coverage table must have one column"):
-        execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)
+        execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10, random.Random(0))
 
 
 def test_execute_flight_refuses_masks_of_another_rule():
@@ -484,7 +475,7 @@ def test_flight_masks_refuse_nan_rows():
     qa.q[4, 0, 2] = math.nan
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="NaN"):
-        execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10)
+        execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10, random.Random(0))
 
 
 # Rows whose span is more than the largest float, flat rows, and rows of

@@ -15,6 +15,7 @@ from uavnav.gridworld import (
     cell_center_m,
     default_step_cap,
     random_free_cell,
+    require_mission_cells,
     require_obstacle_room,
 )
 
@@ -168,14 +169,15 @@ def test_manhattan_distance():
 def test_random_free_cell_properties():
     world = build(SPEC, 0.3, seed=9)
     rng = random.Random(1)
+    missions = world.mission_cells()
     for _ in range(500):
-        c = random_free_cell(world, rng)
+        c = random_free_cell(world, rng, missions)
         assert c not in world.obstacles
         assert c != world.start_cell
         assert world.spec.in_bounds(c)
     # seeded reproducibility
-    seq1 = [random_free_cell(world, random.Random(4)) for _ in range(1)]
-    seq2 = [random_free_cell(world, random.Random(4)) for _ in range(1)]
+    seq1 = [random_free_cell(world, random.Random(4), missions) for _ in range(1)]
+    seq2 = [random_free_cell(world, random.Random(4), missions) for _ in range(1)]
     assert seq1 == seq2
 
 
@@ -184,8 +186,9 @@ def test_random_free_cell_fully_blocked():
     # Single eligible cell becomes an obstacle; only the start stays free.
     world = build(spec, 0.5, seed=1, start=(0, 0, 0), bs_xy=(0, 0, 0))
     assert len(world.obstacles) == 1
-    with pytest.raises(ValueError):
-        random_free_cell(world, random.Random(0))
+    # no mission cell to draw: the set a draw takes is refused
+    with pytest.raises(ValueError, match="missions need 1"):
+        require_mission_cells(world, False, 1)
 
 
 def old_random_free_cell(world, rng, layer):
@@ -215,18 +218,16 @@ def test_random_free_cell_draws_as_the_two_level_rejection_loop():
         for locked in (False, True):
             if not world.mission_cells(locked):
                 with pytest.raises(ValueError, match="missions need 1"):
-                    random_free_cell(world, random.Random(trial), locked)
+                    require_mission_cells(world, locked, 1)
                 continue
             drawn_locked += locked
-            # looked up on every call, bound once by the caller, and by randrange
-            ours, bound, old = (random.Random(trial) for _ in range(3))
-            missions = world.mission_cells(locked)
+            ours, old = random.Random(trial), random.Random(trial)
+            missions = require_mission_cells(world, locked, 1)
             layer = start[2] if locked else None
             for _ in range(30):
                 want = old_random_free_cell(world, old, layer)
-                assert random_free_cell(world, ours, locked) == want
-                assert random_free_cell(world, bound, locked, missions) == want
-                assert ours.getstate() == bound.getstate() == old.getstate()
+                assert random_free_cell(world, ours, missions) == want
+                assert ours.getstate() == old.getstate()
     assert drawn_locked > 20
 
 

@@ -54,26 +54,20 @@ from uavnav.qcore import (
 )
 from uavnav.qcore import load as load_table
 
-from reference import flights_of, records_of, run_flights_by_band
+from reference import flights_of, run_flights_by_band, same_flights
 
 SECONDS_PER_STEP = 50.0 / 15.0
 
 
-def rec(outcome, steps=10, outage=0, band=900.0):
-    return FlightRecord(
-        band_mhz=band,
-        destination=(1, 1, 0),
-        outcome=outcome,
-        steps=steps,
-        outage_steps=outage,
-        min_snr_db=50.0,
-        flight_time_s=steps * SECONDS_PER_STEP,
-    )
+def rec(outcome, steps=10, outage=0):
+    return FlightRecord(outcome=outcome, steps=steps, outage_steps=outage, min_snr_db=50.0)
 
 
-def metrics(records):
-    """compute_metrics of hand-made records, as columns."""
-    return compute_metrics(flights_of(records, [(1, 1, 0)], SECONDS_PER_STEP))
+def metrics(by_band):
+    """compute_metrics of hand-made records, one list per band, as columns:
+    every band flies its flights to the one cell (1, 1, 0)."""
+    n = len(next(iter(by_band.values()), []))
+    return compute_metrics(flights_of(by_band, [0] * n, [(1, 1, 0)], SECONDS_PER_STEP))
 
 
 def write_config(cfg, path):
@@ -93,13 +87,13 @@ SMALL = dict(
 def test_metrics_single_outage_flight():
     records = [rec(FlightOutcome.ARRIVED) for _ in range(99)]
     records.append(rec(FlightOutcome.ARRIVED, outage=3))
-    report = metrics(records)
+    report = metrics({900.0: records})
     assert report.outage_flight_pct == 1.0
     assert report.arrival_pct == 100.0
 
 
 def test_metrics_all_arrived_clean():
-    report = metrics([rec(FlightOutcome.ARRIVED) for _ in range(40)])
+    report = metrics({900.0: [rec(FlightOutcome.ARRIVED) for _ in range(40)]})
     assert (report.arrival_pct, report.crash_pct, report.stepcap_pct) == (100.0, 0.0, 0.0)
     assert report.outage_flight_pct == 0.0
     assert report.mean_steps == 10.0
@@ -108,13 +102,13 @@ def test_metrics_all_arrived_clean():
 def test_metrics_crash_share():
     records = [rec(FlightOutcome.ARRIVED) for _ in range(90)]
     records += [rec(FlightOutcome.CRASHED) for _ in range(10)]
-    report = metrics(records)
+    report = metrics({900.0: records})
     assert report.crash_pct == 10.0
     assert report.arrival_pct <= 90.0
 
 
 def test_metrics_empty():
-    report = metrics([])
+    report = metrics({})
     assert report.flights == 0
     assert report.arrival_pct == report.crash_pct == report.outage_step_pct == 0.0
 
@@ -124,13 +118,13 @@ def test_metrics_percentage_identity_random():
     outcomes = [FlightOutcome.ARRIVED, FlightOutcome.CRASHED, FlightOutcome.STEP_CAP_HIT]
     for _ in range(100):
         n = rng.randrange(1, 60)
-        records = [
-            rec(outcomes[rng.randrange(3)], steps=rng.randrange(1, 30),
-                outage=rng.randrange(0, 5), band=band)
+        by_band = {
+            band: [rec(outcomes[rng.randrange(3)], steps=rng.randrange(1, 30),
+                       outage=rng.randrange(0, 5)) for _ in range(n)]
             for band in rng.choice([(900.0,), (900.0, 1800.0)])
-            for _ in range(n)
-        ]
-        report = metrics(records)
+        }
+        records = [r for rs in by_band.values() for r in rs]
+        report = metrics(by_band)
         assert abs(report.arrival_pct + report.crash_pct + report.stepcap_pct - 100.0) < 1e-9
         for sub in report.per_band.values():
             assert abs(sub.arrival_pct + sub.crash_pct + sub.stepcap_pct - 100.0) < 1e-9
@@ -138,17 +132,18 @@ def test_metrics_percentage_identity_random():
         total_steps = sum(r.steps for r in records)
         assert abs(report.outage_step_pct - 100.0 * total_outage / total_steps) < 1e-9
         # the flight times summed record by record, float bits included
-        mean_time = sum(r.flight_time_s for r in records) / len(records)
+        mean_time = sum(r.steps * SECONDS_PER_STEP for r in records) / len(records)
         assert report.mean_flight_time_s.hex() == mean_time.hex()
-        for band, sub in report.per_band.items():
-            times = [r.flight_time_s for r in records if band_label(r.band_mhz) == band]
-            assert sub.mean_flight_time_s.hex() == (sum(times) / len(times)).hex()
+        for band, rs in by_band.items():
+            if len(by_band) > 1:
+                times = [r.steps * SECONDS_PER_STEP for r in rs]
+                sub = report.per_band[band_label(band)]
+                assert sub.mean_flight_time_s.hex() == (sum(times) / len(times)).hex()
 
 
 def test_metrics_per_band_split():
-    records = [rec(FlightOutcome.ARRIVED, band=900.0) for _ in range(10)]
-    records += [rec(FlightOutcome.CRASHED, band=1800.0) for _ in range(10)]
-    report = metrics(records)
+    report = metrics({900.0: [rec(FlightOutcome.ARRIVED) for _ in range(10)],
+                      1800.0: [rec(FlightOutcome.CRASHED) for _ in range(10)]})
     assert set(report.per_band) == {"900", "1800"}
     assert report.per_band["900"].arrival_pct == 100.0
     assert report.per_band["1800"].crash_pct == 100.0
@@ -349,7 +344,7 @@ BY_BAND = {
 
 @pytest.mark.parametrize("case", sorted(BY_BAND))
 def test_run_flights_flies_as_band_after_band(case):
-    """Flying each destination on every band in turn gives the records of
+    """Flying each destination on every band in turn gives the columns of
     flying band after band, each band restarting the destination stream.
 
     The tables hold values from a few levels, so most rows tie and every
@@ -368,13 +363,11 @@ def test_run_flights_flies_as_band_after_band(case):
         adaptive[band].q[...] = rng.choice(levels, size=adaptive[band].q.shape)
     flights = run_flights(cfg, world, strategic, adaptive, n_flights, seed=7, safety=safety)
     assert flights.bands_mhz == tuple(sorted(cfg.bands_mhz))
-    records = records_of(flights)
-    assert records == run_flights_by_band(cfg, world, strategic, adaptive, n_flights, seed=7,
-                                          safety=safety)
-    assert len(records) == n_flights * len(cfg.bands_mhz)
-    assert [r.band_mhz for r in records] == sorted(r.band_mhz for r in records)
+    assert same_flights(flights, run_flights_by_band(cfg, world, strategic, adaptive,
+                                                      n_flights, seed=7, safety=safety))
+    assert flights.steps.shape == (len(cfg.bands_mhz), n_flights)
     if n_flights == 40:
-        assert len({r.destination for r in records}) < n_flights
+        assert len(set(flights.destination.tolist())) < n_flights
 
 
 def test_run_flights_holds_one_decoded_planner_column(tmp_path):
@@ -1121,6 +1114,15 @@ class _FailingFile:
         self._f.close()
 
 
+def _fail_write(monkeypatch, k):
+    """Make the ``k``-th write to each file ``harness`` opens for writing raise."""
+    def failing_open(path, mode="r", **kwargs):
+        f = open(path, mode, **kwargs)
+        return _FailingFile(f, k) if "w" in mode else f
+
+    monkeypatch.setattr(harness, "open", failing_open, raising=False)
+
+
 def _evaluation_pair(out):
     return {name: (out / name).read_bytes() for name in ("flights.csv", "evaluation.json")}
 
@@ -1136,11 +1138,7 @@ def test_failed_evaluate_leaves_the_previous_pair(tmp_path, monkeypatch):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     writes = 1 + math.ceil(3000 / 1024)
     for k in range(1, writes + 2):
-        def failing_open(path, mode="r", **kwargs):
-            f = open(path, mode, **kwargs)
-            return _FailingFile(f, k) if "w" in mode else f
-
-        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        _fail_write(monkeypatch, k)
         if k <= writes:
             with pytest.raises(OSError, match="No space left"):
                 cmd_evaluate(out, n_flights=1500, seed=2)
@@ -1153,6 +1151,60 @@ def test_failed_evaluate_leaves_the_previous_pair(tmp_path, monkeypatch):
     assert json.loads(after["evaluation.json"])["flights"] == 3000
     cmd_evaluate(out, n_flights=1500, seed=2)
     assert _evaluation_pair(out) == after
+
+
+def test_failed_coverage_leaves_the_previous_csv(tmp_path, monkeypatch):
+    """A coverage export whose write fails at any block leaves the previous
+    CSV, and no staged file; one that writes every block replaces it. The
+    15 x 15 x 5 grid's 1,125 rows are a header and two blocks."""
+    cfg = config_from_dict({**TINY_RAW, "grid": {"nx": 15, "ny": 15, "nz": 5}})
+    out = tmp_path / "coverage.csv"
+    cmd_coverage(cfg, 900.0, out)
+    before = out.read_bytes()
+    writes = 1 + math.ceil(cfg.grid.n_cells / 1024)
+    for k in range(1, writes + 2):
+        _fail_write(monkeypatch, k)
+        if k <= writes:
+            with pytest.raises(OSError, match="No space left"):
+                cmd_coverage(cfg, 1800.0, out)
+            assert [p.name for p in tmp_path.iterdir()] == ["coverage.csv"], k
+            assert out.read_bytes() == before, k
+        else:  # the (writes + 1)-th write never comes
+            cmd_coverage(cfg, 1800.0, out)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["coverage.csv"]
+    after = out.read_bytes()
+    assert after != before
+    cmd_coverage(cfg, 1800.0, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == after
+
+
+def test_coverage_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "coverage.csv"
+    target.write_text("old\n")
+    link = tmp_path / "coverage.csv"
+    link.symlink_to(target)
+    cmd_coverage(config_from_dict(TINY_RAW), 900.0, link)
+    assert link.is_symlink()
+    assert target.read_bytes().startswith(b"ix,iy,iz,")
+    assert sorted(p.name for p in target.parent.iterdir()) == ["coverage.csv"]
+
+
+def test_flights_csv_flight_time_uses_velocity(tmp_path):
+    # one formula, Flights.seconds_per_step, at a velocity other than the default
+    cfg = config_from_dict({**TINY_RAW, "uav_velocity_ms": 7.0})
+    assert cfg.uav_velocity_ms != TrainConfig().uav_velocity_ms
+    out = cmd_train(cfg, tmp_path / "run")
+    cmd_evaluate(out, n_flights=10, seed=1)
+    with open(out / "flights.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 10 and any(int(r["steps"]) > 0 for r in rows)
+    per_step = cfg.grid.cell_size_m / cfg.uav_velocity_ms
+    times = [int(r["steps"]) * per_step for r in rows]
+    assert [float(r["flight_time_s"]) for r in rows] == times
+    saved = json.loads((out / "evaluation.json").read_text())
+    assert saved["mean_flight_time_s"] == sum(times) / len(times)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")

@@ -947,21 +947,21 @@ def test_loaded_tables_stay_sparse_through_run_flights(tmp_path):
     from uavnav.config import TrainConfig
     from uavnav.harness import build_world, cmd_train, load_artifacts, run_flights
 
-    from reference import records_of
+    from reference import same_flights
 
     cfg = TrainConfig(grid=GridSpec(nx=5, ny=5, nz=2), bands_mhz=(900.0, 1800.0),
                       episodes_strategic=300, episodes_adaptive=50)
     out = cmd_train(cfg, tmp_path / "run")
     _, strategic, adaptive = load_artifacts(out)
     world = build_world(cfg)
-    records = records_of(run_flights(cfg, world, strategic, adaptive, 10, seed=2))
+    flights = run_flights(cfg, world, strategic, adaptive, 10, seed=2)
     assert strategic._q is None
     assert all(t._q is None for t in adaptive.values())
     # the same flights as on the dense tables
     _, dense, dense_adaptive = load_artifacts(out)
     for table in (dense, *dense_adaptive.values()):
         assert table.q.any()
-    assert records_of(run_flights(cfg, world, dense, dense_adaptive, 10, seed=2)) == records
+    assert same_flights(run_flights(cfg, world, dense, dense_adaptive, 10, seed=2), flights)
 
 
 def _values_start(path):
