@@ -16,12 +16,12 @@ them a decade apart so that it defers to the planner except where coverage
 is in question.
 
 A flight looks each decision up instead of recomputing it: the tables
-are frozen, so under a fixed candidate rule (the safety filter, from the
-world's per-cell safe-action sets, then ``allowed``) every row's argmax ties
-are fixed. ``TieMasks`` holds them as 6-bit masks, the planner's built per
-destination the first time that destination is flown; at each neighbour of
-the destination the planner's byte holds the delivery move onto it instead,
-as ``_DELIVER + a``. Of the values a disagreement compares, it holds the
+are frozen, so under a fixed candidate rule (``allowed``, less, with the
+safety filter on, the moves the world's move table marks as crashes) every
+row's argmax ties are fixed. ``TieMasks`` holds them as 6-bit masks, the
+planner's built per destination the first time that destination is flown;
+at each neighbour of the destination the planner's byte holds the delivery
+move onto it instead, as ``_DELIVER + a``. Of the values a disagreement compares, it holds the
 planner's for one column, the last one asked for, so a caller that flies a
 destination on every band before it draws the next, as
 ``harness.run_flights`` does, decodes each drawn destination's column once.
@@ -98,17 +98,6 @@ def _require_coverage(q_adaptive: QTable) -> None:
         raise ValueError("the coverage table must have one column")
 
 
-def _candidates(
-    safe: tuple[Action, ...], safety: bool, allowed: tuple[Action, ...]
-) -> tuple[Action, ...]:
-    """The actions both argmaxes range over at a cell with these safe actions."""
-    if not safety:
-        return allowed
-    if allowed == ACTIONS:
-        return safe
-    return tuple(a for a in safe if a in allowed) or allowed
-
-
 def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Per row of ``values`` (n x 6), the mask of its argmax ties among ``candidates``."""
     # elementwise maxima of the six columns: .max(axis=1) would run one
@@ -126,7 +115,9 @@ class TieMasks:
     action ``a``, and the values a disagreement compares.
 
     Built for one world and one frozen planner table under one candidate
-    rule, ``safety`` and ``allowed``; ``allowed`` must list distinct
+    rule: the ``allowed`` actions, less, with ``safety``, those whose move
+    enters an obstacle; a cell where none is left keeps ``allowed``. It is
+    built once, as a bool mask per cell. ``allowed`` must list distinct
     actions in ascending order, as ``ACTIONS`` and ``ACTIONS_XY`` do. The
     compared values are the tables' own. The planner's masks, one ``bytes``
     of one byte per cell shared by all bands, with the delivery moves in
@@ -155,12 +146,15 @@ class TieMasks:
             )
         self.world = world
         self.q_strategic = q_strategic
-        self.safety = safety
         self.allowed = allowed
-        n = world.spec.n_cells
-        self._candidate_mask = np.zeros((n, N_ACTIONS), dtype=bool)
-        for i, safe in enumerate(world.safe_actions):
-            self._candidate_mask[i, _candidates(safe, safety, allowed)] = True
+        permitted = np.zeros(N_ACTIONS, dtype=bool)
+        permitted[list(allowed)] = True
+        candidates = np.tile(permitted, (world.spec.n_cells, 1))
+        if safety:
+            crash = StepEvent.CRASHED_INTO_OBSTACLE
+            candidates &= np.array([[e is not crash for _, e in row] for row in world.moves])
+            candidates[~candidates.any(axis=1)] = permitted
+        self._candidate_mask = candidates
         # destination -> its masks, one byte per cell
         self._planner: dict[int, bytes] = {}
         # the column whose values were last decoded, and those values

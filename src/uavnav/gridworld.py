@@ -203,28 +203,6 @@ class GridWorld:
             columns += (plus, minus)
         return tuple(zip(*columns))
 
-    @cached_property
-    def safe_actions(self) -> tuple[tuple[Action, ...], ...]:
-        """Per flat index, the actions that do not land on an obstacle.
-
-        A boundary-blocked move stays on the current cell, so it counts as
-        safe. A cell with no safe action gets all of them.
-        """
-        crash = StepEvent.CRASHED_INTO_OBSTACLE
-        by_crashes: dict[tuple[bool, ...], tuple[Action, ...]] = {}
-        safe = []
-        for m0, m1, m2, m3, m4, m5 in self.moves:
-            crashes = (
-                m0[1] is crash, m1[1] is crash, m2[1] is crash,
-                m3[1] is crash, m4[1] is crash, m5[1] is crash,
-            )
-            actions = by_crashes.get(crashes)
-            if actions is None:
-                actions = tuple(a for a in ACTIONS if not crashes[a]) or ACTIONS
-                by_crashes[crashes] = actions
-            safe.append(actions)
-        return tuple(safe)
-
 
 def require_obstacle_room(
     spec: GridSpec, density: float, start: Cell, bs_xy: Cell | None = None
@@ -322,8 +300,10 @@ def random_free_cell(world: GridWorld, rng: random.Random, missions: frozenset[C
     that call's Python-level wrapper: ``getrandbits(k)`` for
     k = n.bit_length(), drawn again while it is n or more. The same words of
     the same Mersenne Twister are drawn, so the generator ends in the same
-    state.
+    state. An empty ``missions`` raises ``ValueError``: no draw would end.
     """
+    if not missions:
+        raise ValueError("no mission cell to draw")
     spec = world.spec
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     kx, ky, kz = nx.bit_length(), ny.bit_length(), nz.bit_length()

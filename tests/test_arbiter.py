@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -24,7 +25,7 @@ from uavnav.qcore import N_ACTIONS, Hyper, QTable
 from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
-from reference import decide, greedy_action, greedy_trajectory
+from reference import candidates, decide, greedy_action, greedy_trajectory
 
 GRID = GridSpec()
 EMPTY_WORLD = build(GRID, 0.0, seed=1, bs_xy=(10, 10, 0))
@@ -127,6 +128,11 @@ def test_decide_total_over_random_tables():
         assert a in ACTIONS
 
 
+def _mask_candidates(masks, at):
+    """The candidate actions of ``masks`` at flat index ``at``, ascending."""
+    return np.flatnonzero(masks._candidate_mask[at]).tolist()
+
+
 def test_safe_candidates_keeps_boundary_clamps():
     # surrounded by obstacles except the boundary: clamping moves stay legal
     spec = GridSpec(nx=3, ny=3, nz=1)
@@ -136,11 +142,48 @@ def test_safe_candidates_keeps_boundary_clamps():
         base_station_cell=(2, 2, 0),
         start_cell=(0, 0, 0),
     )
-    cands = world.safe_actions[world.index((0, 0, 0))]
+    masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0))
+    cands = _mask_candidates(masks, world.index((0, 0, 0)))
     assert Action.PLUS_X not in cands
     assert Action.PLUS_Y not in cands
-    assert Action.MINUS_X in cands  # clamps in place, lands on a free cell
-    assert Action.MINUS_Y in cands
+    # each clamps in place, on a free cell
+    assert cands == [Action.MINUS_X, Action.MINUS_Y, Action.PLUS_Z, Action.MINUS_Z]
+
+
+# The six neighbours of the 3 x 3 x 3 grid's center cell.
+_CAGE = frozenset((1 + dx, 1 + dy, 1 + dz) for dx, dy, dz in ACTION_DELTAS)
+
+
+@pytest.mark.parametrize("allowed", [ACTIONS, ACTIONS_XY], ids=["xyz", "xy"])
+@pytest.mark.parametrize("safety", [True, False], ids=["safe", "unsafe"])
+def test_candidate_mask_is_the_reference_rule(safety, allowed):
+    """At every cell of random worlds with 30-60 % obstacles, the masks'
+    candidates are ``reference.candidates``. One world cages its center
+    cell, every move of which crashes."""
+    rng = random.Random(2 * len(allowed) + safety)
+    caged = narrowed = restored = 0
+    for trial in range(60):
+        if trial == 0:
+            spec, obstacles = GridSpec(nx=3, ny=3, nz=3), _CAGE
+        else:
+            spec = GridSpec(nx=rng.randint(1, 5), ny=rng.randint(1, 5), nz=rng.randint(1, 3))
+            density = rng.uniform(0.3, 0.6)
+            obstacles = frozenset(c for c in product(
+                range(spec.nx), range(spec.ny), range(spec.nz)) if rng.random() < density)
+        world = GridWorld(spec, obstacles, (0, 0, 0), (0, 0, 0))
+        masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0), safety, allowed)
+        for at, row in enumerate(world.moves):
+            want = candidates(world, at, safety, allowed)
+            assert _mask_candidates(masks, at) == want, (trial, world.cells[at])
+            safe = [a for a in allowed if row[a][1] is not StepEvent.CRASHED_INTO_OBSTACLE]
+            caged += all(e is StepEvent.CRASHED_INTO_OBSTACLE for _, e in row)
+            narrowed += 0 < len(safe) < len(allowed)
+            restored += not safe
+    # every branch of the rule is met: some cell loses some allowed
+    # actions, and some loses all of them and keeps ``allowed``, also where
+    # a move outside ``allowed`` would be safe
+    assert caged > 0 and narrowed > 0
+    assert restored > caged or allowed == ACTIONS
 
 
 def test_execute_flight_dest_adjacent_one_step():

@@ -257,7 +257,6 @@ def test_move_table_matches_step_rules():
         assert list(world.cells) == cells
         for i, c in enumerate(cells):
             assert world.index(c) == i
-            safe = []
             for a in ACTIONS:
                 d = ACTION_DELTAS[a]
                 n = (c[0] + d[0], c[1] + d[1], c[2] + d[2])
@@ -268,9 +267,6 @@ def test_move_table_matches_step_rules():
                 else:
                     want = (cells.index(n), StepEvent.MOVED)
                 assert world.moves[i][a] == want, (trial, c, a)
-                if want[1] != StepEvent.CRASHED_INTO_OBSTACLE:
-                    safe.append(a)
-            assert world.safe_actions[i] == (tuple(safe) or ACTIONS)
 
 
 def test_move_table_is_built_on_first_use():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from uavnav.config import (
     load_config,
     seed_stream,
 )
-from uavnav.gridworld import GridSpec
+from uavnav.gridworld import GridSpec, build, random_free_cell
 from uavnav.harness import (
     FLIGHT_BYTES,
     ArtifactError,
@@ -679,6 +680,14 @@ def test_train_loops_with_one_mission_cell_fail_fast():
         train_strategic(world, cfg, random.Random(0))
 
 
+def test_random_free_cell_refuses_an_empty_mission_set():
+    # 1 x 2 x 1: the one cell outside the start cell is an obstacle
+    world = build(GridSpec(nx=1, ny=2, nz=1), 0.5, seed=1, bs_xy=(0, 0, 0))
+    assert not world.mission_cells()
+    with _deadline(5), pytest.raises(ValueError, match="no mission cell"):
+        random_free_cell(world, random.Random(0), world.mission_cells())
+
+
 def test_coverage_csv(tmp_path):
     cfg = TrainConfig(**SMALL)
     out_csv = tmp_path / "cov.csv"
@@ -1205,6 +1214,72 @@ def test_flights_csv_flight_time_uses_velocity(tmp_path):
     assert [float(r["flight_time_s"]) for r in rows] == times
     saved = json.loads((out / "evaluation.json").read_text())
     assert saved["mean_flight_time_s"] == sum(times) / len(times)
+
+
+def _fail_replace(monkeypatch, k):
+    """Make the ``k``-th ``os.replace`` from now on raise."""
+    replace, calls = os.replace, count(1)
+
+    def failing_replace(src, dst):
+        if next(calls) == k:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+
+
+def test_train_failing_at_any_rename_leaves_a_run_that_verifies_or_is_refused(
+    tmp_path, monkeypatch
+):
+    """A retrain whose k-th rename fails, for every k, leaves no staged
+    directory, and a run that ``load_artifacts`` either refuses or loads
+    with the old manifest vouching for every checkpoint. ``_publish``
+    renames in ``iterdir()`` order, which the file system decides, so which
+    k loads and which is refused is not asserted, except at the ends: at
+    k = 1 nothing is published, and the last rename is the manifest's, so
+    at that k every checkpoint is new."""
+    cfg = config_from_dict(TINY_RAW)
+    out = cmd_train(cfg, tmp_path / "run", seed=1)
+    manifest = (out / "manifest.json").read_bytes()
+    files = json.loads(manifest)["files"]
+    names = sorted(p.name for p in out.iterdir())  # each published by one rename
+    loaded = []
+    for k in range(1, len(names) + 1):
+        _fail_replace(monkeypatch, k)
+        with pytest.raises(OSError, match="Input/output error"):
+            cmd_train(cfg, out, seed=2)
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.iterdir()) == names, k  # no .train-* left
+        assert (out / "manifest.json").read_bytes() == manifest, k
+        try:
+            loaded_cfg = load_artifacts(out)[0]
+        except ArtifactError as exc:
+            assert "does not match its sha256" in str(exc), k
+            loaded.append(False)
+            continue
+        assert loaded_cfg.seed == 1
+        for name, sha in files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, (k, name)
+        loaded.append(True)
+    assert loaded[0] and not loaded[-1]
+    cmd_train(cfg, out, seed=2)  # no rename fails
+    assert load_artifacts(out)[0].seed == 2
+    assert json.loads((out / "manifest.json").read_bytes())["files"] != files
+
+
+def test_coverage_failing_at_its_rename_leaves_the_previous_csv(tmp_path, monkeypatch):
+    cfg = config_from_dict(TINY_RAW)
+    out = tmp_path / "coverage.csv"
+    cmd_coverage(cfg, 900.0, out)
+    before = out.read_bytes()
+    _fail_replace(monkeypatch, 1)  # its one rename
+    with pytest.raises(OSError, match="Input/output error"):
+        cmd_coverage(cfg, 1800.0, out)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["coverage.csv"]
+    assert out.read_bytes() == before
+    cmd_coverage(cfg, 1800.0, out)
+    assert out.read_bytes() != before
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
