@@ -31,12 +31,12 @@ destination never reads another destination's rows, because the bootstrap
 reads (s', same destination), so each destination's chain of episodes
 holds one slot for the whole run and all chains advance together, each
 step one batch of numpy operations on flat views of the dense
-``Q[cell, column, a]`` table: epsilon mask, argmax with uniform random ties
-(as 6-bit tie masks, ``qcore.TIES``), move-table lookup, reward, scatter
-update. When only a few chains are left (``DRAIN_SLOTS``), it drains them:
-their episodes run one after another as a scalar loop on Python lists, so
-fixed-destination training, which has one destination, runs there
-throughout. Its choices are epsilon-greedy with uniform ties; a test runs
+``Q[column, cell, a]`` table: epsilon mask, argmax with uniform random ties
+(as 6-bit tie masks, ``qcore.tie_masks``), move-table lookup, reward,
+scatter update. When only a few chains are left (``DRAIN_SLOTS``), it
+drains them: their episodes run one after another as a scalar loop on
+Python lists, so fixed-destination training, which has one destination,
+runs there throughout. Its choices are epsilon-greedy with uniform ties; a test runs
 the episodes one after another, picking each action from the episode's
 random stream and stepping one move-table entry at a time through
 ``reward_strategic`` and the reference ``q_update``, and gets the same
@@ -94,7 +94,7 @@ from .gridworld import (
     random_free_cell,
     require_mission_cells,
 )
-from .qcore import N_ACTIONS, TIES, QTable, argmax_ties, bootstrap
+from .qcore import N_ACTIONS, TIES, QTable, argmax_ties, bootstrap, tie_masks
 from .radio import LinkBudget, coverage_map
 
 if TYPE_CHECKING:
@@ -228,13 +228,13 @@ def _missions(
     start, drawn for all episodes at once.
     """
     n = cfg.episodes_strategic
-    start = world.index(world.start_cell)
+    start = world.spec.index(world.start_cell)
     fixed = cfg.fixed_destination
     need = 2 if n > 1 and fixed is None else 1
     missions = require_mission_cells(world, cfg.altitude_locked, need, fixed)
     if fixed is not None:
-        return np.full(n, start), np.full(n, world.index(fixed))
-    pool = np.array([world.index(c) for c in sorted(missions)])
+        return np.full(n, start), np.full(n, world.spec.index(fixed))
+    pool = np.array([world.spec.index(c) for c in sorted(missions)])
     n_odd = n // 2
     starts = np.full(n, start)
     drawn = gen.integers(pool.size, size=n_odd)
@@ -254,10 +254,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # A tie mask m (``qcore.TIES``) holds _TIE_COUNT[m] actions, and its j-th in
-# ascending order is _TIE_NTH[m * N_ACTIONS + j]; action a is bit _BITS[a].
+# ascending order is _TIE_NTH[m * N_ACTIONS + j].
 _TIE_COUNT = np.array([len(t) for t in TIES], dtype=np.intp)
 _TIE_NTH = np.array([t + (0,) * (N_ACTIONS - len(t)) for t in TIES], dtype=np.intp).ravel()
-_BITS = 1 << np.arange(N_ACTIONS)
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
@@ -272,8 +271,8 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
 
 
 def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.ndarray:
-    """``dist[c, j]``: the shaping distance from the cell of flat index c to
-    the cell of flat index ``targets[j]``.
+    """``dist[j, c]``: the shaping distance between the cell of flat index
+    ``targets[j]`` and the cell of flat index c.
 
     ``metric`` is ``"euclidean"``, the distance between cell centres, or
     ``"manhattan"``, its axis-summed (taxicab) form, both in metres. Built
@@ -284,9 +283,9 @@ def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.nd
     ends = coords[targets]
     # float even when a size is an int past int64, which would make an object array
     scale = np.array([spec.cell_size_m, spec.cell_size_m, spec.cell_height_m], dtype=float)
-    dist = np.empty((len(coords), len(ends)))
-    for lo in range(0, len(coords), 256):
-        ex, ey, ez = np.moveaxis((coords[lo : lo + 256, None] - ends) * scale, -1, 0)
+    dist = np.empty((len(ends), len(coords)))
+    for lo in range(0, len(ends), 256):
+        ex, ey, ez = np.moveaxis((ends[lo : lo + 256, None] - coords) * scale, -1, 0)
         if metric == "euclidean":
             dist[lo : lo + 256] = np.sqrt(ex * ex + ey * ey + ez * ez)
         else:
@@ -354,13 +353,13 @@ def train_strategic(
     crash_r = np.array(
         [[p.r_crash if m[1] is CRASHED else 0.0 for m in row] for row in moves]
     ).ravel()
-    # dist[cell, column]: the distance to the column's destination
-    columns = table.columns
+    # dist[column, cell]: the distance to the column's destination
+    columns, n_cells = table.columns, world.spec.n_cells
     dist = _distance_table(
         world, cfg.distance_metric, np.arange(columns) if columns > 1 else dests[:1]
     )
-    # Flat views of the table: state (cell, column) is row
-    # cell * columns + column of rows, and its action a is entry
+    # Flat views of the table: state (column, cell) is row
+    # column * n_cells + cell of rows, and its action a is entry
     # row * N_ACTIONS + a of entries. near[row] is the distance from the
     # state's cell to the destination of its column.
     rows = q.reshape(-1, N_ACTIONS)
@@ -369,8 +368,7 @@ def train_strategic(
     # ACTIONS_XY is the first four actions, so a candidate's position in
     # the candidate set is its action value.
     candidates = tuple(map(int, cfg.actions))
-    bits = _BITS[: len(candidates)]
-    everything = int(bits.sum())  # the mask of all candidates
+    everything = (1 << len(candidates)) - 1  # the mask of all candidates
     cap = cfg.resolved_step_cap()
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
 
@@ -392,21 +390,21 @@ def train_strategic(
     steps = np.zeros(ep.size, dtype=np.intp)
     total = np.zeros(ep.size)
     while ep.size > DRAIN_SLOTS:
-        col = table.column(goal)
-        s = at * columns + col
+        first = table.column(goal) * n_cells  # the row of (column, cell 0)
+        s = first + at
 
         # epsilon-greedy over the candidates: a uniformly drawn one of the
         # maximizers, or of all candidates when exploring
         coin, u = _uniforms(draw + _COIN_AND_PICK)
         values = rows.take(s, axis=0)[:, : len(candidates)]
-        ties = (values == reduce(np.maximum, values.T)[:, None]) @ bits
+        ties = tie_masks(values)
         ties[coin < eps] = everything
         nth = (u * _TIE_COUNT.take(ties)).astype(np.intp)
         a = _TIE_NTH.take(ties * N_ACTIONS + nth)
 
         move = at * N_ACTIONS + a
         to = landing.take(move)
-        s_to = to * columns + col
+        s_to = first + to
         arrived = to == goal
         r = np.where(near.take(s_to) < near.take(s), p.r_closer, p.r_farther) + np.where(
             arrived, p.r_arrive, crash_r.take(move)
@@ -453,8 +451,8 @@ def train_strategic(
         ep.tolist(), at.tolist(), goal.tolist(), steps.tolist(), total.tolist(), draw.tolist()
     ):
         col = table.column(dest)
-        chain = q[:, col].tolist()
-        to_dest = dist[:, col].tolist()
+        chain = q[col].tolist()
+        to_dest = dist[col].tolist()
         while True:
             epsilon = eps_of.item(e)
             arrived = False
@@ -483,7 +481,7 @@ def train_strategic(
             if e < 0:
                 break
             cell, taken, reward, state = int(starts[e]), 0, 0.0, int(streams[e])
-        q[:, col] = chain
+        q[col] = chain
 
     return table, EpisodeLogs(world.cells, dests, total_of, steps_of, arrived_of, eps_of)
 
@@ -528,11 +526,11 @@ def train_adaptive(
         seed=cfg.seed,
         f_mhz=lb.f_mhz,
     )
-    rows = table.q[:, 0].tolist()
+    rows = table.q[0].tolist()
     # Plain ints: a list indexed by an int is faster than by an IntEnum member.
     candidates = tuple(map(int, cfg.actions))
     moves = world.moves
-    index = world.index
+    index = world.spec.index
     snr = coverage_map(lb, world).snr_by_index
     cell_reward = [reward_adaptive(v, lb.snr_threshold_db, cfg.rewards) for v in snr]
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
@@ -621,5 +619,5 @@ def train_adaptive(
                 break
             at, row = to, rows[to]
         dest_of[episode], total_of[episode], steps_of[episode] = goal, total, steps
-    table.q[:, 0] = rows
+    table.q[0] = rows
     return table, EpisodeLogs(world.cells, dest_of, total_of, steps_of, arrived_of, eps_of)

@@ -25,8 +25,8 @@ move onto it instead, as ``_DELIVER + a``. Of the values a disagreement compares
 planner's for one column, the last one asked for, so a caller that flies a
 destination on every band before it draws the next, as
 ``harness.run_flights`` does, decodes each drawn destination's column once.
-A step looks both masks up in ``_PICKS``, their ties in ascending action
-order with the count n and n.bit_length() beside them, and draws a pick
+A step looks both masks up in ``qcore.PICKS``, their ties in ascending
+action order with the count n and n.bit_length() beside them, and draws a pick
 only when two or more actions tie, planner first and coverage agent
 second. It draws a pick of one of n as ``rng.randrange(n)`` does, without
 that call's Python-level wrapper: ``getrandbits(k)`` for
@@ -52,23 +52,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
 from .gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
-from .qcore import N_ACTIONS, TIES, QTable
+from .qcore import N_ACTIONS, PICKS, QTable, tie_masks
 from .radio import CoverageMap
 
 
 # A planner mask byte of _DELIVER + a at a neighbour of the destination: the
 # move a enters the destination.
 _DELIVER = 1 << N_ACTIONS
-# _PICKS[m]: the ties of mask m (``qcore.TIES``), their count n and
-# n.bit_length(), the bits a pick of one of them draws.
-_PICKS: tuple[tuple[tuple[int, ...], int, int], ...] = tuple(
-    (ties, len(ties), len(ties).bit_length()) for ties in TIES
-)
 
 
 class FlightOutcome(Enum):
@@ -96,18 +90,6 @@ def _require_grid(world: GridWorld, *tables: QTable) -> None:
 def _require_coverage(q_adaptive: QTable) -> None:
     if q_adaptive.columns != 1:
         raise ValueError("the coverage table must have one column")
-
-
-def _tie_masks(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Per row of ``values`` (n x 6), the mask of its argmax ties among ``candidates``."""
-    # elementwise maxima of the six columns: .max(axis=1) would run one
-    # short reduction per row
-    best = reduce(np.maximum, np.where(candidates, values, -np.inf).T)
-    ties = candidates & (values == best[:, None])
-    masks = np.packbits(ties, axis=1, bitorder="little")[:, 0]
-    if not masks.all():  # every row has a candidate, so only NaN leaves none
-        raise ValueError("a Q-table row holds NaN")
-    return masks
 
 
 class TieMasks:
@@ -155,6 +137,8 @@ class TieMasks:
             candidates &= np.array([[e is not crash for _, e in row] for row in world.moves])
             candidates[~candidates.any(axis=1)] = permitted
         self._candidate_mask = candidates
+        # the same rule as one tie mask per cell
+        self._candidate_bits = np.packbits(candidates, axis=1, bitorder="little")[:, 0]
         # destination -> its masks, one byte per cell
         self._planner: dict[int, bytes] = {}
         # the column whose values were last decoded, and those values
@@ -171,7 +155,7 @@ class TieMasks:
             self._values = (col, memoryview(self.q_strategic.column_values(col)))
         plan = self._planner.get(goal)
         if plan is None:
-            masks = _tie_masks(np.asarray(self._values[1]), self._candidate_mask)
+            masks = self._ties(np.asarray(self._values[1]))
             moves = self.world.moves
             for i, _ in moves[goal]:
                 if i != goal:
@@ -184,16 +168,26 @@ class TieMasks:
     def coverage(
         self, q_adaptive: QTable
     ) -> tuple[list[tuple[tuple[int, ...], int, int]], list[list[float]]]:
-        """A coverage table's picks per cell (``_PICKS``) and its rows as lists."""
+        """A coverage table's picks per cell (``qcore.PICKS``) and its rows as lists."""
         hit = self._coverage.get(id(q_adaptive))
         if hit is None or hit[0] is not q_adaptive:
             _require_grid(self.world, q_adaptive)
             _require_coverage(q_adaptive)
             q = q_adaptive.column_values(0)
-            picks = [_PICKS[m] for m in _tie_masks(q, self._candidate_mask).tolist()]
+            picks = [PICKS[m] for m in self._ties(q).tolist()]
             hit = (q_adaptive, picks, q.tolist())
             self._coverage[id(q_adaptive)] = hit
         return hit[1:]
+
+    def _ties(self, values: np.ndarray) -> np.ndarray:
+        """Per cell, the uint8 mask of the argmax ties of ``values`` (n x 6)
+        among the cell's candidates."""
+        # a value that is no candidate counts as -inf, and stays out of the
+        # ties of a row whose candidates are all -inf
+        masks = tie_masks(np.where(self._candidate_mask, values, -np.inf)) & self._candidate_bits
+        if not masks.all():  # every row has a candidate, so only NaN leaves none
+            raise ValueError("a Q-table row holds NaN")
+        return masks.astype(np.uint8)
 
 
 def execute_flight(
@@ -227,7 +221,7 @@ def execute_flight(
     snr_by_index = cmap.snr_by_index
     threshold = cmap.snr_threshold_db
     moves = world.moves
-    at, goal = world.index(world.start_cell), world.index(dest)
+    at, goal = world.spec.index(world.start_cell), world.spec.index(dest)
     plan, plan_q = masks.planner(goal)
     cover, cover_q = masks.coverage(q_adaptive)
     # bound once: a local is read faster than an enum member
@@ -248,7 +242,7 @@ def execute_flight(
         else:
             # the planner's ties, then the coverage agent's, each picked as
             # randrange(n) draws (see the module docstring)
-            ties, n, k = _PICKS[m]
+            ties, n, k = PICKS[m]
             if n == 1:
                 a = ties[0]
             else:

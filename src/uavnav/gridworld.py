@@ -147,10 +147,6 @@ class GridWorld:
     base_station_cell: Cell
     start_cell: Cell
 
-    def index(self, c: Cell) -> int:
-        """Flat index of an in-bounds cell."""
-        return self.spec.index(c)
-
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """Every cell, in flat-index order."""
@@ -183,7 +179,7 @@ class GridWorld:
         arrive = [StepEvent.MOVED] * n
         for c in self.obstacles:
             if spec.in_bounds(c):
-                arrive[self.index(c)] = StepEvent.CRASHED_INTO_OBSTACLE
+                arrive[spec.index(c)] = StepEvent.CRASHED_INTO_OBSTACLE
         landing = list(zip(range(n), arrive))
         blocked = list(zip(range(n), repeat(StepEvent.BLOCKED_AT_BOUNDARY)))
         # One column per action, in Action order. Along an axis of the given

@@ -520,7 +520,7 @@ def run_flights(
     dest_rng = stream_rng(seed, "eval.dest")
     for j in range(n_flights):
         dest = cfg.fixed_destination or random_free_cell(world, dest_rng, missions)
-        flights.destination[j] = world.index(dest)
+        flights.destination[j] = world.spec.index(dest)
         for table, cmap, tie_rng, outcome, steps, outage_steps, min_snr_db in bands:
             # called through this module's name, which a tracer may replace
             flight = execute_flight(masks, table, cmap, dest, step_cap=cap, rng=tie_rng)

@@ -2,11 +2,13 @@
 
 A Q-table maps (state, action) to a learned value, defaulting to 0.0 for
 anything never updated. Every table is one dense float64 array of one
-shape, ``QTable.q[cell, column, a]``, indexed by flat cell index. The
+shape, ``QTable.q[column, cell, a]``, indexed by flat cell index. The
 goal-conditioned planner has one column per destination, so the
 destination is part of its state; the fixed-destination planner and the
-coverage agent have one column. A state is a ``(cell, column)`` pair and
+coverage agent have one column. A state is a ``(column, cell)`` pair and
 ``q[s]`` is its row; ``QTable.column`` maps a destination to its column.
+Each column is one contiguous ``q[column]``, in the order a checkpoint
+stores it, so memory, file and decode share one order.
 At the default 20 x 20 x 5 grid the planner's array takes 192 MB; a table
 over 2 GiB (``MAX_TABLE_BYTES``) is refused before it is allocated.
 
@@ -21,7 +23,8 @@ arrays alike, and ``argmax_ties`` the tie rule. The coverage agent's loop
 caches each row's ties from ``argmax_ties``, the planner's lockstep loop in
 ``agents`` applies ``bootstrap`` to a whole batch of episodes at once, and
 ``TIES`` decodes a set of actions held as a 6-bit mask, the form in which
-the flight arbiter and the planner's lockstep loop keep tie sets. The
+the flight arbiter and the planner's lockstep loop keep tie sets;
+``tie_masks`` computes those masks for a batch of rows. The
 single-entry update and the argmax with random ties, taken one step at a
 time, are the references in ``tests/reference.py``.
 
@@ -77,6 +80,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
@@ -95,13 +99,8 @@ N_ACTIONS = len(ACTIONS)
 # table grows with the square of the cell count: 2 GiB is about 6,688 cells.
 MAX_TABLE_BYTES = 2 << 30
 # Column blocks of about this many bytes of values are read or written at a
-# time, so that no whole-table temporary is made. Blocks that stay in cache
-# while they are reordered save fastest: 256 KiB beat 1 and 4 MiB on 500-
-# and 2,000-cell planners.
+# time, so that no whole-table temporary is made.
 _BLOCK_BYTES = 1 << 18
-# A row of six values as one item: numpy reorders 48-byte items between the
-# (cell, column) and (column, cell) orders faster than runs of six floats
-_ROW = np.dtype((np.void, N_ACTIONS * 8))
 # _POPCOUNT[b]: the number of set bits in the byte b
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -187,7 +186,7 @@ class _Stored(NamedTuple):
 class QTable:
     """(state, action) -> value store with identifying metadata.
 
-    The values are one float64 array ``q[cell, column, a]``, indexed by
+    The values are one float64 array ``q[column, cell, a]``, indexed by
     flat cell index (``GridSpec.index``), with ``columns`` either 1 or one
     per cell of the grid (a column per destination). Every value starts at
     exactly 0.0. ``n_states`` counts the rows that hold a non-zero value and
@@ -197,8 +196,8 @@ class QTable:
 
     ``q`` is allocated on first use. A table that ``load`` returns holds
     its checkpoint's members instead: ``column_values`` and ``n_states``
-    read them, and ``q`` builds the dense array from them once, after which
-    the table is dense like any other.
+    decode them a block of columns at a time, and ``q`` builds the dense
+    array from them once, after which the table is dense like any other.
     """
 
     def __init__(
@@ -226,13 +225,12 @@ class QTable:
 
     @property
     def q(self) -> np.ndarray:
-        """The dense values, ``q[cell, column, a]``."""
+        """The dense values, ``q[column, cell, a]``."""
         if self._q is None:
-            q = np.zeros((self.grid.n_cells, self.columns, N_ACTIONS))
+            q = np.zeros((self.columns, self.grid.n_cells, N_ACTIONS))
             if self._stored is not None:
-                rows = q.view(_ROW)[..., 0]
                 for c0, c1 in self._blocks():
-                    rows[:, c0:c1] = self._block(c0, c1).view(_ROW)[..., 0].T
+                    q[c0:c1] = self._block(c0, c1)
             self._q, self._stored = q, None
         return self._q
 
@@ -241,10 +239,8 @@ class QTable:
         return dest if self.columns > 1 else 0
 
     def column_values(self, col: int) -> np.ndarray:
-        """The values of one column, ``q[:, col]``, without building ``q``
+        """The values of one column, ``q[col]``, without building ``q``
         on a loaded table."""
-        if self._stored is None:
-            return self.q[:, col]
         return self._block(col, col + 1)[0]
 
     def _blocks(self) -> Iterator[tuple[int, int]]:
@@ -254,11 +250,10 @@ class QTable:
             yield c0, min(c0 + per, self.columns)
 
     def _block(self, c0: int, c1: int) -> np.ndarray:
-        """Columns ``c0:c1`` in column order, a new (c1 - c0) x cells x 6 array."""
+        """Columns ``c0:c1``, (c1 - c0) x cells x 6: the slice ``q[c0:c1]``,
+        or on a loaded table a new array decoded from its members."""
         if self._stored is None:
-            rows = self.q.view(_ROW)[..., 0]
-            block = np.ascontiguousarray(rows[:, c0:c1].T).view(np.float64)
-            return block.reshape(c1 - c0, self.grid.n_cells, N_ACTIONS)
+            return self.q[c0:c1]
         bits, values = self._stored.bits(c0, c1)
         block = np.zeros(bits.size)
         # scattering to indices is faster than through the boolean mask
@@ -266,20 +261,17 @@ class QTable:
         return block.reshape(c1 - c0, self.grid.n_cells, N_ACTIONS)
 
     def n_states(self) -> int:
-        if self._stored is None:
-            return int(np.count_nonzero(self.q.any(axis=-1)))
-        n = 0
-        for c0, c1 in self._blocks():
-            bits, values = self._stored.bits(c0, c1)
-            # the rows of the stored entries that are not -0.0, ascending: each
-            # change of row between neighbours starts one more row
-            rows = np.flatnonzero(bits)[values != 0] // N_ACTIONS
-            if len(rows):
-                n += 1 + int(np.count_nonzero(np.diff(rows)))
-        return n
+        """The number of rows that hold a value other than +0.0 and -0.0."""
+        # elementwise ORs of the six actions' values: .any(axis=-1) would run
+        # one short reduction per row
+        return sum(
+            int(np.count_nonzero(reduce(np.logical_or, self._block(c0, c1).T)))
+            for c0, c1 in self._blocks()
+        )
 
     def entries(self) -> Iterator[tuple[tuple[int, int], Action, float]]:
-        """Non-zero entries, sorted by state."""
+        """Non-zero entries as ``((column, cell), action, value)``, in column
+        order: sorted by column, then cell, then action."""
         where = np.nonzero(self.q)
         for c, k, a, v in zip(*(i.tolist() for i in where), self.q[where].tolist()):
             yield (c, k), ACTIONS[a], v
@@ -309,10 +301,25 @@ def bootstrap(q, r, max_next, alpha: float, gamma: float):
 
 
 # TIES[m]: the actions whose bit is set in the tie mask m, ascending. A set
-# of actions as a mask has bit a for action a.
+# of actions as a mask has bit a for action a, _BITS[a].
 TIES: tuple[tuple[int, ...], ...] = tuple(
     tuple(a for a in range(N_ACTIONS) if m >> a & 1) for m in range(1 << N_ACTIONS)
 )
+# PICKS[m]: the ties of mask m, their count n and n.bit_length(), the bits a
+# pick of one of them draws.
+PICKS: tuple[tuple[tuple[int, ...], int, int], ...] = tuple(
+    (ties, len(ties), len(ties).bit_length()) for ties in TIES
+)
+_BITS = 1 << np.arange(N_ACTIONS)
+
+
+def tie_masks(values: np.ndarray) -> np.ndarray:
+    """Per row of ``values`` (n x k, the first k actions), the mask of the
+    actions whose value is the row's maximum, as an int array. A row that
+    holds NaN has mask 0."""
+    # elementwise maxima of the k columns: .max(axis=1) would run one short
+    # reduction per row
+    return (values == reduce(np.maximum, values.T)[:, None]) @ _BITS[: values.shape[1]]
 
 
 def argmax_ties(row: Sequence[float], candidates: Sequence[Action]) -> list[Action]:

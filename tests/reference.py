@@ -32,7 +32,7 @@ compare the two:
 - ``greedy_trajectory`` rolls out one table's greedy policy over all six
   actions, through the world's move table, the planner values a flight
   reads (``TieMasks(..., safety=False).planner``) and the tie rule its
-  planner bytes are built with (``arbiter._tie_masks``); criterion 3
+  planner bytes are built with (``qcore.tie_masks``); criterion 3
   compares its paths with breadth-first shortest paths.
 
 Where it costs a few lines, a reference computes a rule itself instead of
@@ -48,11 +48,11 @@ from typing import Sequence
 
 import numpy as np
 
-from uavnav.arbiter import FlightOutcome, FlightRecord, TieMasks, _tie_masks, execute_flight
+from uavnav.arbiter import FlightOutcome, FlightRecord, TieMasks, execute_flight
 from uavnav.config import TrainConfig, band_label, stream_rng
 from uavnav.gridworld import ACTIONS, Action, Cell, GridWorld, StepEvent
 from uavnav.harness import Flights
-from uavnav.qcore import TIES, EpsilonSchedule, Hyper, QTable, bootstrap
+from uavnav.qcore import TIES, EpsilonSchedule, Hyper, QTable, bootstrap, tie_masks
 from uavnav.radio import coverage_map
 
 
@@ -61,7 +61,8 @@ def q_update(
 ) -> float:
     """One bootstrapped update of Q(s, a); returns the stored value.
 
-    ``s`` and ``s_next`` are (cell, column) pairs of flat indices.
+    ``s`` and ``s_next`` are (column, cell) pairs of flat indices, rows of
+    ``Q[column, cell, a]``.
     """
     q = table.q
     # max_a' Q(s', a') is read before the write: s' may be s
@@ -138,10 +139,10 @@ def decide(
     Both tables and both cells must be on the world's grid, and the
     coverage table must have one column.
     """
-    at = world.index(s_pos)
+    at = world.spec.index(s_pos)
     options = candidates(world, at, safety, allowed)
-    row_s = q_strategic.q[at, q_strategic.column(world.index(dest))].tolist()
-    row_a = q_adaptive.q[at, 0].tolist()
+    row_s = q_strategic.q[q_strategic.column(world.spec.index(dest)), at].tolist()
+    row_a = q_adaptive.q[0, at].tolist()
     a1 = greedy_action(row_s, options, rng)
     a2 = greedy_action(row_a, options, rng)
     if a1 == a2:
@@ -180,7 +181,7 @@ def run_flights_by_band(
                          for dest in dests]
     (dests,) = destinations  # every band drew the same destinations
     seconds_per_step = world.spec.cell_size_m / cfg.uav_velocity_ms
-    return flights_of(records, [world.index(c) for c in dests], world.cells, seconds_per_step)
+    return flights_of(records, [world.spec.index(c) for c in dests], world.cells, seconds_per_step)
 
 
 def flights_of(
@@ -237,9 +238,9 @@ def greedy_trajectory(
     bytes are built with, without the delivery moves those bytes hold.
     """
     moves, cells = world.moves, world.cells
-    at, goal = world.index(world.start_cell), world.index(dest)
+    at, goal = world.spec.index(world.start_cell), world.spec.index(dest)
     values = np.asarray(TieMasks(world, table, safety=False).planner(goal)[1])
-    plan = _tie_masks(values, np.ones(values.shape, dtype=bool)).tolist()
+    plan = tie_masks(values).tolist()
     trajectory = [world.start_cell]
     for _ in range(step_cap):
         ties = TIES[plan[at]]

@@ -116,8 +116,8 @@ def test_criterion_1_path_loss_formula_oracle():
 def test_criterion_2_q_update_unit():
     grid = GridSpec()
     t = QTable("adaptive", grid, Hyper(), 0)
-    # (cell, column) states of a one-column table
-    s, s2, s3 = ((grid.index(c), 0) for c in ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
+    # (column, cell) states of a one-column table
+    s, s2, s3 = ((0, grid.index(c)) for c in ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
     q_update(t, s2, ACTIONS[0], 4.0, s3, Hyper(alpha=1.0, gamma=0.0))
     v = q_update(t, s, ACTIONS[0], 10.0, s2, Hyper(alpha=0.8, gamma=0.5))
     case1 = abs(v - 9.6) <= 1e-12
@@ -267,8 +267,8 @@ def test_criterion_7_arbiter_fidelity():
     qa = QTable("adaptive", grid, Hyper(), 0)
 
     def tables(sv, av):
-        qs.q[grid.index(pos), grid.index(dest)] = sv
-        qa.q[grid.index(pos), 0] = av
+        qs.q[grid.index(dest), grid.index(pos)] = sv
+        qa.q[0, grid.index(pos)] = av
         return qs, qa
 
     agree_ok = 0
@@ -309,8 +309,8 @@ def test_criterion_7_arbiter_fidelity():
             continue
         qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
         qa = QTable("adaptive", spec, Hyper(), 0)
-        qs.q[spec.index(p), spec.index((5, 5, 2))] = [rng.uniform(-50, 50) for _ in ACTIONS]
-        qa.q[spec.index(p), 0] = [rng.uniform(-50, 50) for _ in ACTIONS]
+        qs.q[spec.index((5, 5, 2)), spec.index(p)] = [rng.uniform(-50, 50) for _ in ACTIONS]
+        qa.q[0, spec.index(p)] = [rng.uniform(-50, 50) for _ in ACTIONS]
         a = decide(qs, qa, p, (5, 5, 2), True, w, rng)
         d = ACTION_DELTAS[a]
         nxt = (p[0] + d[0], p[1] + d[1], p[2] + d[2])

@@ -234,8 +234,8 @@ def test_adaptive_greedy_stays_covered_near_bs():
     pos = (11, 10, 1)  # adjacent to the BS column at (10, 10)
     assert cmap.snr[pos] >= lb.snr_threshold_db
     for _ in range(20):
-        i = world.index(pos)
-        a = greedy_action(table.q[i, 0].tolist(), ACTIONS, rng)
+        i = world.spec.index(pos)
+        a = greedy_action(table.q[0, i].tolist(), ACTIONS, rng)
         pos = world.cells[world.moves[i][a][0]]
         assert cmap.snr[pos] >= lb.snr_threshold_db
 
@@ -271,6 +271,6 @@ def test_altitude_locked_training_stays_on_layer():
     # only takeoff-layer states toward takeoff-layer destinations are
     # updated, and never by a vertical move
     cells = world.cells
-    for at, goal in np.argwhere(table.q.any(axis=-1)).tolist():
+    for goal, at in np.argwhere(table.q.any(axis=-1)).tolist():
         assert cells[at][2] == cells[goal][2] == 0
-        assert table.q[at, goal, 4] == table.q[at, goal, 5] == 0.0
+        assert table.q[goal, at, 4] == table.q[goal, at, 5] == 0.0

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from uavnav.arbiter import FlightOutcome, TieMasks, _tie_masks, execute_flight
+from uavnav.arbiter import FlightOutcome, TieMasks, execute_flight
 from uavnav.config import TrainConfig, stream_rng
 from uavnav.gridworld import (
     ACTION_DELTAS,
@@ -21,7 +21,7 @@ from uavnav.gridworld import (
     build,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import N_ACTIONS, Hyper, QTable
+from uavnav.qcore import N_ACTIONS, Hyper, QTable, tie_masks
 from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
@@ -34,7 +34,7 @@ EMPTY_WORLD = build(GRID, 0.0, seed=1, bs_xy=(10, 10, 0))
 def table_with_row(kind, pos, values, dest=None, grid=GRID):
     """A table with one set row: pos's, in dest's column when dest is given."""
     t = QTable(kind, grid, Hyper(), 0, columns=1 if dest is None else grid.n_cells)
-    t.q[grid.index(pos), 0 if dest is None else grid.index(dest)] = values
+    t.q[0 if dest is None else grid.index(dest), grid.index(pos)] = values
     return t
 
 
@@ -143,7 +143,7 @@ def test_safe_candidates_keeps_boundary_clamps():
         start_cell=(0, 0, 0),
     )
     masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0))
-    cands = _mask_candidates(masks, world.index((0, 0, 0)))
+    cands = _mask_candidates(masks, world.spec.index((0, 0, 0)))
     assert Action.PLUS_X not in cands
     assert Action.PLUS_Y not in cands
     # each clamps in place, on a free cell
@@ -380,7 +380,7 @@ def _landings_via_decide(qs, qa, world, dest, step_cap, rng, safety, allowed):
     onto an adjacent destination when allowed, else ``decide``.
     """
     moves = world.moves
-    at, goal = world.index(world.start_cell), world.index(dest)
+    at, goal = world.spec.index(world.start_cell), world.spec.index(dest)
     steps = []
     while len(steps) < step_cap:
         pos = world.cells[at]
@@ -474,11 +474,12 @@ def test_greedy_trajectory_replays_greedy_action(per_destination):
             dest = free[int(rng.integers(len(free)))]
             seed = int(rng.integers(1 << 30))
             ref_rng = random.Random(seed)
-            col = world.index(dest) if per_destination else 0
+            col = world.spec.index(dest) if per_destination else 0
             pos, want, outcome = world.start_cell, [world.start_cell], FlightOutcome.STEP_CAP_HIT
             for _ in range(30):
-                a = greedy_action(table.q[world.index(pos), col].tolist(), ACTIONS, ref_rng)
-                to, event = world.moves[world.index(pos)][a]
+                at = world.spec.index(pos)
+                a = greedy_action(table.q[col, at].tolist(), ACTIONS, ref_rng)
+                to, event = world.moves[at][a]
                 nxt = world.cells[to]
                 if nxt != pos:
                     want.append(nxt)
@@ -494,28 +495,56 @@ def test_greedy_trajectory_replays_greedy_action(per_destination):
             assert tie_rng.getstate() == ref_rng.getstate()
 
 
+# Few values, so rows tie, with -inf and both zeros among them
+_TIE_POOL = np.array([-math.inf, -2.5, -0.0, 0.0, 1.0, 7.0])
+
+
 def test_tie_masks_match_a_direct_transcription():
-    # rows drawn from few values, so they tie, with -inf and both zeros among them
-    rng = np.random.default_rng(3)
-    pool = np.array([-math.inf, -2.5, -0.0, 0.0, 1.0, 7.0])
-    values = pool[rng.integers(0, len(pool), (500, N_ACTIONS))]
-    candidates = rng.random((500, N_ACTIONS)) < 0.6
-    candidates[np.arange(500), rng.integers(0, N_ACTIONS, 500)] = True
-    want = []
-    for row, allowed in zip(values.tolist(), candidates.tolist()):
-        best = max(v for v, ok in zip(row, allowed) if ok)
-        want.append(sum(1 << a for a in range(N_ACTIONS) if allowed[a] and row[a] == best))
-    assert _tie_masks(values, candidates).tolist() == want
+    # over all six actions and over the first four, as the planner's
+    # lockstep reads an altitude-locked table
+    values = _TIE_POOL[np.random.default_rng(3).integers(0, len(_TIE_POOL), (500, N_ACTIONS))]
+    for k in (N_ACTIONS, len(ACTIONS_XY)):
+        want = [sum(1 << a for a in range(k) if row[a] == max(row[:k]))
+                for row in values.tolist()]
+        assert tie_masks(values[:, :k]).tolist() == want
     values[7, 2] = math.nan
-    with pytest.raises(ValueError, match="NaN"):
-        _tie_masks(values, candidates | True)
+    assert tie_masks(values)[7] == 0
+
+
+@pytest.mark.parametrize("allowed", [ACTIONS, ACTIONS_XY], ids=["xyz", "xy"])
+def test_flight_masks_are_the_ties_among_the_candidates(allowed):
+    # Both tables' masks, against a transcription of the rule at every cell:
+    # the ties of the highest candidate value, none of them a move the
+    # candidate rule drops, also where every candidate's value is -inf.
+    world = build(GridSpec(nx=6, ny=6, nz=3), 0.3, seed=4)
+    spec = world.spec
+    rng = np.random.default_rng(len(allowed))
+    qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
+    qa = QTable("adaptive", spec, Hyper(), 0)
+    goal = spec.index(min(world.mission_cells()))
+    qs.q[goal] = _TIE_POOL[rng.integers(0, len(_TIE_POOL), (spec.n_cells, N_ACTIONS))]
+    qa.q[0] = _TIE_POOL[rng.integers(0, len(_TIE_POOL), (spec.n_cells, N_ACTIONS))]
+    qs.q[goal, ::3] = qa.q[0, 1::3] = -math.inf
+    masks = TieMasks(world, qs, True, allowed)
+    plan, _ = masks.planner(goal)
+    picks, _ = masks.coverage(qa)
+    all_minus_inf = 0
+    for at in range(spec.n_cells):
+        cands = candidates(world, at, True, allowed)
+        for row, got in ((qs.q[goal, at].tolist(), plan[at]),
+                         (qa.q[0, at].tolist(), sum(1 << a for a in picks[at][0]))):
+            best = max(row[a] for a in cands)
+            all_minus_inf += best == -math.inf and len(cands) < N_ACTIONS
+            if got < 1 << N_ACTIONS:  # not a delivery move
+                assert got == sum(1 << a for a in cands if row[a] == best), at
+    assert all_minus_inf > 0
 
 
 def test_flight_masks_refuse_nan_rows():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0)
-    qa.q[4, 0, 2] = math.nan
+    qa.q[0, 4, 2] = math.nan
     cmap = coverage_map(TrainConfig().link, world)
     with pytest.raises(ValueError, match="NaN"):
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10, random.Random(0))
@@ -541,8 +570,8 @@ def test_masks_compare_the_tables_own_values():
     qa = QTable("adaptive", spec, Hyper(), 0)
     rows = np.array(_EXTREME_ROWS)
     goal = spec.n_cells - 1
-    qs.q[: len(rows), goal] = rows
-    qa.q[: len(rows), 0] = rows[::-1]
+    qs.q[goal, : len(rows)] = rows
+    qa.q[0, : len(rows)] = rows[::-1]
     masks = TieMasks(world, qs)
-    assert masks.planner(goal)[1].tobytes() == qs.q[:, goal].tobytes()
-    assert masks.coverage(qa)[1] == qa.q[:, 0].tolist()
+    assert masks.planner(goal)[1].tobytes() == qs.q[goal].tobytes()
+    assert masks.coverage(qa)[1] == qa.q[0].tolist()

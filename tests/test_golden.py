@@ -88,15 +88,18 @@ GOLDEN = {
 
 
 def table_digest(table: QTable) -> str:
-    """sha256 of the stored rows in C order, each keyed by its cell, and by
-    its destination too when the table has a column per destination."""
+    """sha256 of the stored rows in (cell, column) order, each keyed by its
+    cell, and by its destination too when the table has a column per
+    destination. ``q`` is ``q[column, cell, a]``; its transpose gives the
+    order the constants were recorded in."""
     g = table.grid
     cells = [(x, y, z) for x in range(g.nx) for y in range(g.ny) for z in range(g.nz)]
+    by_cell = table.q.transpose(1, 0, 2)
     h = hashlib.sha256()
-    for at, col in np.argwhere(table.q.any(axis=-1)).tolist():
+    for at, col in np.argwhere(by_cell.any(axis=-1)).tolist():
         key = (cells[at], cells[col]) if table.columns > 1 else cells[at]
         h.update(repr(key).encode())
-        h.update(struct.pack("<6d", *table.q[at, col].tolist()))
+        h.update(struct.pack("<6d", *by_cell[at, col].tolist()))
     return h.hexdigest()
 
 

@@ -100,7 +100,7 @@ def test_obstacle_room_counts_the_cells_build_may_fill():
 def test_transition_totality_and_boundary_safety():
     world = build(SPEC, 0.2, seed=3)
     rng = random.Random(0)
-    i = world.index(world.start_cell)
+    i = world.spec.index(world.start_cell)
     for _ in range(2000):
         i, _ = world.moves[i][rng.randrange(6)]
         assert 0 <= i < world.spec.n_cells
@@ -127,7 +127,7 @@ def distances(world, metric):
     """The planner's shaping distance between every two cells, as
     ``dist(a, b)``."""
     table = _distance_table(world, metric, np.arange(world.spec.n_cells)).tolist()
-    return lambda a, b: table[world.index(a)][world.index(b)]
+    return lambda a, b: table[world.spec.index(a)][world.spec.index(b)]
 
 
 def test_distance_values():
@@ -237,7 +237,7 @@ def test_mission_cells():
     assert world.mission_cells() == free
     assert world.mission_cells(True) == {c for c in free if c[2] == 1}
     # sorted cells are in flat-index order
-    assert [world.index(c) for c in sorted(free)] == sorted(map(world.index, free))
+    assert [world.spec.index(c) for c in sorted(free)] == sorted(map(world.spec.index, free))
     assert world.mission_cells(True) is world.mission_cells(True)  # built once
 
 
@@ -256,7 +256,7 @@ def test_move_table_matches_step_rules():
         world = GridWorld(spec, obstacles, (0, 0, 0), (0, 0, 0))
         assert list(world.cells) == cells
         for i, c in enumerate(cells):
-            assert world.index(c) == i
+            assert world.spec.index(c) == i
             for a in ACTIONS:
                 d = ACTION_DELTAS[a]
                 n = (c[0] + d[0], c[1] + d[1], c[2] + d[2])
@@ -272,5 +272,5 @@ def test_move_table_matches_step_rules():
 def test_move_table_is_built_on_first_use():
     world = build(SPEC, 0.1, seed=2)
     assert "moves" not in vars(world)
-    world.moves[world.index(world.start_cell)]
+    world.moves[world.spec.index(world.start_cell)]
     assert "moves" in vars(world)

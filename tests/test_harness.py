@@ -979,7 +979,7 @@ def test_cli_fixed_destination_flights_all_fly_to_it(tmp_path):
 
 
 def test_trained_tables_have_one_shape(tmp_path):
-    # every table is Q[cell, column, a]: the planner has a column per
+    # every table is Q[column, cell, a]: the planner has a column per
     # destination, or one with a fixed destination; a coverage table has one
     n = 4 * 4 * 2
     for fixed, planner_columns in ((None, n), ((3, 3, 1), 1)):
@@ -987,12 +987,12 @@ def test_trained_tables_have_one_shape(tmp_path):
                                 "fixed_destination": None if fixed is None else list(fixed)})
         assert cfg.planner_columns == planner_columns
         out = cmd_train(cfg, tmp_path / f"run{planner_columns}")
-        want = {"strategic.npz": (n, planner_columns, 6),
-                "adaptive_900.npz": (n, 1, 6), "adaptive_2100.npz": (n, 1, 6)}
+        want = {"strategic.npz": (planner_columns, n, 6),
+                "adaptive_900.npz": (1, n, 6), "adaptive_2100.npz": (1, n, 6)}
         for name, shape in want.items():
             assert load_table(out / name).q.shape == shape
             with np.load(out / name, allow_pickle=False) as npz:
-                assert json.loads(npz["meta"].item())["columns"] == shape[1]
+                assert json.loads(npz["meta"].item())["columns"] == shape[0]
 
 
 @pytest.mark.parametrize("bands", [[900, 900], [900, 900.0000001]], ids=["equal", "same label"])
@@ -1023,7 +1023,7 @@ def test_cli_refuses_more_obstacles_than_the_grid_holds(tmp_path, capsys, grid):
 
 
 def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, capsys):
-    # 6,689 cells: Q[cell, column, a] with a column per destination would
+    # 6,689 cells: Q[column, cell, a] with a column per destination would
     # take just over 2 GiB
     over, under = GridSpec(nx=6689, ny=1, nz=1), GridSpec(nx=6688, ny=1, nz=1)
     assert under.n_cells**2 * 6 * 8 <= MAX_TABLE_BYTES < over.n_cells**2 * 6 * 8

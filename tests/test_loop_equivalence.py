@@ -75,7 +75,7 @@ from reference import argmax_ties, epsilon_at, greedy_action, q_update, random_f
 
 def step(world, pos, a, dest):
     """The move-table entry of ``a`` from ``pos``; a plain move onto ``dest`` arrives."""
-    to, event = world.moves[world.index(pos)][a]
+    to, event = world.moves[world.spec.index(pos)][a]
     nxt = world.cells[to]
     if event is StepEvent.MOVED and nxt == dest:
         return nxt, StepEvent.ARRIVED_AT_DESTINATION
@@ -118,12 +118,12 @@ def reference_strategic(world, cfg, rng):
         else:
             assert pos in missions and pos != dest
         epsilon = epsilon_at(cfg.schedule, episode)
-        col = world.index(dest) if per_destination else 0
+        col = world.spec.index(dest) if per_destination else 0
         total, steps, arrived = 0.0, 0, False
         while steps < cfg.resolved_step_cap():
             coin = splitmix64_uniform(key, 2 * steps)
             u = splitmix64_uniform(key, 2 * steps + 1)
-            s = (world.index(pos), col)
+            s = (col, world.spec.index(pos))
             row = table.q[s].tolist()
             best = max(row[a] for a in candidates)
             picks = [a for a in candidates if coin < epsilon or row[a] == best]
@@ -133,7 +133,7 @@ def reference_strategic(world, cfg, rng):
             nxt, event = step(world, pos, a, dest)
             r = reward_strategic(dist(pos, dest, *sizes), dist(nxt, dest, *sizes), event,
                                  cfg.rewards)
-            q_update(table, s, a, r, (world.index(nxt), col), cfg.hyper)
+            q_update(table, s, a, r, (col, world.spec.index(nxt)), cfg.hyper)
             events[event] += 1
             total += r
             steps += 1
@@ -177,12 +177,12 @@ def reference_adaptive(world, lb, cfg, rng):
             dest = random_free_cell(world, rng, locked)
         total, steps, arrived = 0.0, 0, False
         while steps < cfg.resolved_step_cap():
-            s = (world.index(pos), 0)
+            s = (0, world.spec.index(pos))
             picks[next_pick(table, s, epsilon, rng, candidates)] += 1
             a = select_action(table, s, epsilon, rng, candidates)
             nxt, event = step(world, pos, a, dest)
             r = reward_adaptive(float(cmap.snr[nxt]), lb.snr_threshold_db, cfg.rewards)
-            q_update(table, (world.index(pos), 0), a, r, (world.index(nxt), 0), cfg.hyper)
+            q_update(table, s, a, r, (0, world.spec.index(nxt)), cfg.hyper)
             total += r
             steps += 1
             pos = nxt
@@ -397,7 +397,7 @@ def test_train_strategic_does_not_depend_on_slot_count(
 ):
     cfg = mode_config("goal_conditioned")
     world = build_world(cfg)
-    lowest = sorted(map(world.index, world.mission_cells()))[:2]
+    lowest = sorted(map(world.spec.index, world.mission_cells()))[:2]
     missions = agents._missions
 
     def folded(world, cfg, gen):

@@ -34,7 +34,7 @@ def make_table(kind="adaptive", columns=1, **kw):
 
 def st(cell):
     """The state of a cell in a one-column table on GRID."""
-    return GRID.index(cell), 0
+    return 0, GRID.index(cell)
 
 
 def row(t, s):
@@ -42,7 +42,7 @@ def row(t, s):
 
 
 def _stored(t):
-    """The (cell, column) index of every stored row, in C order."""
+    """The (column, cell) index of every stored row, in C order."""
     return [tuple(i) for i in np.argwhere(t.q.any(axis=-1)).tolist()]
 
 
@@ -199,8 +199,9 @@ def _random_table(rng, kind="strategic", n_states=60, grid=GRID):
         return grid.index((rng.randrange(grid.nx), rng.randrange(grid.ny), rng.randrange(grid.nz)))
 
     for _ in range(n_states):
-        s = (cell(), cell()) if kind == "strategic" else (cell(), 0)
-        t.q[s] = [rng.uniform(-100, 100) for _ in ACTIONS]
+        at = cell()
+        col = cell() if kind == "strategic" else 0
+        t.q[col, at] = [rng.uniform(-100, 100) for _ in ACTIONS]
     return t
 
 
@@ -267,12 +268,15 @@ def test_negative_zero_round_trips_bit_for_bit(tmp_path):
     # non-zero values; a format that stored rows read the first back as +0.0.
     for kind in ("strategic", "adaptive"):
         t = _random_table(random.Random(8), kind=kind, n_states=5)
+        n = t.n_states()
         alone, beside = _stored(t)[0], _stored(t)[1]
         t.q[alone] = 0.0
         t.q[alone + (3,)] = -0.0
         t.q[beside + (4,)] = -0.0
         save(t, tmp_path / "neg.npz")
         back = load(tmp_path / "neg.npz")
+        # the row of -0.0 alone counts in neither, dense or decoded
+        assert back.n_states() == t.n_states() == n - 1
         assert back.q.tobytes() == t.q.tobytes()
         assert math.copysign(1.0, back.q[alone + (3,)]) == -1.0
         assert math.copysign(1.0, back.q[beside + (4,)]) == -1.0
@@ -286,7 +290,7 @@ def _assert_round_trips(t, path, runs):
         assert len(npz["sizes"]) == runs
     back = load(path)
     for col in range(t.columns):
-        assert back.column_values(col).tobytes() == t.q[:, col].tobytes()
+        assert back.column_values(col).tobytes() == t.q[col].tobytes()
     assert back.n_states() == t.n_states()
     assert back._q is None
     assert back == t and back.q.tobytes() == t.q.tobytes()
@@ -352,7 +356,7 @@ def test_round_trip_of_a_planner_column_across_a_run_boundary(tmp_path):
     grid = GridSpec(nx=10, ny=10, nz=1)
     t = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
     rng = np.random.default_rng(4)
-    t.q[:] = rng.choice(rng.uniform(0.5, 0.9, 500), t.q.shape) + np.arange(100)[:, None]
+    t.q[:] = rng.choice(rng.uniform(0.5, 0.9, 500), t.q.shape) + np.arange(100)[:, None, None]
     assert 54 * 600 < RUN_LENGTH < 55 * 600
     _assert_round_trips(t, tmp_path / "t.npz", 2)
 
@@ -434,9 +438,9 @@ def test_load_rejects_v2_checkpoint(tmp_path):
     # format v2 stored int32 coordinate keys in place of the occupancy bitmap
     t = _random_table(random.Random(2), kind="adaptive", n_states=5)
     meta = _members(t, tmp_path / "t.npz")["meta"]
-    cells = [c for c, _ in _stored(t)]
+    cells = [c for _, c in _stored(t)]
     keys = np.column_stack(np.unravel_index(cells, (GRID.nx, GRID.ny, GRID.nz))).astype(np.int32)
-    values = t.q[cells, 0]
+    values = t.q[0, cells]
     _write_zip(tmp_path / "v2.npz",
                {"keys": keys, "values": values, "meta": {**meta, "format_version": 2}})
     with pytest.raises(CheckpointError):
@@ -455,10 +459,11 @@ def test_load_refuses_v3_checkpoint_with_retrain(tmp_path):
 
 
 def test_load_refuses_v4_checkpoint_with_retrain(tmp_path):
-    # format v4 stored whole rows: a bit per row of q.reshape(-1, 6), and n x 6 values
+    # format v4 stored whole rows in (cell, column) order: a bit per row, and
+    # n x 6 values
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
     meta = _members(t, tmp_path / "t.npz")["meta"]
-    rows = t.q.reshape(-1, 6)
+    rows = t.q.transpose(1, 0, 2).reshape(-1, 6)
     stored = rows.any(axis=1)
     _write_zip(tmp_path / "v4.npz", {"occupied": np.packbits(stored), "values": rows[stored],
                                      "meta": {**meta, "format_version": 4}})
@@ -470,7 +475,7 @@ def test_load_refuses_v5_checkpoint_with_retrain(tmp_path):
     # format v5 stored entries in (cell, column, a) order, under one bitmap
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
     meta = _members(t, tmp_path / "t.npz")["meta"]
-    flat = t.q.reshape(-1)
+    flat = t.q.transpose(1, 0, 2).reshape(-1)
     stored = flat.view(np.uint64) != 0
     _write_zip(tmp_path / "v5.npz", {"occupied": np.packbits(stored), "values": flat[stored],
                                      "meta": {**meta, "format_version": 5}})
@@ -483,7 +488,7 @@ def test_load_refuses_v6_checkpoint_with_retrain(tmp_path):
     # order, under v7's occupancy bitmap
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
     members = _members(t, tmp_path / "t.npz")
-    by_column = t.q.transpose(1, 0, 2).reshape(t.columns, -1)
+    by_column = t.q.reshape(t.columns, -1)
     stored = by_column.view(np.uint64) != 0
     occupied = np.packbits(stored, axis=1)
     assert np.array_equal(occupied, members["occupied"])
@@ -496,7 +501,7 @@ def test_load_refuses_v6_checkpoint_with_retrain(tmp_path):
 @pytest.mark.parametrize("columns", [0, 2, 28, True, 1.0, "1"])
 def test_qtable_columns_are_one_or_one_per_cell(columns):
     for valid in (1, ODD_GRID.n_cells):
-        assert QTable("strategic", ODD_GRID, Hyper(), 0, columns=valid).q.shape == (27, valid, 6)
+        assert QTable("strategic", ODD_GRID, Hyper(), 0, columns=valid).q.shape == (valid, 27, 6)
     with pytest.raises(ValueError, match="columns"):
         QTable("strategic", ODD_GRID, Hyper(), 0, columns=columns)
 
@@ -507,10 +512,10 @@ def test_column_of_a_destination():
     assert (many.column(5), one.column(5)) == (5, 0)
     dests = np.array([3, 26, 0])
     np.testing.assert_array_equal(many.column(dests), dests)
-    many.q[1, dests, 2] = [1.0, 2.0, 3.0]
-    np.testing.assert_array_equal(many.q[1, many.column(dests), 2], [1.0, 2.0, 3.0])
-    one.q[dests, 0, 4] = [4.0, 5.0, 6.0]
-    np.testing.assert_array_equal(one.q[dests, one.column(dests), 4], [4.0, 5.0, 6.0])
+    many.q[dests, 1, 2] = [1.0, 2.0, 3.0]
+    np.testing.assert_array_equal(many.q[many.column(dests), 1, 2], [1.0, 2.0, 3.0])
+    one.q[0, dests, 4] = [4.0, 5.0, 6.0]
+    np.testing.assert_array_equal(one.q[one.column(dests), dests, 4], [4.0, 5.0, 6.0])
 
 
 def _set(array, index, value):
@@ -851,7 +856,7 @@ def _npy_header_bytes(raw):
 def _dictionary_entries(q):
     """The number of distinct bit patterns in each run of ``RUN_LENGTH`` of
     q's non-zero entries, taken in (column, cell, a) order."""
-    bits = q.transpose(1, 0, 2).reshape(-1).view(np.uint64)
+    bits = q.reshape(-1).view(np.uint64)
     bits = bits[bits != 0]
     return [len(np.unique(bits[at : at + RUN_LENGTH])) for at in range(0, len(bits), RUN_LENGTH)]
 
@@ -881,7 +886,7 @@ def test_checkpoint_holds_nothing_but_non_zero_entries(tmp_path):
         zip_headers = sum(30 + 46 + 2 * len(i.filename) for i in infos) + 22
         headers = zip_headers + sum(map(_npy_header_bytes, members.values()))
         meta = len(members["meta.npy"]) - _npy_header_bytes(members["meta.npy"])
-        cells, columns, _ = q.shape
+        columns, cells, _ = q.shape
         expected = (headers + meta + columns * ((cells * 6 + 7) // 8)
                     + 2 * non_zero + 8 * sum(sizes) + 2 * len(sizes))
         assert path.stat().st_size == expected
@@ -937,10 +942,25 @@ def test_column_reads_equal_the_trained_columns_bit_for_bit(tmp_path):
     save(t, tmp_path / "t.npz")
     back = load(tmp_path / "t.npz")
     for col in range(t.columns):
-        assert back.column_values(col).tobytes() == t.q[:, col].tobytes()
+        assert back.column_values(col).tobytes() == t.q[col].tobytes()
     assert back.n_states() == t.n_states() > 0
     assert back._q is None  # neither built the dense table
     assert back.q.tobytes() == t.q.tobytes()
+
+
+def test_a_trained_tables_columns_are_views_of_q():
+    from uavnav.agents import train_strategic
+    from uavnav.config import TrainConfig, stream_rng
+    from uavnav.harness import build_world
+
+    # a column is read in place, in the order a checkpoint stores it
+    cfg = TrainConfig(grid=ODD_GRID, bands_mhz=(900.0,), episodes_strategic=100,
+                      episodes_adaptive=10)
+    t, _ = train_strategic(build_world(cfg), cfg, stream_rng(cfg.seed, "train.strategic"))
+    for col in range(t.columns):
+        values = t.column_values(col)
+        assert values.flags.c_contiguous and np.shares_memory(values, t.q)
+        assert values.shape == (ODD_GRID.n_cells, 6)
 
 
 def test_loaded_tables_stay_sparse_through_run_flights(tmp_path):
