@@ -32,15 +32,16 @@ reads (s', same destination), so each destination's chain of episodes
 holds one slot for the whole run and all chains advance together, each
 step one batch of numpy operations on flat views of the dense
 ``Q[column, cell, a]`` table: epsilon mask, argmax with uniform random ties
-(as 6-bit tie masks, ``qcore.tie_masks``), move-table lookup, reward,
-scatter update. When only a few chains are left (``DRAIN_SLOTS``), it
-drains them: their episodes run one after another as a scalar loop on
-Python lists, so fixed-destination training, which has one destination,
-runs there throughout. Its choices are epsilon-greedy with uniform ties; a test runs
-the episodes one after another, picking each action from the episode's
-random stream and stepping one move-table entry at a time through
-``reward_strategic`` and the reference ``q_update``, and gets the same
-table and logs bit for bit, whatever the drain's threshold.
+(6-bit tie masks, decoded by ``qcore.TIE_COUNT`` and ``TIE_NTH``),
+move-table lookup, reward, scatter update. When only a few chains are left
+(``DRAIN_SLOTS``), it drains them: their episodes run one after another as
+a scalar loop on Python lists, so fixed-destination training, which has
+one destination, runs there throughout. Its choices are epsilon-greedy
+with uniform ties; a test runs the episodes one after another, picking
+each action from the episode's random stream and stepping one move-table
+entry at a time through ``reward_strategic`` and the reference
+``q_update``, and gets the same table and logs bit for bit, whatever the
+drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -48,8 +49,8 @@ lists of the table's rows indexed by flat cell index, with the coverage
 reward of every cell computed once per band from the band's
 ``CoverageMap``. Most of its updates write back the value the row already
 held (on band-flights, about 92 % of them), so it keeps beside each row
-its max, its argmax ties (and the greedy action when there is one) and the
-bootstrap target of a step landing on it, ``alpha * (r + gamma * max)``.
+its max, its argmax ties and the bootstrap target of a step landing on it,
+``alpha * (r + gamma * max)``.
 An update that raises a value updates them in place: the max and target
 when the new value is above the max, the ties when it reaches their value.
 Only an update that lowers a value recomputes them. Its choices and
@@ -57,13 +58,14 @@ updates are those of an epsilon-greedy pick through the reference
 ``greedy_action``, one move-table step, ``reward_adaptive`` and the
 reference ``q_update``, RNG draws included, and a test replays it against
 a loop built from those calls.
-It takes each pick of one of n (an explored candidate, or one of two or
-more tied maximizers) straight from the generator, as ``rng.randrange(n)``
-draws it without its Python-level wrapper: ``getrandbits(k)`` for
-k = n.bit_length(), drawn again while it is n or more. The same words of
-the same Mersenne Twister are drawn, so the generator ends in the same
-state. Its mission draws (``random_free_cell``) draw each axis by the same
-rule.
+Both scalar loops, the drain and the coverage loop, pick one of n ties
+(or of all candidates, when exploring) from the ``qcore.PICKS`` entry of
+their mask. The coverage loop takes each such pick straight from the
+generator, as ``rng.randrange(n)`` draws it without its Python-level
+wrapper: ``getrandbits(k)`` for k = n.bit_length(), drawn again while it
+is n or more. The same words of the same Mersenne Twister are drawn, so
+the generator ends in the same state. Its mission draws
+(``random_free_cell``) draw each axis by the same rule.
 Reward constants are finite by construction (``RewardParams`` rejects
 anything else), so no update checks its reward.
 
@@ -94,7 +96,7 @@ from .gridworld import (
     random_free_cell,
     require_mission_cells,
 )
-from .qcore import N_ACTIONS, TIES, QTable, argmax_ties, bootstrap, tie_masks
+from .qcore import N_ACTIONS, PICKS, TIE_COUNT, TIE_NTH, QTable, bootstrap, tie_mask, tie_masks
 from .radio import LinkBudget, coverage_map
 
 if TYPE_CHECKING:
@@ -253,11 +255,6 @@ _NEXT_STEP = np.uint64(2 * _GOLDEN % 2**64)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# A tie mask m (``qcore.TIES``) holds _TIE_COUNT[m] actions, and its j-th in
-# ascending order is _TIE_NTH[m * N_ACTIONS + j].
-_TIE_COUNT = np.array([len(t) for t in TIES], dtype=np.intp)
-_TIE_NTH = np.array([t + (0,) * (N_ACTIONS - len(t)) for t in TIES], dtype=np.intp).ravel()
-
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
     """Uniform floats in [0, 1) from SplitMix64 states ``z`` (``k + c * golden``).
@@ -399,8 +396,8 @@ def train_strategic(
         values = rows.take(s, axis=0)[:, : len(candidates)]
         ties = tie_masks(values)
         ties[coin < eps] = everything
-        nth = (u * _TIE_COUNT.take(ties)).astype(np.intp)
-        a = _TIE_NTH.take(ties * N_ACTIONS + nth)
+        nth = (u * TIE_COUNT.take(ties)).astype(np.intp)
+        a = TIE_NTH.take(ties * N_ACTIONS + nth)
 
         move = at * N_ACTIONS + a
         to = landing.take(move)
@@ -462,8 +459,9 @@ def train_strategic(
                 state = (state + 2 * block * _GOLDEN) % 2**64
                 for coin, u in zip(left, left):
                     row = chain[cell]
-                    picks = candidates if coin < epsilon else argmax_ties(row, candidates)
-                    a = picks[int(u * len(picks))]
+                    mask = everything if coin < epsilon else tie_mask(row, candidates)
+                    ties, n_ties, _ = PICKS[mask]
+                    a = ties[int(u * n_ties)]
                     to, event = moves[cell][a]
                     arrived = to == dest
                     r = reward_strategic(
@@ -501,23 +499,23 @@ def train_adaptive(
     keeps the early training signal representative of real departures.
 
     Each row carries caches: its max over all six actions, ``top`` (under
-    ``altitude_locked`` the never-written z actions still count); its
-    argmax ties among the candidates, in candidate order
-    (``qcore.argmax_ties``), with the greedy action beside them when there
-    is one tie; and the bootstrap target an update landing on it reads,
-    ``alpha * (r + gamma * top)``, refreshed whenever ``top`` changes. An
-    update that writes back the row's value changes no cache. One that
-    lowers it (a fall) recomputes the max and the ties. One that raises
-    action a's value to ``new`` (a rise) moves ``top`` up to ``new`` if it
-    is higher, and compares ``new`` with the value of the ties (the old
-    value when a was among them): above it, a alone is the tie; equal to
-    it, a joins the ties, which are recomputed; below it, the ties stand.
-    A greedy step picks from the cached ties, as the reference
-    ``greedy_action`` picks from fresh ones, drawing only for two or more,
-    so the table, the logs and the random draws are those of the uncached
-    loop. Every pick of one of n draws what ``rng.randrange(n)`` draws,
-    through ``rng.getrandbits`` (see the module docstring), and so do the
-    mission draws (``random_free_cell``).
+    ``altitude_locked`` the never-written z actions still count); the
+    ``qcore.PICKS`` entry of its argmax ties among the candidates
+    (``qcore.tie_mask``); and the bootstrap target an update landing on it
+    reads, ``alpha * (r + gamma * top)``, refreshed whenever ``top``
+    changes. An update that writes back the row's value changes no cache.
+    One that lowers it (a fall) recomputes the max and the ties. One that
+    raises action a's value to ``new`` (a rise) moves ``top`` up to ``new``
+    if it is higher, and compares ``new`` with the value of the ties (the
+    old value when a was among them): above it, a alone is the tie,
+    ``PICKS[1 << a]``; equal to it, a joins the ties, which are recomputed;
+    below it, the ties stand. A step picks from the cached ties, or from
+    all candidates when it explores, drawing only for two or more, as the
+    reference ``greedy_action`` picks from fresh ones, so the table, the
+    logs and the random draws are those of the uncached loop. Every pick of
+    one of n draws what ``rng.randrange(n)`` draws, through
+    ``rng.getrandbits`` (see the module docstring), and so do the mission
+    draws (``random_free_cell``).
     """
     table = QTable(
         kind="adaptive",
@@ -538,15 +536,13 @@ def train_adaptive(
     # keep * q + target[s'], the same float operations in the same order
     keep = 1.0 - alpha
     # Per-row caches (see the docstring): top[i] is max_a Q(i, a) over all
-    # six actions, target[i] the bootstrap target of a step landing on i,
-    # ties[i] the row's argmax ties among the candidates and greedy[i] the
-    # one tie, or -1 when two or more tie.
+    # six actions, target[i] the bootstrap target of a step landing on i and
+    # picks[i] the PICKS entry of the row's argmax ties among the candidates.
     top = [max(row) for row in rows]
     target = [alpha * (r + gamma * t) for r, t in zip(cell_reward, top)]
-    ties = [argmax_ties(row, candidates) for row in rows]
-    greedy = [best[0] if len(best) == 1 else -1 for best in ties]
-    n_candidates = len(candidates)
-    k_candidates = n_candidates.bit_length()
+    picks = [PICKS[tie_mask(row, candidates)] for row in rows]
+    # ACTIONS_XY is the first four actions: the mask of all candidates
+    every = PICKS[(1 << len(candidates)) - 1]
     cap = cfg.resolved_step_cap()
     uniform, getrandbits = rng.random, rng.getrandbits
     start = world.start_cell
@@ -570,24 +566,17 @@ def train_adaptive(
         total = 0.0
         # the cap is at least 1 (TrainConfig), so steps is always bound
         for steps in range(1, cap + 1):
-            # randrange(n), draw for draw: getrandbits(n.bit_length()),
-            # drawn again while it is n or more
-            if explore and uniform() < epsilon:
-                i = getrandbits(k_candidates)
-                while i >= n_candidates:
-                    i = getrandbits(k_candidates)
-                a = candidates[i]
+            # one of all candidates when exploring, else of the cached ties,
+            # drawn as randrange(n) draws it: getrandbits(n.bit_length()),
+            # drawn again while it is n or more; one tie draws nothing
+            ties, n_ties, k = every if explore and uniform() < epsilon else picks[at]
+            if n_ties == 1:
+                a = ties[0]
             else:
-                a = greedy[at]
-                if a < 0:
-                    # a uniform pick among the cached ties
-                    best = ties[at]
-                    n_ties = len(best)
-                    k = n_ties.bit_length()
+                i = getrandbits(k)
+                while i >= n_ties:
                     i = getrandbits(k)
-                    while i >= n_ties:
-                        i = getrandbits(k)
-                    a = best[i]
+                a = ties[i]
             to, event = moves[at][a]
             old = row[a]
             # the target is read before the caches change: s' may be s
@@ -600,19 +589,16 @@ def train_adaptive(
                 if new > top[at]:
                     top[at] = new
                     target[at] = alpha * (cell_reward[at] + gamma * new)
-                best = ties[at]
-                tied = old if best[0] == a else row[best[0]]
+                b = picks[at][0][0]
+                tied = old if b == a else row[b]
                 if new > tied:
-                    ties[at] = [a]
-                    greedy[at] = a
+                    picks[at] = PICKS[1 << a]
                 elif new == tied:
-                    ties[at] = argmax_ties(row, candidates)
-                    greedy[at] = -1
+                    picks[at] = PICKS[tie_mask(row, candidates)]
             elif new < old:
                 top[at] = t = max(row)
                 target[at] = alpha * (cell_reward[at] + gamma * t)
-                ties[at] = best = argmax_ties(row, candidates)
-                greedy[at] = best[0] if len(best) == 1 else -1
+                picks[at] = PICKS[tie_mask(row, candidates)]
             total += cell_reward[to]
             if to == goal and event is MOVED:
                 arrived_of[episode] = True

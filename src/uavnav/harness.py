@@ -19,9 +19,9 @@ CPU, and also when a caller has replaced one of the functions in this
 module that do a job's work (a test double, a tracer): the replacement then
 sees every call, in the caller's process. The jobs write into a private
 temporary directory inside the artifact directory. Only after every job
-has returned are their files renamed into place, the manifest last; a run
-that fails removes the temporary directory and leaves the artifact
-directory as it found it, a previous run's manifest included. Evaluation
+has returned are their files renamed into place, by name, the manifest
+last; a run that fails removes the temporary directory and leaves the
+artifact directory as it found it, a previous run's manifest included. Evaluation
 publishes the same way: ``flights.csv`` and ``evaluation.json`` are
 written into a temporary directory of their own and renamed into place,
 ``evaluation.json`` last, so a failed evaluation leaves the previous pair.
@@ -373,9 +373,9 @@ def cmd_train(
 
 
 def _publish(staged: Path, out: Path, last: str) -> None:
-    """Rename every file of ``staged`` into ``out``, ``last`` last: the file
-    that vouches for the others is in place only once they are."""
-    for path in list(staged.iterdir()):
+    """Rename every file of ``staged`` into ``out`` by name, ``last`` last:
+    the file that vouches for the others is in place only once they are."""
+    for path in sorted(staged.iterdir()):
         if path.name != last:
             os.replace(path, out / path.name)
     os.replace(staged / last, out / last)

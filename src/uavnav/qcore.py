@@ -19,14 +19,14 @@ The update is the standard one-step bootstrap
 and action selection is epsilon-greedy with uniform random tie-breaking
 among maximizers, so the symmetric grid picks up no directional bias.
 ``bootstrap`` holds the update arithmetic, for Python floats and numpy
-arrays alike, and ``argmax_ties`` the tie rule. The coverage agent's loop
-caches each row's ties from ``argmax_ties``, the planner's lockstep loop in
-``agents`` applies ``bootstrap`` to a whole batch of episodes at once, and
-``TIES`` decodes a set of actions held as a 6-bit mask, the form in which
-the flight arbiter and the planner's lockstep loop keep tie sets;
-``tie_masks`` computes those masks for a batch of rows. The
-single-entry update and the argmax with random ties, taken one step at a
-time, are the references in ``tests/reference.py``.
+arrays alike; the planner's lockstep loop in ``agents`` applies it to a
+whole batch of episodes at once. Every loop holds a tie set as a 6-bit
+mask, bit a for action a, built here alone: ``tie_mask`` for one row,
+``tie_masks`` for a batch. ``PICKS`` decodes a mask for the scalar loops
+(the ties, their count n and the bits a pick draws), ``TIE_COUNT`` and
+``TIE_NTH`` for the lockstep. The single-entry update and the argmax with
+random ties, taken one step at a time, are the references in
+``tests/reference.py``.
 
 A checkpoint (format v7, ``save``/``load``) is an uncompressed zip of five
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
@@ -310,6 +310,10 @@ TIES: tuple[tuple[int, ...], ...] = tuple(
 PICKS: tuple[tuple[tuple[int, ...], int, int], ...] = tuple(
     (ties, len(ties), len(ties).bit_length()) for ties in TIES
 )
+# The same as numpy lookups: mask m holds TIE_COUNT[m] actions, and its j-th
+# in ascending order is TIE_NTH[m * N_ACTIONS + j].
+TIE_COUNT = np.array([len(t) for t in TIES], dtype=np.intp)
+TIE_NTH = np.array([t + (0,) * (N_ACTIONS - len(t)) for t in TIES], dtype=np.intp).ravel()
 _BITS = 1 << np.arange(N_ACTIONS)
 
 
@@ -322,10 +326,16 @@ def tie_masks(values: np.ndarray) -> np.ndarray:
     return (values == reduce(np.maximum, values.T)[:, None]) @ _BITS[: values.shape[1]]
 
 
-def argmax_ties(row: Sequence[float], candidates: Sequence[Action]) -> list[Action]:
-    """The candidates with the highest value in ``row``, in candidate order."""
+def tie_mask(row: Sequence[float], candidates: Sequence[int]) -> int:
+    """The mask of the candidates with the highest value in ``row``, as
+    ``tie_masks`` gives it for a row without NaN: ties compare with ==, so
+    ``-0.0`` ties ``0.0``."""
     best = max([row[a] for a in candidates])
-    return [a for a in candidates if row[a] == best]
+    mask = 0
+    for a in candidates:
+        if row[a] == best:
+            mask |= 1 << a
+    return mask
 
 
 def save(table: QTable, path) -> str:

@@ -36,9 +36,10 @@ compare the two:
   compares its paths with breadth-first shortest paths.
 
 Where it costs a few lines, a reference computes a rule itself instead of
-importing it: ``argmax_ties``, ``candidates`` and ``random_free_cell`` do
-not call the ``qcore``, ``arbiter`` and ``gridworld`` code they mirror, so a
-replay compares two implementations.
+importing it: ``argmax_ties`` (a list where ``qcore.tie_mask`` gives a
+mask), ``candidates`` and ``random_free_cell`` do not call the ``qcore``,
+``arbiter`` and ``gridworld`` code they mirror, so a replay compares two
+implementations.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from uavnav.gridworld import (
     build,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import N_ACTIONS, Hyper, QTable, tie_masks
+from uavnav.qcore import N_ACTIONS, Hyper, QTable, tie_mask, tie_masks
 from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
@@ -501,12 +501,22 @@ _TIE_POOL = np.array([-math.inf, -2.5, -0.0, 0.0, 1.0, 7.0])
 
 def test_tie_masks_match_a_direct_transcription():
     # over all six actions and over the first four, as the planner's
-    # lockstep reads an altitude-locked table
+    # lockstep reads an altitude-locked table; the one-row tie_mask, which
+    # the scalar loops call with those candidates, gives each row's mask too
     values = _TIE_POOL[np.random.default_rng(3).integers(0, len(_TIE_POOL), (500, N_ACTIONS))]
-    for k in (N_ACTIONS, len(ACTIONS_XY)):
+    # rows of one value, and rows of zeros of both signs, tie everywhere
+    values = np.vstack((
+        values,
+        np.repeat(_TIE_POOL[:, None], N_ACTIONS, axis=1),
+        [[-0.0, 0.0] * 3, [0.0, -0.0] * 3, [-0.0, 0.0, -2.5, 0.0, -0.0, -math.inf]],
+    ))
+    for actions in (ACTIONS, ACTIONS_XY):
+        k, candidates = len(actions), tuple(map(int, actions))
         want = [sum(1 << a for a in range(k) if row[a] == max(row[:k]))
                 for row in values.tolist()]
         assert tie_masks(values[:, :k]).tolist() == want
+        assert [tie_mask(row, candidates) for row in values.tolist()] == want
+    assert tie_mask([-0.0, 0.0, -2.5, 0.0, -0.0, -math.inf], tuple(range(N_ACTIONS))) == 0b11011
     values[7, 2] = math.nan
     assert tie_masks(values)[7] == 0
 

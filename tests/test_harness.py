@@ -325,9 +325,19 @@ def test_evaluate_zero_flights(tmp_path):
     cfg = TrainConfig(**SMALL)
     out = cmd_train(cfg, tmp_path / "run")
     report = cmd_evaluate(out, n_flights=0, seed=3)
-    assert report.flights == 0
-    assert report.arrival_pct == 0.0
-    assert report.per_band == {}  # no band flew
+    # every field: no flight arrived, crashed, hit the cap or lost the link,
+    # and no band flew
+    assert report.to_dict() == {
+        "flights": 0,
+        "arrival_pct": 0.0,
+        "crash_pct": 0.0,
+        "stepcap_pct": 0.0,
+        "outage_flight_pct": 0.0,
+        "outage_step_pct": 0.0,
+        "mean_steps": 0.0,
+        "mean_flight_time_s": 0.0,
+        "per_band": {},
+    }
 
 
 # Evaluations on a 3 x 3 x 2 grid: (config fields, flights per band, safety).
@@ -1234,21 +1244,35 @@ def test_train_failing_at_any_rename_leaves_a_run_that_verifies_or_is_refused(
     """A retrain whose k-th rename fails, for every k, leaves no staged
     directory, and a run that ``load_artifacts`` either refuses or loads
     with the old manifest vouching for every checkpoint. ``_publish``
-    renames in ``iterdir()`` order, which the file system decides, so which
-    k loads and which is refused is not asserted, except at the ends: at
-    k = 1 nothing is published, and the last rename is the manifest's, so
-    at that k every checkpoint is new."""
+    renames by name, the manifest last, so only k = 1, which publishes
+    nothing, loads; from k = 2 on the new ``adaptive_900.npz`` is in place,
+    and the run is refused."""
+    _fail_each_rename_of_a_retrain(tmp_path, monkeypatch)
+
+
+def test_train_failing_at_any_rename_does_not_depend_on_listing_order(
+    tmp_path, monkeypatch
+):
+    # the same outcomes when the file system lists the staged files in the
+    # reverse of its order
+    iterdir = Path.iterdir
+    monkeypatch.setattr(Path, "iterdir", lambda self: reversed(list(iterdir(self))))
+    _fail_each_rename_of_a_retrain(tmp_path, monkeypatch)
+
+
+def _fail_each_rename_of_a_retrain(tmp_path, monkeypatch):
     cfg = config_from_dict(TINY_RAW)
     out = cmd_train(cfg, tmp_path / "run", seed=1)
     manifest = (out / "manifest.json").read_bytes()
     files = json.loads(manifest)["files"]
     names = sorted(p.name for p in out.iterdir())  # each published by one rename
+    assert names[0] == "adaptive_900.npz" and "manifest.json" in names
     loaded = []
     for k in range(1, len(names) + 1):
-        _fail_replace(monkeypatch, k)
-        with pytest.raises(OSError, match="Input/output error"):
-            cmd_train(cfg, out, seed=2)
-        monkeypatch.undo()
+        with monkeypatch.context() as failing:
+            _fail_replace(failing, k)
+            with pytest.raises(OSError, match="Input/output error"):
+                cmd_train(cfg, out, seed=2)
         assert sorted(p.name for p in out.iterdir()) == names, k  # no .train-* left
         assert (out / "manifest.json").read_bytes() == manifest, k
         try:
@@ -1261,7 +1285,7 @@ def test_train_failing_at_any_rename_leaves_a_run_that_verifies_or_is_refused(
         for name, sha in files.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, (k, name)
         loaded.append(True)
-    assert loaded[0] and not loaded[-1]
+    assert loaded == [True] + [False] * (len(names) - 1)
     cmd_train(cfg, out, seed=2)  # no rename fails
     assert load_artifacts(out)[0].seed == 2
     assert json.loads((out / "manifest.json").read_bytes())["files"] != files

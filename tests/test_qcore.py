@@ -576,6 +576,9 @@ _CORRUPTIONS = {
     "meta_no_seed": _meta_edit(lambda m: {x: m[x] for x in m if x != "seed"}),
     "meta_float_grid": _meta_edit(lambda m: {**m, "grid": {**m["grid"], "nx": 3.0}}),
     "meta_text_band": _meta_edit(lambda m: {**m, "f_mhz": "900"}),
+    # a band of 0 MHz: the meta is the text save writes for such a table, so
+    # only the band's own check refuses it
+    "meta_zero_band": _meta_edit(lambda m: {**m, "f_mhz": 0}),
     # a key of format v3, and the hyper keys out of save's sorted order
     "meta_extra_key": _meta_edit(lambda m: {**m, "goal_conditioned": True}),
     "meta_reordered": _meta_edit(lambda m: {**m, "hyper": dict(reversed(m["hyper"].items()))}),
