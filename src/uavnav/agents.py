@@ -20,11 +20,16 @@ Crashes during training pass through (penalty, episode continues); a step
 cap aborts episodes that would otherwise wander unboundedly.
 
 Both loops are written for speed. They step through the world's move
-table (``GridWorld.moves``) and compute the rewards inline; both apply
-``qcore.bootstrap``'s float operations, the planner by calling it. Each is
-held to a step-by-step loop built from the references in
-``tests/reference.py`` (``q_update``, ``greedy_action``, ``epsilon_at``,
-``random_free_cell``).
+table (``GridWorld.moves``) and look their rewards up from tables built
+once per run; both apply ``qcore.bootstrap``'s float operations, the
+planner by calling it. Each is held to a step-by-step loop built from the
+references in ``tests/reference.py`` (``q_update``, ``greedy_action``,
+``epsilon_at``, ``random_free_cell``).
+
+The planner's step reward has one rule, ``reward_strategic``.
+``_step_codes`` turns it, once per run, into a byte per (column, cell,
+action), closer + 2 * crash + 4 * arrival, and the reward of each code,
+so training holds no table of float64 distances.
 
 The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
@@ -33,15 +38,15 @@ holds one slot for the whole run and all chains advance together, each
 step one batch of numpy operations on flat views of the dense
 ``Q[column, cell, a]`` table: epsilon mask, argmax with uniform random ties
 (6-bit tie masks, decoded by ``qcore.TIE_COUNT`` and ``TIE_NTH``),
-move-table lookup, reward, scatter update. When only a few chains are left
+move-table lookup, the step's code and its reward, scatter update. When only a few chains are left
 (``DRAIN_SLOTS``), it drains them: their episodes run one after another as
 a scalar loop on Python lists, so fixed-destination training, which has
 one destination, runs there throughout. Its choices are epsilon-greedy
 with uniform ties; a test runs the episodes one after another, picking
 each action from the episode's random stream and stepping one move-table
-entry at a time through ``reward_strategic`` and the reference
-``q_update``, and gets the same table and logs bit for bit, whatever the
-drain's threshold.
+entry at a time through ``reward_strategic`` on distances of its own and
+the reference ``q_update``, and gets the same table and logs bit for bit,
+whatever the drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -272,22 +277,59 @@ def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.nd
     ``targets[j]`` and the cell of flat index c.
 
     ``metric`` is ``"euclidean"``, the distance between cell centres, or
-    ``"manhattan"``, its axis-summed (taxicab) form, both in metres. Built
-    in blocks of rows to keep the temporaries small.
+    ``"manhattan"``, its axis-summed (taxicab) form, both in metres. Each
+    axis's offsets, target minus cell, are taken once per target and
+    broadcast over the other two axes.
     """
     spec = world.spec
-    coords = np.array(world.cells, dtype=np.intp)
-    ends = coords[targets]
     # float even when a size is an int past int64, which would make an object array
-    scale = np.array([spec.cell_size_m, spec.cell_size_m, spec.cell_height_m], dtype=float)
-    dist = np.empty((len(ends), len(coords)))
-    for lo in range(0, len(ends), 256):
-        ex, ey, ez = np.moveaxis((ends[lo : lo + 256, None] - coords) * scale, -1, 0)
-        if metric == "euclidean":
-            dist[lo : lo + 256] = np.sqrt(ex * ex + ey * ey + ez * ez)
-        else:
-            dist[lo : lo + 256] = np.abs(ex) + np.abs(ey) + np.abs(ez)
-    return dist
+    size, height = float(spec.cell_size_m), float(spec.cell_height_m)
+    ends = np.unravel_index(targets, (spec.nx, spec.ny, spec.nz))
+    tx, ty, tz = (t[:, None, None, None] for t in ends)
+    ex = (tx - np.arange(spec.nx)[:, None, None]) * size
+    ey = (ty - np.arange(spec.ny)[:, None]) * size
+    ez = (tz - np.arange(spec.nz)) * height
+    if metric == "euclidean":
+        dist = np.sqrt(ex * ex + ey * ey + ez * ez)
+    else:
+        dist = np.abs(ex) + np.abs(ey) + np.abs(ez)
+    return dist.reshape(len(targets), -1)
+
+
+def _step_codes(
+    world: GridWorld, metric: str, targets: np.ndarray, p: RewardParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """``codes[j, c, a]``: a byte saying what action a from the cell of flat
+    index c does toward the destination ``targets[j]``, 1 if it lands
+    strictly closer (``reward_strategic``'s comparison of
+    ``_distance_table`` distances), plus 2 if it crashes and 4 if it
+    arrives; ``rewards[code]`` is that step's ``reward_strategic``. A block
+    of destinations' distances at a time is compared along shifted slices
+    of each axis. A move blocked on a destination's own row, which training
+    never reads, gets no arrival bit.
+    """
+    spec = world.spec
+    landing, event = np.moveaxis(np.array(world.moves), -1, 0)
+    crash = 2 * (event == CRASHED)
+    # Action pairs each move a with its reverse, a ^ 1: a move a onto a cell
+    # starts where the reverse move from the cell lands, if that is not blocked
+    reverse = landing[:, np.arange(N_ACTIONS) ^ 1]
+    codes = np.empty((len(targets), spec.n_cells, N_ACTIONS), dtype=np.uint8)
+    for lo in range(0, len(targets), 256):
+        ends, block = targets[lo : lo + 256], codes[lo : lo + 256]
+        block[:] = crash
+        j, a = (reverse[ends] != ends[:, None]).nonzero()
+        block[j, reverse[ends[j], a], a] |= 4
+        dist = _distance_table(world, metric, ends).reshape(-1, spec.nx, spec.ny, spec.nz)
+        code = block.reshape(dist.shape + (N_ACTIONS,))
+        for axis in range(3):
+            # along the axis, cells [:-1] step up onto cells [1:] and back
+            d, c = np.moveaxis(dist, axis + 1, 0), np.moveaxis(code, axis + 1, 0)
+            c[:-1, ..., 2 * axis] |= d[1:] < d[:-1]
+            c[1:, ..., 2 * axis + 1] |= d[:-1] < d[1:]
+    events = (MOVED, CRASHED, StepEvent.ARRIVED_AT_DESTINATION)
+    rewards = np.array([reward_strategic(float(k & 1), 0.0, events[k >> 1], p) for k in range(6)])
+    return codes, rewards
 
 
 def train_strategic(
@@ -307,16 +349,18 @@ def train_strategic(
     Every destination's episodes form a chain (``after``), and each chain
     holds one lockstep slot for the whole run: all chains start at once,
     and each step of all running episodes is one batch of array
-    operations on ``table.q``. An update reads and writes only rows of its
-    own destination, so chains never see each other's writes. When an
+    operations on ``table.q``. A chain never changes destination, so its
+    slot keeps the row of (its column, cell 0) from the start. An update
+    reads and writes only rows of its own destination, so chains never see
+    each other's writes. When an
     episode ends, its successor starts in the same slot at the next step,
     so the episodes to one destination run one at a time, in episode
     order, exactly as a sequential loop would run them. A chain that ends
     gives up its slot.
 
     Once at most ``DRAIN_SLOTS`` chains run, the drain finishes them one
-    after another, one step at a time on the column's rows as Python
-    lists: a running episode continues from its cell, step count, reward
+    after another, one step at a time on the column's rows and codes as
+    Python lists: a running episode continues from its cell, step count, reward
     so far and stream position, its uniforms drawn a block of at most 128
     steps at a time, whatever the step cap. A lockstep step of a few episodes costs
     about as much as one of many, so this spares the tail of the run,
@@ -343,25 +387,18 @@ def train_strategic(
     q = table.q
     streams = gen.integers(1 << 64, size=n, dtype=np.uint64)  # stream keys
     eps_of = cfg.schedule.first(n)
-    p = cfg.rewards
     moves = world.moves
-    # per (cell, action), flat: the landing cell and the reward's crash term
+    # per (cell, action), flat: the landing cell
     landing = np.array([[m[0] for m in row] for row in moves], dtype=np.intp).ravel()
-    crash_r = np.array(
-        [[p.r_crash if m[1] is CRASHED else 0.0 for m in row] for row in moves]
-    ).ravel()
-    # dist[column, cell]: the distance to the column's destination
     columns, n_cells = table.columns, world.spec.n_cells
-    dist = _distance_table(
-        world, cfg.distance_metric, np.arange(columns) if columns > 1 else dests[:1]
+    codes, rewards = _step_codes(
+        world, cfg.distance_metric, np.arange(columns) if columns > 1 else dests[:1], cfg.rewards
     )
     # Flat views of the table: state (column, cell) is row
     # column * n_cells + cell of rows, and its action a is entry
-    # row * N_ACTIONS + a of entries. near[row] is the distance from the
-    # state's cell to the destination of its column.
+    # row * N_ACTIONS + a of entries, and of codes flattened (take).
     rows = q.reshape(-1, N_ACTIONS)
     entries = q.reshape(-1)
-    near = dist.reshape(-1)
     # ACTIONS_XY is the first four actions, so a candidate's position in
     # the candidate set is its action value.
     candidates = tuple(map(int, cfg.actions))
@@ -379,15 +416,15 @@ def train_strategic(
     steps_of = np.zeros(n, dtype=np.intp)
     arrived_of = np.zeros(n, dtype=bool)
     # One slot per destination, for the whole run: the running episode of
-    # its chain, its cell and destination, steps taken, reward so far,
-    # epsilon and the state of its stream. Each chain starts with its
-    # destination's first episode.
+    # its chain, its cell, the row of (its destination's column, cell 0),
+    # steps taken, reward so far, epsilon and the state of its stream. Each
+    # chain starts with its destination's first episode.
     ep = order[np.r_[True, ~same]]
-    at, goal, eps, draw = starts[ep], dests[ep], eps_of[ep], streams[ep]
+    at, eps, draw = starts[ep], eps_of[ep], streams[ep]
+    first = np.broadcast_to(table.column(dests[ep]) * n_cells, ep.shape)
     steps = np.zeros(ep.size, dtype=np.intp)
     total = np.zeros(ep.size)
     while ep.size > DRAIN_SLOTS:
-        first = table.column(goal) * n_cells  # the row of (column, cell 0)
         s = first + at
 
         # epsilon-greedy over the candidates: a uniformly drawn one of the
@@ -399,16 +436,14 @@ def train_strategic(
         nth = (u * TIE_COUNT.take(ties)).astype(np.intp)
         a = TIE_NTH.take(ties * N_ACTIONS + nth)
 
-        move = at * N_ACTIONS + a
-        to = landing.take(move)
+        to = landing.take(at * N_ACTIONS + a)
         s_to = first + to
-        arrived = to == goal
-        r = np.where(near.take(s_to) < near.take(s), p.r_closer, p.r_farther) + np.where(
-            arrived, p.r_arrive, crash_r.take(move)
-        )
+        sa = s * N_ACTIONS + a
+        code = codes.take(sa)
+        r = rewards.take(code)
+        arrived = code >= 4
         # max_a' Q(s', a') is read before the write: s' may be s
         max_next = reduce(np.maximum, rows.take(s_to, axis=0).T)
-        sa = s * N_ACTIONS + a
         entries.put(sa, bootstrap(entries.take(sa), r, max_next, alpha, gamma))
         at = to
         total += r
@@ -433,8 +468,8 @@ def train_strategic(
             if (e < 0).any():
                 # chains that ended give up their slots
                 keep = ep >= 0
-                ep, at, goal, steps, total, eps, draw = (
-                    x[keep] for x in (ep, at, goal, steps, total, eps, draw)
+                ep, at, first, steps, total, eps, draw = (
+                    x[keep] for x in (ep, at, first, steps, total, eps, draw)
                 )
 
     # The drain: each running episode, then the later episodes to its
@@ -443,13 +478,13 @@ def train_strategic(
     # a default cap, 4 * (nx + ny + nz), fits one block up to a sum of 32.
     block = min(cap, 128)
     offsets = np.arange(2 * block, dtype=np.uint64) * np.uint64(_GOLDEN)
-    arrival = StepEvent.ARRIVED_AT_DESTINATION
-    for e, cell, dest, taken, reward, state in zip(
-        ep.tolist(), at.tolist(), goal.tolist(), steps.tolist(), total.tolist(), draw.tolist()
+    rewards = rewards.tolist()
+    for e, cell, row0, taken, reward, state in zip(
+        ep.tolist(), at.tolist(), first.tolist(), steps.tolist(), total.tolist(), draw.tolist()
     ):
-        col = table.column(dest)
+        col = row0 // n_cells
         chain = q[col].tolist()
-        to_dest = dist[col].tolist()
+        code_of = codes[col].tolist()
         while True:
             epsilon = eps_of.item(e)
             arrived = False
@@ -462,11 +497,10 @@ def train_strategic(
                     mask = everything if coin < epsilon else tie_mask(row, candidates)
                     ties, n_ties, _ = PICKS[mask]
                     a = ties[int(u * n_ties)]
-                    to, event = moves[cell][a]
-                    arrived = to == dest
-                    r = reward_strategic(
-                        to_dest[cell], to_dest[to], arrival if arrived else event, p
-                    )
+                    to = moves[cell][a][0]
+                    code = code_of[cell][a]
+                    r = rewards[code]
+                    arrived = code >= 4
                     # max_a' Q(s', a') is read before the write: s' may be s
                     row[a] = bootstrap(row[a], r, max(chain[to]), alpha, gamma)
                     reward += r

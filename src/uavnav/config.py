@@ -10,7 +10,8 @@ alpha 0.8, gamma 0.5, 15 m/s max velocity, bands 900/1800/2100 MHz.
 
 Config files are JSON with the same nested shape as ``TrainConfig.to_dict``;
 omitted keys fall back to defaults, unknown keys are rejected with the
-offending key path and, where it can be located, the line in the file.
+offending key path and, where it can be located, the line in the file. So
+is a key an object repeats, whose last value JSON would silently keep.
 
 Every random draw in an experiment comes from a named child stream of the
 master seed, so e.g. changing the number of evaluation flights never
@@ -273,19 +274,54 @@ _SECTION_TYPES = {
 _CELL_FIELDS = ("start_cell", "bs_cell", "fixed_destination")
 
 
-def _line_of_key(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+def _line_of_key(text: str, key_path: str, nth: int = 1) -> int | None:
+    """The line of the ``nth`` occurrence of the path's last key, searched
+    from its section's key, so a key that another section also holds is
+    found in its own."""
+    *sections, key = key_path.split(".")
+    at = 0
+    for section in sections:
+        at = max(text.find(f'"{section}"', at), 0)
+    for _ in range(nth):
+        at = text.find(f'"{key}"', at) + 1
+        if not at:
+            return None
+    return text.count("\n", 0, at) + 1
 
 
 def _fail(path: str, text: str, key_path: str, message: str) -> None:
-    key = key_path.split(".")[-1]
-    lineno = _line_of_key(text, key)
+    lineno = _line_of_key(text, key_path)
     location = f"{path}:{lineno}" if lineno is not None else path
     raise ConfigError(f"{location}: {key_path}: {message}")
+
+
+class _Object(dict):
+    """A parsed JSON object that remembers the first key it held twice."""
+
+    repeated: str | None = None
+
+
+def _object(pairs: list[tuple[str, Any]]) -> _Object:
+    obj = _Object()
+    for key, value in pairs:
+        if key in obj and obj.repeated is None:
+            obj.repeated = key
+        obj[key] = value
+    return obj
+
+
+def _refuse_repeats(path: str, text: str, obj: _Object, prefix: str = "") -> None:
+    """Refuse a key repeated in ``obj`` or in a section of it, naming its
+    path and, where it can be located, its line."""
+    if obj.repeated is not None:
+        lineno = _line_of_key(text, prefix + obj.repeated, nth=2)
+        location = f"{path}:{lineno}" if lineno is not None else path
+        raise ConfigError(
+            f"{location}: {prefix}{obj.repeated}: repeated key (JSON keeps only its last value)"
+        )
+    for key, value in obj.items():
+        if isinstance(value, _Object):
+            _refuse_repeats(path, text, value, f"{prefix}{key}.")
 
 
 def _is_number(v: object) -> bool:
@@ -339,11 +375,12 @@ def load_config(path: str) -> TrainConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    _refuse_repeats(path, text, raw)
     return config_from_dict(raw, path=path, text=text)
 
 

@@ -6,9 +6,9 @@ one adaptive checkpoint per band (``adaptive_<band>.npz``), both in the
 ``qcore`` format v7, a per-episode reward CSV per agent, and a manifest.
 The manifest embeds the resolved config (so evaluation can rebuild the
 identical world), its sha256 (``config_sha256``) and, under ``files``, the
-sha256 of every checkpoint. Rerunning with the same config and seed
-reproduces every artifact byte for byte; only the manifest timestamp
-differs.
+sha256 of every checkpoint and reward CSV. Rerunning with the same config
+and seed reproduces every artifact byte for byte; only the manifest
+timestamp differs.
 
 The planner and each band's coverage agent train in independent jobs: each
 draws from its own named random stream, rebuilds the world from the config
@@ -36,12 +36,14 @@ ending in ``\\r\\n``), formatting at most ``_BLOCK_ROWS`` rows at a time;
 coverage export lists cells in flat-index order (``GridWorld.cells``).
 
 Evaluation loads only what it can verify: ``load_artifacts`` recomputes
-both kinds of hash and raises ``ArtifactError`` on any mismatch, so tables
+every hash and raises ``ArtifactError`` on any mismatch, so tables
 are never flown in a world other than the one they were trained in. Each
 checkpoint is read once, and the bytes it hashes are the bytes it parses.
 The loaded tables keep those bytes and decode a column from them when a
 flight needs it, so evaluation never builds the dense planner.
-Training hashes each checkpoint as ``qcore.save`` writes it.
+Training hashes each checkpoint as ``qcore.save`` writes it and each
+reward CSV as ``_write_csv`` writes it; evaluation hashes a reward CSV in
+chunks, so it never holds one whole.
 
 Evaluation flies the trained tables to fresh random destinations, or
 every flight to the config's ``fixed_destination``. It draws each
@@ -215,19 +217,23 @@ def build_world(cfg: TrainConfig) -> GridWorld:
     )
 
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> str:
     """Write ``header`` and ``rows`` in place, as the bytes ``csv.writer``
     writes: no field needs quoting, since names, ints, band labels and the
     ``repr`` of Python floats hold no comma, quote or line break. Rows are
     formatted and written ``_BLOCK_ROWS`` at a time, so the text of a long
-    file is never held whole.
+    file is never held whole. Returns the sha256 of the bytes written.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
     rows = iter(rows)
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write((line % header).encode())
-        while block := [line % row for row in islice(rows, _BLOCK_ROWS)]:
-            f.write("".join(block).encode())
+        data = (line % header).encode()
+        while data:
+            f.write(data)
+            digest.update(data)
+            data = "".join(line % row for row in islice(rows, _BLOCK_ROWS)).encode()
+    return digest.hexdigest()
 
 
 def _float_texts(column: np.ndarray) -> list[str]:
@@ -247,6 +253,13 @@ def _adaptive_name(band_mhz: float) -> str:
     return f"adaptive_{band_label(band_mhz)}.npz"
 
 
+def _rewards_name(band_mhz: float | None) -> str:
+    """The reward CSV of the planner (None) or of one band's coverage agent."""
+    if band_mhz is None:
+        return "rewards_strategic.csv"
+    return f"rewards_adaptive_{band_label(band_mhz)}.csv"
+
+
 def _require_missions(cfg: TrainConfig, world: GridWorld, need: int) -> frozenset[Cell]:
     """``require_mission_cells`` for ``cfg``'s missions, refused as a ``ConfigError``."""
     try:
@@ -262,29 +275,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> tuple[str, str]:
+def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> dict[str, str]:
     """Train the planner (``band`` None) or one band's coverage agent.
 
     Writes the checkpoint and the reward CSV into ``out`` and returns the
-    checkpoint's (file name, sha256). Arguments are picklable and the world
-    is rebuilt here, so a job runs alike in-process and in a worker.
+    sha256 of each, by file name. Arguments are picklable and the world is
+    rebuilt here, so a job runs alike in-process and in a worker.
     """
     world = build_world(cfg)
     if band is None:
         table, logs = train_strategic(world, cfg, stream_rng(cfg.seed, "train.strategic"))
-        name, rewards = STRATEGIC_NAME, "rewards_strategic.csv"
+        name = STRATEGIC_NAME
     else:
-        label = band_label(band)
-        rng = stream_rng(cfg.seed, f"train.adaptive.{label}")
+        rng = stream_rng(cfg.seed, f"train.adaptive.{band_label(band)}")
         table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
-        name, rewards = _adaptive_name(band), f"rewards_adaptive_{label}.csv"
+        name = _adaptive_name(band)
     sha = save_table(table, out / name)
     rows = zip(
         range(len(logs)), _float_texts(logs.total_reward), _float_texts(logs.epsilon),
         logs.steps.tolist(),
     )
-    _write_csv(out / rewards, ("episode", "total_reward", "epsilon", "steps"), rows)
-    return name, sha
+    rewards = _rewards_name(band)
+    header = ("episode", "total_reward", "epsilon", "steps")
+    return {name: sha, rewards: _write_csv(out / rewards, header, rows)}
 
 
 # The names in this module of the functions that do a job's work, as
@@ -327,14 +340,14 @@ def _run_jobs(cfg: TrainConfig, out: Path, jobs: list[float | None]) -> dict[str
     """
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or _job_callees_replaced():
-        return dict(_train_job(cfg, out, band) for band in jobs)
+        return {k: v for band in jobs for k, v in _train_job(cfg, out, band).items()}
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(workers, mp_context=_pool_context()) as pool:
         futures = [pool.submit(_train_job, cfg, out, band) for band in jobs]
         try:
-            return dict(f.result() for f in futures)
+            return {k: v for f in futures for k, v in f.result().items()}
         except BrokenProcessPool:
             raise TrainingError("a training worker process died before its job returned") from None
         finally:
@@ -422,6 +435,22 @@ def _read_manifest(art: Path) -> tuple[TrainConfig, dict[str, str]]:
     return cfg, manifest["files"]
 
 
+def _verify_csv(art: Path, name: str, files: dict[str, str]) -> None:
+    """Hash a reward CSV in chunks against its manifest sha256."""
+    path = art / name
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as f:
+            while chunk := f.read(1 << 16):
+                digest.update(chunk)
+    except FileNotFoundError:
+        raise ArtifactError(f"missing reward CSV {path}") from None
+    except OSError as exc:
+        raise ArtifactError(f"unreadable reward CSV {path}: {exc}") from exc
+    if digest.hexdigest() != files[name]:
+        raise ArtifactError(f"{path} does not match its sha256 in the manifest")
+
+
 def _load_verified(art: Path, name: str, files: dict[str, str]) -> QTable:
     path = art / name
     try:
@@ -439,16 +468,24 @@ def _load_verified(art: Path, name: str, files: dict[str, str]) -> QTable:
 def load_artifacts(artifact_dir: str | Path) -> tuple[TrainConfig, QTable, dict[float, QTable]]:
     """Read back a training run: config, strategic table, per-band adaptive tables.
 
-    Every checkpoint must match its manifest hash and the config its
-    ``config_sha256``; anything else raises ``ArtifactError``.
+    Every checkpoint and reward CSV must match its manifest hash and the
+    config its ``config_sha256``; anything else raises ``ArtifactError``.
     """
     art = Path(artifact_dir)
     cfg, files = _read_manifest(art)
-    expected = {STRATEGIC_NAME, *(_adaptive_name(b) for b in cfg.bands_mhz)}
+    checkpoints = {STRATEGIC_NAME, *(_adaptive_name(b) for b in cfg.bands_mhz)}
+    expected = checkpoints | {_rewards_name(b) for b in (None, *cfg.bands_mhz)}
+    if set(files) == checkpoints:
+        raise ArtifactError(
+            f"manifest {art / MANIFEST_NAME} hashes no reward CSV: it was written "
+            "before the reward CSVs were hashed; retrain"
+        )
     if set(files) != expected:
         raise ArtifactError(
-            f"manifest lists checkpoints {sorted(files)}, config needs {sorted(expected)}"
+            f"manifest lists files {sorted(files)}, config needs {sorted(expected)}"
         )
+    for name in sorted(expected - checkpoints):
+        _verify_csv(art, name, files)
 
     strategic = _load_verified(art, STRATEGIC_NAME, files)
     if strategic.kind != "strategic":

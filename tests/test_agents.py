@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 
 from uavnav.agents import (
     RewardParams,
+    _distance_table,
+    _step_codes,
     reward_adaptive,
     reward_strategic,
     train_adaptive,
@@ -19,6 +23,7 @@ from uavnav.harness import build_world
 
 from oracles import bfs_shortest_len
 from reference import greedy_action, greedy_trajectory
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 # Reward constants from the examples this suite checks against.
 RP = RewardParams(r_closer=1.0, r_farther=-1.0, r_crash=-100.0, r_arrive=100.0,
@@ -91,9 +96,9 @@ def test_train_strategic_fixed_destination_matches_bfs():
 
 
 def test_fixed_destination_training_allocates_one_distance_column():
-    # A one-column planner reads the distances to its one destination; the
-    # n x n table of every pair of cells took a 235 MiB peak here, for a
-    # 0.21 MiB Q-table.
+    # A one-column planner builds the step codes of its one destination; an
+    # n x n distance table of every pair of cells took a 235 MiB peak here,
+    # for a 0.21 MiB Q-table.
     cfg = TrainConfig(
         grid=GridSpec(nx=30, ny=30, nz=5),
         obstacle_density=0.05,
@@ -111,6 +116,79 @@ def test_fixed_destination_training_allocates_one_distance_column():
         tracemalloc.stop()
     assert table.q.nbytes < 1 << 20
     assert peak < 20 << 20
+
+
+def largest_cell_size(grid):
+    """The largest ``cell_size_m`` a config accepts on ``grid``'s shape:
+    a bisection over the bit patterns of positive floats."""
+    def accepted(bits):
+        size = struct.unpack("<d", struct.pack("<q", bits))[0]
+        try:
+            TrainConfig(grid=dataclasses.replace(grid, cell_size_m=size), bands_mhz=(900.0,))
+        except ValueError:  # a ConfigError, or GridSpec's refusal of inf
+            return False
+        return True
+
+    lo, hi = struct.unpack("<q", struct.pack("<d", grid.cell_size_m))[0], 0x7FF0000000000000
+    assert accepted(lo) and not accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
+
+
+WIDE = GridSpec(nx=4, ny=3, nz=2)
+STEP_CODE_CONFIGS = {
+    **GOLDEN_CONFIGS,
+    "manhattan": small_cfg(obstacle_density=0.1, distance_metric="manhattan"),
+    "anisotropic": small_cfg(
+        grid=GridSpec(nx=5, ny=4, nz=3, cell_size_m=30.0, cell_height_m=7.5),
+        obstacle_density=0.15,
+    ),
+    "fixed_destination": small_cfg(obstacle_density=0.1, fixed_destination=(4, 3, 1)),
+    "altitude_locked": small_cfg(obstacle_density=0.1, start_cell=(0, 0, 1),
+                                 altitude_locked=True),
+    "largest_cell_size": small_cfg(
+        grid=dataclasses.replace(WIDE, cell_size_m=largest_cell_size(WIDE)),
+        obstacle_density=0.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CODE_CONFIGS))
+def test_step_codes_match_the_move_table_and_distances(name):
+    """Every code is closer + 2 * crash + 4 * arrival, read from the move
+    table and ``_distance_table``'s float comparison, and ``rewards`` gives
+    it ``reward_strategic``'s reward. A destination's own row is left out:
+    an episode ends on arrival and never starts at its destination, so
+    training never reads it."""
+    cfg = STEP_CODE_CONFIGS[name]
+    world = build_world(cfg)
+    n = world.spec.n_cells
+    fixed = cfg.fixed_destination
+    targets = np.arange(n) if fixed is None else np.array([world.spec.index(fixed)])
+    # At the largest cell size a squared offset overflows to inf; both sides
+    # compare the same infinities.
+    with np.errstate(over="ignore"):
+        codes, rewards = _step_codes(world, cfg.distance_metric, targets, cfg.rewards)
+        near = _distance_table(world, cfg.distance_metric, targets)
+    landing = np.array([[m[0] for m in row] for row in world.moves])
+    event = np.array([[m[1] for m in row] for row in world.moves])
+    closer = near[:, landing] < near[:, :, None]
+    crash = event == StepEvent.CRASHED_INTO_OBSTACLE
+    arrive = landing == targets[:, None, None]
+    want = closer + 2 * crash + 4 * arrive
+    read = np.arange(n) != targets[:, None]  # (column, cell): not the destination
+    assert codes.dtype == np.uint8 and codes.shape == (len(targets), n, 6)
+    assert (codes[read] == want[read]).all()
+    # each code a mission can meet, against reward_strategic at one entry
+    missions = [world.spec.index(c) for c in world.mission_cells(cfg.altitude_locked)]
+    met = read & np.isin(targets, missions)[:, None]
+    for k in np.unique(codes[met]).tolist():
+        j, c, a = (x[0] for x in ((codes == k) & met[:, :, None]).nonzero())
+        to = landing[c, a]
+        what = StepEvent.ARRIVED_AT_DESTINATION if to == targets[j] else StepEvent(event[c, a])
+        assert rewards[k] == reward_strategic(near[j, c], near[j, to], what, cfg.rewards), k
 
 
 def test_train_strategic_no_obstacles_never_crashes():

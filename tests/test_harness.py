@@ -190,6 +190,42 @@ def test_config_unknown_key_reports_path_and_line(tmp_path):
     assert ":3" in msg  # the line the key sits on
 
 
+def test_config_repeated_key_reports_path_and_line(tmp_path, capsys):
+    # JSON keeps a repeated key's last value; the config refuses it
+    path = tmp_path / "repeated.json"
+    path.write_text('{\n  "seed": 1,\n  "grid": {"nx": 8},\n  "seed": 2\n}\n')
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:4: seed: repeated key")
+    assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_repeated_section_key_reports_path_and_line(tmp_path):
+    # the same key in another section first: the line is the repeat's own
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        '{\n  "schedule_adaptive": {"decay": 0.99},\n'
+        '  "schedule": {\n    "decay": 0.9,\n    "decay": 0.8\n  }\n}\n'
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:5: schedule.decay: repeated key")
+
+
+def test_config_section_error_reports_its_own_line(tmp_path):
+    # the key also sits in an earlier section; the line is the bad value's
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{\n  "schedule_adaptive": {"decay": 0.99},\n'
+        '  "schedule": {\n    "decay": "slow"\n  }\n}\n'
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:4: schedule.decay: expected a number")
+
+
 def test_config_bad_section_value(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"hyper": {"alpha": 2.0}}')
@@ -236,9 +272,10 @@ def test_cmd_train_artifact_layout(tmp_path):
     assert manifest["seed"] == 5
     assert manifest["config"]["episodes_strategic"] == 400
     assert manifest["config_sha256"] == cfg.config_hash()
+    # every checkpoint and reward CSV, each hashed
     assert manifest["files"] == {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("strategic.npz", "adaptive_900.npz", "adaptive_2100.npz")
+        for name in names if name != "manifest.json"
     }
     # reward CSV shape
     with open(out / "rewards_strategic.csv", newline="") as f:
@@ -487,6 +524,31 @@ def test_evaluate_rejects_checkpoint_sha_mismatch(tmp_path):
     (out / "strategic.npz").write_bytes((other / "strategic.npz").read_bytes())
     with pytest.raises(ArtifactError, match="sha256"):
         load_artifacts(out)
+
+
+def test_evaluate_verifies_each_reward_csv(tmp_path, capsys):
+    cfg = TrainConfig(**SMALL)
+    out = cmd_train(cfg, tmp_path / "run")
+    other = cmd_train(cfg, tmp_path / "other", seed=6)
+    for name in ("rewards_strategic.csv", "rewards_adaptive_900.csv", "rewards_adaptive_2100.csv"):
+        kept = (out / name).read_bytes()
+        # another run's CSV of the same name, then none
+        (out / name).write_bytes((other / name).read_bytes())
+        with pytest.raises(ArtifactError, match="does not match its sha256"):
+            load_artifacts(out)
+        (out / name).unlink()
+        with pytest.raises(ArtifactError, match="missing reward CSV"):
+            load_artifacts(out)
+        (out / name).write_bytes(kept)
+    load_artifacts(out)
+    # a manifest written before the reward CSVs were hashed asks for a retrain
+    _edit_manifest(out, lambda m: {**m, "files": {
+        k: v for k, v in m["files"].items() if not k.endswith(".csv")}})
+    with pytest.raises(ArtifactError, match="hashes no reward CSV.*retrain"):
+        load_artifacts(out)
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    assert "artifact error:" in capsys.readouterr().err
+    assert not (out / "flights.csv").exists()
 
 
 def test_evaluate_rejects_edited_config(tmp_path, capsys):
@@ -1243,10 +1305,14 @@ def test_train_failing_at_any_rename_leaves_a_run_that_verifies_or_is_refused(
 ):
     """A retrain whose k-th rename fails, for every k, leaves no staged
     directory, and a run that ``load_artifacts`` either refuses or loads
-    with the old manifest vouching for every checkpoint. ``_publish``
-    renames by name, the manifest last, so only k = 1, which publishes
-    nothing, loads; from k = 2 on the new ``adaptive_900.npz`` is in place,
-    and the run is refused."""
+    with its manifest vouching for every file beside it, reward CSVs
+    included. ``_publish`` renames by name, the manifest last. A retrain
+    with a new seed changes every file: only k = 1, which publishes
+    nothing, loads, since from k = 2 on the new ``adaptive_900.npz`` is in
+    place. One that changes only the planner leaves the adaptive files
+    byte-identical: k = 1-3 load, and from k = 4 on the new
+    ``rewards_strategic.csv`` is in place, which the manifest's hash
+    refuses."""
     _fail_each_rename_of_a_retrain(tmp_path, monkeypatch)
 
 
@@ -1260,35 +1326,60 @@ def test_train_failing_at_any_rename_does_not_depend_on_listing_order(
     _fail_each_rename_of_a_retrain(tmp_path, monkeypatch)
 
 
+# A retrain of TINY_RAW at seed 1: its config change, the files it leaves
+# byte-identical, and which k of its publish's renames leave a run that loads.
+RETRAINS = {
+    "seed": ({"seed": 2}, [], [True, False, False, False, False]),
+    "planner_only": (
+        {"episodes_strategic": 30},
+        ["adaptive_900.npz", "rewards_adaptive_900.csv"],
+        [True, True, True, False, False],
+    ),
+}
+
+
 def _fail_each_rename_of_a_retrain(tmp_path, monkeypatch):
-    cfg = config_from_dict(TINY_RAW)
-    out = cmd_train(cfg, tmp_path / "run", seed=1)
-    manifest = (out / "manifest.json").read_bytes()
-    files = json.loads(manifest)["files"]
-    names = sorted(p.name for p in out.iterdir())  # each published by one rename
-    assert names[0] == "adaptive_900.npz" and "manifest.json" in names
-    loaded = []
-    for k in range(1, len(names) + 1):
-        with monkeypatch.context() as failing:
-            _fail_replace(failing, k)
-            with pytest.raises(OSError, match="Input/output error"):
-                cmd_train(cfg, out, seed=2)
-        assert sorted(p.name for p in out.iterdir()) == names, k  # no .train-* left
-        assert (out / "manifest.json").read_bytes() == manifest, k
-        try:
-            loaded_cfg = load_artifacts(out)[0]
-        except ArtifactError as exc:
-            assert "does not match its sha256" in str(exc), k
-            loaded.append(False)
-            continue
-        assert loaded_cfg.seed == 1
-        for name, sha in files.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, (k, name)
-        loaded.append(True)
-    assert loaded == [True] + [False] * (len(names) - 1)
-    cmd_train(cfg, out, seed=2)  # no rename fails
-    assert load_artifacts(out)[0].seed == 2
-    assert json.loads((out / "manifest.json").read_bytes())["files"] != files
+    old_cfg = config_from_dict({**TINY_RAW, "seed": 1})
+    for retrain, (change, same, loads) in RETRAINS.items():
+        new_cfg = config_from_dict({**TINY_RAW, "seed": 1, **change})
+        new = cmd_train(new_cfg, tmp_path / retrain / "new")
+        out = cmd_train(old_cfg, tmp_path / retrain / "run")
+        # each published by one rename, the manifest last
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["adaptive_900.npz", "manifest.json", "rewards_adaptive_900.csv",
+                         "rewards_strategic.csv", "strategic.npz"]
+        runs = {
+            cfg.config_hash(): {name: (run / name).read_bytes() for name in names}
+            for cfg, run in ((old_cfg, out), (new_cfg, new))
+        }
+        old, fresh = runs[old_cfg.config_hash()], runs[new_cfg.config_hash()]
+        assert [name for name in names if old[name] == fresh[name]] == same
+        loaded = []
+        for k in range(1, len(names) + 1):
+            with monkeypatch.context() as failing:
+                _fail_replace(failing, k)
+                with pytest.raises(OSError, match="Input/output error"):
+                    cmd_train(new_cfg, out)
+            assert sorted(p.name for p in out.iterdir()) == names, k  # no .train-* left
+            assert (out / "manifest.json").read_bytes() == old["manifest.json"], k
+            try:
+                loaded_cfg = load_artifacts(out)[0]
+            except ArtifactError as exc:
+                assert "does not match its sha256" in str(exc), (retrain, k)
+                loaded.append(False)
+                continue
+            # every file is the one the loaded run's manifest vouches for
+            run = runs[loaded_cfg.config_hash()]
+            for name in names:
+                if name != "manifest.json":  # which differs in created_utc
+                    assert (out / name).read_bytes() == run[name], (retrain, k, name)
+            loaded.append(True)
+        assert loaded == loads, retrain
+        cmd_train(new_cfg, out)  # no rename fails
+        assert load_artifacts(out)[0] == new_cfg
+        for name in names:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == fresh[name], (retrain, name)
 
 
 def test_coverage_failing_at_its_rename_leaves_the_previous_csv(tmp_path, monkeypatch):
