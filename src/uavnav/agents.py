@@ -28,8 +28,11 @@ references in ``tests/reference.py`` (``q_update``, ``greedy_action``,
 
 The planner's step reward has one rule, ``reward_strategic``.
 ``_step_codes`` turns it, once per run, into a byte per (column, cell,
-action), closer + 2 * crash + 4 * arrival, and the reward of each code,
-so training holds no table of float64 distances.
+action), closer + 2 * crash + 4 * arrival, and the reward of each code.
+Every move changes one axis by one cell, so a move lands closer exactly
+when it steps toward the destination along its own axis: the closer bit
+is an integer comparison of cell coordinates, and training computes no
+distance.
 
 The planner's loop runs episodes in lockstep. Its update for one
 destination never reads another destination's rows, because the bootstrap
@@ -44,9 +47,9 @@ a scalar loop on Python lists, so fixed-destination training, which has
 one destination, runs there throughout. Its choices are epsilon-greedy
 with uniform ties; a test runs the episodes one after another, picking
 each action from the episode's random stream and stepping one move-table
-entry at a time through ``reward_strategic`` on distances of its own and
-the reference ``q_update``, and gets the same table and logs bit for bit,
-whatever the drain's threshold.
+entry at a time through ``reward_strategic``, on float Euclidean distances
+of its own, and the reference ``q_update``, and gets the same table and
+logs bit for bit, whatever the drain's threshold.
 
 The coverage agent's table has one column, so every episode reads every
 other's rows and its loop stays sequential: one update per step, on Python
@@ -203,14 +206,10 @@ class EpisodeLogs:
         )
 
 
-def reward_strategic(
-    dist_before_m: float,
-    dist_after_m: float,
-    event: StepEvent,
-    p: RewardParams,
-) -> float:
-    """Distance shaping plus additive crash/arrival terms."""
-    r = p.r_closer if dist_after_m < dist_before_m else p.r_farther
+def reward_strategic(closer: bool, event: StepEvent, p: RewardParams) -> float:
+    """Shaping by whether the step landed strictly closer to the
+    destination, plus additive crash/arrival terms."""
+    r = p.r_closer if closer else p.r_farther
     if event == StepEvent.CRASHED_INTO_OBSTACLE:
         r += p.r_crash
     elif event == StepEvent.ARRIVED_AT_DESTINATION:
@@ -272,63 +271,45 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
     return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
-def _distance_table(world: GridWorld, metric: str, targets: np.ndarray) -> np.ndarray:
-    """``dist[j, c]``: the shaping distance between the cell of flat index
-    ``targets[j]`` and the cell of flat index c.
-
-    ``metric`` is ``"euclidean"``, the distance between cell centres, or
-    ``"manhattan"``, its axis-summed (taxicab) form, both in metres. Each
-    axis's offsets, target minus cell, are taken once per target and
-    broadcast over the other two axes.
-    """
-    spec = world.spec
-    # float even when a size is an int past int64, which would make an object array
-    size, height = float(spec.cell_size_m), float(spec.cell_height_m)
-    ends = np.unravel_index(targets, (spec.nx, spec.ny, spec.nz))
-    tx, ty, tz = (t[:, None, None, None] for t in ends)
-    ex = (tx - np.arange(spec.nx)[:, None, None]) * size
-    ey = (ty - np.arange(spec.ny)[:, None]) * size
-    ez = (tz - np.arange(spec.nz)) * height
-    if metric == "euclidean":
-        dist = np.sqrt(ex * ex + ey * ey + ez * ez)
-    else:
-        dist = np.abs(ex) + np.abs(ey) + np.abs(ez)
-    return dist.reshape(len(targets), -1)
-
-
 def _step_codes(
-    world: GridWorld, metric: str, targets: np.ndarray, p: RewardParams
+    world: GridWorld, targets: np.ndarray, p: RewardParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """``codes[j, c, a]``: a byte saying what action a from the cell of flat
-    index c does toward the destination ``targets[j]``, 1 if it lands
-    strictly closer (``reward_strategic``'s comparison of
-    ``_distance_table`` distances), plus 2 if it crashes and 4 if it
-    arrives; ``rewards[code]`` is that step's ``reward_strategic``. A block
-    of destinations' distances at a time is compared along shifted slices
-    of each axis. A move blocked on a destination's own row, which training
-    never reads, gets no arrival bit.
+    index c does toward the destination ``targets[j]``, 1 if it steps
+    toward it, plus 2 if it crashes and 4 if it arrives; ``rewards[code]``
+    is that step's ``reward_strategic``. Built a block of 256 destinations
+    at a time.
+
+    A move changes one axis by one cell, so it lands strictly closer, by
+    Euclidean and by Manhattan distance alike, exactly when it steps toward
+    the destination along its own axis: action 2k where the cell's axis-k
+    coordinate is below the destination's, action 2k + 1 where it is above.
+    Such a move never leaves the grid, so the move table is not read for
+    it. A move blocked on a destination's own row, which training never
+    reads, gets no arrival bit.
     """
     spec = world.spec
+    shape = (spec.nx, spec.ny, spec.nz)
     landing, event = np.moveaxis(np.array(world.moves), -1, 0)
     crash = 2 * (event == CRASHED)
     # Action pairs each move a with its reverse, a ^ 1: a move a onto a cell
     # starts where the reverse move from the cell lands, if that is not blocked
     reverse = landing[:, np.arange(N_ACTIONS) ^ 1]
+    # each axis's coordinate of every cell, shaped to broadcast over the others
+    axes = (np.arange(spec.nx)[:, None, None], np.arange(spec.ny)[:, None], np.arange(spec.nz))
     codes = np.empty((len(targets), spec.n_cells, N_ACTIONS), dtype=np.uint8)
     for lo in range(0, len(targets), 256):
         ends, block = targets[lo : lo + 256], codes[lo : lo + 256]
         block[:] = crash
         j, a = (reverse[ends] != ends[:, None]).nonzero()
         block[j, reverse[ends[j], a], a] |= 4
-        dist = _distance_table(world, metric, ends).reshape(-1, spec.nx, spec.ny, spec.nz)
-        code = block.reshape(dist.shape + (N_ACTIONS,))
-        for axis in range(3):
-            # along the axis, cells [:-1] step up onto cells [1:] and back
-            d, c = np.moveaxis(dist, axis + 1, 0), np.moveaxis(code, axis + 1, 0)
-            c[:-1, ..., 2 * axis] |= d[1:] < d[:-1]
-            c[1:, ..., 2 * axis + 1] |= d[:-1] < d[1:]
+        code = block.reshape((-1, *shape, N_ACTIONS))
+        for k, end in enumerate(np.unravel_index(ends, shape)):
+            end = end[:, None, None, None]
+            code[..., 2 * k] |= axes[k] < end
+            code[..., 2 * k + 1] |= axes[k] > end
     events = (MOVED, CRASHED, StepEvent.ARRIVED_AT_DESTINATION)
-    rewards = np.array([reward_strategic(float(k & 1), 0.0, events[k >> 1], p) for k in range(6)])
+    rewards = np.array([reward_strategic(bool(k & 1), events[k >> 1], p) for k in range(6)])
     return codes, rewards
 
 
@@ -367,6 +348,8 @@ def train_strategic(
     where the busiest destination's episodes run nearly alone, a batch of
     array operations per step. Fixed-destination mode has one
     destination, so it runs one episode at a time, wholly in the drain.
+    Both read a step's reward, and whether it arrived, from its
+    ``_step_codes`` byte; no distance is computed.
 
     ``rng`` seeds a numpy generator that draws the missions and one random
     stream per episode; step t of an episode takes draws 2t (exploration
@@ -392,7 +375,7 @@ def train_strategic(
     landing = np.array([[m[0] for m in row] for row in moves], dtype=np.intp).ravel()
     columns, n_cells = table.columns, world.spec.n_cells
     codes, rewards = _step_codes(
-        world, cfg.distance_metric, np.arange(columns) if columns > 1 else dests[:1], cfg.rewards
+        world, np.arange(columns) if columns > 1 else dests[:1], cfg.rewards
     )
     # Flat views of the table: state (column, cell) is row
     # column * n_cells + cell of rows, and its action a is entry

@@ -107,7 +107,6 @@ class TrainConfig:
     bs_cell: Cell | None = None
     fixed_destination: Cell | None = None
     altitude_locked: bool = False
-    distance_metric: str = "euclidean"
     uav_velocity_ms: float = UAV_MAX_VELOCITY_MS
     max_altitude_m: float = 100.0
 
@@ -156,11 +155,6 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1 when given")
-        if self.distance_metric not in ("euclidean", "manhattan"):
-            raise ConfigError(
-                f"distance_metric must be 'euclidean' or 'manhattan', "
-                f"got {self.distance_metric!r}"
-            )
         if not (math.isfinite(self.uav_velocity_ms) and self.uav_velocity_ms > 0):
             raise ConfigError(
                 f"uav_velocity_ms must be a positive finite number, got {self.uav_velocity_ms}"

@@ -24,7 +24,9 @@ last; a run that fails removes the temporary directory and leaves the
 artifact directory as it found it, a previous run's manifest included. Evaluation
 publishes the same way: ``flights.csv`` and ``evaluation.json`` are
 written into a temporary directory of their own and renamed into place,
-``evaluation.json`` last, so a failed evaluation leaves the previous pair.
+``evaluation.json`` last, so a failed evaluation leaves the previous pair,
+or the new ``flights.csv`` beside the previous ``evaluation.json``, whose
+``flights_sha256`` then does not match it.
 A coverage export to a regular file or a new path is staged and renamed
 the same way; one to anything else, a pipe or ``/dev/stdout``, streams.
 
@@ -426,7 +428,9 @@ def _read_manifest(art: Path) -> tuple[TrainConfig, dict[str, str]]:
     try:
         cfg = config_from_dict(manifest["config"], path=str(manifest_path))
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise ArtifactError(f"manifest {manifest_path}: invalid config: {exc}") from exc
+        raise ArtifactError(
+            f"manifest {manifest_path}: invalid config: {exc}; retrain"
+        ) from exc
     if cfg.config_hash() != manifest["config_sha256"]:
         raise ArtifactError(
             f"manifest {manifest_path}: config does not match config_sha256; "
@@ -598,7 +602,8 @@ def cmd_evaluate(
     """Evaluate a trained artifact directory; writes report JSON and flight CSV.
 
     Both files are written into a temporary directory inside the artifact
-    directory and renamed into place, ``evaluation.json`` last.
+    directory and renamed into place, ``evaluation.json`` last; it records
+    the sha256 of the ``flights.csv`` it summarises (``flights_sha256``).
     """
     if n_flights < 0:
         raise ValueError("n_flights must be >= 0")
@@ -615,15 +620,16 @@ def cmd_evaluate(
     world = build_world(cfg)
     flights = run_flights(cfg, world, strategic, adaptive, n_flights, seed, safety)
     report = compute_metrics(flights)
-    doc = {**report.to_dict(), "seed": seed, "safety": safety}
     with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=art) as tmp:
         staged = Path(tmp)
-        _write_csv(
+        flights_sha256 = _write_csv(
             staged / "flights.csv",
             ("band_mhz", "dest_ix", "dest_iy", "dest_iz", "outcome", "steps", "outage_steps",
              "min_snr_db", "flight_time_s"),
             _flight_rows(flights),
         )
+        doc = {**report.to_dict(), "seed": seed, "safety": safety,
+               "flights_sha256": flights_sha256}
         (staged / EVALUATION_NAME).write_text(_json_text(doc), encoding="utf-8")
         _publish(staged, art, EVALUATION_NAME)
     return report

@@ -6,6 +6,7 @@ hide behind shared code.
 """
 
 from collections import deque
+from fractions import Fraction
 from math import log10, sqrt
 
 _MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
@@ -55,12 +56,22 @@ def euclid_cells(a, b, cell_size_m, cell_height_m):
     return sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def manhattan_cells(a, b, cell_size_m, cell_height_m):
-    return (
-        abs(a[0] - b[0]) * cell_size_m
-        + abs(a[1] - b[1]) * cell_size_m
-        + abs(a[2] - b[2]) * cell_height_m
-    )
+def closer_exact(a, b, dest, cell_size_m, cell_height_m):
+    """Whether cell ``b`` is strictly closer than cell ``a`` to cell
+    ``dest``, between cell centres, in exact rational arithmetic on the
+    float cell sizes: no square overflows, underflows or rounds. For cells
+    one move apart, squared Euclidean distances and Manhattan distances
+    must give the same answer; this asserts that they do."""
+    sizes = (Fraction(cell_size_m), Fraction(cell_size_m), Fraction(cell_height_m))
+
+    def offsets(c):
+        return [(c[k] - dest[k]) * sizes[k] for k in range(3)]
+
+    before, after = offsets(a), offsets(b)
+    euclid = sum(x * x for x in after) < sum(x * x for x in before)
+    manhattan = sum(map(abs, after)) < sum(map(abs, before))
+    assert euclid == manhattan, (a, b, dest, cell_size_m, cell_height_m)
+    return euclid
 
 
 def alg3_choice(a1, a2, q_strategic_of_a2, q_adaptive_of_a1):

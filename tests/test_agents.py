@@ -9,7 +9,6 @@ import pytest
 
 from uavnav.agents import (
     RewardParams,
-    _distance_table,
     _step_codes,
     reward_adaptive,
     reward_strategic,
@@ -21,7 +20,7 @@ from uavnav.config import ConfigError, TrainConfig, stream_rng
 from uavnav.gridworld import ACTIONS, GridSpec, StepEvent
 from uavnav.harness import build_world
 
-from oracles import bfs_shortest_len
+from oracles import bfs_shortest_len, closer_exact, euclid_cells
 from reference import greedy_action, greedy_trajectory
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -56,19 +55,19 @@ def test_reward_params_invariants():
 
 
 def test_reward_strategic_closer():
-    assert reward_strategic(200.0, 150.0, StepEvent.MOVED, RP) == 1.0
+    assert reward_strategic(True, StepEvent.MOVED, RP) == 1.0
 
 
 def test_reward_strategic_blocked_not_closer():
-    assert reward_strategic(150.0, 150.0, StepEvent.BLOCKED_AT_BOUNDARY, RP) == -1.0
+    assert reward_strategic(False, StepEvent.BLOCKED_AT_BOUNDARY, RP) == -1.0
 
 
 def test_reward_strategic_crash_additive():
-    assert reward_strategic(150.0, 100.0, StepEvent.CRASHED_INTO_OBSTACLE, RP) == -99.0
+    assert reward_strategic(True, StepEvent.CRASHED_INTO_OBSTACLE, RP) == -99.0
 
 
 def test_reward_strategic_arrival_additive():
-    assert reward_strategic(50.0, 0.0, StepEvent.ARRIVED_AT_DESTINATION, RP) == 101.0
+    assert reward_strategic(True, StepEvent.ARRIVED_AT_DESTINATION, RP) == 101.0
 
 
 def test_reward_adaptive_branches():
@@ -140,7 +139,6 @@ def largest_cell_size(grid):
 WIDE = GridSpec(nx=4, ny=3, nz=2)
 STEP_CODE_CONFIGS = {
     **GOLDEN_CONFIGS,
-    "manhattan": small_cfg(obstacle_density=0.1, distance_metric="manhattan"),
     "anisotropic": small_cfg(
         grid=GridSpec(nx=5, ny=4, nz=3, cell_size_m=30.0, cell_height_m=7.5),
         obstacle_density=0.15,
@@ -148,33 +146,64 @@ STEP_CODE_CONFIGS = {
     "fixed_destination": small_cfg(obstacle_density=0.1, fixed_destination=(4, 3, 1)),
     "altitude_locked": small_cfg(obstacle_density=0.1, start_cell=(0, 0, 1),
                                  altitude_locked=True),
+    # squared offsets in metres overflow a float
     "largest_cell_size": small_cfg(
         grid=dataclasses.replace(WIDE, cell_size_m=largest_cell_size(WIDE)),
         obstacle_density=0.2,
     ),
+    # squared offsets in metres underflow to 0
+    "tiny_cells": small_cfg(
+        grid=GridSpec(nx=6, ny=5, nz=3, cell_size_m=1e-200, cell_height_m=1e-200),
+        obstacle_density=0.1,
+    ),
+    # a squared vertical offset vanishes beside a horizontal one
+    "flat_cells": small_cfg(
+        grid=GridSpec(nx=6, ny=5, nz=3, cell_size_m=1e6, cell_height_m=1e-3),
+        obstacle_density=0.1,
+    ),
 }
+# Configs on which float Euclidean distances between cell centres rank
+# every move as the exact ones do.
+FLOAT_EXACT = {*GOLDEN_CONFIGS, "anisotropic"}
 
 
 @pytest.mark.parametrize("name", sorted(STEP_CODE_CONFIGS))
 def test_step_codes_match_the_move_table_and_distances(name):
     """Every code is closer + 2 * crash + 4 * arrival, read from the move
-    table and ``_distance_table``'s float comparison, and ``rewards`` gives
-    it ``reward_strategic``'s reward. A destination's own row is left out:
+    table and ``oracles.closer_exact``'s exact comparison of distances to
+    the destination before and after the move, and ``rewards`` gives it
+    ``reward_strategic``'s reward. A destination's own row is left out:
     an episode ends on arrival and never starts at its destination, so
-    training never reads it."""
+    training never reads it. The comparison depends only on the offsets
+    from the destination before and after, so it is made once per pair."""
     cfg = STEP_CODE_CONFIGS[name]
     world = build_world(cfg)
-    n = world.spec.n_cells
+    spec = world.spec
+    n = spec.n_cells
     fixed = cfg.fixed_destination
-    targets = np.arange(n) if fixed is None else np.array([world.spec.index(fixed)])
-    # At the largest cell size a squared offset overflows to inf; both sides
-    # compare the same infinities.
-    with np.errstate(over="ignore"):
-        codes, rewards = _step_codes(world, cfg.distance_metric, targets, cfg.rewards)
-        near = _distance_table(world, cfg.distance_metric, targets)
+    targets = np.arange(n) if fixed is None else np.array([spec.index(fixed)])
+    codes, rewards = _step_codes(world, targets, cfg.rewards)
     landing = np.array([[m[0] for m in row] for row in world.moves])
     event = np.array([[m[1] for m in row] for row in world.moves])
-    closer = near[:, landing] < near[:, :, None]
+    cell = np.array(world.cells, dtype=np.int16)
+    # (column, cell, action): the offsets from the destination before and
+    # after the move, axis by axis
+    dest = cell[targets][:, None, None]
+    after = cell[landing][None] - dest
+    before = np.broadcast_to(cell[None, :, None] - dest, after.shape)
+    offset = np.concatenate([before, after], axis=-1).reshape(-1, 6)
+    # each row as one integer, so rows are told apart by a 1-D unique
+    span = max(spec.nx, spec.ny, spec.nz)
+    keys = np.ravel_multi_index((offset.T + span).astype(np.intp), (2 * span,) * 6)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    pairs = offset[first]
+    sizes = (spec.cell_size_m, spec.cell_height_m)
+    exact = np.array([closer_exact(p[:3], p[3:], (0, 0, 0), *sizes) for p in pairs.tolist()])
+    closer = exact[which.reshape(codes.shape)]
+    if name in FLOAT_EXACT:
+        near = [euclid_cells(p[3:], (0, 0, 0), *sizes) < euclid_cells(p[:3], (0, 0, 0), *sizes)
+                for p in pairs.tolist()]
+        assert (exact == near).all()
     crash = event == StepEvent.CRASHED_INTO_OBSTACLE
     arrive = landing == targets[:, None, None]
     want = closer + 2 * crash + 4 * arrive
@@ -182,13 +211,13 @@ def test_step_codes_match_the_move_table_and_distances(name):
     assert codes.dtype == np.uint8 and codes.shape == (len(targets), n, 6)
     assert (codes[read] == want[read]).all()
     # each code a mission can meet, against reward_strategic at one entry
-    missions = [world.spec.index(c) for c in world.mission_cells(cfg.altitude_locked)]
+    missions = [spec.index(c) for c in world.mission_cells(cfg.altitude_locked)]
     met = read & np.isin(targets, missions)[:, None]
     for k in np.unique(codes[met]).tolist():
         j, c, a = (x[0] for x in ((codes == k) & met[:, :, None]).nonzero())
         to = landing[c, a]
         what = StepEvent.ARRIVED_AT_DESTINATION if to == targets[j] else StepEvent(event[c, a])
-        assert rewards[k] == reward_strategic(near[j, c], near[j, to], what, cfg.rewards), k
+        assert rewards[k] == reward_strategic(bool(closer[j, c, a]), what, cfg.rewards), k
 
 
 def test_train_strategic_no_obstacles_never_crashes():

@@ -17,7 +17,9 @@ replaced the per-step calls. The strategic ones (``table strategic``,
 loop became the lockstep batch loop, which draws its random numbers from
 a numpy generator in a different order. The ``evaluation.json`` ones were
 re-recorded again when the report dropped its ``normalize_q`` field, the
-one line that changed. The coverage constants were recorded with the code
+one line that changed, and when it gained ``flights_sha256``, the sha256
+of the ``flights.csv`` beside it; without that line each file hashes to
+its previous constant. The coverage constants were recorded with the code
 as it stood before every CSV went through one writer and the coverage map
 walked the cells in flat-index order. If a change is meant to alter what
 is computed, re-record them and say why in CHANGES.md.
@@ -65,7 +67,7 @@ GOLDEN = {
         "rewards_adaptive_900.csv": "a801b8c0a9c19cd649acb9c60c9d9fa9a6f679b2a2a25dacc4467bacb1b169c7",
         "rewards_adaptive_2100.csv": "72e94ca9906cfceedb7da28fa1ed0d04db9024dde4b0e032c38aeebe606ab797",
         "flights.csv": "4602a9a09e746cdeb034c60f71bcd5c7561e5749013be2dd23f6e630eed5064d",
-        "evaluation.json": "a407dab1956da795f325f54a6163541886afb3e9063c430d0996b33bf52f4cce",
+        "evaluation.json": "6d69acbdeda875cab0bae1bcac0f27be5f6ffefcd064ddb2cdd175899d28921c",
         "coverage 900": "359d8cf476332919bdb21700e99eedec6c76ab5a8bf644a74c4c3ba81ea69c29",
         "coverage 2100": "bf14289ef9e34132fe58001595b9a024047d829d5a098d3d66e70ffd29822f29",
     },
@@ -79,7 +81,7 @@ GOLDEN = {
         "rewards_adaptive_1800.csv": "80b8089b9958b91178eb5284f4f118028c5161bea1e9284563f32c02778f718c",
         "rewards_adaptive_2100.csv": "ce737f13acc09f0733fa85298f4ede7d3faf838f34fec1b8b50c997cccd29a4a",
         "flights.csv": "64a31c42eaea9aff9f2d9a67ca5f2b55e6af418e531362f937196f575d706c1a",
-        "evaluation.json": "24a8ff4e4bc15a9d663d1e43940f56e362353c93760ed82a40e13312ec911c11",
+        "evaluation.json": "91ab94857b85a1643d3fac8b3ddd8bfd2005fbf1e620a226483409233849d70f",
         "coverage 900": "f9c9a8487b95b0a32b7bf312abe9675eb8238ccec40ef777948f73f4163d9c13",
         "coverage 1800": "ae061db644258ab3354ce5ac22d419b8c317846b3cfe7468436b8abda564e7b6",
         "coverage 2100": "e6869f382a47aaf3b51350ab739fddd20c754332992751f4647ec5ce411353a9",

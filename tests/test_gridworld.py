@@ -1,10 +1,7 @@
-import math
 import random
 
-import numpy as np
 import pytest
 
-from uavnav.agents import _distance_table
 from uavnav.gridworld import (
     ACTION_DELTAS,
     ACTIONS,
@@ -18,8 +15,6 @@ from uavnav.gridworld import (
     require_mission_cells,
     require_obstacle_room,
 )
-
-from oracles import euclid_cells, manhattan_cells
 
 SPEC = GridSpec()  # 20x20x5, 50 m / 20 m
 
@@ -121,49 +116,6 @@ def test_cell_center_values():
 def test_cell_centers_respect_altitude_cap():
     for z in range(SPEC.nz):
         assert cell_center_m(SPEC, (0, 0, z))[2] <= 100.0
-
-
-def distances(world, metric):
-    """The planner's shaping distance between every two cells, as
-    ``dist(a, b)``."""
-    table = _distance_table(world, metric, np.arange(world.spec.n_cells)).tolist()
-    return lambda a, b: table[world.spec.index(a)][world.spec.index(b)]
-
-
-def test_distance_values():
-    dist = distances(build(SPEC, 0.0, seed=1), "euclidean")
-    assert dist((2, 3, 1), (2, 3, 1)) == 0.0
-    assert dist((0, 0, 0), (3, 4, 0)) == 250.0
-    d = dist((0, 0, 0), (1, 1, 1))
-    assert abs(d - math.sqrt(50**2 + 50**2 + 20**2)) < 1e-12
-    assert abs(d - 73.485) < 1e-3
-
-
-def test_distance_is_a_metric():
-    # Equal to the oracles bit for bit: the planner's reward compares two
-    # distances with <, so a difference in the last bit could flip it.
-    spec = GridSpec(nx=20, ny=20, nz=5, cell_size_m=33.3, cell_height_m=12.3)
-    world = build(spec, 0.0, seed=1)
-    rng = random.Random(5)
-
-    def rand_cell():
-        return (rng.randrange(20), rng.randrange(20), rng.randrange(5))
-
-    for metric, oracle in (("euclidean", euclid_cells), ("manhattan", manhattan_cells)):
-        dist = distances(world, metric)
-        for _ in range(300):
-            a, b, c = rand_cell(), rand_cell(), rand_cell()
-            dab = dist(a, b)
-            assert dab >= 0.0
-            assert (dab == 0.0) == (a == b)
-            assert dab == dist(b, a)
-            assert dab <= dist(a, c) + dist(c, b) + 1e-9
-            assert dab == oracle(a, b, 33.3, 12.3)
-
-
-def test_manhattan_distance():
-    dist = distances(build(SPEC, 0.0, seed=1), "manhattan")
-    assert dist((0, 0, 0), (3, 4, 1)) == 3 * 50 + 4 * 50 + 20
 
 
 def test_random_free_cell_properties():

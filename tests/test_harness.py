@@ -248,8 +248,6 @@ def test_config_semantic_validation():
     with pytest.raises(ConfigError):
         TrainConfig(bands_mhz=())
     with pytest.raises(ConfigError):
-        TrainConfig(distance_metric="chebyshev")
-    with pytest.raises(ConfigError):
         config_from_dict({"start_cell": [1, 2]})
 
 
@@ -670,11 +668,17 @@ def test_evaluate_refuses_a_checkpoint_of_a_newer_zip_version(tmp_path, capsys, 
         assert not (out / "flights.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["goal_conditioned", "record_steps"])
+RETIRED_FIELDS = {"goal_conditioned": False, "record_steps": False,
+                  "distance_metric": "manhattan"}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_FIELDS))
 def test_evaluate_refuses_manifest_config_with_retired_field(tmp_path, capsys, name):
     # a run trained while these were config fields has to be retrained
     out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
-    _edit_manifest(out, lambda m: {**m, "config": {**m["config"], name: False}})
+    _edit_manifest(out, lambda m: {**m, "config": {**m["config"], name: RETIRED_FIELDS[name]}})
+    with pytest.raises(ArtifactError, match=f"{name}: unknown field.*; retrain$"):
+        load_artifacts(out)
     assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
     err = capsys.readouterr().err
     assert "artifact error:" in err and f"{name}: unknown field" in err
@@ -954,7 +958,8 @@ def test_cli_train_rejects_non_int_seed(tmp_path, capsys):
 # (or, for eval_step_cap, one below its range). The UNKNOWN_FIELDS cases
 # name no field at all, so they fail as unknown: ``uavnav evaluate
 # --flights`` sets the flight count, the planner's table layout follows
-# fixed_destination, and training records no steps.
+# fixed_destination, training records no steps, and a move's closer bit
+# is the same under every metric, so there is none to choose.
 WRONG_TYPE = {
     "grid.nx float": {"grid": {"nx": 2.5, "ny": 4, "nz": 2}},
     "grid.ny bool": {"grid": {"nx": 4, "ny": True, "nz": 2}},
@@ -970,8 +975,10 @@ WRONG_TYPE = {
     "goal_conditioned int": {"goal_conditioned": 1},
     "altitude_locked text": {"altitude_locked": "yes"},
     "record_steps int": {"record_steps": 0},
+    "distance_metric text": {"distance_metric": "euclidean"},
 }
-UNKNOWN_FIELDS = ("eval_flights bool", "goal_conditioned int", "record_steps int")
+UNKNOWN_FIELDS = ("eval_flights bool", "goal_conditioned int", "record_steps int",
+                  "distance_metric text")
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPE))
@@ -1380,6 +1387,50 @@ def _fail_each_rename_of_a_retrain(tmp_path, monkeypatch):
         for name in names:
             if name != "manifest.json":
                 assert (out / name).read_bytes() == fresh[name], (retrain, name)
+
+
+def _vouches(pair):
+    """Whether an ``evaluation.json`` names the sha256 of the ``flights.csv`` beside it."""
+    flights_sha256 = hashlib.sha256(pair["flights.csv"]).hexdigest()
+    return json.loads(pair["evaluation.json"])["flights_sha256"] == flights_sha256
+
+
+@pytest.mark.parametrize("listing", ["file system order", "reversed"])
+def test_evaluate_failing_at_any_rename_leaves_no_stale_pair_that_vouches(
+    tmp_path, monkeypatch, listing
+):
+    """An evaluation whose k-th rename fails, for every k, leaves no staged
+    file and the old pair, the new pair, or a pair whose ``flights_sha256``
+    does not match its ``flights.csv``. ``_publish`` renames by name,
+    ``evaluation.json`` last, whatever order the file system lists them in:
+    k = 1 leaves the old pair, k = 2 the new ``flights.csv`` beside the old
+    summary, and k = 3 never comes."""
+    if listing == "reversed":
+        iterdir = Path.iterdir
+        monkeypatch.setattr(Path, "iterdir", lambda self: reversed(list(iterdir(self))))
+    out = cmd_train(config_from_dict(TINY_RAW), tmp_path / "run")
+    cmd_evaluate(out, n_flights=20, seed=2)
+    new = _evaluation_pair(out)
+    cmd_evaluate(out, n_flights=20, seed=1)
+    old = _evaluation_pair(out)
+    names = sorted(p.name for p in out.iterdir())
+    assert old["flights.csv"] != new["flights.csv"] and _vouches(old) and _vouches(new)
+    left = []
+    for k in range(1, 4):
+        with monkeypatch.context() as failing:
+            _fail_replace(failing, k)
+            if k < 3:
+                with pytest.raises(OSError, match="Input/output error"):
+                    cmd_evaluate(out, n_flights=20, seed=2)
+            else:
+                cmd_evaluate(out, n_flights=20, seed=2)
+        assert sorted(p.name for p in out.iterdir()) == names, k  # no .evaluate-* left
+        pair = _evaluation_pair(out)
+        left.append("old" if pair == old else "new" if pair == new else "stale")
+        assert left[-1] != "stale" or not _vouches(pair), k
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+    assert left == ["old", "stale", "new"]
 
 
 def test_coverage_failing_at_its_rename_leaves_the_previous_csv(tmp_path, monkeypatch):

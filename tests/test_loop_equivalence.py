@@ -8,9 +8,11 @@ episode order, and picks every action itself from the episode's SplitMix64
 stream (``oracles.splitmix64_uniform``, Python ints): draw 2t is the
 exploration coin, draw 2t + 1 picks the
 ``int(u * len(picks))``-th of the argmax ties, or of all candidates when
-exploring. It steps with ``step`` (one move-table entry), measures
-distances with ``oracles.euclid_cells`` or ``oracles.manhattan_cells``, and
-rewards and updates with ``reward_strategic`` and ``q_update`` (this
+exploring. It steps with ``step`` (one move-table entry), asks whether the
+step landed closer by comparing float Euclidean distances
+(``oracles.euclid_cells``), where ``train_strategic`` compares cell
+coordinates along the move's axis, and rewards and updates with
+``reward_strategic`` and ``q_update`` (this
 module's ``q_update``, ``greedy_action``, ``argmax_ties`` and
 ``epsilon_at`` are those of ``tests/reference.py``). Both must
 give the same table, float bits included, and the same episode logs: each
@@ -69,7 +71,7 @@ from uavnav.harness import build_world
 from uavnav.qcore import EpsilonSchedule, Hyper, QTable
 from uavnav.radio import coverage_map
 
-from oracles import euclid_cells, manhattan_cells, splitmix64_uniform
+from oracles import euclid_cells, splitmix64_uniform
 from reference import argmax_ties, epsilon_at, greedy_action, q_update, random_free_cell
 
 
@@ -102,7 +104,6 @@ def reference_strategic(world, cfg, rng):
     per_destination = cfg.fixed_destination is None
     table = QTable("strategic", world.spec, cfg.hyper, cfg.seed,
                    columns=world.spec.n_cells if per_destination else 1)
-    dist = manhattan_cells if cfg.distance_metric == "manhattan" else euclid_cells
     sizes = (world.spec.cell_size_m, world.spec.cell_height_m)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     missions = world.mission_cells(cfg.altitude_locked)
@@ -131,8 +132,8 @@ def reference_strategic(world, cfg, rng):
             if epsilon == 0.0 and not any(row):
                 ties[a] += 1
             nxt, event = step(world, pos, a, dest)
-            r = reward_strategic(dist(pos, dest, *sizes), dist(nxt, dest, *sizes), event,
-                                 cfg.rewards)
+            closer = euclid_cells(nxt, dest, *sizes) < euclid_cells(pos, dest, *sizes)
+            r = reward_strategic(closer, event, cfg.rewards)
             q_update(table, s, a, r, (col, world.spec.index(nxt)), cfg.hyper)
             events[event] += 1
             total += r
@@ -270,7 +271,6 @@ MODES = {
     # a cap no episode reaches; the drain's draws do not grow with it
     "fixed_destination_uncapped": {"step_cap": 10**12},
     "altitude_locked": {"altitude_locked": True},
-    "manhattan": {"distance_metric": "manhattan"},
     # an odd count: the last episode takes off from the takeoff cell
     "401_episodes": {"episodes_strategic": 401, "episodes_adaptive": 401},
     # epsilon reaches exactly 0 from episode 108 on
