@@ -105,7 +105,7 @@ from .gridworld import (
     require_mission_cells,
 )
 from .qcore import N_ACTIONS, PICKS, TIE_COUNT, TIE_NTH, QTable, bootstrap, tie_mask, tie_masks
-from .radio import LinkBudget, coverage_map
+from .radio import coverage_map
 
 if TYPE_CHECKING:
     from .config import TrainConfig
@@ -502,12 +502,12 @@ def train_strategic(
 
 
 def train_adaptive(
-    world: GridWorld, lb: LinkBudget, cfg: TrainConfig, rng: random.Random
+    world: GridWorld, band_mhz: float, cfg: TrainConfig, rng: random.Random
 ) -> tuple[QTable, EpisodeLogs]:
-    """Run the coverage training loop for cfg.episodes_adaptive episodes.
+    """Train band ``band_mhz``'s coverage agent for cfg.episodes_adaptive episodes.
 
-    SNR per cell is read from the band's coverage map, the same map the
-    flight arbiter reads.
+    SNR per cell and the outage threshold are read from the band's coverage
+    map (``cfg.link`` at the band's carrier), as the flight arbiter reads them.
 
     Episodes alternate between the takeoff cell and a uniformly random mission
     cell as the start position. The coverage table has one column, keyed by
@@ -539,15 +539,16 @@ def train_adaptive(
         grid=world.spec,
         hyper=cfg.hyper,
         seed=cfg.seed,
-        f_mhz=lb.f_mhz,
+        f_mhz=band_mhz,
     )
     rows = table.q[0].tolist()
     # Plain ints: a list indexed by an int is faster than by an IntEnum member.
     candidates = tuple(map(int, cfg.actions))
     moves = world.moves
     index = world.spec.index
-    snr = coverage_map(lb, world).snr_by_index
-    cell_reward = [reward_adaptive(v, lb.snr_threshold_db, cfg.rewards) for v in snr]
+    cmap = coverage_map(cfg.link, band_mhz, world)
+    threshold = cmap.snr_threshold_db
+    cell_reward = [reward_adaptive(v, threshold, cfg.rewards) for v in cmap.snr_by_index]
     alpha, gamma = cfg.hyper.alpha, cfg.hyper.gamma
     # qcore.bootstrap, (1 - alpha) * q + alpha * (r + gamma * max_next), as
     # keep * q + target[s'], the same float operations in the same order

@@ -156,12 +156,12 @@ class TieMasks:
         plan = self._planner.get(goal)
         if plan is None:
             masks = self._ties(np.asarray(self._values[1]))
-            moves = self.world.moves
-            for i, _ in moves[goal]:
+            # a move a onto goal starts where the reverse move a ^ 1 from goal
+            # lands, if that is not blocked
+            for a in self.allowed:
+                i = self.world.moves[goal][a ^ 1][0]
                 if i != goal:
-                    for a in self.allowed:
-                        if moves[i][a][0] == goal:
-                            masks[i] = _DELIVER + a
+                    masks[i] = _DELIVER + a
             plan = self._planner[goal] = masks.tobytes()
         return plan, self._values[1]
 

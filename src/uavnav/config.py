@@ -2,11 +2,13 @@
 
 A TrainConfig bundles everything one training-plus-evaluation experiment
 needs: grid geometry, obstacle density, the frequency bands, the link
-budget template (the band list overrides its carrier per agent), learning
+budget (every band's agent reads it at its own carrier), learning
 hyper-parameters, reward constants, episode counts and the master seed.
-Defaults follow the environment table of the study this reproduces: 1 km^2
-region, 100 m altitude ceiling, one base station with a 60 m antenna,
-alpha 0.8, gamma 0.5, 15 m/s max velocity, bands 900/1800/2100 MHz.
+Each fact has one source: the band list sets the carriers and the grid
+sets the altitude ceiling. Defaults follow the environment table of the
+study this reproduces: 1 km^2 region, a 100 m ceiling (5 layers of 20 m),
+one base station with a 60 m antenna, alpha 0.8, gamma 0.5, 15 m/s max
+velocity, bands 900/1800/2100 MHz.
 
 Config files are JSON with the same nested shape as ``TrainConfig.to_dict``;
 omitted keys fall back to defaults, unknown keys are rejected with the
@@ -108,7 +110,6 @@ class TrainConfig:
     fixed_destination: Cell | None = None
     altitude_locked: bool = False
     uav_velocity_ms: float = UAV_MAX_VELOCITY_MS
-    max_altitude_m: float = 100.0
 
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
@@ -159,10 +160,6 @@ class TrainConfig:
             raise ConfigError(
                 f"uav_velocity_ms must be a positive finite number, got {self.uav_velocity_ms}"
             )
-        if not math.isfinite(self.max_altitude_m):
-            raise ConfigError(
-                f"max_altitude_m must be a finite number, got {self.max_altitude_m}"
-            )
         if not self.grid.in_bounds(self.start_cell):
             raise ConfigError(f"start_cell {self.start_cell} out of bounds")
         if self.bs_cell is not None and not self.grid.in_bounds(self.bs_cell):
@@ -176,11 +173,6 @@ class TrainConfig:
                 raise ConfigError(f"fixed_destination {self.fixed_destination} out of bounds")
             if self.fixed_destination == self.start_cell:
                 raise ConfigError("fixed_destination equals start_cell")
-        if self.grid.max_altitude_m > self.max_altitude_m + 1e-9:
-            raise ConfigError(
-                f"grid tops out at {self.grid.max_altitude_m} m, above the "
-                f"{self.max_altitude_m} m flight ceiling"
-            )
         self._require_finite_outputs()
 
     def _require_finite_outputs(self) -> None:
@@ -200,7 +192,7 @@ class TrainConfig:
         bs = self.grid.center_cell if self.bs_cell is None else self.bs_cell
         for band in self.bands_mhz:
             try:
-                require_finite_snr(self.link_for_band(band), self.grid, bs)
+                require_finite_snr(self.link, band, self.grid, bs)
             except ValueError as exc:
                 g = self.grid
                 raise ConfigError(
@@ -244,9 +236,6 @@ class TrainConfig:
         if self.eval_step_cap is not None:
             return self.eval_step_cap
         return 4 * default_step_cap(self.grid)
-
-    def link_for_band(self, band_mhz: float) -> LinkBudget:
-        return dataclasses.replace(self.link, f_mhz=band_mhz)
 
     def to_dict(self) -> dict[str, Any]:
         # json writes the tuples as lists
@@ -396,8 +385,6 @@ def config_from_dict(
             kwargs[key] = value
     try:
         return TrainConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
 

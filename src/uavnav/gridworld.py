@@ -48,7 +48,8 @@ class GridSpec:
     """Lattice dimensions and physical cell size.
 
     nx, ny, nz: cell counts per axis. cell_size_m is the horizontal edge of
-    a cell; cell_height_m the vertical one. Defaults give a 1 km x 1 km
+    a cell; cell_height_m the vertical one. The grid's top, nz *
+    cell_height_m, is the flight ceiling. Defaults give a 1 km x 1 km
     region capped at 100 m altitude.
     """
 
@@ -72,10 +73,6 @@ class GridSpec:
     @property
     def n_cells(self) -> int:
         return self.nx * self.ny * self.nz
-
-    @property
-    def max_altitude_m(self) -> float:
-        return self.nz * self.cell_height_m
 
     @property
     def center_cell(self) -> Cell:

@@ -290,7 +290,7 @@ def _train_job(cfg: TrainConfig, out: Path, band: float | None) -> dict[str, str
         name = STRATEGIC_NAME
     else:
         rng = stream_rng(cfg.seed, f"train.adaptive.{band_label(band)}")
-        table, logs = train_adaptive(world, cfg.link_for_band(band), cfg, rng)
+        table, logs = train_adaptive(world, band, cfg, rng)
         name = _adaptive_name(band)
     sha = save_table(table, out / name)
     rows = zip(
@@ -553,7 +553,7 @@ def run_flights(
         min_snr_db=np.empty(shape, dtype=np.float64),
     )
     bands = [
-        (adaptive[band], coverage_map(cfg.link_for_band(band), world),
+        (adaptive[band], coverage_map(cfg.link, band, world),
          stream_rng(seed, f"eval.ties.{band_label(band)}"), flights.outcome[b],
          flights.steps[b], flights.outage_steps[b], flights.min_snr_db[b])
         for b, band in enumerate(bands_mhz)
@@ -649,7 +649,7 @@ def cmd_coverage(
         raise ConfigError(f"band must be a positive finite number, got {band_mhz}")
     warn_outside_validity((band_mhz,), cfg.grid)
     world = build_world(cfg)
-    cmap = coverage_map(cfg.link_for_band(band_mhz), world)
+    cmap = coverage_map(cfg.link, band_mhz, world)
     threshold = cmap.snr_threshold_db
     header = ("ix", "iy", "iz", "x_m", "y_m", "z_m", "snr_db", "covered")
     rows = (

@@ -19,8 +19,10 @@ diverges at d -> 0 and is not meaningful in the near field anyway.
 The formula and coverage functions are pure and never warn. The one
 ``HataValidityWarning`` comes from ``warn_outside_validity``, which each
 command (train, evaluate, coverage) calls once before it evaluates a band.
-A coverage map is a plain function of the link budget and the grid
-geometry and ignores obstacles entirely.
+A ``LinkBudget`` holds only the terms that do not depend on the carrier;
+every function that needs the carrier takes it as ``f_mhz``, a band of the
+config's ``bands_mhz``. A coverage map is a plain function of the link
+budget, the band and the grid geometry and ignores obstacles entirely.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def warn_outside_validity(bands_mhz: Iterable[float], spec: GridSpec) -> None:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Carrier, antenna and receiver parameters for the SNR budget.
+    """Antenna and receiver parameters for the SNR budget, for any carrier.
 
     The transmit-side numbers and the SNR threshold are synthetic defaults,
     chosen so the default grid exhibits the band-dependent coverage
@@ -75,7 +77,6 @@ class LinkBudget:
     1800/2100 MHz). Everything is overridable.
     """
 
-    f_mhz: float = 900.0
     h_b_m: float = 60.0
     c_m_db: float = 0.0
     p_tx_dbm: float = 43.0
@@ -94,8 +95,6 @@ class LinkBudget:
                 continue
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if self.f_mhz <= 0:
-            raise ValueError("carrier frequency must be positive")
         if self.h_b_m <= 0:
             raise ValueError("base-station antenna height must be positive")
         if self.bandwidth_hz <= 0:
@@ -117,16 +116,17 @@ def mobile_correction_alpha(f_mhz: float, h_r_m: float) -> float:
     return (1.1 * logf - 0.7) * h_r_m - (1.56 * logf - 0.8)
 
 
-def path_loss_db(lb: LinkBudget, h_r_m: float, d_km: float) -> float:
-    """COST 231 Hata path loss in dB for a UAV at height h_r_m, range d_km."""
+def path_loss_db(lb: LinkBudget, f_mhz: float, h_r_m: float, d_km: float) -> float:
+    """COST 231 Hata path loss in dB at carrier f_mhz for a UAV at height
+    h_r_m, range d_km."""
     if not (math.isfinite(h_r_m) and math.isfinite(d_km)):
         raise ValueError("path-loss inputs must be finite")
     if h_r_m <= 0:
         raise ValueError("mobile height must be positive")
     d = max(d_km, lb.d_min_km)
-    logf = math.log10(lb.f_mhz)
+    logf = math.log10(f_mhz)
     logh = math.log10(lb.h_b_m)
-    alpha = mobile_correction_alpha(lb.f_mhz, h_r_m)
+    alpha = mobile_correction_alpha(f_mhz, h_r_m)
     return (
         46.3
         + 33.9 * logf
@@ -137,9 +137,9 @@ def path_loss_db(lb: LinkBudget, h_r_m: float, d_km: float) -> float:
     )
 
 
-def snr_db(lb: LinkBudget, h_r_m: float, d_km: float) -> float:
+def snr_db(lb: LinkBudget, f_mhz: float, h_r_m: float, d_km: float) -> float:
     """Receive SNR in dB: budget terms minus path loss minus noise floor."""
-    loss = path_loss_db(lb, h_r_m, d_km)
+    loss = path_loss_db(lb, f_mhz, h_r_m, d_km)
     return lb.p_tx_dbm + lb.g_tx_db + lb.g_rx_db - loss - lb.noise_floor_dbm
 
 
@@ -150,15 +150,15 @@ def bs_antenna_point_m(spec: GridSpec, bs_cell: Cell, h_b_m: float) -> tuple[flo
     return (x, y, h_b_m)
 
 
-def cell_snr_db(lb: LinkBudget, spec: GridSpec, bs_cell: Cell, c: Cell) -> float:
+def cell_snr_db(lb: LinkBudget, f_mhz: float, spec: GridSpec, bs_cell: Cell, c: Cell) -> float:
     """SNR at a cell center, using the 3D slant distance to the BS antenna."""
     cx, cy, cz = cell_center_m(spec, c)
     bx, by, bz = bs_antenna_point_m(spec, bs_cell, lb.h_b_m)
     d_km = math.sqrt((cx - bx) ** 2 + (cy - by) ** 2 + (cz - bz) ** 2) / 1000.0
-    return snr_db(lb, cz, d_km)
+    return snr_db(lb, f_mhz, cz, d_km)
 
 
-def require_finite_snr(lb: LinkBudget, spec: GridSpec, bs_cell: Cell) -> None:
+def require_finite_snr(lb: LinkBudget, f_mhz: float, spec: GridSpec, bs_cell: Cell) -> None:
     """Raise ValueError unless every cell's SNR is a finite number.
 
     Every term of a cell's SNR -- each axis of its offset from the antenna,
@@ -168,7 +168,7 @@ def require_finite_snr(lb: LinkBudget, spec: GridSpec, bs_cell: Cell) -> None:
     """
     for c in product((0, spec.nx - 1), (0, spec.ny - 1), (0, spec.nz - 1)):
         try:
-            value = cell_snr_db(lb, spec, bs_cell, c)
+            value = cell_snr_db(lb, f_mhz, spec, bs_cell, c)
         except OverflowError as exc:
             raise ValueError(f"overflow at cell {c}") from exc
         if not math.isfinite(value):
@@ -196,12 +196,10 @@ class CoverageMap:
         return self.snr.ravel().tolist()
 
 
-def coverage_map(lb: LinkBudget, world: GridWorld) -> CoverageMap:
-    """Evaluate the SNR budget at every cell center of the world's grid."""
+def coverage_map(lb: LinkBudget, f_mhz: float, world: GridWorld) -> CoverageMap:
+    """Evaluate the SNR budget of band f_mhz at every cell center of the world's grid."""
     spec = world.spec
     bs = world.base_station_cell
-    snr = np.array([cell_snr_db(lb, spec, bs, c) for c in world.cells], dtype=np.float64)
-    snr = snr.reshape(spec.nx, spec.ny, spec.nz)
-    return CoverageMap(
-        spec=spec, f_mhz=lb.f_mhz, snr_threshold_db=lb.snr_threshold_db, snr=snr
-    )
+    snr = [cell_snr_db(lb, f_mhz, spec, bs, c) for c in world.cells]
+    snr = np.array(snr, dtype=np.float64).reshape(spec.nx, spec.ny, spec.nz)
+    return CoverageMap(spec=spec, f_mhz=f_mhz, snr_threshold_db=lb.snr_threshold_db, snr=snr)

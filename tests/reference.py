@@ -170,7 +170,7 @@ def run_flights_by_band(
     cap = cfg.resolved_eval_step_cap()
     records, destinations = {}, set()
     for band in sorted(adaptive):
-        cmap = coverage_map(cfg.link_for_band(band), world)
+        cmap = coverage_map(cfg.link, band, world)
         dest_rng = stream_rng(seed, "eval.dest")
         tie_rng = stream_rng(seed, f"eval.ties.{band_label(band)}")
         dests = [

@@ -66,8 +66,7 @@ def matrix():
                 world, cfg, stream_rng(seed, "train.strategic")
             )
             qa, alogs = train_adaptive(
-                world, cfg.link_for_band(band), cfg,
-                stream_rng(seed, f"train.adaptive.{band:g}"),
+                world, band, cfg, stream_rng(seed, f"train.adaptive.{band:g}")
             )
             flights = run_flights(
                 cfg, world, qs, {band: qa}, N_FLIGHTS, seed=EVAL_SEED
@@ -84,10 +83,7 @@ def matrix():
     for seed in SEEDS:
         cfg = TrainConfig(seed=seed, obstacle_density=0.05, bands_mhz=(2100.0,))
         world = build_world(cfg)
-        _, alogs = train_adaptive(
-            world, cfg.link_for_band(2100.0), cfg,
-            stream_rng(seed, "train.adaptive.2100"),
-        )
+        _, alogs = train_adaptive(world, 2100.0, cfg, stream_rng(seed, "train.adaptive.2100"))
         curves["adaptive"][(2100.0, seed)] = alogs.total_reward.tolist()
     return {"runs": runs, "curves": curves, "timings": timings}
 
@@ -101,9 +97,10 @@ def test_criterion_1_path_loss_formula_oracle():
         h_b = rng.uniform(30.0, 200.0)
         h_r = rng.uniform(1.0, 100.0)
         d = rng.uniform(0.01, 5.0)
-        lb = LinkBudget(f_mhz=f, h_b_m=h_b, c_m_db=0.0)
-        worst = max(worst, abs(path_loss_db(lb, h_r, d) - cost231_path_loss(f, h_b, h_r, d, 0.0)))
-    workedexample = path_loss_db(LinkBudget(f_mhz=900.0, h_b_m=60.0, c_m_db=0.0), 1.5, 1.0)
+        lb = LinkBudget(h_b_m=h_b, c_m_db=0.0)
+        got = path_loss_db(lb, f, h_r, d)
+        worst = max(worst, abs(got - cost231_path_loss(f, h_b, h_r, d, 0.0)))
+    workedexample = path_loss_db(LinkBudget(h_b_m=60.0, c_m_db=0.0), 900.0, 1.5, 1.0)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and abs(workedexample - 121.859) <= 1e-3 and elapsed < 1.0
     _report(

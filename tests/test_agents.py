@@ -288,12 +288,10 @@ def test_strategic_reward_bounds():
 
 
 def test_train_adaptive_degenerate_threshold_rewards_every_step():
-    import dataclasses
-
     cfg = small_cfg(episodes_adaptive=50)
-    lb = dataclasses.replace(cfg.link, f_mhz=900.0, snr_threshold_db=-math.inf)
+    cfg = dataclasses.replace(cfg, link=dataclasses.replace(cfg.link, snr_threshold_db=-math.inf))
     world = build_world(cfg)
-    _, logs = train_adaptive(world, lb, cfg, stream_rng(cfg.seed, "a"))
+    _, logs = train_adaptive(world, 900.0, cfg, stream_rng(cfg.seed, "a"))
     for log in logs:
         assert log.total_reward == cfg.rewards.r_covered * log.steps
 
@@ -301,8 +299,7 @@ def test_train_adaptive_degenerate_threshold_rewards_every_step():
 def test_train_adaptive_reward_bounds_and_replay():
     cfg = small_cfg(episodes_adaptive=40, obstacle_density=0.1)
     world = build_world(cfg)
-    lb = cfg.link_for_band(2100.0)
-    _, logs = train_adaptive(world, lb, cfg, stream_rng(cfg.seed, "a"))
+    _, logs = train_adaptive(world, 2100.0, cfg, stream_rng(cfg.seed, "a"))
     rp = cfg.rewards
     for log in logs:
         assert 1 <= log.steps <= cfg.resolved_step_cap()
@@ -318,9 +315,8 @@ def test_train_adaptive_reward_bounds_and_replay():
 def test_train_adaptive_reproducible():
     cfg = small_cfg()
     world = build_world(cfg)
-    lb = cfg.link_for_band(900.0)
-    t1, _ = train_adaptive(world, lb, cfg, stream_rng(cfg.seed, "a"))
-    t2, _ = train_adaptive(world, lb, cfg, stream_rng(cfg.seed, "a"))
+    t1, _ = train_adaptive(world, 900.0, cfg, stream_rng(cfg.seed, "a"))
+    t2, _ = train_adaptive(world, 900.0, cfg, stream_rng(cfg.seed, "a"))
     assert t1 == t2
     assert t1.f_mhz == 900.0
 
@@ -334,17 +330,16 @@ def test_adaptive_greedy_stays_covered_near_bs():
 
     cfg = TrainConfig(seed=12, obstacle_density=0.0, episodes_adaptive=4000)
     world = build_world(cfg)
-    lb = cfg.link_for_band(2100.0)
-    table, _ = train_adaptive(world, lb, cfg, stream_rng(cfg.seed, "a"))
-    cmap = coverage_map(lb, world)
+    table, _ = train_adaptive(world, 2100.0, cfg, stream_rng(cfg.seed, "a"))
+    cmap = coverage_map(cfg.link, 2100.0, world)
     rng = random.Random(4)
     pos = (11, 10, 1)  # adjacent to the BS column at (10, 10)
-    assert cmap.snr[pos] >= lb.snr_threshold_db
+    assert cmap.snr[pos] >= cmap.snr_threshold_db
     for _ in range(20):
         i = world.spec.index(pos)
         a = greedy_action(table.q[0, i].tolist(), ACTIONS, rng)
         pos = world.cells[world.moves[i][a][0]]
-        assert cmap.snr[pos] >= lb.snr_threshold_db
+        assert cmap.snr[pos] >= cmap.snr_threshold_db
 
 
 def test_adaptive_band_learning_speed_ordering():
@@ -354,9 +349,7 @@ def test_adaptive_band_learning_speed_ordering():
     world = build_world(cfg)
     crossings = {}
     for band in (900.0, 2100.0):
-        _, logs = train_adaptive(
-            world, cfg.link_for_band(band), cfg, stream_rng(cfg.seed, f"a{band}")
-        )
+        _, logs = train_adaptive(world, band, cfg, stream_rng(cfg.seed, f"a{band}"))
         totals = logs.total_reward.tolist()
         crossings[band] = next(
             (

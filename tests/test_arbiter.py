@@ -192,7 +192,7 @@ def test_execute_flight_dest_adjacent_one_step():
     world = build_world(cfg)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, world), (1, 0, 0),
+    res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, 900.0, world), (1, 0, 0),
                          step_cap=50, rng=random.Random(0))
     assert res.outcome == FlightOutcome.ARRIVED
     assert res.steps == 1
@@ -203,7 +203,7 @@ def test_execute_flight_validation():
     qa = QTable("adaptive", GRID, Hyper(), 0)
     cfg = TrainConfig()
     with pytest.raises(ValueError):
-        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, coverage_map(cfg.link, EMPTY_WORLD),
+        execute_flight(TieMasks(EMPTY_WORLD, qs), qa, coverage_map(cfg.link, 900.0, EMPTY_WORLD),
                        EMPTY_WORLD.start_cell, 10, random.Random(0))
 
 
@@ -220,10 +220,10 @@ def test_execute_flight_trained_small_world():
     from uavnav.agents import train_adaptive, train_strategic
 
     qs, _ = train_strategic(world, cfg, stream_rng(7, "s"))
-    qa, _ = train_adaptive(world, cfg.link_for_band(900.0), cfg, stream_rng(7, "a"))
+    qa, _ = train_adaptive(world, 900.0, cfg, stream_rng(7, "a"))
     from oracles import bfs_shortest_len
 
-    cmap = coverage_map(cfg.link_for_band(900.0), world)
+    cmap = coverage_map(cfg.link, 900.0, world)
     masks = TieMasks(world, qs)
     rng = random.Random(0)
     dest_rng = random.Random(5)
@@ -252,7 +252,7 @@ def test_outage_steps_zero_with_low_threshold():
     lb = dataclasses.replace(cfg.link, snr_threshold_db=-math.inf)
     qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
     qa = QTable("adaptive", cfg.grid, Hyper(), 0)
-    res = execute_flight(TieMasks(world, qs), qa, coverage_map(lb, world), (3, 3, 1),
+    res = execute_flight(TieMasks(world, qs), qa, coverage_map(lb, 900.0, world), (3, 3, 1),
                          step_cap=30, rng=random.Random(0))
     assert res.outage_steps == 0
 
@@ -268,7 +268,7 @@ def test_execute_flight_rejects_map_of_another_grid():
     qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
     qa = QTable("adaptive", GRID, Hyper(), 0)
     small = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    cmap = coverage_map(TrainConfig().link, small)
+    cmap = coverage_map(TrainConfig().link, 900.0, small)
     with pytest.raises(ValueError, match="coverage map grid"):
         execute_flight(TieMasks(EMPTY_WORLD, qs), qa, cmap, (3, 3, 1), 10, random.Random(0))
 
@@ -281,7 +281,7 @@ def test_flight_refuses_tables_of_another_grid():
     with pytest.raises(ValueError, match="Q-table grid"):
         TieMasks(world, QTable("strategic", small, Hyper(), 0, columns=small.n_cells))
     masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
-    cmap = coverage_map(TrainConfig().link, world)
+    cmap = coverage_map(TrainConfig().link, 900.0, world)
     with pytest.raises(ValueError, match="Q-table grid"):
         execute_flight(masks, QTable("adaptive", small, Hyper(), 0), cmap, (3, 3, 1), 10,
                        random.Random(0))
@@ -315,7 +315,7 @@ def test_execute_flight_refuses_a_destination_that_is_no_mission_cell(case):
     world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0))
     masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
     qa = QTable("adaptive", spec, Hyper(), 0)
-    cmap = coverage_map(TrainConfig().link, world)
+    cmap = coverage_map(TrainConfig().link, 900.0, world)
     dest = NOT_MISSION_CELLS[case]
     with pytest.raises(ValueError, match=re.escape(f"destination {dest} is not a mission cell")):
         execute_flight(masks, qa, cmap, dest, 10, random.Random(0))
@@ -325,7 +325,7 @@ def test_flight_refuses_a_multi_column_coverage_table():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    cmap = coverage_map(TrainConfig().link, world)
+    cmap = coverage_map(TrainConfig().link, 900.0, world)
     with pytest.raises(ValueError, match="the coverage table must have one column"):
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10, random.Random(0))
 
@@ -555,7 +555,7 @@ def test_flight_masks_refuse_nan_rows():
     qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
     qa = QTable("adaptive", world.spec, Hyper(), 0)
     qa.q[0, 4, 2] = math.nan
-    cmap = coverage_map(TrainConfig().link, world)
+    cmap = coverage_map(TrainConfig().link, 900.0, world)
     with pytest.raises(ValueError, match="NaN"):
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10, random.Random(0))
 

@@ -22,7 +22,7 @@ SPEC = GridSpec()  # 20x20x5, 50 m / 20 m
 def test_default_spec_matches_region():
     assert SPEC.nx * SPEC.cell_size_m == 1000.0
     assert SPEC.ny * SPEC.cell_size_m == 1000.0
-    assert SPEC.max_altitude_m <= 100.0
+    assert SPEC.nz * SPEC.cell_height_m == 100.0
     assert SPEC.n_cells == 2000
 
 

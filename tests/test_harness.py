@@ -160,7 +160,7 @@ def test_seed_stream_stable_and_distinct():
 def test_config_defaults_match_environment_table():
     cfg = TrainConfig()
     assert cfg.grid.nx * cfg.grid.cell_size_m == 1000.0
-    assert cfg.grid.max_altitude_m <= 100.0
+    assert cfg.grid.nz * cfg.grid.cell_height_m == 100.0
     assert cfg.link.h_b_m == 60.0
     assert cfg.hyper.alpha == 0.8
     assert cfg.hyper.gamma == 0.5
@@ -669,14 +669,41 @@ def test_evaluate_refuses_a_checkpoint_of_a_newer_zip_version(tmp_path, capsys, 
 
 
 RETIRED_FIELDS = {"goal_conditioned": False, "record_steps": False,
-                  "distance_metric": "manhattan"}
+                  "distance_metric": "manhattan", "max_altitude_m": 100.0,
+                  "link.f_mhz": 900.0}
+
+
+def _set_key(config, key_path, value):
+    *sections, key = key_path.split(".")
+    for section in sections:
+        config = config.setdefault(section, {})
+    config[key] = value
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_FIELDS))
+def test_config_refuses_retired_field_naming_path_and_line(tmp_path, name):
+    raw = json.loads(json.dumps(TINY_RAW))
+    _set_key(raw, name, RETIRED_FIELDS[name])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw, indent=1))
+    key = name.split(".")[-1]
+    line = next(i for i, text in enumerate(cfg_path.read_text().splitlines(), start=1)
+                if f'"{key}"' in text)
+    with pytest.raises(ConfigError) as info:
+        load_config(str(cfg_path))
+    assert str(info.value) == f"{cfg_path}:{line}: {name}: unknown field"
 
 
 @pytest.mark.parametrize("name", sorted(RETIRED_FIELDS))
 def test_evaluate_refuses_manifest_config_with_retired_field(tmp_path, capsys, name):
     # a run trained while these were config fields has to be retrained
     out = cmd_train(TrainConfig(**{**SMALL, "bands_mhz": (900.0,)}), tmp_path / "run")
-    _edit_manifest(out, lambda m: {**m, "config": {**m["config"], name: RETIRED_FIELDS[name]}})
+
+    def edit(manifest):
+        _set_key(manifest["config"], name, RETIRED_FIELDS[name])
+        return manifest
+
+    _edit_manifest(out, edit)
     with pytest.raises(ArtifactError, match=f"{name}: unknown field.*; retrain$"):
         load_artifacts(out)
     assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
@@ -751,7 +778,7 @@ def test_train_loops_with_one_mission_cell_fail_fast():
     )
     world = build_world(cfg)
     with _deadline(10), pytest.raises(ValueError, match="missions need 2"):
-        train_adaptive(world, cfg.link_for_band(900.0), cfg, random.Random(0))
+        train_adaptive(world, 900.0, cfg, random.Random(0))
     with _deadline(10), pytest.raises(ValueError, match="missions need 2"):
         train_strategic(world, cfg, random.Random(0))
 
@@ -916,7 +943,6 @@ NON_FINITE = {
     "grid.cell_size_m NaN": {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": math.nan}},
     "grid.cell_height_m NaN": {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_height_m": math.nan}},
     "uav_velocity_ms NaN": {"uav_velocity_ms": math.nan},
-    "max_altitude_m NaN": {"max_altitude_m": math.nan},
 }
 
 
@@ -954,12 +980,14 @@ def test_cli_train_rejects_non_int_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-# Each case gives one integer or boolean field a value of the wrong type
-# (or, for eval_step_cap, one below its range). The UNKNOWN_FIELDS cases
+# Each case gives one integer or boolean field, or a section, a value of the
+# wrong type (or, for eval_step_cap and the cells, one out of its range,
+# for a cell as far as past every integer type). The UNKNOWN_FIELDS cases
 # name no field at all, so they fail as unknown: ``uavnav evaluate
 # --flights`` sets the flight count, the planner's table layout follows
-# fixed_destination, training records no steps, and a move's closer bit
-# is the same under every metric, so there is none to choose.
+# fixed_destination, training records no steps, a move's closer bit is
+# the same under every metric, so there is none to choose, the band list
+# sets each agent's carrier and the grid's top is the flight ceiling.
 WRONG_TYPE = {
     "grid.nx float": {"grid": {"nx": 2.5, "ny": 4, "nz": 2}},
     "grid.ny bool": {"grid": {"nx": 4, "ny": True, "nz": 2}},
@@ -976,9 +1004,21 @@ WRONG_TYPE = {
     "altitude_locked text": {"altitude_locked": "yes"},
     "record_steps int": {"record_steps": 0},
     "distance_metric text": {"distance_metric": "euclidean"},
+    "link.f_mhz number": {"link": {"f_mhz": 1800.0}},
+    "max_altitude_m number": {"max_altitude_m": 100.0},
+    "grid list": {"grid": []},
+    "link number": {"link": 5},
+    "rewards null": {"rewards": None},
+    "schedule text": {"schedule": "fast"},
+    "hyper list": {"hyper": [0.8, 0.5]},
+    **{
+        f"{key} {label}": {key: cell}
+        for key in ("start_cell", "bs_cell", "fixed_destination")
+        for label, cell in (("2**70", [2**70, 0, 0]), ("-1", [0, -1, 0]))
+    },
 }
 UNKNOWN_FIELDS = ("eval_flights bool", "goal_conditioned int", "record_steps int",
-                  "distance_metric text")
+                  "distance_metric text", "link.f_mhz number", "max_altitude_m number")
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPE))
@@ -988,7 +1028,7 @@ def test_cli_train_rejects_wrongly_typed_fields(tmp_path, capsys, case):
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and "Traceback" not in err
+    assert f"config error: {cfg_path}:" in err and "Traceback" not in err
     field = case.split()[0]
     assert (f"{field}: unknown field" in err) == (case in UNKNOWN_FIELDS)
     assert not out.exists()
@@ -1098,7 +1138,8 @@ def test_cli_refuses_more_obstacles_than_the_grid_holds(tmp_path, capsys, grid):
     assert cli_main(["coverage", "--config", str(cfg_path), "--band", "900",
                      "--out", str(tmp_path / "cov.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.count("config error: grid too small: 1 obstacles requested, 0 eligible") == 2
+    refusal = f"config error: {cfg_path}: grid too small: 1 obstacles requested, 0 eligible"
+    assert err.count(refusal) == 2
 
 
 def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, capsys):
@@ -1498,7 +1539,6 @@ def test_minus_infinite_threshold_stays_legal(tmp_path):
 NOT_A_NUMBER = {
     "uav_velocity_ms bool": {"uav_velocity_ms": True},
     "obstacle_density text": {"obstacle_density": "0.1"},
-    "max_altitude_m null": {"max_altitude_m": None},
     "hyper.alpha bool": {"hyper": {"alpha": True}},
     "grid.cell_size_m bool": {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": True}},
     "link.h_b_m text": {"link": {"h_b_m": "60"}},
@@ -1570,7 +1610,11 @@ OVERFLOWING = {
     ),
     "link.h_b_m 1e308": ({"link": {"h_b_m": 1e308}}, "link.h_b_m"),
     "grid.cell_height_m 1e300": (
-        {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_height_m": 1e300}, "max_altitude_m": 1e308},
+        {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_height_m": 1e300}},
+        "grid.cell_height_m",
+    ),
+    "grid cells 1e154": (
+        {"grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": 1e154, "cell_height_m": 1e154}},
         "grid.cell_height_m",
     ),
     "grid.cell_size_m 1e308": (
@@ -1626,6 +1670,25 @@ def test_extreme_finite_config_runs_to_finite_outputs(tmp_path, capsys):
     assert report["mean_flight_time_s"] > 1e300
     _, strategic, adaptive = load_artifacts(out)
     assert max(abs(strategic.q).max(), abs(adaptive[900.0].q).max()) > 1e306
+
+
+def test_grid_of_1e150_m_cells_runs_to_finite_outputs(tmp_path):
+    # a decade inside the 1e154 m refusal above; its 3e150 m top is the ceiling
+    raw = {**TINY_RAW, "grid": {"nx": 4, "ny": 4, "nz": 2, "cell_size_m": 1e150,
+                                "cell_height_m": 1e150}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out, cov = tmp_path / "run", tmp_path / "cov.csv"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "5"]) == 0
+    assert cli_main(["coverage", "--config", str(cfg_path), "--band", "900",
+                     "--out", str(cov)]) == 0
+    _strict_json((out / "evaluation.json").read_text())
+    for path in (out / "flights.csv", cov):
+        text = path.read_text().lower()
+        assert "e+150" in text and "inf" not in text and "nan" not in text, path
+    _, strategic, adaptive = load_artifacts(out)
+    assert np.isfinite(strategic.q).all() and np.isfinite(adaptive[900.0].q).all()
 
 
 def test_config_keeps_null_step_caps_legal():

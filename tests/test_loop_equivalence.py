@@ -160,13 +160,13 @@ def next_pick(table, s, epsilon, rng, candidates):
     return "tie", len(argmax_ties(table.q[s].tolist(), candidates))
 
 
-def reference_adaptive(world, lb, cfg, rng):
+def reference_adaptive(world, band_mhz, cfg, rng):
     """``train_adaptive`` step by step through the reference calls.
 
     Also returns how often each pick (``next_pick``) was drawn.
     """
-    table = QTable("adaptive", world.spec, cfg.hyper, cfg.seed, f_mhz=lb.f_mhz)
-    cmap = coverage_map(lb, world)
+    table = QTable("adaptive", world.spec, cfg.hyper, cfg.seed, f_mhz=band_mhz)
+    cmap = coverage_map(cfg.link, band_mhz, world)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     locked = cfg.altitude_locked
     logs, picks = [], Counter()
@@ -182,7 +182,7 @@ def reference_adaptive(world, lb, cfg, rng):
             picks[next_pick(table, s, epsilon, rng, candidates)] += 1
             a = select_action(table, s, epsilon, rng, candidates)
             nxt, event = step(world, pos, a, dest)
-            r = reward_adaptive(float(cmap.snr[nxt]), lb.snr_threshold_db, cfg.rewards)
+            r = reward_adaptive(float(cmap.snr[nxt]), cfg.link.snr_threshold_db, cfg.rewards)
             q_update(table, s, a, r, (0, world.spec.index(nxt)), cfg.hyper)
             total += r
             steps += 1
@@ -442,15 +442,16 @@ def test_train_strategic_does_not_depend_on_slot_count(
 def test_train_adaptive_matches_reference_loop(mode):
     cfg = mode_config(mode)
     world = build_world(cfg)
-    lb = cfg.link_for_band(2100.0)
+    threshold = cfg.link.snr_threshold_db
     if mode in EVERY_CELL_COVERED:
-        lb = dataclasses.replace(lb, snr_threshold_db=-math.inf)
+        threshold = -math.inf
     elif mode == "half_in_outage":
-        median = float(np.median(coverage_map(lb, world).snr_by_index))
-        lb = dataclasses.replace(lb, snr_threshold_db=median)
+        threshold = float(np.median(coverage_map(cfg.link, 2100.0, world).snr_by_index))
+    link = dataclasses.replace(cfg.link, snr_threshold_db=threshold)
+    cfg = dataclasses.replace(cfg, link=link)
     rng_got, rng_want = (stream_rng(cfg.seed, "train.adaptive") for _ in range(2))
-    got = train_adaptive(world, lb, cfg, rng_got)
-    *want, picks = reference_adaptive(build_world(cfg), lb, cfg, rng_want)
+    got = train_adaptive(world, 2100.0, cfg, rng_got)
+    *want, picks = reference_adaptive(build_world(cfg), 2100.0, cfg, rng_want)
     assert_same_run(got, want)
     assert rng_got.getstate() == rng_want.getstate()
     # Every pick size the loop draws for: exploration over all candidates

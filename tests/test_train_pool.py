@@ -85,9 +85,9 @@ def test_replaced_callee_sees_every_job(tmp_path, monkeypatch):
     real = harness.train_adaptive
     seen = []
 
-    def recorded(world, lb, cfg, rng):
-        seen.append((os.getpid(), lb.f_mhz))
-        return real(world, lb, cfg, rng)
+    def recorded(world, band_mhz, cfg, rng):
+        seen.append((os.getpid(), band_mhz))
+        return real(world, band_mhz, cfg, rng)
 
     monkeypatch.setattr(harness, "train_adaptive", recorded)
     wrapped = _artifacts(cmd_train(CFG, tmp_path / "wrapped"))
