@@ -360,13 +360,7 @@ def train_strategic(
     gen = np.random.default_rng(rng.getrandbits(128))
     n = cfg.episodes_strategic
     starts, dests = _missions(world, cfg, gen)
-    table = QTable(
-        kind="strategic",
-        grid=world.spec,
-        hyper=cfg.hyper,
-        seed=cfg.seed,
-        columns=cfg.planner_columns,
-    )
+    table = QTable(world.spec, cfg.planner_columns)
     q = table.q
     streams = gen.integers(1 << 64, size=n, dtype=np.uint64)  # stream keys
     eps_of = cfg.schedule.first(n)
@@ -534,13 +528,7 @@ def train_adaptive(
     ``rng.getrandbits`` (see the module docstring), and so do the mission
     draws (``random_free_cell``).
     """
-    table = QTable(
-        kind="adaptive",
-        grid=world.spec,
-        hyper=cfg.hyper,
-        seed=cfg.seed,
-        f_mhz=band_mhz,
-    )
+    table = QTable(world.spec, f_mhz=band_mhz)
     rows = table.q[0].tolist()
     # Plain ints: a list indexed by an int is faster than by an IntEnum member.
     candidates = tuple(map(int, cfg.actions))

@@ -27,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train both agents into an artifact dir")
     p_train.add_argument("--config", required=True, help="JSON config file")
     p_train.add_argument("--out", required=True, help="artifact output directory")
-    p_train.add_argument("--seed", type=int, default=None, help="override master seed")
 
     p_eval = sub.add_parser("evaluate", help="fly evaluation missions from artifacts")
     p_eval.add_argument("--artifacts", required=True, help="trained artifact directory")
@@ -51,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "train":
-            out = cmd_train(args.config, args.out, seed=args.seed)
+            out = cmd_train(args.config, args.out)
             print(f"artifacts written to {out}")
         elif args.command == "evaluate":
             report = cmd_evaluate(

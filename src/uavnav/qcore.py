@@ -28,7 +28,7 @@ mask, bit a for action a, built here alone: ``tie_mask`` for one row,
 random ties, taken one step at a time, are the references in
 ``tests/reference.py``.
 
-A checkpoint (format v7, ``save``/``load``) is an uncompressed zip of five
+A checkpoint (format v8, ``save``/``load``) is an uncompressed zip of five
 ``.npy`` members, readable with ``np.load(path, allow_pickle=False)``:
 
 - ``occupied``: uint8, one row per column, the ``np.packbits`` of which of
@@ -45,8 +45,9 @@ A checkpoint (format v7, ``save``/``load``) is an uncompressed zip of five
   is a value of its own
 - ``sizes``: uint16, 1-D, the length of each run's dictionary
 - ``meta``: a 0-d unicode array holding a JSON object with
-  ``format_version``, ``kind``, ``grid``, ``hyper``, ``seed``,
-  ``columns`` and ``f_mhz``
+  ``format_version`` and the facts that loading checks against the
+  config: ``grid``, ``columns`` and ``f_mhz`` (the band, null for the
+  planner)
 
 A column's entries start at the number of set bits in the rows before it;
 entry ``i`` is entry ``codes[i]`` of the dictionary of run
@@ -88,7 +89,7 @@ import numpy as np
 
 from .gridworld import ACTIONS, Action, GridSpec, is_int
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _MEMBERS = ("occupied", "codes", "dictionary", "sizes", "meta")
 # Stored entries are dictionary-coded in runs of RUN_LENGTH, so that a run's
 # codes, and the length of its dictionary, fit uint16
@@ -184,7 +185,7 @@ class _Stored(NamedTuple):
 
 
 class QTable:
-    """(state, action) -> value store with identifying metadata.
+    """(state, action) -> value store over a grid, with its band.
 
     The values are one float64 array ``q[column, cell, a]``, indexed by
     flat cell index (``GridSpec.index``), with ``columns`` either 1 or one
@@ -198,30 +199,25 @@ class QTable:
     its checkpoint's members instead: ``column_values`` and ``n_states``
     decode them a block of columns at a time, and ``q`` builds the dense
     array from them once, after which the table is dense like any other.
+
+    ``f_mhz`` is the band a coverage table was trained at, and None for
+    the planner's table; ``kind`` names which of the two a table is.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        grid: GridSpec,
-        hyper: Hyper,
-        seed: int,
-        columns: int = 1,
-        f_mhz: float | None = None,
-    ) -> None:
-        if kind not in ("strategic", "adaptive"):
-            raise ValueError(f"unknown agent kind {kind!r}")
+    def __init__(self, grid: GridSpec, columns: int = 1, f_mhz: float | None = None) -> None:
         if not is_int(columns) or columns not in (1, grid.n_cells):
             raise ValueError(f"columns must be 1 or {grid.n_cells}, got {columns!r}")
         require_table_fits(grid, columns)
-        self.kind = kind
         self.grid = grid
-        self.hyper = hyper
-        self.seed = seed
         self.columns = columns
         self.f_mhz = f_mhz
         self._q: np.ndarray | None = None
         self._stored: _Stored | None = None
+
+    @property
+    def kind(self) -> str:
+        """``"strategic"`` for the planner's table, ``"adaptive"`` for a band's."""
+        return "strategic" if self.f_mhz is None else "adaptive"
 
     @property
     def q(self) -> np.ndarray:
@@ -280,10 +276,7 @@ class QTable:
         if not isinstance(other, QTable):
             return NotImplemented
         return (
-            self.kind == other.kind
-            and self.grid == other.grid
-            and self.hyper == other.hyper
-            and self.seed == other.seed
+            self.grid == other.grid
             and self.columns == other.columns
             and self.f_mhz == other.f_mhz
             and np.array_equal(self.q, other.q)
@@ -339,7 +332,7 @@ def tie_mask(row: Sequence[float], candidates: Sequence[int]) -> int:
 
 
 def save(table: QTable, path) -> str:
-    """Write a format-v7 checkpoint to exactly ``path``; returns its sha256.
+    """Write a format-v8 checkpoint to exactly ``path``; returns its sha256.
 
     Only stored entries are written, in column order, a block of columns at
     a time, so the same values always give the same bytes, whatever order
@@ -389,10 +382,7 @@ def _meta_text(table: QTable) -> str:
     """The JSON text of a table's ``meta`` member."""
     meta = {
         "format_version": FORMAT_VERSION,
-        "kind": table.kind,
         "grid": dataclasses.asdict(table.grid),
-        "hyper": dataclasses.asdict(table.hyper),
-        "seed": table.seed,
         "columns": table.columns,
         "f_mhz": table.f_mhz,
     }
@@ -626,18 +616,9 @@ def _table_from_meta(path, meta: np.ndarray) -> QTable:
     doc = _meta_doc(path, meta)
     try:
         grid = GridSpec(**doc["grid"])
-        seed, f_mhz = doc["seed"], doc["f_mhz"]
-        if not is_int(seed):
-            raise TypeError(f"seed must be an int, got {seed!r}")
+        f_mhz = doc["f_mhz"]
         if f_mhz is not None and not (type(f_mhz) in (int, float) and 0 < f_mhz < math.inf):
             raise ValueError(f"f_mhz must be a positive number or null, got {f_mhz!r}")
-        return QTable(
-            kind=doc["kind"],
-            grid=grid,
-            hyper=Hyper(**doc["hyper"]),
-            seed=seed,
-            columns=doc["columns"],
-            f_mhz=f_mhz,
-        )
+        return QTable(grid, doc["columns"], f_mhz)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path}: malformed meta: {exc}") from exc

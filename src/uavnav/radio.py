@@ -180,7 +180,6 @@ class CoverageMap:
     """Per-cell SNR lattice for one band, aligned to a GridSpec."""
 
     spec: GridSpec
-    f_mhz: float
     snr_threshold_db: float
     snr: np.ndarray = field(repr=False)  # shape (nx, ny, nz), dB
 
@@ -202,4 +201,4 @@ def coverage_map(lb: LinkBudget, f_mhz: float, world: GridWorld) -> CoverageMap:
     bs = world.base_station_cell
     snr = [cell_snr_db(lb, f_mhz, spec, bs, c) for c in world.cells]
     snr = np.array(snr, dtype=np.float64).reshape(spec.nx, spec.ny, spec.nz)
-    return CoverageMap(spec=spec, f_mhz=f_mhz, snr_threshold_db=lb.snr_threshold_db, snr=snr)
+    return CoverageMap(spec=spec, snr_threshold_db=lb.snr_threshold_db, snr=snr)

@@ -112,16 +112,16 @@ def test_criterion_1_path_loss_formula_oracle():
 
 def test_criterion_2_q_update_unit():
     grid = GridSpec()
-    t = QTable("adaptive", grid, Hyper(), 0)
+    t = QTable(grid, f_mhz=900.0)
     # (column, cell) states of a one-column table
     s, s2, s3 = ((0, grid.index(c)) for c in ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
     q_update(t, s2, ACTIONS[0], 4.0, s3, Hyper(alpha=1.0, gamma=0.0))
     v = q_update(t, s, ACTIONS[0], 10.0, s2, Hyper(alpha=0.8, gamma=0.5))
     case1 = abs(v - 9.6) <= 1e-12
-    t2 = QTable("adaptive", GridSpec(), Hyper(), 0)
+    t2 = QTable(GridSpec(), f_mhz=900.0)
     fixed = q_update(t2, s, ACTIONS[1], 0.0, s2, Hyper())
     case2 = fixed == 0.0
-    t3 = QTable("adaptive", GridSpec(), Hyper(), 0)
+    t3 = QTable(GridSpec(), f_mhz=900.0)
     q_update(t3, s, ACTIONS[2], -4.0, s2, Hyper())
     collapsed = q_update(t3, s, ACTIONS[2], 7.0, s2, Hyper(alpha=1.0, gamma=0.0))
     case3 = collapsed == 7.0
@@ -260,8 +260,8 @@ def test_criterion_7_arbiter_fidelity():
 
     # decide reads only pos's planner row toward dest and pos's coverage
     # row, so every case reuses two tables, those rows rewritten
-    qs = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
-    qa = QTable("adaptive", grid, Hyper(), 0)
+    qs = QTable(grid, grid.n_cells)
+    qa = QTable(grid, f_mhz=900.0)
 
     def tables(sv, av):
         qs.q[grid.index(dest), grid.index(pos)] = sv
@@ -304,8 +304,8 @@ def test_criterion_7_arbiter_fidelity():
         )
         if not has_free:
             continue
-        qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
-        qa = QTable("adaptive", spec, Hyper(), 0)
+        qs = QTable(spec, spec.n_cells)
+        qa = QTable(spec, f_mhz=900.0)
         qs.q[spec.index((5, 5, 2)), spec.index(p)] = [rng.uniform(-50, 50) for _ in ACTIONS]
         qa.q[0, spec.index(p)] = [rng.uniform(-50, 50) for _ in ACTIONS]
         a = decide(qs, qa, p, (5, 5, 2), True, w, rng)

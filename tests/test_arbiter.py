@@ -21,7 +21,7 @@ from uavnav.gridworld import (
     build,
 )
 from uavnav.harness import build_world
-from uavnav.qcore import N_ACTIONS, Hyper, QTable, tie_mask, tie_masks
+from uavnav.qcore import N_ACTIONS, QTable, tie_mask, tie_masks
 from uavnav.radio import CoverageMap, coverage_map
 
 from oracles import alg3_choice
@@ -29,11 +29,14 @@ from reference import candidates, decide, greedy_action, greedy_trajectory
 
 GRID = GridSpec()
 EMPTY_WORLD = build(GRID, 0.0, seed=1, bs_xy=(10, 10, 0))
+# the band of a table of each kind: the planner's has none
+BANDS = {"strategic": None, "adaptive": 900.0}
 
 
 def table_with_row(kind, pos, values, dest=None, grid=GRID):
-    """A table with one set row: pos's, in dest's column when dest is given."""
-    t = QTable(kind, grid, Hyper(), 0, columns=1 if dest is None else grid.n_cells)
+    """A table with one set row: pos's, in dest's column when dest is given.
+    A coverage table (kind "adaptive") holds a band."""
+    t = QTable(grid, 1 if dest is None else grid.n_cells, BANDS[kind])
     t.q[0 if dest is None else grid.index(dest), grid.index(pos)] = values
     return t
 
@@ -122,8 +125,8 @@ def test_decide_total_over_random_tables():
     rng = random.Random(1)
     pos, dest = (0, 0, 0), (19, 19, 4)
     for _ in range(500):
-        qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
-        qa = QTable("adaptive", GRID, Hyper(), 0)
+        qs = QTable(GRID, GRID.n_cells)
+        qa = QTable(GRID, f_mhz=900.0)
         a = decide(qs, qa, pos, dest, rng.random() < 0.5, EMPTY_WORLD, rng)
         assert a in ACTIONS
 
@@ -142,7 +145,7 @@ def test_safe_candidates_keeps_boundary_clamps():
         base_station_cell=(2, 2, 0),
         start_cell=(0, 0, 0),
     )
-    masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0))
+    masks = TieMasks(world, QTable(spec))
     cands = _mask_candidates(masks, world.spec.index((0, 0, 0)))
     assert Action.PLUS_X not in cands
     assert Action.PLUS_Y not in cands
@@ -171,7 +174,7 @@ def test_candidate_mask_is_the_reference_rule(safety, allowed):
             obstacles = frozenset(c for c in product(
                 range(spec.nx), range(spec.ny), range(spec.nz)) if rng.random() < density)
         world = GridWorld(spec, obstacles, (0, 0, 0), (0, 0, 0))
-        masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0), safety, allowed)
+        masks = TieMasks(world, QTable(spec), safety, allowed)
         for at, row in enumerate(world.moves):
             want = candidates(world, at, safety, allowed)
             assert _mask_candidates(masks, at) == want, (trial, world.cells[at])
@@ -190,8 +193,8 @@ def test_execute_flight_dest_adjacent_one_step():
     cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), obstacle_density=0.0,
                       episodes_strategic=200, episodes_adaptive=100, seed=2)
     world = build_world(cfg)
-    qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
-    qa = QTable("adaptive", cfg.grid, Hyper(), 0)
+    qs = QTable(cfg.grid, cfg.grid.n_cells)
+    qa = QTable(cfg.grid, f_mhz=900.0)
     res = execute_flight(TieMasks(world, qs), qa, coverage_map(cfg.link, 900.0, world), (1, 0, 0),
                          step_cap=50, rng=random.Random(0))
     assert res.outcome == FlightOutcome.ARRIVED
@@ -199,8 +202,8 @@ def test_execute_flight_dest_adjacent_one_step():
 
 
 def test_execute_flight_validation():
-    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
-    qa = QTable("adaptive", GRID, Hyper(), 0)
+    qs = QTable(GRID, GRID.n_cells)
+    qa = QTable(GRID, f_mhz=900.0)
     cfg = TrainConfig()
     with pytest.raises(ValueError):
         execute_flight(TieMasks(EMPTY_WORLD, qs), qa, coverage_map(cfg.link, 900.0, EMPTY_WORLD),
@@ -250,23 +253,23 @@ def test_outage_steps_zero_with_low_threshold():
     cfg = TrainConfig(grid=GridSpec(nx=4, ny=4, nz=2), obstacle_density=0.0, seed=3)
     world = build_world(cfg)
     lb = dataclasses.replace(cfg.link, snr_threshold_db=-math.inf)
-    qs = QTable("strategic", cfg.grid, Hyper(), 0, columns=cfg.grid.n_cells)
-    qa = QTable("adaptive", cfg.grid, Hyper(), 0)
+    qs = QTable(cfg.grid, cfg.grid.n_cells)
+    qa = QTable(cfg.grid, f_mhz=900.0)
     res = execute_flight(TieMasks(world, qs), qa, coverage_map(lb, 900.0, world), (3, 3, 1),
                          step_cap=30, rng=random.Random(0))
     assert res.outage_steps == 0
 
 
 def test_greedy_trajectory_on_empty_table_terminates():
-    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
+    qs = QTable(GRID, GRID.n_cells)
     traj, outcome = greedy_trajectory(qs, EMPTY_WORLD, (19, 19, 4), 100, random.Random(1))
     assert outcome in (FlightOutcome.ARRIVED, FlightOutcome.STEP_CAP_HIT)
     assert len(traj) <= 101
 
 
 def test_execute_flight_rejects_map_of_another_grid():
-    qs = QTable("strategic", GRID, Hyper(), 0, columns=GRID.n_cells)
-    qa = QTable("adaptive", GRID, Hyper(), 0)
+    qs = QTable(GRID, GRID.n_cells)
+    qa = QTable(GRID, f_mhz=900.0)
     small = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     cmap = coverage_map(TrainConfig().link, 900.0, small)
     with pytest.raises(ValueError, match="coverage map grid"):
@@ -279,11 +282,11 @@ def test_flight_refuses_tables_of_another_grid():
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     small, spec = GridSpec(nx=3, ny=3, nz=2), world.spec
     with pytest.raises(ValueError, match="Q-table grid"):
-        TieMasks(world, QTable("strategic", small, Hyper(), 0, columns=small.n_cells))
-    masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
+        TieMasks(world, QTable(small, small.n_cells))
+    masks = TieMasks(world, QTable(spec, spec.n_cells))
     cmap = coverage_map(TrainConfig().link, 900.0, world)
     with pytest.raises(ValueError, match="Q-table grid"):
-        execute_flight(masks, QTable("adaptive", small, Hyper(), 0), cmap, (3, 3, 1), 10,
+        execute_flight(masks, QTable(small, f_mhz=900.0), cmap, (3, 3, 1), 10,
                        random.Random(0))
 
 
@@ -293,7 +296,7 @@ def test_greedy_trajectory_refuses_table_of_another_grid():
     # of the planner masks a flight reads
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
     spec = GridSpec(nx=3, ny=3, nz=2)
-    small = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
+    small = QTable(spec, spec.n_cells)
     for dest in ((2, 2, 1), (3, 3, 1)):
         with pytest.raises(ValueError, match="Q-table grid"):
             greedy_trajectory(small, world, dest, 10, random.Random(0))
@@ -313,8 +316,8 @@ NOT_MISSION_CELLS = {
 def test_execute_flight_refuses_a_destination_that_is_no_mission_cell(case):
     spec = GridSpec(nx=4, ny=4, nz=2)
     world = GridWorld(spec, frozenset({(1, 1, 0)}), (2, 2, 0), (0, 0, 0))
-    masks = TieMasks(world, QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells))
-    qa = QTable("adaptive", spec, Hyper(), 0)
+    masks = TieMasks(world, QTable(spec, spec.n_cells))
+    qa = QTable(spec, f_mhz=900.0)
     cmap = coverage_map(TrainConfig().link, 900.0, world)
     dest = NOT_MISSION_CELLS[case]
     with pytest.raises(ValueError, match=re.escape(f"destination {dest} is not a mission cell")):
@@ -323,8 +326,8 @@ def test_execute_flight_refuses_a_destination_that_is_no_mission_cell(case):
 
 def test_flight_refuses_a_multi_column_coverage_table():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    qa = QTable("adaptive", world.spec, Hyper(), 0, columns=world.spec.n_cells)
+    qs = QTable(world.spec, world.spec.n_cells)
+    qa = QTable(world.spec, world.spec.n_cells, f_mhz=900.0)
     cmap = coverage_map(TrainConfig().link, 900.0, world)
     with pytest.raises(ValueError, match="the coverage table must have one column"):
         execute_flight(TieMasks(world, qs), qa, cmap, (2, 2, 0), 10, random.Random(0))
@@ -334,7 +337,7 @@ def test_execute_flight_refuses_masks_of_another_rule():
     # a flight reads its world, planner and rule from its masks; the masks
     # accept only an ordered set of actions
     world = build(GridSpec(nx=4, ny=4, nz=2), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
+    qs = QTable(world.spec, world.spec.n_cells)
     for allowed in ((), (Action.PLUS_Y, Action.PLUS_X), (0, 0, 1), (0, 6)):
         with pytest.raises(ValueError, match="ascending"):
             TieMasks(world, qs, allowed=allowed)
@@ -347,7 +350,7 @@ _TIE_LEVELS = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
 
 
 def _tied_table(kind, spec, rng, per_destination=False):
-    t = QTable(kind, spec, Hyper(), 0, columns=spec.n_cells if per_destination else 1)
+    t = QTable(spec, spec.n_cells if per_destination else 1, BANDS[kind])
     t.q[...] = rng.choice(_TIE_LEVELS, size=t.q.shape)
     t.q[rng.random(t.q.shape[:-1]) < 0.25] = 0.0
     five = rng.random(t.q.shape[:-1]) < 0.125
@@ -442,7 +445,7 @@ def test_flight_replays_decide_step_for_step(safety, allowed, per_destination):
             for k, (landing, state, _) in enumerate(want, start=1):
                 snr = np.zeros(spec.n_cells)
                 snr[landing] = -1.0
-                cmap = CoverageMap(spec, 900.0, -0.5, snr.reshape(spec.nx, spec.ny, spec.nz))
+                cmap = CoverageMap(spec, -0.5, snr.reshape(spec.nx, spec.ny, spec.nz))
                 tie_rng = random.Random(seed)
                 res = execute_flight(masks, qa, cmap, dest, k, tie_rng)
                 assert res.steps == k
@@ -529,8 +532,8 @@ def test_flight_masks_are_the_ties_among_the_candidates(allowed):
     world = build(GridSpec(nx=6, ny=6, nz=3), 0.3, seed=4)
     spec = world.spec
     rng = np.random.default_rng(len(allowed))
-    qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
-    qa = QTable("adaptive", spec, Hyper(), 0)
+    qs = QTable(spec, spec.n_cells)
+    qa = QTable(spec, f_mhz=900.0)
     goal = spec.index(min(world.mission_cells()))
     qs.q[goal] = _TIE_POOL[rng.integers(0, len(_TIE_POOL), (spec.n_cells, N_ACTIONS))]
     qa.q[0] = _TIE_POOL[rng.integers(0, len(_TIE_POOL), (spec.n_cells, N_ACTIONS))]
@@ -552,8 +555,8 @@ def test_flight_masks_are_the_ties_among_the_candidates(allowed):
 
 def test_flight_masks_refuse_nan_rows():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
-    qs = QTable("strategic", world.spec, Hyper(), 0, columns=world.spec.n_cells)
-    qa = QTable("adaptive", world.spec, Hyper(), 0)
+    qs = QTable(world.spec, world.spec.n_cells)
+    qa = QTable(world.spec, f_mhz=900.0)
     qa.q[0, 4, 2] = math.nan
     cmap = coverage_map(TrainConfig().link, 900.0, world)
     with pytest.raises(ValueError, match="NaN"):
@@ -576,8 +579,8 @@ _EXTREME_ROWS = [
 def test_masks_compare_the_tables_own_values():
     world = build(GridSpec(nx=3, ny=3, nz=1), 0.0, seed=1)
     spec = world.spec
-    qs = QTable("strategic", spec, Hyper(), 0, columns=spec.n_cells)
-    qa = QTable("adaptive", spec, Hyper(), 0)
+    qs = QTable(spec, spec.n_cells)
+    qa = QTable(spec, f_mhz=900.0)
     rows = np.array(_EXTREME_ROWS)
     goal = spec.n_cells - 1
     qs.q[goal, : len(rows)] = rows

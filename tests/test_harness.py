@@ -50,7 +50,6 @@ from uavnav.qcore import (
     MAX_TABLE_BYTES,
     N_ACTIONS,
     CheckpointError,
-    Hyper,
     QTable,
 )
 from uavnav.qcore import load as load_table
@@ -267,7 +266,9 @@ def test_cmd_train_artifact_layout(tmp_path):
     text = (out / "manifest.json").read_text()
     manifest = json.loads(text)
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    assert manifest["seed"] == 5
+    assert sorted(manifest) == ["checkpoint_format_version", "config", "config_sha256",
+                                "created_utc", "files", "tool_version"]
+    assert manifest["config"]["seed"] == 5
     assert manifest["config"]["episodes_strategic"] == 400
     assert manifest["config_sha256"] == cfg.config_hash()
     # every checkpoint and reward CSV, each hashed
@@ -333,11 +334,13 @@ def test_cmd_train_byte_identical_rerun(tmp_path):
 
 
 def test_cmd_train_seed_override_changes_artifacts(tmp_path):
+    # the config is the one source of the seed: the manifest records it there
     cfg = TrainConfig(**SMALL)
     a = cmd_train(cfg, tmp_path / "a")
-    c = cmd_train(cfg, tmp_path / "c", seed=99)
+    c = cmd_train(dataclasses.replace(cfg, seed=99), tmp_path / "c")
     assert (a / "strategic.npz").read_bytes() != (c / "strategic.npz").read_bytes()
-    assert json.loads((c / "manifest.json").read_text())["seed"] == 99
+    manifest = json.loads((c / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 99 and "seed" not in manifest
 
 
 def test_evaluate_end_to_end(tmp_path):
@@ -401,11 +404,11 @@ def test_run_flights_flies_as_band_after_band(case):
     world = build_world(cfg)
     rng = np.random.default_rng(sorted(BY_BAND).index(case))
     levels = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
-    strategic = QTable("strategic", cfg.grid, cfg.hyper, cfg.seed, columns=cfg.planner_columns)
+    strategic = QTable(cfg.grid, cfg.planner_columns)
     strategic.q[...] = rng.choice(levels, size=strategic.q.shape)
     adaptive = {}
     for band in cfg.bands_mhz:
-        adaptive[band] = QTable("adaptive", cfg.grid, cfg.hyper, cfg.seed, f_mhz=band)
+        adaptive[band] = QTable(cfg.grid, f_mhz=band)
         adaptive[band].q[...] = rng.choice(levels, size=adaptive[band].q.shape)
     flights = run_flights(cfg, world, strategic, adaptive, n_flights, seed=7, safety=safety)
     assert flights.bands_mhz == tuple(sorted(cfg.bands_mhz))
@@ -481,7 +484,7 @@ def test_evaluate_loads_the_bytes_it_verified(tmp_path, monkeypatch):
     # its hash was checked does not change what is loaded.
     cfg = TrainConfig(**{**SMALL, "bands_mhz": (900.0,)})
     out = cmd_train(cfg, tmp_path / "run")
-    other = cmd_train(cfg, tmp_path / "other", seed=6)
+    other = cmd_train(dataclasses.replace(cfg, seed=6), tmp_path / "other")
     trained = {p.name: load_table(p).q.tobytes() for p in out.glob("*.npz")}
     loaded = []
 
@@ -517,7 +520,7 @@ def _edit_manifest(out, edit):
 def test_evaluate_rejects_checkpoint_sha_mismatch(tmp_path):
     cfg = TrainConfig(**SMALL)
     out = cmd_train(cfg, tmp_path / "run")
-    other = cmd_train(cfg, tmp_path / "other", seed=6)
+    other = cmd_train(dataclasses.replace(cfg, seed=6), tmp_path / "other")
     # a valid checkpoint, but not the one this run trained
     (out / "strategic.npz").write_bytes((other / "strategic.npz").read_bytes())
     with pytest.raises(ArtifactError, match="sha256"):
@@ -527,7 +530,7 @@ def test_evaluate_rejects_checkpoint_sha_mismatch(tmp_path):
 def test_evaluate_verifies_each_reward_csv(tmp_path, capsys):
     cfg = TrainConfig(**SMALL)
     out = cmd_train(cfg, tmp_path / "run")
-    other = cmd_train(cfg, tmp_path / "other", seed=6)
+    other = cmd_train(dataclasses.replace(cfg, seed=6), tmp_path / "other")
     for name in ("rewards_strategic.csv", "rewards_adaptive_900.csv", "rewards_adaptive_2100.csv"):
         kept = (out / name).read_bytes()
         # another run's CSV of the same name, then none
@@ -539,10 +542,10 @@ def test_evaluate_verifies_each_reward_csv(tmp_path, capsys):
             load_artifacts(out)
         (out / name).write_bytes(kept)
     load_artifacts(out)
-    # a manifest written before the reward CSVs were hashed asks for a retrain
+    # a manifest that hashes no reward CSV lists too few files
     _edit_manifest(out, lambda m: {**m, "files": {
         k: v for k, v in m["files"].items() if not k.endswith(".csv")}})
-    with pytest.raises(ArtifactError, match="hashes no reward CSV.*retrain"):
+    with pytest.raises(ArtifactError, match="manifest lists files"):
         load_artifacts(out)
     assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
     assert "artifact error:" in capsys.readouterr().err
@@ -591,9 +594,10 @@ def test_evaluate_rejects_malformed_manifest(tmp_path, edit):
 # eval_flights field, which would otherwise fail as an unknown field.
 # Format 3 checkpoints recorded goal_conditioned in place of columns; format 4
 # stored whole rows; format 5 stored entries in (cell, column, a) order;
-# format 6 stored the float64 values themselves, not dictionary codes.
+# format 6 stored the float64 values themselves, not dictionary codes; format
+# 7 recorded the agent kind, hyper-parameters and seed in the meta.
 FORMAT_EDITS = {
-    "previous": (lambda m: {**m, "checkpoint_format_version": 6}, "format 6"),
+    "previous": (lambda m: {**m, "checkpoint_format_version": 7}, "format 7"),
     "older": (lambda m: {**m, "checkpoint_format_version": 3}, "format 3"),
     "oldest": (lambda m: {**m, "checkpoint_format_version": 2,
                           "config": {**m["config"], "eval_flights": 100}}, "format 2"),
@@ -637,6 +641,27 @@ def test_evaluate_refuses_planner_of_another_column_layout(tmp_path, capsys):
     assert cli_main(["evaluate", "--artifacts", str(goals), "--flights", "1"]) == 3
     assert "artifact error:" in capsys.readouterr().err
     assert not (goals / "flights.csv").exists()
+
+
+@pytest.mark.parametrize("source, target, refusal", [
+    ("adaptive_900.npz", "strategic.npz", "does not hold a strategic table"),
+    ("strategic.npz", "adaptive_900.npz", "trained at None MHz, expected 900.0"),
+], ids=["coverage_as_planner", "planner_as_coverage"])
+def test_evaluate_refuses_a_table_of_the_other_kind(tmp_path, capsys, source, target, refusal):
+    # A fixed-destination run's planner and coverage table both have one
+    # column on one grid: only the band, which a planner's table lacks,
+    # tells them apart.
+    raw = {**TINY_RAW, "obstacle_density": 0.1, "seed": 3, "fixed_destination": [3, 3, 0]}
+    out = cmd_train(config_from_dict(raw), tmp_path / "run")
+    swapped = (out / source).read_bytes()
+    (out / target).write_bytes(swapped)
+    sha = hashlib.sha256(swapped).hexdigest()
+    _edit_manifest(out, lambda m: {**m, "files": {**m["files"], target: sha}})
+    with pytest.raises(ArtifactError, match=refusal):
+        load_artifacts(out)
+    assert cli_main(["evaluate", "--artifacts", str(out), "--flights", "1"]) == 3
+    assert "artifact error:" in capsys.readouterr().err
+    assert not (out / "flights.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["strategic.npz", "adaptive_900.npz"])
@@ -739,8 +764,8 @@ def test_altitude_locked_without_free_takeoff_cell_fails_fast(tmp_path):
     with _deadline(30), pytest.raises(ConfigError, match="altitude_locked"):
         cmd_train(cfg, tmp_path / "run")
     assert not (tmp_path / "run").exists()
-    strategic = QTable("strategic", cfg.grid, cfg.hyper, cfg.seed, columns=cfg.planner_columns)
-    adaptive = QTable("adaptive", cfg.grid, cfg.hyper, cfg.seed, f_mhz=900.0)
+    strategic = QTable(cfg.grid, cfg.planner_columns)
+    adaptive = QTable(cfg.grid, f_mhz=900.0)
     with _deadline(30), pytest.raises(ConfigError, match="altitude_locked"):
         run_flights(cfg, build_world(cfg), strategic, {900.0: adaptive}, 1, seed=0)
 
@@ -1152,7 +1177,7 @@ def test_config_refuses_oversized_planner_table_before_allocating(tmp_path, caps
         with pytest.raises(ConfigError, match="GiB"):
             TrainConfig(grid=over)
         with pytest.raises(ValueError, match="GiB"):
-            QTable("strategic", over, Hyper(), 0, columns=over.n_cells)
+            QTable(over, over.n_cells)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

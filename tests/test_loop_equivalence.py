@@ -102,8 +102,7 @@ def reference_strategic(world, cfg, rng):
     keys = gen.integers(1 << 64, size=cfg.episodes_strategic, dtype=np.uint64).tolist()
     # a column per destination, or one toward the fixed destination
     per_destination = cfg.fixed_destination is None
-    table = QTable("strategic", world.spec, cfg.hyper, cfg.seed,
-                   columns=world.spec.n_cells if per_destination else 1)
+    table = QTable(world.spec, world.spec.n_cells if per_destination else 1)
     sizes = (world.spec.cell_size_m, world.spec.cell_height_m)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     missions = world.mission_cells(cfg.altitude_locked)
@@ -165,7 +164,7 @@ def reference_adaptive(world, band_mhz, cfg, rng):
 
     Also returns how often each pick (``next_pick``) was drawn.
     """
-    table = QTable("adaptive", world.spec, cfg.hyper, cfg.seed, f_mhz=band_mhz)
+    table = QTable(world.spec, f_mhz=band_mhz)
     cmap = coverage_map(cfg.link, band_mhz, world)
     candidates = ACTIONS_XY if cfg.altitude_locked else ACTIONS
     locked = cfg.altitude_locked

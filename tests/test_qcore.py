@@ -28,8 +28,12 @@ from reference import epsilon_at, greedy_action, q_update
 GRID = GridSpec()
 
 
-def make_table(kind="adaptive", columns=1, **kw):
-    return QTable(kind=kind, grid=GRID, hyper=Hyper(), seed=0, columns=columns, **kw)
+# the band of a table of each kind: the planner's has none
+BANDS = {"strategic": None, "adaptive": 900.0}
+
+
+def make_table(kind="adaptive", columns=1):
+    return QTable(GRID, columns, BANDS[kind])
 
 
 def st(cell):
@@ -193,7 +197,7 @@ def test_epsilon_schedule_first_is_at_bit_for_bit(case):
 
 def _random_table(rng, kind="strategic", n_states=60, grid=GRID):
     """A planner with one column per destination, or a one-column coverage table."""
-    t = QTable(kind, grid, Hyper(), 0, columns=grid.n_cells if kind == "strategic" else 1)
+    t = QTable(grid, grid.n_cells if kind == "strategic" else 1, BANDS[kind])
 
     def cell():
         return grid.index((rng.randrange(grid.nx), rng.randrange(grid.ny), rng.randrange(grid.nz)))
@@ -213,9 +217,9 @@ def test_save_load_round_trip(tmp_path):
         save(t, path)
         back = load(path)
         assert back == t
-        assert back.kind == t.kind
+        assert back.kind == t.kind == kind
         assert back.grid == t.grid
-        assert back.hyper == t.hyper
+        assert back.f_mhz == t.f_mhz
         assert back.columns == t.columns
 
 
@@ -232,13 +236,12 @@ def test_save_load_thousand_entries(tmp_path):
 
 
 def test_empty_table_round_trip(tmp_path):
-    for kind in ("strategic", "adaptive"):
-        columns = GRID.n_cells if kind == "strategic" else 1
-        t = make_table(kind=kind, columns=columns, f_mhz=1800.0)
+    for columns, f_mhz in ((GRID.n_cells, None), (1, None), (1, 1800.0)):
+        t = QTable(GRID, columns, f_mhz)
         save(t, tmp_path / "empty.npz")
         back = load(tmp_path / "empty.npz")
         assert back.n_states() == 0
-        assert back.f_mhz == 1800.0
+        assert back.f_mhz == f_mhz
         assert back.columns == columns
         assert back == t
 
@@ -321,7 +324,7 @@ def test_round_trip_past_65536_dictionary_entries(tmp_path):
     # run's dictionary starts at 64,768, so its entries lie on both sides of
     # 65,536, where a uint16 position would wrap.
     grid = GridSpec(nx=128, ny=128, nz=1)
-    t = QTable("adaptive", grid, Hyper(), 0)
+    t = QTable(grid, f_mhz=900.0)
     values = np.random.default_rng(5).permutation(np.linspace(1, 2, 3 * RUN_LENGTH))
     values[RUN_LENGTH + 32_000 : 2 * RUN_LENGTH] = values[RUN_LENGTH : RUN_LENGTH + 768]
     t.q.reshape(-1)[:] = values
@@ -354,7 +357,7 @@ def test_round_trip_of_a_planner_column_across_a_run_boundary(tmp_path):
     # 32,400 to 32,999, so it starts in the first run and ends in the second.
     # Column c draws from 500 values plus c, so no two runs share a value.
     grid = GridSpec(nx=10, ny=10, nz=1)
-    t = QTable("strategic", grid, Hyper(), 0, columns=grid.n_cells)
+    t = QTable(grid, grid.n_cells)
     rng = np.random.default_rng(4)
     t.q[:] = rng.choice(rng.uniform(0.5, 0.9, 500), t.q.shape) + np.arange(100)[:, None, None]
     assert 54 * 600 < RUN_LENGTH < 55 * 600
@@ -426,7 +429,7 @@ def test_load_rejects_newer_version(tmp_path):
         load(tmp_path / "t.npz")
 
 
-@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, 4, 5, FORMAT_VERSION - 1])
+@pytest.mark.parametrize("version", ["1", 2.0, True, None, 1, 2, 3, 4, 5, 6, FORMAT_VERSION - 1])
 def test_load_rejects_non_int_or_old_version(tmp_path, version):
     members = _members(make_table(), tmp_path / "t.npz")
     _write_zip(tmp_path / "t.npz", _with_meta(members, format_version=version))
@@ -485,7 +488,7 @@ def test_load_refuses_v5_checkpoint_with_retrain(tmp_path):
 
 def test_load_refuses_v6_checkpoint_with_retrain(tmp_path):
     # format v6 stored the float64 values themselves, in (column, cell, a)
-    # order, under v7's occupancy bitmap
+    # order, under the occupancy bitmap of v7 and v8
     t = _random_table(random.Random(2), kind="strategic", n_states=5, grid=ODD_GRID)
     members = _members(t, tmp_path / "t.npz")
     by_column = t.q.reshape(t.columns, -1)
@@ -498,17 +501,29 @@ def test_load_refuses_v6_checkpoint_with_retrain(tmp_path):
         load(tmp_path / "v6.npz")
 
 
+def test_load_refuses_v7_checkpoint_with_retrain(tmp_path):
+    # format v7 held v8's members and recorded the agent kind, the
+    # hyper-parameters and the seed in the meta as well
+    t = _random_table(random.Random(2), kind="adaptive", n_states=5, grid=ODD_GRID)
+    members = _members(t, tmp_path / "t.npz")
+    meta = {**members["meta"], "format_version": 7, "kind": "adaptive",
+            "hyper": {"alpha": 0.8, "gamma": 0.5}, "seed": 0}
+    _write_zip(tmp_path / "v7.npz", {**members, "meta": dict(sorted(meta.items()))})
+    with pytest.raises(CheckpointError, match="format version 7.*retrain"):
+        load(tmp_path / "v7.npz")
+
+
 @pytest.mark.parametrize("columns", [0, 2, 28, True, 1.0, "1"])
 def test_qtable_columns_are_one_or_one_per_cell(columns):
     for valid in (1, ODD_GRID.n_cells):
-        assert QTable("strategic", ODD_GRID, Hyper(), 0, columns=valid).q.shape == (valid, 27, 6)
+        assert QTable(ODD_GRID, valid).q.shape == (valid, 27, 6)
     with pytest.raises(ValueError, match="columns"):
-        QTable("strategic", ODD_GRID, Hyper(), 0, columns=columns)
+        QTable(ODD_GRID, columns)
 
 
 def test_column_of_a_destination():
-    many = QTable("strategic", ODD_GRID, Hyper(), 0, columns=ODD_GRID.n_cells)
-    one = QTable("adaptive", ODD_GRID, Hyper(), 0)
+    many = QTable(ODD_GRID, ODD_GRID.n_cells)
+    one = QTable(ODD_GRID, f_mhz=900.0)
     assert (many.column(5), one.column(5)) == (5, 0)
     dests = np.array([3, 26, 0])
     np.testing.assert_array_equal(many.column(dests), dests)
@@ -571,18 +586,23 @@ _CORRUPTIONS = {
     "meta_not_object": _meta_edit(lambda m: np.array("[1, 2]")),
     "meta_not_unicode": _meta_edit(lambda m: np.array(b"{}")),
     "meta_bad_grid": _meta_edit(lambda m: {**m, "grid": {**m["grid"], "nx": 0}}),
-    "meta_bad_hyper": _meta_edit(lambda m: {**m, "hyper": {"alpha": 2.0, "gamma": 0.5}}),
-    "meta_bad_kind": _meta_edit(lambda m: {**m, "kind": "tactical"}),
-    "meta_no_seed": _meta_edit(lambda m: {x: m[x] for x in m if x != "seed"}),
     "meta_float_grid": _meta_edit(lambda m: {**m, "grid": {**m["grid"], "nx": 3.0}}),
     "meta_text_band": _meta_edit(lambda m: {**m, "f_mhz": "900"}),
     # a band of 0 MHz: the meta is the text save writes for such a table, so
     # only the band's own check refuses it
     "meta_zero_band": _meta_edit(lambda m: {**m, "f_mhz": 0}),
-    # a key of format v3, and the hyper keys out of save's sorted order
+    # a key of format v3, and the grid keys out of save's sorted order
     "meta_extra_key": _meta_edit(lambda m: {**m, "goal_conditioned": True}),
-    "meta_reordered": _meta_edit(lambda m: {**m, "hyper": dict(reversed(m["hyper"].items()))}),
+    "meta_reordered": _meta_edit(lambda m: {**m, "grid": dict(reversed(m["grid"].items()))}),
+    # the keys format v7 wrote beside these, with the values it wrote for this
+    # table, in a meta that is otherwise v8's
+    "meta_v7_kind": _meta_edit(lambda m: {**m, "kind": "strategic"}),
+    "meta_v7_hyper": _meta_edit(lambda m: {**m, "hyper": {"alpha": 0.8, "gamma": 0.5}}),
+    "meta_v7_seed": _meta_edit(lambda m: {**m, "seed": 0}),
 }
+# What load's refusal names, for the cases whose meta parses as a table
+_REFUSALS = dict.fromkeys(("meta_v7_kind", "meta_v7_hyper", "meta_v7_seed", "meta_reordered",
+                           "meta_extra_key"), "not the text save writes")
 
 
 @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
@@ -590,7 +610,7 @@ def test_load_rejects_malformed_members(tmp_path, name):
     t = _random_table(random.Random(4), kind="strategic", n_states=6, grid=ODD_GRID)
     members = _members(t, tmp_path / "t.npz")
     _write_zip(tmp_path / "t.npz", {**members, **_CORRUPTIONS[name](members)})
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=_REFUSALS.get(name)):
         load(tmp_path / "t.npz")
 
 
@@ -682,7 +702,7 @@ LONG_GRID = GridSpec(nx=80, ny=80, nz=1)
 
 def _long_table(values):
     """A one-column table on LONG_GRID whose first entries are ``values``."""
-    t = QTable("adaptive", LONG_GRID, Hyper(), 0)
+    t = QTable(LONG_GRID, f_mhz=900.0)
     t.q.reshape(-1)[: len(values)] = values
     return t
 
@@ -824,11 +844,34 @@ def test_lookup_default_zero():
 
 # The console-script check's tiny config (4 x 4 x 2, two bands): the sha256
 # of every checkpoint file it trains, bytes and not contents, so a change of
-# zip headers between Python versions shows here. Recorded with format v7.
+# zip headers between Python versions shows here. Recorded with format v8.
 TINY_CHECKPOINTS = {
-    "adaptive_1800.npz": "8f713921e0476049f4a266ae355ad6d11e1525565eb2b9278f2c791496ecf77f",
-    "adaptive_900.npz": "245c1985b0cec7151db2470456b186a1aa26b7c03b9eecac0c4e7b1d06f74249",
-    "strategic.npz": "3049c8490eaebdd018e886c42043b4a440d9a9ac06b0138149acb734694bc95d",
+    "adaptive_1800.npz": "86f74b74f6c8016efc25c0391a1a46e6df1a880ede02b9c450e3a2e104fb1a68",
+    "adaptive_900.npz": "2f4584843d9183dc305b9c38f1cb9f70864a8d52ff5356aa92d45fc26f6194c2",
+    "strategic.npz": "a70ef983c4f1cec427d6590681e86915f33ca55643db16762bd4257eb5d07751",
+}
+# The sha256 of each of those checkpoints' value members, the ``.npy`` bytes
+# of occupied, codes, dictionary and sizes, recorded with format v7: a new
+# format that changes only the meta leaves every one of them as it was.
+TINY_VALUE_MEMBERS = {
+    "adaptive_1800.npz": (
+        "72a9e669f6305a62477bcfbf827c70dccc016a305fd3daf48c4ef9a439713f2b",
+        "a5063cc512f8a0f818acd22dd0e38425fb72666d8a66750c5bfa456e1ee8a211",
+        "e82b398bc69369ad459abe40ad942137f21342235fc4b691f2558ae284515bec",
+        "0ba276191f81a897083886f1553e852f00fba005e0fa1d098c8db7088705a2c7",
+    ),
+    "adaptive_900.npz": (
+        "5bca7054c3f8aa460ac0108a058e8189fbafc8fc4b3f2cc836759bc89a75c6ad",
+        "a0afb4f1d6f8ff41bd00b0db20821bb8ef47a8889a1df3f0102395f91e727f49",
+        "4643df1b71b021745c6af87f401996ed5667705d8ea4b2904311288c476b6e17",
+        "a462308cd522c59a8dcc2fa0eead2ceb8029e9e5d6503eae14a9a226d9c72818",
+    ),
+    "strategic.npz": (
+        "541b127db25fbc3d50c53bb249d920941630953be19d45de96306dafbdf21ec4",
+        "dac2042428c89a148c9b156a151a1d4dc03c8329bbd392fc44885cffdf802058",
+        "0cfe76ee6f620f46e3bc93c82c23fc7b05fbe3921b34167fe6f36d6d816db9e1",
+        "a30824ac5d3c86a9a548a96f5e97133cd5259c8e1134f85544d9355cd6fdc837",
+    ),
 }
 
 
@@ -843,11 +886,15 @@ def test_tiny_config_checkpoint_bytes(tmp_path):
         episodes_adaptive=100,
     )
     out = cmd_train(cfg, tmp_path / "run")
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.glob("*.npz"))
-    }
+    paths = sorted(out.glob("*.npz"))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == TINY_CHECKPOINTS
+    values = {}
+    for p in paths:
+        with zipfile.ZipFile(p) as z:
+            values[p.name] = tuple(hashlib.sha256(z.read(f"{name}.npy")).hexdigest()
+                                   for name in ("occupied", "codes", "dictionary", "sizes"))
+    assert values == TINY_VALUE_MEMBERS
 
 
 def _npy_header_bytes(raw):

@@ -137,9 +137,9 @@ def test_coverage_ok_boundary():
     # a cell is covered at or above the threshold; -inf covers every cell
     spec = GridSpec(nx=3, ny=1, nz=1)
     snr = np.array([5.0, 4.999, -1000.0]).reshape(3, 1, 1)
-    at_five = CoverageMap(spec, f_mhz=900.0, snr_threshold_db=5.0, snr=snr)
+    at_five = CoverageMap(spec, snr_threshold_db=5.0, snr=snr)
     assert at_five.covered().ravel().tolist() == [True, False, False]
-    disabled = CoverageMap(spec, f_mhz=900.0, snr_threshold_db=-math.inf, snr=snr)
+    disabled = CoverageMap(spec, snr_threshold_db=-math.inf, snr=snr)
     assert disabled.covered().all()
 
 
